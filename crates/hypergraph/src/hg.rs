@@ -26,20 +26,48 @@ impl Hypergraph {
     /// Build from per-net pin lists and weights. Pins may be unsorted;
     /// duplicates within a net are removed.
     pub fn new(num_vertices: usize, nets: Vec<Vec<u32>>, vweights: Vec<u64>, nweights: Vec<u64>) -> Self {
-        assert_eq!(vweights.len(), num_vertices, "one weight per vertex");
         assert_eq!(nweights.len(), nets.len(), "one weight per net");
         let mut net_offsets = Vec::with_capacity(nets.len() + 1);
         net_offsets.push(0u32);
         let mut net_pins = Vec::new();
-        for net in &nets {
-            let mut pins = net.clone();
+        for mut pins in nets {
             pins.sort_unstable();
             pins.dedup();
-            for &p in &pins {
-                assert!((p as usize) < num_vertices, "pin {p} out of range");
-            }
             net_pins.extend_from_slice(&pins);
             net_offsets.push(net_pins.len() as u32);
+        }
+        Self::from_csr(num_vertices, net_offsets, net_pins, vweights, nweights)
+    }
+
+    /// Build from nets already in CSR form: net `n` owns
+    /// `net_pins[net_offsets[n]..net_offsets[n + 1]]`, which must be
+    /// strictly ascending (sorted, no duplicates). Skips the per-net copy
+    /// and sort of [`Hypergraph::new`].
+    pub fn from_csr(
+        num_vertices: usize,
+        net_offsets: Vec<u32>,
+        net_pins: Vec<u32>,
+        vweights: Vec<u64>,
+        nweights: Vec<u64>,
+    ) -> Self {
+        assert_eq!(vweights.len(), num_vertices, "one weight per vertex");
+        assert_eq!(net_offsets.len(), nweights.len() + 1, "one weight per net");
+        assert_eq!(net_offsets[0], 0, "offsets start at 0");
+        assert_eq!(
+            *net_offsets.last().expect("offsets are non-empty") as usize,
+            net_pins.len(),
+            "offsets end at the pin count"
+        );
+        for w in net_offsets.windows(2) {
+            assert!(w[0] <= w[1], "offsets must not decrease");
+            let pins = &net_pins[w[0] as usize..w[1] as usize];
+            assert!(
+                pins.windows(2).all(|p| p[0] < p[1]),
+                "net pins must be strictly ascending"
+            );
+            if let Some(&p) = pins.last() {
+                assert!((p as usize) < num_vertices, "pin {p} out of range");
+            }
         }
 
         // Transpose: vertex -> nets.
@@ -93,6 +121,12 @@ impl Hypergraph {
     #[inline]
     pub fn num_pins(&self) -> usize {
         self.net_pins.len()
+    }
+
+    /// The net -> pins CSR arrays `(net_offsets, net_pins)`.
+    #[inline]
+    pub(crate) fn pin_csr(&self) -> (&[u32], &[u32]) {
+        (&self.net_offsets, &self.net_pins)
     }
 
     /// Pins of net `n`, sorted.
@@ -195,6 +229,30 @@ mod tests {
         assert_eq!(hg.nets_of(0), &[0, 2]);
         assert_eq!(hg.nets_of(3), &[1, 3]);
         assert_eq!(hg.total_vweight(), 4);
+    }
+
+    #[test]
+    fn csr_constructor_matches_new() {
+        let hg = grid2();
+        let csr = Hypergraph::from_csr(
+            4,
+            vec![0, 2, 4, 6, 8],
+            vec![0, 1, 2, 3, 0, 2, 1, 3],
+            vec![1; 4],
+            vec![1; 4],
+        );
+        for n in 0..4 {
+            assert_eq!(csr.pins(n), hg.pins(n));
+        }
+        for v in 0..4 {
+            assert_eq!(csr.nets_of(v), hg.nets_of(v));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn csr_rows_must_ascend() {
+        Hypergraph::from_csr(2, vec![0, 2], vec![1, 1], vec![1; 2], vec![1]);
     }
 
     #[test]

@@ -19,9 +19,14 @@
 //!   from stored gains and the pop loop re-pushes an entry only when the
 //!   vertex's gain actually changed — value-identical to the naive
 //!   unconditional pushes, whose extra entries are duplicates of live
-//!   ones and therefore indistinguishable to the heap;
-//! * `coarsen_once` reuses the order/score/touched scratch across levels
-//!   and the level stack no longer clones each coarse hypergraph;
+//!   ones and therefore indistinguishable to the heap. Only boundary
+//!   nets are scanned for those pushes unless a net above
+//!   `MAX_MATCH_NET` pins moved a gain earlier in the pass, the one way a
+//!   queued gain can go stale outside the net being updated;
+//! * `coarsen_once` scans only the still-unmatched pins of each net (a
+//!   per-level pin copy compacted as matched pins are met), reuses its
+//!   scratch across levels, builds coarse nets straight into CSR, and
+//!   the level stack no longer clones each coarse hypergraph;
 //! * `greedy_initial` filters a persistent candidate pool in place
 //!   (`retain` keeps the same ascending order and length as the rebuilt
 //!   vector, so every RNG draw is identical).
@@ -120,16 +125,44 @@ struct CoarsenScratch {
     order: Vec<u32>,
     score: Vec<u64>,
     touched: Vec<u32>,
+    /// Per-level copy of the pin CSR. Row `n` starts at the net's own
+    /// offset and holds its first `live_len[n]` entries as the pins not
+    /// known to be matched yet; matched pins are swap-removed as scans
+    /// meet them.
+    live_pins: Vec<u32>,
+    live_len: Vec<u32>,
+    /// Pin buffer for building one coarse net.
+    net_buf: Vec<u32>,
+}
+
+/// Heavy-connectivity weight of a net with `size` pins: `w/(size−1)`,
+/// the standard normalization, scaled by 256 to stay integral.
+fn match_weight(hg: &Hypergraph, net: usize, size: usize) -> u64 {
+    hg.nweight(net).max(1) * 256 / (size as u64 - 1).max(1)
 }
 
 /// One level of heavy-connectivity matching.
+///
+/// Each vertex scores its unmatched neighbours over the live rows only,
+/// compacting matched pins out of the rows as it goes, so a pin is read
+/// once after it is matched instead of once per later scan through its
+/// net. The weight still uses the net's full pin count, scores are sums
+/// (order-free), and `(score, u)` keys are unique, so the chosen partner
+/// is the one the full-pin scan picks.
 fn coarsen_once(
     hg: &Hypergraph,
     rng: &mut StdRng,
     scratch: &mut CoarsenScratch,
 ) -> (Hypergraph, Vec<u32>) {
     let n = hg.num_vertices();
-    let order = &mut scratch.order;
+    let CoarsenScratch {
+        order,
+        score,
+        touched,
+        live_pins,
+        live_len,
+        net_buf,
+    } = scratch;
     order.clear();
     order.extend(0..n as u32);
     order.shuffle(rng);
@@ -138,11 +171,14 @@ fn coarsen_once(
     let mut next_coarse = 0u32;
     // Scratch for neighbor scores; `score` is all-zero between vertices
     // (reset via `touched`), so growing it keeps the invariant.
-    let score = &mut scratch.score;
     if score.len() < n {
         score.resize(n, 0);
     }
-    let touched = &mut scratch.touched;
+    let (offsets, pins) = hg.pin_csr();
+    live_pins.clear();
+    live_pins.extend_from_slice(pins);
+    live_len.clear();
+    live_len.extend(offsets.windows(2).map(|w| w[1] - w[0]));
 
     for &v in order.iter() {
         if matched[v as usize] != u32::MAX {
@@ -151,15 +187,24 @@ fn coarsen_once(
         // Score unmatched neighbors by shared-net weight.
         touched.clear();
         for &net in hg.nets_of(v as usize) {
-            let pins = hg.pins(net as usize);
-            if pins.len() > MAX_MATCH_NET {
+            let ni = net as usize;
+            let size = (offsets[ni + 1] - offsets[ni]) as usize;
+            if size > MAX_MATCH_NET {
                 continue;
             }
-            // Weight each shared net by w/(|pins|−1), the standard
-            // heavy-connectivity normalization.
-            let w = hg.nweight(net as usize).max(1) * 256 / (pins.len() as u64 - 1).max(1);
-            for &u in pins {
-                if u == v || matched[u as usize] != u32::MAX {
+            let w = match_weight(hg, ni, size);
+            let row = &mut live_pins[offsets[ni] as usize..][..live_len[ni] as usize];
+            let mut len = row.len();
+            let mut i = 0;
+            while i < len {
+                let u = row[i];
+                if matched[u as usize] != u32::MAX {
+                    len -= 1;
+                    row[i] = row[len];
+                    continue;
+                }
+                i += 1;
+                if u == v {
                     continue;
                 }
                 if score[u as usize] == 0 {
@@ -167,6 +212,7 @@ fn coarsen_once(
                 }
                 score[u as usize] += w;
             }
+            live_len[ni] = len as u32;
         }
         let best = touched
             .iter()
@@ -182,25 +228,42 @@ fn coarsen_once(
             score[u as usize] = 0;
         }
     }
+    build_coarse(hg, matched, next_coarse as usize, net_buf)
+}
 
-    // Build the coarse hypergraph.
-    let cn = next_coarse as usize;
+/// Contract `hg` along `matched` (coarse id per fine vertex, ids
+/// `0..cn`): vertex weights add up, each net maps to its sorted distinct
+/// coarse pins, and nets left with fewer than 2 pins are dropped. Returns
+/// the coarse hypergraph and `matched` as the fine→coarse map.
+fn build_coarse(
+    hg: &Hypergraph,
+    matched: Vec<u32>,
+    cn: usize,
+    buf: &mut Vec<u32>,
+) -> (Hypergraph, Vec<u32>) {
     let mut cweights = vec![0u64; cn];
-    for v in 0..n {
-        cweights[matched[v] as usize] += hg.vweight(v);
+    for (v, &c) in matched.iter().enumerate() {
+        cweights[c as usize] += hg.vweight(v);
     }
-    let mut nets: Vec<Vec<u32>> = Vec::with_capacity(hg.num_nets());
+    let mut offsets: Vec<u32> = Vec::with_capacity(hg.num_nets() + 1);
+    offsets.push(0);
+    let mut pins: Vec<u32> = Vec::with_capacity(hg.num_pins());
     let mut nweights: Vec<u64> = Vec::with_capacity(hg.num_nets());
     for net in 0..hg.num_nets() {
-        let mut pins: Vec<u32> = hg.pins(net).iter().map(|&p| matched[p as usize]).collect();
-        pins.sort_unstable();
-        pins.dedup();
-        if pins.len() >= 2 {
-            nets.push(pins);
+        buf.clear();
+        buf.extend(hg.pins(net).iter().map(|&p| matched[p as usize]));
+        buf.sort_unstable();
+        buf.dedup();
+        if buf.len() >= 2 {
+            pins.extend_from_slice(buf);
+            offsets.push(pins.len() as u32);
             nweights.push(hg.nweight(net));
         }
     }
-    (Hypergraph::new(cn, nets, cweights, nweights), matched)
+    (
+        Hypergraph::from_csr(cn, offsets, pins, cweights, nweights),
+        matched,
+    )
 }
 
 /// Randomized greedy growth: grow part 0 from a random seed along nets
@@ -282,6 +345,9 @@ fn gain_of(hg: &Hypergraph, v: usize, parts: &[u32], side_pins: &[[u32; 2]]) -> 
 /// unconditionally, but its extra entries equal live queued tuples, and
 /// equal tuples are indistinguishable to a binary heap — so the accepted
 /// move sequence is identical (see `tests/differential_naive.rs`).
+/// Only boundary nets are scanned for such pushes, until a net too big to
+/// requeue has updated gains in the pass (`drift`); after that every
+/// small net is scanned, as before.
 fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: usize) {
     let n = hg.num_vertices();
     if n == 0 {
@@ -320,22 +386,27 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
         let mut best_prefix = 0usize;
         let mut cur_delta = 0i64;
         let mut best_delta = 0i64;
+        // Set once a net above MAX_MATCH_NET updates gains this pass: its
+        // pins are not requeued, so from then on an unlocked vertex's gain
+        // may differ from `cached` outside a net just updated.
+        let mut drift = false;
 
         while let Some((g, v)) = heap.pop() {
             let vu = v as usize;
             if locked[vu] {
                 continue;
             }
-            if g != cached[vu] {
-                continue; // stale duplicate; the live entry is still queued
-            }
             let real = gain[vu];
             if real != g {
-                // Drifted since it was queued (a net > MAX_MATCH_NET moved,
-                // which never triggers re-pushes); requeue at the true gain
-                // exactly like the naive lazy reinsert.
-                cached[vu] = real;
-                heap.push((real, v));
+                // Stale: requeue at the true gain like the naive lazy
+                // reinsert, unless `cached` says that entry is queued
+                // already. An entry other than `cached` is not skipped
+                // unread: after big-net drift the gain can return to an
+                // older queued value, and the naive code moves on it.
+                if real != cached[vu] {
+                    cached[vu] = real;
+                    heap.push((real, v));
+                }
                 continue;
             }
             let s = parts[vu] as usize;
@@ -360,7 +431,8 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
                 // Boundary-case delta rules: pin gains change only when
                 // the source count drops to 1 or the destination count
                 // leaves {0, 1}.
-                if f <= 2 || tc <= 1 {
+                let boundary = f <= 2 || tc <= 1;
+                if boundary {
                     let w = hg.nweight(ni) as i64;
                     for &u in pins {
                         let uu = u as usize;
@@ -373,13 +445,16 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
                             gain[uu] -= w * ((tc == 1) as i64 + (f == 1) as i64);
                         }
                     }
+                    drift |= pins.len() > MAX_MATCH_NET;
                 }
                 side_pins[ni][s] = f - 1;
                 side_pins[ni][t] = tc + 1;
                 // Neighbors requeue at their updated gains, net by net —
                 // the same program points (and therefore the same values)
-                // as the naive per-net pushes.
-                if pins.len() <= MAX_MATCH_NET {
+                // as the naive per-net pushes. A non-boundary net changed
+                // no gain, so its scan can only find drift left by a big
+                // net; without any, the scan would push nothing.
+                if pins.len() <= MAX_MATCH_NET && (boundary || drift) {
                     for &u in pins {
                         let uu = u as usize;
                         if !locked[uu] && gain[uu] != cached[uu] {
@@ -440,10 +515,10 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
 // Naive reference (the original implementation, feature-gated)
 // ---------------------------------------------------------------------------
 
-/// The original [`bisect`]: per-pass rebuilds in FM, per-draw candidate
-/// rebuilds in the greedy start, cloned level stack. Kept as the
-/// decision-equivalence reference for the differential proptests and for
-/// `--paper-timing` style comparisons.
+/// The original [`bisect`]: full-pin matching scans, per-pass rebuilds
+/// in FM, per-draw candidate rebuilds in the greedy start, cloned level
+/// stack. Kept as the decision-equivalence reference for the differential
+/// proptests and for `--paper-timing` style comparisons.
 #[cfg(feature = "naive")]
 pub fn bisect_naive(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (Vec<u32>, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -451,8 +526,7 @@ pub fn bisect_naive(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (
     let mut levels: Vec<Level> = Vec::new();
     let mut current = hg.clone();
     while current.num_vertices() > COARSEN_TARGET {
-        let mut scratch = CoarsenScratch::default();
-        let (coarse, map) = coarsen_once(&current, &mut rng, &mut scratch);
+        let (coarse, map) = coarsen_once_naive(&current, &mut rng);
         let shrink = coarse.num_vertices() as f64 / current.num_vertices() as f64;
         let stop = shrink > MIN_SHRINK;
         levels.push(Level {
@@ -487,6 +561,57 @@ pub fn bisect_naive(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (
 
     let cost = bisection_cost(hg, &parts);
     (parts, cost)
+}
+
+/// Original matching: every scan walks all pins of each small net,
+/// matched ones included.
+#[cfg(feature = "naive")]
+fn coarsen_once_naive(hg: &Hypergraph, rng: &mut StdRng) -> (Hypergraph, Vec<u32>) {
+    let n = hg.num_vertices();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.shuffle(rng);
+
+    let mut matched = vec![u32::MAX; n]; // coarse id per fine vertex
+    let mut next_coarse = 0u32;
+    let mut score = vec![0u64; n];
+    let mut touched: Vec<u32> = Vec::new();
+    for &v in &order {
+        if matched[v as usize] != u32::MAX {
+            continue;
+        }
+        // Score unmatched neighbors by shared-net weight.
+        touched.clear();
+        for &net in hg.nets_of(v as usize) {
+            let pins = hg.pins(net as usize);
+            if pins.len() > MAX_MATCH_NET {
+                continue;
+            }
+            let w = match_weight(hg, net as usize, pins.len());
+            for &u in pins {
+                if u == v || matched[u as usize] != u32::MAX {
+                    continue;
+                }
+                if score[u as usize] == 0 {
+                    touched.push(u);
+                }
+                score[u as usize] += w;
+            }
+        }
+        let best = touched
+            .iter()
+            .copied()
+            .max_by_key(|&u| (score[u as usize], u));
+        let cid = next_coarse;
+        next_coarse += 1;
+        matched[v as usize] = cid;
+        if let Some(u) = best {
+            matched[u as usize] = cid;
+        }
+        for &u in &touched {
+            score[u as usize] = 0;
+        }
+    }
+    build_coarse(hg, matched, next_coarse as usize, &mut Vec::new())
 }
 
 /// Original greedy growth: rebuilds the candidate vector of unassigned
@@ -698,6 +823,39 @@ mod tests {
             assert_eq!(cost, bisection_cost(&hg, &parts), "seed {seed}");
             let q = evaluate(&hg, &parts, 2);
             assert_eq!(q.max_part_weight + q.min_part_weight, 100);
+        }
+    }
+
+    /// FM alone, started with a net above `MAX_MATCH_NET` uncut: the first
+    /// move of one of its pins raises every other pin's gain without a
+    /// requeue. Matching the naive moves then takes both the scans of
+    /// non-boundary nets (`drift`) and the pop rule that acts on any entry
+    /// equal to the current gain, since later big-net updates can return a
+    /// gain to a value queued before the latest push.
+    #[cfg(feature = "naive")]
+    #[test]
+    fn fm_matches_naive_after_big_net_drift() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..64 {
+            let nv = 600;
+            let mut nets: Vec<Vec<u32>> = (0..nv)
+                .map(|_| {
+                    let len = rng.random_range(2usize..13);
+                    (0..len).map(|_| rng.random_range(0..nv as u32)).collect()
+                })
+                .collect();
+            let mut nweights: Vec<u64> =
+                (0..nets.len()).map(|_| rng.random_range(1u64..4)).collect();
+            nets.push((0..nv as u32 / 2).collect());
+            nweights.push(rng.random_range(4u64..33));
+            let vweights: Vec<u64> = (0..nv).map(|_| rng.random_range(1u64..4)).collect();
+            let hg = Hypergraph::new(nv, nets, vweights, nweights);
+            let cap = hg.total_vweight() / 2 + 20;
+            let mut fast: Vec<u32> = (0..nv).map(|v| (v >= nv / 2) as u32).collect();
+            let mut naive = fast.clone();
+            fm_refine(&hg, &mut fast, cap, cap, MAX_FM_PASSES);
+            fm_refine_naive(&hg, &mut naive, cap, cap, MAX_FM_PASSES);
+            assert_eq!(fast, naive, "case {case}");
         }
     }
 

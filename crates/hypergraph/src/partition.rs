@@ -2,10 +2,12 @@
 //!
 //! Mirrors the hMETIS configuration used in the paper (§IV-B): near-perfect
 //! balance (`UBfactor = 1`), `Nruns = 20` random starts keeping the best
-//! connectivity−1 result. Restarts run in parallel worker threads.
+//! connectivity−1 result. Restarts run on a pool of at most
+//! `PartitionConfig::threads` worker threads.
 
 use crate::hg::{evaluate, Hypergraph, PartitionQuality};
 use crate::multilevel::bisect;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of [`partition`].
 #[derive(Clone, Debug, PartialEq)]
@@ -19,7 +21,9 @@ pub struct PartitionConfig {
     pub nruns: usize,
     /// Base RNG seed; restart `i` uses `seed + i`.
     pub seed: u64,
-    /// Worker threads for the restarts (1 = sequential).
+    /// Most worker threads the restarts run on at once (the pool has
+    /// `min(threads, nruns)` workers; 1 = sequential on the caller's
+    /// thread).
     pub threads: usize,
     /// Use the original full-rebuild bisection. Decision-equivalent to the
     /// default indexed one; only the wall time differs.
@@ -121,36 +125,48 @@ pub fn partition(hg: &Hypergraph, config: &PartitionConfig) -> Partitioning {
         (parts, cost)
     };
 
-    let results: Vec<(usize, Vec<u32>, u64)> = if config.threads <= 1 || config.nruns == 1 {
-        (0..config.nruns)
-            .map(|i| {
-                let (p, c) = run_once(config.seed.wrapping_add(i as u64));
-                (i, p, c)
-            })
-            .collect()
-    } else {
-        let mut results = Vec::with_capacity(config.nruns);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..config.nruns)
-                .map(|i| {
-                    let run_once = &run_once;
-                    scope.spawn(move || {
-                        let (p, c) = run_once(config.seed.wrapping_add(i as u64));
-                        (i, p, c)
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("restart thread panicked"));
+    // Workers pull restart indices from a shared counter, so each sees
+    // its indices in increasing order and keeps only its best
+    // `(cost, index)`; the minimum over the workers' bests is the minimum
+    // over all restarts, and the lowest index still wins ties. The
+    // counter publishes no data (results come back through `join`), so
+    // `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    #[cfg(test)]
+    let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let worker = || {
+        let mut best: Option<(u64, usize, Vec<u32>)> = None;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= config.nruns {
+                return best;
             }
-        });
-        results
+            #[cfg(test)]
+            peak.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            let (parts, cost) = run_once(config.seed.wrapping_add(i as u64));
+            #[cfg(test)]
+            running.fetch_sub(1, Ordering::SeqCst);
+            if best.as_ref().is_none_or(|b| cost < b.0) {
+                best = Some((cost, i, parts));
+            }
+        }
     };
+    let workers = config.threads.min(config.nruns);
+    let best = if workers <= 1 {
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .filter_map(|h| h.join().expect("restart worker panicked"))
+                .min_by_key(|&(cost, i, _)| (cost, i))
+        })
+    };
+    #[cfg(test)]
+    tests::PEAK_RESTARTS.with(|p| p.set(peak.into_inner()));
 
-    let (_, parts, _) = results
-        .into_iter()
-        .min_by_key(|(i, _, c)| (*c, *i))
-        .expect("nruns >= 1");
+    let (_, _, parts) = best.expect("nruns >= 1");
     let quality = evaluate(hg, &parts, config.k);
     Partitioning { parts, quality }
 }
@@ -176,7 +192,7 @@ fn recursive_bisect(
     let members: Vec<u32> = (0..parts.len() as u32)
         .filter(|&v| parts[v as usize] == part_base)
         .collect();
-    let (sub, _back) = induce(hg, &members);
+    let sub = induce(hg, &members);
     let k0 = k.div_ceil(2);
     let k1 = k - k0;
     let total = sub.total_vweight();
@@ -211,14 +227,17 @@ fn recursive_bisect(
 }
 
 /// Extract the sub-hypergraph induced by `members` (nets restricted to the
-/// member set; nets with < 2 remaining pins dropped). Returns the
-/// sub-hypergraph and the local→global vertex map.
-fn induce(hg: &Hypergraph, members: &[u32]) -> (Hypergraph, Vec<u32>) {
+/// member set; nets with < 2 remaining pins dropped). Local vertex `i` is
+/// `members[i]`.
+fn induce(hg: &Hypergraph, members: &[u32]) -> Hypergraph {
     let mut local = vec![u32::MAX; hg.num_vertices()];
     for (i, &v) in members.iter().enumerate() {
         local[v as usize] = i as u32;
     }
-    let mut nets = Vec::new();
+    // `members` ascends, so local ids keep the global order and each
+    // filtered pin row stays strictly ascending.
+    let mut net_offsets = vec![0u32];
+    let mut net_pins = Vec::new();
     let mut nweights = Vec::new();
     let mut seen_net = vec![false; hg.num_nets()];
     for &v in members {
@@ -227,30 +246,33 @@ fn induce(hg: &Hypergraph, members: &[u32]) -> (Hypergraph, Vec<u32>) {
                 continue;
             }
             seen_net[net as usize] = true;
-            let pins: Vec<u32> = hg
-                .pins(net as usize)
-                .iter()
-                .filter_map(|&p| {
-                    let l = local[p as usize];
-                    (l != u32::MAX).then_some(l)
-                })
-                .collect();
-            if pins.len() >= 2 {
-                nets.push(pins);
+            let start = net_pins.len();
+            net_pins.extend(hg.pins(net as usize).iter().filter_map(|&p| {
+                let l = local[p as usize];
+                (l != u32::MAX).then_some(l)
+            }));
+            if net_pins.len() - start >= 2 {
+                net_offsets.push(net_pins.len() as u32);
                 nweights.push(hg.nweight(net as usize));
+            } else {
+                net_pins.truncate(start);
             }
         }
     }
     let vweights: Vec<u64> = members.iter().map(|&v| hg.vweight(v as usize)).collect();
-    (
-        Hypergraph::new(members.len(), nets, vweights, nweights),
-        members.to_vec(),
-    )
+    Hypergraph::from_csr(members.len(), net_offsets, net_pins, vweights, nweights)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Most restarts in flight at once during the calling thread's
+        /// last `partition` call.
+        pub(super) static PEAK_RESTARTS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn grid(n: usize) -> Hypergraph {
         let mut nets = Vec::new();
@@ -307,6 +329,50 @@ mod tests {
         let seq = partition(&hg, &base.clone().with_threads(1));
         let par = partition(&hg, &base.with_threads(4));
         assert_eq!(seq.parts, par.parts);
+    }
+
+    /// Restarts tie on cost here, so only the pool's reduction decides
+    /// which one wins: it must be the lowest index whatever the pool size,
+    /// and the pool must never run more than `threads` restarts at once.
+    #[test]
+    fn restart_pool_picks_lowest_index_on_ties() {
+        let hg = grid(8);
+        let seed = 3;
+        let base = PartitionConfig::for_parts(2).with_seed(seed);
+        // Restart `i` alone is `partition` with one run seeded `seed + i`.
+        let one_run = base.clone().with_nruns(1).with_threads(1);
+        let single: Vec<Partitioning> = (0..20u64)
+            .map(|i| partition(&hg, &one_run.clone().with_seed(seed + i)))
+            .collect();
+        let costs: Vec<u64> = single
+            .iter()
+            .map(|p| p.quality.connectivity_minus_one)
+            .collect();
+        let min = *costs.iter().min().unwrap();
+        let tied: Vec<&Vec<u32>> = (0..20)
+            .filter(|&i| costs[i] == min)
+            .map(|i| &single[i].parts)
+            .collect();
+        assert!(
+            tied.iter().any(|&p| p != tied[0]),
+            "want distinct tied restarts, costs {costs:?}"
+        );
+        for nruns in [1usize, 2, 5, 20] {
+            let winner = (0..nruns).min_by_key(|&i| (costs[i], i)).unwrap();
+            for threads in [1usize, 2, 3, 8, 32] {
+                let cfg = base.clone().with_nruns(nruns).with_threads(threads);
+                let p = partition(&hg, &cfg);
+                assert_eq!(
+                    p.parts, single[winner].parts,
+                    "nruns {nruns} threads {threads}: want restart {winner}"
+                );
+                let peak = PEAK_RESTARTS.with(Cell::get);
+                assert!(
+                    (1..=threads.min(nruns)).contains(&peak),
+                    "nruns {nruns} threads {threads}: {peak} restarts ran at once"
+                );
+            }
+        }
     }
 
     #[test]

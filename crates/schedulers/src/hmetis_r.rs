@@ -77,12 +77,16 @@ impl HmetisRScheduler {
     /// Build the task hypergraph of §IV-B: one vertex per task (weighted
     /// by flops) and one hyperedge per data item spanning its consumers.
     pub fn build_hypergraph(ts: &TaskSet) -> Hypergraph {
-        let mut nets = Vec::new();
+        // Consumer lists are sorted and distinct, so they are pin rows
+        // as they stand.
+        let mut net_offsets = vec![0u32];
+        let mut net_pins = Vec::new();
         let mut nweights = Vec::new();
         for d in ts.data() {
             let pins = ts.consumers(d);
             if pins.len() >= 2 {
-                nets.push(pins.to_vec());
+                net_pins.extend_from_slice(pins);
+                net_offsets.push(net_pins.len() as u32);
                 nweights.push(ts.data_size(d).max(1));
             }
         }
@@ -96,7 +100,7 @@ impl HmetisRScheduler {
             .tasks()
             .map(|t| (ts.flops(t) / min_flops).round().max(1.0) as u64)
             .collect();
-        Hypergraph::new(ts.num_tasks(), nets, vweights, nweights)
+        Hypergraph::from_csr(ts.num_tasks(), net_offsets, net_pins, vweights, nweights)
     }
 }
 

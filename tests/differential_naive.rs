@@ -80,6 +80,65 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
         .prop_map(|(nv, nets, vweights, nweights)| Hypergraph::new(nv, nets, vweights, nweights))
 }
 
+/// Strategy: a weighted hypergraph large enough to coarsen (above the
+/// 160-vertex target) and to carry a net of more than 256 pins, the size
+/// above which matching ignores a net and FM does not requeue its pins.
+/// Two planted clusters, A of 257–290 vertices and B of 170–310, hold
+/// local 2–12-pin nets (pins within 24 ids of a random centre); a few
+/// nets span both. The big net is all of A plus up to 2 pins of B and
+/// weighs 4–32, so when A fits one side it starts nearly uncut and its
+/// boundary updates move gains that FM does not requeue.
+fn arb_large_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (257usize..=290, 170usize..=310)
+        .prop_flat_map(|(a, b)| {
+            let nv = a + b;
+            let local = proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    0..nv as u32,
+                    proptest::collection::vec(0u32..24, 2..=12),
+                ),
+                nv / 2..=nv,
+            );
+            let cross = proptest::collection::vec(
+                (
+                    proptest::collection::vec(0..a as u32, 2..=6),
+                    proptest::collection::vec(a as u32..nv as u32, 2..=6),
+                ),
+                2..=8,
+            );
+            let big = (
+                proptest::collection::vec(a as u32..nv as u32, 0..=2),
+                4u64..=32,
+            );
+            let vweights = proptest::collection::vec(1u64..=3, nv);
+            // One weight per small net: at most nv local + 8 cross.
+            let nweights = proptest::collection::vec(1u64..=3, nv + 8);
+            (Just(a), local, cross, big, vweights, nweights)
+        })
+        .prop_map(
+            |(a, local, cross, (extra, big_weight), vweights, mut nweights)| {
+                let nv = vweights.len() as u32;
+                let a = a as u32;
+                let mut nets: Vec<Vec<u32>> = local
+                    .into_iter()
+                    .map(|(in_a, centre, offsets)| {
+                        let (base, size) = if in_a { (0, a) } else { (a, nv - a) };
+                        offsets
+                            .into_iter()
+                            .map(|o| base + (centre + o) % size)
+                            .collect()
+                    })
+                    .collect();
+                nets.extend(cross.into_iter().map(|(ua, ub)| [ua, ub].concat()));
+                nweights.truncate(nets.len());
+                nets.push((0..a).chain(extra).collect());
+                nweights.push(big_weight);
+                Hypergraph::new(nv as usize, nets, vweights, nweights)
+            },
+        )
+}
+
 fn small_spec(gpus: usize, mem: u64) -> PlatformSpec {
     PlatformSpec {
         num_gpus: gpus,
@@ -342,6 +401,43 @@ proptest! {
             .with_nruns(3)
             .with_seed(seed)
             .with_threads(1);
+        let fast = partition(&hg, &cfg);
+        let naive = partition(&hg, &cfg.clone().with_naive());
+        prop_assert_eq!(fast.parts, naive.parts, "seed {}", seed);
+    }
+
+    /// Multilevel bisection on hypergraphs that coarsen and carry a net
+    /// above the matching cap: live-pin matching must pick the partners of
+    /// the full-pin scan at every level, and boundary-only FM requeues
+    /// must push what the naive per-net pushes do, big-net drift included.
+    #[test]
+    fn bisect_large_matches_naive(
+        hg in arb_large_hypergraph(),
+        seed in 0u64..1000,
+        eps_idx in 0usize..3,
+    ) {
+        let eps = [0.01f64, 0.05, 0.2][eps_idx];
+        let total = hg.total_vweight();
+        let w0 = total / 2;
+        let w1 = total - w0;
+        let fast = bisect(&hg, w0, w1, eps, seed);
+        let naive = bisect_naive(&hg, w0, w1, eps, seed);
+        prop_assert_eq!(fast, naive, "seed {}", seed);
+    }
+
+    /// K-way partitioning of the same hypergraphs through the restart
+    /// pool: identical part vectors with and without the naive bisection.
+    #[test]
+    fn partition_large_matches_naive(
+        hg in arb_large_hypergraph(),
+        k in 2usize..5,
+        seed in 0u64..1000,
+        threads in 1usize..4,
+    ) {
+        let cfg = PartitionConfig::for_parts(k)
+            .with_nruns(3)
+            .with_seed(seed)
+            .with_threads(threads);
         let fast = partition(&hg, &cfg);
         let naive = partition(&hg, &cfg.clone().with_naive());
         prop_assert_eq!(fast.parts, naive.parts, "seed {}", seed);
