@@ -7,8 +7,8 @@
 //! non-negative `ts`/`dur`), the simulator's guarantee that spans on one
 //! track never overlap (each PCI bus of a multi-bus platform gets its
 //! own track, checked independently), the placement of transfers on
-//! interconnect tracks and compute on GPU tracks, the shard-merge
-//! invariant (per-track spans appear in canonical `(time, gpu)` order),
+//! interconnect tracks and compute on GPU tracks, the exporter's span
+//! order (per-track spans appear in non-decreasing time order),
 //! and the admission-track invariants of online
 //! runs (time-ordered arrivals, no admit/defer before the arrival). The
 //! `--metrics` check validates histogram quantile ordering (p50 ≤ p99)

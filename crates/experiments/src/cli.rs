@@ -80,21 +80,6 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> Result<FigArgs, String>
     let args: Vec<String> = args.collect();
     let quick = args.iter().any(|a| a == "--quick");
     let paper_timing = args.iter().any(|a| a == "--paper-timing");
-    let json = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let jobs_arg = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--jobs="))
-                .and_then(|v| v.parse::<usize>().ok())
-        });
     // `--flag VALUE` or `--flag=VALUE`.
     let value_of = |flag: &str| {
         args.iter()
@@ -107,6 +92,21 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> Result<FigArgs, String>
                     .find_map(|a| a.strip_prefix(&prefix))
                     .map(str::to_string)
             })
+    };
+    let json = value_of("--json");
+    if let Some(p) = &json {
+        obs::validate_out_path("--json", p)?;
+    }
+    // A trailing `--jobs` has no value: reject it like a non-number
+    // rather than silently falling back to `MEMSCHED_JOBS`.
+    let jobs_arg = match value_of("--jobs")
+        .or_else(|| args.iter().any(|a| a == "--jobs").then(String::new))
+    {
+        Some(j) => Some(
+            j.parse::<usize>()
+                .map_err(|_| format!("--jobs {j:?}: not a number"))?,
+        ),
+        None => None,
     };
     let faults = match value_of("--faults") {
         Some(spec) => {
@@ -198,6 +198,19 @@ mod tests {
         let d = parse_from(argv(&[])).unwrap();
         assert!(d.jobs >= 1);
         assert!(d.faults.is_none());
+
+        // A malformed or missing worker count is an error (→ exit 2),
+        // never a silent fallback to the default.
+        let bad_jobs: [&[&str]; 4] =
+            [&["--jobs", "abc"], &["--jobs=abc"], &["--jobs"], &["--jobs", "--quick"]];
+        for bad in bad_jobs {
+            let e = parse_from(argv(bad)).unwrap_err();
+            assert!(e.contains("--jobs") && e.contains("not a number"), "{bad:?}: {e}");
+        }
+        assert_eq!(
+            parse_from(argv(&["--jobs", "abc"])).unwrap_err(),
+            "--jobs \"abc\": not a number"
+        );
     }
 
     #[test]
@@ -241,6 +254,8 @@ mod tests {
         assert!(e.unwrap_err().contains("--trace-out"));
         let e = parse_from(argv(&["--metrics-out=/no/such/dir/m.json"]));
         assert!(e.unwrap_err().contains("--metrics-out"));
+        let e = parse_from(argv(&["--json", "/no/such/dir/rows.json"]));
+        assert!(e.unwrap_err().contains("--json"));
         let e = parse_from(argv(&["--trace-format", "vite"]));
         assert!(e.unwrap_err().contains("--trace-format"));
     }

@@ -292,9 +292,8 @@ fn require_num(ev: &Value, key: &str, i: usize) -> Result<f64, String> {
 ///   and compute spans on GPU tracks — a transfer rendered onto a GPU
 ///   track would hide a bus-serialization bug;
 /// * within each track, spans appear in the file in non-decreasing
-///   `ts` order — the canonical `(time, gpu)` trace order that the
-///   sharded tier's merge must reproduce byte-identically, surviving
-///   export (the shard-merge invariant).
+///   `ts` order — the order the Chrome exporter writes, so an exporter
+///   that reorders spans is caught here.
 pub fn lint_chrome(doc: &Value) -> Result<ChromeLint, String> {
     let events = doc
         .field("traceEvents", "trace")
@@ -309,7 +308,7 @@ pub fn lint_chrome(doc: &Value) -> Result<ChromeLint, String> {
     // (tid, ts, ts+dur) of every span, for the per-track overlap check.
     let mut spans: Vec<(u64, f64, f64)> = Vec::new();
     let mut tids: Vec<u64> = Vec::new();
-    // Last span begin per track, for the canonical-order check.
+    // Last span begin per track, for the exporter-order check.
     let mut last_begin: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
     // Admission-track state: arrivals must be time-ordered, and a task
     // can only be admitted at or after its recorded arrival.
@@ -655,7 +654,7 @@ mod tests {
     #[test]
     fn spans_out_of_canonical_order_are_rejected() {
         // Disjoint spans, so the overlap check alone would pass; only the
-        // shard-merge (canonical order) invariant catches the swap.
+        // exporter-order check catches the swap.
         let err = lint_str(
             r#"{"traceEvents": [
                 {"name": "D1", "cat": "transfer", "ph": "X", "pid": 0, "tid": 1000,

@@ -368,7 +368,7 @@ fn run_inner(
     }
     let prepare_wall = prepare_started.elapsed().as_nanos() as Nanos;
 
-    let mut st = new_state(ts, spec, config, online, config.trace, obs);
+    let mut st = new_state(ts, spec, config, online, obs);
 
     // Seed the fault timeline. With the default empty plan this pushes
     // nothing, so event sequence numbering — and therefore every
@@ -379,7 +379,7 @@ fn run_inner(
             .faults
             .validate(k)
             .map_err(RunError::InvalidFaultPlan)?;
-        seed_faults(&mut st, config, |_| true);
+        seed_faults(&mut st, config);
     }
 
     let mut sched_wall: Vec<Nanos> = vec![0; k];
@@ -405,10 +405,9 @@ fn run_inner(
         }
     }
     let naive_core = config.use_naive_core();
-    let gpu_ids: Vec<usize> = (0..k).collect();
     let mut processed: u64 = 0;
     loop {
-        sweep(ts, spec, scheduler, &mut st, &mut sched_wall, naive_core, &gpu_ids)?;
+        sweep(ts, spec, scheduler, &mut st, &mut sched_wall, naive_core)?;
         if st.completed + st.dropped() == m {
             break;
         }
@@ -440,10 +439,9 @@ fn run_inner(
     Ok(finish_run(ts, spec, scheduler, st, sched_wall, prepare_wall, online))
 }
 
-/// Dispatch one popped event at `st.now`: the body of the serial event
-/// loop, factored out so the sharded tier ([`ShardSim`]) drives the
-/// byte-identical code path. `total` is the run's task count, consulted
-/// by the all-GPUs-failed early exit.
+/// Dispatch one popped event at `st.now`: the body of the event loop.
+/// `total` is the run's task count, consulted by the all-GPUs-failed
+/// early exit.
 #[allow(clippy::too_many_arguments)]
 fn handle_event(
     ts: &TaskSet,
@@ -774,14 +772,13 @@ fn handle_event(
     Ok(())
 }
 
-/// Per-round worklist sweep over `gpus`: only GPUs whose local state
+/// Per-round worklist sweep over every GPU: only GPUs whose local state
 /// changed since their last pass can act (an event touched them, a wake
 /// cleared their stall latch, or a memory-blocked prefetch must re-ask
 /// for a victim). A clean GPU's pipeline is full-or-stalled and its last
 /// pass already issued every issuable prefetch, so skipping it takes the
 /// exact same decisions as the reference core's full scan — the
-/// differential proptests pin this. The naive core scans all. The serial
-/// loop sweeps every GPU; a [`ShardSim`] sweeps its bus group only.
+/// differential proptests pin this. The naive core scans all.
 fn sweep(
     ts: &TaskSet,
     spec: &PlatformSpec,
@@ -789,9 +786,8 @@ fn sweep(
     st: &mut State,
     sched_wall: &mut [Nanos],
     naive_core: bool,
-    gpus: &[usize],
 ) -> Result<(), RunError> {
-    for &g in gpus {
+    for g in 0..spec.num_gpus {
         if st.dead[g] || !(naive_core || st.dirty[g]) {
             continue;
         }
@@ -801,9 +797,7 @@ fn sweep(
     Ok(())
 }
 
-/// Close the run's accounting and assemble the report: the serial core's
-/// epilogue, shared verbatim between [`run_inner`] and the sharded
-/// tier's per-shard finalization.
+/// Close the run's accounting and assemble the report.
 #[allow(clippy::too_many_arguments)]
 fn finish_run(
     ts: &TaskSet,
@@ -847,7 +841,7 @@ fn finish_run(
     }
 
     let per_gpu: Vec<GpuRunStats> = (0..k)
-        .map(|g| gpu_stats(&st, &sched_wall, st.now, g))
+        .map(|g| gpu_stats(&st, &sched_wall, g))
         .collect();
     let sink = std::mem::replace(&mut st.trace, TraceSink::Off);
     let (trace, trace_checksum) = sink.finish();
@@ -865,7 +859,6 @@ fn finish_run(
         gpu_failures: st.failures,
         tasks_redispatched: st.redispatched,
         bus_busy_ns: st.bus_busy.clone(),
-        sharding: None,
         online: online.then(|| {
             st.latencies.sort_unstable();
             st.queueing.sort_unstable();
@@ -916,10 +909,8 @@ fn finish_run(
     (report, trace)
 }
 
-/// One GPU's [`GpuRunStats`] snapshot; `makespan` is the run's global
-/// makespan (a shard's local clock stops early, so the sharded merge
-/// recomputes idle time against the coordinator's global makespan).
-fn gpu_stats(st: &State, sched_wall: &[Nanos], makespan: Nanos, g: usize) -> GpuRunStats {
+/// One GPU's [`GpuRunStats`] snapshot at the run's final clock.
+fn gpu_stats(st: &State, sched_wall: &[Nanos], g: usize) -> GpuRunStats {
     GpuRunStats {
         tasks: st.tasks_done[g],
         loads: st.mem[g].loads,
@@ -927,7 +918,7 @@ fn gpu_stats(st: &State, sched_wall: &[Nanos], makespan: Nanos, g: usize) -> Gpu
         evictions: st.mem[g].evictions,
         busy: st.busy[g],
         stall: st.stall[g],
-        idle: makespan.saturating_sub(st.busy[g] + st.stall[g]),
+        idle: st.now.saturating_sub(st.busy[g] + st.stall[g]),
         sched_wall: sched_wall[g],
         nvlink_loads: st.nvlink_loads[g],
         nvlink_bytes: st.nvlink_bytes[g],
@@ -936,16 +927,12 @@ fn gpu_stats(st: &State, sched_wall: &[Nanos], makespan: Nanos, g: usize) -> Gpu
     }
 }
 
-/// Fresh engine state for `ts` on `spec`. `trace` is passed separately
-/// from `config.trace` because sharded runs record `Full` internally
-/// even in `Checksum` mode (the checksum folds over the canonically
-/// merged stream, see `crate::shard`).
+/// Fresh engine state for `ts` on `spec`.
 fn new_state(
     ts: &TaskSet,
     spec: &PlatformSpec,
     config: &RunConfig,
     online: bool,
-    trace: TraceMode,
     obs: Option<Probe>,
 ) -> State {
     let k = spec.num_gpus;
@@ -978,7 +965,7 @@ fn new_state(
         // A batch run emits one LoadIssued+LoadDone pair per load plus a
         // TaskStarted/TaskFinished pair per task; 4·m is a generous head
         // start that kills reallocation churn in `Full` mode.
-        trace: TraceSink::new(trace, 4 * m + 64),
+        trace: TraceSink::new(config.trace, 4 * m + 64),
         dead: vec![false; k],
         speed: vec![1.0; k],
         pending_shrinks: Vec::new(),
@@ -1011,25 +998,17 @@ fn new_state(
     }
 }
 
-/// Seed the fault timeline for every fault whose GPU satisfies `keep`,
-/// preserving plan indices (events reference the plan by index) and the
-/// plan-order seeding sequence — so a shard's same-time fault tie-breaks
-/// match the serial run's restriction to that shard's GPUs.
-fn seed_faults(st: &mut State, config: &RunConfig, keep: impl Fn(usize) -> bool) {
+/// Seed the fault timeline in plan order; events reference the plan by
+/// index.
+fn seed_faults(st: &mut State, config: &RunConfig) {
     for (i, f) in config.faults.gpu_failures.iter().enumerate() {
-        if keep(f.gpu) {
-            st.push_event(f.at, Event::GpuFail { idx: i as u32 });
-        }
+        st.push_event(f.at, Event::GpuFail { idx: i as u32 });
     }
     for (i, s) in config.faults.capacity_shrinks.iter().enumerate() {
-        if keep(s.gpu) {
-            st.push_event(s.at, Event::Shrink { idx: i as u32 });
-        }
+        st.push_event(s.at, Event::Shrink { idx: i as u32 });
     }
     for (i, s) in config.faults.stragglers.iter().enumerate() {
-        if keep(s.gpu) {
-            st.push_event(s.at, Event::Straggle { idx: i as u32 });
-        }
+        st.push_event(s.at, Event::Straggle { idx: i as u32 });
     }
 }
 
@@ -1997,176 +1976,6 @@ fn retry_deferred(
         }
         st.deferred.pop_front();
         admit(ts, spec, scheduler, st, sched_wall, t);
-    }
-}
-
-/// Why a [`ShardSim::advance`] call returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ShardStep {
-    /// The shard completed its share of tasks (and, exactly like the
-    /// serial core, ran one more worklist sweep after the final
-    /// completion before stopping).
-    Done,
-    /// The next event lies beyond the window horizon, or the event queue
-    /// drained without reaching the completion target (the coordinator
-    /// distinguishes the two via [`ShardSim::next_event_time`]).
-    Horizon,
-}
-
-/// One bus-group shard of the sharded simulation tier: the flat serial
-/// engine core restricted to a subset of GPUs, advanced incrementally
-/// under the coordinator's conservative time windows (`crate::shard`).
-///
-/// A shard owns a full-size [`State`] (GPU-indexed vectors cover the
-/// whole platform) but only its own GPUs ever receive events, sweeps or
-/// faults, so the state it evolves is exactly the serial run's state
-/// projected onto the shard — the invariant behind the byte-identical
-/// merge. Batch mode only; the coordinator falls back to the serial
-/// core for anything this struct does not model (admission loops,
-/// transfer faults, NVLink, probes, the naive reference core).
-pub(crate) struct ShardSim {
-    st: State,
-    sched_wall: Vec<Nanos>,
-    /// GPUs of this shard's bus group, in ascending index order (sweep
-    /// order must match the serial core's `0..k` scan restricted to the
-    /// group).
-    gpus: Vec<usize>,
-    /// Events processed by this shard (the coordinator sums shards
-    /// against `RunConfig::max_events`).
-    processed: u64,
-}
-
-impl ShardSim {
-    /// Build the shard over `gpus`, seeding only faults that target its
-    /// GPUs. The caller has already validated the fault plan and
-    /// guaranteed batch mode.
-    pub(crate) fn new(
-        ts: &TaskSet,
-        spec: &PlatformSpec,
-        config: &RunConfig,
-        trace: TraceMode,
-        gpus: Vec<usize>,
-    ) -> Self {
-        let k = spec.num_gpus;
-        let mut st = new_state(ts, spec, config, false, trace, None);
-        if !config.faults.is_empty() {
-            let mut mine = vec![false; k];
-            for &g in &gpus {
-                mine[g] = true;
-            }
-            seed_faults(&mut st, config, |g| mine[g]);
-        }
-        Self {
-            st,
-            sched_wall: vec![0; k],
-            gpus,
-            processed: 0,
-        }
-    }
-
-    /// Run the serial loop restricted to this shard until the shard has
-    /// completed `stop_at` tasks or its next event passes `horizon`
-    /// (inclusive). Mirrors `run_inner` exactly: sweep, check the
-    /// completion target, pop, dispatch.
-    pub(crate) fn advance(
-        &mut self,
-        ts: &TaskSet,
-        spec: &PlatformSpec,
-        scheduler: &mut dyn Scheduler,
-        config: &RunConfig,
-        horizon: Nanos,
-        stop_at: usize,
-    ) -> Result<ShardStep, RunError> {
-        let total = ts.num_tasks();
-        loop {
-            sweep(
-                ts,
-                spec,
-                scheduler,
-                &mut self.st,
-                &mut self.sched_wall,
-                false,
-                &self.gpus,
-            )?;
-            if self.st.completed >= stop_at {
-                return Ok(ShardStep::Done);
-            }
-            let Some(t) = self.st.events.peek_time() else {
-                return Ok(ShardStep::Horizon);
-            };
-            if t > horizon {
-                return Ok(ShardStep::Horizon);
-            }
-            let (time, _, ev) = self.st.events.pop().expect("peeked event present");
-            self.st.now = time;
-            self.processed += 1;
-            if self.processed > config.max_events {
-                return Err(RunError::EventBudgetExceeded);
-            }
-            handle_event(
-                ts,
-                spec,
-                scheduler,
-                &mut self.st,
-                &mut self.sched_wall,
-                config,
-                total,
-                ev,
-            )?;
-        }
-    }
-
-    /// Timestamp of the shard's next pending event, if any.
-    pub(crate) fn next_event_time(&mut self) -> Option<Nanos> {
-        self.st.events.peek_time()
-    }
-
-    /// The shard's local clock (time of its last processed event).
-    pub(crate) fn now(&self) -> Nanos {
-        self.st.now
-    }
-
-    /// Events processed by this shard so far.
-    pub(crate) fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Close the shard's stall accounting at the global `makespan`,
-    /// exactly as the serial epilogue does at its final clock.
-    pub(crate) fn finalize(&mut self, makespan: Nanos) {
-        self.st.now = makespan;
-        for &g in &self.gpus {
-            self.st.lane_advance(g);
-        }
-    }
-
-    /// Per-GPU stats against the global `makespan` (see [`gpu_stats`]).
-    pub(crate) fn gpu_stats(&self, makespan: Nanos, g: usize) -> GpuRunStats {
-        gpu_stats(&self.st, &self.sched_wall, makespan, g)
-    }
-
-    /// Take the shard's recorded trace (always recorded `Full` or `Off`;
-    /// the coordinator folds checksums after the canonical merge).
-    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
-        let sink = std::mem::replace(&mut self.st.trace, TraceSink::Off);
-        sink.finish().0
-    }
-
-    /// Aggregate counters the coordinator sums into the merged report:
-    /// `(flops_done, retries, failures, redispatched)`.
-    pub(crate) fn totals(&self) -> (f64, u64, u64, u64) {
-        (
-            self.st.flops_done,
-            self.st.retries,
-            self.st.failures,
-            self.st.redispatched,
-        )
-    }
-
-    /// Per-bus busy nanoseconds (only this shard's buses are nonzero;
-    /// the coordinator sums element-wise).
-    pub(crate) fn bus_busy(&self) -> &[Nanos] {
-        &self.st.bus_busy
     }
 }
 

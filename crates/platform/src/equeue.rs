@@ -60,13 +60,6 @@ const MAX_SLOTS: usize = 1 << 16;
 /// the identical `(time, seq)` stream.
 pub(crate) struct EventQueue<T> {
     imp: Imp<T>,
-    /// Item extracted by [`EventQueue::peek_time`] and not yet consumed.
-    /// Both backends only support destructive pops, so a peek pops the
-    /// minimum and stashes it here; the next `pop` returns it first. A
-    /// `push` that sorts below the held item displaces it into the
-    /// backend, preserving the invariant that `held` is the queue's
-    /// global `(time, seq)` minimum.
-    held: Option<Item<T>>,
 }
 
 enum Imp<T> {
@@ -81,28 +74,18 @@ impl<T: Copy + Ord> EventQueue<T> {
         if naive {
             return Self {
                 imp: Imp::Heap(std::collections::BinaryHeap::new()),
-                held: None,
             };
         }
         #[cfg(not(feature = "naive"))]
         let _ = naive;
         Self {
             imp: Imp::Calendar(Calendar::new()),
-            held: None,
         }
     }
 
     #[inline]
     pub(crate) fn push(&mut self, at: Nanos, seq: u64, payload: T) {
-        let mut it = (at, seq, payload);
-        if let Some(h) = self.held {
-            // Keep `held` the global minimum: a new item that sorts below
-            // it takes its place and the old minimum rejoins the backend.
-            if (it.0, it.1) < (h.0, h.1) {
-                self.held = Some(it);
-                it = h;
-            }
-        }
+        let it = (at, seq, payload);
         match &mut self.imp {
             Imp::Calendar(c) => c.push(it),
             #[cfg(feature = "naive")]
@@ -112,31 +95,11 @@ impl<T: Copy + Ord> EventQueue<T> {
 
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<Item<T>> {
-        if let Some(it) = self.held.take() {
-            return Some(it);
-        }
         match &mut self.imp {
             Imp::Calendar(c) => c.pop(),
             #[cfg(feature = "naive")]
             Imp::Heap(h) => h.pop().map(|std::cmp::Reverse(it)| it),
         }
-    }
-
-    /// Timestamp of the next event without consuming it — the sharded
-    /// tier's coordinator uses this to size conservative time windows.
-    /// Internally pops the minimum into the held slot (both backends are
-    /// pop-only), so `&mut self`; the `(time, seq)` pop stream is
-    /// unchanged.
-    #[inline]
-    pub(crate) fn peek_time(&mut self) -> Option<Nanos> {
-        if self.held.is_none() {
-            self.held = match &mut self.imp {
-                Imp::Calendar(c) => c.pop(),
-                #[cfg(feature = "naive")]
-                Imp::Heap(h) => h.pop().map(|std::cmp::Reverse(it)| it),
-            };
-        }
-        self.held.map(|(t, _, _)| t)
     }
 }
 
@@ -342,27 +305,6 @@ mod tests {
             (false, 0),
         ];
         check_stream(&ops);
-    }
-
-    /// `peek_time` must not disturb the pop stream, even when a push
-    /// after the peek sorts below the held minimum.
-    #[test]
-    fn peek_time_is_transparent_to_pops() {
-        let mut q: EventQueue<u32> = EventQueue::new(false);
-        assert_eq!(q.peek_time(), None);
-        q.push(500, 1, 10);
-        assert_eq!(q.peek_time(), Some(500));
-        assert_eq!(q.peek_time(), Some(500));
-        // Displacement: a sweep between peeks may schedule earlier work.
-        q.push(300, 2, 20);
-        assert_eq!(q.peek_time(), Some(300));
-        // Same-time tie resolves by seq even across the held slot.
-        q.push(300, 3, 30);
-        assert_eq!(q.pop(), Some((300, 2, 20)));
-        assert_eq!(q.pop(), Some((300, 3, 30)));
-        assert_eq!(q.pop(), Some((500, 1, 10)));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -39,10 +39,8 @@ mod equeue;
 mod fault;
 mod memory;
 mod pipeline;
-pub mod pool;
 mod report;
 mod scheduler;
-pub mod shard;
 mod spec;
 mod trace;
 
@@ -50,7 +48,6 @@ pub use analysis::{analyze, analyze_checked, render_gantt, to_obs_events, TraceA
 pub use engine::{
     run, run_observed, run_with_config, AdmissionConfig, RunConfig, RunError, ShedPolicy,
 };
-pub use shard::{canonicalize_trace, run_sharded, SchedulerFactory, ShardOptions};
 pub use trace::{trace_checksum, TraceMode};
 /// The observability subsystem (re-exported so downstream crates can
 /// build probes and exporters without naming `memsched-obs` directly).
@@ -58,7 +55,7 @@ pub use memsched_obs as obs;
 pub use memsched_obs::{ObsEvent, Probe};
 pub use fault::{CapacityShrink, FaultPlan, GpuFailure, Straggler, TransferFaultSpec};
 pub use memory::{GpuMemory, Residency};
-pub use report::{GpuRunStats, OnlineStats, RunReport, ShardingStats, TraceEvent};
+pub use report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
 pub use scheduler::{RuntimeView, Scheduler};
 pub use spec::{
     Nanos, PlatformSpec, NVLINK_BANDWIDTH, PAPER_MEMORY_BYTES, PCIE_BANDWIDTH,

@@ -90,26 +90,6 @@ pub struct RunReport {
     /// before the multi-bus extension.
     #[serde(default)]
     pub bus_busy_ns: Vec<u64>,
-    /// Statistics of the sharded simulation tier (`None` for runs on
-    /// the serial core).
-    #[serde(default)]
-    pub sharding: Option<ShardingStats>,
-}
-
-/// How a sharded-tier run (`memsched_platform::shard`) was executed.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ShardingStats {
-    /// Worker threads requested by the caller.
-    pub requested_shards: usize,
-    /// Independent shards actually simulated (the number of bus groups
-    /// when sharding engaged; 1 on a serial fallback).
-    pub shards_used: usize,
-    /// Conservative time-window barriers crossed by the coordinator.
-    pub windows: u64,
-    /// Why the run fell back to the serial core (`None` when sharding
-    /// engaged).
-    #[serde(default)]
-    pub fallback_reason: Option<String>,
 }
 
 /// Serving statistics of one online (admission-loop) run.

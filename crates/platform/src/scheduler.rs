@@ -380,28 +380,17 @@ pub trait Scheduler {
         let _ = (gpu, capacity, view);
     }
 
-    /// Whether this policy's dispatch decomposes per PCI-bus group in
-    /// **batch** mode: after [`prepare`](Self::prepare), every
-    /// [`pop_task`](Self::pop_task) answer for a GPU must depend only on
-    /// prepare-time state and on events of GPUs sharing that GPU's bus
-    /// group. Decomposable policies are eligible for the sharded
-    /// simulation tier (one independent sub-simulation per bus group);
-    /// globally-coupled ones — a shared central queue, cross-group
-    /// stealing or work counters — must keep the default `false` and run
-    /// on the serial core.
+    /// Whether this policy's dispatch decomposes per PCI-bus group.
+    /// Nothing in the workspace calls it; it stays only because an
+    /// out-of-workspace forwarding wrapper still overrides it.
     fn decomposes_per_group(&self) -> bool {
         false
     }
 
-    /// For a decomposable policy (see
-    /// [`decomposes_per_group`](Self::decomposes_per_group)), after a
-    /// batch [`prepare`](Self::prepare): how many tasks this policy will
-    /// dispatch to each bus group. `groups` maps GPU index → group id
-    /// (`0..num_groups`). Group shares must be prepare-static — fault
-    /// redispatch may move tasks between GPUs of a group but never
-    /// across groups. The sharded tier needs the counts to stop each
-    /// shard at exactly the event where the serial core would stop it;
-    /// `None` (the default) keeps the run on the serial core.
+    /// Tasks this policy dispatches to each bus group (`groups` maps GPU
+    /// index → group id). Nothing in the workspace calls it; it stays
+    /// only because an out-of-workspace forwarding wrapper still
+    /// overrides it.
     fn group_task_counts(&self, groups: &[usize], num_groups: usize) -> Option<Vec<usize>> {
         let _ = (groups, num_groups);
         None

@@ -33,13 +33,6 @@ pub struct DmdaScheduler {
     ready_at: Vec<Nanos>,
     /// Predicted per-GPU InMem sets (prefetch-requested data).
     in_mem: Vec<Vec<bool>>,
-    /// GPU index → bus group, captured from the spec in `prepare`;
-    /// fault rerouting prefers survivors on the same bus.
-    groups: Vec<usize>,
-    /// Online mode flag, set by `prepare_stream`. The batch allocation
-    /// is static and decomposes per bus group; the online allocator
-    /// couples all GPUs through the shared Eq. (1) horizon.
-    online: bool,
     /// Observability probe (queue-depth gauges); absent unless attached.
     probe: Option<Probe>,
     /// Serve Ready through the input-walking reference implementation.
@@ -56,8 +49,6 @@ impl DmdaScheduler {
             queues: Vec::new(),
             ready_at: Vec::new(),
             in_mem: Vec::new(),
-            groups: Vec::new(),
-            online: false,
             probe: None,
             #[cfg(feature = "naive")]
             naive_ready: false,
@@ -72,8 +63,6 @@ impl DmdaScheduler {
             queues: Vec::new(),
             ready_at: Vec::new(),
             in_mem: Vec::new(),
-            groups: Vec::new(),
-            online: false,
             probe: None,
             #[cfg(feature = "naive")]
             naive_ready: false,
@@ -145,8 +134,6 @@ impl Scheduler for DmdaScheduler {
         // Predicted state per GPU: completion horizon and InMem set.
         self.ready_at = vec![0; k];
         self.in_mem = vec![vec![false; ts.num_data()]; k];
-        self.groups = (0..k).map(|g| spec.bus_of(g)).collect();
-        self.online = false;
         for t in ts.tasks() {
             // `now = 0` makes `ready_at.max(now)` the identity, so this
             // is exactly the historical batch allocation.
@@ -161,8 +148,6 @@ impl Scheduler for DmdaScheduler {
         self.queues = vec![Vec::new(); k];
         self.ready_at = vec![0; k];
         self.in_mem = vec![vec![false; ts.num_data()]; k];
-        self.groups = (0..k).map(|g| spec.bus_of(g)).collect();
-        self.online = true;
     }
 
     fn on_task_arrival(&mut self, task: TaskId, view: &RuntimeView<'_>) {
@@ -219,22 +204,13 @@ impl Scheduler for DmdaScheduler {
         // Re-run the allocation step for the orphans only: the dead GPU's
         // interrupted pipeline tasks and its whole unserved queue move to
         // the shortest surviving queue (tie → lowest index), preserving
-        // their original service order. Survivors on the same bus group
-        // are preferred — the orphans' prefetch plan targeted that bus —
-        // with a fall-back to any alive GPU when the whole group is dead
-        // so the run can still complete.
+        // their original service order.
         let g = gpu.index();
         let mut orphans: Vec<TaskId> = lost.to_vec();
         orphans.append(&mut self.queues[g]);
-        let same_group = |h: usize| self.groups.is_empty() || self.groups[h] == self.groups[g];
-        let mut alive: Vec<usize> = (0..self.queues.len())
-            .filter(|&h| h != g && same_group(h) && view.is_alive(GpuId(h as u32)))
+        let alive: Vec<usize> = (0..self.queues.len())
+            .filter(|&h| h != g && view.is_alive(GpuId(h as u32)))
             .collect();
-        if alive.is_empty() {
-            alive = (0..self.queues.len())
-                .filter(|&h| h != g && view.is_alive(GpuId(h as u32)))
-                .collect();
-        }
         if alive.is_empty() {
             // No survivors to reroute to; the engine aborts the run.
             self.queues[g] = orphans;
@@ -247,25 +223,6 @@ impl Scheduler for DmdaScheduler {
                 .expect("alive is non-empty");
             self.queues[target].push(t);
         }
-    }
-
-    fn decomposes_per_group(&self) -> bool {
-        // The batch allocation is computed once in `prepare`; afterwards
-        // each GPU serves (and Ready-reorders) only its own queue, and
-        // fault rerouting prefers the same bus group. The online
-        // allocator routes arrivals across every GPU's horizon.
-        !self.online
-    }
-
-    fn group_task_counts(&self, groups: &[usize], num_groups: usize) -> Option<Vec<usize>> {
-        if self.online {
-            return None;
-        }
-        let mut out = vec![0; num_groups];
-        for (g, q) in self.queues.iter().enumerate() {
-            out[groups[g]] += q.len();
-        }
-        Some(out)
     }
 }
 
@@ -369,6 +326,47 @@ mod tests {
             "fast/slow = {:.2}",
             fast / slow
         );
+    }
+
+    #[test]
+    fn failed_gpu_rehomes_to_shortest_queue_on_any_bus() {
+        // On `v100_multibus(4, 2)` (GPUs 0/1 on bus 0, GPUs 2/3 on bus
+        // 1), GPU 0 dies at t = 0 holding 8 tasks while GPU 1 queues 8
+        // more. The orphans go one by one to the shortest alive queue,
+        // whichever bus it is on: GPUs 2 and 3 share them.
+        struct Seeded(DmdaScheduler);
+        impl Scheduler for Seeded {
+            fn name(&self) -> String {
+                self.0.name()
+            }
+            fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
+                self.0.prepare(ts, spec);
+                let tasks: Vec<TaskId> = ts.tasks().collect();
+                self.0.queues =
+                    vec![tasks[..8].to_vec(), tasks[8..].to_vec(), Vec::new(), Vec::new()];
+            }
+            fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
+                self.0.pop_task(gpu, view)
+            }
+            fn on_gpu_failed(&mut self, gpu: GpuId, lost: &[TaskId], view: &RuntimeView<'_>) {
+                self.0.on_gpu_failed(gpu, lost, view);
+            }
+        }
+        let ts = gemm_2d(4);
+        let spec = PlatformSpec::v100_multibus(4, 2);
+        let config = memsched_platform::RunConfig {
+            faults: memsched_platform::FaultPlan::none().with_gpu_failure(0, 0),
+            ..Default::default()
+        };
+        let (report, _) = memsched_platform::run_with_config(
+            &ts,
+            &spec,
+            &mut Seeded(DmdaScheduler::dmda()),
+            &config,
+        )
+        .unwrap();
+        let tasks: Vec<usize> = report.per_gpu.iter().map(|g| g.tasks).collect();
+        assert_eq!(tasks, vec![0, 8, 4, 4]);
     }
 
     #[test]

@@ -785,8 +785,7 @@ impl Scheduler for HfpScheduler {
             config
         };
         let queues = pack_with(ts, &config);
-        let mut sq = StealingQueues::new(queues, self.window, self.steal)
-            .with_groups((0..spec.num_gpus).map(|g| spec.bus_of(g)).collect());
+        let mut sq = StealingQueues::new(queues, self.window, self.steal);
         if let Some(p) = &self.probe {
             sq.attach_probe(p.clone());
         }
@@ -857,22 +856,6 @@ impl Scheduler for HfpScheduler {
         if let Some(q) = self.queues.as_mut() {
             q.return_tasks(gpu, lost, view);
         }
-    }
-
-    fn decomposes_per_group(&self) -> bool {
-        // Batch only: the packing is fixed in `prepare` and runtime
-        // interactions go through the group-scoped stealing queues. The
-        // online incremental re-pack spans all GPUs.
-        !self.online
-    }
-
-    fn group_task_counts(&self, groups: &[usize], num_groups: usize) -> Option<Vec<usize>> {
-        if self.online {
-            return None;
-        }
-        self.queues
-            .as_ref()
-            .map(|q| q.group_task_counts(groups, num_groups))
     }
 }
 

@@ -21,10 +21,6 @@ pub struct HmetisRScheduler {
     /// Online mode: per-GPU bitmap of data items referenced by tasks
     /// already routed there, driving the greedy affinity placement.
     assigned_data: Vec<Vec<bool>>,
-    /// Online mode flag, set by `prepare_stream`. Batch runs decompose
-    /// per bus group (the partition is static and stealing is scoped);
-    /// the online affinity router is globally coupled.
-    online: bool,
 }
 
 /// User-facing knobs of [`HmetisRScheduler`].
@@ -70,7 +66,6 @@ impl HmetisRScheduler {
             probe: None,
             partition_cost: 0,
             assigned_data: Vec::new(),
-            online: false,
         }
     }
 
@@ -134,13 +129,11 @@ impl Scheduler for HmetisRScheduler {
         for t in ts.tasks() {
             queues[parts[t.index()] as usize].push(t);
         }
-        let mut sq = StealingQueues::new(queues, self.config.window, self.config.steal)
-            .with_groups((0..k).map(|g| spec.bus_of(g)).collect());
+        let mut sq = StealingQueues::new(queues, self.config.window, self.config.steal);
         if let Some(p) = &self.probe {
             sq.attach_probe(p.clone());
         }
         self.queues = Some(sq);
-        self.online = false;
     }
 
     fn prepare_stream(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
@@ -149,7 +142,6 @@ impl Scheduler for HmetisRScheduler {
         // the visible horizon) over empty stealing queues.
         let k = spec.num_gpus;
         self.partition_cost = 0;
-        self.online = true;
         self.assigned_data = vec![vec![false; ts.num_data()]; k];
         let mut sq = StealingQueues::new(
             vec![Vec::new(); k],
@@ -216,23 +208,6 @@ impl Scheduler for HmetisRScheduler {
         if let Some(q) = self.queues.as_mut() {
             q.return_tasks(gpu, lost, view);
         }
-    }
-
-    fn decomposes_per_group(&self) -> bool {
-        // Batch only: the partition is fixed in `prepare` and every
-        // runtime interaction (Ready pops, steals, fault re-homing) is
-        // scoped to the bus group by the grouped stealing queues. The
-        // online affinity router compares queue depths across all GPUs.
-        !self.online
-    }
-
-    fn group_task_counts(&self, groups: &[usize], num_groups: usize) -> Option<Vec<usize>> {
-        if self.online {
-            return None;
-        }
-        self.queues
-            .as_ref()
-            .map(|q| q.group_task_counts(groups, num_groups))
     }
 }
 

@@ -66,8 +66,6 @@ pub struct RouterScheduler {
     /// Per (GPU, data): planned future uses by routed-but-unfinished
     /// tasks — the LUF eviction hint.
     future_uses: Vec<Vec<u32>>,
-    /// Set by `prepare_stream`; routes through the runtime view.
-    online: bool,
     /// Observability probe (queue-depth gauges on pop).
     probe: Option<Probe>,
 }
@@ -89,7 +87,6 @@ impl RouterScheduler {
             inflight_bytes: Vec::new(),
             planned: Vec::new(),
             future_uses: Vec::new(),
-            online: false,
             probe: None,
         }
     }
@@ -192,7 +189,6 @@ impl Scheduler for RouterScheduler {
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
         self.reset(spec.num_gpus, ts.num_data(), ts.num_tasks());
-        self.online = false;
         for t in ts.tasks() {
             self.route_planned(ts, t, |_| true);
         }
@@ -200,7 +196,6 @@ impl Scheduler for RouterScheduler {
 
     fn prepare_stream(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
         self.reset(spec.num_gpus, ts.num_data(), ts.num_tasks());
-        self.online = true;
     }
 
     fn on_task_arrival(&mut self, task: TaskId, view: &RuntimeView<'_>) {
@@ -294,25 +289,6 @@ impl Scheduler for RouterScheduler {
         for t in orphans {
             self.route_runtime(ts, t, view);
         }
-    }
-
-    fn decomposes_per_group(&self) -> bool {
-        // The batch routing is fully static after `prepare`; each GPU
-        // then serves its own FIFO, and every runtime hook touches only
-        // that GPU's counters. The online router couples all GPUs
-        // through the shared load scores.
-        !self.online
-    }
-
-    fn group_task_counts(&self, groups: &[usize], num_groups: usize) -> Option<Vec<usize>> {
-        if self.online {
-            return None;
-        }
-        let mut out = vec![0; num_groups];
-        for (g, q) in self.queues.iter().enumerate() {
-            out[groups[g]] += q.len();
-        }
-        Some(out)
     }
 
     fn attach_probe(&mut self, probe: Probe) {

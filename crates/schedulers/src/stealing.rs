@@ -16,12 +16,6 @@ pub struct StealingQueues {
     window: usize,
     /// Whether stealing is enabled (for ablation benches).
     steal: bool,
-    /// GPU index → bus-group id. Empty (the default) means one group —
-    /// the single-bus platform — and changes nothing. With groups set,
-    /// steal victims and fault re-homing are restricted to the idle
-    /// GPU's own group, which is what makes the owning policies
-    /// decomposable per bus group (the sharded-tier contract).
-    groups: Vec<usize>,
     /// Number of successful steals (for reporting/tests).
     pub steals: u64,
     /// Observability probe (steal events, queue-depth gauges); absent on
@@ -36,36 +30,9 @@ impl StealingQueues {
             queues,
             window: window.max(1),
             steal,
-            groups: Vec::new(),
             steals: 0,
             probe: None,
         }
-    }
-
-    /// Scope stealing and fault re-homing to bus groups (`groups` maps
-    /// GPU index → group id). With every GPU in one group — or with the
-    /// default empty map — behavior is unchanged.
-    pub fn with_groups(mut self, groups: Vec<usize>) -> Self {
-        self.groups = groups;
-        self
-    }
-
-    /// Whether GPUs `a` and `b` share a bus group (always true without
-    /// a group map).
-    fn same_group(&self, a: usize, b: usize) -> bool {
-        self.groups.is_empty() || self.groups[a] == self.groups[b]
-    }
-
-    /// Tasks currently queued per bus group (`groups` maps GPU → group).
-    /// Valid before the first pop: the initial assignment, which is
-    /// exactly what [`memsched_platform::Scheduler::group_task_counts`]
-    /// must report.
-    pub fn group_task_counts(&self, groups: &[usize], num_groups: usize) -> Vec<usize> {
-        let mut out = vec![0; num_groups];
-        for (g, q) in self.queues.iter().enumerate() {
-            out[groups[g]] += q.len();
-        }
-        out
     }
 
     /// Attach an observability probe; subsequent steals emit
@@ -134,7 +101,7 @@ impl StealingQueues {
         if !self.steal {
             let orphans: Vec<TaskId> = std::mem::take(&mut self.queues[g]);
             let target = (0..self.queues.len())
-                .filter(|&h| h != g && self.same_group(h, g) && view.is_alive(GpuId(h as u32)))
+                .filter(|&h| h != g && view.is_alive(GpuId(h as u32)))
                 .min_by_key(|&h| (self.queues[h].len(), h));
             match target {
                 Some(h) => self.queues[h].extend(orphans),
@@ -148,7 +115,7 @@ impl StealingQueues {
     /// how many tasks moved, for the caller's steal event.
     fn try_steal(&mut self, g: usize) -> Option<(usize, u32)> {
         let victim = (0..self.queues.len())
-            .filter(|&v| v != g && self.same_group(v, g))
+            .filter(|&v| v != g)
             .max_by_key(|&v| self.queues[v].len())
             .filter(|&v| !self.queues[v].is_empty());
         let v = victim?;
@@ -356,21 +323,52 @@ mod tests {
     }
 
     #[test]
-    fn group_scoped_steal_ignores_other_groups() {
-        // GPU0/1 in group 0, GPU2/3 in group 1. GPU3 is idle; the only
-        // loaded queue is GPU0's, but it is across the bus boundary —
-        // the steal must not happen.
+    fn steal_and_rehome_cross_bus_groups() {
+        // §IV-B's rule is global. On `v100_multibus(4, 2)` GPUs 0/1 sit
+        // on bus 0 and GPUs 2/3 on bus 1; with queues [8, 0, 0, 0], GPU 3
+        // running dry takes the tail half of GPU 0's queue.
         let mut q = StealingQueues::new(
-            vec![(0..8).map(TaskId).collect(), Vec::new(), vec![TaskId(8)], Vec::new()],
+            vec![(0..8).map(TaskId).collect(), Vec::new(), Vec::new(), Vec::new()],
             4,
             true,
-        )
-        .with_groups(vec![0, 0, 1, 1]);
-        q.try_steal(3);
-        assert_eq!(q.len(GpuId(0)), 8, "cross-group queue untouched");
-        assert_eq!(q.len(GpuId(3)), 1, "stole from its own group instead");
-        assert_eq!(q.len(GpuId(2)), 0);
-        assert_eq!(q.group_task_counts(&[0, 0, 1, 1], 2), vec![8, 1]);
+        );
+        assert_eq!(q.try_steal(3), Some((0, 4)));
+        assert_eq!(q.queues[0], (0..4).map(TaskId).collect::<Vec<_>>());
+        assert_eq!(q.queues[3], (4..8).map(TaskId).collect::<Vec<_>>());
+
+        // Stealing off: GPU 0 dies at t = 0 holding 8 tasks while GPU 1
+        // (its own bus) still queues 4 after its first pops. The whole
+        // queue re-homes to GPU 2 — the shortest alive queue, on the
+        // other bus.
+        let ts = uniform_tasks(16);
+        let queues = vec![
+            (0..8).map(TaskId).collect(),
+            (8..16).map(TaskId).collect(),
+            Vec::new(),
+            Vec::new(),
+        ];
+        struct Recover(StealingQueues);
+        impl Scheduler for Recover {
+            fn name(&self) -> String {
+                "rehome-test".into()
+            }
+            fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
+                self.0.pop(gpu, view)
+            }
+            fn on_gpu_failed(&mut self, gpu: GpuId, lost: &[TaskId], view: &RuntimeView<'_>) {
+                self.0.return_tasks(gpu, lost, view);
+            }
+        }
+        let mut sched = Recover(StealingQueues::new(queues, 8, false));
+        let spec = PlatformSpec::v100_multibus(4, 2).with_memory(100);
+        let config = memsched_platform::RunConfig {
+            faults: memsched_platform::FaultPlan::none().with_gpu_failure(0, 0),
+            ..Default::default()
+        };
+        let (report, _) =
+            memsched_platform::run_with_config(&ts, &spec, &mut sched, &config).unwrap();
+        let tasks: Vec<usize> = report.per_gpu.iter().map(|g| g.tasks).collect();
+        assert_eq!(tasks, vec![0, 8, 8, 0]);
     }
 
     #[test]
