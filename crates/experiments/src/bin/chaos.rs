@@ -16,11 +16,13 @@
 //! message, so the process exit code is the pass/fail signal for CI.
 //!
 //! `--quick` caps the sweep at 2 seeds regardless of `--seeds` (the CI
-//! tier); malformed flags exit with status 2 before anything runs.
+//! tier); malformed flags and an `--out` path in a missing directory
+//! exit with status 2 before anything runs.
 
 use memsched_experiments::chaos::{
     check_invariants, compose, digest, run_cell, Chaos, FAMILIES, POLICIES,
 };
+use memsched_experiments::obs::validate_out_path;
 use memsched_experiments::pool;
 use memsched_platform::{RunError, ShedPolicy};
 use memsched_schedulers::NamedScheduler;
@@ -120,11 +122,15 @@ fn parse_from(args: Vec<String>) -> Result<ChaosArgs, String> {
         }
         None => pool::resolve_jobs(None),
     };
+    let out = value_of("--out");
+    if let Some(p) = &out {
+        validate_out_path("--out", p)?;
+    }
     Ok(ChaosArgs {
         seeds,
         scheds,
         jobs,
-        out: value_of("--out"),
+        out,
     })
 }
 
@@ -215,7 +221,10 @@ fn main() {
     if let Some(path) = &args.out {
         let mut csv = rows.join("\n");
         csv.push('\n');
-        std::fs::write(path, csv).expect("write chaos CSV");
+        if let Err(e) = std::fs::write(path, csv) {
+            eprintln!("chaos: write {path}: {e}");
+            std::process::exit(1);
+        }
         eprintln!("chaos: wrote {path}");
     }
     eprintln!(
@@ -223,4 +232,23 @@ fn main() {
         args.seeds,
         args.scheds.len() * POLICIES.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ChaosArgs, String> {
+        parse_from(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn out_path_is_checked_before_the_soak_runs() {
+        let a = parse(&["--quick", "--seeds", "5", "--out", "chaos.csv"]).unwrap();
+        assert_eq!(a.seeds, 2, "--quick caps the sweep");
+        assert_eq!(a.out.as_deref(), Some("chaos.csv"));
+        let err = parse(&["--out", "/no/such/dir/x.csv"]).unwrap_err();
+        assert!(err.contains("does not exist"), "{err}");
+        assert!(parse(&["--out"]).unwrap_err().contains("missing value"));
+    }
 }

@@ -7,56 +7,57 @@
 //!
 //! Usage: `prefix_route [--quick] [--seed N] [--csv PATH]`.
 //! Prints a human table plus CSV to stdout; `--csv` also writes the
-//! CSV rows to a file. Malformed flags exit with status 2 before any
-//! cell runs.
+//! CSV rows to a file. Malformed or unknown flags, a flag missing its
+//! value, a `--csv` path in a missing directory and stray arguments
+//! exit with status 2 before any cell runs.
 
+use memsched_experiments::obs::validate_out_path;
 use memsched_experiments::prefix_route::{run_sweep, PressureRow, SweepConfig};
 
+#[derive(Debug)]
 struct Args {
     quick: bool,
     seed: u64,
     csv: Option<String>,
 }
 
-fn parse_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let args: Vec<String> = args.collect();
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                let prefix = format!("{flag}=");
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&prefix))
-                    .map(str::to_string)
-            })
+fn parse_from(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut out = Args {
+        quick: false,
+        seed: 42,
+        csv: None,
     };
-    for a in &args {
-        let flag = a.split('=').next().unwrap_or(a);
+    while let Some(a) = args.next() {
+        let (flag, inline) = match a.split_once('=') {
+            Some((f, v)) => (f, Some(v.to_string())),
+            None => (a.as_str(), None),
+        };
         match flag {
-            "--quick" | "--seed" | "--csv" => {}
-            _ if !a.starts_with("--") => {}
-            _ => return Err(format!("unknown flag {a:?}")),
+            "--quick" if inline.is_none() => out.quick = true,
+            "--seed" | "--csv" => {
+                let v = match inline {
+                    Some(v) => v,
+                    None => args
+                        .next()
+                        .ok_or_else(|| format!("{flag}: missing value"))?,
+                };
+                if flag == "--seed" {
+                    out.seed = v
+                        .parse::<u64>()
+                        .map_err(|_| format!("--seed {v:?}: not a u64"))?;
+                } else {
+                    if v.starts_with("--") {
+                        return Err(format!("--csv {v:?}: not a path"));
+                    }
+                    validate_out_path("--csv", &v)?;
+                    out.csv = Some(v);
+                }
+            }
+            _ if a.starts_with("--") => return Err(format!("unknown flag {a:?}")),
+            _ => return Err(format!("unknown argument {a:?}")),
         }
     }
-    let seed = match value_of("--seed") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("--seed {v:?}: not a u64"))?,
-        None => 42,
-    };
-    let csv = value_of("--csv");
-    if let Some(p) = &csv {
-        if p.is_empty() || p.starts_with("--") {
-            return Err(format!("--csv {p:?}: not a path"));
-        }
-    }
-    Ok(Args {
-        quick: args.iter().any(|a| a == "--quick"),
-        seed,
-        csv,
-    })
+    Ok(out)
 }
 
 fn human_table(rows: &[PressureRow]) -> String {
@@ -116,5 +117,38 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn accepts_every_flag_form() {
+        let a = parse(&["--quick", "--seed", "7", "--csv=out.csv"]).unwrap();
+        assert!(a.quick);
+        assert_eq!(a.seed, 7);
+        assert_eq!(a.csv.as_deref(), Some("out.csv"));
+        let a = parse(&["--seed=9"]).unwrap();
+        assert!(!a.quick);
+        assert_eq!(a.seed, 9);
+        assert_eq!(a.csv, None);
+    }
+
+    #[test]
+    fn rejects_malformed_input_before_any_cell_runs() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        assert!(err(&["--seed"]).contains("missing value"));
+        assert!(err(&["--csv"]).contains("missing value"));
+        assert!(err(&["--seed", "x"]).contains("not a u64"));
+        assert!(err(&["--csv", "--quick"]).contains("not a path"));
+        assert!(err(&["--csv", "/no/such/dir/x.csv"]).contains("does not exist"));
+        assert!(err(&["--quick", "stray"]).contains("unknown argument"));
+        assert!(err(&["--jobs", "2"]).contains("unknown flag"));
     }
 }

@@ -164,6 +164,7 @@ mod tests {
                 bus: 0,
                 peer: None,
                 attempt: 1,
+                done_at: done,
             },
             ObsEvent::TransferEnd {
                 t: done,

@@ -309,6 +309,7 @@ mod tests {
                 bus: 0,
                 peer: None,
                 attempt: 1,
+                done_at: 80,
             },
             ObsEvent::TransferEnd {
                 t: 80,

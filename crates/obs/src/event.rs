@@ -107,8 +107,10 @@ impl GaugeKind {
 #[derive(Clone, Debug, PartialEq)]
 pub enum ObsEvent {
     /// A transfer was granted the bus (or NVLink) at `t`; it waited
-    /// `bus_wait` ns in the FIFO queue before the grant. `peer` is the
-    /// source GPU for NVLink transfers, `None` for host loads.
+    /// `bus_wait` ns in the FIFO queue before the grant, so it was issued
+    /// at `t - bus_wait`, and the link will complete it at `done_at`.
+    /// `peer` is the source GPU for NVLink transfers, `None` for host
+    /// loads.
     TransferBegin {
         /// Grant time (start of the wire time).
         t: Nanos,
@@ -127,6 +129,8 @@ pub enum ObsEvent {
         peer: Option<u32>,
         /// 1-based attempt number (>1 after fault retries).
         attempt: u32,
+        /// Completion time the link granted (end of the wire time).
+        done_at: Nanos,
     },
     /// The matching end of a [`ObsEvent::TransferBegin`]. `delivered`
     /// is false when the attempt was killed by an injected fault (a
@@ -229,7 +233,7 @@ pub enum ObsEvent {
         gpu: u32,
         /// Data id.
         data: u32,
-        /// The attempt that failed (1-based).
+        /// The attempt about to run (2 = first retry).
         attempt: u32,
     },
     /// Fail-stop GPU failure.
@@ -413,6 +417,7 @@ mod tests {
             bus: 0,
             peer: None,
             attempt: 1,
+            done_at: 8,
         };
         assert_eq!(host.track(), Track::Bus);
         let p2p = ObsEvent::TransferEnd {
@@ -435,6 +440,7 @@ mod tests {
             bus: 1,
             peer: None,
             attempt: 1,
+            done_at: 8,
         };
         assert_eq!(second_bus.track(), Track::BusN(1));
         assert_eq!(Track::BusN(1).tid(), 1101);

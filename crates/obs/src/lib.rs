@@ -5,9 +5,12 @@
 //! [`ObsEvent`]s — spans (transfer begin/end, compute begin/end) and
 //! instants (evictions, scheduler decisions, steals, faults, gauges) —
 //! into a [`Probe`], a cheaply cloneable handle over a ring-buffered
-//! [`Recorder`]. The subsystem is strictly opt-in: when no probe is
-//! attached the engine takes the exact same code path as before and the
-//! golden traces stay byte-identical (see the `obs_overhead` bench).
+//! [`Recorder`]. These are the engine's only events: its own trace log
+//! is another [`TraceSink`] that keeps a projection of each one
+//! (`memsched_platform::TraceEvent::from_obs`), so attaching a probe
+//! adds a consumer and changes no decision — the golden traces stay
+//! byte-identical (see the `obs_overhead` bench). A run with neither a
+//! probe nor a trace builds no event at all.
 //!
 //! On top of the raw event stream:
 //! - [`chrome::chrome_trace_json`] exports Chrome Trace Event Format

@@ -515,6 +515,7 @@ mod tests {
                 bus: 0,
                 peer: None,
                 attempt: 1,
+                done_at: 500,
             },
             ObsEvent::TransferEnd {
                 t: 500,
@@ -526,7 +527,7 @@ mod tests {
                 attempt: 1,
                 delivered: false,
             },
-            ObsEvent::TransferRetry { t: 500, gpu: 0, data: 7, attempt: 1 },
+            ObsEvent::TransferRetry { t: 500, gpu: 0, data: 7, attempt: 2 },
             ObsEvent::TransferBegin {
                 t: 600,
                 gpu: 0,
@@ -536,6 +537,7 @@ mod tests {
                 bus: 0,
                 peer: None,
                 attempt: 2,
+                done_at: 1100,
             },
             ObsEvent::TransferEnd {
                 t: 1100,

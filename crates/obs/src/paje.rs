@@ -280,6 +280,7 @@ mod tests {
                 bus: 0,
                 peer: None,
                 attempt: 1,
+                done_at: 100,
             },
             ObsEvent::TransferBegin {
                 t: 100,
@@ -290,6 +291,7 @@ mod tests {
                 bus: 0,
                 peer: None,
                 attempt: 1,
+                done_at: 200,
             },
             ObsEvent::TransferEnd {
                 t: 100,

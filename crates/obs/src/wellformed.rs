@@ -180,6 +180,7 @@ fn make_span(begin: &ObsEvent, end: &ObsEvent) -> Span {
                 bus: _,
                 peer,
                 attempt,
+                done_at: _,
             },
             &ObsEvent::TransferEnd {
                 t: e, delivered, ..
@@ -262,6 +263,7 @@ mod tests {
             bus: 0,
             peer: None,
             attempt: 1,
+            done_at: t,
         }
     }
 

@@ -4,9 +4,8 @@
 //! when its raw transfer volume exceeds DMDAR's (§V-C: "This confirms
 //! that the overlap between calculations and transfers is effective").
 
-use crate::report::{RunReport, TraceEvent};
+use crate::report::TraceEvent;
 use crate::spec::Nanos;
-use memsched_obs::{Counter, Metrics, ObsEvent};
 
 /// Aggregated view of a trace.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -22,23 +21,6 @@ pub struct TraceAnalysis {
     pub overlap: Nanos,
     /// Per-GPU busy time (computing).
     pub gpu_busy: Vec<Nanos>,
-    /// Count of load / eviction / task events.
-    pub loads: usize,
-    /// Number of evictions.
-    pub evictions: usize,
-    /// Number of task executions.
-    pub tasks: usize,
-    /// Injected fail-stop GPU failures observed in the trace.
-    pub gpu_failures: usize,
-    /// Injected transient transfer retries observed in the trace.
-    pub transfer_retries: usize,
-    /// Capacity-change steps from injected shrinks observed in the trace.
-    pub capacity_shrinks: usize,
-    /// Covered transfer time per PCI bus (index = bus id). One entry —
-    /// equal to `bus_busy` — when the analysis ran without a platform
-    /// spec or on a single-bus platform. Transfers are attributed to the
-    /// destination GPU's bus.
-    pub per_bus_busy: Vec<Nanos>,
 }
 
 impl TraceAnalysis {
@@ -116,211 +98,43 @@ fn intersection(mut a: Vec<(Nanos, Nanos)>, mut b: Vec<(Nanos, Nanos)>) -> Nanos
     total
 }
 
-/// Convert an engine [`TraceEvent`] stream into the typed
-/// [`ObsEvent`] stream the `memsched-obs` registry and exporters
-/// consume, so a [`crate::TraceMode::Full`] run can be counted,
-/// exported, and cross-checked through the same pipeline as a probed
-/// one.
-///
-/// Information the legacy trace never carried is filled with neutral
-/// values: transfer `bytes` are 0, `bus_wait` is 0 (the trace records
-/// issue time, not grant time — the whole queued interval becomes the
-/// span), evictions are tagged `by_scheduler: false`, and retried loads
-/// keep `attempt: 1` because the trace does not split attempts into
-/// separate wire spans. Counter semantics are unaffected.
-pub fn to_obs_events(trace: &[TraceEvent]) -> Vec<ObsEvent> {
-    let mut out = Vec::with_capacity(trace.len());
-    // Open compute span per GPU, so a fail-stop closes it interrupted.
-    // Indexed by GPU id — a flat slot vector grown on demand beats a
-    // hash map for the handful of GPUs a platform has.
-    let mut running: Vec<Option<u32>> = Vec::new();
-    fn slot(running: &mut Vec<Option<u32>>, gpu: usize) -> &mut Option<u32> {
-        if gpu >= running.len() {
-            running.resize(gpu + 1, None);
-        }
-        &mut running[gpu]
-    }
-    for ev in trace {
-        match *ev {
-            TraceEvent::LoadIssued { at, gpu, data, .. } => out.push(ObsEvent::TransferBegin {
-                t: at,
-                gpu: gpu as u32,
-                data: data as u32,
-                bytes: 0,
-                bus_wait: 0,
-                bus: 0,
-                peer: None,
-                attempt: 1,
-            }),
-            TraceEvent::LoadDone { at, gpu, data } => out.push(ObsEvent::TransferEnd {
-                t: at,
-                gpu: gpu as u32,
-                data: data as u32,
-                bytes: 0,
-                bus: 0,
-                peer: None,
-                attempt: 1,
-                delivered: true,
-            }),
-            TraceEvent::Evicted { at, gpu, data } => out.push(ObsEvent::Eviction {
-                t: at,
-                gpu: gpu as u32,
-                data: data as u32,
-                bytes: 0,
-                by_scheduler: false,
-            }),
-            TraceEvent::TaskStarted { at, gpu, task } => {
-                *slot(&mut running, gpu) = Some(task as u32);
-                out.push(ObsEvent::ComputeBegin {
-                    t: at,
-                    gpu: gpu as u32,
-                    task: task as u32,
-                });
-            }
-            TraceEvent::TaskFinished { at, gpu, task } => {
-                *slot(&mut running, gpu) = None;
-                out.push(ObsEvent::ComputeEnd {
-                    t: at,
-                    gpu: gpu as u32,
-                    task: task as u32,
-                    interrupted: false,
-                });
-            }
-            TraceEvent::GpuFailed { at, gpu } => {
-                if let Some(task) = slot(&mut running, gpu).take() {
-                    out.push(ObsEvent::ComputeEnd {
-                        t: at,
-                        gpu: gpu as u32,
-                        task,
-                        interrupted: true,
-                    });
-                }
-                out.push(ObsEvent::GpuFailed { t: at, gpu: gpu as u32 });
-            }
-            TraceEvent::TransferRetry { at, gpu, data, attempt } => {
-                out.push(ObsEvent::TransferRetry {
-                    t: at,
-                    gpu: gpu as u32,
-                    data: data as u32,
-                    attempt,
-                })
-            }
-            TraceEvent::CapacityShrunk { at, gpu, capacity } => {
-                out.push(ObsEvent::CapacityShrunk {
-                    t: at,
-                    gpu: gpu as u32,
-                    capacity,
-                })
-            }
-            TraceEvent::GpuSlowed { at, gpu, factor } => out.push(ObsEvent::GpuSlowed {
-                t: at,
-                gpu: gpu as u32,
-                factor,
-            }),
-            TraceEvent::TaskArrived { at, task } => out.push(ObsEvent::TaskArrived {
-                t: at,
-                task: task as u32,
-            }),
-            // The engine trace does not carry the deferral wait; replay
-            // it as zero (the obs stream from a live probe has the true
-            // value).
-            TraceEvent::TaskAdmitted { at, task } => out.push(ObsEvent::TaskAdmitted {
-                t: at,
-                task: task as u32,
-                wait: 0,
-            }),
-            TraceEvent::TaskDeferred { at, task } => out.push(ObsEvent::TaskDeferred {
-                t: at,
-                task: task as u32,
-            }),
-            TraceEvent::TaskShed { at, task } => out.push(ObsEvent::TaskShed {
-                t: at,
-                task: task as u32,
-            }),
-            TraceEvent::DeadlineExpired { at, task } => out.push(ObsEvent::DeadlineExpired {
-                t: at,
-                task: task as u32,
-            }),
-        }
-    }
-    out
-}
-
 /// Analyse a trace produced by [`crate::run_with_config`] under
 /// [`crate::TraceMode::Full`]. `num_gpus` must match the run's platform.
 ///
-/// Event *counts* (loads, evictions, tasks, retries, failures) are
-/// derived by feeding the converted stream ([`to_obs_events`]) through
-/// the [`Metrics`] registry — one counting implementation shared with
-/// live probes, so the analysis and a `--metrics-out` file can never
-/// disagree. The interval math (overlap, busy time) stays local: it
-/// needs the paired starts the registry does not retain.
+/// Only the interval math lives here (overlap, busy time); event counts
+/// are the report's (`RunReport::total_loads`, …).
 pub fn analyze(trace: &[TraceEvent], num_gpus: usize) -> TraceAnalysis {
-    analyze_multibus(trace, num_gpus, None)
-}
-
-/// As [`analyze`], additionally splitting transfer time per PCI bus
-/// when the run's [`crate::PlatformSpec`] is available (`spec` carries
-/// the bus grouping; `None` folds everything onto one bus).
-pub fn analyze_multibus(
-    trace: &[TraceEvent],
-    num_gpus: usize,
-    spec: Option<&crate::PlatformSpec>,
-) -> TraceAnalysis {
-    let num_buses = spec.map_or(1, |s| s.num_buses());
-    let bus_of = |g: usize| spec.map_or(0, |s| s.bus_of(g));
-    let mut per_bus: Vec<Vec<(Nanos, Nanos)>> = vec![Vec::new(); num_buses];
     let mut transfers: Vec<(Nanos, Nanos)> = Vec::new();
     let mut compute: Vec<(Nanos, Nanos)> = Vec::new();
     let mut gpu_busy = vec![0; num_gpus];
     let mut started: Vec<Option<Nanos>> = vec![None; num_gpus];
     let mut makespan = 0;
-    let mut capacity_shrinks = 0;
 
     for ev in trace {
         match *ev {
-            TraceEvent::LoadIssued { at, gpu, done_at, .. } => {
+            TraceEvent::LoadIssued { at, done_at, .. } => {
                 transfers.push((at, done_at));
-                per_bus[bus_of(gpu)].push((at, done_at));
                 makespan = makespan.max(done_at);
-            }
-            TraceEvent::LoadDone { at, .. } => {
-                makespan = makespan.max(at);
-            }
-            TraceEvent::Evicted { at, .. } => {
-                makespan = makespan.max(at);
             }
             TraceEvent::TaskStarted { at, gpu, .. } => {
                 started[gpu] = Some(at);
             }
-            TraceEvent::TaskFinished { at, gpu, .. } => {
+            // A fail-stop cuts the running task short: close its compute
+            // interval at the failure (matching the engine's busy-time
+            // refund).
+            TraceEvent::TaskFinished { at, gpu, .. } | TraceEvent::GpuFailed { at, gpu } => {
                 makespan = makespan.max(at);
                 if let Some(s) = started[gpu].take() {
                     compute.push((s, at));
                     gpu_busy[gpu] += at - s;
                 }
             }
-            TraceEvent::GpuFailed { at, gpu } => {
-                makespan = makespan.max(at);
-                // The interrupted task never finishes here: close its
-                // compute interval at the failure (matching the engine's
-                // busy-time refund).
-                if let Some(s) = started[gpu].take() {
-                    compute.push((s, at));
-                    gpu_busy[gpu] += at - s;
-                }
-            }
-            TraceEvent::TransferRetry { at, .. } => {
-                makespan = makespan.max(at);
-            }
-            TraceEvent::CapacityShrunk { at, .. } => {
-                capacity_shrinks += 1;
-                makespan = makespan.max(at);
-            }
-            TraceEvent::GpuSlowed { at, .. } => {
-                makespan = makespan.max(at);
-            }
-            TraceEvent::TaskArrived { at, .. }
+            TraceEvent::LoadDone { at, .. }
+            | TraceEvent::Evicted { at, .. }
+            | TraceEvent::TransferRetry { at, .. }
+            | TraceEvent::CapacityShrunk { at, .. }
+            | TraceEvent::GpuSlowed { at, .. }
+            | TraceEvent::TaskArrived { at, .. }
             | TraceEvent::TaskAdmitted { at, .. }
             | TraceEvent::TaskDeferred { at, .. }
             | TraceEvent::TaskShed { at, .. }
@@ -330,40 +144,13 @@ pub fn analyze_multibus(
         }
     }
 
-    let mut metrics = Metrics::new();
-    metrics.ingest(&to_obs_events(trace));
-
     TraceAnalysis {
         makespan,
         bus_busy: covered(transfers.clone()),
         any_compute: covered(compute.clone()),
         overlap: intersection(transfers, compute),
         gpu_busy,
-        loads: metrics.counter(Counter::Loads) as usize,
-        evictions: metrics.counter(Counter::Evictions) as usize,
-        tasks: metrics.counter(Counter::Tasks) as usize,
-        gpu_failures: metrics.counter(Counter::GpuFailures) as usize,
-        transfer_retries: metrics.counter(Counter::TransferRetries) as usize,
-        // The registry deliberately does not count shrink steps (they
-        // are capacity states, not events a policy can influence).
-        capacity_shrinks,
-        per_bus_busy: per_bus.into_iter().map(covered).collect(),
     }
-}
-
-/// Convenience: sanity-check a `(report, trace)` pair — event counts in
-/// the trace must match the report. Returns the analysis.
-pub fn analyze_checked(report: &RunReport, trace: &[TraceEvent]) -> TraceAnalysis {
-    let a = analyze(trace, report.per_gpu.len());
-    debug_assert_eq!(a.loads as u64, report.total_loads);
-    debug_assert_eq!(a.evictions as u64, report.total_evictions);
-    debug_assert_eq!(
-        a.tasks,
-        report.per_gpu.iter().map(|g| g.tasks).sum::<usize>()
-    );
-    debug_assert_eq!(a.transfer_retries as u64, report.transfer_retries);
-    debug_assert_eq!(a.gpu_failures as u64, report.gpu_failures);
-    a
 }
 
 /// Render an ASCII Gantt chart of a trace: one lane per GPU (`#` =
@@ -503,8 +290,6 @@ mod tests {
         assert_eq!(a.bus_busy, 180);
         assert_eq!(a.any_compute, 200);
         assert_eq!(a.overlap, 80, "second transfer hides behind the task");
-        assert_eq!(a.loads, 2);
-        assert_eq!(a.tasks, 1);
         assert!((a.overlap_ratio() - 80.0 / 180.0).abs() < 1e-12);
         assert!((a.bus_utilization() - 0.6).abs() < 1e-12);
         assert!((a.mean_gpu_occupancy() - 200.0 / 300.0).abs() < 1e-12);
@@ -562,84 +347,9 @@ mod tests {
             },
         )
         .unwrap();
-        let a = analyze_checked(&report, &trace);
-        assert_eq!(a.tasks, 10);
+        assert_eq!(report.per_gpu[0].tasks, 10);
+        let a = analyze(&trace, 1);
         // 9 of 10 transfers hide behind compute (first one cannot).
         assert!(a.overlap_ratio() > 0.85, "overlap = {}", a.overlap_ratio());
-    }
-
-    #[test]
-    fn retry_counts_cross_check_report_trace_and_metrics() {
-        use crate::fault::{FaultPlan, TransferFaultSpec};
-        use crate::{run_with_config, PlatformSpec, RunConfig, TraceMode};
-        use memsched_model::TaskSetBuilder;
-
-        let mut b = TaskSetBuilder::new();
-        for _ in 0..4 {
-            let d = b.add_data(1000);
-            b.add_task(&[d], 5_000.0);
-        }
-        let ts = b.build();
-        struct Fifo(u32);
-        impl crate::Scheduler for Fifo {
-            fn name(&self) -> String {
-                "fifo".into()
-            }
-            fn pop_task(
-                &mut self,
-                _: memsched_model::GpuId,
-                v: &crate::RuntimeView<'_>,
-            ) -> Option<memsched_model::TaskId> {
-                if self.0 < v.task_set().num_tasks() as u32 {
-                    self.0 += 1;
-                    Some(memsched_model::TaskId(self.0 - 1))
-                } else {
-                    None
-                }
-            }
-        }
-        let spec = PlatformSpec {
-            num_gpus: 1,
-            memory_bytes: 10_000,
-            bus_bandwidth: 1e9,
-            transfer_latency: 0,
-            gpu_gflops: 1.0,
-            pipeline_depth: 2,
-            gpu_gflops_override: None,
-            nvlink_bandwidth: None,
-            bus_groups: None,
-        };
-        // Heavy transient fault rate so retries actually fire.
-        let faults = FaultPlan::none().with_transfer_faults(TransferFaultSpec {
-            seed: 7,
-            fault_ppm: 500_000,
-            max_attempts: 10,
-            backoff_base: 100,
-        });
-        let (report, trace) = run_with_config(
-            &ts,
-            &spec,
-            &mut Fifo(0),
-            &RunConfig {
-                trace: TraceMode::Full,
-                faults,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(report.transfer_retries > 0, "plan must actually fire");
-        // Trace-event count == report counter.
-        let in_trace = trace
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::TransferRetry { .. }))
-            .count() as u64;
-        assert_eq!(in_trace, report.transfer_retries);
-        // And the metrics registry, fed from the converted stream,
-        // agrees with both.
-        let mut m = Metrics::new();
-        m.ingest(&to_obs_events(&trace));
-        assert_eq!(m.counter(Counter::TransferRetries), report.transfer_retries);
-        let a = analyze_checked(&report, &trace);
-        assert_eq!(a.transfer_retries as u64, report.transfer_retries);
     }
 }

@@ -37,9 +37,9 @@ use crate::pipeline::Pipelines;
 use crate::report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
 use crate::scheduler::{MissingCache, RuntimeView, Scheduler};
 use crate::spec::{Nanos, PlatformSpec};
-use crate::trace::{TraceMode, TraceSink};
+use crate::trace::{TraceLog, TraceMode};
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
-use memsched_obs::{GaugeKind, ObsEvent, Probe};
+use memsched_obs::{GaugeKind, ObsEvent, Probe, TraceSink};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -324,9 +324,11 @@ pub fn run_with_config(
 ///
 /// The observed run takes exactly the same decisions as the unobserved
 /// one: reports and engine traces are identical, only the side channel
-/// differs. On an `Err` return the probe may hold transfer spans whose
-/// end was never reached; successful runs always produce a well-formed
-/// stream (see `memsched_obs::check_well_formed`).
+/// differs, and the engine trace is the projection of the probe's
+/// stream ([`TraceEvent::from_obs`]). On an `Err` return the probe may
+/// hold transfer spans whose end was never reached; successful runs
+/// always produce a well-formed stream (see
+/// `memsched_obs::check_well_formed`).
 pub fn run_observed(
     ts: &TaskSet,
     spec: &PlatformSpec,
@@ -496,20 +498,13 @@ fn handle_event(
                                 attempt: attempt + 1,
                             },
                         );
-                        if st.trace.enabled() {
-                            st.trace.push(TraceEvent::TransferRetry {
-                                at: st.now,
-                                gpu: g,
-                                data: data as usize,
-                                attempt: attempt + 1,
-                            });
-                        }
                         // The failed attempt's span closes undelivered and
                         // the retry opens a fresh span — always from host,
                         // matching the engine's re-fetch rule. The GPU's
                         // in-flight count is unchanged: the data stays
-                        // `Loading` across the retry.
-                        if st.observed() {
+                        // `Loading` across the retry. Only the retry
+                        // instant reaches the trace.
+                        if st.recording {
                             st.emit(ObsEvent::TransferEnd {
                                 t: st.now,
                                 gpu,
@@ -535,6 +530,7 @@ fn handle_event(
                                 bus: bus as u32,
                                 peer: None,
                                 attempt: attempt + 1,
+                                done_at: done,
                             });
                         }
                         let view = st.view(ts, spec);
@@ -555,14 +551,7 @@ fn handle_event(
                     st.nvlink_loads[g] += 1;
                     st.nvlink_bytes[g] += ts.data_size(d);
                 }
-                if st.trace.enabled() {
-                    st.trace.push(TraceEvent::LoadDone {
-                        at: st.now,
-                        gpu: g,
-                        data: data as usize,
-                    });
-                }
-                if st.observed() {
+                if st.recording {
                     st.emit(ObsEvent::TransferEnd {
                         t: st.now,
                         gpu,
@@ -600,7 +589,7 @@ fn handle_event(
                 st.pipeline.pop_front(g);
                 st.running[g] = false;
                 st.dirty[g] = true;
-                if st.observed() {
+                if st.recording {
                     st.emit(ObsEvent::ComputeEnd {
                         t: st.now,
                         gpu,
@@ -626,13 +615,6 @@ fn handle_event(
                     } else {
                         st.good_completed += 1;
                     }
-                }
-                if st.trace.enabled() {
-                    st.trace.push(TraceEvent::TaskFinished {
-                        at: st.now,
-                        gpu: g,
-                        task: task as usize,
-                    });
                 }
                 // A completion anywhere may unblock pops everywhere
                 // (stealing, shared queues).
@@ -680,7 +662,7 @@ fn handle_event(
                         });
                     }
                 }
-                if st.observed() {
+                if st.recording {
                     st.emit(ObsEvent::GpuFailed { t: st.now, gpu: g as u32 });
                 }
                 st.gpu_free_at[g] = st.now;
@@ -688,9 +670,6 @@ fn handle_event(
                 let mut lost: Vec<TaskId> = Vec::with_capacity(st.pipeline.len(g));
                 st.pipeline.drain_into(g, &mut lost);
                 st.redispatched += lost.len() as u64;
-                if st.trace.enabled() {
-                    st.trace.push(TraceEvent::GpuFailed { at: st.now, gpu: g });
-                }
                 // Survivors must re-pop: the failure changes every
                 // policy's routing state.
                 st.wake_all();
@@ -750,14 +729,7 @@ fn handle_event(
                 }
                 st.speed[s.gpu] = s.factor;
                 st.dirty[s.gpu] = true;
-                if st.trace.enabled() {
-                    st.trace.push(TraceEvent::GpuSlowed {
-                        at: st.now,
-                        gpu: s.gpu,
-                        factor: s.factor,
-                    });
-                }
-                if st.observed() {
+                if st.recording {
                     st.emit(ObsEvent::GpuSlowed {
                         t: st.now,
                         gpu: s.gpu as u32,
@@ -843,8 +815,8 @@ fn finish_run(
     let per_gpu: Vec<GpuRunStats> = (0..k)
         .map(|g| gpu_stats(&st, &sched_wall, g))
         .collect();
-    let sink = std::mem::replace(&mut st.trace, TraceSink::Off);
-    let (trace, trace_checksum) = sink.finish();
+    let log = std::mem::replace(&mut st.trace, TraceLog::Off);
+    let (trace, trace_checksum) = log.finish();
     let report = RunReport {
         scheduler: scheduler.name(),
         makespan: st.now,
@@ -965,7 +937,8 @@ fn new_state(
         // A batch run emits one LoadIssued+LoadDone pair per load plus a
         // TaskStarted/TaskFinished pair per task; 4·m is a generous head
         // start that kills reallocation churn in `Full` mode.
-        trace: TraceSink::new(config.trace, 4 * m + 64),
+        trace: TraceLog::new(config.trace, 4 * m + 64),
+        recording: config.trace != TraceMode::Off || obs.is_some(),
         dead: vec![false; k],
         speed: vec![1.0; k],
         pending_shrinks: Vec::new(),
@@ -1067,7 +1040,12 @@ struct State {
     cache_miss_bytes: Vec<u64>,
     completed: usize,
     flops_done: f64,
-    trace: TraceSink,
+    /// The run's trace log (fed the projection of every recorded event).
+    trace: TraceLog,
+    /// Whether anything consumes events — a trace log other than `Off`
+    /// or a probe. Every emission site is guarded by this flag, so an
+    /// unrecorded run never builds an event.
+    recording: bool,
     /// Per-GPU fail-stop flag (all false without faults).
     dead: Vec<bool>,
     /// Per-GPU speed factor applied to compute times (all 1.0 without
@@ -1138,7 +1116,7 @@ struct State {
     /// Reusable merge scratch paired with `protect`; together they make
     /// the steady-state prefetch loop allocation-free.
     merge_scratch: Vec<u32>,
-    /// Observability side channel; `None` keeps the legacy path.
+    /// Observation probe, if attached.
     obs: Option<Probe>,
 }
 
@@ -1194,21 +1172,24 @@ impl State {
         self.lane_last[g] = self.now;
     }
 
-    /// Emit into the probe, if one is attached.
-    fn emit(&self, ev: ObsEvent) {
+    /// Record one event: its projection goes to the trace log, the event
+    /// itself to the probe, if one is attached.
+    fn emit(&mut self, ev: ObsEvent) {
+        self.trace.record(&ev);
         if let Some(p) = &self.obs {
             p.emit(ev);
         }
     }
 
-    /// True when an observation probe is attached.
+    /// True when an observation probe is attached — the guard of events
+    /// only the probe consumes (they project to no trace event).
     fn observed(&self) -> bool {
         self.obs.is_some()
     }
 
     /// Emit a fresh occupancy sample for GPU `g` (after a residency
     /// change); no-op without a probe.
-    fn emit_occupancy(&self, g: usize) {
+    fn emit_occupancy(&mut self, g: usize) {
         if self.observed() {
             let cap = self.mem[g].capacity().max(1);
             self.emit(ObsEvent::Gauge {
@@ -1353,14 +1334,7 @@ fn progress(
                     Some((v, by_scheduler)) => {
                         st.mem[g].evict(v, ts.data_size(v));
                         st.missing.evicted(ts, g, v);
-                        if st.trace.enabled() {
-                            st.trace.push(TraceEvent::Evicted {
-                                at: st.now,
-                                gpu: g,
-                                data: v.index(),
-                            });
-                        }
-                        if st.observed() {
+                        if st.recording {
                             st.emit(ObsEvent::Eviction {
                                 t: st.now,
                                 gpu: g as u32,
@@ -1432,18 +1406,11 @@ fn progress(
                     attempt: 1,
                 },
             );
-            if st.trace.enabled() {
-                st.trace.push(TraceEvent::LoadIssued {
-                    at: st.now,
-                    gpu: g,
-                    data: raw as usize,
-                    done_at,
-                });
-            }
             // The span begins when the link grants the transfer, but the
             // GPU is starved from the issue instant — `bus_wait` carries
-            // the queueing delay so the stall breakdown can recover it.
-            if st.observed() {
+            // the queueing delay so the stall breakdown (and the trace's
+            // `LoadIssued`) can recover it.
+            if st.recording {
                 st.emit(ObsEvent::TransferBegin {
                     t: start,
                     gpu: g as u32,
@@ -1453,6 +1420,7 @@ fn progress(
                     bus: spec.bus_of(g) as u32,
                     peer: (src != FROM_HOST).then_some(src),
                     attempt: 1,
+                    done_at,
                 });
             }
             st.lane_advance(g);
@@ -1499,7 +1467,7 @@ fn try_start(ts: &TaskSet, spec: &PlatformSpec, st: &mut State, g: usize) {
         st.queueing.push(q);
         st.queueing_sum += q;
     }
-    if st.observed() {
+    if st.recording {
         st.emit(ObsEvent::ComputeBegin {
             t: st.now,
             gpu: g as u32,
@@ -1527,13 +1495,6 @@ fn try_start(ts: &TaskSet, spec: &PlatformSpec, st: &mut State, g: usize) {
             task: head.0,
         },
     );
-    if st.trace.enabled() {
-        st.trace.push(TraceEvent::TaskStarted {
-            at: st.now,
-            gpu: g,
-            task: head.index(),
-        });
-    }
 }
 
 /// Merge two sorted-unique id slices into `out` (cleared first). `out` is
@@ -1627,14 +1588,7 @@ fn apply_shrink(
         st.mem[g].evict(v, ts.data_size(v));
         st.missing.evicted(ts, g, v);
         evicted_any = true;
-        if st.trace.enabled() {
-            st.trace.push(TraceEvent::Evicted {
-                at: st.now,
-                gpu: g,
-                data: v.index(),
-            });
-        }
-        if st.observed() {
+        if st.recording {
             st.emit(ObsEvent::Eviction {
                 t: st.now,
                 gpu: g as u32,
@@ -1652,14 +1606,7 @@ fn apply_shrink(
     let effective = target.max(st.mem[g].used_bytes());
     if effective != st.mem[g].capacity() {
         st.mem[g].set_capacity(effective);
-        if st.trace.enabled() {
-            st.trace.push(TraceEvent::CapacityShrunk {
-                at: st.now,
-                gpu: g,
-                capacity: effective,
-            });
-        }
-        if st.observed() {
+        if st.recording {
             st.emit(ObsEvent::CapacityShrunk {
                 t: st.now,
                 gpu: g as u32,
@@ -1726,13 +1673,7 @@ fn arrive(
     config: &RunConfig,
     t: TaskId,
 ) {
-    if st.trace.enabled() {
-        st.trace.push(TraceEvent::TaskArrived {
-            at: st.now,
-            task: t.index(),
-        });
-    }
-    if st.observed() {
+    if st.recording {
         st.emit(ObsEvent::TaskArrived { t: st.now, task: t.0 });
     }
     let policy = shed_policy(config);
@@ -1778,13 +1719,7 @@ fn arrive(
         }
         st.deferrals += 1;
         st.deferred.push_back(t.0);
-        if st.trace.enabled() {
-            st.trace.push(TraceEvent::TaskDeferred {
-                at: st.now,
-                task: t.index(),
-            });
-        }
-        if st.observed() {
+        if st.recording {
             st.emit(ObsEvent::TaskDeferred { t: st.now, task: t.0 });
         }
     }
@@ -1824,24 +1759,12 @@ fn drop_task(ts: &TaskSet, st: &mut State, t: TaskId, expired: bool) {
     bump_class(&mut st.shed_per_class, ts.class_of(t));
     if expired {
         st.expired_tasks += 1;
-        if st.trace.enabled() {
-            st.trace.push(TraceEvent::DeadlineExpired {
-                at: st.now,
-                task: t.index(),
-            });
-        }
-        if st.observed() {
+        if st.recording {
             st.emit(ObsEvent::DeadlineExpired { t: st.now, task: t.0 });
         }
     } else {
         st.shed_tasks += 1;
-        if st.trace.enabled() {
-            st.trace.push(TraceEvent::TaskShed {
-                at: st.now,
-                task: t.index(),
-            });
-        }
-        if st.observed() {
+        if st.recording {
             st.emit(ObsEvent::TaskShed { t: st.now, task: t.0 });
         }
     }
@@ -1933,13 +1856,7 @@ fn admit(
     st.released[t.index()] = true;
     st.backlog += 1;
     st.admitted += 1;
-    if st.trace.enabled() {
-        st.trace.push(TraceEvent::TaskAdmitted {
-            at: st.now,
-            task: t.index(),
-        });
-    }
-    if st.observed() {
+    if st.recording {
         st.emit(ObsEvent::TaskAdmitted {
             t: st.now,
             task: t.0,

@@ -44,7 +44,7 @@ mod scheduler;
 mod spec;
 mod trace;
 
-pub use analysis::{analyze, analyze_checked, render_gantt, to_obs_events, TraceAnalysis};
+pub use analysis::{analyze, render_gantt, TraceAnalysis};
 pub use engine::{
     run, run_observed, run_with_config, AdmissionConfig, RunConfig, RunError, ShedPolicy,
 };

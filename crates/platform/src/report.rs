@@ -219,8 +219,10 @@ impl RunReport {
     }
 }
 
-/// A timestamped record of everything the engine did; enabled through
-/// [`crate::RunConfig::trace`] and used by tests and debugging.
+/// A timestamped record of what the engine did: the projection
+/// ([`TraceEvent::from_obs`]) of its event stream, recorded through
+/// [`crate::RunConfig::trace`] and pinned by the golden traces and
+/// checksums.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A transfer of `data` to `gpu` was placed on the bus.

@@ -1,4 +1,9 @@
-//! Trace capture modes and the streaming trace checksum.
+//! Trace capture modes, the projection from observed events onto the
+//! engine trace, and the streaming trace checksum.
+//!
+//! The engine emits one [`ObsEvent`] per site. [`TraceEvent::from_obs`]
+//! projects that stream onto the engine trace the goldens and checksums
+//! pin, so the two streams can never disagree.
 //!
 //! A million-task run emits a few million [`TraceEvent`]s; materializing
 //! them costs hundreds of megabytes. [`TraceMode::Checksum`] streams every
@@ -9,6 +14,7 @@
 //! modes against each other.
 
 use crate::report::TraceEvent;
+use memsched_obs::{ObsEvent, TraceSink};
 
 /// How a run records its [`TraceEvent`] stream (`RunConfig::trace`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -29,7 +35,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Seed of the rolling checksum (the FNV-1a offset basis).
-pub(crate) const CHECKSUM_SEED: u64 = FNV_OFFSET;
+const CHECKSUM_SEED: u64 = FNV_OFFSET;
 
 #[inline]
 fn word(mut h: u64, v: u64) -> u64 {
@@ -43,7 +49,7 @@ fn word(mut h: u64, v: u64) -> u64 {
 /// Fold one event into the rolling checksum: a discriminant tag plus the
 /// canonical little-endian encoding of every field, floats via `to_bits`,
 /// so the fold is bit-exact and platform-independent.
-pub(crate) fn fold_event(h: u64, ev: &TraceEvent) -> u64 {
+fn fold_event(h: u64, ev: &TraceEvent) -> u64 {
     match *ev {
         TraceEvent::LoadIssued {
             at,
@@ -93,35 +99,132 @@ pub fn trace_checksum(trace: &[TraceEvent]) -> u64 {
     trace.iter().fold(CHECKSUM_SEED, fold_event)
 }
 
-/// Where the engine streams trace events during a run.
-pub(crate) enum TraceSink {
+impl TraceEvent {
+    /// The engine-trace view of one observed event: a first transfer
+    /// attempt is `LoadIssued` (issued at `t - bus_wait`), a delivered
+    /// transfer `LoadDone`, an uninterrupted compute span
+    /// `TaskStarted`/`TaskFinished`, and fault and admission instants map
+    /// one to one. `None` for what the trace never carried: decisions,
+    /// steals, gauges, cache accesses, retried or undelivered transfer
+    /// attempts, and interrupted computes.
+    pub fn from_obs(ev: &ObsEvent) -> Option<TraceEvent> {
+        Some(match *ev {
+            ObsEvent::TransferBegin {
+                t,
+                gpu,
+                data,
+                bus_wait,
+                attempt: 1,
+                done_at,
+                ..
+            } => TraceEvent::LoadIssued {
+                at: t - bus_wait,
+                gpu: gpu as usize,
+                data: data as usize,
+                done_at,
+            },
+            ObsEvent::TransferEnd {
+                t,
+                gpu,
+                data,
+                delivered: true,
+                ..
+            } => TraceEvent::LoadDone {
+                at: t,
+                gpu: gpu as usize,
+                data: data as usize,
+            },
+            ObsEvent::Eviction { t, gpu, data, .. } => TraceEvent::Evicted {
+                at: t,
+                gpu: gpu as usize,
+                data: data as usize,
+            },
+            ObsEvent::ComputeBegin { t, gpu, task } => TraceEvent::TaskStarted {
+                at: t,
+                gpu: gpu as usize,
+                task: task as usize,
+            },
+            ObsEvent::ComputeEnd {
+                t,
+                gpu,
+                task,
+                interrupted: false,
+            } => TraceEvent::TaskFinished {
+                at: t,
+                gpu: gpu as usize,
+                task: task as usize,
+            },
+            ObsEvent::GpuFailed { t, gpu } => TraceEvent::GpuFailed {
+                at: t,
+                gpu: gpu as usize,
+            },
+            ObsEvent::TransferRetry {
+                t,
+                gpu,
+                data,
+                attempt,
+            } => TraceEvent::TransferRetry {
+                at: t,
+                gpu: gpu as usize,
+                data: data as usize,
+                attempt,
+            },
+            ObsEvent::CapacityShrunk { t, gpu, capacity } => TraceEvent::CapacityShrunk {
+                at: t,
+                gpu: gpu as usize,
+                capacity,
+            },
+            ObsEvent::GpuSlowed { t, gpu, factor } => TraceEvent::GpuSlowed {
+                at: t,
+                gpu: gpu as usize,
+                factor,
+            },
+            ObsEvent::TaskArrived { t, task } => TraceEvent::TaskArrived {
+                at: t,
+                task: task as usize,
+            },
+            ObsEvent::TaskAdmitted { t, task, .. } => TraceEvent::TaskAdmitted {
+                at: t,
+                task: task as usize,
+            },
+            ObsEvent::TaskDeferred { t, task } => TraceEvent::TaskDeferred {
+                at: t,
+                task: task as usize,
+            },
+            ObsEvent::TaskShed { t, task } => TraceEvent::TaskShed {
+                at: t,
+                task: task as usize,
+            },
+            ObsEvent::DeadlineExpired { t, task } => TraceEvent::DeadlineExpired {
+                at: t,
+                task: task as usize,
+            },
+            ObsEvent::TransferBegin { .. }
+            | ObsEvent::TransferEnd { .. }
+            | ObsEvent::ComputeEnd { .. }
+            | ObsEvent::Decision { .. }
+            | ObsEvent::Steal { .. }
+            | ObsEvent::Gauge { .. }
+            | ObsEvent::CacheAccess { .. } => return None,
+        })
+    }
+}
+
+/// The run's trace under its [`TraceMode`]: every recorded event is
+/// projected ([`TraceEvent::from_obs`]) and then kept, folded into the
+/// checksum, or dropped.
+pub(crate) enum TraceLog {
     Off,
     Full(Vec<TraceEvent>),
     Checksum(u64),
 }
 
-impl TraceSink {
+impl TraceLog {
     pub(crate) fn new(mode: TraceMode, expected_events: usize) -> Self {
         match mode {
             TraceMode::Off => Self::Off,
             TraceMode::Full => Self::Full(Vec::with_capacity(expected_events)),
             TraceMode::Checksum => Self::Checksum(CHECKSUM_SEED),
-        }
-    }
-
-    /// Whether `push` does anything — call sites guard on this so `Off`
-    /// runs never even construct the event.
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        !matches!(self, Self::Off)
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, ev: TraceEvent) {
-        match self {
-            Self::Off => {}
-            Self::Full(v) => v.push(ev),
-            Self::Checksum(h) => *h = fold_event(*h, &ev),
         }
     }
 
@@ -135,13 +238,67 @@ impl TraceSink {
     }
 }
 
+impl TraceSink for TraceLog {
+    #[inline]
+    fn record(&mut self, ev: &ObsEvent) {
+        match self {
+            Self::Off => {}
+            Self::Full(v) => v.extend(TraceEvent::from_obs(ev)),
+            Self::Checksum(h) => {
+                if let Some(te) = TraceEvent::from_obs(ev) {
+                    *h = fold_event(*h, &te);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn rolling_sink_equals_materialized_checksum() {
-        let evs = vec![
+    fn sinks_keep_only_the_projection() {
+        let evs = [
+            ObsEvent::TransferBegin {
+                t: 4,
+                gpu: 0,
+                data: 3,
+                bytes: 8,
+                bus_wait: 3,
+                bus: 0,
+                peer: None,
+                attempt: 1,
+                done_at: 10,
+            },
+            ObsEvent::Decision {
+                t: 5,
+                gpu: 0,
+                task: Some(7),
+                wall_ns: 90,
+            },
+            ObsEvent::TransferEnd {
+                t: 9,
+                gpu: 1,
+                data: 2,
+                bytes: 8,
+                bus: 0,
+                peer: None,
+                attempt: 1,
+                delivered: false,
+            },
+            ObsEvent::ComputeBegin {
+                t: 10,
+                gpu: 0,
+                task: 7,
+            },
+            ObsEvent::GpuSlowed {
+                t: 12,
+                gpu: 1,
+                factor: 0.5,
+            },
+        ];
+        let want = vec![
             TraceEvent::LoadIssued {
                 at: 1,
                 gpu: 0,
@@ -159,13 +316,14 @@ mod tests {
                 factor: 0.5,
             },
         ];
-        let mut sink = TraceSink::new(TraceMode::Checksum, 0);
+        let mut full = TraceLog::new(TraceMode::Full, 0);
+        let mut sum = TraceLog::new(TraceMode::Checksum, 0);
         for ev in &evs {
-            sink.push(*ev);
+            full.record(ev);
+            sum.record(ev);
         }
-        let (trace, sum) = sink.finish();
-        assert!(trace.is_empty());
-        assert_eq!(sum, Some(trace_checksum(&evs)));
+        assert_eq!(full.finish(), (want.clone(), None));
+        assert_eq!(sum.finish(), (Vec::new(), Some(trace_checksum(&want))));
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn main() {
     for named in [NamedScheduler::Eager, NamedScheduler::DartsLuf] {
         let mut sched = named.build();
         let (report, trace) = run_with_config(&ts, &spec, sched.as_mut(), &cfg).unwrap();
-        let a = analysis::analyze_checked(&report, &trace);
+        let a = analysis::analyze(&trace, spec.num_gpus);
         println!(
             "== {} — {:.0} GFlop/s, {:.0} MB moved ==",
             report.scheduler,

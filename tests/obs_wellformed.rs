@@ -2,15 +2,21 @@
 //! every recorded trace is well-formed, the Chrome export is valid JSON
 //! that round-trips through `serde_json`, event counts agree with the
 //! engine's own report and trace, the derived per-GPU breakdown sums to
-//! the makespan, and attaching a probe never changes a decision (the
+//! the makespan, attaching a probe never changes a decision (the
 //! golden-trace guarantee, checked here as trace equality between the
-//! observed and unobserved runs).
+//! observed and unobserved runs), and the engine trace is exactly the
+//! projection of the observed stream.
 
 use memsched::obs::{
     check_well_formed, chrome_trace_json, gpu_breakdowns, Counter, Metrics, ObsEvent, SpanKind,
 };
+use memsched::platform::TraceEvent;
 use memsched::prelude::*;
+use memsched::workloads::{
+    assign_classes, deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Random task set: `nd` unit-size data items, tasks with 1–3 inputs.
 fn arb_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
@@ -52,7 +58,13 @@ fn schedulers() -> Vec<NamedScheduler> {
         NamedScheduler::DartsLuf,
         NamedScheduler::HmetisR,
         NamedScheduler::Mhfp,
+        NamedScheduler::Router,
     ]
+}
+
+/// The `Full` trace projected out of an observed event stream.
+fn projection(events: &[ObsEvent]) -> Vec<TraceEvent> {
+    events.iter().filter_map(TraceEvent::from_obs).collect()
 }
 
 proptest! {
@@ -65,11 +77,14 @@ proptest! {
         ts in arb_taskset(10, 20),
         gpus in 1usize..4,
         mem in 3u64..8,
-        sched_idx in 0usize..5,
+        sched_idx in 0usize..6,
     ) {
         let spec = tiny_spec(gpus, mem);
         let named = &schedulers()[sched_idx];
-        let config = RunConfig::default();
+        let config = RunConfig {
+            trace: TraceMode::Full,
+            ..RunConfig::default()
+        };
 
         // Baseline, no probe anywhere near it.
         let mut plain = named.build();
@@ -82,9 +97,12 @@ proptest! {
             run_observed(&ts, &spec, sched.as_mut(), &config, &probe).unwrap();
         let events = probe.events();
 
-        // Observation changes no decision: identical engine traces.
+        // Observation changes no decision: identical engine traces, and
+        // the trace is the projection of the observed stream.
+        prop_assert!(!plain_trace.is_empty());
         prop_assert_eq!(&plain_trace, &trace, "{}", named.build().name());
         prop_assert_eq!(plain_report.makespan, report.makespan);
+        prop_assert_eq!(&projection(&events), &trace);
 
         // Well-formed: spans nested per track, timestamps monotone,
         // every begin matched.
@@ -146,7 +164,8 @@ proptest! {
     }
 
     /// With transient transfer faults injected, the trace stays
-    /// well-formed and retry instants match the report.
+    /// well-formed, retry instants match the report, and the trace is
+    /// still the projection of the observed stream.
     #[test]
     fn faulted_observed_runs_keep_their_books(
         ts in arb_taskset(8, 14),
@@ -161,13 +180,15 @@ proptest! {
                 max_attempts: 10,
                 backoff_base: 100,
             }),
+            trace: TraceMode::Full,
             ..RunConfig::default()
         };
         let mut sched = NamedScheduler::Eager.build();
         let probe = Probe::unbounded();
-        let (report, _) = run_observed(&ts, &spec, sched.as_mut(), &config, &probe).unwrap();
+        let (report, trace) = run_observed(&ts, &spec, sched.as_mut(), &config, &probe).unwrap();
         let events = probe.events();
         check_well_formed(&events).unwrap();
+        prop_assert_eq!(projection(&events), trace);
         let retries = events
             .iter()
             .filter(|e| matches!(e, ObsEvent::TransferRetry { .. }))
@@ -181,4 +202,80 @@ proptest! {
             .count() as u64;
         prop_assert!(undelivered >= report.transfer_retries, "every retry closes a span");
     }
+}
+
+/// The projection identity on every family and every kind of run —
+/// batch, a fail/shrink/slow/flaky fault plan, and an overloaded online
+/// stream under `PriorityShed` with deadlines — which together emit all
+/// 14 `TraceEvent` variants.
+#[test]
+fn full_trace_is_the_projection_of_the_observed_stream() {
+    let batch = gemm_2d(6);
+    let tile = batch.data_size(DataId(0));
+    let spec = PlatformSpec::v100(2).with_memory(4 * tile);
+    let full = RunConfig {
+        trace: TraceMode::Full,
+        ..RunConfig::default()
+    };
+    let m = batch.num_tasks();
+    let stream = batch
+        .clone()
+        .with_arrivals(open_loop_arrivals(
+            &ArrivalPattern::Poisson {
+                rate_per_sec: 8000.0,
+            },
+            5,
+            m,
+        ))
+        .with_deadlines(deadline_stamps(m, 2_000_000, 1.0, 5))
+        .with_classes(
+            assign_classes(m, &[3.0, 2.0, 1.0], 5)
+                .into_iter()
+                .map(|c| c as u32)
+                .collect(),
+        );
+    let online = RunConfig {
+        admission: Some(AdmissionConfig {
+            max_backlog: Some(2),
+            policy: ShedPolicy::PriorityShed,
+        }),
+        ..full.clone()
+    };
+
+    let mut seen = BTreeSet::new();
+    for named in schedulers() {
+        // Fault times are fractions of this family's fault-free makespan,
+        // so every fault lands mid-run.
+        let horizon = run(&batch, &spec, named.build().as_mut()).unwrap().makespan;
+        let faulted = RunConfig {
+            faults: FaultPlan::none()
+                .with_gpu_failure(1, horizon / 2)
+                .with_capacity_shrink(0, horizon / 4, 3 * tile)
+                .with_straggler(0, horizon / 3, 0.5)
+                .with_transfer_faults(TransferFaultSpec {
+                    seed: 3,
+                    fault_ppm: 200_000,
+                    max_attempts: 16,
+                    backoff_base: 100,
+                }),
+            ..full.clone()
+        };
+        for (ts, config) in [(&batch, &full), (&batch, &faulted), (&stream, &online)] {
+            let probe = Probe::unbounded();
+            let (_, trace) = run_observed(ts, &spec, named.build().as_mut(), config, &probe)
+                .unwrap_or_else(|e| panic!("{named:?}: {e}"));
+            assert_eq!(projection(&probe.events()), trace, "{named:?}");
+            // Variant names, from the `Debug` rendering.
+            seen.extend(
+                trace
+                    .iter()
+                    .filter_map(|ev| format!("{ev:?}").split(' ').next().map(str::to_owned)),
+            );
+        }
+    }
+    assert_eq!(
+        seen.len(),
+        14,
+        "every TraceEvent variant is exercised: {seen:?}"
+    );
 }

@@ -1,5 +1,5 @@
 //! Stream-invariant property tests for the online serving mode, across
-//! all five scheduler families:
+//! all six scheduler families:
 //!
 //! * no task starts before its arrival time, and the admission track is
 //!   causally ordered (arrive ≤ admit ≤ start);
@@ -16,12 +16,13 @@ use memsched::prelude::*;
 use memsched::workloads::{gemm_2d, open_loop_arrivals, ArrivalPattern};
 use proptest::prelude::*;
 
-const FAMILIES: [NamedScheduler; 5] = [
+const FAMILIES: [NamedScheduler; 6] = [
     NamedScheduler::Eager,
     NamedScheduler::Dmdar,
     NamedScheduler::HmetisR,
     NamedScheduler::Mhfp,
     NamedScheduler::DartsLuf,
+    NamedScheduler::Router,
 ];
 
 /// Strategy: a random task set (unit data, 1–3 inputs per task) with a
@@ -370,9 +371,10 @@ fn fault_stranded_deferred_task_shed_under_policy_stuck_under_defer_only() {
     );
 }
 
-/// Acceptance sweep: every family digests a 1k-task Poisson stream and
-/// the serving histograms land in the metrics registry (one latency and
-/// one queueing-delay sample per completed task).
+/// Acceptance sweep: every family digests a 1k-task Poisson stream, the
+/// serving histograms land in the metrics registry (one latency and one
+/// queueing-delay sample per completed task), and the stream's trace is
+/// the projection of its observed events.
 #[test]
 fn all_families_complete_1k_task_poisson_stream() {
     let ts = {
@@ -391,8 +393,11 @@ fn all_families_complete_1k_task_poisson_stream() {
     for named in FAMILIES {
         let mut sched = named.build();
         let probe = Probe::unbounded();
-        let (report, _trace) =
+        let (report, trace) =
             run_observed(&ts, &spec, sched.as_mut(), &config, &probe).expect("1k stream");
+        let events = probe.events();
+        let projected: Vec<TraceEvent> = events.iter().filter_map(TraceEvent::from_obs).collect();
+        assert_eq!(projected, trace, "{named:?}");
         let stats = report.online.expect("online stats");
         assert_eq!(stats.tasks_admitted, n, "{named:?}");
         assert!(stats.p50_latency > 0, "{named:?}: empty latency histogram");
@@ -400,7 +405,7 @@ fn all_families_complete_1k_task_poisson_stream() {
         assert!(stats.throughput_tps > 0.0, "{named:?}");
 
         let mut metrics = Metrics::new();
-        metrics.ingest(&probe.events());
+        metrics.ingest(&events);
         assert_eq!(metrics.counter(Counter::TasksArrived), n, "{named:?}");
         assert_eq!(metrics.counter(Counter::TasksAdmitted), n, "{named:?}");
         assert_eq!(metrics.task_latency().count(), n, "{named:?}");

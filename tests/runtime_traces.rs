@@ -101,8 +101,9 @@ fn every_task_runs_exactly_once() {
     }
 }
 
-/// Loads minus evictions equals the data still resident at the end — and
-/// that never exceeds the memory capacity.
+/// Per GPU, the trace's load, eviction and task counts equal the
+/// report's; loads minus evictions equals the data still resident at the
+/// end — and that never exceeds the memory capacity.
 #[test]
 fn load_evict_conservation() {
     let ts = workloads::gemm_2d(8);
@@ -119,8 +120,13 @@ fn load_evict_conservation() {
                 .iter()
                 .filter(|e| matches!(e, TraceEvent::Evicted { gpu, .. } if *gpu == g))
                 .count() as u64;
+            let tasks = trace
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::TaskFinished { gpu, .. } if *gpu == g))
+                .count();
             assert_eq!(loads, report.per_gpu[g].loads, "{named:?}");
             assert_eq!(evictions, report.per_gpu[g].evictions, "{named:?}");
+            assert_eq!(tasks, report.per_gpu[g].tasks, "{named:?}");
             let final_resident = loads - evictions;
             assert!(
                 final_resident <= cap_items,
@@ -138,7 +144,7 @@ fn analysis_is_consistent_for_every_scheduler() {
     let spec = PlatformSpec::v100(2).with_memory(6 * GEMM2D_DATA_BYTES);
     for named in all_schedulers() {
         let (report, trace) = traced(&named, &ts, &spec);
-        let a = analysis::analyze_checked(&report, &trace);
+        let a = analysis::analyze(&trace, spec.num_gpus);
         assert!(a.makespan <= report.makespan, "{named:?}");
         assert!(a.bus_utilization() <= 1.0, "{named:?}");
         assert!((0.0..=1.0).contains(&a.overlap_ratio()), "{named:?}");
