@@ -35,11 +35,12 @@ use crate::fault::FaultPlan;
 use crate::memory::GpuMemory;
 use crate::pipeline::Pipelines;
 use crate::report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
-use crate::scheduler::{MissingCache, RuntimeView, Scheduler};
+use crate::scheduler::{missing_bytes_in, MissingCache, RuntimeView, Scheduler};
 use crate::spec::{Nanos, PlatformSpec};
 use crate::trace::{TraceLog, TraceMode};
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
 use memsched_obs::{GaugeKind, ObsEvent, Probe, TraceSink};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -916,7 +917,7 @@ fn new_state(
         mem: (0..k)
             .map(|_| GpuMemory::new(spec.memory_bytes, ts.num_data()))
             .collect(),
-        missing: MissingCache::new(ts, k),
+        missing: OnceCell::new(),
         pipeline: Pipelines::new(k, spec.pipeline_depth),
         running: vec![false; k],
         stalled_pop: vec![false; k],
@@ -998,9 +999,11 @@ struct State {
     seq: u64,
     events: EventQueue<Event>,
     mem: Vec<GpuMemory>,
-    /// Missing-input counters per (GPU, task), kept in sync with `mem`
-    /// residency transitions; serves O(1) `RuntimeView::missing_bytes`.
-    missing: MissingCache,
+    /// Missing-input counters per (GPU, task). Empty until a policy first
+    /// asks (`RuntimeView::missing` builds them from `mem`); once built,
+    /// kept in step with every residency transition by
+    /// [`State::begin_load`] and [`State::evict`].
+    missing: OnceCell<MissingCache>,
     /// Per GPU: popped-but-unfinished tasks in execution order. When
     /// `running[g]` is true, `pipeline.front(g)` is executing. One flat
     /// ring arena for all GPUs.
@@ -1141,6 +1144,22 @@ impl State {
         }
     }
 
+    /// Begin the transfer of `d` to GPU `g` (Absent → Loading).
+    fn begin_load(&mut self, ts: &TaskSet, g: usize, d: DataId) {
+        self.mem[g].begin_load(d, ts.data_size(d));
+        if let Some(missing) = self.missing.get_mut() {
+            missing.load_issued(ts, g, d);
+        }
+    }
+
+    /// Evict `v` from GPU `g` (Resident → Absent).
+    fn evict(&mut self, ts: &TaskSet, g: usize, v: DataId) {
+        self.mem[g].evict(v, ts.data_size(v));
+        if let Some(missing) = self.missing.get_mut() {
+            missing.evicted(ts, g, v);
+        }
+    }
+
     fn push_event(&mut self, at: Nanos, ev: Event) {
         self.seq += 1;
         self.events.push(at, self.seq, ev);
@@ -1262,7 +1281,7 @@ fn progress(
                 // Residency split of the placement, counted exactly once
                 // per pop: missing bytes still need a fetch, the rest of
                 // the footprint is a prefix-cache hit.
-                let miss = st.missing.bytes(g, t.index());
+                let miss = missing_bytes_in(ts, &st.mem[g], t);
                 let hit = ts.task_footprint(t).saturating_sub(miss);
                 st.cache_hit_bytes[g] += hit;
                 st.cache_miss_bytes[g] += miss;
@@ -1290,10 +1309,16 @@ fn progress(
     // Flat-core fast path: when no queued task misses any input, the
     // whole issue loop below is a provable no-op (every residency check
     // takes the `continue`, nothing is evicted or loaded), so the prefix
-    // merges can be skipped on the strength of O(1) missing-count reads.
-    // The reference core executes the full pass unconditionally.
+    // merges can be skipped on the strength of one residency read per
+    // queued input. The reference core executes the full pass
+    // unconditionally.
+    let mem = &st.mem[g];
     if !st.reference_core
-        && (0..st.pipeline.len(g)).all(|i| st.missing.cnt(g, st.pipeline.get(g, i).index()) == 0)
+        && st.pipeline.iter(g).all(|t| {
+            ts.inputs(t)
+                .iter()
+                .all(|&d| mem.is_resident_or_loading(DataId(d)))
+        })
     {
         return Ok(());
     }
@@ -1332,8 +1357,7 @@ fn progress(
                 let victim = pick_victim(ts, spec, scheduler, st, sched_wall, g, &protect);
                 match victim {
                     Some((v, by_scheduler)) => {
-                        st.mem[g].evict(v, ts.data_size(v));
-                        st.missing.evicted(ts, g, v);
+                        st.evict(ts, g, v);
                         if st.recording {
                             st.emit(ObsEvent::Eviction {
                                 t: st.now,
@@ -1370,8 +1394,7 @@ fn progress(
                     }
                 }
             }
-            st.mem[g].begin_load(d, size);
-            st.missing.load_issued(ts, g, d);
+            st.begin_load(ts, g, d);
             // Prefer a peer replica over the NVLink fabric when available
             // (the §VI extension); otherwise cross the shared PCI bus.
             // Replicas on fault-killed GPUs are unreachable.
@@ -1585,8 +1608,7 @@ fn apply_shrink(
         else {
             break;
         };
-        st.mem[g].evict(v, ts.data_size(v));
-        st.missing.evicted(ts, g, v);
+        st.evict(ts, g, v);
         evicted_any = true;
         if st.recording {
             st.emit(ObsEvent::Eviction {

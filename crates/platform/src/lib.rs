@@ -56,7 +56,7 @@ pub use memsched_obs::{ObsEvent, Probe};
 pub use fault::{CapacityShrink, FaultPlan, GpuFailure, Straggler, TransferFaultSpec};
 pub use memory::{GpuMemory, Residency};
 pub use report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
-pub use scheduler::{RuntimeView, Scheduler};
+pub use scheduler::{MissingCache, RuntimeView, Scheduler};
 pub use spec::{
     Nanos, PlatformSpec, NVLINK_BANDWIDTH, PAPER_MEMORY_BYTES, PCIE_BANDWIDTH,
     UNLIMITED_MEMORY_BYTES, V100_GFLOPS,

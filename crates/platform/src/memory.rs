@@ -11,8 +11,9 @@
 //! Residency queries and victim selection are incremental: an intrusive
 //! doubly-linked list keeps resident items in LRU order (touches move to
 //! the tail in O(1), the victim walk starts at the head and only skips
-//! pinned items), and a sorted resident-id index serves [`resident`]
-//! iteration without scanning all `num_data` states. The straightforward
+//! pinned items), and a resident-id bitset serves [`resident`] iteration
+//! one 64-id word at a time instead of one state per id, with O(1) insert
+//! and remove on every load and eviction. The straightforward
 //! full-scan implementations are kept as `*_scan` methods; differential
 //! tests assert both agree on arbitrary operation sequences.
 //!
@@ -58,10 +59,11 @@ pub struct GpuMemory {
     lru_next: Vec<u32>,
     lru_head: u32,
     lru_tail: u32,
-    /// Resident data ids, kept sorted ascending (the iteration order of
-    /// [`GpuMemory::resident`] is part of the deterministic tie-break
-    /// contract relied on by the golden traces).
-    resident_ids: Vec<u32>,
+    /// Resident data ids as a bitset: id `i` is bit `i % 64` of word
+    /// `i / 64`, so walking the words in order yields ascending ids (the
+    /// iteration order of [`GpuMemory::resident`] is part of the
+    /// deterministic tie-break contract relied on by the golden traces).
+    resident_bits: Vec<u64>,
     /// Number of evictions performed on this GPU.
     pub evictions: u64,
     /// Number of load operations completed on this GPU.
@@ -85,7 +87,7 @@ impl GpuMemory {
             lru_next: vec![NIL; num_data],
             lru_head: NIL,
             lru_tail: NIL,
-            resident_ids: Vec::new(),
+            resident_bits: vec![0; num_data.div_ceil(64)],
             evictions: 0,
             loads: 0,
             load_bytes: 0,
@@ -207,13 +209,12 @@ impl GpuMemory {
     /// Complete a transfer: the data becomes `Resident`.
     pub fn finish_load(&mut self, d: DataId, size: u64, now: Nanos) {
         let i = d.index();
-        debug_assert_eq!(self.state[i], Residency::Loading);
+        assert!(
+            self.state[i] == Residency::Loading,
+            "finish_load of data {d} not in flight"
+        );
         self.state[i] = Residency::Resident;
-        let pos = self
-            .resident_ids
-            .binary_search(&d.0)
-            .expect_err("finish_load of already-resident data");
-        self.resident_ids.insert(pos, d.0);
+        self.resident_bits[i / 64] |= 1 << (i % 64);
         self.lru_link_tail(i);
         self.loads += 1;
         self.load_bytes += size;
@@ -223,14 +224,13 @@ impl GpuMemory {
     /// Evict a resident, unpinned data item, freeing its bytes.
     pub fn evict(&mut self, d: DataId, size: u64) {
         let i = d.index();
-        debug_assert_eq!(self.state[i], Residency::Resident);
+        assert!(
+            self.state[i] == Residency::Resident,
+            "evicting data {d} that is not resident"
+        );
         debug_assert!(!self.is_pinned(d), "evicting pinned data {d}");
         self.state[i] = Residency::Absent;
-        let pos = self
-            .resident_ids
-            .binary_search(&d.0)
-            .expect("evicting data missing from the resident index");
-        self.resident_ids.remove(pos);
+        self.resident_bits[i / 64] &= !(1 << (i % 64));
         self.lru_unlink(i);
         self.used_bytes -= size;
         self.evictions += 1;
@@ -286,7 +286,12 @@ impl GpuMemory {
     /// the deterministic tie-break contract: schedulers that scan the
     /// resident set break score ties towards the smallest id).
     pub fn resident(&self) -> impl Iterator<Item = DataId> + '_ {
-        self.resident_ids.iter().map(|&i| DataId(i))
+        ResidentIter {
+            words: self.resident_bits.iter(),
+            bits: 0,
+            base: 0,
+            next_base: 0,
+        }
     }
 
     /// Reference implementation of [`resident`](Self::resident): full scan
@@ -301,7 +306,38 @@ impl GpuMemory {
 
     /// Number of resident data items.
     pub fn resident_count(&self) -> usize {
-        self.resident_ids.len()
+        self.resident_bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+}
+
+/// Ascending walk over the set bits of a resident-id bitset.
+struct ResidentIter<'a> {
+    /// Words not yet loaded.
+    words: std::slice::Iter<'a, u64>,
+    /// Unvisited bits of the current word.
+    bits: u64,
+    /// Id of bit 0 of the current word.
+    base: usize,
+    /// Id of bit 0 of the next word.
+    next_base: usize,
+}
+
+impl Iterator for ResidentIter<'_> {
+    type Item = DataId;
+
+    #[inline]
+    fn next(&mut self) -> Option<DataId> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.base = self.next_base;
+            self.next_base += 64;
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(DataId::from_usize(self.base + b))
     }
 }
 
@@ -398,11 +434,15 @@ mod tests {
     fn victim_walk_matches_scan_under_churn() {
         // Deterministic mixed workload: loads, touches, pins and evictions
         // interleaved; the list head must equal the scan argmin throughout.
-        let mut m = GpuMemory::new(1000, 16);
+        // 130 ids span three bitset words, the last one partial, and room
+        // for 100 of them keeps loads competing with evictions.
+        const N: u32 = 130;
+        let mut m = GpuMemory::new(1000, N as usize);
         let mut now: Nanos = 0;
-        for step in 0u32..200 {
+        let mut last_word_used = false;
+        for step in 0u32..2000 {
             now += 3;
-            let i = (step * 7 + 3) % 16;
+            let i = (step * 7 + 3) % N;
             match m.residency(d(i)) {
                 Residency::Absent if m.free_bytes() >= 10 => {
                     m.begin_load(d(i), 10);
@@ -421,7 +461,7 @@ mod tests {
             }
             if step % 11 == 10 {
                 // Release one arbitrary pin if any.
-                if let Some(j) = (0..16).find(|&j| m.pins[j] > 0) {
+                if let Some(j) = (0..N as usize).find(|&j| m.pins[j] > 0) {
                     m.unpin(d(j as u32));
                 }
             }
@@ -429,7 +469,26 @@ mod tests {
             let fast: Vec<_> = m.resident().collect();
             let slow: Vec<_> = m.resident_scan().collect();
             assert_eq!(fast, slow, "step {step}");
+            assert_eq!(m.resident_count(), slow.len(), "step {step}");
+            last_word_used |= slow.last().is_some_and(|x| x.0 >= 128);
         }
+        assert!(last_word_used, "the partial last word was never walked");
+    }
+
+    #[test]
+    #[should_panic(expected = "not in flight")]
+    fn double_finish_load_panics() {
+        let mut m = GpuMemory::new(100, 1);
+        m.begin_load(d(0), 10);
+        m.finish_load(d(0), 10, 1);
+        m.finish_load(d(0), 10, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "not resident")]
+    fn evicting_absent_data_panics() {
+        let mut m = GpuMemory::new(100, 1);
+        m.evict(d(0), 10);
     }
 
     #[test]

@@ -14,23 +14,30 @@ use crate::memory::GpuMemory;
 use crate::pipeline::Pipelines;
 use crate::spec::{Nanos, PlatformSpec};
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
+use std::cell::OnceCell;
 
-/// Engine-maintained cache of the *missing inputs* of every task on every
-/// GPU: how many of a task's inputs are absent (neither resident nor in
-/// flight), how many bytes they amount to, and the sum of their ids (which
-/// recovers the identity of the sole missing input when only one is left).
+/// The *missing inputs* of every task on every GPU: how many of a task's
+/// inputs are absent (neither resident nor in flight), how many bytes
+/// they amount to, and the sum of their ids (which recovers the identity
+/// of the sole missing input when only one is left, or of the other one
+/// of a missing pair).
 ///
-/// Invalidated incrementally on every residency transition — a load issue
-/// decrements the counters of the data's consumers, an eviction increments
-/// them — so [`RuntimeView::missing_bytes`] is O(1) instead of re-walking
-/// the task's input list. The cost is O(consumers(d)) per residency event,
-/// amortized over the decisions that would otherwise each rescan.
+/// The counters are a pure function of residency, so they are built from
+/// current residency only when a policy first asks
+/// ([`RuntimeView::missing`]). From then on the engine keeps them in step
+/// with every residency transition — a load issue decrements the
+/// counters of the data's consumers, an eviction increments them — so
+/// each query is O(1) instead of a walk of the task's input list. The
+/// upkeep is O(consumers(d)) per transition, amortized over the
+/// decisions that would otherwise each rescan. A policy that never asks
+/// (EAGER, the Router) never pays for it: each residency transition of
+/// its runs stays O(1).
 ///
 /// Stored struct-of-arrays: one flat stride-`m` array per counter, indexed
 /// `gpu * m + task`, so a million-task cache is three allocations total
 /// and the per-consumer update loop walks contiguous memory.
 #[derive(Clone, Debug)]
-pub(crate) struct MissingCache {
+pub struct MissingCache {
     /// Row stride: number of tasks (one row per GPU).
     m: usize,
     /// Per (GPU, task): number of inputs absent on that GPU.
@@ -43,23 +50,28 @@ pub(crate) struct MissingCache {
 }
 
 impl MissingCache {
-    /// Initial state: everything absent everywhere.
-    pub(crate) fn new(ts: &TaskSet, num_gpus: usize) -> Self {
+    /// The counters of the residency in `memories` (one per GPU).
+    pub(crate) fn from_residency(ts: &TaskSet, memories: &[GpuMemory]) -> Self {
         let m = ts.num_tasks();
         let (offsets, ids) = ts.input_slab();
-        let mut cnt = Vec::with_capacity(m * num_gpus);
-        let mut bytes = Vec::with_capacity(m * num_gpus);
-        let mut id_sum = Vec::with_capacity(m * num_gpus);
-        for t in 0..m {
-            let row = &ids[offsets[t] as usize..offsets[t + 1] as usize];
-            cnt.push(row.len() as u32);
-            bytes.push(ts.task_footprint(TaskId(t as u32)));
-            id_sum.push(row.iter().map(|&d| d as u64).sum());
-        }
-        for _ in 1..num_gpus {
-            cnt.extend_from_within(0..m);
-            bytes.extend_from_within(0..m);
-            id_sum.extend_from_within(0..m);
+        let n = m * memories.len();
+        let mut cnt = Vec::with_capacity(n);
+        let mut bytes = Vec::with_capacity(n);
+        let mut id_sum = Vec::with_capacity(n);
+        for mem in memories {
+            for t in 0..m {
+                let (mut c, mut b, mut s) = (0u32, 0u64, 0u64);
+                for &d in &ids[offsets[t] as usize..offsets[t + 1] as usize] {
+                    if !mem.is_resident_or_loading(DataId(d)) {
+                        c += 1;
+                        b += ts.data_size(DataId(d));
+                        s += d as u64;
+                    }
+                }
+                cnt.push(c);
+                bytes.push(b);
+                id_sum.push(s);
+            }
         }
         Self {
             m,
@@ -69,19 +81,35 @@ impl MissingCache {
         }
     }
 
+    /// Number of `task`'s inputs that are neither resident on `gpu` nor
+    /// in flight to it.
     #[inline]
-    pub(crate) fn cnt(&self, gpu: usize, task: usize) -> u32 {
-        self.cnt[gpu * self.m + task]
+    pub fn inputs(&self, gpu: GpuId, task: TaskId) -> usize {
+        self.cnt[gpu.index() * self.m + task.index()] as usize
     }
 
+    /// Bytes of `task`'s inputs that are neither resident on `gpu` nor
+    /// in flight to it — what the Ready heuristic minimizes.
     #[inline]
-    pub(crate) fn bytes(&self, gpu: usize, task: usize) -> u64 {
-        self.bytes[gpu * self.m + task]
+    pub fn bytes(&self, gpu: GpuId, task: TaskId) -> u64 {
+        self.bytes[gpu.index() * self.m + task.index()]
     }
 
+    /// When exactly one input of `task` is missing on `gpu`, its id.
     #[inline]
-    pub(crate) fn id_sum(&self, gpu: usize, task: usize) -> u64 {
-        self.id_sum[gpu * self.m + task]
+    pub fn sole_input(&self, gpu: GpuId, task: TaskId) -> Option<DataId> {
+        let i = gpu.index() * self.m + task.index();
+        (self.cnt[i] == 1).then(|| DataId(self.id_sum[i] as u32))
+    }
+
+    /// When exactly two inputs of `task` are missing on `gpu` and `d` is
+    /// known to be one of them, the other one. Used by event-driven
+    /// policies to re-aim a "one more load frees this task" contribution
+    /// when `d` is evicted.
+    #[inline]
+    pub fn pair_partner(&self, gpu: GpuId, task: TaskId, d: DataId) -> Option<DataId> {
+        let i = gpu.index() * self.m + task.index();
+        (self.cnt[i] == 2).then(|| DataId((self.id_sum[i] - d.0 as u64) as u32))
     }
 
     /// A transfer of `d` to `gpu` was issued (Absent → Loading).
@@ -110,11 +138,22 @@ impl MissingCache {
     }
 }
 
+/// Bytes of `task`'s inputs that are neither resident in `mem` nor in
+/// flight to it, by a walk of the task's input list.
+pub(crate) fn missing_bytes_in(ts: &TaskSet, mem: &GpuMemory, task: TaskId) -> u64 {
+    ts.input_ids(task)
+        .filter(|&d| !mem.is_resident_or_loading(d))
+        .map(|d| ts.data_size(d))
+        .sum()
+}
+
 /// Read-only view of the runtime state, handed to scheduler callbacks.
 ///
 /// Everything a dynamic policy may legitimately observe: data residency
-/// per GPU, the worker pipelines (`taskBuffer_k`), clock and busy-ness
-/// estimates. Schedulers must not assume anything else about the engine.
+/// per GPU, the missing-input counters derived from it (built on first
+/// use, [`RuntimeView::missing`]), the worker pipelines (`taskBuffer_k`),
+/// clock and busy-ness estimates. Schedulers must not assume anything
+/// else about the engine.
 pub struct RuntimeView<'a> {
     pub(crate) ts: &'a TaskSet,
     pub(crate) spec: &'a PlatformSpec,
@@ -124,8 +163,9 @@ pub struct RuntimeView<'a> {
     /// finished, in execution order (index 0 runs first). Includes the
     /// running task. One flat ring arena for all GPUs.
     pub(crate) buffers: &'a Pipelines,
-    /// Incrementally-maintained missing-input counters per (GPU, task).
-    pub(crate) missing: &'a MissingCache,
+    /// Missing-input counters per (GPU, task); empty until a policy
+    /// first asks ([`RuntimeView::missing`]).
+    pub(crate) missing: &'a OnceCell<MissingCache>,
     /// Simulated time at which each PCI bus finishes its current queue,
     /// indexed by [`PlatformSpec::bus_of`] (one slot on single-bus
     /// platforms).
@@ -193,48 +233,31 @@ impl<'a> RuntimeView<'a> {
         self.buffers.iter(gpu.index())
     }
 
-    /// Bytes of `task`'s inputs that are neither resident on `gpu` nor in
-    /// flight to it — what the Ready heuristic minimizes. O(1): served
-    /// from the engine's incrementally-maintained [`MissingCache`].
-    pub fn missing_bytes(&self, gpu: GpuId, task: TaskId) -> u64 {
-        self.missing.bytes(gpu.index(), task.index())
+    /// The missing-input counters of every (GPU, task) pair. The first
+    /// call of a run builds them from current residency; the engine keeps
+    /// them in step from then on. Each call checks whether they exist, so
+    /// a hook that queries many tasks takes the handle once and reads it
+    /// per task.
+    pub fn missing(&self) -> &'a MissingCache {
+        self.missing
+            .get_or_init(|| MissingCache::from_residency(self.ts, self.memories))
     }
 
-    /// Number of `task`'s inputs that are neither resident nor in flight.
-    /// O(1): served from the engine's [`MissingCache`].
-    pub fn missing_inputs(&self, gpu: GpuId, task: TaskId) -> usize {
-        self.missing.cnt(gpu.index(), task.index()) as usize
+    /// The missing-input counters if a hook of this run has already built
+    /// them, without building them.
+    pub fn missing_built(&self) -> Option<&'a MissingCache> {
+        self.missing.get()
     }
 
-    /// When exactly one input of `task` is missing on `gpu`, its id.
-    /// O(1): recovered from the cached missing-id sum.
-    pub fn sole_missing_input(&self, gpu: GpuId, task: TaskId) -> Option<DataId> {
-        let (g, i) = (gpu.index(), task.index());
-        (self.missing.cnt(g, i) == 1).then(|| DataId(self.missing.id_sum(g, i) as u32))
-    }
-
-    /// When exactly two inputs of `task` are missing on `gpu` and `d` is
-    /// known to be one of them, the other one. O(1): recovered from the
-    /// cached missing-id sum. Used by event-driven policies to re-aim a
-    /// "one more load frees this task" contribution when `d` is evicted.
-    pub fn missing_pair_partner(&self, gpu: GpuId, task: TaskId, d: DataId) -> Option<DataId> {
-        let (g, i) = (gpu.index(), task.index());
-        (self.missing.cnt(g, i) == 2).then(|| DataId((self.missing.id_sum(g, i) - d.0 as u64) as u32))
-    }
-
-    /// Reference implementation of [`missing_bytes`](Self::missing_bytes):
-    /// re-walks the task's input list. Kept for the naive differential
-    /// configurations and cache-consistency tests.
+    /// Reference implementation of [`MissingCache::bytes`]: re-walks the
+    /// task's input list. Kept for the naive differential configurations
+    /// and cache-consistency tests.
     pub fn missing_bytes_scan(&self, gpu: GpuId, task: TaskId) -> u64 {
-        self.ts
-            .input_ids(task)
-            .filter(|&d| !self.is_resident_or_loading(gpu, d))
-            .map(|d| self.ts.data_size(d))
-            .sum()
+        missing_bytes_in(self.ts, &self.memories[gpu.index()], task)
     }
 
-    /// Reference implementation of
-    /// [`missing_inputs`](Self::missing_inputs) by input-list scan.
+    /// Reference implementation of [`MissingCache::inputs`] by input-list
+    /// scan.
     pub fn missing_inputs_scan(&self, gpu: GpuId, task: TaskId) -> usize {
         self.ts
             .input_ids(task)

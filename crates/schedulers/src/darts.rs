@@ -443,9 +443,10 @@ impl DartsScheduler {
     /// missing input on `g` counts for each of its inputs there; one
     /// missing input counts for that input alone; more counts for none.
     fn contrib(&mut self, ts: &TaskSet, view: &RuntimeView<'_>, t: TaskId, delta: i32) {
+        let missing = view.missing();
         for g in 0..self.planned.len() {
             let gpu = GpuId(g as u32);
-            let m = view.missing_inputs(gpu, t);
+            let m = missing.inputs(gpu, t);
             match m {
                 0 => {
                     for &i in ts.inputs(t) {
@@ -453,7 +454,7 @@ impl DartsScheduler {
                     }
                 }
                 1 => {
-                    let sole = view.sole_missing_input(gpu, t).expect("one missing input");
+                    let sole = missing.sole_input(gpu, t).expect("one missing input");
                     self.bump_n_free(g, sole.0, delta);
                 }
                 _ => {}
@@ -586,12 +587,13 @@ impl DartsScheduler {
         // Reserve every free task enabled by dopt: missing inputs ⊆ {dopt}.
         let mut free = std::mem::take(&mut self.reserve_scratch);
         free.clear();
+        let missing = view.missing();
         free.extend(
             ts.consumer_ids(dopt)
                 .filter(|&t| self.task_state[t.index()] == FREE)
-                .filter(|&t| match view.missing_inputs(gpu, t) {
+                .filter(|&t| match missing.inputs(gpu, t) {
                     0 => true,
-                    1 => view.sole_missing_input(gpu, t) == Some(dopt),
+                    1 => missing.sole_input(gpu, t) == Some(dopt),
                     _ => false,
                 }),
         );
@@ -774,9 +776,10 @@ impl DartsScheduler {
         }
         let (_, d) = best?;
         let want = if view.is_resident_or_loading(gpu, d) { 1 } else { 2 };
-        let t = ts.consumer_ids(d).find(|&t| {
-            self.task_state[t.index()] == FREE && view.missing_inputs(gpu, t) == want
-        })?;
+        let missing = view.missing();
+        let t = ts
+            .consumer_ids(d)
+            .find(|&t| self.task_state[t.index()] == FREE && missing.inputs(gpu, t) == want)?;
         self.take_task(ts, view, gpu, t);
         Some(t)
     }
@@ -1143,12 +1146,14 @@ impl Scheduler for DartsScheduler {
         let ts = view.task_set();
         let g = gpu.index();
         // The missing sets of `data`'s consumers shrank on `g` (the
-        // engine's cache already reflects it); re-aim their contributions.
+        // engine's counters already reflect it); re-aim their
+        // contributions.
+        let missing = view.missing();
         for t in ts.consumer_ids(data) {
             if self.task_state[t.index()] != FREE {
                 continue;
             }
-            let m = view.missing_inputs(gpu, t);
+            let m = missing.inputs(gpu, t);
             match m {
                 // 1 → 0 missing: was counting towards `data` alone, now
                 // towards every input (the count on `data` is unchanged).
@@ -1161,7 +1166,7 @@ impl Scheduler for DartsScheduler {
                 }
                 // 2 → 1 missing: starts counting towards its sole missing.
                 1 => {
-                    let sole = view.sole_missing_input(gpu, t).expect("one missing input");
+                    let sole = missing.sole_input(gpu, t).expect("one missing input");
                     self.bump_n_free(g, sole.0, 1);
                 }
                 _ => {}
@@ -1204,11 +1209,12 @@ impl Scheduler for DartsScheduler {
         let g = gpu.index();
         if !self.is_naive() {
             // The missing sets of `data`'s consumers grew on `g`.
+            let missing = view.missing();
             for t in ts.consumer_ids(data) {
                 if self.task_state[t.index()] != FREE {
                     continue;
                 }
-                let m = view.missing_inputs(gpu, t);
+                let m = missing.inputs(gpu, t);
                 match m {
                     // 0 → 1 missing: was counting towards every input, now
                     // towards `data` alone.
@@ -1222,8 +1228,8 @@ impl Scheduler for DartsScheduler {
                     // 1 → 2 missing: stops counting towards the formerly
                     // sole missing input.
                     2 => {
-                        let partner = view
-                            .missing_pair_partner(gpu, t, data)
+                        let partner = missing
+                            .pair_partner(gpu, t, data)
                             .expect("two missing inputs");
                         self.bump_n_free(g, partner.0, -1);
                     }

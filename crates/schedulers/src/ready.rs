@@ -14,8 +14,9 @@ pub const DEFAULT_READY_WINDOW: usize = 128;
 /// the task with the fewest missing input bytes on `gpu`; earliest wins
 /// ties, so with everything resident this degrades to FIFO.
 ///
-/// `missing_bytes` is O(1) (served from the engine's missing-input
-/// cache), the zero-missing fast path exits before any bookkeeping, and
+/// Each task's missing bytes are one O(1) read of the engine's
+/// missing-input counters ([`RuntimeView::missing`], taken once per
+/// pick), the zero-missing fast path exits before any bookkeeping, and
 /// the running minimum is two plain scalars — no `Option` churn in the
 /// loop.
 pub fn ready_pick(
@@ -27,8 +28,9 @@ pub fn ready_pick(
     let scan = queue.len().min(window.max(1));
     let mut best_i = 0usize;
     let mut best_missing = u64::MAX;
+    let counters = view.missing();
     for (i, &t) in queue.iter().take(scan).enumerate() {
-        let missing = view.missing_bytes(gpu, t);
+        let missing = counters.bytes(gpu, t);
         if missing == 0 {
             return Some(i); // cannot do better than zero transfers
         }
@@ -153,7 +155,7 @@ mod tests {
                 .queue
                 .iter()
                 .take(scan)
-                .all(|&t| view.missing_bytes(gpu, t) == 0)
+                .all(|&t| view.missing().bytes(gpu, t) == 0)
             {
                 assert_eq!(i, 0, "all-resident window must degrade to FIFO");
                 self.fifo_pops += 1;

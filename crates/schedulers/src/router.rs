@@ -19,10 +19,12 @@
 //! *miss* bytes (not full footprints) matters: a warm request adds no
 //! load, so affinity is self-reinforcing exactly when it is free.
 //!
-//! Online, `recomp_bytes` is read in O(1) from the engine's
-//! [`MissingCache`](RuntimeView::missing_bytes); in the batch prepare
-//! (no runtime view yet) it is predicted from the same planned-`InMem`
-//! accounting DMDA uses. Eviction installs a pinned-ancestor hint
+//! Online, `recomp_bytes` walks the task's inputs and counts those
+//! neither resident on (or in flight to) GPU `k` nor already planned
+//! there by an earlier routed request; in the batch prepare (no runtime
+//! view yet) only the planned-`InMem` accounting DMDA uses applies. The
+//! router never reads the engine's missing-input counters, so its runs
+//! never build them. Eviction installs a pinned-ancestor hint
 //! (LUF-style): the planned future uses of every data item on each GPU
 //! are known from the routed queues, so the victim is the resident item
 //! with the fewest planned uses — interior tree nodes shared by many
@@ -59,9 +61,9 @@ pub struct RouterScheduler {
     /// Per-GPU bytes currently crossing the interconnect toward the GPU
     /// (maintained by `on_load_issued`/`on_data_loaded`).
     inflight_bytes: Vec<u64>,
-    /// Per-GPU planned-residency sets for the batch prepare (the DMDA
-    /// `InMem` analogue; unused online, where the `MissingCache` view is
-    /// authoritative).
+    /// Per-GPU planned-residency sets (the DMDA `InMem` analogue):
+    /// written by every routing decision, batch or online, and read by
+    /// both scores — online alongside the GPU's actual residency.
     planned: Vec<Vec<bool>>,
     /// Per (GPU, data): planned future uses by routed-but-unfinished
     /// tasks — the LUF eviction hint.
@@ -77,7 +79,7 @@ impl Default for RouterScheduler {
 }
 
 impl RouterScheduler {
-    /// Router with the default α = 1.0.
+    /// Router with the default α = 0.1 ([`DEFAULT_ALPHA_MILLI`]).
     pub fn new() -> Self {
         RouterScheduler {
             alpha_milli: DEFAULT_ALPHA_MILLI,

@@ -27,12 +27,15 @@ impl Scheduler for WindowedLocalityScheduler {
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
-        // Prefer a task with everything already on this GPU.
+        // Prefer a task with everything already on this GPU. The
+        // missing-input counters are built on first use, so a policy that
+        // never reads them never pays for their upkeep.
+        let missing = view.missing();
         let pick = self
             .queue
             .iter()
             .take(self.window)
-            .position(|&t| view.missing_bytes(gpu, t) == 0)
+            .position(|&t| missing.bytes(gpu, t) == 0)
             .unwrap_or(0);
         self.queue.remove(pick)
     }

@@ -340,7 +340,7 @@ proptest! {
     }
 
     /// DMDAR's Ready window pick: the hoisted fast path must select the
-    /// same task as the reference `missing_bytes` scan on every pop.
+    /// same task as the reference `missing_bytes_scan` on every pop.
     #[test]
     fn dmdar_ready_matches_naive(
         ts in arb_taskset(10, 20),
