@@ -14,8 +14,46 @@
 //! `--metrics` check validates histogram quantile ordering (p50 ≤ p99)
 //! and the latency-sample/completion-count agreement. Exit status: 0
 //! when valid (prints a summary line), 1 on a violation, 2 on usage
-//! errors — the same convention as the figure binaries.
+//! errors — the same convention as the figure binaries. A `--metrics`
+//! without a path, an unknown flag or a second trace path is a usage
+//! error, so no requested check is ever skipped.
 use memsched_experiments::obs;
+
+const USAGE: &str = "usage: trace_lint TRACE.json [--metrics METRICS.json]";
+
+#[derive(Debug, PartialEq)]
+struct Args {
+    trace: String,
+    metrics: Option<String>,
+}
+
+fn parse_from(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut trace = None;
+    let mut metrics = None;
+    while let Some(a) = args.next() {
+        let value = match a.strip_prefix("--metrics=") {
+            Some(v) => Some(v.to_string()),
+            None if a == "--metrics" => Some(args.next().unwrap_or_default()),
+            None => None,
+        };
+        if let Some(v) = value {
+            if v.is_empty() || v.starts_with("--") {
+                return Err("--metrics: missing path".into());
+            }
+            if metrics.replace(v).is_some() {
+                return Err("--metrics given twice".into());
+            }
+        } else if a.starts_with('-') {
+            return Err(format!("unknown flag {a:?}"));
+        } else if trace.is_some() {
+            return Err(format!("unexpected second trace path {a:?}"));
+        } else {
+            trace = Some(a);
+        }
+    }
+    let trace = trace.ok_or("missing TRACE.json")?;
+    Ok(Args { trace, metrics })
+}
 
 fn read_json(path: &str) -> serde::Value {
     let text = match std::fs::read_to_string(path) {
@@ -35,41 +73,17 @@ fn read_json(path: &str) -> serde::Value {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--metrics="))
-                .map(str::to_string)
-        });
-    let positional: Vec<&String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--metrics" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with('-')
-            })
-            .collect()
-    };
-    let path = match positional.as_slice() {
-        [p] => p.as_str(),
-        _ => {
-            eprintln!("usage: trace_lint TRACE.json [--metrics METRICS.json]");
+    let Args {
+        trace: path,
+        metrics,
+    } = match parse_from(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(msg) => {
+            eprintln!("error: {msg}\n{USAGE}");
             std::process::exit(2);
         }
     };
-    let doc = read_json(path);
+    let doc = read_json(&path);
     match obs::lint_chrome(&doc) {
         Ok(l) => println!(
             "{path}: OK — {} events ({} spans, {} instants, {} counters, {} metadata, \
@@ -95,5 +109,54 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn accepts_both_metrics_forms_in_any_position() {
+        let want = Args {
+            trace: "t.json".into(),
+            metrics: Some("m.json".into()),
+        };
+        assert_eq!(parse(&["t.json", "--metrics", "m.json"]), Ok(want));
+        let a = parse(&["--metrics=m.json", "t.json"]).unwrap();
+        assert_eq!(a.metrics.as_deref(), Some("m.json"));
+        assert_eq!(parse(&["t.json"]).unwrap().metrics, None);
+    }
+
+    #[test]
+    fn rejects_a_bare_metrics_flag() {
+        for args in [
+            &["t.json", "--metrics"][..],
+            &["t.json", "--metrics="],
+            &["--metrics", "--other", "t.json"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert_eq!(err, "--metrics: missing path", "{args:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_an_unknown_flag() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        assert!(err(&["t.json", "--metric=m.json"]).contains("unknown flag"));
+        assert!(err(&["t.json", "--bogus"]).contains("unknown flag"));
+    }
+
+    #[test]
+    fn rejects_a_second_positional() {
+        let err = parse(&["t.json", "u.json"]).unwrap_err();
+        assert!(err.contains("second trace path"), "{err}");
+        assert!(parse(&[]).unwrap_err().contains("missing TRACE.json"));
+        let twice = parse(&["t.json", "--metrics", "a", "--metrics=b"]);
+        assert_eq!(twice, Err("--metrics given twice".into()));
     }
 }

@@ -305,7 +305,7 @@ pub fn all_figures() -> Vec<FigureSpec> {
     ]
 }
 
-/// A reduced version of `fig` for smoke tests and benches: keeps roughly
+/// A reduced version of `fig` for smoke tests and `--quick` runs: keeps roughly
 /// every other sweep point, dropping the largest sizes.
 pub fn quick(fig: FigureSpec) -> FigureSpec {
     let keep = (fig.points.len() / 2).clamp(2, 4);

@@ -2,15 +2,15 @@
 //!
 //! The pool fans independent work items over a fixed number of worker
 //! threads pulling from a shared atomic index (global-queue stealing:
-//! whichever worker is free next takes the next cell), and collects each
-//! result into a slot keyed by the item's index. Because results are
+//! whichever worker is free next takes the next cell). Each worker hands
+//! back its `(index, result)` pairs when it is joined, and each result
+//! lands in the slot of its item index. Because results are
 //! gathered **by index** rather than by completion order, the output of
 //! [`run_indexed`] is identical for any worker count — pool scheduling
 //! can never leak into results. The harness uses it to fan independent
 //! (workload × scheduler) cells over worker threads; the engine itself
 //! stays single-threaded.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable consulted by [`resolve_jobs`] when no explicit
@@ -52,26 +52,35 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = jobs.min(items.len());
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
 
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(f(i, &items[i]));
-            });
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break done;
+                        }
+                        done.push((i, f(i, &items[i])));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, r) in handle.join().expect("worker pool panicked") {
+                slots[i] = Some(r);
+            }
         }
-    })
-    .expect("worker pool panicked");
+    });
 
     slots
         .into_iter()
-        .map(|s| s.into_inner().expect("every slot filled by a worker"))
+        .map(|s| s.expect("every slot filled by a worker"))
         .collect()
 }
 

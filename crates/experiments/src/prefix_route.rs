@@ -1,9 +1,10 @@
 //! The cache-pressure routing sweep behind the `prefix_route` binary
-//! and the `prefix_route` bench: a seeded prefix-tree request stream
-//! (the multi-GPU KV/prefix-cache serving scenario) swept over cache
-//! pressure — tree bytes / aggregate GPU memory — comparing the
-//! residency-aware Router against DMDAR, DARTS and EAGER on p99
-//! latency, bytes transferred, and prefix-cache hit rate.
+//! and the routing-margin test in `tests/prefix_workload.rs`: a seeded
+//! prefix-tree request stream (the multi-GPU KV/prefix-cache serving
+//! scenario) swept over cache pressure — tree bytes / aggregate GPU
+//! memory — comparing the residency-aware Router against DMDAR, DARTS
+//! and EAGER on p99 latency, bytes transferred, and prefix-cache hit
+//! rate.
 //!
 //! Pressure is the x-axis of the scenario: at 0.5× the whole tree fits
 //! in the two GPUs and every policy converges once the tree is warm; at
@@ -60,7 +61,8 @@ impl SweepConfig {
 
     /// CI-friendly sweep: same tree and rate, half the requests. Still
     /// past the warm-up knee — the Router/EAGER transfer gap at 2× is
-    /// established by ~2000 requests — so CI asserts the same margins.
+    /// established by ~2000 requests — so the routing-margin test
+    /// asserts the same margins on both.
     pub fn quick(seed: u64) -> Self {
         SweepConfig {
             tasks: 2000,

@@ -30,18 +30,6 @@ pub fn min_total_load_bytes(ts: &TaskSet) -> u64 {
         .sum()
 }
 
-/// A memory-pressure refinement of the load lower bound for a *single* GPU
-/// with a memory of `capacity` bytes, in the spirit of Hong & Kung's I/O
-/// lower bounds: processing any group of tasks whose union of inputs
-/// exceeds the memory requires at least `union − capacity` extra bytes of
-/// reloads beyond the compulsory ones. We use the coarsest version — the
-/// whole task set as one group — which is exact when the working set fits
-/// and a valid (if weak) bound otherwise.
-pub fn single_gpu_min_load_bytes(ts: &TaskSet, _capacity: u64) -> u64 {
-    // The compulsory bound; tightening it further is NP-hard (§III).
-    min_total_load_bytes(ts)
-}
-
 /// Minimum makespan (seconds) on `k` identical GPUs of `gflops` GFlop/s
 /// each, ignoring all transfers: `total_flops / (k · gflops · 1e9)`.
 /// This is the "GFlop/s max" roofline of Figures 3–13.
@@ -77,7 +65,6 @@ mod tests {
         let ts = figure1_example();
         assert_eq!(min_total_loads(&ts), 6);
         assert_eq!(min_total_load_bytes(&ts), 6);
-        assert_eq!(single_gpu_min_load_bytes(&ts, 100), 6);
     }
 
     #[test]

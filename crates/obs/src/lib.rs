@@ -9,7 +9,7 @@
 //! is another [`TraceSink`] that keeps a projection of each one
 //! (`memsched_platform::TraceEvent::from_obs`), so attaching a probe
 //! adds a consumer and changes no decision — the golden traces stay
-//! byte-identical (see the `obs_overhead` bench). A run with neither a
+//! byte-identical (`tests/obs_wellformed.rs`). A run with neither a
 //! probe nor a trace builds no event at all.
 //!
 //! On top of the raw event stream:

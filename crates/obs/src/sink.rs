@@ -3,9 +3,8 @@
 //! share.
 
 use crate::event::ObsEvent;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Anything that consumes a stream of [`ObsEvent`]s: the in-memory
 /// [`Recorder`], the [`crate::Metrics`] registry, or a test double.
@@ -104,29 +103,36 @@ impl Probe {
         }
     }
 
+    /// Lock the shared recorder. Each `record` leaves the buffer whole,
+    /// so a lock poisoned by a panicking holder is recovered, not
+    /// propagated.
+    fn recorder(&self) -> MutexGuard<'_, Recorder> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record one event.
     pub fn emit(&self, ev: ObsEvent) {
-        self.inner.lock().record(&ev);
+        self.recorder().record(&ev);
     }
 
     /// Snapshot the recorded events in emission order.
     pub fn events(&self) -> Vec<ObsEvent> {
-        self.inner.lock().events()
+        self.recorder().events()
     }
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.recorder().len()
     }
 
     /// True when no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.recorder().is_empty()
     }
 
     /// Number of events dropped to the ring bound.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped()
+        self.recorder().dropped()
     }
 }
 

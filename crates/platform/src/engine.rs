@@ -73,7 +73,7 @@ pub struct RunConfig {
     /// flat calendar-queue core. Decisions, traces and reports are
     /// byte-identical either way (differential-proptested); only the
     /// engine's own wall time differs. Compiled in by the `naive`
-    /// feature for differential tests and the engine-scale bench.
+    /// feature for the differential and scale tests.
     #[cfg(feature = "naive")]
     pub naive_core: bool,
 }
@@ -172,7 +172,7 @@ impl ShedPolicy {
         }
     }
 
-    /// Stable lowercase name (CSV columns, bench JSON).
+    /// Stable lowercase name (CSV columns, metrics JSON).
     pub fn as_str(&self) -> &'static str {
         match self {
             Self::DeferOnly => "defer",

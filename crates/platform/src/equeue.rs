@@ -44,8 +44,8 @@
 //!   ordered within the cursor slot.
 //!
 //! Slot vectors are recycled across pushes and pops, so the steady-state
-//! engine loop performs no allocation at all — the property the
-//! engine-scale bench's counting allocator asserts.
+//! engine loop performs no allocation at all; perfbench's `host.allocs`
+//! metric counts what a whole run allocates.
 
 use crate::spec::Nanos;
 

@@ -66,7 +66,7 @@ pub struct DartsConfig {
     /// Seed for randomized tie-breaking.
     pub seed: u64,
     /// Run the original full-scan implementations instead of the
-    /// incremental ones (differential testing and benchmarking only).
+    /// incremental ones (differential testing only).
     #[cfg(feature = "naive")]
     pub naive: bool,
 }

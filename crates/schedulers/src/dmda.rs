@@ -23,8 +23,6 @@ use memsched_platform::{Nanos, PlatformSpec, Probe, RuntimeView, Scheduler};
 #[derive(Debug)]
 pub struct DmdaScheduler {
     ready: bool,
-    /// Ready scan window (ignored by plain DMDA).
-    window: usize,
     /// Per-GPU allocated task queues, filled during `prepare`.
     queues: Vec<Vec<TaskId>>,
     /// Predicted completion horizon per GPU — the Eq. (1) state, hoisted
@@ -45,7 +43,6 @@ impl DmdaScheduler {
     pub fn dmda() -> Self {
         Self {
             ready: false,
-            window: DEFAULT_READY_WINDOW,
             queues: Vec::new(),
             ready_at: Vec::new(),
             in_mem: Vec::new(),
@@ -59,7 +56,6 @@ impl DmdaScheduler {
     pub fn dmdar() -> Self {
         Self {
             ready: true,
-            window: DEFAULT_READY_WINDOW,
             queues: Vec::new(),
             ready_at: Vec::new(),
             in_mem: Vec::new(),
@@ -74,13 +70,6 @@ impl DmdaScheduler {
     #[cfg(feature = "naive")]
     pub fn with_naive_ready(mut self) -> Self {
         self.naive_ready = true;
-        self
-    }
-
-    /// Builder: change the Ready scan window.
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window >= 1, "window must be at least 1");
-        self.window = window;
         self
     }
 
@@ -172,14 +161,14 @@ impl Scheduler for DmdaScheduler {
             #[cfg(feature = "naive")]
             {
                 if self.naive_ready {
-                    crate::ready::ready_pick_scan(q, gpu, view, self.window)?
+                    crate::ready::ready_pick_scan(q, gpu, view, DEFAULT_READY_WINDOW)?
                 } else {
-                    ready_pick(q, gpu, view, self.window)?
+                    ready_pick(q, gpu, view, DEFAULT_READY_WINDOW)?
                 }
             }
             #[cfg(not(feature = "naive"))]
             {
-                ready_pick(q, gpu, view, self.window)?
+                ready_pick(q, gpu, view, DEFAULT_READY_WINDOW)?
             }
         } else {
             0

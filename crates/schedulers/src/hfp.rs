@@ -29,7 +29,6 @@
 //! * `input_bytes` of a merge computed as `p + q − shared` instead of
 //!   re-summing `data_size` over the whole union.
 
-use crate::ready::DEFAULT_READY_WINDOW;
 use crate::stealing::StealingQueues;
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
 use memsched_platform::{PlatformSpec, Probe, RuntimeView, Scheduler};
@@ -679,7 +678,6 @@ fn pack_naive(ts: &TaskSet, memory: u64, k: usize) -> Vec<Vec<TaskId>> {
 /// Algorithm 4.
 #[derive(Debug)]
 pub struct HfpScheduler {
-    window: usize,
     steal: bool,
     queues: Option<StealingQueues>,
     /// Probe kept until `prepare` builds the queues that emit with it.
@@ -705,7 +703,6 @@ impl HfpScheduler {
     /// Paper-default mHFP (Ready window, stealing enabled).
     pub fn new() -> Self {
         Self {
-            window: DEFAULT_READY_WINDOW,
             steal: true,
             queues: None,
             probe: None,
@@ -762,7 +759,7 @@ impl HfpScheduler {
                 }
             }
         }
-        let mut sq = StealingQueues::new(lists, self.window, self.steal);
+        let mut sq = StealingQueues::new(lists, self.steal);
         if let Some(p) = &self.probe {
             sq.attach_probe(p.clone());
         }
@@ -785,7 +782,7 @@ impl Scheduler for HfpScheduler {
             config
         };
         let queues = pack_with(ts, &config);
-        let mut sq = StealingQueues::new(queues, self.window, self.steal);
+        let mut sq = StealingQueues::new(queues, self.steal);
         if let Some(p) = &self.probe {
             sq.attach_probe(p.clone());
         }
@@ -799,11 +796,7 @@ impl Scheduler for HfpScheduler {
         self.online = true;
         self.pending = Vec::new();
         self.dirty = false;
-        let mut sq = StealingQueues::new(
-            vec![Vec::new(); spec.num_gpus],
-            self.window,
-            self.steal,
-        );
+        let mut sq = StealingQueues::new(vec![Vec::new(); spec.num_gpus], self.steal);
         if let Some(p) = &self.probe {
             sq.attach_probe(p.clone());
         }

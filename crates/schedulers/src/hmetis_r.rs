@@ -2,7 +2,6 @@
 //! `K` balanced parts (one per GPU), then serve each part with the Ready
 //! reordering and tail-half task stealing.
 
-use crate::ready::DEFAULT_READY_WINDOW;
 use crate::stealing::StealingQueues;
 use memsched_hypergraph::{partition, partition_clique, Hypergraph, PartitionConfig};
 use memsched_model::{GpuId, TaskId, TaskSet};
@@ -30,8 +29,6 @@ pub struct PartitionerOptions {
     pub nruns: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Ready scan window.
-    pub window: usize,
     /// Enable task stealing (Algorithm 3, line 5).
     pub steal: bool,
     /// Partition the METIS-style clique expansion instead of the
@@ -45,7 +42,6 @@ impl Default for PartitionerOptions {
         Self {
             nruns: 20,
             seed: 0x5eed,
-            window: DEFAULT_READY_WINDOW,
             steal: true,
             clique_expansion: false,
         }
@@ -129,7 +125,7 @@ impl Scheduler for HmetisRScheduler {
         for t in ts.tasks() {
             queues[parts[t.index()] as usize].push(t);
         }
-        let mut sq = StealingQueues::new(queues, self.config.window, self.config.steal);
+        let mut sq = StealingQueues::new(queues, self.config.steal);
         if let Some(p) = &self.probe {
             sq.attach_probe(p.clone());
         }
@@ -143,11 +139,7 @@ impl Scheduler for HmetisRScheduler {
         let k = spec.num_gpus;
         self.partition_cost = 0;
         self.assigned_data = vec![vec![false; ts.num_data()]; k];
-        let mut sq = StealingQueues::new(
-            vec![Vec::new(); k],
-            self.config.window,
-            self.config.steal,
-        );
+        let mut sq = StealingQueues::new(vec![Vec::new(); k], self.config.steal);
         if let Some(p) = &self.probe {
             sq.attach_probe(p.clone());
         }

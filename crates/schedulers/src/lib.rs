@@ -42,7 +42,7 @@ pub use stealing::StealingQueues;
 use memsched_platform::Scheduler;
 
 /// Every named scheduler configuration used in the paper's figures, for
-/// easy construction by the harness and benches.
+/// easy construction by the harness, the tests and perfbench.
 #[derive(Clone, Debug, PartialEq)]
 pub enum NamedScheduler {
     /// Shared-queue baseline.

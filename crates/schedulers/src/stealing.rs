@@ -3,7 +3,7 @@
 //! steals **half of the remaining tasks of the most loaded GPU, taken from
 //! the tail of its list**.
 
-use crate::ready::ready_pick;
+use crate::ready::{ready_pick, DEFAULT_READY_WINDOW};
 use memsched_model::{GpuId, TaskId};
 use memsched_platform::obs::{GaugeKind, ObsEvent};
 use memsched_platform::{Probe, RuntimeView};
@@ -12,9 +12,7 @@ use memsched_platform::{Probe, RuntimeView};
 #[derive(Clone, Debug, Default)]
 pub struct StealingQueues {
     queues: Vec<Vec<TaskId>>,
-    /// Ready scan window.
-    window: usize,
-    /// Whether stealing is enabled (for ablation benches).
+    /// Whether stealing is enabled (disabled for ablations).
     steal: bool,
     /// Number of successful steals (for reporting/tests).
     pub steals: u64,
@@ -25,10 +23,9 @@ pub struct StealingQueues {
 
 impl StealingQueues {
     /// Build from per-GPU queues.
-    pub fn new(queues: Vec<Vec<TaskId>>, window: usize, steal: bool) -> Self {
+    pub fn new(queues: Vec<Vec<TaskId>>, steal: bool) -> Self {
         Self {
             queues,
-            window: window.max(1),
             steal,
             steals: 0,
             probe: None,
@@ -76,7 +73,7 @@ impl StealingQueues {
         if q.is_empty() {
             return None;
         }
-        let i = ready_pick(q, gpu, view, self.window)?;
+        let i = ready_pick(q, gpu, view, DEFAULT_READY_WINDOW)?;
         let task = q.remove(i);
         if let Some(p) = &self.probe {
             p.emit(ObsEvent::Gauge {
@@ -159,7 +156,7 @@ mod tests {
         let ts = uniform_tasks(8);
         // Everything initially on GPU0.
         let queues = vec![ts.tasks().collect(), Vec::new()];
-        let mut sched = StealSched(StealingQueues::new(queues, 8, true));
+        let mut sched = StealSched(StealingQueues::new(queues, true));
         let spec = PlatformSpec::v100(2).with_memory(100);
         let report = run(&ts, &spec, &mut sched).unwrap();
         assert!(sched.0.steals >= 1);
@@ -175,7 +172,7 @@ mod tests {
     fn stealing_disabled_leaves_imbalance() {
         let ts = uniform_tasks(8);
         let queues = vec![ts.tasks().collect(), Vec::new()];
-        let mut sched = StealSched(StealingQueues::new(queues, 8, false));
+        let mut sched = StealSched(StealingQueues::new(queues, false));
         let spec = PlatformSpec::v100(2).with_memory(100);
         let report = run(&ts, &spec, &mut sched).unwrap();
         assert_eq!(sched.0.steals, 0);
@@ -187,7 +184,7 @@ mod tests {
     fn steal_from_single_task_victim_takes_it() {
         // vlen / 2 rounds to zero for a one-task victim; the `.max(1)`
         // must still move that last task to the idle thief.
-        let mut q = StealingQueues::new(vec![vec![TaskId(0)], Vec::new()], 4, true);
+        let mut q = StealingQueues::new(vec![vec![TaskId(0)], Vec::new()], true);
         q.try_steal(1);
         assert_eq!(q.len(GpuId(0)), 0);
         assert_eq!(q.len(GpuId(1)), 1);
@@ -198,7 +195,7 @@ mod tests {
     fn steal_with_no_victims_is_a_clean_noop() {
         // Every queue empty (all survivors idle simultaneously): stealing
         // must neither panic nor count a steal, and pop returns None.
-        let mut q = StealingQueues::new(vec![Vec::new(), Vec::new(), Vec::new()], 4, true);
+        let mut q = StealingQueues::new(vec![Vec::new(), Vec::new(), Vec::new()], true);
         q.try_steal(0);
         assert_eq!(q.steals, 0);
         assert!(q.is_empty());
@@ -211,7 +208,7 @@ mod tests {
         // exactly once across them.
         let ts = uniform_tasks(9);
         let queues = vec![ts.tasks().collect(), Vec::new(), Vec::new()];
-        let sched = StealSched(StealingQueues::new(queues, 8, true));
+        let sched = StealSched(StealingQueues::new(queues, true));
         let spec = PlatformSpec::v100(3).with_memory(100);
         let plan = memsched_platform::FaultPlan::none().with_gpu_failure(0, 0);
         let config = memsched_platform::RunConfig {
@@ -258,7 +255,7 @@ mod tests {
                 self.0.return_tasks(gpu, lost, view);
             }
         }
-        let mut sched = Recover(StealingQueues::new(queues, 8, false));
+        let mut sched = Recover(StealingQueues::new(queues, false));
         let spec = PlatformSpec::v100(2).with_memory(100);
         let config = memsched_platform::RunConfig {
             trace: TraceMode::Full,
@@ -295,7 +292,7 @@ mod tests {
                 self.0.attach_probe(probe);
             }
         }
-        let mut sched = Observed(StealingQueues::new(queues, 8, true));
+        let mut sched = Observed(StealingQueues::new(queues, true));
         let spec = PlatformSpec::v100(2).with_memory(100);
         let probe = memsched_platform::Probe::unbounded();
         memsched_platform::run_observed(
@@ -329,7 +326,6 @@ mod tests {
         // running dry takes the tail half of GPU 0's queue.
         let mut q = StealingQueues::new(
             vec![(0..8).map(TaskId).collect(), Vec::new(), Vec::new(), Vec::new()],
-            4,
             true,
         );
         assert_eq!(q.try_steal(3), Some((0, 4)));
@@ -359,7 +355,7 @@ mod tests {
                 self.0.return_tasks(gpu, lost, view);
             }
         }
-        let mut sched = Recover(StealingQueues::new(queues, 8, false));
+        let mut sched = Recover(StealingQueues::new(queues, false));
         let spec = PlatformSpec::v100_multibus(4, 2).with_memory(100);
         let config = memsched_platform::RunConfig {
             faults: memsched_platform::FaultPlan::none().with_gpu_failure(0, 0),
@@ -379,7 +375,6 @@ mod tests {
                 (2..12).map(TaskId).collect(),
                 Vec::new(),
             ],
-            4,
             true,
         );
         q.try_steal(2);

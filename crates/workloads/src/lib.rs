@@ -37,7 +37,7 @@ pub use traffic::{
 
 use memsched_model::TaskSet;
 
-/// A named workload, as used by the experiment harness and benches.
+/// A named workload, as used by the experiment harness and tests.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Workload {
     /// 2D blocked matrix multiplication with `n×n` tasks.
@@ -110,12 +110,11 @@ impl Workload {
     }
 }
 
-/// The `scale` benchmark preset: 2D/3D GEMM instances well past the
-/// paper's figure sizes, where the per-decision candidate scan dominates
-/// a naive scheduler's cost. This is the workload tier the scheduler
-/// hot-path bench (`cargo bench --bench sched_hotpath`) records in
-/// `results/BENCH_sched_hotpath.json`. Quick mode keeps a full naive-scan
-/// run in CI-friendly time.
+/// The `scale` preset: 2D/3D GEMM instances well past the paper's figure
+/// sizes, where the per-decision candidate scan dominates a naive
+/// scheduler's cost. The release-mode tier of `tests/differential_naive.rs`
+/// runs the naive and indexed prepare and hot paths on it. Quick mode
+/// keeps a full naive-scan run in CI-friendly time.
 pub fn scale_preset(quick: bool) -> Vec<Workload> {
     if quick {
         vec![Workload::Gemm2d { n: 20 }, Workload::Gemm3d { n: 6 }]
@@ -126,8 +125,8 @@ pub fn scale_preset(quick: bool) -> Vec<Workload> {
 
 /// The `scale_xl` tier: engine-bound instances of 10⁵ and 10⁶ tasks
 /// (`gemm_3d(47)` ≈ 1.04 × 10⁵, `gemm_3d(100)` = 10⁶) used by the
-/// engine-scale bench (`cargo bench --bench engine_scale`) and the
-/// checksum-mode trace tests. Where [`scale_preset`] stresses the
+/// checksum-mode trace and engine speedup tests
+/// (`tests/engine_scale_checksums.rs`). Where [`scale_preset`] stresses the
 /// per-decision scheduler scans, this tier stresses the engine core
 /// itself — the event queue, the residency bookkeeping, and the trace
 /// sink. 3D GEMM keeps the per-datum consumer fan-out at `n` (≈ m^⅓)

@@ -7,6 +7,11 @@
 //! engine traces — same loads, same eviction victims, same task order,
 //! same timestamps, and (for DARTS) the same RNG draw sequence, since a
 //! diverging candidate count would shift every later tie-break.
+//!
+//! One `#[ignore]`d release-mode test repeats the identity on the `scale`
+//! workload preset and asserts how much faster the indexed mHFP packing
+//! is than the paper's quadratic greedy:
+//! `cargo test --release --test differential_naive -- --ignored`.
 
 use memsched::hypergraph::{bisect, bisect_naive, partition, Hypergraph, PartitionConfig};
 use memsched::platform::{run_with_config, RunConfig, Scheduler, TraceEvent};
@@ -14,7 +19,9 @@ use memsched::prelude::*;
 use memsched::schedulers::{
     hfp_pack_with, DartsConfig, DartsScheduler, DmdaScheduler, NamedScheduler, PackConfig,
 };
+use memsched::workloads::scale_preset;
 use proptest::prelude::*;
+use std::time::Instant;
 
 /// Strategy: a random task set with up to `max_data` unit-size data items
 /// and up to `max_tasks` tasks with 1–3 inputs each (the same shape the
@@ -490,6 +497,75 @@ proptest! {
         };
         for named in ENGINE_FAMILIES {
             engine_cores_equivalent(&ts, &spec, &faults, named);
+        }
+    }
+}
+
+/// The indexed mHFP packing must beat the paper's quadratic greedy by at
+/// least this factor on the full `scale` preset...
+const MHFP_SPEEDUP_FLOOR_FULL: f64 = 5.0;
+/// ...and by this factor on the quick one, whose smaller task sets leave
+/// the quadratic reference less room to lose.
+const MHFP_SPEEDUP_FLOOR_QUICK: f64 = 2.0;
+
+/// Fastest of three runs of `f`, with the output of the last.
+fn best_of_three<T>(f: impl Fn() -> T) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..3 {
+        let started = Instant::now();
+        out = Some(f());
+        best = best.min(started.elapsed().as_secs_f64());
+    }
+    (out.expect("three runs"), best)
+}
+
+/// The `scale` preset on two GPUs with a quarter of the working set each,
+/// so mHFP's phase 1 has a real memory bound and the eviction paths stay
+/// hot. On every workload the indexed and the naive mHFP packing emit the
+/// same package lists, and the indexed one is at least
+/// [`MHFP_SPEEDUP_FLOOR_FULL`] (full preset) or
+/// [`MHFP_SPEEDUP_FLOOR_QUICK`] (quick preset) times faster. On the quick
+/// preset DARTS+LUF, DARTS+LUF-3inputs and DMDAR also replay their
+/// full-scan references event for event.
+///
+/// Run with `cargo test --release --test differential_naive -- --ignored`.
+#[test]
+#[ignore = "wall-time floor; execute in release mode explicitly"]
+fn scale_preset_mhfp_floor_and_hot_path_identity() {
+    for (quick, floor) in [
+        (true, MHFP_SPEEDUP_FLOOR_QUICK),
+        (false, MHFP_SPEEDUP_FLOOR_FULL),
+    ] {
+        for w in scale_preset(quick) {
+            let ts = w.generate();
+            let label = w.label();
+            let spec = PlatformSpec::v100(2).with_memory(ts.working_set_bytes() / 4);
+            let cfg = PackConfig::new(spec.memory_bytes, spec.num_gpus);
+            let (naive, naive_s) = best_of_three(|| hfp_pack_with(&ts, &cfg.clone().with_naive()));
+            let (fast, fast_s) = best_of_three(|| hfp_pack_with(&ts, &cfg));
+            assert_eq!(naive, fast, "{label}: mHFP package lists diverge");
+            let speedup = naive_s / fast_s;
+            assert!(
+                speedup >= floor,
+                "{label}: indexed mHFP packing only {speedup:.2}x faster than the naive one, \
+                 floor {floor}x"
+            );
+            if quick {
+                for (name, cfg) in [
+                    ("DARTS+LUF", DartsConfig::luf()),
+                    ("DARTS+LUF-3inputs", DartsConfig::luf().with_three_inputs()),
+                ] {
+                    let mut naive = DartsScheduler::new(cfg.clone().with_naive());
+                    let mut incremental = DartsScheduler::new(cfg);
+                    let label = format!("{label} {name}");
+                    assert_equivalent(&ts, &spec, &label, &mut naive, &mut incremental);
+                }
+                let mut naive = DmdaScheduler::dmdar().with_naive_ready();
+                let mut incremental = DmdaScheduler::dmdar();
+                let label = format!("{label} DMDAR");
+                assert_equivalent(&ts, &spec, &label, &mut naive, &mut incremental);
+            }
         }
     }
 }

@@ -11,30 +11,42 @@
 //!   pool at `--jobs` 1, 2 and 8 and all three sweeps must agree;
 //! * the values are snapshotted in `tests/golden/engine_scale_xl.checksums`
 //!   (regenerate with `MEMSCHED_UPDATE_GOLDEN=1 cargo test --test
-//!   engine_scale_checksums`) — the same stream the engine-scale bench
-//!   cross-checks against the naive core's materialized trace;
-//! * an `#[ignore]`d million-task run (`gemm_3d(100)`, the full-tier
-//!   member) pins its checksum as a source constant:
-//!   `cargo test --release --test engine_scale_checksums -- --ignored`.
+//!   engine_scale_checksums`);
+//! * two `#[ignore]`d release-mode tests run with
+//!   `cargo test --release --test engine_scale_checksums -- --ignored`:
+//!   a million-task run (`gemm_3d(100)`, the full-tier member) pins its
+//!   checksum as a source constant, and the quick preset on the
+//!   pre-refactor core must fold its materialized trace to the same
+//!   checksum while the flat core stays at least 3× faster at 10⁵ tasks.
 
 use memsched::experiments::pool::run_indexed;
+use memsched::platform::TraceEvent;
 use memsched::prelude::*;
 use memsched::schedulers::EagerScheduler;
 use memsched::workloads::{scale_xl_preset, Workload};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
+
+/// Run EAGER over `ts` on the `scale_xl` platform: 16 V100s with room
+/// for the whole working set, so the engine loop dominates.
+fn run_scale(ts: &TaskSet, config: &RunConfig) -> (RunReport, Vec<TraceEvent>) {
+    let spec = PlatformSpec::v100(16).with_memory(ts.working_set_bytes());
+    run_with_config(ts, &spec, &mut EagerScheduler::new(), config).expect("scale_xl run")
+}
+
+fn checksum_config() -> RunConfig {
+    RunConfig {
+        trace: TraceMode::Checksum,
+        ..RunConfig::default()
+    }
+}
 
 /// Run one workload end to end in checksum mode and render a stable
 /// one-line summary: label, task count, checksum, makespan, loads.
 fn checksum_line(w: &Workload) -> String {
     let ts = w.generate();
-    let spec = PlatformSpec::v100(16).with_memory(ts.working_set_bytes());
-    let config = RunConfig {
-        trace: TraceMode::Checksum,
-        ..RunConfig::default()
-    };
-    let mut sched = EagerScheduler::new();
-    let (report, trace) =
-        run_with_config(&ts, &spec, &mut sched, &config).expect("scale_xl run");
+    let (report, trace) = run_scale(&ts, &checksum_config());
     assert!(trace.is_empty(), "checksum mode must not materialize events");
     format!(
         "{} tasks={} checksum={:016x} makespan={} loads={}",
@@ -85,6 +97,14 @@ fn scale_xl_checksums_stable_across_jobs() {
     );
 }
 
+/// Held by each `#[ignore]`d release-mode test, so the million-task run
+/// never shares the host with the timed runs of the speedup floor.
+static RELEASE_TIER: Mutex<()> = Mutex::new(());
+
+fn release_tier() -> MutexGuard<'static, ()> {
+    RELEASE_TIER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The full-tier million-task member. A bounded-memory checksum run must
 /// complete and fold to exactly this value; any engine-core change that
 /// reorders even one event at the million-task scale lands here.
@@ -94,6 +114,60 @@ fn scale_xl_checksums_stable_across_jobs() {
 #[ignore = "million-task run; execute in release mode explicitly"]
 fn million_task_checksum_is_pinned() {
     const PINNED: &str = "gemm3d(n=100) tasks=1000000 checksum=3749c1b16210bd45 makespan=102873084148 loads=319091";
+    let _tier = release_tier();
     let line = checksum_line(&Workload::Gemm3d { n: 100 });
     assert_eq!(line, PINNED, "million-task trace stream changed");
+}
+
+/// The flat core must run the 10⁵-task member at least this many times
+/// faster than the pre-refactor core.
+const ENGINE_SPEEDUP_FLOOR: f64 = 3.0;
+
+/// The pre-refactor core (`naive_core`: binary-heap event queue, full
+/// progress scan per event, materialized trace) against the flat core
+/// (calendar queue, dirty-GPU worklist, streaming checksum) on the quick
+/// preset. The naive core's trace must fold to the flat core's checksum,
+/// with the same makespan, loads and per-GPU task counts, and at the
+/// 10⁵-task member the flat core must be at least
+/// [`ENGINE_SPEEDUP_FLOOR`] times faster. Both cores run in this
+/// process, so the floor tracks the host.
+///
+/// Run with `cargo test --release --test engine_scale_checksums -- --ignored`.
+#[test]
+#[ignore = "wall-time floor; execute in release mode explicitly"]
+fn flat_core_matches_and_outruns_the_naive_core() {
+    let _tier = release_tier();
+    let naive_config = RunConfig {
+        trace: TraceMode::Full,
+        naive_core: true,
+        ..RunConfig::default()
+    };
+    for w in scale_xl_preset(true) {
+        let ts = w.generate();
+        let label = w.label();
+        let timed = |config: &RunConfig| {
+            let started = Instant::now();
+            let out = run_scale(&ts, config);
+            (out, started.elapsed().as_secs_f64())
+        };
+        let ((flat, _), flat_s) = timed(&checksum_config());
+        let ((naive, trace), naive_s) = timed(&naive_config);
+        assert_eq!(
+            Some(trace_checksum(&trace)),
+            flat.trace_checksum,
+            "{label}: event streams diverged between the heap and calendar cores"
+        );
+        assert_eq!(naive.makespan, flat.makespan, "{label}");
+        assert_eq!(naive.total_loads, flat.total_loads, "{label}");
+        let per_gpu = |r: &RunReport| r.per_gpu.iter().map(|g| g.tasks).collect::<Vec<_>>();
+        assert_eq!(per_gpu(&naive), per_gpu(&flat), "{label}");
+        if ts.num_tasks() >= 100_000 {
+            let speedup = naive_s / flat_s;
+            assert!(
+                speedup >= ENGINE_SPEEDUP_FLOOR,
+                "{label}: flat core only {speedup:.2}x faster than the naive core, \
+                 floor {ENGINE_SPEEDUP_FLOOR}x"
+            );
+        }
+    }
 }

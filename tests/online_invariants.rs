@@ -7,13 +7,16 @@
 //! * per-GPU occupancy stays under the *current* capacity when a
 //!   `CapacityShrink` fault lands mid-stream;
 //! * the same seed replays a byte-identical event stream, including when
-//!   the runs are distributed over 1, 2 or 8 pool workers.
+//!   the runs are distributed over 1, 2 or 8 pool workers;
+//! * at 2× overload, priority shedding keeps the p99 latency of admitted
+//!   tasks within a fixed multiple of the underloaded baseline, and
+//!   defer-only queueing does not.
 
 use memsched::experiments::pool;
 use memsched::platform::obs::{Counter, Metrics};
 use memsched::platform::{RunConfig, TraceEvent};
 use memsched::prelude::*;
-use memsched::workloads::{gemm_2d, open_loop_arrivals, ArrivalPattern};
+use memsched::workloads::{deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern};
 use proptest::prelude::*;
 
 const FAMILIES: [NamedScheduler; 6] = [
@@ -410,5 +413,77 @@ fn all_families_complete_1k_task_poisson_stream() {
         assert_eq!(metrics.counter(Counter::TasksAdmitted), n, "{named:?}");
         assert_eq!(metrics.task_latency().count(), n, "{named:?}");
         assert_eq!(metrics.queueing_delay().count(), n, "{named:?}");
+    }
+}
+
+/// p99 admitted-task latency under 2× overload with `PriorityShed` must
+/// stay within this multiple of the underloaded `DeferOnly` baseline.
+const P99_BOUND_MULTIPLE: f64 = 10.0;
+
+/// Overload control bounds the tail: the same Poisson stream of
+/// DMDAR-scheduled 2D-GEMM tiles runs at half and at twice the platform's
+/// service capacity. At 2× overload `PriorityShed` keeps the p99 latency
+/// of admitted tasks within [`P99_BOUND_MULTIPLE`] of the underloaded
+/// `DeferOnly` baseline, while `DeferOnly`, which queues every arrival,
+/// blows past that same bound. Both sides are simulated, so the bound is
+/// exact for every run.
+#[test]
+fn priority_shedding_bounds_p99_at_2x_overload() {
+    for n in [16, 32] {
+        let base = gemm_2d(n);
+        let m = base.num_tasks();
+        let tile = base.data_size(DataId(0));
+        let spec = PlatformSpec::v100(2).with_memory(4 * tile);
+        // Service capacity: a batch run (every arrival at t = 0)
+        // saturates the platform, so tasks/makespan is the sustainable
+        // rate with transfers and memory pressure included.
+        let (batch, _) = run_with_config(
+            &base,
+            &spec,
+            NamedScheduler::Dmdar.build().as_mut(),
+            &RunConfig::default(),
+        )
+        .expect("capacity probe");
+        let capacity_tps = m as f64 / (batch.makespan as f64 / 1e9);
+        // Deadlines allow about twenty queued services per task.
+        let service_ns = (2e9 / capacity_tps).max(1.0) as u64;
+        let stream = |rate_per_sec: f64| {
+            let arrivals = open_loop_arrivals(&ArrivalPattern::Poisson { rate_per_sec }, 42, m);
+            base.clone()
+                .with_arrivals(arrivals)
+                .with_deadlines(deadline_stamps(m, 20 * service_ns, 1.0, 42 ^ 0xD00D))
+        };
+        let serve = |ts: &TaskSet, policy: ShedPolicy| -> OnlineStats {
+            let config = RunConfig {
+                admission: Some(AdmissionConfig {
+                    max_backlog: Some(8),
+                    policy,
+                }),
+                ..RunConfig::default()
+            };
+            let (report, _) =
+                run_with_config(ts, &spec, NamedScheduler::Dmdar.build().as_mut(), &config)
+                    .expect("serving run");
+            report.online.expect("online stats")
+        };
+
+        let baseline = serve(&stream(0.5 * capacity_tps), ShedPolicy::DeferOnly);
+        assert_eq!(
+            baseline.tasks_admitted, m as u64,
+            "n={n}: baseline must admit all"
+        );
+        let over = stream(2.0 * capacity_tps);
+        let ratio =
+            |policy| serve(&over, policy).p99_latency as f64 / baseline.p99_latency.max(1) as f64;
+        let shed = ratio(ShedPolicy::PriorityShed);
+        assert!(
+            shed <= P99_BOUND_MULTIPLE,
+            "n={n}: PriorityShed p99 {shed:.2}x baseline exceeds the {P99_BOUND_MULTIPLE}x bound"
+        );
+        let defer = ratio(ShedPolicy::DeferOnly);
+        assert!(
+            defer > P99_BOUND_MULTIPLE,
+            "n={n}: DeferOnly p99 {defer:.2}x baseline is bounded; the 2x rate is not overloading"
+        );
     }
 }
