@@ -30,6 +30,7 @@
 //! numbers — and therefore traces and reports — are byte-identical to a
 //! build without the subsystem.
 
+use crate::clock::{self, Ticks};
 use crate::equeue::EventQueue;
 use crate::fault::FaultPlan;
 use crate::memory::GpuMemory;
@@ -69,11 +70,12 @@ pub struct RunConfig {
     /// [`Scheduler::on_task_arrival`] instead.
     pub admission: Option<AdmissionConfig>,
     /// Drive the run on the pre-refactor reference engine core — binary
-    /// heap event queue, scan-every-GPU progress loop — instead of the
-    /// flat calendar-queue core. Decisions, traces and reports are
-    /// byte-identical either way (differential-proptested); only the
-    /// engine's own wall time differs. Compiled in by the `naive`
-    /// feature for the differential and scale tests.
+    /// heap event queue, scan-every-GPU progress loop, every future
+    /// arrival pushed at run start — instead of the flat calendar-queue
+    /// core. Decisions, traces and reports are byte-identical either way
+    /// (differential-proptested); only the engine's own wall time
+    /// differs. Compiled in by the `naive` feature for the differential
+    /// and scale tests.
     #[cfg(feature = "naive")]
     pub naive_core: bool,
 }
@@ -385,21 +387,42 @@ fn run_inner(
         seed_faults(&mut st, config);
     }
 
-    let mut sched_wall: Vec<Nanos> = vec![0; k];
+    let mut sched_wall: Vec<Ticks> = vec![0; k];
+    let naive_core = config.use_naive_core();
 
-    // Online mode: seed future arrivals on the event timeline, then hand
+    // Online mode: put future arrivals on the event timeline, then hand
     // the t = 0 arrivals through the admission loop before the clock
     // starts. Tasks arriving at t = 0 deliberately get *no* event of
-    // their own: with every arrival at zero the event heap's sequence
+    // their own: with every arrival at zero the event queue's sequence
     // numbering is untouched, so an all-t=0 online run takes the exact
     // tie-breaks of a batch run (the zero-cost-admission guarantee the
     // golden tests pin).
     if online {
-        for t in ts.tasks() {
-            let at = ts.arrival(t);
-            if at > 0 {
-                st.push_event(at, Event::Arrive { task: t.0 });
+        if naive_core {
+            // The reference core pushes every future arrival up front.
+            for t in ts.tasks() {
+                let at = ts.arrival(t);
+                if at > 0 {
+                    st.push_event(at, Event::Arrive { task: t.0 });
+                }
             }
+        } else {
+            // Reserve each future arrival the sequence number the
+            // up-front push would give it (task-id order, after the
+            // fault events), then keep only the earliest pending arrival
+            // on the timeline. It pops exactly where the full seeding
+            // would pop it, so the `(time, seq)` stream is unchanged,
+            // while the queue holds only the events in flight.
+            for t in ts.tasks() {
+                let at = ts.arrival(t);
+                if at > 0 {
+                    st.seq += 1;
+                    st.arrivals.push((at, st.seq, t.0));
+                }
+            }
+            st.arrivals
+                .sort_unstable_by_key(|&(at, seq, _)| std::cmp::Reverse((at, seq)));
+            st.push_next_arrival();
         }
         for t in ts.tasks() {
             if ts.arrival(t) == 0 {
@@ -407,7 +430,6 @@ fn run_inner(
             }
         }
     }
-    let naive_core = config.use_naive_core();
     let mut processed: u64 = 0;
     loop {
         sweep(ts, spec, scheduler, &mut st, &mut sched_wall, naive_core)?;
@@ -451,7 +473,7 @@ fn handle_event(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     config: &RunConfig,
     total: usize,
     ev: Event,
@@ -739,6 +761,7 @@ fn handle_event(
                 }
             }
             Event::Arrive { task } => {
+                st.push_next_arrival();
                 arrive(ts, spec, scheduler, st, sched_wall, config, TaskId(task));
             }
     }
@@ -757,7 +780,7 @@ fn sweep(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     naive_core: bool,
 ) -> Result<(), RunError> {
     for g in 0..spec.num_gpus {
@@ -777,7 +800,7 @@ fn finish_run(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     mut st: State,
-    sched_wall: Vec<Nanos>,
+    sched_wall: Vec<Ticks>,
     prepare_wall: Nanos,
     online: bool,
 ) -> (RunReport, Vec<TraceEvent>) {
@@ -816,6 +839,7 @@ fn finish_run(
     let per_gpu: Vec<GpuRunStats> = (0..k)
         .map(|g| gpu_stats(&st, &sched_wall, g))
         .collect();
+    let sched_wall_ns = per_gpu.iter().map(|g| g.sched_wall).sum();
     let log = std::mem::replace(&mut st.trace, TraceLog::Off);
     let (trace, trace_checksum) = log.finish();
     let report = RunReport {
@@ -827,7 +851,7 @@ fn finish_run(
         total_evictions: per_gpu.iter().map(|g| g.evictions).sum(),
         per_gpu,
         prepare_wall,
-        sched_wall: sched_wall.iter().sum(),
+        sched_wall: sched_wall_ns,
         transfer_retries: st.retries,
         gpu_failures: st.failures,
         tasks_redispatched: st.redispatched,
@@ -883,7 +907,7 @@ fn finish_run(
 }
 
 /// One GPU's [`GpuRunStats`] snapshot at the run's final clock.
-fn gpu_stats(st: &State, sched_wall: &[Nanos], g: usize) -> GpuRunStats {
+fn gpu_stats(st: &State, sched_wall: &[Ticks], g: usize) -> GpuRunStats {
     GpuRunStats {
         tasks: st.tasks_done[g],
         loads: st.mem[g].loads,
@@ -892,7 +916,7 @@ fn gpu_stats(st: &State, sched_wall: &[Nanos], g: usize) -> GpuRunStats {
         busy: st.busy[g],
         stall: st.stall[g],
         idle: st.now.saturating_sub(st.busy[g] + st.stall[g]),
-        sched_wall: sched_wall[g],
+        sched_wall: clock::ticks_to_ns(sched_wall[g]),
         nvlink_loads: st.nvlink_loads[g],
         nvlink_bytes: st.nvlink_bytes[g],
         cache_hit_bytes: st.cache_hit_bytes[g],
@@ -943,6 +967,7 @@ fn new_state(
         dead: vec![false; k],
         speed: vec![1.0; k],
         pending_shrinks: Vec::new(),
+        arrivals: Vec::new(),
         transfer_checks: 0,
         retries: 0,
         redispatched: 0,
@@ -1057,6 +1082,11 @@ struct State {
     /// Fault shrinks blocked by pinned/in-flight data: `(gpu, target)`
     /// pairs re-attempted whenever that GPU releases pins.
     pending_shrinks: Vec<(usize, u64)>,
+    /// Future arrivals not yet on the event timeline, as
+    /// `(time, reserved seq, task)` sorted descending by `(time, seq)`:
+    /// the next one is at the back. Empty in batch runs and on the
+    /// reference core, which pushes every arrival at run start.
+    arrivals: Vec<(Nanos, u64, u32)>,
     /// Serial number of the next transfer-fault decision.
     transfer_checks: u64,
     /// Transfer retries performed (fault injection).
@@ -1165,6 +1195,15 @@ impl State {
         self.events.push(at, self.seq, ev);
     }
 
+    /// Put the earliest pending arrival on the event timeline under its
+    /// reserved sequence number (called at run start and whenever an
+    /// `Arrive` event pops, so exactly one arrival is queued at a time).
+    fn push_next_arrival(&mut self) {
+        if let Some((at, seq, task)) = self.arrivals.pop() {
+            self.events.push(at, seq, Event::Arrive { task });
+        }
+    }
+
     /// Clear every worker's stalled-pop latch and mark the previously
     /// stalled ones dirty. Only they can act on the change: a non-stalled
     /// worker's pipeline is full, so its last `progress` pass already
@@ -1221,16 +1260,19 @@ impl State {
     }
 }
 
-fn timed<R>(wall: &mut [Nanos], gpu: usize, f: impl FnOnce() -> R) -> R {
+/// Run scheduler callback `f` on behalf of worker `gpu`, adding its
+/// duration on the scheduling clock to `wall[gpu]` (converted to
+/// nanoseconds once, in [`finish_run`]).
+fn timed<R>(wall: &mut [Ticks], gpu: usize, f: impl FnOnce() -> R) -> R {
     timed_with(wall, gpu, f).0
 }
 
-/// As [`timed`], also returning the elapsed wall nanoseconds (used to
-/// stamp per-decision latency onto [`ObsEvent::Decision`]).
-fn timed_with<R>(wall: &mut [Nanos], gpu: usize, f: impl FnOnce() -> R) -> (R, Nanos) {
-    let start = Instant::now();
+/// As [`timed`], also returning the elapsed ticks, which `progress`
+/// converts to stamp per-decision latency onto [`ObsEvent::Decision`].
+fn timed_with<R>(wall: &mut [Ticks], gpu: usize, f: impl FnOnce() -> R) -> (R, Ticks) {
+    let start = clock::ticks();
     let r = f();
-    let dt = start.elapsed().as_nanos() as Nanos;
+    let dt = clock::ticks().saturating_sub(start);
     wall[gpu] += dt;
     (r, dt)
 }
@@ -1245,13 +1287,13 @@ fn progress(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     g: usize,
 ) -> Result<(), RunError> {
     // 1. Refill the pipeline.
     while st.pipeline.len(g) < spec.pipeline_depth && !st.stalled_pop[g] {
         let view = st.view(ts, spec);
-        let (popped, pop_wall) = timed_with(sched_wall, g, || {
+        let (popped, pop_ticks) = timed_with(sched_wall, g, || {
             scheduler.pop_task(GpuId(g as u32), &view)
         });
         if st.observed() {
@@ -1259,7 +1301,7 @@ fn progress(
                 t: st.now,
                 gpu: g as u32,
                 task: popped.map(|t| t.0),
-                wall_ns: pop_wall,
+                wall_ns: clock::ticks_to_ns(pop_ticks),
             });
         }
         match popped {
@@ -1559,7 +1601,7 @@ fn pick_victim(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     g: usize,
     protect: &[u32],
 ) -> Option<(DataId, bool)> {
@@ -1597,7 +1639,7 @@ fn apply_shrink(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     g: usize,
     target: u64,
 ) -> bool {
@@ -1656,7 +1698,7 @@ fn retry_pending_shrinks(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     g: usize,
 ) {
     if st.pending_shrinks.is_empty() {
@@ -1691,7 +1733,7 @@ fn arrive(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     config: &RunConfig,
     t: TaskId,
 ) {
@@ -1840,7 +1882,7 @@ fn recheck_deferred_after_fault(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     config: &RunConfig,
 ) {
     if shed_policy(config) != ShedPolicy::DeferOnly {
@@ -1872,7 +1914,7 @@ fn admit(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     t: TaskId,
 ) {
     st.released[t.index()] = true;
@@ -1902,7 +1944,7 @@ fn retry_deferred(
     spec: &PlatformSpec,
     scheduler: &mut dyn Scheduler,
     st: &mut State,
-    sched_wall: &mut [Nanos],
+    sched_wall: &mut [Ticks],
     config: &RunConfig,
 ) {
     if shed_policy(config) != ShedPolicy::DeferOnly {
@@ -2194,6 +2236,50 @@ mod tests {
         run(&ts, &tiny_spec(1, 10_000), &mut sched).unwrap();
         // 2 successful pops + one None per event at most.
         assert!(sched.pops < 20, "pops = {}", sched.pops);
+    }
+
+    #[test]
+    fn sched_wall_is_reported_in_nanoseconds() {
+        // Every pop spins for 20 µs of `Instant` time, so 50 tasks charge
+        // worker 0 at least 1 ms of callbacks. The reported total must
+        // still fit inside the wall time of the whole run: a count of
+        // clock ticks (about two per nanosecond on common x86-64 parts)
+        // would not.
+        struct Slow(Fifo);
+        impl Scheduler for Slow {
+            fn name(&self) -> String {
+                "slow-fifo".into()
+            }
+            fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
+                let started = Instant::now();
+                while started.elapsed() < std::time::Duration::from_micros(20) {
+                    std::hint::spin_loop();
+                }
+                self.0.pop_task(gpu, view)
+            }
+        }
+        let mut b = TaskSetBuilder::new();
+        let d = b.add_data(1000);
+        for _ in 0..50 {
+            b.add_task(&[d], 1000.0);
+        }
+        let ts = b.build();
+        // Calibrate the clock before the measured interval starts.
+        clock::ticks_to_ns(1);
+        let started = Instant::now();
+        let report = run(&ts, &tiny_spec(1, 10_000), &mut Slow(Fifo::new(&ts))).unwrap();
+        let wall = started.elapsed().as_nanos() as Nanos;
+        assert_eq!(report.per_gpu[0].tasks, 50);
+        assert!(
+            report.per_gpu[0].sched_wall >= 1_000_000,
+            "50 pops of 20 µs charged {} ns",
+            report.per_gpu[0].sched_wall
+        );
+        assert!(
+            report.sched_wall <= wall,
+            "sched_wall {} ns exceeds the run's wall time {wall} ns",
+            report.sched_wall
+        );
     }
 
     #[test]

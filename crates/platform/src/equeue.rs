@@ -192,7 +192,9 @@ impl<T: Copy> Calendar<T> {
     /// widening buckets until the time spread fits strictly inside the
     /// window — so the overflow is empty afterwards. Rebuilding lazily on
     /// drain or overflow-due (instead of on occupancy thresholds) keeps
-    /// the steady state reshuffle-free.
+    /// the steady state reshuffle-free. The gathering vector is the
+    /// overflow's own buffer, drained and handed back, so later overflow
+    /// pushes reuse its capacity.
     fn rebuild(&mut self) {
         debug_assert!(self.len > 0 && !self.overflow.is_empty());
         let mut items = std::mem::take(&mut self.overflow);
@@ -223,11 +225,12 @@ impl<T: Copy> Calendar<T> {
         self.shift = shift;
         self.cur = min_t >> shift;
         self.cur_sorted = false;
-        for it in items {
+        for it in items.drain(..) {
             let b = it.0 >> shift;
             debug_assert!(b >= self.cur && b < self.cur + n);
             self.slots[(b & self.mask) as usize].push(it);
         }
+        self.overflow = items;
         self.ring_len = self.len;
     }
 }

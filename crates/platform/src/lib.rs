@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod clock;
 mod engine;
 mod equeue;
 mod fault;

@@ -25,8 +25,10 @@ pub struct GpuRunStats {
     /// Remaining nanoseconds: no runnable work, or dead after a fault.
     #[serde(default)]
     pub idle: Nanos,
-    /// Wall-clock nanoseconds spent inside scheduler callbacks for this
-    /// GPU's worker (pop/eviction decisions).
+    /// Host nanoseconds spent inside scheduler callbacks charged to this
+    /// GPU's worker (pops, victim choices and notifications), timed with
+    /// the engine's scheduling clock (the CPU time-stamp counter on
+    /// x86-64, `Instant` elsewhere).
     pub sched_wall: Nanos,
     /// Loads served from a peer GPU over the NVLink fabric (0 on the
     /// paper's PCI-only platform).
@@ -63,7 +65,8 @@ pub struct RunReport {
     /// Wall-clock nanoseconds of the static phase
     /// (partitioning / packing / DMDA allocation loop).
     pub prepare_wall: Nanos,
-    /// Wall-clock nanoseconds of all dynamic scheduler callbacks.
+    /// Host nanoseconds of all dynamic scheduler callbacks: the sum of
+    /// the per-GPU `sched_wall` values.
     pub sched_wall: Nanos,
     /// Transfer retries caused by injected transient faults (0 without
     /// fault injection).

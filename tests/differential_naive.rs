@@ -46,6 +46,34 @@ fn arb_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskS
         })
 }
 
+/// Strategy: an [`arb_taskset`] stream for the online engine-core
+/// differential. Arrival stamps come from a grid of 0.5 ms steps plus
+/// multiples of 11 ns, which is where transfers (11 ns for a unit item)
+/// and computations (1 ms per task) complete under [`small_spec`], so
+/// arrivals tie with completions and with each other. The stamps repeat
+/// and follow no task-id order. Deadlines and tenant classes give the
+/// shedding policies something to act on.
+fn arb_online_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
+    arb_taskset(max_data, max_tasks)
+        .prop_flat_map(|ts| {
+            let n = ts.num_tasks();
+            let stamps = proptest::collection::vec((0u64..6, 0u64..4), n);
+            let deadlines = proptest::collection::vec(0usize..4, n);
+            let classes = proptest::collection::vec(0u32..3, n);
+            (Just(ts), stamps, deadlines, classes)
+        })
+        .prop_map(|(ts, stamps, deadlines, classes)| {
+            let arrivals = stamps.iter().map(|&(a, b)| a * 500_000 + b * 11).collect();
+            let deadlines = deadlines
+                .iter()
+                .map(|&i| [0, 1_000_000, 2_000_000, 4_000_000][i])
+                .collect();
+            ts.with_arrivals(arrivals)
+                .with_deadlines(deadlines)
+                .with_classes(classes)
+        })
+}
+
 /// Strategy: like [`arb_taskset`] but with non-uniform data sizes, so the
 /// offline differentials exercise byte-weighted affinity ties, not just
 /// counts.
@@ -224,16 +252,28 @@ const ENGINE_FAMILIES: &[NamedScheduler] = &[
     NamedScheduler::Router,
 ];
 
+/// `r` with its wall-clock fields zeroed: everything left is simulated.
+fn without_walls(mut r: RunReport) -> RunReport {
+    r.prepare_wall = 0;
+    r.sched_wall = 0;
+    for g in &mut r.per_gpu {
+        g.sched_wall = 0;
+    }
+    r
+}
+
 /// Run `named` once on the pre-refactor engine core (`naive_core`: binary
-/// heap, per-event full progress scan) and once on the flat core
-/// (calendar queue, dirty-GPU worklist), under the same fault plan, and
-/// assert the event streams are byte-identical. On success, additionally
-/// run the flat core in [`TraceMode::Checksum`] and assert the streaming
-/// checksum folds to exactly `trace_checksum` of the materialized trace.
+/// heap, per-event full progress scan, every future arrival pushed at run
+/// start) and once on the flat core (calendar queue, dirty-GPU worklist,
+/// one pending arrival at a time), both under `base` (its fault plan and
+/// admission settings), and assert the event streams and the reports,
+/// wall fields aside, are identical. On success, additionally run the
+/// flat core in [`TraceMode::Checksum`] and assert the streaming checksum
+/// folds to exactly `trace_checksum` of the materialized trace.
 fn engine_cores_equivalent(
     ts: &TaskSet,
     spec: &PlatformSpec,
-    faults: &FaultPlan,
+    base: &RunConfig,
     named: &NamedScheduler,
 ) {
     // hMETIS+R's partitioner requires at least one task per part; the
@@ -245,13 +285,11 @@ fn engine_cores_equivalent(
     let heap_config = RunConfig {
         trace: TraceMode::Full,
         naive_core: true,
-        faults: faults.clone(),
-        ..RunConfig::default()
+        ..base.clone()
     };
     let calendar_config = RunConfig {
         trace: TraceMode::Full,
-        faults: faults.clone(),
-        ..RunConfig::default()
+        ..base.clone()
     };
     let heap = run_with_config(ts, spec, named.build().as_mut(), &heap_config);
     let calendar = run_with_config(ts, spec, named.build().as_mut(), &calendar_config);
@@ -269,21 +307,15 @@ fn engine_cores_equivalent(
                     cal_trace.get(i),
                 );
             }
-            assert_eq!(heap_report.makespan, cal_report.makespan, "{label}");
-            assert_eq!(heap_report.total_loads, cal_report.total_loads, "{label}");
             assert_eq!(
-                heap_report.total_evictions, cal_report.total_evictions,
-                "{label}"
+                without_walls(heap_report),
+                without_walls(cal_report),
+                "{label}: reports differ"
             );
-            assert_eq!(heap_report.gpu_failures, cal_report.gpu_failures, "{label}");
-            let heap_tasks: Vec<usize> = heap_report.per_gpu.iter().map(|g| g.tasks).collect();
-            let cal_tasks: Vec<usize> = cal_report.per_gpu.iter().map(|g| g.tasks).collect();
-            assert_eq!(heap_tasks, cal_tasks, "{label}");
 
             let checksum_config = RunConfig {
                 trace: TraceMode::Checksum,
-                faults: faults.clone(),
-                ..RunConfig::default()
+                ..base.clone()
             };
             let (ck_report, ck_trace) =
                 run_with_config(ts, spec, named.build().as_mut(), &checksum_config)
@@ -462,7 +494,7 @@ proptest! {
     ) {
         let spec = small_spec(gpus, mem);
         for named in ENGINE_FAMILIES {
-            engine_cores_equivalent(&ts, &spec, &FaultPlan::none(), named);
+            engine_cores_equivalent(&ts, &spec, &RunConfig::default(), named);
         }
     }
 
@@ -495,8 +527,56 @@ proptest! {
                 .with_capacity_shrink(0, 800_000, mem.saturating_sub(1).max(3)),
             _ => FaultPlan::none(),
         };
+        let config = RunConfig {
+            faults,
+            ..RunConfig::default()
+        };
         for named in ENGINE_FAMILIES {
-            engine_cores_equivalent(&ts, &spec, &faults, named);
+            engine_cores_equivalent(&ts, &spec, &config, named);
+        }
+    }
+
+    /// Engine core in online mode: the flat core keeps one pending
+    /// arrival on the timeline under a sequence number reserved at run
+    /// start, the reference core pushes them all up front. Every shed
+    /// policy, with and without faults, must replay identically, so an
+    /// arrival keeps its place against every event and arrival it ties
+    /// with.
+    #[test]
+    fn engine_calendar_matches_heap_online(
+        ts in arb_online_taskset(10, 24),
+        gpus in 1usize..4,
+        mem in 3u64..8,
+        backlog in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let spec = small_spec(gpus, mem);
+        let max_backlog = [None, Some(1), Some(2), Some(4)][backlog];
+        // Fault instants sit on the arrival grid, so arrivals tie with
+        // them too.
+        let mut faults = FaultPlan::none()
+            .with_straggler(0, 500_000, 0.5)
+            .with_capacity_shrink(0, 1_000_000, mem.saturating_sub(1).max(3))
+            .with_transfer_faults(TransferFaultSpec {
+                seed,
+                fault_ppm: 200_000,
+                max_attempts: 6,
+                backoff_base: 500,
+            });
+        if gpus >= 2 {
+            faults = faults.with_gpu_failure(gpus - 1, 1_500_000);
+        }
+        for policy in [ShedPolicy::DeferOnly, ShedPolicy::DeadlineShed, ShedPolicy::PriorityShed] {
+            for plan in [FaultPlan::none(), faults.clone()] {
+                let config = RunConfig {
+                    faults: plan,
+                    admission: Some(AdmissionConfig { max_backlog, policy }),
+                    ..RunConfig::default()
+                };
+                for named in ENGINE_FAMILIES {
+                    engine_cores_equivalent(&ts, &spec, &config, named);
+                }
+            }
         }
     }
 }
