@@ -2,29 +2,29 @@
 //! faults × overload matrix (`memsched_experiments::chaos`) as a CLI.
 //!
 //! ```text
-//! chaos [--seeds N] [--sched eager|dmda|dmdar|hmetis|mhfp|darts|all]
+//! chaos [--seeds N] [--sched eager|dmda|dmdar|hmetis|mhfp|darts|router|all]
 //!       [--jobs N] [--out CSV] [--quick]
 //! ```
 //!
 //! For every seed the driver builds one composition (overloaded
 //! deadline/class-stamped Poisson stream, seeded fault plan, backlog
 //! bound), runs every requested scheduler family under all three shed
-//! policies, checks the hard serving invariants on each cell, and
-//! verifies the whole matrix digests byte-identically on 1, 2 and
-//! `--jobs` pool workers. One CSV row per cell summarizes the outcome
-//! ledger. Any invariant violation panics with a seed-reproducible
-//! message, so the process exit code is the pass/fail signal for CI.
+//! policies, passes each completed cell through
+//! `memsched_platform::validate`, and verifies the whole matrix digests
+//! byte-identically on 1, 2 and `--jobs` pool workers. One CSV row per
+//! cell summarizes the outcome ledger. A violation or a divergence
+//! prints `chaos: seed S SCHED/POLICY: <what broke>` and exits with
+//! status 1, so the exit code is the pass/fail signal for CI.
 //!
 //! `--quick` caps the sweep at 2 seeds regardless of `--seeds` (the CI
 //! tier); malformed flags and an `--out` path in a missing directory
 //! exit with status 2 before anything runs.
 
-use memsched_experiments::chaos::{
-    check_invariants, compose, digest, run_cell, Chaos, FAMILIES, POLICIES,
-};
+use memsched_experiments::chaos::{check_cell, compose, digest, Chaos, Outcome, POLICIES};
+use memsched_experiments::cli::parse_scheds;
 use memsched_experiments::obs::validate_out_path;
 use memsched_experiments::pool;
-use memsched_platform::{RunError, ShedPolicy};
+use memsched_platform::ShedPolicy;
 use memsched_schedulers::NamedScheduler;
 
 #[derive(Clone, Debug)]
@@ -36,30 +36,6 @@ struct ChaosArgs {
 }
 
 const KNOWN_VALUE_FLAGS: &[&str] = &["--seeds", "--sched", "--jobs", "--out"];
-
-fn parse_scheds(spec: &str) -> Result<Vec<NamedScheduler>, String> {
-    let mut out = Vec::new();
-    for name in spec.split(',').filter(|s| !s.is_empty()) {
-        match name {
-            "eager" => out.push(NamedScheduler::Eager),
-            "dmda" => out.push(NamedScheduler::Dmda),
-            "dmdar" => out.push(NamedScheduler::Dmdar),
-            "hmetis" => out.push(NamedScheduler::HmetisR),
-            "mhfp" => out.push(NamedScheduler::Mhfp),
-            "darts" => out.push(NamedScheduler::DartsLuf),
-            "all" => out.extend(FAMILIES),
-            other => {
-                return Err(format!(
-                    "--sched {other:?}: expected eager|dmda|dmdar|hmetis|mhfp|darts|all"
-                ))
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err("--sched: empty scheduler list".to_string());
-    }
-    Ok(out)
-}
 
 fn parse_from(args: Vec<String>) -> Result<ChaosArgs, String> {
     let mut i = 0;
@@ -137,12 +113,16 @@ fn parse_from(args: Vec<String>) -> Result<ChaosArgs, String> {
 const CSV_HEADER: &str = "seed,scheduler,shed_policy,tasks,completed,shed,deadline_expired,\
                           deadline_violations,stuck,p99_latency_ns,goodput_tps";
 
-/// Run one cell, enforce its invariants, and render its CSV row.
-fn cell_row(seed: u64, chaos: &Chaos, named: &NamedScheduler, policy: ShedPolicy) -> String {
+/// Run one cell, check it, and render its CSV row.
+fn cell_row(
+    seed: u64,
+    chaos: &Chaos,
+    named: &NamedScheduler,
+    policy: ShedPolicy,
+) -> Result<String, String> {
     let n = chaos.ts.num_tasks();
-    match run_cell(chaos, named, policy) {
-        Ok((report, trace)) => {
-            check_invariants(chaos, named, policy, &trace, &report);
+    Ok(match check_cell(chaos, named, policy)? {
+        Outcome::Done(report) => {
             let s = report.online.as_ref().expect("online stats");
             format!(
                 "{seed},{},{},{n},{},{},{},{},0,{},{:.3}",
@@ -156,29 +136,44 @@ fn cell_row(seed: u64, chaos: &Chaos, named: &NamedScheduler, policy: ShedPolicy
                 s.goodput_tps,
             )
         }
-        Err(e) => {
-            // Only the legacy defer-only policy may wedge on a
-            // fault-stranded deferral; a shedding policy failing is a
-            // harness bug.
-            assert_eq!(
-                policy,
-                ShedPolicy::DeferOnly,
-                "seed {seed}: {named:?}/{policy:?} failed: {e:?}"
-            );
-            assert!(
-                matches!(e, RunError::SchedulerStuck { .. }),
-                "seed {seed}: {named:?}: unexpected error {e:?}"
-            );
-            let completed = match e {
-                RunError::SchedulerStuck { completed, .. } => completed,
-                _ => unreachable!(),
-            };
-            format!(
-                "{seed},{named:?},{},{n},{completed},0,0,0,1,0,0.000",
-                policy.as_str()
-            )
+        Outcome::Stuck { completed } => format!(
+            "{seed},{},{},{n},{completed},0,0,0,1,0,0.000",
+            named.label(),
+            policy.as_str()
+        ),
+    })
+}
+
+/// The CSV rows of one seed, after its matrix digested identically on 1,
+/// 2 and `--jobs` workers. `Err` names the first failing cell.
+fn soak(seed: u64, args: &ChaosArgs) -> Result<Vec<String>, String> {
+    let chaos = compose(seed);
+    let cells: Vec<(NamedScheduler, ShedPolicy)> = args
+        .scheds
+        .iter()
+        .flat_map(|f| POLICIES.iter().map(move |&p| (f.clone(), p)))
+        .collect();
+    let name = |(named, policy): &(NamedScheduler, ShedPolicy)| {
+        format!("{}/{}", named.label(), policy.as_str())
+    };
+    let run_all = |jobs: usize| -> Vec<String> {
+        pool::run_indexed(&cells, jobs, |_, (named, policy)| {
+            digest(&chaos, named, *policy)
+        })
+    };
+    let one = run_all(1);
+    for jobs in [2, args.jobs] {
+        let other = run_all(jobs);
+        if let Some(i) = (0..cells.len()).find(|&i| one[i] != other[i]) {
+            return Err(format!("{}: 1 vs {jobs} workers diverge", name(&cells[i])));
         }
     }
+    cells
+        .iter()
+        .map(|cell| {
+            cell_row(seed, &chaos, &cell.0, cell.1).map_err(|e| format!("{}: {e}", name(cell)))
+        })
+        .collect()
 }
 
 fn main() {
@@ -191,28 +186,12 @@ fn main() {
     };
     let mut rows = vec![CSV_HEADER.to_string()];
     for seed in 1..=args.seeds {
-        let chaos = compose(seed);
-        let cells: Vec<(NamedScheduler, ShedPolicy)> = args
-            .scheds
-            .iter()
-            .flat_map(|f| POLICIES.iter().map(move |&p| (f.clone(), p)))
-            .collect();
-        // Determinism across worker counts: 1 vs 2 vs --jobs.
-        let run_all = |jobs: usize| -> Vec<String> {
-            pool::run_indexed(&cells, jobs, |_, (named, policy)| {
-                digest(&chaos, named, *policy)
-            })
-        };
-        let one = run_all(1);
-        assert_eq!(one, run_all(2), "seed {seed}: 1 vs 2 workers diverge");
-        assert_eq!(
-            one,
-            run_all(args.jobs),
-            "seed {seed}: 1 vs {} workers diverge",
-            args.jobs
-        );
-        for (named, policy) in &cells {
-            rows.push(cell_row(seed, &chaos, named, *policy));
+        match soak(seed, &args) {
+            Ok(seed_rows) => rows.extend(seed_rows),
+            Err(e) => {
+                eprintln!("chaos: seed {seed} {e}");
+                std::process::exit(1);
+            }
         }
     }
     for row in &rows {
@@ -228,7 +207,7 @@ fn main() {
         eprintln!("chaos: wrote {path}");
     }
     eprintln!(
-        "chaos: {} seeds x {} cells passed all serving invariants",
+        "chaos: {} seeds x {} cells passed the validator",
         args.seeds,
         args.scheds.len() * POLICIES.len()
     );
@@ -250,5 +229,13 @@ mod tests {
         let err = parse(&["--out", "/no/such/dir/x.csv"]).unwrap_err();
         assert!(err.contains("does not exist"), "{err}");
         assert!(parse(&["--out"]).unwrap_err().contains("missing value"));
+    }
+
+    #[test]
+    fn router_and_all_parse() {
+        assert_eq!(parse(&["--sched", "router"]).unwrap().scheds, vec![NamedScheduler::Router]);
+        let all = parse(&["--sched", "all"]).unwrap().scheds;
+        assert_eq!(all, memsched_schedulers::FAMILIES.to_vec());
+        assert_eq!(parse(&[]).unwrap().scheds, all, "--sched defaults to all");
     }
 }

@@ -55,6 +55,7 @@
 //! `shed`, `deadline_expired`, `deadline_violations`, `goodput_tps` and
 //! `;`-joined per-class drop/completion columns.
 
+use memsched_experiments::cli::parse_scheds;
 use memsched_experiments::obs::{self, TraceFormat};
 use memsched_experiments::pool;
 use memsched_model::{DataId, TaskSet};
@@ -182,38 +183,6 @@ const KNOWN_VALUE_FLAGS: &[&str] = &[
     "--trace-format",
     "--metrics-out",
 ];
-
-fn parse_scheds(spec: &str) -> Result<Vec<NamedScheduler>, String> {
-    let mut out = Vec::new();
-    for name in spec.split(',').filter(|s| !s.is_empty()) {
-        match name {
-            "eager" => out.push(NamedScheduler::Eager),
-            "dmda" => out.push(NamedScheduler::Dmda),
-            "dmdar" => out.push(NamedScheduler::Dmdar),
-            "hmetis" => out.push(NamedScheduler::HmetisR),
-            "mhfp" => out.push(NamedScheduler::Mhfp),
-            "darts" => out.push(NamedScheduler::DartsLuf),
-            "router" => out.push(NamedScheduler::Router),
-            "all" => out.extend([
-                NamedScheduler::Eager,
-                NamedScheduler::Dmdar,
-                NamedScheduler::HmetisR,
-                NamedScheduler::Mhfp,
-                NamedScheduler::DartsLuf,
-                NamedScheduler::Router,
-            ]),
-            other => {
-                return Err(format!(
-                    "--sched {other:?}: expected eager|dmda|dmdar|hmetis|mhfp|darts|router|all"
-                ))
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err("--sched: empty scheduler list".to_string());
-    }
-    Ok(out)
-}
 
 fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
     // Reject unknown flags up front (exit-2 convention): every argument
@@ -791,7 +760,7 @@ mod tests {
         let args = parse(&["--sched", "router"]).unwrap();
         assert_eq!(args.scheds, vec![NamedScheduler::Router]);
         let all = parse(&["--sched", "all"]).unwrap();
-        assert!(all.scheds.contains(&NamedScheduler::Router));
+        assert_eq!(all.scheds, memsched_schedulers::FAMILIES.to_vec());
         let err = parse(&["--sched", "nope"]).unwrap_err();
         assert!(err.contains("router"), "the hint should list router: {err:?}");
     }

@@ -1,5 +1,6 @@
 //! Chaos composition for the serving tier: seeded random fault plans ×
-//! overload traffic, with the hard serving invariants as checkers.
+//! overload traffic, every completed cell checked by
+//! [`memsched_platform::validate`].
 //!
 //! One seed fully determines one *composition* — an overloaded,
 //! deadline- and class-stamped request stream, a two-GPU platform, a
@@ -10,21 +11,11 @@
 
 use memsched_model::{DataId, TaskId, TaskSet};
 use memsched_platform::{
-    run_with_config, AdmissionConfig, FaultPlan, PlatformSpec, RunConfig, RunError, RunReport,
-    ShedPolicy, TraceEvent, TraceMode, TransferFaultSpec, V100_GFLOPS,
+    run_with_config, validate, AdmissionConfig, FaultPlan, PlatformSpec, RunConfig, RunError,
+    RunReport, ShedPolicy, TraceEvent, TraceMode, TransferFaultSpec, V100_GFLOPS,
 };
 use memsched_schedulers::NamedScheduler;
 use memsched_workloads::{assign_classes, deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern};
-
-/// The five online scheduler families the chaos matrix sweeps.
-pub const FAMILIES: [NamedScheduler; 6] = [
-    NamedScheduler::Eager,
-    NamedScheduler::Dmdar,
-    NamedScheduler::HmetisR,
-    NamedScheduler::Mhfp,
-    NamedScheduler::DartsLuf,
-    NamedScheduler::Router,
-];
 
 /// The three admission shed policies the chaos matrix sweeps.
 pub const POLICIES: [ShedPolicy; 3] = [
@@ -163,110 +154,36 @@ pub fn digest(chaos: &Chaos, named: &NamedScheduler, policy: ShedPolicy) -> Stri
     }
 }
 
-/// Check the hard per-cell invariants on one completed run — panics
-/// with a seed-reproducible message on the first violation:
-///
-/// * exactly-once outcomes (admitted+finished xor shed/expired);
-/// * no shed or expired task ever starts;
-/// * the deferred queue respects `max_backlog` under `PriorityShed`;
-/// * `DeferOnly` never drops;
-/// * the `OnlineStats` ledger agrees with the trace.
-pub fn check_invariants(
+/// How a checked cell ended (see [`check_cell`]).
+pub enum Outcome {
+    /// The run completed and passed the validator.
+    Done(Box<RunReport>),
+    /// `DeferOnly` wedged on a fault-stranded deferral, which that policy
+    /// has no way to drop, after `completed` tasks.
+    Stuck {
+        /// Tasks completed before the run stalled.
+        completed: usize,
+    },
+}
+
+/// Run one cell and check it: a completed run must pass
+/// [`validate`], and the only failure accepted is `SchedulerStuck` under
+/// `DeferOnly`. `Err` carries the violation or the unexpected error.
+pub fn check_cell(
     chaos: &Chaos,
     named: &NamedScheduler,
     policy: ShedPolicy,
-    trace: &[TraceEvent],
-    report: &RunReport,
-) {
-    let n = chaos.ts.num_tasks();
-    let mut arrived = vec![0u32; n];
-    let mut admitted = vec![0u32; n];
-    let mut dropped = vec![0u32; n];
-    let mut started = vec![0u32; n];
-    let mut finished = vec![0u32; n];
-    let mut queued: Vec<bool> = vec![false; n]; // deferred, outcome pending
-    let mut outstanding = 0usize;
-    for ev in trace {
-        match *ev {
-            TraceEvent::TaskArrived { task, .. } => arrived[task] += 1,
-            TraceEvent::TaskDeferred { task, .. } => {
-                assert!(
-                    !queued[task],
-                    "{named:?}/{policy:?}: task {task} deferred twice"
-                );
-                queued[task] = true;
-                outstanding += 1;
-                // Bounded backlog: an overflow evicts before the push.
-                if policy == ShedPolicy::PriorityShed {
-                    assert!(
-                        outstanding <= chaos.backlog,
-                        "{named:?}/{policy:?}: deferred queue grew to {outstanding} \
-                         past the bound {}",
-                        chaos.backlog
-                    );
-                }
-            }
-            TraceEvent::TaskAdmitted { task, .. } => {
-                admitted[task] += 1;
-                assert_eq!(
-                    dropped[task], 0,
-                    "{named:?}/{policy:?}: task {task} admitted after drop"
-                );
-                if queued[task] {
-                    queued[task] = false;
-                    outstanding -= 1;
-                }
-            }
-            TraceEvent::TaskShed { task, .. } | TraceEvent::DeadlineExpired { task, .. } => {
-                dropped[task] += 1;
-                assert_eq!(
-                    admitted[task], 0,
-                    "{named:?}/{policy:?}: task {task} dropped after admit"
-                );
-                assert_ne!(
-                    policy,
-                    ShedPolicy::DeferOnly,
-                    "{named:?}: DeferOnly must never drop a task"
-                );
-                if queued[task] {
-                    queued[task] = false;
-                    outstanding -= 1;
-                }
-            }
-            TraceEvent::TaskStarted { task, .. } => {
-                started[task] += 1;
-                assert_eq!(
-                    dropped[task], 0,
-                    "{named:?}/{policy:?}: shed/expired task {task} started"
-                );
-            }
-            TraceEvent::TaskFinished { task, .. } => finished[task] += 1,
-            _ => {}
+) -> Result<Outcome, String> {
+    match run_cell(chaos, named, policy) {
+        Ok((report, trace)) => {
+            let config = config_for(chaos, policy);
+            validate(&chaos.ts, &chaos.spec, &config, &trace, &report)
+                .map_err(|v| v.to_string())?;
+            Ok(Outcome::Done(Box::new(report)))
         }
-    }
-    for t in 0..n {
-        assert_eq!(arrived[t], 1, "{named:?}/{policy:?}: task {t} arrivals");
-        assert_eq!(
-            admitted[t] + dropped[t],
-            1,
-            "{named:?}/{policy:?}: task {t}: admitted {} dropped {}",
-            admitted[t],
-            dropped[t]
-        );
-        if dropped[t] == 1 {
-            assert_eq!(started[t], 0, "{named:?}/{policy:?}: dropped task {t} ran");
-            assert_eq!(finished[t], 0);
-        } else {
-            assert_eq!(finished[t], 1, "{named:?}/{policy:?}: task {t} finishes");
+        Err(RunError::SchedulerStuck { completed, .. }) if policy == ShedPolicy::DeferOnly => {
+            Ok(Outcome::Stuck { completed })
         }
+        Err(e) => Err(format!("unexpected error: {e}")),
     }
-    let stats = report.online.as_ref().expect("online stats");
-    let total_dropped: u64 = dropped.iter().map(|&c| u64::from(c)).sum();
-    assert_eq!(
-        stats.tasks_admitted + stats.tasks_shed + stats.deadline_expired,
-        n as u64,
-        "{named:?}/{policy:?}: outcome ledger does not cover arrivals"
-    );
-    assert_eq!(stats.tasks_shed + stats.deadline_expired, total_dropped);
-    assert!(stats.goodput_tps <= stats.throughput_tps + 1e-9);
 }

@@ -1,4 +1,5 @@
-//! Shared argument parsing for the figure binaries.
+//! Shared argument parsing for the figure binaries, plus the `--sched`
+//! list parser of the `serve` and `chaos` binaries ([`parse_scheds`]).
 //!
 //! Every `fig*` binary (and `all_figures`) accepts the same flags:
 //! `--quick` (trim the sweep to a few points), `--paper-timing` (run the
@@ -20,6 +21,7 @@ use crate::harness::FigureSpec;
 use crate::obs::{self, ObsOut, TraceFormat};
 use crate::pool;
 use memsched_platform::FaultPlan;
+use memsched_schedulers::{NamedScheduler, FAMILIES};
 
 /// Parsed command-line options common to all figure binaries.
 #[derive(Clone, Debug)]
@@ -61,6 +63,34 @@ impl FigArgs {
     pub fn export_obs(&self, fig: &FigureSpec) -> Result<(), String> {
         obs::export_figure(fig, &self.obs)
     }
+}
+
+/// Parse a `--sched` list of the serving binaries: comma-separated
+/// `eager`, `dmda`, `dmdar`, `hmetis`, `mhfp`, `darts` (DARTS+LUF),
+/// `router`, or `all` for the six [`FAMILIES`].
+pub fn parse_scheds(spec: &str) -> Result<Vec<NamedScheduler>, String> {
+    let mut out = Vec::new();
+    for name in spec.split(',').filter(|s| !s.is_empty()) {
+        match name {
+            "eager" => out.push(NamedScheduler::Eager),
+            "dmda" => out.push(NamedScheduler::Dmda),
+            "dmdar" => out.push(NamedScheduler::Dmdar),
+            "hmetis" => out.push(NamedScheduler::HmetisR),
+            "mhfp" => out.push(NamedScheduler::Mhfp),
+            "darts" => out.push(NamedScheduler::DartsLuf),
+            "router" => out.push(NamedScheduler::Router),
+            "all" => out.extend(FAMILIES),
+            other => {
+                return Err(format!(
+                    "--sched {other:?}: expected eager|dmda|dmdar|hmetis|mhfp|darts|router|all"
+                ))
+            }
+        }
+    }
+    if out.is_empty() {
+        return Err("--sched: empty scheduler list".to_string());
+    }
+    Ok(out)
 }
 
 /// Parse the process's arguments; exits with a readable message (status 2)
@@ -172,7 +202,6 @@ mod tests {
 
     #[test]
     fn apply_shapes_the_spec() {
-        use memsched_schedulers::NamedScheduler;
         let args = parse_from(argv(&["--quick", "--paper-timing"])).unwrap();
         let fig = args.apply(crate::figures::fig03());
         assert!(fig.points.len() <= 4, "--quick must trim the sweep");
@@ -227,6 +256,18 @@ mod tests {
 
         let bad = parse_from(argv(&["--faults", "explode:3"]));
         assert!(bad.is_err(), "malformed spec must be rejected");
+    }
+
+    #[test]
+    fn sched_lists_parse_router_and_expand_all() {
+        assert_eq!(parse_scheds("router").unwrap(), vec![NamedScheduler::Router]);
+        assert_eq!(parse_scheds("all").unwrap(), FAMILIES.to_vec());
+        assert_eq!(
+            parse_scheds("eager,darts").unwrap(),
+            vec![NamedScheduler::Eager, NamedScheduler::DartsLuf]
+        );
+        assert!(parse_scheds("nope").unwrap_err().contains("router|all"));
+        assert!(parse_scheds(",").unwrap_err().contains("empty"));
     }
 
     #[test]

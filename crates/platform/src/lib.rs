@@ -44,6 +44,7 @@ mod report;
 mod scheduler;
 mod spec;
 mod trace;
+mod validate;
 
 pub use analysis::{analyze, render_gantt, TraceAnalysis};
 pub use engine::{
@@ -58,6 +59,7 @@ pub use fault::{CapacityShrink, FaultPlan, GpuFailure, Straggler, TransferFaultS
 pub use memory::{GpuMemory, Residency};
 pub use report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
 pub use scheduler::{MissingCache, RuntimeView, Scheduler};
+pub use validate::{validate, Violation};
 pub use spec::{
     Nanos, PlatformSpec, NVLINK_BANDWIDTH, PAPER_MEMORY_BYTES, PCIE_BANDWIDTH,
     UNLIMITED_MEMORY_BYTES, V100_GFLOPS,

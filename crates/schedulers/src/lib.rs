@@ -115,6 +115,18 @@ impl NamedScheduler {
     }
 }
 
+/// The six scheduler families, one representative each: EAGER, DMDAR,
+/// hMETIS+R, mHFP, DARTS+LUF and the Router. The serving harnesses, the
+/// `serve` and `chaos` binaries (`--sched all`) and the tests sweep them.
+pub const FAMILIES: [NamedScheduler; 6] = [
+    NamedScheduler::Eager,
+    NamedScheduler::Dmdar,
+    NamedScheduler::HmetisR,
+    NamedScheduler::Mhfp,
+    NamedScheduler::DartsLuf,
+    NamedScheduler::Router,
+];
+
 // Compile-time audit: every concrete scheduler must stay `Send` so the
 // parallel sweep harness can move built schedulers onto worker threads.
 // (None needs `Sync` — a scheduler is only ever driven by one engine.)

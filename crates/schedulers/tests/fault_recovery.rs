@@ -3,7 +3,7 @@
 //! still completes exactly once, and a same-seed replay is byte-identical.
 
 use memsched_platform::{
-    run, run_with_config, FaultPlan, PlatformSpec, RunConfig, Scheduler, TraceEvent, TraceMode,
+    run, run_with_config, validate, FaultPlan, PlatformSpec, RunConfig, Scheduler, TraceMode,
 };
 use memsched_schedulers::{HfpScheduler, HmetisRScheduler, NamedScheduler, PartitionerOptions};
 use memsched_workloads::gemm_2d;
@@ -33,37 +33,16 @@ fn faulted(plan: FaultPlan) -> RunConfig {
 fn every_family_survives_a_gpu_failure() {
     let ts = gemm_2d(6);
     let spec = PlatformSpec::v100(3);
-    let plan = FaultPlan::none().with_gpu_failure(1, FAIL_AT);
+    let config = faulted(FaultPlan::none().with_gpu_failure(1, FAIL_AT));
     for family in FAMILIES {
-        let mut sched = family.build();
-        let (report, trace) =
-            run_with_config(&ts, &spec, sched.as_mut(), &faulted(plan.clone()))
-                .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
-        let total: usize = report.per_gpu.iter().map(|g| g.tasks).sum();
-        assert_eq!(total, 36, "{}: tasks lost or duplicated", family.label());
+        let (report, trace) = run_with_config(&ts, &spec, family.build().as_mut(), &config)
+            .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
+        // Exactly-once completion, nothing started on the dead GPU after
+        // its failure, and the rest of the validator's rules.
+        if let Err(v) = validate(&ts, &spec, &config, &trace, &report) {
+            panic!("{}: {v}", family.label());
+        }
         assert_eq!(report.gpu_failures, 1, "{}", family.label());
-        // Finished-task trace must cover every task exactly once.
-        let mut seen = vec![0u32; ts.num_tasks()];
-        for e in &trace {
-            if let TraceEvent::TaskFinished { task, .. } = e {
-                seen[*task] += 1;
-            }
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "{}: completion counts {seen:?}",
-            family.label()
-        );
-        // Nothing may finish on the dead GPU after the failure instant.
-        for e in &trace {
-            if let TraceEvent::TaskFinished { at, gpu, .. } = e {
-                assert!(
-                    *gpu != 1 || *at <= FAIL_AT,
-                    "{}: task finished on dead GPU at {at}",
-                    family.label()
-                );
-            }
-        }
     }
 }
 

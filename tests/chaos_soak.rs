@@ -1,29 +1,26 @@
 //! Chaos/soak harness: randomized seeded fault plans × overload traffic
 //! × every online scheduler family × every shed policy × 1/2/8 pool
-//! workers. Each composition must uphold the hard serving invariants:
+//! workers. Each composition must hold:
 //!
-//! 1. **Exactly-once outcomes** — every arrival is admitted and finished
-//!    exactly once, or shed/expired exactly once, never both;
-//! 2. **No shed task ever executes** — a `TaskShed`/`DeadlineExpired`
-//!    task never has a `TaskStarted` (or any later) event;
-//! 3. **Same-seed determinism** — the identical composition replays a
+//! 1. **The validator** — every completed cell passes
+//!    `memsched_platform::validate` (exactly-once outcomes, no shed task
+//!    ever executes, the deferred queue within `max_backlog` under
+//!    `PriorityShed`, and every other rule it checks); the only failure
+//!    accepted is `SchedulerStuck` under `DeferOnly`;
+//! 2. **Same-seed determinism** — the identical composition replays a
 //!    byte-identical event stream, on 1, 2 and 8 pool workers alike;
-//! 4. **`DeferOnly` is a conservative extension** — deadline and class
+//! 3. **`DeferOnly` is a conservative extension** — deadline and class
 //!    metadata on the task set cannot perturb a `DeferOnly` stream by
-//!    a single byte (the golden-trace-compatibility guarantee);
-//! 5. **Bounded backlog under `PriorityShed`** — the deferred queue
-//!    never holds more than `max_backlog` tasks at once, replayed from
-//!    the trace.
+//!    a single byte (the golden-trace-compatibility guarantee).
 //!
 //! The default run is the quick CI tier (a few seeds). Set
 //! `MEMSCHED_SOAK=N` to soak N seeds; `crates/experiments/src/bin/chaos.rs`
 //! wraps the same matrix as a standalone driver with CSV output.
 
-use memsched::experiments::chaos::{
-    check_invariants, compose, config_for, digest, run_cell, FAMILIES, POLICIES,
-};
+use memsched::experiments::chaos::{check_cell, compose, config_for, digest, POLICIES};
 use memsched::experiments::pool;
 use memsched::prelude::*;
+use memsched::schedulers::FAMILIES;
 
 fn soak_seeds() -> Vec<u64> {
     let n = std::env::var("MEMSCHED_SOAK")
@@ -33,8 +30,8 @@ fn soak_seeds() -> Vec<u64> {
     (1..=n).collect()
 }
 
-/// The full chaos matrix: invariants 1, 2 and 5 per cell, determinism
-/// (invariant 3) per composition, across 1/2/8 pool workers.
+/// The full chaos matrix: the validator per cell (invariant 1),
+/// determinism (invariant 2) per composition, across 1/2/8 pool workers.
 #[test]
 fn chaos_matrix_upholds_serving_invariants() {
     for seed in soak_seeds() {
@@ -43,7 +40,7 @@ fn chaos_matrix_upholds_serving_invariants() {
             .iter()
             .flat_map(|f| POLICIES.iter().map(move |&p| (f.clone(), p)))
             .collect();
-        // Invariant 3: the digest of every cell is identical on 1, 2 and
+        // Invariant 2: the digest of every cell is identical on 1, 2 and
         // 8 workers — the pool can only change wall-clock, not decisions.
         let run_all = |jobs: usize| -> Vec<String> {
             pool::run_indexed(&cells, jobs, |_, (named, policy)| {
@@ -61,30 +58,16 @@ fn chaos_matrix_upholds_serving_invariants() {
                 "seed {seed}: {named:?}/{policy:?} not reproducible"
             );
         }
-        // Per-cell invariants on the actual traces.
+        // Invariant 1 on the actual traces.
         for (named, policy) in &cells {
-            let policy = *policy;
-            match run_cell(&chaos, named, policy) {
-                Ok((report, trace)) => check_invariants(&chaos, named, policy, &trace, &report),
-                Err(e) => {
-                    // Only the legacy DeferOnly policy may wedge on a
-                    // fault-stranded deferral; shedding must complete.
-                    assert_eq!(
-                        policy,
-                        ShedPolicy::DeferOnly,
-                        "seed {seed}: {named:?}/{policy:?} failed: {e:?}"
-                    );
-                    assert!(
-                        matches!(e, RunError::SchedulerStuck { .. }),
-                        "seed {seed}: {named:?}: unexpected error {e:?}"
-                    );
-                }
+            if let Err(e) = check_cell(&chaos, named, *policy) {
+                panic!("seed {seed}: {named:?}/{policy:?}: {e}");
             }
         }
     }
 }
 
-/// Invariant 4: deadline and class metadata is invisible to `DeferOnly`.
+/// Invariant 3: deadline and class metadata is invisible to `DeferOnly`.
 /// The stamped and the plain task set replay byte-identical streams for
 /// every family and every composition — the standing guarantee that the
 /// checked-in golden traces never need regeneration for overload work.

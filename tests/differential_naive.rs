@@ -13,38 +13,19 @@
 //! is than the paper's quadratic greedy:
 //! `cargo test --release --test differential_naive -- --ignored`.
 
+mod common;
+
+use common::{arb_taskset, assert_same_events, run_validated, small_spec, without_walls};
 use memsched::hypergraph::{bisect, bisect_naive, partition, Hypergraph, PartitionConfig};
 use memsched::platform::{run_with_config, RunConfig, Scheduler, TraceEvent};
 use memsched::prelude::*;
 use memsched::schedulers::{
     hfp_pack_with, DartsConfig, DartsScheduler, DmdaScheduler, NamedScheduler, PackConfig,
+    FAMILIES,
 };
 use memsched::workloads::scale_preset;
 use proptest::prelude::*;
 use std::time::Instant;
-
-/// Strategy: a random task set with up to `max_data` unit-size data items
-/// and up to `max_tasks` tasks with 1–3 inputs each (the same shape the
-/// engine property tests use).
-fn arb_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
-    (2usize..=max_data, 1usize..=max_tasks)
-        .prop_flat_map(|(nd, mt)| {
-            let inputs = proptest::collection::vec(
-                proptest::collection::vec(0..nd as u32, 1..=3),
-                mt,
-            );
-            (Just(nd), inputs)
-        })
-        .prop_map(|(nd, task_inputs)| {
-            let mut b = TaskSetBuilder::new();
-            let data: Vec<DataId> = (0..nd).map(|_| b.add_data(1)).collect();
-            for ins in task_inputs {
-                let ids: Vec<DataId> = ins.iter().map(|&i| data[i as usize]).collect();
-                b.add_task(&ids, 1000.0);
-            }
-            b.build()
-        })
-}
 
 /// Strategy: an [`arb_taskset`] stream for the online engine-core
 /// differential. Arrival stamps come from a grid of 0.5 ms steps plus
@@ -174,20 +155,7 @@ fn arb_large_hypergraph() -> impl Strategy<Value = Hypergraph> {
         )
 }
 
-fn small_spec(gpus: usize, mem: u64) -> PlatformSpec {
-    PlatformSpec {
-        num_gpus: gpus,
-        memory_bytes: mem, // unit-size items: capacity in items
-        bus_bandwidth: 1e9,
-        transfer_latency: 10,
-        gpu_gflops: 1e-3,
-        pipeline_depth: 2,
-        gpu_gflops_override: None,
-        nvlink_bandwidth: None,
-        bus_groups: None,
-    }
-}
-
+/// A validated `TraceMode::Full` batch run.
 fn trace_of(
     ts: &TaskSet,
     spec: &PlatformSpec,
@@ -197,7 +165,7 @@ fn trace_of(
         trace: TraceMode::Full,
         ..RunConfig::default()
     };
-    run_with_config(ts, spec, sched, &config).expect("differential run")
+    run_validated(ts, spec, sched, &config)
 }
 
 /// Assert the two configurations of one scheduler produce byte-identical
@@ -217,49 +185,9 @@ fn assert_equivalent(
         naive_report.scheduler, incr_report.scheduler,
         "{label}: name must not leak the implementation mode"
     );
-    if naive_trace != incr_trace {
-        // Locate the first diverging event for a readable failure.
-        let i = naive_trace
-            .iter()
-            .zip(&incr_trace)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| naive_trace.len().min(incr_trace.len()));
-        panic!(
-            "{label}: decision streams diverge at event {i}:\n  naive:       {:?}\n  incremental: {:?}",
-            naive_trace.get(i),
-            incr_trace.get(i),
-        );
-    }
-    assert_eq!(naive_report.makespan, incr_report.makespan, "{label}");
-    assert_eq!(naive_report.total_loads, incr_report.total_loads, "{label}");
-    assert_eq!(
-        naive_report.total_evictions, incr_report.total_evictions,
-        "{label}"
-    );
-    let naive_tasks: Vec<usize> = naive_report.per_gpu.iter().map(|g| g.tasks).collect();
-    let incr_tasks: Vec<usize> = incr_report.per_gpu.iter().map(|g| g.tasks).collect();
-    assert_eq!(naive_tasks, incr_tasks, "{label}");
-}
-
-/// The scheduler families the engine-core differential sweeps: one
-/// representative per family of the paper's evaluation.
-const ENGINE_FAMILIES: &[NamedScheduler] = &[
-    NamedScheduler::Eager,
-    NamedScheduler::Dmdar,
-    NamedScheduler::HmetisR,
-    NamedScheduler::Mhfp,
-    NamedScheduler::DartsLuf,
-    NamedScheduler::Router,
-];
-
-/// `r` with its wall-clock fields zeroed: everything left is simulated.
-fn without_walls(mut r: RunReport) -> RunReport {
-    r.prepare_wall = 0;
-    r.sched_wall = 0;
-    for g in &mut r.per_gpu {
-        g.sched_wall = 0;
-    }
-    r
+    let what = format!("{label}: naive vs incremental decision streams");
+    assert_same_events(&what, &naive_trace, &incr_trace);
+    assert_eq!(without_walls(naive_report), without_walls(incr_report), "{label}");
 }
 
 /// Run `named` once on the pre-refactor engine core (`naive_core`: binary
@@ -295,18 +223,8 @@ fn engine_cores_equivalent(
     let calendar = run_with_config(ts, spec, named.build().as_mut(), &calendar_config);
     match (heap, calendar) {
         (Ok((heap_report, heap_trace)), Ok((cal_report, cal_trace))) => {
-            if heap_trace != cal_trace {
-                let i = heap_trace
-                    .iter()
-                    .zip(&cal_trace)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or_else(|| heap_trace.len().min(cal_trace.len()));
-                panic!(
-                    "{label}: event streams diverge at event {i}:\n  heap:     {:?}\n  calendar: {:?}",
-                    heap_trace.get(i),
-                    cal_trace.get(i),
-                );
-            }
+            let what = format!("{label}: heap vs calendar event streams");
+            assert_same_events(&what, &heap_trace, &cal_trace);
             assert_eq!(
                 without_walls(heap_report),
                 without_walls(cal_report),
@@ -493,7 +411,7 @@ proptest! {
         mem in 3u64..8,
     ) {
         let spec = small_spec(gpus, mem);
-        for named in ENGINE_FAMILIES {
+        for named in &FAMILIES {
             engine_cores_equivalent(&ts, &spec, &RunConfig::default(), named);
         }
     }
@@ -531,7 +449,7 @@ proptest! {
             faults,
             ..RunConfig::default()
         };
-        for named in ENGINE_FAMILIES {
+        for named in &FAMILIES {
             engine_cores_equivalent(&ts, &spec, &config, named);
         }
     }
@@ -573,7 +491,7 @@ proptest! {
                     admission: Some(AdmissionConfig { max_backlog, policy }),
                     ..RunConfig::default()
                 };
-                for named in ENGINE_FAMILIES {
+                for named in &FAMILIES {
                     engine_cores_equivalent(&ts, &spec, &config, named);
                 }
             }

@@ -11,44 +11,13 @@
 //! yet with the full horizon visible both must collapse to the paper's
 //! offline algorithms.
 
-use memsched::platform::{run_with_config, RunConfig, Scheduler, TraceEvent};
+mod common;
+
+use common::{arb_taskset, assert_same_events, run_validated, small_spec, without_walls};
+use memsched::platform::{RunConfig, Scheduler, TraceEvent};
 use memsched::prelude::*;
 use memsched::schedulers::{DartsConfig, DartsScheduler, DmdaScheduler};
 use proptest::prelude::*;
-
-/// Strategy: a random task set with unit-size data and 1–3 inputs per
-/// task (the shape the other differential suites use).
-fn arb_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
-    (2usize..=max_data, 1usize..=max_tasks)
-        .prop_flat_map(|(nd, mt)| {
-            let inputs =
-                proptest::collection::vec(proptest::collection::vec(0..nd as u32, 1..=3), mt);
-            (Just(nd), inputs)
-        })
-        .prop_map(|(nd, task_inputs)| {
-            let mut b = TaskSetBuilder::new();
-            let data: Vec<DataId> = (0..nd).map(|_| b.add_data(1)).collect();
-            for ins in task_inputs {
-                let ids: Vec<DataId> = ins.iter().map(|&i| data[i as usize]).collect();
-                b.add_task(&ids, 1000.0);
-            }
-            b.build()
-        })
-}
-
-fn small_spec(gpus: usize, mem: u64) -> PlatformSpec {
-    PlatformSpec {
-        num_gpus: gpus,
-        memory_bytes: mem, // unit-size items: capacity in items
-        bus_bandwidth: 1e9,
-        transfer_latency: 10,
-        gpu_gflops: 1e-3,
-        pipeline_depth: 2,
-        gpu_gflops_override: None,
-        nvlink_bandwidth: None,
-        bus_groups: None,
-    }
-}
 
 /// Engine trace minus the admission bookkeeping — what is left is pure
 /// scheduling: loads, evictions, task starts/finishes.
@@ -67,7 +36,8 @@ fn decisions_of(trace: Vec<TraceEvent>) -> Vec<TraceEvent> {
 }
 
 /// Run `batch` offline and `online` on the same task set with every
-/// arrival at t = 0, and assert identical decision streams.
+/// arrival at t = 0, validate both runs, and assert identical decision
+/// streams.
 fn assert_online_matches_batch(
     ts: &TaskSet,
     spec: &PlatformSpec,
@@ -87,32 +57,15 @@ fn assert_online_matches_batch(
     // without moving any arrival off the origin.
     let streamed = ts.clone().with_arrivals(vec![0; ts.num_tasks()]);
 
-    let (b_report, b_trace) =
-        run_with_config(ts, spec, batch, &batch_config).expect("batch run");
-    let (o_report, o_trace) =
-        run_with_config(&streamed, spec, online, &online_config).expect("online run");
+    let (b_report, b_trace) = run_validated(ts, spec, batch, &batch_config);
+    let (o_report, o_trace) = run_validated(&streamed, spec, online, &online_config);
     let b_decisions = decisions_of(b_trace);
     let o_decisions = decisions_of(o_trace);
-    if b_decisions != o_decisions {
-        let i = b_decisions
-            .iter()
-            .zip(&o_decisions)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| b_decisions.len().min(o_decisions.len()));
-        panic!(
-            "{label}: online t=0 run diverges from batch at decision {i}:\n  \
-             batch:  {:?}\n  online: {:?}",
-            b_decisions.get(i),
-            o_decisions.get(i),
-        );
-    }
-    assert_eq!(b_report.makespan, o_report.makespan, "{label}");
-    assert_eq!(b_report.total_loads, o_report.total_loads, "{label}");
-    assert_eq!(
-        b_report.total_evictions, o_report.total_evictions,
-        "{label}"
-    );
-    let stats = o_report.online.expect("online run must report stats");
+    let what = format!("{label}: batch vs online t=0 decisions");
+    assert_same_events(&what, &b_decisions, &o_decisions);
+    let stats = o_report.online.clone().expect("online run must report stats");
+    let o_report = RunReport { online: None, ..o_report };
+    assert_eq!(without_walls(b_report), without_walls(o_report), "{label}");
     assert_eq!(stats.tasks_admitted as usize, ts.num_tasks(), "{label}");
     assert_eq!(stats.tasks_deferred, 0, "{label}: t=0 defers nothing");
 }

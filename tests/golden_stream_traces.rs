@@ -14,70 +14,14 @@
 //! bookkeeping lines are dropped — the serving mode costs nothing when
 //! the horizon is full.
 
+mod common;
+
+use common::{check_golden, render_batch_golden, render_event, run_validated};
 use memsched::platform::TraceEvent;
 use memsched::prelude::*;
 use memsched::workloads::constants::GEMM2D_DATA_BYTES;
 use memsched::workloads::prefix::{prefix_tree, PrefixConfig};
 use memsched::workloads::{gemm_2d, open_loop_arrivals, ArrivalPattern};
-use std::path::PathBuf;
-
-/// Stable one-line rendering, superset of the batch golden format: the
-/// admission events render on the `adm` pseudo-track.
-fn render_event(ev: &TraceEvent) -> String {
-    match *ev {
-        TraceEvent::LoadIssued {
-            at,
-            gpu,
-            data,
-            done_at,
-        } => format!("{at:>12} gpu{gpu} load-issued  data={data} done_at={done_at}"),
-        TraceEvent::LoadDone { at, gpu, data } => {
-            format!("{at:>12} gpu{gpu} load-done    data={data}")
-        }
-        TraceEvent::Evicted { at, gpu, data } => {
-            format!("{at:>12} gpu{gpu} evicted      data={data}")
-        }
-        TraceEvent::TaskStarted { at, gpu, task } => {
-            format!("{at:>12} gpu{gpu} task-started task={task}")
-        }
-        TraceEvent::TaskFinished { at, gpu, task } => {
-            format!("{at:>12} gpu{gpu} task-finished task={task}")
-        }
-        TraceEvent::TaskArrived { at, task } => {
-            format!("{at:>12} adm  task-arrived  task={task}")
-        }
-        TraceEvent::TaskAdmitted { at, task } => {
-            format!("{at:>12} adm  task-admitted task={task}")
-        }
-        TraceEvent::TaskDeferred { at, task } => {
-            format!("{at:>12} adm  task-deferred task={task}")
-        }
-        // Shedding events require a non-default ShedPolicy; these
-        // DeferOnly snapshots can never contain them.
-        TraceEvent::TaskShed { at, task } => {
-            format!("{at:>12} adm  task-shed     task={task}")
-        }
-        TraceEvent::DeadlineExpired { at, task } => {
-            format!("{at:>12} adm  deadline-expired task={task}")
-        }
-        // Fault events never appear in these fault-free stream runs.
-        TraceEvent::GpuFailed { at, gpu } => {
-            format!("{at:>12} gpu{gpu} gpu-failed")
-        }
-        TraceEvent::TransferRetry {
-            at,
-            gpu,
-            data,
-            attempt,
-        } => format!("{at:>12} gpu{gpu} transfer-retry data={data} attempt={attempt}"),
-        TraceEvent::CapacityShrunk { at, gpu, capacity } => {
-            format!("{at:>12} gpu{gpu} capacity-shrunk capacity={capacity}")
-        }
-        TraceEvent::GpuSlowed { at, gpu, factor } => {
-            format!("{at:>12} gpu{gpu} gpu-slowed factor={factor}")
-        }
-    }
-}
 
 /// The batch golden workload with a fixed Poisson stream stamped on it:
 /// gemm_2d(3) on 2 V100s at M = 4 tiles, arrivals at 2000 req/s from
@@ -133,9 +77,7 @@ fn render_stream_trace_on(
         admission: Some(AdmissionConfig::default()),
         ..RunConfig::default()
     };
-    let mut sched = named.build();
-    let (report, trace) =
-        run_with_config(&ts, &spec, sched.as_mut(), &config).expect("golden stream run");
+    let (report, trace) = run_validated(&ts, &spec, named.build().as_mut(), &config);
     let mut out = format!(
         "# scheduler: {} (online)\n# workload: {workload_line}\n",
         report.scheduler
@@ -166,55 +108,24 @@ fn render_stream_trace(named: &NamedScheduler) -> String {
     )
 }
 
-fn check_golden(name: &str, named: NamedScheduler) {
-    check_golden_with(name, &named, render_stream_trace(&named));
-}
-
-fn check_golden_with(name: &str, _named: &NamedScheduler, got: String) {
-    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name]
-        .iter()
-        .collect();
-    if std::env::var("MEMSCHED_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing snapshot {path:?} ({e}); run with MEMSCHED_UPDATE_GOLDEN=1 to create")
-    });
-    if got != want {
-        let diverge = got
-            .lines()
-            .zip(want.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "golden stream trace {name} differs at line {}:\n  expected: {}\n  actual:   {}\n\
-             (rerun with MEMSCHED_UPDATE_GOLDEN=1 if the change is intentional)",
-            diverge + 1,
-            want.lines().nth(diverge).unwrap_or("<eof>"),
-            got.lines().nth(diverge).unwrap_or("<eof>"),
-        );
-    }
-}
-
 #[test]
 fn golden_stream_eager() {
-    check_golden("eager.stream.trace", NamedScheduler::Eager);
+    check_golden("eager.stream.trace", &render_stream_trace(&NamedScheduler::Eager));
 }
 
 #[test]
 fn golden_stream_dmdar() {
-    check_golden("dmdar.stream.trace", NamedScheduler::Dmdar);
+    check_golden("dmdar.stream.trace", &render_stream_trace(&NamedScheduler::Dmdar));
 }
 
 #[test]
 fn golden_stream_mhfp() {
-    check_golden("mhfp.stream.trace", NamedScheduler::Mhfp);
+    check_golden("mhfp.stream.trace", &render_stream_trace(&NamedScheduler::Mhfp));
 }
 
 #[test]
 fn golden_stream_darts_luf() {
-    check_golden("darts_luf.stream.trace", NamedScheduler::DartsLuf);
+    check_golden("darts_luf.stream.trace", &render_stream_trace(&NamedScheduler::DartsLuf));
 }
 
 /// The router family, on its native workload: a seeded prefix-tree
@@ -223,14 +134,13 @@ fn golden_stream_darts_luf() {
 /// interleaving in one readable snapshot.
 #[test]
 fn golden_stream_router() {
-    let named = NamedScheduler::Router;
     let got = render_stream_trace_on(
-        &named,
+        &NamedScheduler::Router,
         prefix_stream_workload(),
         "prefix(depth=3,fanout=2,tasks=16,seed=42) + poisson(2000/s, seed 42), \
          2x V100, M = 5 MiB",
     );
-    check_golden_with("router.stream.trace", &named, got);
+    check_golden("router.stream.trace", &got);
 }
 
 /// Zero-cost assertion: the batch golden snapshot is reproduced by an
@@ -247,31 +157,18 @@ fn online_t0_reproduces_batch_golden() {
         ..RunConfig::default()
     };
     let mut sched = NamedScheduler::Eager.build();
-    let (report, trace) =
-        run_with_config(&ts, &spec, sched.as_mut(), &config).expect("t=0 online run");
-    let mut got = format!(
-        "# scheduler: {}\n# workload: gemm_2d(3), 2x V100, M = 4 tiles\n",
-        report.scheduler
-    );
-    for ev in trace.iter().filter(|ev| {
+    let (report, trace) = run_validated(&ts, &spec, sched.as_mut(), &config);
+    let decisions = trace.iter().filter(|ev| {
         !matches!(
             ev,
             TraceEvent::TaskArrived { .. }
                 | TraceEvent::TaskAdmitted { .. }
                 | TraceEvent::TaskDeferred { .. }
         )
-    }) {
-        got.push_str(&render_event(ev));
-        got.push('\n');
-    }
-    got.push_str(&format!(
-        "# makespan={} loads={} evictions={}\n",
-        report.makespan, report.total_loads, report.total_evictions
-    ));
-    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", "eager.trace"]
-        .iter()
-        .collect();
-    let want = std::fs::read_to_string(&path).expect("batch golden snapshot");
+    });
+    let got = render_batch_golden(&report, decisions);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/eager.trace");
+    let want = std::fs::read_to_string(path).expect("batch golden snapshot");
     assert_eq!(
         got, want,
         "t=0 online EAGER run does not reproduce the batch golden trace"

@@ -7,68 +7,11 @@
 //! To regenerate the snapshots after an intentional change:
 //! `MEMSCHED_UPDATE_GOLDEN=1 cargo test --test golden_traces`.
 
-use memsched::platform::TraceEvent;
+mod common;
+
+use common::{check_golden, render_batch_golden, run_validated};
 use memsched::prelude::*;
 use memsched::workloads::constants::GEMM2D_DATA_BYTES;
-use std::path::PathBuf;
-
-/// Stable one-line rendering of an event. Field order and formatting are
-/// part of the snapshot contract — do not reorder.
-fn render_event(ev: &TraceEvent) -> String {
-    match *ev {
-        TraceEvent::LoadIssued {
-            at,
-            gpu,
-            data,
-            done_at,
-        } => format!("{at:>12} gpu{gpu} load-issued  data={data} done_at={done_at}"),
-        TraceEvent::LoadDone { at, gpu, data } => {
-            format!("{at:>12} gpu{gpu} load-done    data={data}")
-        }
-        TraceEvent::Evicted { at, gpu, data } => {
-            format!("{at:>12} gpu{gpu} evicted      data={data}")
-        }
-        TraceEvent::TaskStarted { at, gpu, task } => {
-            format!("{at:>12} gpu{gpu} task-started task={task}")
-        }
-        TraceEvent::TaskFinished { at, gpu, task } => {
-            format!("{at:>12} gpu{gpu} task-finished task={task}")
-        }
-        // Fault events never appear in these fault-free golden runs, but
-        // the match stays exhaustive so a new variant forces a decision.
-        TraceEvent::GpuFailed { at, gpu } => {
-            format!("{at:>12} gpu{gpu} gpu-failed")
-        }
-        TraceEvent::TransferRetry { at, gpu, data, attempt } => {
-            format!("{at:>12} gpu{gpu} transfer-retry data={data} attempt={attempt}")
-        }
-        TraceEvent::CapacityShrunk { at, gpu, capacity } => {
-            format!("{at:>12} gpu{gpu} capacity-shrunk capacity={capacity}")
-        }
-        TraceEvent::GpuSlowed { at, gpu, factor } => {
-            format!("{at:>12} gpu{gpu} gpu-slowed factor={factor}")
-        }
-        // Admission events appear only in the stream snapshots
-        // (golden_stream_traces.rs); batch goldens stay free of them.
-        TraceEvent::TaskArrived { at, task } => {
-            format!("{at:>12} adm  task-arrived  task={task}")
-        }
-        TraceEvent::TaskAdmitted { at, task } => {
-            format!("{at:>12} adm  task-admitted task={task}")
-        }
-        TraceEvent::TaskDeferred { at, task } => {
-            format!("{at:>12} adm  task-deferred task={task}")
-        }
-        // Shedding events require a non-default ShedPolicy, so they can
-        // never appear in these DeferOnly-or-batch golden runs.
-        TraceEvent::TaskShed { at, task } => {
-            format!("{at:>12} adm  task-shed     task={task}")
-        }
-        TraceEvent::DeadlineExpired { at, task } => {
-            format!("{at:>12} adm  deadline-expired task={task}")
-        }
-    }
-}
 
 fn render_trace(named: &NamedScheduler) -> String {
     // Tiny but non-trivial: 3x3 outer-product tiles under memory pressure
@@ -79,68 +22,26 @@ fn render_trace(named: &NamedScheduler) -> String {
         trace: TraceMode::Full,
         ..RunConfig::default()
     };
-    let mut sched = named.build();
-    let (report, trace) =
-        run_with_config(&ts, &spec, sched.as_mut(), &config).expect("golden run");
-    let mut out = format!(
-        "# scheduler: {}\n# workload: gemm_2d(3), 2x V100, M = 4 tiles\n",
-        report.scheduler
-    );
-    for ev in &trace {
-        out.push_str(&render_event(ev));
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "# makespan={} loads={} evictions={}\n",
-        report.makespan, report.total_loads, report.total_evictions
-    ));
-    out
-}
-
-fn check_golden(name: &str, named: NamedScheduler) {
-    let got = render_trace(&named);
-    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name]
-        .iter()
-        .collect();
-    if std::env::var("MEMSCHED_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing snapshot {path:?} ({e}); run with MEMSCHED_UPDATE_GOLDEN=1 to create"));
-    if got != want {
-        // Show the first diverging line for a readable failure.
-        let diverge = got
-            .lines()
-            .zip(want.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "golden trace {name} differs at line {}:\n  expected: {}\n  actual:   {}\n\
-             (rerun with MEMSCHED_UPDATE_GOLDEN=1 if the change is intentional)",
-            diverge + 1,
-            want.lines().nth(diverge).unwrap_or("<eof>"),
-            got.lines().nth(diverge).unwrap_or("<eof>"),
-        );
-    }
+    let (report, trace) = run_validated(&ts, &spec, named.build().as_mut(), &config);
+    render_batch_golden(&report, &trace)
 }
 
 #[test]
 fn golden_trace_eager() {
-    check_golden("eager.trace", NamedScheduler::Eager);
+    check_golden("eager.trace", &render_trace(&NamedScheduler::Eager));
 }
 
 #[test]
 fn golden_trace_dmdar() {
-    check_golden("dmdar.trace", NamedScheduler::Dmdar);
+    check_golden("dmdar.trace", &render_trace(&NamedScheduler::Dmdar));
 }
 
 #[test]
 fn golden_trace_mhfp() {
-    check_golden("mhfp.trace", NamedScheduler::Mhfp);
+    check_golden("mhfp.trace", &render_trace(&NamedScheduler::Mhfp));
 }
 
 #[test]
 fn golden_trace_darts_luf() {
-    check_golden("darts_luf.trace", NamedScheduler::DartsLuf);
+    check_golden("darts_luf.trace", &render_trace(&NamedScheduler::DartsLuf));
 }

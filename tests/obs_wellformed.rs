@@ -1,66 +1,27 @@
 //! Property tests of the observability subsystem over random workloads:
 //! every recorded trace is well-formed, the Chrome export is valid JSON
-//! that round-trips through `serde_json`, event counts agree with the
-//! engine's own report and trace, the derived per-GPU breakdown sums to
+//! that round-trips through `serde_json`, the metrics registry's totals
+//! agree with the engine's report, the derived per-GPU breakdown sums to
 //! the makespan, attaching a probe never changes a decision (the
 //! golden-trace guarantee, checked here as trace equality between the
 //! observed and unobserved runs), and the engine trace is exactly the
-//! projection of the observed stream.
+//! projection of the observed stream — which `memsched_platform::validate`
+//! then checks against the report.
 
+mod common;
+
+use common::{arb_taskset, small_spec};
 use memsched::obs::{
-    check_well_formed, chrome_trace_json, gpu_breakdowns, Counter, Metrics, ObsEvent, SpanKind,
+    check_well_formed, chrome_trace_json, gpu_breakdowns, Counter, Metrics, ObsEvent,
 };
-use memsched::platform::TraceEvent;
+use memsched::platform::{validate, TraceEvent};
 use memsched::prelude::*;
+use memsched::schedulers::FAMILIES;
 use memsched::workloads::{
     assign_classes, deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-/// Random task set: `nd` unit-size data items, tasks with 1–3 inputs.
-fn arb_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
-    (2usize..=max_data, 1usize..=max_tasks)
-        .prop_flat_map(|(nd, mt)| {
-            let inputs =
-                proptest::collection::vec(proptest::collection::vec(0..nd as u32, 1..=3), mt);
-            (Just(nd), inputs)
-        })
-        .prop_map(|(nd, task_inputs)| {
-            let mut b = TaskSetBuilder::new();
-            let data: Vec<DataId> = (0..nd).map(|_| b.add_data(1)).collect();
-            for ins in task_inputs {
-                let ids: Vec<DataId> = ins.iter().map(|&i| data[i as usize]).collect();
-                b.add_task(&ids, 1000.0);
-            }
-            b.build()
-        })
-}
-
-fn tiny_spec(gpus: usize, mem: u64) -> PlatformSpec {
-    PlatformSpec {
-        num_gpus: gpus,
-        memory_bytes: mem,
-        bus_bandwidth: 1e9,
-        transfer_latency: 10,
-        gpu_gflops: 1e-3,
-        pipeline_depth: 2,
-        gpu_gflops_override: None,
-        nvlink_bandwidth: None,
-        bus_groups: None,
-    }
-}
-
-fn schedulers() -> Vec<NamedScheduler> {
-    vec![
-        NamedScheduler::Eager,
-        NamedScheduler::Dmdar,
-        NamedScheduler::DartsLuf,
-        NamedScheduler::HmetisR,
-        NamedScheduler::Mhfp,
-        NamedScheduler::Router,
-    ]
-}
 
 /// The `Full` trace projected out of an observed event stream.
 fn projection(events: &[ObsEvent]) -> Vec<TraceEvent> {
@@ -70,8 +31,8 @@ fn projection(events: &[ObsEvent]) -> Vec<TraceEvent> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fault-free observed runs: well-formed trace, counts matching the
-    /// report, exact breakdown agreement, decision identity.
+    /// Fault-free observed runs: well-formed trace, a valid run, metrics
+    /// matching the report, exact breakdown agreement, decision identity.
     #[test]
     fn observed_runs_are_well_formed_and_decision_identical(
         ts in arb_taskset(10, 20),
@@ -79,8 +40,10 @@ proptest! {
         mem in 3u64..8,
         sched_idx in 0usize..6,
     ) {
-        let spec = tiny_spec(gpus, mem);
-        let named = &schedulers()[sched_idx];
+        let spec = small_spec(gpus, mem);
+        let named = &FAMILIES[sched_idx];
+        // hMETIS+R's partitioner needs at least one task per part.
+        prop_assume!(*named != NamedScheduler::HmetisR || ts.num_tasks() >= gpus);
         let config = RunConfig {
             trace: TraceMode::Full,
             ..RunConfig::default()
@@ -108,25 +71,10 @@ proptest! {
         // every begin matched.
         let timeline = check_well_formed(&events).unwrap();
 
-        // Counts line up with the engine's own accounting.
-        let mut computes = 0usize;
-        let mut delivered = 0usize;
-        for s in &timeline.spans {
-            match &s.kind {
-                SpanKind::Compute { interrupted, .. } => {
-                    prop_assert!(!interrupted, "no faults injected");
-                    computes += 1;
-                }
-                SpanKind::Transfer { delivered: d, .. } => delivered += usize::from(*d),
-            }
+        // The trace, and so the observed stream, agrees with the report.
+        if let Err(v) = validate(&ts, &spec, &config, &trace, &report) {
+            return Err(format!("{named:?}: {v}"));
         }
-        prop_assert_eq!(computes, ts.num_tasks());
-        prop_assert_eq!(delivered as u64, report.total_loads);
-        let evictions = events
-            .iter()
-            .filter(|e| matches!(e, ObsEvent::Eviction { .. }))
-            .count() as u64;
-        prop_assert_eq!(evictions, report.total_evictions);
 
         // The metrics registry sees the same totals.
         let mut metrics = Metrics::new();
@@ -164,15 +112,16 @@ proptest! {
     }
 
     /// With transient transfer faults injected, the trace stays
-    /// well-formed, retry instants match the report, and the trace is
-    /// still the projection of the observed stream.
+    /// well-formed, the trace is still the projection of the observed
+    /// stream and the run valid (retry instants included), and every retry
+    /// closes an undelivered span.
     #[test]
     fn faulted_observed_runs_keep_their_books(
         ts in arb_taskset(8, 14),
         gpus in 1usize..3,
         fault_ppm in 50_000u32..500_000,
     ) {
-        let spec = tiny_spec(gpus, 4);
+        let spec = small_spec(gpus, 4);
         let config = RunConfig {
             faults: FaultPlan::none().with_transfer_faults(TransferFaultSpec {
                 seed: 11,
@@ -188,12 +137,10 @@ proptest! {
         let (report, trace) = run_observed(&ts, &spec, sched.as_mut(), &config, &probe).unwrap();
         let events = probe.events();
         check_well_formed(&events).unwrap();
-        prop_assert_eq!(projection(&events), trace);
-        let retries = events
-            .iter()
-            .filter(|e| matches!(e, ObsEvent::TransferRetry { .. }))
-            .count() as u64;
-        prop_assert_eq!(retries, report.transfer_retries);
+        prop_assert_eq!(&projection(&events), &trace);
+        if let Err(v) = validate(&ts, &spec, &config, &trace, &report) {
+            return Err(v.to_string());
+        }
         let undelivered = events
             .iter()
             .filter(
@@ -204,10 +151,10 @@ proptest! {
     }
 }
 
-/// The projection identity on every family and every kind of run —
-/// batch, a fail/shrink/slow/flaky fault plan, and an overloaded online
-/// stream under `PriorityShed` with deadlines — which together emit all
-/// 14 `TraceEvent` variants.
+/// The projection identity and a valid run on every family and every
+/// kind of run — batch, a fail/shrink/slow/flaky fault plan, and an
+/// overloaded online stream under `PriorityShed` with deadlines — which
+/// together emit all 14 `TraceEvent` variants.
 #[test]
 fn full_trace_is_the_projection_of_the_observed_stream() {
     let batch = gemm_2d(6);
@@ -243,7 +190,7 @@ fn full_trace_is_the_projection_of_the_observed_stream() {
     };
 
     let mut seen = BTreeSet::new();
-    for named in schedulers() {
+    for named in FAMILIES {
         // Fault times are fractions of this family's fault-free makespan,
         // so every fault lands mid-run.
         let horizon = run(&batch, &spec, named.build().as_mut()).unwrap().makespan;
@@ -262,9 +209,12 @@ fn full_trace_is_the_projection_of_the_observed_stream() {
         };
         for (ts, config) in [(&batch, &full), (&batch, &faulted), (&stream, &online)] {
             let probe = Probe::unbounded();
-            let (_, trace) = run_observed(ts, &spec, named.build().as_mut(), config, &probe)
+            let (report, trace) = run_observed(ts, &spec, named.build().as_mut(), config, &probe)
                 .unwrap_or_else(|e| panic!("{named:?}: {e}"));
             assert_eq!(projection(&probe.events()), trace, "{named:?}");
+            if let Err(v) = validate(ts, &spec, config, &trace, &report) {
+                panic!("{named:?}: {v}");
+            }
             // Variant names, from the `Debug` rendering.
             seen.extend(
                 trace

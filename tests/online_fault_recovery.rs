@@ -1,279 +1,31 @@
-//! Fault-recovery property tests for the *online* serving mode: the
-//! stream-side mirror of `fault_recovery_invariants` in
-//! `property_invariants.rs`. Random arrival streams (with random
-//! deadlines and tenant classes) meet a composed fault plan — one
-//! fail-stop, one capacity shrink, one straggler, flaky transfers —
-//! under every shed policy and all five scheduler families.
+//! Fault recovery in the *online* serving mode: the stream-side mirror of
+//! `fault_recovery_invariants` in `property_invariants.rs`. Random
+//! arrival streams (with random deadlines and tenant classes) meet a
+//! composed fault plan — one fail-stop, one capacity shrink, one
+//! straggler, flaky transfers — under a drawn shed policy and backlog
+//! bound, for all six scheduler families.
 //!
-//! Invariants checked per (family × policy):
-//!
-//! * determinism — the same seed replays a byte-identical event stream;
-//! * an exactly-once outcome ledger — every arrival is either admitted
-//!   and finished exactly once, or shed/expired exactly once, never
-//!   both;
-//! * no shed or expired task ever starts;
-//! * restarts only follow the fail-stop of the GPU that held the task;
-//! * per-GPU occupancy respects the evolving (shrunk) capacity;
-//! * the `OnlineStats` ledger agrees with the trace.
-//!
-//! Under the default `DeferOnly` policy a fault can strand a deferred
-//! task forever; the run is then required to surface the legacy
-//! `SchedulerStuck` error rather than hang or miscount. Shedding
-//! policies must always complete.
+//! Each case is the scenario fuzzer's check (`common::check_scenario`):
+//! the same seed replays an identical run, and the run passes
+//! `memsched_platform::validate` — an exactly-once outcome ledger, no
+//! start of a shed or expired task, restarts only after the fail-stop of
+//! the GPU that held the task, occupancy within the shrunk capacity, and
+//! `OnlineStats` equal to the trace's fold. Under `DeferOnly` a fault can
+//! strand a deferred task forever; the run must then end in
+//! `SchedulerStuck`, the same way twice.
 
-use memsched::platform::TraceEvent;
-use memsched::prelude::*;
+mod common;
+
+use common::{check_scenario, Faults, Scenarios};
 use proptest::prelude::*;
 
-const FAMILIES: [NamedScheduler; 6] = [
-    NamedScheduler::Eager,
-    NamedScheduler::Dmdar,
-    NamedScheduler::HmetisR,
-    NamedScheduler::Mhfp,
-    NamedScheduler::DartsLuf,
-    NamedScheduler::Router,
-];
-
-const POLICIES: [ShedPolicy; 3] = [
-    ShedPolicy::DeferOnly,
-    ShedPolicy::DeadlineShed,
-    ShedPolicy::PriorityShed,
-];
-
-/// A random task stream: unit data, 1–3 inputs per task, a random
-/// arrival stamp, an optional completion deadline and a tenant class on
-/// every task.
-fn arb_overload_stream(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
-    (2usize..=max_data, 1usize..=max_tasks)
-        .prop_flat_map(|(nd, mt)| {
-            let inputs =
-                proptest::collection::vec(proptest::collection::vec(0..nd as u32, 1..=3), mt);
-            let arrivals = proptest::collection::vec(0u64..20_000_000, mt);
-            // Raw deadline draws; every fourth value maps to "no deadline"
-            // below (the shim has no `prop_oneof`).
-            let deadlines = proptest::collection::vec(0u64..20_000_000, mt);
-            let classes = proptest::collection::vec(0u32..3, mt);
-            (Just(nd), inputs, arrivals, deadlines, classes)
-        })
-        .prop_map(|(nd, task_inputs, arrivals, raw_deadlines, classes)| {
-            let deadlines: Vec<u64> = raw_deadlines
-                .into_iter()
-                .map(|d| if d % 4 == 0 { 0 } else { d.max(50_000) })
-                .collect();
-            let mut b = TaskSetBuilder::new();
-            let data: Vec<DataId> = (0..nd).map(|_| b.add_data(1)).collect();
-            for ins in task_inputs {
-                let ids: Vec<DataId> = ins.iter().map(|&i| data[i as usize]).collect();
-                b.add_task(&ids, 1000.0);
-            }
-            b.build()
-                .with_arrivals(arrivals)
-                .with_deadlines(deadlines)
-                .with_classes(classes)
-        })
-}
-
-fn small_spec(gpus: usize, mem: u64) -> PlatformSpec {
-    PlatformSpec {
-        num_gpus: gpus,
-        memory_bytes: mem, // unit-size items: capacity in items
-        bus_bandwidth: 1e9,
-        transfer_latency: 10,
-        gpu_gflops: 1e-3,
-        pipeline_depth: 2,
-        gpu_gflops_override: None,
-        nvlink_bandwidth: None,
-        bus_groups: None,
-    }
-}
-
-/// Walk one fault-injected stream trace and enforce the exactly-once
-/// ledger, the no-start-after-drop rule, the restart rule and the
-/// occupancy bound; then reconcile with the run's `OnlineStats`.
-fn check_stream(
-    named: NamedScheduler,
-    policy: ShedPolicy,
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    dead_gpu: usize,
-    trace: &[TraceEvent],
-    report: &RunReport,
-) -> Result<(), String> {
-    let n = ts.num_tasks();
-    let mut arrived = vec![0u32; n];
-    let mut admitted = vec![0u32; n];
-    let mut dropped = vec![0u32; n];
-    let mut started_on: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut finished = vec![0u32; n];
-    let mut cap = vec![spec.memory_bytes; spec.num_gpus];
-    let mut occupied = vec![0u64; spec.num_gpus];
-    for ev in trace {
-        match *ev {
-            TraceEvent::TaskArrived { task, .. } => arrived[task] += 1,
-            TraceEvent::TaskAdmitted { task, .. } => {
-                admitted[task] += 1;
-                prop_assert_eq!(
-                    dropped[task], 0,
-                    "{:?}/{:?}: task {} admitted after being dropped", named, policy, task
-                );
-            }
-            TraceEvent::TaskShed { task, .. } | TraceEvent::DeadlineExpired { task, .. } => {
-                dropped[task] += 1;
-                prop_assert_eq!(
-                    admitted[task], 0,
-                    "{:?}/{:?}: task {} dropped after being admitted", named, policy, task
-                );
-            }
-            TraceEvent::TaskStarted { gpu, task, .. } => {
-                started_on[task].push(gpu);
-                prop_assert_eq!(
-                    dropped[task], 0,
-                    "{:?}/{:?}: dropped task {} started", named, policy, task
-                );
-            }
-            TraceEvent::TaskFinished { task, .. } => finished[task] += 1,
-            TraceEvent::LoadIssued { gpu, data, .. } => {
-                occupied[gpu] += ts.data_size(DataId(data as u32));
-                prop_assert!(
-                    occupied[gpu] <= cap[gpu],
-                    "{named:?}/{policy:?}: GPU {gpu} occupancy {} exceeds capacity {}",
-                    occupied[gpu],
-                    cap[gpu]
-                );
-            }
-            TraceEvent::Evicted { gpu, data, .. } => {
-                occupied[gpu] -= ts.data_size(DataId(data as u32));
-            }
-            TraceEvent::CapacityShrunk { gpu, capacity, .. } => {
-                prop_assert!(occupied[gpu] <= capacity);
-                cap[gpu] = capacity;
-            }
-            _ => {}
-        }
-    }
-    for t in 0..n {
-        prop_assert_eq!(arrived[t], 1, "{:?}/{:?}: task {} arrivals", named, policy, t);
-        prop_assert_eq!(
-            admitted[t] + dropped[t], 1,
-            "{:?}/{:?}: task {} outcomes (admitted {}, dropped {})",
-            named, policy, t, admitted[t], dropped[t]
-        );
-        if dropped[t] == 1 {
-            prop_assert!(started_on[t].is_empty());
-            prop_assert_eq!(finished[t], 0);
-        } else {
-            prop_assert_eq!(
-                finished[t], 1,
-                "{:?}/{:?}: task {} finished {} times", named, policy, t, finished[t]
-            );
-            // Every start except the successful last one must have been
-            // interrupted by the fail-stop of its GPU.
-            let starts = &started_on[t];
-            prop_assert!(!starts.is_empty());
-            for &g in &starts[..starts.len() - 1] {
-                prop_assert_eq!(
-                    g, dead_gpu,
-                    "{:?}/{:?}: task {} restarted without its GPU dying", named, policy, t
-                );
-            }
-        }
-    }
-    let stats = report.online.as_ref().expect("online stats");
-    let total_dropped: u32 = dropped.iter().sum();
-    prop_assert_eq!(stats.tasks_admitted + stats.tasks_shed + stats.deadline_expired, n as u64);
-    prop_assert_eq!(stats.tasks_shed + stats.deadline_expired, u64::from(total_dropped));
-    prop_assert!(stats.deadline_violations <= stats.tasks_admitted);
-    prop_assert!(
-        stats.goodput_tps <= stats.throughput_tps + 1e-9,
-        "{named:?}/{policy:?}: goodput {} above throughput {}",
-        stats.goodput_tps,
-        stats.throughput_tps
-    );
-    Ok(())
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Faults × admission × shed policies × the five online families.
     #[test]
     fn online_fault_recovery_invariants(
-        ts in arb_overload_stream(8, 14),
-        gpus in 2usize..4,
-        mem in 4u64..8,
-        dead_gpu in 0usize..2,
-        fail_at in 0u64..10_000_000,
-        shrink_at in 0u64..10_000_000,
-        shrink_to in 3u64..5,
-        slow_at in 0u64..10_000_000,
-        slow_pct in 25u32..100,
-        flaky_seed in any::<u64>(),
-        backlog in 1usize..6,
+        s in Scenarios { online: Some(true), faults: Faults::Every },
     ) {
-        prop_assume!(ts.num_tasks() >= gpus);
-        let dead_gpu = dead_gpu % gpus;
-        let shrunk_gpu = (dead_gpu + 1) % gpus; // always a survivor
-        let spec = small_spec(gpus, mem);
-        let plan = FaultPlan::none()
-            .with_gpu_failure(dead_gpu, fail_at)
-            .with_capacity_shrink(shrunk_gpu, shrink_at, shrink_to.min(mem))
-            .with_straggler(shrunk_gpu, slow_at, f64::from(slow_pct) / 100.0)
-            .with_transfer_faults(TransferFaultSpec {
-                seed: flaky_seed,
-                fault_ppm: 150_000,
-                max_attempts: 16,
-                backoff_base: 100,
-            });
-        for policy in POLICIES {
-            let config = RunConfig {
-                trace: TraceMode::Full,
-                faults: plan.clone(),
-                admission: Some(AdmissionConfig {
-                    max_backlog: Some(backlog),
-                    policy,
-                }),
-                ..RunConfig::default()
-            };
-            for named in FAMILIES {
-                let mut sched = named.build();
-                let first =
-                    memsched::platform::run_with_config(&ts, &spec, sched.as_mut(), &config);
-                let mut sched2 = named.build();
-                let second =
-                    memsched::platform::run_with_config(&ts, &spec, sched2.as_mut(), &config);
-                match (first, second) {
-                    (Ok((report, trace)), Ok((report2, trace2))) => {
-                        prop_assert_eq!(
-                            &trace, &trace2,
-                            "{:?}/{:?}: non-deterministic replay", named, policy
-                        );
-                        prop_assert_eq!(report.makespan, report2.makespan);
-                        check_stream(named, policy, &ts, &spec, dead_gpu, &trace, &report)?;
-                    }
-                    (Err(e), Err(e2)) => {
-                        // Only the legacy DeferOnly policy may strand a
-                        // deferral; it must do so deterministically and
-                        // with the structured stuck error.
-                        prop_assert_eq!(
-                            policy, ShedPolicy::DeferOnly,
-                            "{:?}: shedding policy failed: {:?}", named, e
-                        );
-                        prop_assert!(
-                            matches!(e, RunError::SchedulerStuck { .. }),
-                            "{named:?}/{policy:?}: unexpected error {e:?}"
-                        );
-                        prop_assert_eq!(format!("{e:?}"), format!("{e2:?}"));
-                    }
-                    (a, b) => {
-                        return Err(format!(
-                            "{named:?}/{policy:?}: non-deterministic outcome: \
-                             {:?} vs {:?}",
-                            a.map(|(r, _)| r.makespan),
-                            b.map(|(r, _)| r.makespan)
-                        ));
-                    }
-                }
-            }
-        }
+        check_scenario(&s)?;
     }
 }

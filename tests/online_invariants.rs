@@ -1,67 +1,31 @@
-//! Stream-invariant property tests for the online serving mode, across
-//! all six scheduler families:
+//! Stream-invariant tests for the online serving mode, across all six
+//! scheduler families (the per-run rules are
+//! `memsched_platform::validate`'s):
 //!
-//! * no task starts before its arrival time, and the admission track is
-//!   causally ordered (arrive ≤ admit ≤ start);
-//! * every task completes exactly once, whatever the arrival pattern;
-//! * per-GPU occupancy stays under the *current* capacity when a
-//!   `CapacityShrink` fault lands mid-stream;
+//! * random fault-free streams, and random streams with a mid-stream
+//!   capacity shrink, pass the scenario fuzzer's check: causality,
+//!   exactly-once outcomes and occupancy within the evolving capacity,
+//!   on a deterministic rerun;
 //! * the same seed replays a byte-identical event stream, including when
 //!   the runs are distributed over 1, 2 or 8 pool workers;
+//! * a mid-stream fail-stop under the admission loop and a 1k-task
+//!   Poisson stream both pass the validator for every family;
+//! * a fault-stranded deferral is shed under a shedding policy and
+//!   stalls `DeferOnly`;
 //! * at 2× overload, priority shedding keeps the p99 latency of admitted
 //!   tasks within a fixed multiple of the underloaded baseline, and
 //!   defer-only queueing does not.
 
+mod common;
+
+use common::{check_scenario, run_validated, small_spec, Faults, Scenarios};
 use memsched::experiments::pool;
 use memsched::platform::obs::{Counter, Metrics};
-use memsched::platform::{RunConfig, TraceEvent};
+use memsched::platform::{validate, RunConfig, TraceEvent};
 use memsched::prelude::*;
+use memsched::schedulers::FAMILIES;
 use memsched::workloads::{deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern};
 use proptest::prelude::*;
-
-const FAMILIES: [NamedScheduler; 6] = [
-    NamedScheduler::Eager,
-    NamedScheduler::Dmdar,
-    NamedScheduler::HmetisR,
-    NamedScheduler::Mhfp,
-    NamedScheduler::DartsLuf,
-    NamedScheduler::Router,
-];
-
-/// Strategy: a random task set (unit data, 1–3 inputs per task) with a
-/// random arrival stamp on every task.
-fn arb_stream_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
-    (2usize..=max_data, 1usize..=max_tasks)
-        .prop_flat_map(|(nd, mt)| {
-            let inputs =
-                proptest::collection::vec(proptest::collection::vec(0..nd as u32, 1..=3), mt);
-            let arrivals = proptest::collection::vec(0u64..20_000_000, mt);
-            (Just(nd), inputs, arrivals)
-        })
-        .prop_map(|(nd, task_inputs, arrivals)| {
-            let mut b = TaskSetBuilder::new();
-            let data: Vec<DataId> = (0..nd).map(|_| b.add_data(1)).collect();
-            for ins in task_inputs {
-                let ids: Vec<DataId> = ins.iter().map(|&i| data[i as usize]).collect();
-                b.add_task(&ids, 1000.0);
-            }
-            b.build().with_arrivals(arrivals)
-        })
-}
-
-fn small_spec(gpus: usize, mem: u64) -> PlatformSpec {
-    PlatformSpec {
-        num_gpus: gpus,
-        memory_bytes: mem, // unit-size items: capacity in items
-        bus_bandwidth: 1e9,
-        transfer_latency: 10,
-        gpu_gflops: 1e-3,
-        pipeline_depth: 2,
-        gpu_gflops_override: None,
-        nvlink_bandwidth: None,
-        bus_groups: None,
-    }
-}
 
 fn online_config() -> RunConfig {
     RunConfig {
@@ -74,147 +38,25 @@ fn online_config() -> RunConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Causality and exactly-once completion on random streams: arrivals
-    /// are time-ordered, no admit/start precedes the task's arrival, and
-    /// every task is admitted once, started and finished exactly once.
-    /// The same seed replays the identical stream.
+    /// Causality and exactly-once outcomes on random fault-free streams:
+    /// arrivals are time-ordered, no admit or start precedes the task's
+    /// arrival, every task is admitted or dropped once and every admitted
+    /// task starts and finishes exactly once, and the same seed replays
+    /// the identical stream — the scenario fuzzer's check on its online
+    /// fault-free slice.
     #[test]
-    fn online_stream_causality(
-        ts in arb_stream_taskset(10, 20),
-        gpus in 1usize..4,
-        mem in 3u64..8,
-    ) {
-        prop_assume!(ts.num_tasks() >= gpus);
-        let spec = small_spec(gpus, mem);
-        let config = online_config();
-        for named in FAMILIES {
-            let mut sched = named.build();
-            let (report, trace) =
-                memsched::platform::run_with_config(&ts, &spec, sched.as_mut(), &config)
-                    .unwrap();
-            let mut sched2 = named.build();
-            let (_r2, trace2) =
-                memsched::platform::run_with_config(&ts, &spec, sched2.as_mut(), &config)
-                    .unwrap();
-            prop_assert_eq!(&trace, &trace2, "{:?}: non-deterministic stream", named);
-
-            let n = ts.num_tasks();
-            let mut arrived = vec![0u32; n];
-            let mut admitted_at = vec![None::<u64>; n];
-            let mut started = vec![0u32; n];
-            let mut finished = vec![0u32; n];
-            let mut last_arrival = 0u64;
-            for ev in &trace {
-                match *ev {
-                    TraceEvent::TaskArrived { at, task } => {
-                        arrived[task] += 1;
-                        prop_assert!(
-                            at >= last_arrival,
-                            "{named:?}: arrivals out of order at t={at}"
-                        );
-                        last_arrival = at;
-                        prop_assert_eq!(
-                            at, ts.arrival(TaskId(task as u32)),
-                            "{:?}: task {} arrived at the wrong time", named, task
-                        );
-                    }
-                    TraceEvent::TaskAdmitted { at, task } => {
-                        prop_assert!(
-                            at >= ts.arrival(TaskId(task as u32)),
-                            "{named:?}: task {task} admitted before its arrival"
-                        );
-                        prop_assert!(admitted_at[task].is_none(), "double admission");
-                        admitted_at[task] = Some(at);
-                    }
-                    TraceEvent::TaskDeferred { at, task } => {
-                        prop_assert!(
-                            at >= ts.arrival(TaskId(task as u32)),
-                            "{named:?}: task {task} deferred before its arrival"
-                        );
-                    }
-                    TraceEvent::TaskStarted { at, task, .. } => {
-                        started[task] += 1;
-                        prop_assert!(
-                            at >= ts.arrival(TaskId(task as u32)),
-                            "{named:?}: task {task} started at {at} before its arrival"
-                        );
-                        let adm = admitted_at[task];
-                        prop_assert!(
-                            adm.is_some_and(|a| at >= a),
-                            "{named:?}: task {task} started before admission"
-                        );
-                    }
-                    TraceEvent::TaskFinished { task, .. } => finished[task] += 1,
-                    _ => {}
-                }
-            }
-            prop_assert!(arrived.iter().all(|&c| c == 1), "{named:?}: {arrived:?}");
-            prop_assert!(started.iter().all(|&c| c == 1), "{named:?}: {started:?}");
-            prop_assert!(finished.iter().all(|&c| c == 1), "{named:?}: {finished:?}");
-            let stats = report.online.as_ref().expect("online run must report stats");
-            prop_assert_eq!(stats.tasks_admitted as usize, n);
-            prop_assert!(stats.p50_latency <= stats.p99_latency);
-            prop_assert!(stats.p50_queueing <= stats.p99_queueing);
-        }
+    fn online_stream_causality(s in Scenarios { online: Some(true), faults: Faults::None }) {
+        check_scenario(&s)?;
     }
 
     /// Mid-stream capacity shrink: occupancy (resident + in-flight) never
     /// exceeds the evolving per-GPU capacity while tasks are still
-    /// arriving, and the stream still completes exactly once per task.
+    /// arriving, and every arrival still has exactly one outcome.
     #[test]
     fn online_occupancy_respects_midstream_shrink(
-        ts in arb_stream_taskset(10, 20),
-        gpus in 2usize..4,
-        mem in 4u64..8,
-        shrink_gpu in 0usize..2,
-        shrink_at in 0u64..20_000_000,
-        shrink_to in 3u64..5,
+        s in Scenarios { online: Some(true), faults: Faults::Shrink },
     ) {
-        prop_assume!(ts.num_tasks() >= gpus);
-        let spec = small_spec(gpus, mem);
-        let shrink_gpu = shrink_gpu % gpus;
-        let config = RunConfig {
-            faults: FaultPlan::none().with_capacity_shrink(
-                shrink_gpu,
-                shrink_at,
-                shrink_to.min(mem),
-            ),
-            ..online_config()
-        };
-        for named in FAMILIES {
-            let mut sched = named.build();
-            let (_report, trace) =
-                memsched::platform::run_with_config(&ts, &spec, sched.as_mut(), &config)
-                    .unwrap();
-            let mut cap = vec![spec.memory_bytes; gpus];
-            let mut occupied = vec![0u64; gpus];
-            let mut finished = vec![0u32; ts.num_tasks()];
-            for ev in &trace {
-                match *ev {
-                    TraceEvent::LoadIssued { gpu, data, .. } => {
-                        occupied[gpu] += ts.data_size(DataId(data as u32));
-                        prop_assert!(
-                            occupied[gpu] <= cap[gpu],
-                            "{named:?}: GPU {gpu} occupancy {} exceeds capacity {}",
-                            occupied[gpu], cap[gpu]
-                        );
-                    }
-                    TraceEvent::Evicted { gpu, data, .. } => {
-                        occupied[gpu] -= ts.data_size(DataId(data as u32));
-                    }
-                    TraceEvent::CapacityShrunk { gpu, capacity, .. } => {
-                        prop_assert!(occupied[gpu] <= capacity);
-                        cap[gpu] = capacity;
-                    }
-                    TraceEvent::TaskFinished { task, .. } => finished[task] += 1,
-                    _ => {}
-                }
-            }
-            prop_assert!(
-                finished.iter().all(|&c| c == 1),
-                "{named:?}: completion counts {finished:?}"
-            );
-        }
+        check_scenario(&s)?;
     }
 }
 
@@ -237,10 +79,7 @@ fn same_seed_streams_identical_across_worker_counts() {
     let config = online_config();
     let run_all = |jobs: usize| -> Vec<String> {
         pool::run_indexed(&FAMILIES, jobs, |_, named| {
-            let mut sched = named.build();
-            let (report, trace) =
-                memsched::platform::run_with_config(&ts, &spec, sched.as_mut(), &config)
-                    .expect("stream run");
+            let (report, trace) = run_validated(&ts, &spec, named.build().as_mut(), &config);
             format!("{}:{:?}", report.makespan, trace)
         })
     };
@@ -254,8 +93,9 @@ fn same_seed_streams_identical_across_worker_counts() {
 /// Regression for the `serve --faults` composition gap: a mid-stream
 /// fail-stop under the admission loop. Every task — including tasks
 /// admitted to (or already running on) the failed GPU — completes
-/// exactly once on the survivor, every post-failure start lands on an
-/// alive GPU, and nothing is shed under the default `DeferOnly` policy.
+/// exactly once on the survivor, nothing starts on the dead GPU, and
+/// nothing is shed under the default `DeferOnly` policy: the run passes
+/// the validator.
 #[test]
 fn midstream_failstop_with_admission_completes_exactly_once() {
     let ts = {
@@ -267,53 +107,23 @@ fn midstream_failstop_with_admission_completes_exactly_once() {
         );
         base.with_arrivals(arrivals)
     };
-    let n = ts.num_tasks();
     let tile = ts.data_size(DataId(0));
     let spec = PlatformSpec::v100(2).with_memory(4 * tile);
-    let fail_at = 2_000_000; // mid-stream: ~4 of 16 mean inter-arrivals in
     let config = RunConfig {
-        faults: FaultPlan::none().with_gpu_failure(1, fail_at),
+        // Mid-stream: ~4 of 16 mean inter-arrivals in.
+        faults: FaultPlan::none().with_gpu_failure(1, 2_000_000),
         ..online_config()
     };
     for named in FAMILIES {
-        let mut sched = named.build();
-        let (report, trace) =
-            memsched::platform::run_with_config(&ts, &spec, sched.as_mut(), &config)
-                .expect("fail-stop stream run");
-        let mut finished = vec![0u32; n];
-        for ev in &trace {
-            match *ev {
-                TraceEvent::TaskStarted { at, gpu, task } => {
-                    assert!(
-                        gpu != 1 || at < fail_at,
-                        "{named:?}: task {task} started on dead GPU 1 at t={at}"
-                    );
-                }
-                TraceEvent::TaskFinished { at, gpu, task } => {
-                    finished[task] += 1;
-                    assert!(
-                        gpu != 1 || at < fail_at,
-                        "{named:?}: task {task} finished on dead GPU 1 at t={at}"
-                    );
-                }
-                _ => {}
-            }
-        }
-        assert!(
-            finished.iter().all(|&c| c == 1),
-            "{named:?}: completion counts {finished:?}"
-        );
-        let stats = report.online.expect("online stats");
-        assert_eq!(stats.tasks_admitted as usize, n, "{named:?}");
-        assert_eq!(stats.tasks_shed, 0, "{named:?}: DeferOnly must not shed");
-        assert_eq!(stats.deadline_expired, 0, "{named:?}");
+        let (report, _) = run_validated(&ts, &spec, named.build().as_mut(), &config);
+        assert_eq!(report.gpu_failures, 1, "{named:?}: the failure must land mid-stream");
     }
 }
 
 /// Regression for `recheck_deferred_after_fault` + `shed_unfit_deferred`:
 /// a capacity shrink strands a deferred task whose footprint no longer
 /// fits any GPU. Under a shedding policy the task is shed and the run
-/// completes gracefully with an exactly-once outcome ledger; under the
+/// completes gracefully and passes the validator; under the
 /// default `DeferOnly` the same run reports `SchedulerStuck` — the
 /// pre-overload-control behaviour, pinned here on purpose.
 #[test]
@@ -339,24 +149,15 @@ fn fault_stranded_deferred_task_shed_under_policy_stuck_under_defer_only() {
     };
 
     for policy in [ShedPolicy::DeadlineShed, ShedPolicy::PriorityShed] {
+        let config = config_for(policy);
         let mut sched = NamedScheduler::Eager.build();
-        let (report, trace) =
-            memsched::platform::run_with_config(&ts, &spec, sched.as_mut(), &config_for(policy))
-                .expect("shedding run completes despite the stranded deferral");
+        let (report, trace) = run_validated(&ts, &spec, sched.as_mut(), &config);
         let stats = report.online.expect("online stats");
         assert_eq!(stats.tasks_admitted, 1, "{policy:?}");
         assert_eq!(stats.tasks_shed, 1, "{policy:?}");
         assert!(
-            trace
-                .iter()
-                .any(|ev| matches!(ev, TraceEvent::TaskShed { task: 1, .. })),
-            "{policy:?}: stranded deferral must surface as TaskShed"
-        );
-        assert!(
-            !trace
-                .iter()
-                .any(|ev| matches!(ev, TraceEvent::TaskStarted { task: 1, .. })),
-            "{policy:?}: a shed task must never start"
+            trace.contains(&TraceEvent::TaskShed { at: 200_000, task: 1 }),
+            "{policy:?}: stranded deferral must surface as TaskShed at the shrink"
         );
     }
 
@@ -398,6 +199,9 @@ fn all_families_complete_1k_task_poisson_stream() {
         let probe = Probe::unbounded();
         let (report, trace) =
             run_observed(&ts, &spec, sched.as_mut(), &config, &probe).expect("1k stream");
+        if let Err(v) = validate(&ts, &spec, &config, &trace, &report) {
+            panic!("{named:?}: {v}");
+        }
         let events = probe.events();
         let projected: Vec<TraceEvent> = events.iter().filter_map(TraceEvent::from_obs).collect();
         assert_eq!(projected, trace, "{named:?}");

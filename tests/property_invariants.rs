@@ -1,6 +1,11 @@
 //! Property-based tests (proptest) over random task sets: invariants of
 //! the model, the replay, the partitioner and the runtime engine.
 
+mod common;
+
+use common::{
+    arb_taskset, check_scenario, run_validated, small_spec, without_walls, Faults, Scenarios,
+};
 use memsched::platform::{RuntimeView, Scheduler, TraceEvent};
 use memsched::prelude::*;
 use proptest::prelude::*;
@@ -71,28 +76,6 @@ impl Scheduler for RecordingScheduler {
     }
 }
 
-/// Strategy: a random task set with `n_data` data items of unit size and
-/// up to `m` tasks with 1–3 inputs each.
-fn arb_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
-    (2usize..=max_data, 1usize..=max_tasks)
-        .prop_flat_map(|(nd, mt)| {
-            let inputs = proptest::collection::vec(
-                proptest::collection::vec(0..nd as u32, 1..=3),
-                mt,
-            );
-            (Just(nd), inputs)
-        })
-        .prop_map(|(nd, task_inputs)| {
-            let mut b = TaskSetBuilder::new();
-            let data: Vec<DataId> = (0..nd).map(|_| b.add_data(1)).collect();
-            for ins in task_inputs {
-                let ids: Vec<DataId> = ins.iter().map(|&i| data[i as usize]).collect();
-                b.add_task(&ids, 1000.0);
-            }
-            b.build()
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -135,29 +118,26 @@ proptest! {
     }
 
     /// The runtime engine runs every task exactly once for the dynamic
-    /// schedulers, for any random task set.
+    /// schedulers, for any random task set, with tracing off; the
+    /// untraced report equals that of a traced run that passes the
+    /// validator.
     #[test]
     fn engine_completes_random_tasksets(ts in arb_taskset(10, 20), gpus in 1usize..4) {
-        let spec = PlatformSpec {
-            num_gpus: gpus,
-            memory_bytes: 4, // four unit-size items
-            bus_bandwidth: 1e9,
-            transfer_latency: 10,
-            gpu_gflops: 1e-3,
-            pipeline_depth: 2,
-            gpu_gflops_override: None,
-            nvlink_bandwidth: None,
-            bus_groups: None,
+        let spec = small_spec(gpus, 4);
+        let traced = RunConfig {
+            trace: TraceMode::Full,
+            ..RunConfig::default()
         };
         for named in [NamedScheduler::Eager, NamedScheduler::DartsLuf, NamedScheduler::Dmdar] {
-            let mut sched = named.build();
-            let report = memsched::platform::run(&ts, &spec, sched.as_mut()).unwrap();
+            let report = memsched::platform::run(&ts, &spec, named.build().as_mut()).unwrap();
             let total: usize = report.per_gpu.iter().map(|g| g.tasks).sum();
             prop_assert_eq!(total, ts.num_tasks());
             // Loads at least cover every consumed data item once.
             prop_assert!(
                 report.total_loads >= memsched::model::bounds::min_total_loads(&ts)
             );
+            let (full, _) = run_validated(&ts, &spec, named.build().as_mut(), &traced);
+            prop_assert_eq!(without_walls(report), without_walls(full), "{:?}", named);
         }
     }
 
@@ -192,106 +172,13 @@ proptest! {
         prop_assert_eq!(all, expect);
     }
 
-    /// Engine trace invariants under random task sets: replay the
-    /// collected `TraceEvent` log and check that (a) per-GPU occupancy
-    /// (resident + in-flight loads) never exceeds the memory bound M,
-    /// (b) a data item is never evicted while a task reading it is
-    /// executing on that GPU (pinning), and (c) every task starts and
-    /// finishes exactly once.
+    /// Fault-free batch scenarios pass the scenario fuzzer's check: per-GPU
+    /// occupancy within M, no eviction of a running task's input, every
+    /// task started and finished exactly once, and the rest of
+    /// `validate`'s rules, on a deterministic rerun.
     #[test]
-    fn engine_trace_invariants(
-        ts in arb_taskset(10, 20),
-        gpus in 1usize..4,
-        mem in 3u64..8,
-    ) {
-        let spec = PlatformSpec {
-            num_gpus: gpus,
-            memory_bytes: mem, // unit-size items: capacity in items
-            bus_bandwidth: 1e9,
-            transfer_latency: 10,
-            gpu_gflops: 1e-3,
-            pipeline_depth: 2,
-            gpu_gflops_override: None,
-            nvlink_bandwidth: None,
-            bus_groups: None,
-        };
-        let config = RunConfig {
-            trace: TraceMode::Full,
-            ..RunConfig::default()
-        };
-        for named in [
-            NamedScheduler::Eager,
-            NamedScheduler::Dmdar,
-            NamedScheduler::Mhfp,
-            NamedScheduler::DartsLuf,
-        ] {
-            let mut sched = named.build();
-            let (report, trace) =
-                memsched::platform::run_with_config(&ts, &spec, sched.as_mut(), &config)
-                    .unwrap();
-
-            // Walk the trace in engine order.
-            let mut occupied = vec![0u64; gpus]; // bytes reserved per GPU
-            let mut running: Vec<Vec<usize>> = vec![Vec::new(); gpus];
-            let mut started = vec![0u32; ts.num_tasks()];
-            let mut finished = vec![0u32; ts.num_tasks()];
-            for ev in &trace {
-                match *ev {
-                    TraceEvent::LoadIssued { gpu, data, .. } => {
-                        occupied[gpu] += ts.data_size(DataId(data as u32));
-                        prop_assert!(
-                            occupied[gpu] <= spec.memory_bytes,
-                            "{named:?}: GPU {gpu} occupancy {} exceeds M {}",
-                            occupied[gpu], spec.memory_bytes
-                        );
-                    }
-                    TraceEvent::Evicted { gpu, data, .. } => {
-                        let sz = ts.data_size(DataId(data as u32));
-                        prop_assert!(occupied[gpu] >= sz, "evicting non-resident data");
-                        occupied[gpu] -= sz;
-                        for &t in &running[gpu] {
-                            prop_assert!(
-                                !ts.inputs(TaskId(t as u32)).contains(&(data as u32)),
-                                "{named:?}: data {data} evicted from GPU {gpu} while \
-                                 running task {t} reads it"
-                            );
-                        }
-                    }
-                    TraceEvent::TaskStarted { gpu, task, .. } => {
-                        running[gpu].push(task);
-                        started[task] += 1;
-                    }
-                    TraceEvent::TaskFinished { gpu, task, .. } => {
-                        running[gpu].retain(|&t| t != task);
-                        finished[task] += 1;
-                    }
-                    TraceEvent::LoadDone { .. } => {}
-                    // Fault and admission events cannot appear in these
-                    // fault-free batch runs.
-                    TraceEvent::GpuFailed { .. }
-                    | TraceEvent::TransferRetry { .. }
-                    | TraceEvent::CapacityShrunk { .. }
-                    | TraceEvent::GpuSlowed { .. }
-                    | TraceEvent::TaskArrived { .. }
-                    | TraceEvent::TaskAdmitted { .. }
-                    | TraceEvent::TaskDeferred { .. }
-                    | TraceEvent::TaskShed { .. }
-                    | TraceEvent::DeadlineExpired { .. } => {
-                        prop_assert!(false, "unexpected event in a batch run: {ev:?}");
-                    }
-                }
-            }
-            prop_assert!(
-                started.iter().all(|&c| c == 1),
-                "{named:?}: some task did not start exactly once: {started:?}"
-            );
-            prop_assert!(
-                finished.iter().all(|&c| c == 1),
-                "{named:?}: some task did not finish exactly once: {finished:?}"
-            );
-            let total: usize = report.per_gpu.iter().map(|g| g.tasks).sum();
-            prop_assert_eq!(total, ts.num_tasks());
-        }
+    fn engine_trace_invariants(s in Scenarios { online: Some(false), faults: Faults::None }) {
+        check_scenario(&s)?;
     }
 
     /// The runtime notifications are a faithful mirror of the engine's
@@ -305,24 +192,13 @@ proptest! {
         gpus in 1usize..4,
         mem in 3u64..8,
     ) {
-        let spec = PlatformSpec {
-            num_gpus: gpus,
-            memory_bytes: mem, // unit-size items: capacity in items
-            bus_bandwidth: 1e9,
-            transfer_latency: 10,
-            gpu_gflops: 1e-3,
-            pipeline_depth: 2,
-            gpu_gflops_override: None,
-            nvlink_bandwidth: None,
-            bus_groups: None,
-        };
+        let spec = small_spec(gpus, mem);
         let config = RunConfig {
             trace: TraceMode::Full,
             ..RunConfig::default()
         };
         let mut sched = RecordingScheduler::default();
-        let (_report, trace) =
-            memsched::platform::run_with_config(&ts, &spec, &mut sched, &config).unwrap();
+        let (_report, trace) = run_validated(&ts, &spec, &mut sched, &config);
         let expected: Vec<(u64, HookEvent)> = trace
             .iter()
             .filter_map(|ev| match *ev {
@@ -358,133 +234,14 @@ proptest! {
         prop_assert_eq!(&sched.hooks, &expected);
     }
 
-    /// Fault-injection invariants, all five scheduler families: under a
-    /// combined fail-stop + capacity shrink + straggler + flaky-bus plan,
-    /// (a) the same seed replays an identical event stream, (b) per-GPU
-    /// occupancy never exceeds the *current* (possibly shrunk) capacity,
-    /// (c) every task finishes exactly once and any extra start sits on
-    /// the GPU that later died, and (d) no task is lost.
+    /// Batch scenarios under a fail-stop, a capacity shrink, a straggler
+    /// and a flaky bus at once pass the scenario fuzzer's check: the same
+    /// seed replays an identical run, occupancy stays within the current
+    /// (possibly shrunk) capacity, and every task finishes exactly once,
+    /// any extra start sitting on the GPU that died.
     #[test]
-    fn fault_recovery_invariants(
-        ts in arb_taskset(10, 20),
-        gpus in 2usize..4,
-        mem in 4u64..8,
-        dead_gpu in 0usize..2,
-        fail_at in 0u64..10_000_000,
-        shrink_at in 0u64..10_000_000,
-        shrink_to in 3u64..5,
-        slow_at in 0u64..10_000_000,
-        slow_pct in 25u32..100,
-        flaky_seed in any::<u64>(),
-    ) {
-        // The hMETIS partitioner needs at least one task per part.
-        prop_assume!(ts.num_tasks() >= gpus);
-        let dead_gpu = dead_gpu % gpus;
-        let shrunk_gpu = (dead_gpu + 1) % gpus; // always a survivor
-        let spec = PlatformSpec {
-            num_gpus: gpus,
-            memory_bytes: mem, // unit-size items: capacity in items
-            bus_bandwidth: 1e9,
-            transfer_latency: 10,
-            gpu_gflops: 1e-3,
-            pipeline_depth: 2,
-            gpu_gflops_override: None,
-            nvlink_bandwidth: None,
-            bus_groups: None,
-        };
-        let plan = FaultPlan::none()
-            .with_gpu_failure(dead_gpu, fail_at)
-            .with_capacity_shrink(shrunk_gpu, shrink_at, shrink_to.min(mem))
-            .with_straggler(shrunk_gpu, slow_at, f64::from(slow_pct) / 100.0)
-            .with_transfer_faults(TransferFaultSpec {
-                seed: flaky_seed,
-                fault_ppm: 150_000,
-                max_attempts: 16,
-                backoff_base: 100,
-            });
-        let config = RunConfig {
-            trace: TraceMode::Full,
-            faults: plan,
-            ..RunConfig::default()
-        };
-        for named in [
-            NamedScheduler::Eager,
-            NamedScheduler::Dmdar,
-            NamedScheduler::HmetisR,
-            NamedScheduler::Mhfp,
-            NamedScheduler::DartsLuf,
-        ] {
-            let mut sched = named.build();
-            let (report, trace) =
-                memsched::platform::run_with_config(&ts, &spec, sched.as_mut(), &config)
-                    .unwrap();
-            // (a) determinism: a second run replays the exact stream.
-            let mut sched2 = named.build();
-            let (report2, trace2) =
-                memsched::platform::run_with_config(&ts, &spec, sched2.as_mut(), &config)
-                    .unwrap();
-            prop_assert_eq!(&trace, &trace2, "{:?}: non-deterministic replay", named);
-            prop_assert_eq!(report.makespan, report2.makespan);
-
-            // (b)+(c): walk the trace against the evolving capacity.
-            let mut cap = vec![spec.memory_bytes; gpus];
-            let mut occupied = vec![0u64; gpus];
-            let mut started_on: Vec<Vec<usize>> = vec![Vec::new(); ts.num_tasks()];
-            let mut finished = vec![0u32; ts.num_tasks()];
-            for ev in &trace {
-                match *ev {
-                    TraceEvent::LoadIssued { gpu, data, .. } => {
-                        occupied[gpu] += ts.data_size(DataId(data as u32));
-                        prop_assert!(
-                            occupied[gpu] <= cap[gpu],
-                            "{named:?}: GPU {gpu} occupancy {} exceeds current capacity {}",
-                            occupied[gpu], cap[gpu]
-                        );
-                    }
-                    TraceEvent::Evicted { gpu, data, .. } => {
-                        occupied[gpu] -= ts.data_size(DataId(data as u32));
-                    }
-                    TraceEvent::CapacityShrunk { gpu, capacity, .. } => {
-                        prop_assert!(
-                            occupied[gpu] <= capacity,
-                            "{named:?}: shrink left occupancy {} above capacity {capacity}",
-                            occupied[gpu]
-                        );
-                        cap[gpu] = capacity;
-                    }
-                    TraceEvent::TaskStarted { gpu, task, .. } => started_on[task].push(gpu),
-                    TraceEvent::TaskFinished { task, .. } => finished[task] += 1,
-                    _ => {}
-                }
-            }
-            for t in 0..ts.num_tasks() {
-                prop_assert_eq!(
-                    finished[t], 1,
-                    "{:?}: task {} finished {} times", named, t, finished[t]
-                );
-                let starts = &started_on[t];
-                prop_assert!(!starts.is_empty());
-                // Every start except the successful (last) one must have
-                // been interrupted by the fail-stop of its GPU.
-                for &g in &starts[..starts.len() - 1] {
-                    prop_assert_eq!(
-                        g, dead_gpu,
-                        "{:?}: task {} restarted without its GPU dying", named, t
-                    );
-                }
-            }
-            // (d) zero lost tasks.
-            let total: usize = report.per_gpu.iter().map(|g| g.tasks).sum();
-            prop_assert_eq!(total, ts.num_tasks());
-            // A fail-stop scheduled past the end of the run never fires;
-            // when it does fire, the report and trace must agree.
-            let traced_failures = trace
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::GpuFailed { .. }))
-                .count() as u64;
-            prop_assert!(report.gpu_failures <= 1);
-            prop_assert_eq!(report.gpu_failures, traced_failures);
-        }
+    fn fault_recovery_invariants(s in Scenarios { online: Some(false), faults: Faults::Every }) {
+        check_scenario(&s)?;
     }
 
     /// A bus that faults every delivery attempt exhausts the retry budget
@@ -496,17 +253,7 @@ proptest! {
         max_attempts in 1u32..4,
         seed in any::<u64>(),
     ) {
-        let spec = PlatformSpec {
-            num_gpus: 2,
-            memory_bytes: 4,
-            bus_bandwidth: 1e9,
-            transfer_latency: 10,
-            gpu_gflops: 1e-3,
-            pipeline_depth: 2,
-            gpu_gflops_override: None,
-            nvlink_bandwidth: None,
-            bus_groups: None,
-        };
+        let spec = small_spec(2, 4);
         let config = RunConfig {
             faults: FaultPlan::none().with_transfer_faults(TransferFaultSpec {
                 seed,
@@ -534,17 +281,7 @@ proptest! {
     /// DMDA allocation covers every task exactly once.
     #[test]
     fn dmda_allocation_is_partition(ts in arb_taskset(8, 20), gpus in 1usize..4) {
-        let spec = PlatformSpec {
-            num_gpus: gpus,
-            memory_bytes: 1000,
-            bus_bandwidth: 1e9,
-            transfer_latency: 10,
-            gpu_gflops: 1e-3,
-            pipeline_depth: 2,
-            gpu_gflops_override: None,
-            nvlink_bandwidth: None,
-            bus_groups: None,
-        };
+        let spec = small_spec(gpus, 1000);
         let mut s = memsched::schedulers::DmdaScheduler::dmdar();
         use memsched::platform::Scheduler as _;
         s.prepare(&ts, &spec);

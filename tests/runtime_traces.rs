@@ -1,27 +1,26 @@
-//! Trace-level integration tests: fine-grained invariants of the engine
-//! that hold for every scheduler, verified from the event log.
+//! Trace-level integration tests over every scheduler: each run passes
+//! `memsched_platform::validate` (residency, exactly-once execution,
+//! load/eviction conservation), the trace analysis agrees with the
+//! report, NVLink cuts PCI traffic, and traced runs replay identically.
 
-use memsched::platform::{analysis, run_with_config, RunConfig, TraceEvent};
+mod common;
+
+use common::run_validated;
+use memsched::platform::{analysis, RunConfig, TraceEvent};
 use memsched::prelude::*;
 use memsched::workloads::{self, constants::GEMM2D_DATA_BYTES};
-use std::collections::HashSet;
 
+/// A validated `TraceMode::Full` run of `named`.
 fn traced(
     named: &NamedScheduler,
     ts: &TaskSet,
     spec: &PlatformSpec,
 ) -> (RunReport, Vec<TraceEvent>) {
-    let mut sched = named.build();
-    run_with_config(
-        ts,
-        spec,
-        sched.as_mut(),
-        &RunConfig {
-            trace: TraceMode::Full,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{named:?}: {e}"))
+    let config = RunConfig {
+        trace: TraceMode::Full,
+        ..Default::default()
+    };
+    run_validated(ts, spec, named.build().as_mut(), &config)
 }
 
 fn all_schedulers() -> Vec<NamedScheduler> {
@@ -37,100 +36,48 @@ fn all_schedulers() -> Vec<NamedScheduler> {
     ]
 }
 
-/// No task may start before every one of its inputs was loaded onto its
-/// GPU (and not evicted since) — replayed directly from the trace.
-#[test]
-fn tasks_only_start_with_resident_inputs() {
+/// Every scheduler's validated run of `gemm_2d(8)` on two V100s holding
+/// `cap_items` tiles each.
+fn validate_every_scheduler(cap_items: u64) -> Vec<(NamedScheduler, RunReport)> {
     let ts = workloads::gemm_2d(8);
-    let spec = PlatformSpec::v100(2).with_memory(5 * GEMM2D_DATA_BYTES);
-    for named in all_schedulers() {
-        let (_, trace) = traced(&named, &ts, &spec);
-        let mut resident: Vec<HashSet<usize>> = vec![HashSet::new(); 2];
-        for ev in &trace {
-            match *ev {
-                TraceEvent::LoadDone { gpu, data, .. } => {
-                    resident[gpu].insert(data);
-                }
-                TraceEvent::Evicted { gpu, data, .. } => {
-                    assert!(
-                        resident[gpu].remove(&data),
-                        "{named:?}: evicted non-resident D{data} on GPU{gpu}"
-                    );
-                }
-                TraceEvent::TaskStarted { gpu, task, .. } => {
-                    for &d in ts.inputs(TaskId(task as u32)) {
-                        assert!(
-                            resident[gpu].contains(&(d as usize)),
-                            "{named:?}: T{task} started without D{d} on GPU{gpu}"
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
+    let spec = PlatformSpec::v100(2).with_memory(cap_items * GEMM2D_DATA_BYTES);
+    all_schedulers()
+        .into_iter()
+        .map(|named| {
+            let (report, _) = traced(&named, &ts, &spec);
+            (named, report)
+        })
+        .collect()
 }
 
-/// Every task appears exactly once as Started and once as Finished, on
-/// the same GPU, with start ≤ finish.
+/// No task starts before every one of its inputs was loaded onto its GPU
+/// and not evicted since — the validator's residency rule, at 4 tiles,
+/// the tightest memory of these tests, so evictions are frequent.
+#[test]
+fn tasks_only_start_with_resident_inputs() {
+    validate_every_scheduler(4);
+}
+
+/// Every task starts and finishes exactly once, on the same GPU, with
+/// start ≤ finish — the validator's execution ledger.
 #[test]
 fn every_task_runs_exactly_once() {
-    let ts = workloads::gemm_2d(8);
-    let spec = PlatformSpec::v100(2).with_memory(6 * GEMM2D_DATA_BYTES);
-    for named in all_schedulers() {
-        let (_, trace) = traced(&named, &ts, &spec);
-        let mut started = vec![None; ts.num_tasks()];
-        let mut finished = vec![false; ts.num_tasks()];
-        for ev in &trace {
-            match *ev {
-                TraceEvent::TaskStarted { at, gpu, task } => {
-                    assert!(started[task].is_none(), "{named:?}: T{task} started twice");
-                    started[task] = Some((at, gpu));
-                }
-                TraceEvent::TaskFinished { at, gpu, task } => {
-                    let (s, g) = started[task].expect("finish without start");
-                    assert_eq!(g, gpu, "{named:?}: T{task} moved GPUs mid-flight");
-                    assert!(s <= at);
-                    assert!(!finished[task], "{named:?}: T{task} finished twice");
-                    finished[task] = true;
-                }
-                _ => {}
-            }
-        }
-        assert!(finished.iter().all(|&f| f), "{named:?}: lost tasks");
-    }
+    validate_every_scheduler(6);
 }
 
 /// Per GPU, the trace's load, eviction and task counts equal the
-/// report's; loads minus evictions equals the data still resident at the
-/// end — and that never exceeds the memory capacity.
+/// report's (the validator's report-equals-fold rule); loads minus
+/// evictions is the data still resident at the end, which never exceeds
+/// the memory capacity.
 #[test]
 fn load_evict_conservation() {
-    let ts = workloads::gemm_2d(8);
-    let cap_items = 5u64;
-    let spec = PlatformSpec::v100(2).with_memory(cap_items * GEMM2D_DATA_BYTES);
-    for named in all_schedulers() {
-        let (report, trace) = traced(&named, &ts, &spec);
-        for g in 0..2 {
-            let loads = trace
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::LoadDone { gpu, .. } if *gpu == g))
-                .count() as u64;
-            let evictions = trace
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::Evicted { gpu, .. } if *gpu == g))
-                .count() as u64;
-            let tasks = trace
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::TaskFinished { gpu, .. } if *gpu == g))
-                .count();
-            assert_eq!(loads, report.per_gpu[g].loads, "{named:?}");
-            assert_eq!(evictions, report.per_gpu[g].evictions, "{named:?}");
-            assert_eq!(tasks, report.per_gpu[g].tasks, "{named:?}");
-            let final_resident = loads - evictions;
+    let cap_items = 5;
+    for (named, report) in validate_every_scheduler(cap_items) {
+        for g in &report.per_gpu {
+            let final_resident = g.loads - g.evictions;
             assert!(
                 final_resident <= cap_items,
-                "{named:?}: GPU{g} ends with {final_resident} > {cap_items} items"
+                "{named:?}: a GPU ends with {final_resident} > {cap_items} items"
             );
         }
     }
