@@ -21,7 +21,7 @@
 //! exit with status 2 before anything runs.
 
 use memsched_experiments::chaos::{check_cell, compose, digest, Chaos, Outcome, POLICIES};
-use memsched_experiments::cli::parse_scheds;
+use memsched_experiments::cli::{check_flags, parse_scheds, value_of};
 use memsched_experiments::obs::validate_out_path;
 use memsched_experiments::pool;
 use memsched_platform::ShedPolicy;
@@ -38,37 +38,8 @@ struct ChaosArgs {
 const KNOWN_VALUE_FLAGS: &[&str] = &["--seeds", "--sched", "--jobs", "--out"];
 
 fn parse_from(args: Vec<String>) -> Result<ChaosArgs, String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--quick" {
-            i += 1;
-        } else if let Some((flag, _)) = a.split_once('=') {
-            if !KNOWN_VALUE_FLAGS.contains(&flag) {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-            i += 1;
-        } else if KNOWN_VALUE_FLAGS.contains(&a.as_str()) {
-            if args.get(i + 1).is_none() {
-                return Err(format!("{a}: missing value"));
-            }
-            i += 2;
-        } else {
-            return Err(format!("unknown argument {a:?}"));
-        }
-    }
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                let prefix = format!("{flag}=");
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&prefix))
-                    .map(str::to_string)
-            })
-    };
+    check_flags(&args, &["--quick"], KNOWN_VALUE_FLAGS)?;
+    let value_of = |flag: &str| value_of(&args, flag);
     let quick = args.iter().any(|a| a == "--quick");
     let mut seeds = match value_of("--seeds") {
         Some(s) => {

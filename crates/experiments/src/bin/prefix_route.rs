@@ -11,6 +11,7 @@
 //! value, a `--csv` path in a missing directory and stray arguments
 //! exit with status 2 before any cell runs.
 
+use memsched_experiments::cli::{check_flags, value_of};
 use memsched_experiments::obs::validate_out_path;
 use memsched_experiments::prefix_route::{run_sweep, PressureRow, SweepConfig};
 
@@ -21,43 +22,24 @@ struct Args {
     csv: Option<String>,
 }
 
-fn parse_from(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut out = Args {
-        quick: false,
-        seed: 42,
-        csv: None,
+fn parse_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let args: Vec<String> = args.collect();
+    check_flags(&args, &["--quick"], &["--seed", "--csv"])?;
+    let seed = match value_of(&args, "--seed") {
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|_| format!("--seed {v:?}: not a u64"))?,
+        None => 42,
     };
-    while let Some(a) = args.next() {
-        let (flag, inline) = match a.split_once('=') {
-            Some((f, v)) => (f, Some(v.to_string())),
-            None => (a.as_str(), None),
-        };
-        match flag {
-            "--quick" if inline.is_none() => out.quick = true,
-            "--seed" | "--csv" => {
-                let v = match inline {
-                    Some(v) => v,
-                    None => args
-                        .next()
-                        .ok_or_else(|| format!("{flag}: missing value"))?,
-                };
-                if flag == "--seed" {
-                    out.seed = v
-                        .parse::<u64>()
-                        .map_err(|_| format!("--seed {v:?}: not a u64"))?;
-                } else {
-                    if v.starts_with("--") {
-                        return Err(format!("--csv {v:?}: not a path"));
-                    }
-                    validate_out_path("--csv", &v)?;
-                    out.csv = Some(v);
-                }
-            }
-            _ if a.starts_with("--") => return Err(format!("unknown flag {a:?}")),
-            _ => return Err(format!("unknown argument {a:?}")),
-        }
+    let csv = value_of(&args, "--csv");
+    if let Some(p) = &csv {
+        validate_out_path("--csv", p)?;
     }
-    Ok(out)
+    Ok(Args {
+        quick: args.iter().any(|a| a == "--quick"),
+        seed,
+        csv,
+    })
 }
 
 fn human_table(rows: &[PressureRow]) -> String {
@@ -146,7 +128,7 @@ mod tests {
         assert!(err(&["--seed"]).contains("missing value"));
         assert!(err(&["--csv"]).contains("missing value"));
         assert!(err(&["--seed", "x"]).contains("not a u64"));
-        assert!(err(&["--csv", "--quick"]).contains("not a path"));
+        assert!(err(&["--csv", "--quick"]).contains("missing value"));
         assert!(err(&["--csv", "/no/such/dir/x.csv"]).contains("does not exist"));
         assert!(err(&["--quick", "stray"]).contains("unknown argument"));
         assert!(err(&["--jobs", "2"]).contains("unknown flag"));

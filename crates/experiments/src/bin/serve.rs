@@ -29,9 +29,9 @@
 //! binaries; malformed flags exit with status 2 before anything runs.
 //! `--trace-out`/`--metrics-out` re-run the representative cell (first
 //! scheduler, highest rate) observed and export the timeline — with the
-//! arrival/admit/defer admission track — and the metrics registry
-//! including the latency histograms (`trace_lint --metrics` checks
-//! them).
+//! arrival/admit/defer admission track — and the metrics JSON: the
+//! report's counts, per-GPU split and serving statistics beside the
+//! registry's latency histograms (`trace_lint --metrics` checks them).
 //!
 //! `--closed-loop N` switches the traffic class: `N` clients each keep
 //! one request in flight, thinking for an exponential time between the
@@ -55,14 +55,12 @@
 //! `shed`, `deadline_expired`, `deadline_violations`, `goodput_tps` and
 //! `;`-joined per-class drop/completion columns.
 
-use memsched_experiments::cli::parse_scheds;
-use memsched_experiments::obs::{self, TraceFormat};
+use memsched_experiments::cli::{check_flags, parse_scheds, value_of};
+use memsched_experiments::obs::{self, ObsOut};
 use memsched_experiments::pool;
 use memsched_model::{DataId, TaskSet};
-use memsched_platform::obs::{chrome_trace_json, paje_trace, Metrics, Probe};
 use memsched_platform::{
-    run_observed, run_with_config, AdmissionConfig, FaultPlan, PlatformSpec, RunConfig, RunReport,
-    ShedPolicy,
+    run_with_config, AdmissionConfig, FaultPlan, PlatformSpec, RunConfig, RunReport, ShedPolicy,
 };
 use memsched_schedulers::NamedScheduler;
 use memsched_workloads::{
@@ -158,9 +156,7 @@ struct ServeArgs {
     jobs: usize,
     faults: FaultPlan,
     out: Option<String>,
-    trace_out: Option<String>,
-    trace_format: TraceFormat,
-    metrics_out: Option<String>,
+    obs: ObsOut,
 }
 
 const KNOWN_VALUE_FLAGS: &[&str] = &[
@@ -179,45 +175,11 @@ const KNOWN_VALUE_FLAGS: &[&str] = &[
     "--jobs",
     "--faults",
     "--out",
-    "--trace-out",
-    "--trace-format",
-    "--metrics-out",
 ];
 
 fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
-    // Reject unknown flags up front (exit-2 convention): every argument
-    // must be --quick, a known --flag VALUE pair, or --flag=VALUE.
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--quick" {
-            i += 1;
-        } else if let Some((flag, _)) = a.split_once('=') {
-            if !KNOWN_VALUE_FLAGS.contains(&flag) {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-            i += 1;
-        } else if KNOWN_VALUE_FLAGS.contains(&a.as_str()) {
-            if args.get(i + 1).is_none() {
-                return Err(format!("{a}: missing value"));
-            }
-            i += 2;
-        } else {
-            return Err(format!("unknown argument {a:?}"));
-        }
-    }
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                let prefix = format!("{flag}=");
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&prefix))
-                    .map(str::to_string)
-            })
-    };
+    check_flags(&args, &["--quick"], &[KNOWN_VALUE_FLAGS, &ObsOut::FLAGS].concat())?;
+    let value_of = |flag: &str| value_of(&args, flag);
     let quick = args.iter().any(|a| a == "--quick");
 
     let mut rates: Vec<f64> = match value_of("--arrival-rate") {
@@ -261,30 +223,9 @@ fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
         }
         None => 1.0,
     };
-    let tasks = match value_of("--tasks") {
-        Some(t) => {
-            let n = t
-                .parse::<usize>()
-                .map_err(|_| format!("--tasks {t:?}: not a number"))?;
-            if n == 0 {
-                return Err("--tasks 0: must be positive".to_string());
-            }
-            Some(n)
-        }
-        None => None,
-    };
-    let closed_loop = match value_of("--closed-loop") {
-        Some(c) => {
-            let n = c
-                .parse::<usize>()
-                .map_err(|_| format!("--closed-loop {c:?}: not a number"))?;
-            if n == 0 {
-                return Err("--closed-loop 0: need at least one client".to_string());
-            }
-            Some(n)
-        }
-        None => None,
-    };
+    let tasks = count_of(value_of("--tasks"), "--tasks", "must be positive")?;
+    let closed_loop =
+        count_of(value_of("--closed-loop"), "--closed-loop", "need at least one client")?;
     let scheds = parse_scheds(&value_of("--sched").unwrap_or_else(|| "all".to_string()))?;
     let shed = match value_of("--shed") {
         Some(p) => ShedPolicy::parse(&p)?,
@@ -302,30 +243,9 @@ fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
         }
         None => None,
     };
-    let classes = match value_of("--classes") {
-        Some(c) => {
-            let n = c
-                .parse::<usize>()
-                .map_err(|_| format!("--classes {c:?}: not a number"))?;
-            if n == 0 {
-                return Err("--classes 0: need at least one class".to_string());
-            }
-            n
-        }
-        None => 1,
-    };
-    let backlog = match value_of("--backlog") {
-        Some(b) => {
-            let n = b
-                .parse::<usize>()
-                .map_err(|_| format!("--backlog {b:?}: not a number"))?;
-            if n == 0 {
-                return Err("--backlog 0: must be positive".to_string());
-            }
-            Some(n)
-        }
-        None => None,
-    };
+    let classes =
+        count_of(value_of("--classes"), "--classes", "need at least one class")?.unwrap_or(1);
+    let backlog = count_of(value_of("--backlog"), "--backlog", "must be positive")?;
     if shed == ShedPolicy::PriorityShed && backlog.is_none() {
         return Err(
             "--shed priority needs --backlog N (the deferred-queue cap it enforces)".to_string(),
@@ -352,18 +272,7 @@ fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
     if let Some(p) = &out {
         obs::validate_out_path("--out", p)?;
     }
-    let trace_out = value_of("--trace-out");
-    if let Some(p) = &trace_out {
-        obs::validate_out_path("--trace-out", p)?;
-    }
-    let metrics_out = value_of("--metrics-out");
-    if let Some(p) = &metrics_out {
-        obs::validate_out_path("--metrics-out", p)?;
-    }
-    let trace_format = match value_of("--trace-format") {
-        Some(f) => TraceFormat::parse(&f)?,
-        None => TraceFormat::default(),
-    };
+    let obs = ObsOut::parse(value_of)?;
     if quick {
         rates.truncate(1);
         duration_s = duration_s.min(0.25);
@@ -384,10 +293,20 @@ fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
         jobs: pool::resolve_jobs(jobs_arg),
         faults,
         out,
-        trace_out,
-        trace_format,
-        metrics_out,
+        obs,
     })
+}
+
+/// A flag's value as a count of at least one; `zero` says why 0 is
+/// refused.
+fn count_of(value: Option<String>, flag: &str, zero: &str) -> Result<Option<usize>, String> {
+    value
+        .map(|v| match v.parse::<usize>() {
+            Ok(0) => Err(format!("{flag} 0: {zero}")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("{flag} {v:?}: not a number")),
+        })
+        .transpose()
 }
 
 /// The stream workload for one cell: a 2D-GEMM grid (or a prefix-tree
@@ -514,17 +433,21 @@ const CSV_HEADER: &str = "scheduler,pattern,clients,rate_per_sec,tasks,makespan_
                           throughput_tps,admitted,deferred,shed_policy,shed,deadline_expired,\
                           deadline_violations,goodput_tps,shed_per_class,completed_per_class";
 
-fn csv_row(args: &ServeArgs, c: &CellResult) -> String {
-    let o = c.report.online.clone().unwrap_or_default();
-    let pattern = if args.closed_loop.is_some() {
+/// The traffic label of the CSV and the metrics JSON.
+fn pattern_label(args: &ServeArgs) -> &'static str {
+    if args.closed_loop.is_some() {
         "closed-loop"
     } else {
         args.pattern.label()
-    };
+    }
+}
+
+fn csv_row(args: &ServeArgs, c: &CellResult) -> String {
+    let o = c.report.online.clone().unwrap_or_default();
     format!(
         "{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{:.3},{},{}",
         c.scheduler,
-        pattern,
+        pattern_label(args),
         args.closed_loop.unwrap_or(0),
         c.rate,
         c.tasks,
@@ -547,87 +470,24 @@ fn csv_row(args: &ServeArgs, c: &CellResult) -> String {
     )
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 /// Observed re-run of the representative cell (first scheduler, highest
 /// rate) for `--trace-out` / `--metrics-out`.
 fn export_obs(args: &ServeArgs) -> Result<(), String> {
-    if args.trace_out.is_none() && args.metrics_out.is_none() {
+    if !args.obs.is_active() {
         return Ok(());
     }
     let named = args.scheds.first().expect("non-empty scheduler list");
     let rate = args.rates.iter().cloned().fold(f64::MIN, f64::max);
     let ts = stream_taskset(args, rate);
+    let header = vec![
+        ("bin", Value::Str("serve".to_string())),
+        ("pattern", Value::Str(pattern_label(args).to_string())),
+        ("clients", Value::Num(Number::U(args.closed_loop.unwrap_or(0) as u64))),
+        ("rate_per_sec", Value::Num(Number::F(rate))),
+        ("shed_policy", Value::Str(args.shed.as_str().to_string())),
+    ];
     let spec = stream_spec(args, &ts);
-    let mut sched = named.build();
-    let config = serve_config(args);
-    let probe = Probe::unbounded();
-    let (report, _trace) = run_observed(&ts, &spec, sched.as_mut(), &config, &probe)
-        .map_err(|e| format!("observed cell failed: {e}"))?;
-    let events = probe.events();
-
-    if let Some(path) = &args.trace_out {
-        let text = match args.trace_format {
-            TraceFormat::Chrome => {
-                chrome_trace_json(&events).map_err(|e| format!("chrome export: {e}"))?
-            }
-            TraceFormat::Paje => paje_trace(&events).map_err(|e| format!("paje export: {e}"))?,
-        };
-        std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path} ({} events)", events.len());
-    }
-    if let Some(path) = &args.metrics_out {
-        let mut metrics = Metrics::with_snapshots((report.makespan / 64).max(1));
-        metrics.ingest(&events);
-        let o = report.online.clone().unwrap_or_default();
-        let root = obj(vec![
-            ("bin", Value::Str("serve".to_string())),
-            ("scheduler", Value::Str(report.scheduler.clone())),
-            (
-                "pattern",
-                Value::Str(if args.closed_loop.is_some() {
-                    "closed-loop".to_string()
-                } else {
-                    args.pattern.label().to_string()
-                }),
-            ),
-            (
-                "clients",
-                Value::Num(Number::U(args.closed_loop.unwrap_or(0) as u64)),
-            ),
-            ("rate_per_sec", Value::Num(Number::F(rate))),
-            ("shed_policy", Value::Str(args.shed.as_str().to_string())),
-            ("makespan_ns", Value::Num(Number::U(report.makespan))),
-            (
-                "online",
-                obj(vec![
-                    ("tasks_admitted", Value::Num(Number::U(o.tasks_admitted))),
-                    ("tasks_deferred", Value::Num(Number::U(o.tasks_deferred))),
-                    ("p50_latency_ns", Value::Num(Number::U(o.p50_latency))),
-                    ("p99_latency_ns", Value::Num(Number::U(o.p99_latency))),
-                    ("mean_latency_ns", Value::Num(Number::U(o.mean_latency))),
-                    ("p50_queueing_ns", Value::Num(Number::U(o.p50_queueing))),
-                    ("p99_queueing_ns", Value::Num(Number::U(o.p99_queueing))),
-                    ("throughput_tps", Value::Num(Number::F(o.throughput_tps))),
-                    ("tasks_shed", Value::Num(Number::U(o.tasks_shed))),
-                    ("deadline_expired", Value::Num(Number::U(o.deadline_expired))),
-                    (
-                        "deadline_violations",
-                        Value::Num(Number::U(o.deadline_violations)),
-                    ),
-                    ("goodput_tps", Value::Num(Number::F(o.goodput_tps))),
-                ]),
-            ),
-            ("metrics", metrics.to_value()),
-        ]);
-        let text = serde_json::to_string_pretty(&root)
-            .map_err(|e| format!("serialize metrics: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
+    args.obs.export(&ts, &spec, named.build().as_mut(), &serve_config(args), header)
 }
 
 fn main() {
@@ -769,5 +629,19 @@ mod tests {
     fn unknown_flags_are_rejected() {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--workload"]).unwrap_err().contains("missing value"));
+    }
+
+    #[test]
+    fn obs_flags_need_their_values() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        let typo = "unknown flag \"--metric-out\"";
+        assert_eq!(err(&["--quick", "--metric-out", "m.json"]), typo);
+        assert_eq!(err(&["--quick", "--metric-out=m.json"]), typo);
+        assert_eq!(err(&["--quick", "--trace-out"]), "--trace-out: missing value");
+        assert_eq!(err(&["--trace-out", "--quick"]), "--trace-out: missing value");
+        assert_eq!(err(&["--metrics-out", "--seed", "1"]), "--metrics-out: missing value");
+        // The `=` form passes any value, a leading `--` included.
+        let args = parse(&["--trace-out=--t.json", "--quick"]).unwrap();
+        assert_eq!(args.obs.trace_out.as_deref(), Some("--t.json"));
     }
 }

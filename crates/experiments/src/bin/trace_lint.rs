@@ -12,9 +12,10 @@
 //! and the admission-track invariants of online
 //! runs (time-ordered arrivals, no admit/defer before the arrival). The
 //! `--metrics` check validates histogram quantile ordering (p50 ≤ p99)
-//! and the latency-sample/completion-count agreement. Exit status: 0
-//! when valid (prints a summary line), 1 on a violation, 2 on usage
-//! errors — the same convention as the figure binaries. A `--metrics`
+//! and, against the report's per-GPU task counts, that an online run
+//! completes what it admitted with one latency sample per completion.
+//! Exit status: 0 when valid (prints a summary line), 1 on a violation,
+//! 2 on usage errors — the same convention as the figure binaries. A `--metrics`
 //! without a path, an unknown flag or a second trace path is a usage
 //! error, so no requested check is ever skipped.
 use memsched_experiments::obs;

@@ -14,11 +14,13 @@
 //! `--metrics-out PATH` (re-run the figure's representative cell with a
 //! probe attached and export the timeline/metrics; see [`crate::obs`]).
 //! Output paths are checked at parse time — a bad path exits with
-//! status 2 before any cell runs, like a malformed `--faults` spec.
+//! status 2 before any cell runs, like a malformed `--faults` spec — and
+//! so are unknown flags and flags missing their value ([`check_flags`],
+//! shared with `serve`, `chaos` and `prefix_route`).
 
 use crate::figures;
 use crate::harness::FigureSpec;
-use crate::obs::{self, ObsOut, TraceFormat};
+use crate::obs::{self, ObsOut};
 use crate::pool;
 use memsched_platform::FaultPlan;
 use memsched_schedulers::{NamedScheduler, FAMILIES};
@@ -93,8 +95,53 @@ pub fn parse_scheds(spec: &str) -> Result<Vec<NamedScheduler>, String> {
     Ok(out)
 }
 
+/// Reject what a parser would otherwise skip or misread: an argument
+/// that is neither one of `switches` nor one of `value_flags` (an
+/// unknown flag if it starts with `--`), a value flag without a value,
+/// and a value that starts with `--` (so `--trace-out --quick` never
+/// writes a file named `--quick`). The `--flag=VALUE` form passes any
+/// value.
+pub fn check_flags(args: &[String], switches: &[&str], value_flags: &[&str]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if switches.contains(&a) {
+            i += 1;
+        } else if let Some((flag, _)) = a.split_once('=') {
+            if !value_flags.contains(&flag) {
+                return Err(format!("unknown flag {flag:?}"));
+            }
+            i += 1;
+        } else if value_flags.contains(&a) {
+            match args.get(i + 1) {
+                Some(v) if !v.starts_with("--") => i += 2,
+                _ => return Err(format!("{a}: missing value")),
+            }
+        } else if a.starts_with("--") {
+            return Err(format!("unknown flag {a:?}"));
+        } else {
+            return Err(format!("unknown argument {a:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// The value of `--flag VALUE` or `--flag=VALUE` in `args`.
+pub fn value_of(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .or_else(|| {
+            let prefix = format!("{flag}=");
+            args.iter()
+                .find_map(|a| a.strip_prefix(&prefix))
+                .map(str::to_string)
+        })
+}
+
 /// Parse the process's arguments; exits with a readable message (status 2)
-/// if the fault spec is malformed.
+/// on an unknown flag, a missing value or a malformed one.
 pub fn parse() -> FigArgs {
     match parse_from(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -108,30 +155,14 @@ pub fn parse() -> FigArgs {
 /// Parse from an explicit argument list (testable entry point).
 pub fn parse_from(args: impl Iterator<Item = String>) -> Result<FigArgs, String> {
     let args: Vec<String> = args.collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let paper_timing = args.iter().any(|a| a == "--paper-timing");
-    // `--flag VALUE` or `--flag=VALUE`.
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                let prefix = format!("{flag}=");
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&prefix))
-                    .map(str::to_string)
-            })
-    };
+    let value_flags = [&["--json", "--jobs", "--faults"][..], &ObsOut::FLAGS].concat();
+    check_flags(&args, &["--quick", "--paper-timing"], &value_flags)?;
+    let value_of = |flag: &str| value_of(&args, flag);
     let json = value_of("--json");
     if let Some(p) = &json {
         obs::validate_out_path("--json", p)?;
     }
-    // A trailing `--jobs` has no value: reject it like a non-number
-    // rather than silently falling back to `MEMSCHED_JOBS`.
-    let jobs_arg = match value_of("--jobs")
-        .or_else(|| args.iter().any(|a| a == "--jobs").then(String::new))
-    {
+    let jobs_arg = match value_of("--jobs") {
         Some(j) => Some(
             j.parse::<usize>()
                 .map_err(|_| format!("--jobs {j:?}: not a number"))?,
@@ -144,35 +175,20 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> Result<FigArgs, String>
         }
         None => None,
     };
-    let trace_out = value_of("--trace-out");
-    if let Some(p) = &trace_out {
-        obs::validate_out_path("--trace-out", p)?;
-    }
-    let metrics_out = value_of("--metrics-out");
-    if let Some(p) = &metrics_out {
-        obs::validate_out_path("--metrics-out", p)?;
-    }
-    let trace_format = match value_of("--trace-format") {
-        Some(f) => TraceFormat::parse(&f)?,
-        None => TraceFormat::default(),
-    };
     Ok(FigArgs {
-        quick,
-        paper_timing,
+        quick: args.iter().any(|a| a == "--quick"),
+        paper_timing: args.iter().any(|a| a == "--paper-timing"),
         json,
         jobs: pool::resolve_jobs(jobs_arg),
         faults,
-        obs: ObsOut {
-            trace_out,
-            trace_format,
-            metrics_out,
-        },
+        obs: ObsOut::parse(value_of)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::TraceFormat;
 
     fn argv(items: &[&str]) -> impl Iterator<Item = String> {
         items
@@ -230,11 +246,13 @@ mod tests {
 
         // A malformed or missing worker count is an error (→ exit 2),
         // never a silent fallback to the default.
-        let bad_jobs: [&[&str]; 4] =
-            [&["--jobs", "abc"], &["--jobs=abc"], &["--jobs"], &["--jobs", "--quick"]];
-        for bad in bad_jobs {
+        for bad in [&["--jobs", "abc"][..], &["--jobs=abc"]] {
             let e = parse_from(argv(bad)).unwrap_err();
             assert!(e.contains("--jobs") && e.contains("not a number"), "{bad:?}: {e}");
+        }
+        for missing in [&["--jobs"][..], &["--jobs", "--quick"]] {
+            let e = parse_from(argv(missing)).unwrap_err();
+            assert_eq!(e, "--jobs: missing value", "{missing:?}");
         }
         assert_eq!(
             parse_from(argv(&["--jobs", "abc"])).unwrap_err(),
@@ -268,6 +286,20 @@ mod tests {
         );
         assert!(parse_scheds("nope").unwrap_err().contains("router|all"));
         assert!(parse_scheds(",").unwrap_err().contains("empty"));
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_missing_values() {
+        let err = |args: &[&str]| parse_from(argv(args)).unwrap_err();
+        let typo = "unknown flag \"--metric-out\"";
+        assert_eq!(err(&["--quick", "--metric-out", "m.json"]), typo);
+        assert_eq!(err(&["--quick", "--metric-out=m.json"]), typo);
+        assert_eq!(err(&["--quick", "--trace-out"]), "--trace-out: missing value");
+        assert_eq!(err(&["--quick", "--trace-out", "--quick"]), "--trace-out: missing value");
+        assert_eq!(err(&["--quick", "rows.json"]), "unknown argument \"rows.json\"");
+        // The `=` form passes any value, a leading `--` included.
+        let a = parse_from(argv(&["--json=--rows.json", "--quick"])).unwrap();
+        assert_eq!(a.json.as_deref(), Some("--rows.json"));
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! Observed-run export for the figure binaries (`--trace-out`,
-//! `--trace-format`, `--metrics-out`) plus the Chrome-trace linter
+//! Observed-run export for the figure binaries and `serve`
+//! (`--trace-out`, `--trace-format`, `--metrics-out`) plus the linters
 //! behind the `trace_lint` binary.
 //!
-//! A figure sweep runs dozens of cells; recording all of them would
-//! produce gigabytes of spans nobody opens. Instead the harness re-runs
-//! **one representative cell** — the last sweep point (largest working
-//! set, where contention is most visible) with the point's first
-//! scheduler — through [`memsched_platform::run_observed`] and writes:
+//! A sweep runs dozens of cells; recording all of them would produce
+//! gigabytes of spans nobody opens. Instead the binary re-runs **one
+//! representative cell** through [`ObsOut::export`] — a figure's last
+//! sweep point (largest working set, where contention is most visible)
+//! with the point's first scheduler, or `serve`'s first scheduler at its
+//! highest rate — and writes:
 //!
 //! - the timeline in Chrome Trace Event Format (Perfetto,
 //!   `chrome://tracing`) or Paje (`.trace`, ViTE) — `--trace-out`;
-//! - a metrics JSON (counters, histograms, gauge timeseries, per-GPU
-//!   busy/stall/idle split, bus-utilization timeline) — `--metrics-out`.
+//! - a metrics JSON — `--metrics-out`. Each count appears once, taken
+//!   from the run report: the fault totals, the per-GPU tasks, loads,
+//!   evictions, cache bytes and busy/stall/idle split, and the `online`
+//!   serving statistics. Beside them sit what only the event stream
+//!   tells: the bus-utilization timeline and the [`Metrics`] registry
+//!   (decisions, steals, gauges, histograms, snapshots).
 //!
 //! Both paths are validated at argument-parse time (parent directory
 //! must exist, path must not be a directory), matching the `--faults`
@@ -19,8 +24,11 @@
 //! message before any cell runs.
 
 use crate::harness::FigureSpec;
+use memsched_model::TaskSet;
 use memsched_platform::obs::{bus_utilization, chrome_trace_json, paje_trace, Metrics, Probe};
-use memsched_platform::{run_observed, RunConfig};
+use memsched_platform::{
+    run_observed, ObsEvent, OnlineStats, PlatformSpec, RunConfig, RunReport, Scheduler,
+};
 use serde::{Number, Value};
 use std::path::Path;
 
@@ -60,6 +68,34 @@ pub struct ObsOut {
 }
 
 impl ObsOut {
+    /// The value flags [`ObsOut::parse`] reads, for a binary's
+    /// [`check_flags`](crate::cli::check_flags) list.
+    pub const FLAGS: [&'static str; 3] = ["--trace-out", "--trace-format", "--metrics-out"];
+
+    /// Parse [`ObsOut::FLAGS`] through a binary's `value_of` flag
+    /// lookup, rejecting unusable paths and formats here, before any
+    /// cell runs.
+    pub fn parse(value_of: impl Fn(&str) -> Option<String>) -> Result<ObsOut, String> {
+        let [trace_flag, format_flag, metrics_flag] = Self::FLAGS;
+        let trace_out = value_of(trace_flag);
+        if let Some(p) = &trace_out {
+            validate_out_path(trace_flag, p)?;
+        }
+        let metrics_out = value_of(metrics_flag);
+        if let Some(p) = &metrics_out {
+            validate_out_path(metrics_flag, p)?;
+        }
+        let trace_format = match value_of(format_flag) {
+            Some(f) => TraceFormat::parse(&f)?,
+            None => TraceFormat::default(),
+        };
+        Ok(ObsOut {
+            trace_out,
+            trace_format,
+            metrics_out,
+        })
+    }
+
     /// Whether any output was requested.
     pub fn is_active(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some()
@@ -74,6 +110,46 @@ impl ObsOut {
             trace_format: self.trace_format,
             metrics_out: self.metrics_out.as_deref().map(|p| suffix_path(p, id)),
         }
+    }
+
+    /// Run `ts` on `spec` under `sched` and `config` with a probe attached
+    /// and write the requested files; a no-op when nothing was requested.
+    /// `header` opens the metrics JSON with what the caller ran (a figure
+    /// and its workload, or `serve`'s stream parameters).
+    pub fn export(
+        &self,
+        ts: &TaskSet,
+        spec: &PlatformSpec,
+        sched: &mut dyn Scheduler,
+        config: &RunConfig,
+        header: Vec<(&str, Value)>,
+    ) -> Result<(), String> {
+        if !self.is_active() {
+            return Ok(());
+        }
+        let probe = Probe::unbounded();
+        let (report, _trace) = run_observed(ts, spec, sched, config, &probe)
+            .map_err(|e| format!("observed cell failed: {e}"))?;
+        let events = probe.events();
+
+        if let Some(path) = &self.trace_out {
+            let text = match self.trace_format {
+                TraceFormat::Chrome => {
+                    chrome_trace_json(&events).map_err(|e| format!("chrome export: {e}"))?
+                }
+                TraceFormat::Paje => {
+                    paje_trace(&events).map_err(|e| format!("paje export: {e}"))?
+                }
+            };
+            std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
+            eprintln!("wrote {path} ({} events, {})", events.len(), report.scheduler);
+        }
+        if let Some(path) = &self.metrics_out {
+            let text = render_metrics(header, &events, &report, probe.dropped())?;
+            std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
+        Ok(())
     }
 }
 
@@ -115,9 +191,13 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Run the figure's representative cell observed and write the
-/// requested files. No-op when nothing was requested. The cell is the
-/// **last sweep point, first scheduler** — deterministic, so repeated
+fn num(v: u64) -> Value {
+    Value::Num(Number::U(v))
+}
+
+/// Observe the figure's representative cell and write the requested
+/// files. No-op when nothing was requested. The cell is the **last
+/// sweep point, first scheduler** — deterministic, so repeated
 /// invocations produce identical traces.
 pub fn export_figure(fig: &FigureSpec, out: &ObsOut) -> Result<(), String> {
     if !out.is_active() {
@@ -131,61 +211,37 @@ pub fn export_figure(fig: &FigureSpec, out: &ObsOut) -> Result<(), String> {
         .schedulers
         .first()
         .ok_or_else(|| format!("{}: observed point has no schedulers", fig.id))?;
-    let ts = point.workload.generate();
-    let mut sched = named.build();
-    let probe = Probe::unbounded();
     let config = RunConfig {
         faults: fig.faults.clone(),
         ..RunConfig::default()
     };
-    let (report, _trace) = run_observed(&ts, &fig.spec, sched.as_mut(), &config, &probe)
-        .map_err(|e| format!("{}: observed cell failed: {e}", fig.id))?;
-    let events = probe.events();
-
-    if let Some(path) = &out.trace_out {
-        let text = match out.trace_format {
-            TraceFormat::Chrome => chrome_trace_json(&events)
-                .map_err(|e| format!("{}: chrome export: {e}", fig.id))?,
-            TraceFormat::Paje => {
-                paje_trace(&events).map_err(|e| format!("{}: paje export: {e}", fig.id))?
-            }
-        };
-        std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!(
-            "wrote {path} ({} events, {} · {} on {})",
-            events.len(),
-            point.workload.label(),
-            report.scheduler,
-            fig.id
-        );
-    }
-
-    if let Some(path) = &out.metrics_out {
-        let text = render_metrics(fig, &events, &report, &probe)?;
-        std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
+    let header = vec![
+        ("figure", Value::Str(fig.id.to_string())),
+        ("workload", Value::Str(point.workload.label())),
+    ];
+    let ts = point.workload.generate();
+    out.export(&ts, &fig.spec, named.build().as_mut(), &config, header)
+        .map_err(|e| format!("{}: {e}", fig.id))
 }
 
 /// Number of equal slices the bus-utilization timeline is bucketed into.
 const BUS_BUCKETS: usize = 50;
 
-/// Metrics JSON for one observed run: registry (counters, histograms,
-/// gauge snapshots) plus the derived per-GPU busy/stall/idle split and
-/// the bus-utilization timeline.
+/// Metrics JSON for one observed run: the caller's `header`, the report's
+/// counts, per-GPU split and serving statistics, then the
+/// bus-utilization timeline and the registry.
 fn render_metrics(
-    fig: &FigureSpec,
-    events: &[memsched_platform::ObsEvent],
-    report: &memsched_platform::RunReport,
-    probe: &Probe,
+    mut root: Vec<(&str, Value)>,
+    events: &[ObsEvent],
+    report: &RunReport,
+    dropped: u64,
 ) -> Result<String, String> {
     let makespan = report.makespan;
     // Snapshot cadence: ~64 slices of the run (at least 1 ns apart).
     let mut metrics = Metrics::with_snapshots((makespan / 64).max(1));
     metrics.ingest(events);
     let util = bus_utilization(events, BUS_BUCKETS, makespan)
-        .map_err(|e| format!("{}: bus utilization: {e}", fig.id))?;
+        .map_err(|e| format!("bus utilization: {e}"))?;
 
     let per_gpu: Vec<Value> = report
         .per_gpu
@@ -193,42 +249,57 @@ fn render_metrics(
         .enumerate()
         .map(|(g, st)| {
             obj(vec![
-                ("gpu", Value::Num(Number::U(g as u64))),
-                ("busy_ns", Value::Num(Number::U(st.busy))),
-                ("stall_ns", Value::Num(Number::U(st.stall))),
-                ("idle_ns", Value::Num(Number::U(st.idle))),
-                ("tasks", Value::Num(Number::U(st.tasks as u64))),
-                ("loads", Value::Num(Number::U(st.loads))),
-                ("evictions", Value::Num(Number::U(st.evictions))),
-                ("cache_hit_bytes", Value::Num(Number::U(st.cache_hit_bytes))),
-                ("cache_miss_bytes", Value::Num(Number::U(st.cache_miss_bytes))),
+                ("gpu", num(g as u64)),
+                ("busy_ns", num(st.busy)),
+                ("stall_ns", num(st.stall)),
+                ("idle_ns", num(st.idle)),
+                ("tasks", num(st.tasks as u64)),
+                ("loads", num(st.loads)),
+                ("evictions", num(st.evictions)),
+                ("cache_hit_bytes", num(st.cache_hit_bytes)),
+                ("cache_miss_bytes", num(st.cache_miss_bytes)),
             ])
         })
         .collect();
 
-    let root = obj(vec![
-        ("figure", Value::Str(fig.id.to_string())),
-        (
-            "workload",
-            Value::Str(
-                fig.points
-                    .last()
-                    .map(|p| p.workload.label())
-                    .unwrap_or_default(),
-            ),
-        ),
+    root.extend([
         ("scheduler", Value::Str(report.scheduler.clone())),
-        ("makespan_ns", Value::Num(Number::U(makespan))),
-        ("events", Value::Num(Number::U(events.len() as u64))),
-        ("dropped_events", Value::Num(Number::U(probe.dropped()))),
+        ("makespan_ns", num(makespan)),
+        ("events", num(events.len() as u64)),
+        ("dropped_events", num(dropped)),
+        ("transfer_retries", num(report.transfer_retries)),
+        ("gpu_failures", num(report.gpu_failures)),
         ("per_gpu", Value::Arr(per_gpu)),
+    ]);
+    if let Some(o) = &report.online {
+        root.push(("online", online_value(o)));
+    }
+    root.extend([
         (
             "bus_utilization",
             Value::Arr(util.into_iter().map(|v| Value::Num(Number::F(v))).collect()),
         ),
         ("metrics", metrics.to_value()),
     ]);
-    serde_json::to_string_pretty(&root).map_err(|e| format!("serialize metrics: {e}"))
+    serde_json::to_string_pretty(&obj(root)).map_err(|e| format!("serialize metrics: {e}"))
+}
+
+/// The `online` section of the metrics JSON.
+fn online_value(o: &OnlineStats) -> Value {
+    obj(vec![
+        ("tasks_admitted", num(o.tasks_admitted)),
+        ("tasks_deferred", num(o.tasks_deferred)),
+        ("p50_latency_ns", num(o.p50_latency)),
+        ("p99_latency_ns", num(o.p99_latency)),
+        ("mean_latency_ns", num(o.mean_latency)),
+        ("p50_queueing_ns", num(o.p50_queueing)),
+        ("p99_queueing_ns", num(o.p99_queueing)),
+        ("throughput_tps", Value::Num(Number::F(o.throughput_tps))),
+        ("tasks_shed", num(o.tasks_shed)),
+        ("deadline_expired", num(o.deadline_expired)),
+        ("deadline_violations", num(o.deadline_violations)),
+        ("goodput_tps", Value::Num(Number::F(o.goodput_tps))),
+    ])
 }
 
 /// Summary counts of a linted Chrome trace.
@@ -473,10 +544,10 @@ fn require_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
 /// Sanity-check a metrics JSON produced by `--metrics-out`: every
 /// histogram must satisfy `p50 ≤ p99` with `min ≤ p50 ≤ p99 ≤ 2·max`
 /// when non-empty (quantiles are log2 bucket upper bounds, so they may
-/// overshoot the exact max by less than 2×), and on online runs the latency histogram must hold one
-/// sample per completed task while the admission counters stay
-/// consistent (`admitted ≤ arrived`, `deferred ≤ arrived`, and the
-/// exactly-once outcome `admitted + shed + expired = arrived`).
+/// overshoot the exact max by less than 2×). Counts come from the report
+/// sections: a run with an `online` section completes exactly the tasks
+/// it admitted (the `per_gpu` task counts) and its latency histogram
+/// holds one sample per completion; a batch run holds no latency samples.
 pub fn lint_metrics(doc: &Value) -> Result<MetricsLint, String> {
     let m = doc
         .field("metrics", "root")
@@ -484,9 +555,6 @@ pub fn lint_metrics(doc: &Value) -> Result<MetricsLint, String> {
     let histograms = m
         .field("histograms", "metrics")
         .map_err(|_| "metrics: missing \"histograms\"".to_string())?;
-    let counters = m
-        .field("counters", "metrics")
-        .map_err(|_| "metrics: missing \"counters\"".to_string())?;
 
     let mut lint = MetricsLint::default();
     let entries = match histograms {
@@ -519,64 +587,32 @@ pub fn lint_metrics(doc: &Value) -> Result<MetricsLint, String> {
         lint.histograms += 1;
     }
 
-    let arrived = require_u64(counters, "tasks_arrived", "counters")?;
-    let admitted = require_u64(counters, "tasks_admitted", "counters")?;
-    let deferred = require_u64(counters, "tasks_deferred", "counters")?;
-    let shed = require_u64(counters, "tasks_shed", "counters")?;
-    let expired = require_u64(counters, "deadlines_expired", "counters")?;
-    let tasks = require_u64(counters, "tasks", "counters")?;
-    if arrived > 0 {
+    let gpus = doc
+        .field("per_gpu", "root")
+        .ok()
+        .and_then(Value::as_arr)
+        .ok_or_else(|| "top level: missing \"per_gpu\"".to_string())?;
+    let mut completed = 0;
+    for (g, entry) in gpus.iter().enumerate() {
+        completed += require_u64(entry, "tasks", &format!("per_gpu[{g}]"))?;
+    }
+    if let Ok(online) = doc.field("online", "root") {
         lint.online = true;
-        if admitted > arrived || deferred > arrived {
+        let admitted = require_u64(online, "tasks_admitted", "online")?;
+        if admitted != completed {
             return Err(format!(
-                "admission counters inconsistent: arrived {arrived}, admitted {admitted}, \
-                 deferred {deferred}"
+                "online run admitted {admitted} tasks but completed {completed}"
             ));
         }
-        // Exactly-once admission outcome: a completed serving run admits
-        // or drops every arrival, with nothing left in the queue.
-        if admitted + shed + expired != arrived {
+        if latency_count != completed {
             return Err(format!(
-                "admission outcomes don't cover arrivals: arrived {arrived}, \
-                 admitted {admitted}, shed {shed}, expired {expired}"
+                "task_latency_ns holds {latency_count} samples but {completed} tasks completed"
             ));
         }
-        if latency_count != tasks {
-            return Err(format!(
-                "task_latency_ns holds {latency_count} samples but {tasks} tasks completed"
-            ));
-        }
-    } else if shed + expired != 0 {
-        return Err(format!(
-            "batch run (no arrivals) sheds tasks (shed {shed}, expired {expired})"
-        ));
     } else if latency_count != 0 {
         return Err(format!(
-            "batch run (no arrivals) carries {latency_count} latency samples"
+            "batch run (no \"online\" section) carries {latency_count} latency samples"
         ));
-    }
-
-    // Counter identity: the registry's cache byte counters are derived
-    // from the event stream, the per-GPU report fields from the engine's
-    // own accounting — two independent pipelines that must agree (unless
-    // the probe dropped events, in which case the registry undercounts).
-    let hit = require_u64(counters, "cache_hit_bytes", "counters")?;
-    let miss = require_u64(counters, "cache_miss_bytes", "counters")?;
-    let dropped = require_u64(doc, "dropped_events", "root").unwrap_or(0);
-    if let Ok(Value::Arr(gpus)) = doc.field("per_gpu", "root") {
-        let mut rep_hit = 0u64;
-        let mut rep_miss = 0u64;
-        for (g, entry) in gpus.iter().enumerate() {
-            let ctx = format!("per_gpu[{g}]");
-            rep_hit += require_u64(entry, "cache_hit_bytes", &ctx)?;
-            rep_miss += require_u64(entry, "cache_miss_bytes", &ctx)?;
-        }
-        if dropped == 0 && (rep_hit != hit || rep_miss != miss) {
-            return Err(format!(
-                "cache counters disagree with the per-GPU report: registry \
-                 hit {hit} / miss {miss}, report hit {rep_hit} / miss {rep_miss}"
-            ));
-        }
     }
     Ok(lint)
 }
@@ -720,6 +756,33 @@ mod tests {
         }
         let util = m.field("bus_utilization", "metrics").unwrap().as_arr().unwrap();
         assert_eq!(util.len(), BUS_BUCKETS);
+        assert!(!lint_metrics(&m).expect("batch metrics lint clean").online);
+
+        // The `serve` path: an online stream through `ObsOut::export`.
+        use memsched_platform::{AdmissionConfig, PlatformSpec};
+        use memsched_workloads::{gemm_2d, open_loop_arrivals, ArrivalPattern};
+        let base = gemm_2d(6);
+        let pattern = ArrivalPattern::Poisson { rate_per_sec: 4000.0 };
+        let stream = base.clone().with_arrivals(open_loop_arrivals(&pattern, 3, base.num_tasks()));
+        let tile = stream.data_size(memsched_model::DataId(0));
+        let spec = PlatformSpec::v100(2).with_memory(8 * tile);
+        let config = RunConfig {
+            admission: Some(AdmissionConfig::default()),
+            ..RunConfig::default()
+        };
+        let mut sched = memsched_schedulers::NamedScheduler::Dmdar.build();
+        let header = vec![("bin", Value::Str("serve".into()))];
+        let serve_out = ObsOut {
+            trace_out: None,
+            trace_format: TraceFormat::Chrome,
+            metrics_out: Some(metrics.to_str().unwrap().into()),
+        };
+        serve_out.export(&stream, &spec, sched.as_mut(), &config, header).expect("online export");
+        let m = serde_json::parse_value(&std::fs::read_to_string(&metrics).unwrap())
+            .expect("valid metrics JSON");
+        assert!(lint_metrics(&m).expect("online metrics lint clean").online);
+        let per_gpu = m.field("per_gpu", "metrics").unwrap().as_arr().unwrap();
+        assert_eq!(per_gpu.len(), 2);
 
         // Paje output is non-empty and ViTE-shaped (header + states).
         let out = ObsOut {
@@ -731,6 +794,39 @@ mod tests {
         let text = std::fs::read_to_string(&trace).unwrap();
         assert!(text.contains("%EventDef"), "paje header missing");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lint_metrics_checks_counts_against_the_report_sections() {
+        const DOC: &str = r#"{"per_gpu": [{"tasks": 3}, {"tasks": 2}], ONLINE
+            "metrics": {"histograms": {
+                "transfer_duration_ns":
+                    {"count": 4, "min": 100, "p50": P50, "p99": 256, "max": 200},
+                "task_latency_ns": {"count": LAT, "min": 50, "p50": 64, "p99": 128, "max": 90}
+            }}}"#;
+        let doc = |online: &str, latency: u64, p50: u64| {
+            let text = DOC
+                .replace("ONLINE", online)
+                .replace("LAT", &latency.to_string())
+                .replace("P50", &p50.to_string());
+            serde_json::parse_value(&text).expect("valid JSON")
+        };
+        let online = r#""online": {"tasks_admitted": 5},"#;
+        let batch = lint_metrics(&doc("", 0, 128)).expect("batch document");
+        assert_eq!(batch, MetricsLint { histograms: 2, online: false });
+        let served = lint_metrics(&doc(online, 5, 128)).expect("online document");
+        assert_eq!(served, MetricsLint { histograms: 2, online: true });
+
+        let admitted_6 = r#""online": {"tasks_admitted": 6},"#;
+        for (bad, want) in [
+            (doc(online, 5, 512), "p50 512 > p99 256"),
+            (doc(admitted_6, 5, 128), "admitted 6 tasks but completed 5"),
+            (doc(online, 4, 128), "holds 4 samples but 5 tasks completed"),
+            (doc("", 5, 128), "batch run (no \"online\" section) carries 5 latency samples"),
+        ] {
+            let err = lint_metrics(&bad).unwrap_err();
+            assert!(err.contains(want), "want {want:?}, got {err}");
+        }
     }
 
     #[test]

@@ -1,35 +1,16 @@
-//! Derived timeline analyses: where did each GPU's time go, and how
-//! loaded was the bus?
+//! Derived timeline analyses: how loaded was the bus, how much of the
+//! transfer time hid behind computation, and what did each lane do
+//! over time?
 //!
-//! The per-GPU breakdown splits `[0, makespan]` into three disjoint
-//! buckets:
-//! - **busy** — a task was executing;
-//! - **stall** — no task was executing but at least one transfer
-//!   destined for the GPU was in flight (queued or on the wire): the
-//!   GPU is starved by data movement, the situation the paper's
-//!   Obj. 2 (#Loads) only captures in aggregate;
-//! - **idle** — everything else (no work, or dead after a fault).
+//! Every function here is a fold over the span [`Timeline`] of a
+//! well-formed event stream. Counts and per-GPU time splits are not:
+//! they are the run report's (`RunReport.per_gpu[g].{busy,stall,idle}`,
+//! checked against the trace by `memsched_platform::validate`).
 //!
-//! A transfer is "in flight" from its *issue* time (`begin − bus_wait`,
-//! when the engine committed to the load) to its completion, so time
-//! queued behind other transfers on the shared bus counts as stall —
-//! that queue is exactly what bus contention looks like from a GPU.
+//! [`Timeline`]: crate::wellformed::Timeline
 
 use crate::event::{Nanos, ObsEvent, Track};
 use crate::wellformed::{check_well_formed, SpanKind, WellFormedError};
-
-/// Disjoint time split for one GPU; the three fields sum to the
-/// `makespan` passed to [`gpu_breakdowns`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GpuBreakdown {
-    /// Time executing tasks.
-    pub busy: Nanos,
-    /// Time starved: not executing, but waiting on at least one
-    /// in-flight transfer.
-    pub stall: Nanos,
-    /// Remaining time (no runnable work, or dead).
-    pub idle: Nanos,
-}
 
 /// Merge intervals and return both the merged list and total coverage.
 fn merge(mut iv: Vec<(Nanos, Nanos)>) -> (Vec<(Nanos, Nanos)>, Nanos) {
@@ -62,45 +43,6 @@ fn intersection(xs: &[(Nanos, Nanos)], ys: &[(Nanos, Nanos)]) -> Nanos {
         }
     }
     total
-}
-
-/// Per-GPU busy/stall/idle split over `[0, makespan]`, derived purely
-/// from the recorded spans. The three buckets sum to `makespan` for
-/// every GPU (the engine's always-on accounting in
-/// `RunReport.per_gpu[g].{busy,stall,idle}` computes the same split
-/// online; the two are cross-checked in the integration tests).
-pub fn gpu_breakdowns(
-    events: &[ObsEvent],
-    num_gpus: usize,
-    makespan: Nanos,
-) -> Result<Vec<GpuBreakdown>, WellFormedError> {
-    let timeline = check_well_formed(events)?;
-    let mut compute: Vec<Vec<(Nanos, Nanos)>> = vec![Vec::new(); num_gpus];
-    let mut pending: Vec<Vec<(Nanos, Nanos)>> = vec![Vec::new(); num_gpus];
-    for span in &timeline.spans {
-        let g = span.gpu as usize;
-        if g >= num_gpus {
-            continue;
-        }
-        match span.kind {
-            SpanKind::Compute { .. } => {
-                compute[g].push((span.begin.min(makespan), span.end.min(makespan)));
-            }
-            SpanKind::Transfer { bus_wait, .. } => {
-                let issue = span.begin.saturating_sub(bus_wait);
-                pending[g].push((issue.min(makespan), span.end.min(makespan)));
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(num_gpus);
-    for g in 0..num_gpus {
-        let (comp, busy) = merge(std::mem::take(&mut compute[g]));
-        let (pend, covered) = merge(std::mem::take(&mut pending[g]));
-        let stall = covered - intersection(&comp, &pend);
-        let idle = makespan.saturating_sub(busy + stall);
-        out.push(GpuBreakdown { busy, stall, idle });
-    }
-    Ok(out)
 }
 
 /// Bus occupancy per time bucket: `buckets` equal slices of
@@ -149,6 +91,90 @@ pub fn bus_utilization_on(
     Ok(out)
 }
 
+/// Time with transfers in flight, time with tasks computing, and time
+/// with both at once: the overlap the paper credits for DARTS+LUF's
+/// lead even where it moves more bytes than DMDAR (§V-C, "the overlap
+/// between calculations and transfers is effective").
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Overlap {
+    /// Nanoseconds with at least one transfer on an interconnect.
+    pub transfer: Nanos,
+    /// Nanoseconds with at least one GPU computing.
+    pub compute: Nanos,
+    /// Nanoseconds with both.
+    pub both: Nanos,
+}
+
+impl Overlap {
+    /// Share of the transfer time hidden behind computation (0 without
+    /// transfers).
+    pub fn ratio(&self) -> f64 {
+        if self.transfer == 0 {
+            0.0
+        } else {
+            self.both as f64 / self.transfer as f64
+        }
+    }
+}
+
+/// [`Overlap`] of a run: the transfer spans of every interconnect and
+/// the compute spans of every GPU, each merged before they are
+/// intersected, so queued transfers and concurrent GPUs count once.
+pub fn overlap(events: &[ObsEvent]) -> Result<Overlap, WellFormedError> {
+    let timeline = check_well_formed(events)?;
+    let (mut transfers, mut computes) = (Vec::new(), Vec::new());
+    for s in &timeline.spans {
+        match s.kind {
+            SpanKind::Transfer { .. } => transfers.push((s.begin, s.end)),
+            SpanKind::Compute { .. } => computes.push((s.begin, s.end)),
+        }
+    }
+    let (transfers, transfer) = merge(transfers);
+    let (computes, compute) = merge(computes);
+    let both = intersection(&transfers, &computes);
+    Ok(Overlap { transfer, compute, both })
+}
+
+/// An ASCII Gantt chart of `[0, makespan]` in `width` columns (clamped
+/// to 10..=500): one lane per GPU (`#` = computing, `.` = not) plus a
+/// bus lane (`=` = a transfer in flight).
+pub fn render_gantt(
+    events: &[ObsEvent],
+    num_gpus: usize,
+    makespan: Nanos,
+    width: usize,
+) -> Result<String, WellFormedError> {
+    let timeline = check_well_formed(events)?;
+    if makespan == 0 {
+        return Ok(String::from("(empty trace)\n"));
+    }
+    let width = width.clamp(10, 500);
+    let col = |t: Nanos| {
+        let c = u128::from(t.min(makespan)) * width as u128 / u128::from(makespan);
+        (c as usize).min(width - 1)
+    };
+    let mut lanes = vec![vec![b'.'; width]; num_gpus];
+    let mut bus = vec![b' '; width];
+    for s in &timeline.spans {
+        let (lane, mark) = match s.kind {
+            SpanKind::Transfer { .. } => (&mut bus, b'='),
+            SpanKind::Compute { .. } => match lanes.get_mut(s.gpu as usize) {
+                Some(lane) => (lane, b'#'),
+                None => continue,
+            },
+        };
+        lane[col(s.begin)..=col(s.end)].fill(mark);
+    }
+    let mut out = String::new();
+    for (g, lane) in lanes.iter().enumerate() {
+        out.push_str(&format!("GPU{g:<2} |{}|\n", String::from_utf8_lossy(lane)));
+    }
+    out.push_str(&format!("bus   |{}|\n", String::from_utf8_lossy(&bus)));
+    let end = format!("{:.1} ms", makespan as f64 / 1e6);
+    out.push_str(&format!("0{end:>width$}\n"));
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,28 +213,62 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_sums_to_makespan_and_counts_queue_wait_as_stall() {
-        // GPU0: transfer issued at 0, queued until 50, delivered at
-        // 100, then computes 100..300. GPU1 does nothing.
-        let mut evs = Vec::new();
-        evs.extend(transfer(0, 0, 0, 50, 100));
-        evs.extend(compute(0, 0, 100, 300));
-        let bd = gpu_breakdowns(&evs, 2, 300).unwrap();
-        assert_eq!(bd[0], GpuBreakdown { busy: 200, stall: 100, idle: 0 });
-        assert_eq!(bd[1], GpuBreakdown { busy: 0, stall: 0, idle: 300 });
-        for g in &bd {
-            assert_eq!(g.busy + g.stall + g.idle, 300);
-        }
+    fn gantt_renders_lanes() {
+        let mut evs: Vec<ObsEvent> = transfer(0, 0, 0, 0, 50).into();
+        evs.extend(compute(0, 0, 50, 100));
+        let chart = render_gantt(&evs, 2, 100, 20).unwrap();
+        assert!(chart.contains("GPU0"));
+        assert!(chart.contains("GPU1"));
+        assert!(chart.contains("bus"));
+        assert!(chart.contains('#'), "compute lane should be drawn");
+        assert!(chart.contains('='), "bus lane should be drawn");
+        // GPU1 never works: its lane is all idle dots.
+        let gpu1_line = chart.lines().nth(1).unwrap();
+        assert!(!gpu1_line.contains('#'));
     }
 
     #[test]
-    fn overlapping_transfer_under_compute_is_not_stall() {
-        // Prefetch arrives while the GPU is busy: no stall.
-        let mut evs = Vec::new();
-        evs.extend(compute(0, 0, 0, 100));
-        evs.extend(transfer(0, 1, 20, 20, 80));
-        let bd = gpu_breakdowns(&evs, 1, 100).unwrap();
-        assert_eq!(bd[0], GpuBreakdown { busy: 100, stall: 0, idle: 0 });
+    fn gantt_empty_trace() {
+        assert_eq!(render_gantt(&[], 1, 0, 40).unwrap(), "(empty trace)\n");
+    }
+
+    #[test]
+    fn covered_merges_overlaps() {
+        assert_eq!(merge(vec![(0, 10), (5, 15), (20, 30)]).1, 25);
+        assert_eq!(merge(vec![]).1, 0);
+        assert_eq!(merge(vec![(3, 3)]).1, 0);
+    }
+
+    #[test]
+    fn intersection_of_interval_sets() {
+        assert_eq!(intersection(&[(0, 10), (20, 30)], &[(5, 25)]), 10); // [5,10) + [20,25)
+        assert_eq!(intersection(&[(0, 5)], &[(5, 9)]), 0);
+    }
+
+    #[test]
+    fn analyze_counts_and_ratios() {
+        // A load, then a task under which a second load hides.
+        let mut evs: Vec<ObsEvent> = transfer(0, 0, 0, 0, 100).into();
+        evs.extend(compute(0, 0, 100, 300));
+        evs.extend(transfer(0, 1, 100, 100, 180));
+        let o = overlap(&evs).unwrap();
+        assert_eq!(o, Overlap { transfer: 180, compute: 200, both: 80 });
+        assert!((o.ratio() - 80.0 / 180.0).abs() < 1e-12);
+        assert_eq!(bus_utilization(&evs, 1, 300).unwrap(), vec![0.6]);
+    }
+
+    #[test]
+    fn queued_transfers_under_one_task_overlap_once() {
+        // Loads [0,100) and [50→200) (queued until 100) under one task
+        // [0,200): 200 ns of bus time, all of it hidden. Intersecting
+        // the unmerged [issue, done) lists counts [50,100) twice.
+        let mut evs: Vec<ObsEvent> = compute(0, 0, 0, 200).into();
+        evs.extend(transfer(0, 0, 0, 0, 100));
+        evs.extend(transfer(0, 1, 50, 100, 200));
+        let o = overlap(&evs).unwrap();
+        assert_eq!(o.transfer, 200);
+        assert_eq!(o.both, 200);
+        assert_eq!(o.ratio(), 1.0);
     }
 
     #[test]

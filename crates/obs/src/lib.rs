@@ -18,10 +18,12 @@
 //!   plus one for the PCI bus, NVLink and each scheduler context;
 //! - [`paje::paje_trace`] exports a Paje `.trace` readable by ViTE,
 //!   the StarPU-native visualization path;
-//! - [`Metrics`] is a counter/gauge/histogram registry with periodic
-//!   timeseries snapshots, fed from the same events;
-//! - [`breakdown`] derives per-GPU busy/stall/idle splits and a bus
-//!   utilization timeline from the span structure.
+//! - [`Metrics`] is a registry of what only the stream can tell
+//!   (scheduler decisions, steals, gauges, duration and latency
+//!   histograms) with periodic timeseries snapshots; counts and per-GPU
+//!   time splits are the run report's;
+//! - [`breakdown`] folds the span structure into a bus-utilization
+//!   timeline, the transfer/compute [`Overlap`] and an ASCII Gantt chart.
 //!
 //! This crate is deliberately free of simulation dependencies: events
 //! carry raw `u32` ids so the crate sits below `memsched-platform` in
@@ -35,7 +37,7 @@ pub mod paje;
 pub mod sink;
 pub mod wellformed;
 
-pub use breakdown::{bus_utilization, bus_utilization_on, gpu_breakdowns, GpuBreakdown};
+pub use breakdown::{bus_utilization, bus_utilization_on, overlap, render_gantt, Overlap};
 pub use chrome::{chrome_trace, chrome_trace_json};
 pub use event::{GaugeKind, Nanos, ObsEvent, Track};
 pub use metrics::{Counter, Histogram, Metrics, Snapshot};

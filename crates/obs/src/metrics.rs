@@ -2,6 +2,11 @@
 //! histograms, and periodic timeseries snapshots — all fed from the
 //! same [`ObsEvent`] stream the exporters consume, so aggregate numbers
 //! and timelines can never disagree.
+//!
+//! It keeps only what the event stream alone can tell. Loads,
+//! evictions, completed tasks, faults, admission outcomes and cache
+//! bytes are facts of the run report, which `memsched_platform::validate`
+//! checks against the trace; the registry does not count them again.
 
 use crate::event::{GaugeKind, Nanos, ObsEvent};
 use crate::sink::TraceSink;
@@ -11,77 +16,24 @@ use std::collections::{BTreeMap, HashMap};
 /// Monotone counters tracked by [`Metrics`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
-    /// Delivered transfers (bus + NVLink).
-    Loads,
-    /// Data evictions.
-    Evictions,
-    /// Transfer attempts killed by injected faults.
-    TransferRetries,
     /// Work-stealing operations.
     Steals,
     /// Tasks moved by stealing (one steal moves half a tail).
     StolenTasks,
-    /// Tasks completed (interrupted executions excluded).
-    Tasks,
     /// `pop_task` calls observed.
     Decisions,
-    /// Fail-stop GPU failures.
-    GpuFailures,
-    /// Online arrivals at the admission loop.
-    TasksArrived,
-    /// Online admissions (tasks released to the scheduler).
-    TasksAdmitted,
-    /// Online arrivals deferred at least once.
-    TasksDeferred,
-    /// Online arrivals rejected by the shedding policy.
-    TasksShed,
-    /// Deferred tasks dropped after their deadline lapsed.
-    DeadlinesExpired,
-    /// Input bytes already resident (or in flight) on the chosen GPU at
-    /// placement time, summed over all placed tasks.
-    CacheHitBytes,
-    /// Input bytes that still had to be fetched at placement time.
-    CacheMissBytes,
 }
 
 impl Counter {
     /// All counters, in stable serialization order.
-    pub const ALL: [Counter; 15] = [
-        Counter::Loads,
-        Counter::Evictions,
-        Counter::TransferRetries,
-        Counter::Steals,
-        Counter::StolenTasks,
-        Counter::Tasks,
-        Counter::Decisions,
-        Counter::GpuFailures,
-        Counter::TasksArrived,
-        Counter::TasksAdmitted,
-        Counter::TasksDeferred,
-        Counter::TasksShed,
-        Counter::DeadlinesExpired,
-        Counter::CacheHitBytes,
-        Counter::CacheMissBytes,
-    ];
+    pub const ALL: [Counter; 3] = [Counter::Steals, Counter::StolenTasks, Counter::Decisions];
 
     /// Stable metric name.
     pub fn name(&self) -> &'static str {
         match self {
-            Counter::Loads => "loads",
-            Counter::Evictions => "evictions",
-            Counter::TransferRetries => "transfer_retries",
             Counter::Steals => "steals",
             Counter::StolenTasks => "stolen_tasks",
-            Counter::Tasks => "tasks",
             Counter::Decisions => "decisions",
-            Counter::GpuFailures => "gpu_failures",
-            Counter::TasksArrived => "tasks_arrived",
-            Counter::TasksAdmitted => "tasks_admitted",
-            Counter::TasksDeferred => "tasks_deferred",
-            Counter::TasksShed => "tasks_shed",
-            Counter::DeadlinesExpired => "deadlines_expired",
-            Counter::CacheHitBytes => "cache_hit_bytes",
-            Counter::CacheMissBytes => "cache_miss_bytes",
         }
     }
 
@@ -399,11 +351,8 @@ impl TraceSink for Metrics {
                 ..
             } => {
                 let begun = self.open_transfers.remove(&(gpu, data, attempt));
-                if delivered {
-                    self.bump(Counter::Loads);
-                    if let Some(b) = begun {
-                        self.transfer_ns.record(t.saturating_sub(b));
-                    }
+                if let (true, Some(b)) = (delivered, begun) {
+                    self.transfer_ns.record(t.saturating_sub(b));
                 }
             }
             ObsEvent::ComputeBegin { t, task, .. } => {
@@ -413,13 +362,11 @@ impl TraceSink for Metrics {
             }
             ObsEvent::ComputeEnd { t, task, interrupted, .. } => {
                 if !interrupted {
-                    self.bump(Counter::Tasks);
                     if let Some(arrived) = self.arrival_ns.remove(&task) {
                         self.task_latency_ns.record(t.saturating_sub(arrived));
                     }
                 }
             }
-            ObsEvent::Eviction { .. } => self.bump(Counter::Evictions),
             ObsEvent::Decision { wall_ns, .. } => {
                 self.bump(Counter::Decisions);
                 self.decision_ns.record(wall_ns);
@@ -431,31 +378,22 @@ impl TraceSink for Metrics {
             ObsEvent::Gauge { gpu, kind, value, .. } => {
                 self.gauges.insert(gauge_name(kind, gpu), value);
             }
-            ObsEvent::TransferRetry { .. } => self.bump(Counter::TransferRetries),
-            ObsEvent::GpuFailed { .. } => self.bump(Counter::GpuFailures),
-            ObsEvent::CapacityShrunk { .. } | ObsEvent::GpuSlowed { .. } => {}
             ObsEvent::TaskArrived { t, task } => {
-                self.bump(Counter::TasksArrived);
                 self.arrival_ns.insert(task, t);
             }
-            ObsEvent::TaskAdmitted { .. } => self.bump(Counter::TasksAdmitted),
-            ObsEvent::TaskDeferred { .. } => self.bump(Counter::TasksDeferred),
             // Dropped tasks never complete: forget their arrival so the
             // latency histogram keeps counting completions only.
-            ObsEvent::TaskShed { task, .. } => {
-                self.bump(Counter::TasksShed);
+            ObsEvent::TaskShed { task, .. } | ObsEvent::DeadlineExpired { task, .. } => {
                 self.arrival_ns.remove(&task);
             }
-            ObsEvent::DeadlineExpired { task, .. } => {
-                self.bump(Counter::DeadlinesExpired);
-                self.arrival_ns.remove(&task);
-            }
-            ObsEvent::CacheAccess {
-                hit_bytes, miss_bytes, ..
-            } => {
-                self.counters[Counter::CacheHitBytes.index()] += hit_bytes;
-                self.counters[Counter::CacheMissBytes.index()] += miss_bytes;
-            }
+            ObsEvent::Eviction { .. }
+            | ObsEvent::TransferRetry { .. }
+            | ObsEvent::GpuFailed { .. }
+            | ObsEvent::CapacityShrunk { .. }
+            | ObsEvent::GpuSlowed { .. }
+            | ObsEvent::TaskAdmitted { .. }
+            | ObsEvent::TaskDeferred { .. }
+            | ObsEvent::CacheAccess { .. } => {}
         }
     }
 }
@@ -477,29 +415,6 @@ mod tests {
         assert_eq!(h.quantile(0.0), 0, "lowest value is in the zero bucket");
         assert!(h.quantile(1.0) >= 1_000_000, "p100 covers the max");
         assert!(h.quantile(0.5) <= 4, "median is tiny");
-    }
-
-    #[test]
-    fn cache_access_bumps_byte_counters() {
-        let mut m = Metrics::new();
-        m.ingest(&[
-            ObsEvent::CacheAccess {
-                t: 10,
-                gpu: 0,
-                task: 1,
-                hit_bytes: 100,
-                miss_bytes: 40,
-            },
-            ObsEvent::CacheAccess {
-                t: 20,
-                gpu: 1,
-                task: 2,
-                hit_bytes: 0,
-                miss_bytes: 64,
-            },
-        ]);
-        assert_eq!(m.counter(Counter::CacheHitBytes), 100);
-        assert_eq!(m.counter(Counter::CacheMissBytes), 104);
     }
 
     #[test]
@@ -553,11 +468,8 @@ mod tests {
             ObsEvent::ComputeBegin { t: 1200, gpu: 1, task: 4 },
             ObsEvent::ComputeEnd { t: 1300, gpu: 1, task: 4, interrupted: false },
         ]);
-        assert_eq!(m.counter(Counter::Loads), 1, "faulted attempt not a load");
-        assert_eq!(m.counter(Counter::TransferRetries), 1);
         assert_eq!(m.counter(Counter::Steals), 1);
         assert_eq!(m.counter(Counter::StolenTasks), 3);
-        assert_eq!(m.counter(Counter::Tasks), 1);
         assert_eq!(m.transfer_duration().count(), 1, "only delivered timed");
         assert_eq!(m.transfer_duration().max(), 500);
     }
@@ -565,24 +477,24 @@ mod tests {
     #[test]
     fn snapshots_fire_on_interval_boundaries() {
         let mut m = Metrics::with_snapshots(100);
-        m.record(&ObsEvent::GpuFailed { t: 50, gpu: 0 });
+        m.record(&ObsEvent::Steal { t: 50, from: 0, to: 1, tasks: 2 });
         m.record(&ObsEvent::Gauge {
             t: 90,
             gpu: Some(0),
             kind: GaugeKind::Occupancy,
             value: 0.5,
         });
-        m.record(&ObsEvent::GpuFailed { t: 250, gpu: 1 });
+        m.record(&ObsEvent::Steal { t: 250, from: 1, to: 0, tasks: 2 });
         assert_eq!(m.timeseries.len(), 2, "boundaries at 100 and 200");
         assert_eq!(m.timeseries[0].t, 100);
         assert_eq!(
-            m.timeseries[0].counters[Counter::GpuFailures.index()],
+            m.timeseries[0].counters[Counter::Steals.index()],
             1,
-            "second failure is after the 100ns sample"
+            "second steal is after the 100ns sample"
         );
         assert_eq!(m.timeseries[0].gauges, vec![("occupancy/gpu0".to_string(), 0.5)]);
         assert_eq!(m.timeseries[1].t, 200);
-        assert_eq!(m.counter(Counter::GpuFailures), 2);
+        assert_eq!(m.counter(Counter::Steals), 2);
     }
 
     #[test]

@@ -2017,6 +2017,36 @@ mod tests {
         b.build()
     }
 
+    /// Two 100 ns tasks on distinct 1000 B data, one per GPU under
+    /// [`Split`].
+    fn split_task_set() -> TaskSet {
+        let mut b = TaskSetBuilder::new();
+        let d0 = b.add_data(1000);
+        let d1 = b.add_data(1000);
+        b.add_task(&[d0], 100.0);
+        b.add_task(&[d1], 100.0);
+        b.build()
+    }
+
+    /// Gives task `g` to GPU `g`, once.
+    #[derive(Default)]
+    struct Split {
+        popped: [bool; 2],
+    }
+
+    impl Scheduler for Split {
+        fn name(&self) -> String {
+            "split".into()
+        }
+        fn pop_task(&mut self, gpu: GpuId, _view: &RuntimeView<'_>) -> Option<TaskId> {
+            if std::mem::replace(&mut self.popped[gpu.index()], true) {
+                None
+            } else {
+                Some(TaskId(gpu.0))
+            }
+        }
+    }
+
     #[test]
     fn executes_all_tasks_once() {
         let ts = two_task_set();
@@ -2090,34 +2120,10 @@ mod tests {
     fn shared_bus_serializes_transfers_across_gpus() {
         // Two GPUs, one task each on distinct data: the second GPU's load
         // waits for the first on the shared bus.
-        let mut b = TaskSetBuilder::new();
-        let d0 = b.add_data(1000);
-        let d1 = b.add_data(1000);
-        b.add_task(&[d0], 100.0);
-        b.add_task(&[d1], 100.0);
-        let ts = b.build();
-
-        struct Split {
-            popped: [bool; 2],
-        }
-        impl Scheduler for Split {
-            fn name(&self) -> String {
-                "split".into()
-            }
-            fn pop_task(&mut self, gpu: GpuId, _view: &RuntimeView<'_>) -> Option<TaskId> {
-                // One task per GPU, popped exactly once.
-                if self.popped[gpu.index()] {
-                    None
-                } else {
-                    self.popped[gpu.index()] = true;
-                    Some(TaskId(gpu.0))
-                }
-            }
-        }
         let (report, trace) = run_with_config(
-            &ts,
+            &split_task_set(),
             &tiny_spec(2, 10_000),
-            &mut Split { popped: [false; 2] },
+            &mut Split::default(),
             &RunConfig {
                 trace: TraceMode::Full,
                 ..Default::default()
@@ -2141,34 +2147,11 @@ mod tests {
         // Same workload as the shared-bus test, but each GPU sits on its
         // own PCI bus: the two loads proceed in parallel and both tasks
         // finish at 1100 instead of the serialized 2100.
-        let mut b = TaskSetBuilder::new();
-        let d0 = b.add_data(1000);
-        let d1 = b.add_data(1000);
-        b.add_task(&[d0], 100.0);
-        b.add_task(&[d1], 100.0);
-        let ts = b.build();
-
-        struct Split {
-            popped: [bool; 2],
-        }
-        impl Scheduler for Split {
-            fn name(&self) -> String {
-                "split".into()
-            }
-            fn pop_task(&mut self, gpu: GpuId, _view: &RuntimeView<'_>) -> Option<TaskId> {
-                if self.popped[gpu.index()] {
-                    None
-                } else {
-                    self.popped[gpu.index()] = true;
-                    Some(TaskId(gpu.0))
-                }
-            }
-        }
         let spec = tiny_spec(2, 10_000).with_bus_groups(vec![0, 1]);
         let (report, trace) = run_with_config(
-            &ts,
+            &split_task_set(),
             &spec,
-            &mut Split { popped: [false; 2] },
+            &mut Split::default(),
             &RunConfig {
                 trace: TraceMode::Full,
                 ..Default::default()
@@ -2652,26 +2635,72 @@ mod tests {
     fn lane_accounting_sums_to_makespan_and_matches_derived_breakdown() {
         let ts = two_task_set();
         let spec = tiny_spec(1, 10_000);
-        let probe = Probe::unbounded();
-        let (report, _) = run_observed(
-            &ts,
-            &spec,
-            &mut Fifo::new(&ts),
-            &RunConfig::default(),
-            &probe,
-        )
-        .unwrap();
+        let config = RunConfig {
+            trace: TraceMode::Full,
+            ..Default::default()
+        };
+        let (report, trace) = run_with_config(&ts, &spec, &mut Fifo::new(&ts), &config).unwrap();
         for g in &report.per_gpu {
             assert_eq!(g.busy + g.stall + g.idle, report.makespan);
         }
         // D0's initial load (1000 ns) is the only stall; D1 prefetches
         // under task 0's compute.
         assert_eq!(report.per_gpu[0].stall, 1000);
-        let derived =
-            memsched_obs::gpu_breakdowns(&probe.events(), 1, report.makespan).unwrap();
-        assert_eq!(derived[0].busy, report.per_gpu[0].busy);
-        assert_eq!(derived[0].stall, report.per_gpu[0].stall);
-        assert_eq!(derived[0].idle, report.per_gpu[0].idle);
+        // The validator folds the same split out of the trace, bit for bit.
+        crate::validate(&ts, &spec, &config, &trace, &report).unwrap();
+    }
+
+    #[test]
+    fn breakdown_sums_to_makespan_and_counts_queue_wait_as_stall() {
+        // GPU 1's load queues behind GPU 0's on the shared bus and lands
+        // at 2000, so GPU 1 stalls 2000 ns, its 1000 ns of queue wait
+        // included. GPU 0 stalls 1000, computes 100 and idles to the end.
+        let (report, _) = run_with_config(
+            &split_task_set(),
+            &tiny_spec(2, 10_000),
+            &mut Split::default(),
+            &RunConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.makespan, 2100);
+        let split: Vec<_> = report.per_gpu.iter().map(|g| (g.busy, g.stall, g.idle)).collect();
+        assert_eq!(split, vec![(100, 1000, 1000), (100, 2000, 0)]);
+    }
+
+    #[test]
+    fn overlapping_transfer_under_compute_is_not_stall() {
+        // Three 5000 ns tasks on distinct 1000 B data: D1 queues behind
+        // D0 and lands under task 0; D2 is issued when task 0 ends and
+        // lands under task 1. Only D0's load stalls the GPU.
+        let mut b = TaskSetBuilder::new();
+        for _ in 0..3 {
+            let d = b.add_data(1000);
+            b.add_task(&[d], 5000.0);
+        }
+        let ts = b.build();
+        let report = run(&ts, &tiny_spec(1, 10_000), &mut Fifo::new(&ts)).unwrap();
+        let g = &report.per_gpu[0];
+        assert_eq!((report.makespan, g.busy, g.stall, g.idle), (16_000, 15_000, 1000, 0));
+    }
+
+    #[test]
+    fn end_to_end_overlap_is_high_for_good_schedulers() {
+        // A chain of tasks on distinct data: with pipeline depth 2, every
+        // transfer after the first should hide behind computation.
+        let mut b = TaskSetBuilder::new();
+        for _ in 0..10 {
+            let d = b.add_data(1000);
+            b.add_task(&[d], 100_000.0);
+        }
+        let ts = b.build();
+        let probe = Probe::unbounded();
+        let spec = tiny_spec(1, 10_000);
+        let config = RunConfig::default();
+        let (report, _) = run_observed(&ts, &spec, &mut Fifo::new(&ts), &config, &probe).unwrap();
+        assert_eq!(report.per_gpu[0].tasks, 10);
+        let o = memsched_obs::overlap(&probe.events()).unwrap();
+        // 9 of 10 transfers hide behind compute (first one cannot).
+        assert!(o.ratio() > 0.85, "overlap = {}", o.ratio());
     }
 
     #[test]

@@ -33,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 mod clock;
 mod engine;
 mod equeue;
@@ -46,7 +45,6 @@ mod spec;
 mod trace;
 mod validate;
 
-pub use analysis::{analyze, render_gantt, TraceAnalysis};
 pub use engine::{
     run, run_observed, run_with_config, AdmissionConfig, RunConfig, RunError, ShedPolicy,
 };

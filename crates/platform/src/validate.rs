@@ -67,9 +67,14 @@ macro_rules! ensure {
 /// * **Report equals fold**, bit for bit: per-GPU tasks, loads, bytes,
 ///   evictions and the busy/stall/idle split, the totals, faults, the
 ///   makespan (the last event time) and all of [`OnlineStats`];
-///   `tasks_redispatched` covers at least the interrupted starts. The
-///   trace cannot determine the NVLink split, the cache hit and miss
-///   bytes, `bus_busy_ns` or the wall-clock fields, so those go unchecked.
+///   `tasks_redispatched` covers at least the interrupted starts.
+/// * **Cache-byte ledger** — each pop splits its task's footprint into
+///   hit and miss bytes once, so the summed `cache_hit_bytes +
+///   cache_miss_bytes` equals the summed footprints of the executed
+///   tasks, or covers them when fail-stops redispatched tasks (a lost
+///   pop is split again where it reruns). The trace cannot determine the
+///   NVLink split, the hit/miss division, `bus_busy_ns` or the
+///   wall-clock fields, so those go unchecked.
 /// * **Model bounds** — bytes loaded cover the compulsory bytes of the
 ///   tasks that ran (`bounds::min_total_load_bytes` when nothing was
 ///   dropped); with uniform data sizes, each GPU loads at least as often
@@ -160,6 +165,8 @@ struct Fold<'a> {
     tickets: Vec<Ticket>,
     queued: usize,
     flops: f64,
+    /// Summed footprints of the finished tasks.
+    footprints: u64,
     retries: u64,
     failures: u64,
     interrupted: u64,
@@ -190,6 +197,7 @@ impl<'a> Fold<'a> {
             tickets: vec![Ticket::default(); ts.num_tasks()],
             queued: 0,
             flops: 0.0,
+            footprints: 0,
             retries: 0,
             failures: 0,
             interrupted: 0,
@@ -296,6 +304,7 @@ impl<'a> Fold<'a> {
                 gpu.stats.tasks += 1;
                 self.stage[t] = Stage::Done;
                 self.flops += ts.flops(id);
+                self.footprints += ts.task_footprint(id);
                 if self.online {
                     let latency = at - ts.arrival(id);
                     self.latencies.push(latency);
@@ -453,6 +462,18 @@ impl<'a> Fold<'a> {
             self.interrupted,
             self.failures
         );
+        let cache: u64 =
+            report.per_gpu.iter().map(|g| g.cache_hit_bytes + g.cache_miss_bytes).sum();
+        if redispatched == 0 {
+            same("cache hit + miss bytes", self.footprints, cache)?;
+        } else {
+            ensure!(
+                cache >= self.footprints,
+                "report cache hit + miss bytes is {cache}, below the {} bytes the executed \
+                 tasks use",
+                self.footprints
+            );
+        }
         let online = self.online.then(|| self.online_stats(makespan));
         same("online", online.as_ref(), report.online.as_ref())?;
 
@@ -619,7 +640,7 @@ mod tests {
     #[test]
     fn small_runs_pass_and_each_edit_breaks_its_own_rule() {
         type Edit = fn(&mut Vec<TraceEvent>, &mut RunReport);
-        let cases: [(bool, Edit, &str); 8] = [
+        let cases: [(bool, Edit, &str); 9] = [
             (
                 false,
                 |t, _| {
@@ -675,6 +696,7 @@ mod tests {
                 "before it is free",
             ),
             (false, |_, r| r.total_loads += 1, "report total_loads"),
+            (true, |_, r| r.per_gpu[0].cache_miss_bytes += 1, "report cache hit + miss bytes"),
         ];
         for (online, edit, want) in cases {
             let (ts, spec, config, mut trace, mut report) = small_run(online);

@@ -1,19 +1,17 @@
 //! Property tests of the observability subsystem over random workloads:
 //! every recorded trace is well-formed, the Chrome export is valid JSON
-//! that round-trips through `serde_json`, the metrics registry's totals
-//! agree with the engine's report, the derived per-GPU breakdown sums to
-//! the makespan, attaching a probe never changes a decision (the
-//! golden-trace guarantee, checked here as trace equality between the
-//! observed and unobserved runs), and the engine trace is exactly the
+//! that round-trips through `serde_json`, the registry's transfer
+//! histogram holds one sample per reported load, the report's per-GPU
+//! split sums to the makespan, attaching a probe never changes a decision
+//! (the golden-trace guarantee, checked here as trace equality between
+//! the observed and unobserved runs), and the engine trace is exactly the
 //! projection of the observed stream — which `memsched_platform::validate`
-//! then checks against the report.
+//! then checks against the report, the busy/stall/idle split included.
 
 mod common;
 
 use common::{arb_taskset, small_spec};
-use memsched::obs::{
-    check_well_formed, chrome_trace_json, gpu_breakdowns, Counter, Metrics, ObsEvent,
-};
+use memsched::obs::{check_well_formed, chrome_trace_json, Metrics, ObsEvent};
 use memsched::platform::{validate, TraceEvent};
 use memsched::prelude::*;
 use memsched::schedulers::FAMILIES;
@@ -31,8 +29,9 @@ fn projection(events: &[ObsEvent]) -> Vec<TraceEvent> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fault-free observed runs: well-formed trace, a valid run, metrics
-    /// matching the report, exact breakdown agreement, decision identity.
+    /// Fault-free observed runs: well-formed trace, a valid run, a
+    /// transfer histogram matching the report, a split covering the run,
+    /// decision identity.
     #[test]
     fn observed_runs_are_well_formed_and_decision_identical(
         ts in arb_taskset(10, 20),
@@ -76,16 +75,13 @@ proptest! {
             return Err(format!("{named:?}: {v}"));
         }
 
-        // The metrics registry sees the same totals.
+        // The registry times each delivered transfer once.
         let mut metrics = Metrics::new();
         metrics.ingest(&events);
-        prop_assert_eq!(metrics.counter(Counter::Loads), report.total_loads);
-        prop_assert_eq!(metrics.counter(Counter::Tasks), ts.num_tasks() as u64);
-        prop_assert_eq!(metrics.counter(Counter::Evictions), report.total_evictions);
+        prop_assert_eq!(metrics.transfer_duration().count(), report.total_loads);
 
-        // Per-GPU: the engine's online split sums to the makespan and
-        // matches the split derived offline from the spans.
-        let derived = gpu_breakdowns(&events, gpus, report.makespan).unwrap();
+        // Per-GPU: the engine's split (which `validate` re-derived from
+        // the trace above) sums to the makespan.
         for (g, st) in report.per_gpu.iter().enumerate() {
             prop_assert_eq!(
                 st.busy + st.stall + st.idle,
@@ -93,9 +89,6 @@ proptest! {
                 "gpu {} split does not cover the run",
                 g
             );
-            prop_assert_eq!(st.busy, derived[g].busy, "gpu {} busy", g);
-            prop_assert_eq!(st.stall, derived[g].stall, "gpu {} stall", g);
-            prop_assert_eq!(st.idle, derived[g].idle, "gpu {} idle", g);
         }
 
         // Chrome export: valid JSON, round-trippable, span count right.

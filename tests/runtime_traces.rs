@@ -1,12 +1,14 @@
 //! Trace-level integration tests over every scheduler: each run passes
 //! `memsched_platform::validate` (residency, exactly-once execution,
-//! load/eviction conservation), the trace analysis agrees with the
-//! report, NVLink cuts PCI traffic, and traced runs replay identically.
+//! load/eviction conservation), the overlap fold over the observed spans
+//! agrees with the report, NVLink cuts PCI traffic, and traced runs
+//! replay identically.
 
 mod common;
 
 use common::run_validated;
-use memsched::platform::{analysis, RunConfig, TraceEvent};
+use memsched::obs::overlap;
+use memsched::platform::{validate, RunConfig, TraceEvent};
 use memsched::prelude::*;
 use memsched::workloads::{self, constants::GEMM2D_DATA_BYTES};
 
@@ -83,22 +85,36 @@ fn load_evict_conservation() {
     }
 }
 
-/// The analysis module agrees with the report, and overlap ratios are
-/// proper fractions.
+/// Every scheduler's run at 6 tiles passes the validator, and the
+/// overlap fold agrees with the report — on one PCI bus the merged
+/// transfer time is exactly the bus's busy time, and the merged compute
+/// time lies between the busiest GPU's and the sum over GPUs — and
+/// overlap ratios are proper fractions.
 #[test]
 fn analysis_is_consistent_for_every_scheduler() {
     let ts = workloads::gemm_2d(10);
     let spec = PlatformSpec::v100(2).with_memory(6 * GEMM2D_DATA_BYTES);
     for named in all_schedulers() {
-        let (report, trace) = traced(&named, &ts, &spec);
-        let a = analysis::analyze(&trace, spec.num_gpus);
-        assert!(a.makespan <= report.makespan, "{named:?}");
-        assert!(a.bus_utilization() <= 1.0, "{named:?}");
-        assert!((0.0..=1.0).contains(&a.overlap_ratio()), "{named:?}");
-        assert!(a.mean_gpu_occupancy() <= 1.0, "{named:?}");
-        // A memory-feasible workload keeps GPUs mostly busy for the good
-        // schedulers; at minimum, occupancy is non-zero.
-        assert!(a.mean_gpu_occupancy() > 0.0, "{named:?}");
+        let probe = Probe::unbounded();
+        let config = RunConfig {
+            trace: TraceMode::Full,
+            ..Default::default()
+        };
+        let (report, trace) = run_observed(&ts, &spec, named.build().as_mut(), &config, &probe)
+            .unwrap_or_else(|e| panic!("{named:?}: {e}"));
+        if let Err(v) = validate(&ts, &spec, &config, &trace, &report) {
+            panic!("{named:?}: {v}");
+        }
+        let o = overlap(&probe.events()).unwrap();
+        assert_eq!(o.transfer, report.bus_busy_ns[0], "{named:?}");
+        let busy = report.per_gpu.iter().map(|g| g.busy);
+        assert!(busy.clone().max().unwrap() <= o.compute, "{named:?}");
+        assert!(o.compute <= busy.sum::<u64>(), "{named:?}");
+        assert!(o.compute <= report.makespan, "{named:?}");
+        assert!(o.both <= o.transfer.min(o.compute), "{named:?}");
+        assert!((0.0..=1.0).contains(&o.ratio()), "{named:?}");
+        // A memory-feasible workload keeps GPUs busy for part of the run.
+        assert!(o.compute > 0, "{named:?}");
     }
 }
 
