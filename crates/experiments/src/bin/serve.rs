@@ -28,10 +28,11 @@
 //! serving is measurable with the same flag grammar as the figure
 //! binaries; malformed flags exit with status 2 before anything runs.
 //! `--trace-out`/`--metrics-out` re-run the representative cell (first
-//! scheduler, highest rate) observed and export the timeline — with the
-//! arrival/admit/defer admission track — and the metrics JSON: the
-//! report's counts, per-GPU split and serving statistics beside the
-//! registry's latency histograms (`trace_lint --metrics` checks them).
+//! scheduler, highest rate) observed, validate it, and export the
+//! timeline — with the arrival/admit/defer admission track — and the
+//! metrics JSON: the report's counts, per-GPU split and serving
+//! statistics beside the registry's latency histograms. A run that
+//! breaks the model writes neither file and exits 1.
 //!
 //! `--closed-loop N` switches the traffic class: `N` clients each keep
 //! one request in flight, thinking for an exponential time between the

@@ -349,9 +349,9 @@ impl FigureSpec {
     /// Run the figure and print the table, the paper-shape check verdicts
     /// and the CSV to stdout; also write JSON when `json_path` is given.
     /// Uses the default worker count (see [`pool::resolve_jobs`]). Errs
-    /// (instead of panicking) when any cell fails, so the fig binaries
-    /// can exit with a readable message.
-    pub fn run_and_print(&self, json_path: Option<&str>) -> Result<(), RunError> {
+    /// (instead of panicking) when any cell fails or the JSON cannot be
+    /// written, so the fig binaries can exit with a readable message.
+    pub fn run_and_print(&self, json_path: Option<&str>) -> Result<(), String> {
         self.run_and_print_with_jobs(json_path, pool::resolve_jobs(None))
     }
 
@@ -360,8 +360,8 @@ impl FigureSpec {
         &self,
         json_path: Option<&str>,
         jobs: usize,
-    ) -> Result<(), RunError> {
-        let rows = self.run_with_jobs(jobs)?;
+    ) -> Result<(), String> {
+        let rows = self.run_with_jobs(jobs).map_err(|e| e.to_string())?;
         print!("{}", self.to_table(&rows));
         if self.metric == Metric::Gflops {
             let checks = crate::checks::shape_checks(self.id, &rows, self.roofline_gflops());
@@ -371,7 +371,7 @@ impl FigureSpec {
         print!("{}", self.to_csv(&rows));
         if let Some(path) = json_path {
             let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
-            std::fs::write(path, json).expect("write json");
+            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
         Ok(())
@@ -474,5 +474,23 @@ mod tests {
     fn roofline_scales_with_gpu_count() {
         let fig = tiny_figure();
         assert_eq!(fig.roofline_gflops(), 2.0 * 13_253.0);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unwritable_json_path_is_an_error_not_a_panic() {
+        // A symlink into a missing directory passes the parse-time path
+        // check (its parent exists and it is no directory), but the write
+        // fails.
+        let dir = std::env::temp_dir().join("memsched_json_write_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let link = dir.join("rows.json");
+        std::fs::remove_file(&link).ok();
+        std::os::unix::fs::symlink(dir.join("missing").join("rows.json"), &link).unwrap();
+        let path = link.to_str().unwrap();
+        crate::obs::validate_out_path("--json", path).expect("passes the parse-time check");
+        let err = tiny_figure().run_and_print_with_jobs(Some(path), 1).unwrap_err();
+        assert!(err.starts_with(&format!("write {path}: ")), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,7 +19,6 @@
 
 pub mod bounds;
 mod ids;
-pub mod ordering;
 mod replay;
 mod schedule;
 mod taskset;

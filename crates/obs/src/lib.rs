@@ -4,9 +4,9 @@
 //! The simulation engine and the scheduler families emit typed
 //! [`ObsEvent`]s — spans (transfer begin/end, compute begin/end) and
 //! instants (evictions, scheduler decisions, steals, faults, gauges) —
-//! into a [`Probe`], a cheaply cloneable handle over a ring-buffered
+//! into a [`Probe`], a cheaply cloneable handle over an in-memory
 //! [`Recorder`]. These are the engine's only events: its own trace log
-//! is another [`TraceSink`] that keeps a projection of each one
+//! is a [`TraceSink`] that keeps a projection of each one
 //! (`memsched_platform::TraceEvent::from_obs`), so attaching a probe
 //! adds a consumer and changes no decision — the golden traces stay
 //! byte-identical (`tests/obs_wellformed.rs`). A run with neither a

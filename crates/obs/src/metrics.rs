@@ -401,6 +401,7 @@ impl TraceSink for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn histogram_buckets_and_quantiles() {
@@ -415,6 +416,38 @@ mod tests {
         assert_eq!(h.quantile(0.0), 0, "lowest value is in the zero bucket");
         assert!(h.quantile(1.0) >= 1_000_000, "p100 covers the max");
         assert!(h.quantile(0.5) <= 4, "median is tiny");
+    }
+
+    /// A value below `2^bits` of any magnitude: shifting a uniform draw
+    /// right by a uniform amount reaches every log₂ bucket, where uniform
+    /// draws alone land almost all in the top two.
+    fn any_magnitude(bits: u32) -> impl Strategy<Value = u64> {
+        (0u64..1 << bits, 0..=bits).prop_map(|(v, shift)| v >> shift)
+    }
+
+    proptest! {
+        /// Quantiles are bucket upper edges: ordered, covering the max,
+        /// and never past twice the max. Up to three values below 2^62
+        /// and 64 below 2^56 keep the u64 `sum` in range
+        /// (3·2^62 + 64·2^56 = 2^64).
+        #[test]
+        fn quantiles_are_ordered_and_within_twice_the_max(
+            wide in collection::vec(any_magnitude(62), 0..4),
+            narrow in collection::vec(any_magnitude(56), 0..=64),
+        ) {
+            prop_assume!(!wide.is_empty() || !narrow.is_empty());
+            let mut h = Histogram::new();
+            for &v in wide.iter().chain(&narrow) {
+                h.record(v);
+            }
+            let (min, max) = (h.min(), h.max());
+            let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
+            prop_assert!(
+                min <= p50 && p50 <= p99 && p99 <= 2 * max,
+                "min {} p50 {} p99 {} max {}", min, p50, p99, max
+            );
+            prop_assert!(h.quantile(1.0) >= max);
+        }
     }
 
     #[test]

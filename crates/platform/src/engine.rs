@@ -53,9 +53,6 @@ pub struct RunConfig {
     /// or `Checksum` (stream into `RunReport::trace_checksum` at O(1)
     /// memory — the million-task mode).
     pub trace: TraceMode,
-    /// Abort after this many processed events (safety net against buggy
-    /// scheduling policies; the default is generous).
-    pub max_events: u64,
     /// Faults to inject during the run. The default ([`FaultPlan::none`])
     /// injects nothing and leaves every run byte-identical to a fault-free
     /// build.
@@ -84,7 +81,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         Self {
             trace: TraceMode::Off,
-            max_events: u64::MAX,
             faults: FaultPlan::none(),
             admission: None,
             #[cfg(feature = "naive")]
@@ -212,8 +208,6 @@ pub enum RunError {
         /// Total tasks.
         total: usize,
     },
-    /// `max_events` exceeded.
-    EventBudgetExceeded,
     /// A transfer failed on every attempt of its retry budget (transient
     /// transfer faults, see [`FaultPlan`]).
     TransferFailed {
@@ -251,7 +245,6 @@ impl std::fmt::Display for RunError {
                 f,
                 "scheduler stalled after {completed}/{total} tasks completed"
             ),
-            RunError::EventBudgetExceeded => write!(f, "event budget exceeded"),
             RunError::TransferFailed {
                 gpu,
                 data,
@@ -430,7 +423,6 @@ fn run_inner(
             }
         }
     }
-    let mut processed: u64 = 0;
     loop {
         sweep(ts, spec, scheduler, &mut st, &mut sched_wall, naive_core)?;
         if st.completed + st.dropped() == m {
@@ -455,10 +447,6 @@ fn run_inner(
             });
         };
         st.now = time;
-        processed += 1;
-        if processed > config.max_events {
-            return Err(RunError::EventBudgetExceeded);
-        }
         handle_event(ts, spec, scheduler, &mut st, &mut sched_wall, config, m, ev)?;
     }
     Ok(finish_run(ts, spec, scheduler, st, sched_wall, prepare_wall, online))

@@ -1,17 +1,19 @@
 //! Property tests of the observability subsystem over random workloads:
 //! every recorded trace is well-formed, the Chrome export is valid JSON
-//! that round-trips through `serde_json`, the registry's transfer
-//! histogram holds one sample per reported load, the report's per-GPU
-//! split sums to the makespan, attaching a probe never changes a decision
-//! (the golden-trace guarantee, checked here as trace equality between
-//! the observed and unobserved runs), and the engine trace is exactly the
-//! projection of the observed stream — which `memsched_platform::validate`
-//! then checks against the report, the busy/stall/idle split included.
+//! that round-trips through `serde_json` and renders each timeline span,
+//! in order, on its own track and each instant once, the registry's
+//! transfer histogram holds one sample per reported load, the report's
+//! per-GPU split sums to the makespan, attaching a probe never changes a
+//! decision (the golden-trace guarantee, checked here as trace equality
+//! between the observed and unobserved runs), and the engine trace is
+//! exactly the projection of the observed stream — which
+//! `memsched_platform::validate` then checks against the report, the
+//! busy/stall/idle split included.
 
 mod common;
 
 use common::{arb_taskset, small_spec};
-use memsched::obs::{check_well_formed, chrome_trace_json, Metrics, ObsEvent};
+use memsched::obs::{check_well_formed, chrome_trace_json, Metrics, ObsEvent, SpanKind};
 use memsched::platform::{validate, TraceEvent};
 use memsched::prelude::*;
 use memsched::schedulers::FAMILIES;
@@ -19,6 +21,7 @@ use memsched::workloads::{
     assign_classes, deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern,
 };
 use proptest::prelude::*;
+use serde_json::{Number, Value};
 use std::collections::BTreeSet;
 
 /// The `Full` trace projected out of an observed event stream.
@@ -91,17 +94,33 @@ proptest! {
             );
         }
 
-        // Chrome export: valid JSON, round-trippable, span count right.
+        // Chrome export: valid JSON that round-trips, one `X` entry per
+        // timeline span in timeline order on the span's own track, and one
+        // `i` or `C` entry per instant.
         let text = chrome_trace_json(&events).unwrap();
         let doc = serde_json::parse_value(&text).unwrap();
-        let lint = memsched::experiments::obs::lint_chrome(&doc).unwrap();
-        prop_assert_eq!(lint.spans, timeline.spans.len());
-        let re_rendered = serde_json::to_string(&doc).unwrap();
-        let re_parsed = serde_json::parse_value(&re_rendered).unwrap();
-        prop_assert_eq!(
-            memsched::experiments::obs::lint_chrome(&re_parsed).unwrap(),
-            lint
-        );
+        let re_parsed = serde_json::parse_value(&serde_json::to_string(&doc).unwrap()).unwrap();
+        prop_assert_eq!(&re_parsed, &doc);
+        let entries = doc.field("traceEvents", "trace").unwrap().as_arr().unwrap();
+        let phase = |ph: &'static str| {
+            entries
+                .iter()
+                .filter(move |e| e.field("ph", "event").unwrap().as_str() == Some(ph))
+        };
+        let us = |ns: u64| Value::Num(Number::F(ns as f64 / 1000.0));
+        prop_assert_eq!(phase("X").count(), timeline.spans.len());
+        for (entry, span) in phase("X").zip(&timeline.spans) {
+            let at = |key: &str| entry.field(key, "span").unwrap();
+            let cat = match span.kind {
+                SpanKind::Transfer { .. } => "transfer",
+                SpanKind::Compute { .. } => "compute",
+            };
+            prop_assert_eq!(at("tid"), &Value::Num(Number::U(span.track.tid())));
+            prop_assert_eq!(at("ts"), &us(span.begin));
+            prop_assert_eq!(at("dur"), &us(span.end - span.begin));
+            prop_assert_eq!(at("cat").as_str(), Some(cat));
+        }
+        prop_assert_eq!(phase("i").count() + phase("C").count(), timeline.instants.len());
     }
 
     /// With transient transfer faults injected, the trace stays
