@@ -23,10 +23,30 @@
 //!   nets are scanned for those pushes unless a net above
 //!   `MAX_MATCH_NET` pins moved a gain earlier in the pass, the one way a
 //!   queued gain can go stale outside the net being updated;
+//! * FM ends a pass once no later prefix can beat the best one. Nets with
+//!   locked pins on both sides stay cut until the pass ends, since locked
+//!   vertices (moved, or held in place by the balance caps) do not move
+//!   again; so every later prefix gains at most the pass-start cut minus
+//!   their weight. When that bound is no more than the best gain, no
+//!   later prefix can replace the best, which takes a strictly larger
+//!   gain. The rollback restores that same prefix either way, and the
+//!   heap, `cached` and `locked` are rebuilt every pass, so the next pass
+//!   starts from the same state;
 //! * `coarsen_once` scans only the still-unmatched pins of each net (a
 //!   per-level pin copy compacted as matched pins are met), reuses its
 //!   scratch across levels, builds coarse nets straight into CSR, and
 //!   the level stack no longer clones each coarse hypergraph;
+//! * on a *linear* level, where no two nets of at most `MAX_MATCH_NET`
+//!   pins share two vertices, `coarsen_once` does not score at all. Every
+//!   neighbour `u` of `v` then shares exactly one such net with `v`, so
+//!   its score is that net's `match_weight`, and the scan's partner, the
+//!   maximum `(score, u)`, is the highest unmatched pin other than `v` of
+//!   `v`'s heaviest net (ties to the larger pin). One pointer per net
+//!   walks its ascending row down past matched pins, so a level costs
+//!   `O(pins)` instead of `O(Σ |e|²)`. Every task hypergraph the figures
+//!   partition is linear at the finest level. (Levels where checking
+//!   linearity would cost more than a full-pin scan, such as clique
+//!   expansions, keep the scan.);
 //! * `greedy_initial` filters a persistent candidate pool in place
 //!   (`retain` keeps the same ascending order and length as the rebuilt
 //!   vector, so every RNG draw is identical).
@@ -125,28 +145,83 @@ struct CoarsenScratch {
     order: Vec<u32>,
     score: Vec<u64>,
     touched: Vec<u32>,
-    /// Per-level copy of the pin CSR. Row `n` starts at the net's own
-    /// offset and holds its first `live_len[n]` entries as the pins not
-    /// known to be matched yet; matched pins are swap-removed as scans
-    /// meet them.
+    /// Byte-per-vertex matched flag of the current level.
+    taken: Vec<bool>,
+    /// Scan path: a per-level copy of the pin CSR. Row `n` starts at the
+    /// net's own offset and holds its first `live_len[n]` entries as the
+    /// pins not known to be matched yet; matched pins are swap-removed as
+    /// scans meet them.
     live_pins: Vec<u32>,
+    /// Scan path: live row lengths. Linear path: per-net pointer into the
+    /// ascending pin row; every pin at or above it is matched.
     live_len: Vec<u32>,
+    /// Linearity check: the last small net that reached each net.
+    net_stamp: Vec<u32>,
     /// Pin buffer for building one coarse net.
     net_buf: Vec<u32>,
 }
 
 /// Heavy-connectivity weight of a net with `size` pins: `w/(size−1)`,
-/// the standard normalization, scaled by 256 to stay integral.
+/// the standard normalization, scaled by 256 to stay integral (at least
+/// 1 for every net of at most `MAX_MATCH_NET` pins).
 fn match_weight(hg: &Hypergraph, net: usize, size: usize) -> u64 {
     hg.nweight(net).max(1) * 256 / (size as u64 - 1).max(1)
 }
 
-/// One level of heavy-connectivity matching.
+/// Whether no two nets of at most `MAX_MATCH_NET` pins share two
+/// vertices. Larger nets are ignored, as matching ignores them. Each
+/// small net stamps the higher-numbered small nets of its pins and the
+/// walk stops at the first net stamped twice by the same net.
+fn is_linear(hg: &Hypergraph, stamp: &mut Vec<u32>) -> bool {
+    stamp.clear();
+    stamp.resize(hg.num_nets(), u32::MAX);
+    for e in 0..hg.num_nets() {
+        let pins = hg.pins(e);
+        if pins.len() > MAX_MATCH_NET {
+            continue;
+        }
+        for &v in pins {
+            for &f in hg.nets_of(v as usize) {
+                if f as usize <= e || hg.pins(f as usize).len() > MAX_MATCH_NET {
+                    continue;
+                }
+                if stamp[f as usize] == e as u32 {
+                    return false;
+                }
+                stamp[f as usize] = e as u32;
+            }
+        }
+    }
+    true
+}
+
+/// Whether the linearity walk reads no more net ids (`Σ deg(v)²` bounds
+/// it) than a full-pin scan of the small nets reads pins (`Σ |e|²`).
+/// Graphs of high degree, such as clique expansions, fail this and keep
+/// the scan, which costs them `O(pins)` anyway.
+fn linearity_check_is_cheap(hg: &Hypergraph) -> bool {
+    let walk: u64 = (0..hg.num_vertices())
+        .map(|v| (hg.nets_of(v).len() as u64).pow(2))
+        .sum();
+    let scan: u64 = (0..hg.num_nets())
+        .map(|e| hg.pins(e).len() as u64)
+        .filter(|&size| size <= MAX_MATCH_NET as u64)
+        .map(|size| size * size)
+        .sum();
+    walk <= scan
+}
+
+/// One level of heavy-connectivity matching: each unmatched vertex `v`, in
+/// a random order, is paired with the unmatched neighbour `u` of highest
+/// `(score, u)`, its score being the summed `match_weight` of the nets of
+/// at most `MAX_MATCH_NET` pins that hold both.
 ///
-/// Each vertex scores its unmatched neighbours over the live rows only,
-/// compacting matched pins out of the rows as it goes, so a pin is read
-/// once after it is matched instead of once per later scan through its
-/// net. The weight still uses the net's full pin count, scores are sums
+/// On a linear level (see [`is_linear`]) whose check is cheap (see
+/// [`linearity_check_is_cheap`]) that is a pointer walk; otherwise each
+/// vertex scores its neighbours over the live rows only, compacting
+/// matched pins out of the rows as it goes, so a pin is read once after
+/// it is matched instead of once per later scan through its net. The
+/// weight still uses the net's full pin count, scores are sums
 /// (order-free), and `(score, u)` keys are unique, so the chosen partner
 /// is the one the full-pin scan picks.
 fn coarsen_once(
@@ -159,8 +234,10 @@ fn coarsen_once(
         order,
         score,
         touched,
+        taken,
         live_pins,
         live_len,
+        net_stamp,
         net_buf,
     } = scratch;
     order.clear();
@@ -169,65 +246,116 @@ fn coarsen_once(
 
     let mut matched = vec![u32::MAX; n]; // coarse id per fine vertex
     let mut next_coarse = 0u32;
+    taken.clear();
+    taken.resize(n, false);
     // Scratch for neighbor scores; `score` is all-zero between vertices
     // (reset via `touched`), so growing it keeps the invariant.
     if score.len() < n {
         score.resize(n, 0);
     }
     let (offsets, pins) = hg.pin_csr();
-    live_pins.clear();
-    live_pins.extend_from_slice(pins);
     live_len.clear();
     live_len.extend(offsets.windows(2).map(|w| w[1] - w[0]));
+    let linear = linearity_check_is_cheap(hg) && is_linear(hg, net_stamp);
+    if !linear {
+        live_pins.clear();
+        live_pins.extend_from_slice(pins);
+    }
+    #[cfg(test)]
+    let mut count = tests::MatchCount {
+        linear,
+        ..Default::default()
+    };
 
     for &v in order.iter() {
-        if matched[v as usize] != u32::MAX {
+        if taken[v as usize] {
             continue;
         }
-        // Score unmatched neighbors by shared-net weight.
-        touched.clear();
-        for &net in hg.nets_of(v as usize) {
-            let ni = net as usize;
-            let size = (offsets[ni + 1] - offsets[ni]) as usize;
-            if size > MAX_MATCH_NET {
-                continue;
-            }
-            let w = match_weight(hg, ni, size);
-            let row = &mut live_pins[offsets[ni] as usize..][..live_len[ni] as usize];
-            let mut len = row.len();
-            let mut i = 0;
-            while i < len {
-                let u = row[i];
-                if matched[u as usize] != u32::MAX {
-                    len -= 1;
-                    row[i] = row[len];
+        // Best `(score, u)` so far; scores are at least 1, so a zero
+        // score means no unmatched neighbour.
+        let mut best = (0u64, 0u32);
+        if linear {
+            // Every neighbour shares exactly one small net with `v` and
+            // scores that net's weight, so the partner is the highest
+            // unmatched pin of `v`'s heaviest net (ties to the larger
+            // pin). Each net's pointer walks its row down past matched
+            // pins and `v`, which is matched below, so across the level
+            // it passes each pin once.
+            for &net in hg.nets_of(v as usize) {
+                let ni = net as usize;
+                let row = &pins[offsets[ni] as usize..offsets[ni + 1] as usize];
+                if row.len() > MAX_MATCH_NET {
                     continue;
                 }
-                i += 1;
-                if u == v {
+                let mut top = live_len[ni] as usize;
+                while top > 0 && (taken[row[top - 1] as usize] || row[top - 1] == v) {
+                    top -= 1;
+                }
+                #[cfg(test)]
+                {
+                    count.visits += 1;
+                    count.pins_read += (live_len[ni] as usize - top + (top > 0) as usize) as u64;
+                }
+                live_len[ni] = top as u32;
+                if top > 0 {
+                    best = best.max((match_weight(hg, ni, row.len()), row[top - 1]));
+                }
+            }
+        } else {
+            // Score unmatched neighbours by shared-net weight. Scores only
+            // grow, so the running maximum of `(score, u)` over the updates
+            // is the maximum over the final scores.
+            touched.clear();
+            for &net in hg.nets_of(v as usize) {
+                let ni = net as usize;
+                let size = (offsets[ni + 1] - offsets[ni]) as usize;
+                if size > MAX_MATCH_NET {
                     continue;
                 }
-                if score[u as usize] == 0 {
-                    touched.push(u);
+                let w = match_weight(hg, ni, size);
+                let row = &mut live_pins[offsets[ni] as usize..][..live_len[ni] as usize];
+                #[cfg(test)]
+                {
+                    count.visits += 1;
+                    count.pins_read += row.len() as u64;
                 }
-                score[u as usize] += w;
+                let mut len = row.len();
+                let mut i = 0;
+                while i < len {
+                    let u = row[i];
+                    if taken[u as usize] {
+                        len -= 1;
+                        row[i] = row[len];
+                        continue;
+                    }
+                    i += 1;
+                    if u == v {
+                        continue;
+                    }
+                    let s = &mut score[u as usize];
+                    if *s == 0 {
+                        touched.push(u);
+                    }
+                    *s += w;
+                    best = best.max((*s, u));
+                }
+                live_len[ni] = len as u32;
             }
-            live_len[ni] = len as u32;
+            for &u in touched.iter() {
+                score[u as usize] = 0;
+            }
         }
-        let best = touched
-            .iter()
-            .copied()
-            .max_by_key(|&u| (score[u as usize], u));
         let cid = next_coarse;
         next_coarse += 1;
         matched[v as usize] = cid;
-        if let Some(u) = best {
-            matched[u as usize] = cid;
-        }
-        for &u in touched.iter() {
-            score[u as usize] = 0;
+        taken[v as usize] = true;
+        if best.0 > 0 {
+            matched[best.1 as usize] = cid;
+            taken[best.1 as usize] = true;
         }
     }
+    #[cfg(test)]
+    tests::MATCH_COUNTS.with(|c| c.borrow_mut().push(count));
     build_coarse(hg, matched, next_coarse as usize, net_buf)
 }
 
@@ -348,6 +476,9 @@ fn gain_of(hg: &Hypergraph, v: usize, parts: &[u32], side_pins: &[[u32; 2]]) -> 
 /// Only boundary nets are scanned for such pushes, until a net too big to
 /// requeue has updated gains in the pass (`drift`); after that every
 /// small net is scanned, as before.
+///
+/// A pass stops as soon as no later prefix can beat the best one; the
+/// module doc gives the argument that this keeps every decision.
 fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: usize) {
     let n = hg.num_vertices();
     if n == 0 {
@@ -373,6 +504,15 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
     let mut locked = vec![false; n];
     let mut moves: Vec<u32> = Vec::with_capacity(n);
     let mut heap_vec: Vec<(i64, u32)> = Vec::with_capacity(n);
+    // Cut weight at the start of the current pass.
+    let mut cut: i64 = side_pins
+        .iter()
+        .enumerate()
+        .filter(|(_, sp)| sp[0] > 0 && sp[1] > 0)
+        .map(|(net, _)| hg.nweight(net) as i64)
+        .sum();
+    // Locked pins per net and side in the current pass.
+    let mut locked_pins = vec![[0u32; 2]; hg.num_nets()];
 
     for _ in 0..passes {
         heap_vec.clear();
@@ -382,16 +522,26 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
         }
         let mut heap = BinaryHeap::from(std::mem::take(&mut heap_vec));
         locked.fill(false);
+        locked_pins.fill([0, 0]);
         moves.clear();
         let mut best_prefix = 0usize;
         let mut cur_delta = 0i64;
         let mut best_delta = 0i64;
+        // Weight of the nets with locked pins on both sides: they stay
+        // cut for the rest of the pass.
+        let mut locked_cut = 0i64;
         // Set once a net above MAX_MATCH_NET updates gains this pass: its
         // pins are not requeued, so from then on an unlocked vertex's gain
         // may differ from `cached` outside a net just updated.
         let mut drift = false;
 
-        while let Some((g, v)) = heap.pop() {
+        // A later prefix gains at most `cut − locked_cut`; once that
+        // cannot beat `best_delta`, the rest of the pass would be rolled
+        // back anyway.
+        while cut - locked_cut > best_delta {
+            let Some((g, v)) = heap.pop() else {
+                break;
+            };
             let vu = v as usize;
             if locked[vu] {
                 continue;
@@ -414,11 +564,13 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
             if weights[t] + hg.vweight(vu) > caps[t] {
                 // Cannot move without breaking balance; lock in place.
                 locked[vu] = true;
+                locked_cut += lock_on(hg, vu, s, &mut locked_pins);
                 continue;
             }
             // Apply the move. Moving flips every leave-term of v's gain
             // into the mirrored enter-term, so the gain negates.
             locked[vu] = true;
+            locked_cut += lock_on(hg, vu, t, &mut locked_pins);
             parts[vu] = t as u32;
             weights[s] -= hg.vweight(vu);
             weights[t] += hg.vweight(vu);
@@ -504,11 +656,29 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
                 side_pins[ni][t] = tc + 1;
             }
         }
+        #[cfg(test)]
+        tests::FM_MOVES.with(|m| m.borrow_mut().push(moves.len() as u64));
         heap_vec = heap.into_vec();
+        cut -= best_delta;
         if best_delta <= 0 {
             break;
         }
     }
+}
+
+/// Record that `v` is locked on side `s` for the rest of the FM pass, and
+/// return the weight of the nets that now hold locked pins on both sides
+/// (and so stay cut until the pass ends).
+fn lock_on(hg: &Hypergraph, v: usize, s: usize, locked_pins: &mut [[u32; 2]]) -> i64 {
+    let mut newly_cut = 0;
+    for &net in hg.nets_of(v) {
+        let lp = &mut locked_pins[net as usize];
+        lp[s] += 1;
+        if lp[s] == 1 && lp[1 - s] > 0 {
+            newly_cut += hg.nweight(net as usize) as i64;
+        }
+    }
+    newly_cut
 }
 
 // ---------------------------------------------------------------------------
@@ -744,9 +914,29 @@ fn fm_refine_naive(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, pas
 mod tests {
     use super::*;
     use crate::hg::{evaluate, grid2};
+    use std::cell::RefCell;
 
-    /// An n×n grid hypergraph (task grid with row/column nets).
-    fn grid(n: usize) -> Hypergraph {
+    /// Work of one `coarsen_once` call.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub(super) struct MatchCount {
+        /// The level took the linear (pointer) path.
+        pub(super) linear: bool,
+        /// `(vertex, net)` pairs matching visited: one per net of at
+        /// most `MAX_MATCH_NET` pins of each vertex it matched from.
+        pub(super) visits: u64,
+        /// Pins those visits read.
+        pub(super) pins_read: u64,
+    }
+
+    thread_local! {
+        /// One entry per coarsening level run on this thread.
+        pub(super) static MATCH_COUNTS: RefCell<Vec<MatchCount>> = const { RefCell::new(Vec::new()) };
+        /// Moves made (before the rollback) per FM pass run on this thread.
+        pub(super) static FM_MOVES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The row and column nets of an n×n task grid.
+    fn grid_nets(n: usize) -> Vec<Vec<u32>> {
         let mut nets = Vec::new();
         for i in 0..n {
             nets.push((0..n).map(|j| (i * n + j) as u32).collect());
@@ -754,7 +944,112 @@ mod tests {
         for j in 0..n {
             nets.push((0..n).map(|i| (i * n + j) as u32).collect());
         }
+        nets
+    }
+
+    /// An n×n grid hypergraph (task grid with row/column nets).
+    fn grid(n: usize) -> Hypergraph {
+        Hypergraph::unit(n * n, grid_nets(n))
+    }
+
+    /// `grid(n)` plus one more unit net.
+    fn grid_with(n: usize, extra: Vec<u32>) -> Hypergraph {
+        let mut nets = grid_nets(n);
+        nets.push(extra);
         Hypergraph::unit(n * n, nets)
+    }
+
+    #[test]
+    fn grids_are_linear() {
+        let mut stamp = Vec::new();
+        for n in [2, 5, 12] {
+            assert!(is_linear(&grid(n), &mut stamp), "grid({n})");
+        }
+        assert!(is_linear(&grid2(), &mut stamp));
+    }
+
+    #[test]
+    fn a_second_net_through_two_cells_of_a_row_is_not_linear() {
+        let mut stamp = Vec::new();
+        // Cells 1 and 3 both lie in row 0 of the 5×5 grid.
+        assert!(!is_linear(&grid_with(5, vec![1, 3, 17]), &mut stamp));
+        // A duplicate of a column net shares all its pins with it.
+        assert!(!is_linear(
+            &grid_with(5, vec![2, 7, 12, 17, 22]),
+            &mut stamp
+        ));
+        // One cell per row and column: a diagonal keeps the grid linear.
+        assert!(is_linear(&grid_with(5, vec![0, 6, 12, 18, 24]), &mut stamp));
+    }
+
+    /// Matching ignores nets above `MAX_MATCH_NET` pins, so the check
+    /// does too: a net over every cell of a 17×17 grid (289 pins) holds
+    /// whole rows and leaves the grid linear, while the same cells cut to
+    /// `MAX_MATCH_NET` pins make it non-linear.
+    #[test]
+    fn nets_above_the_matching_cap_are_ignored_by_the_check() {
+        let mut stamp = Vec::new();
+        let all: Vec<u32> = (0..17 * 17).collect();
+        assert!(is_linear(&grid_with(17, all.clone()), &mut stamp));
+        let capped = all[..MAX_MATCH_NET].to_vec();
+        assert!(!is_linear(&grid_with(17, capped), &mut stamp));
+    }
+
+    /// A clique expansion is linear (parallel edges are merged), but its
+    /// walk would read `Σ deg²` net ids against `4·edges` pins for a
+    /// full-pin scan, so it keeps the scan.
+    #[test]
+    fn dense_graphs_keep_the_scan() {
+        let graph = crate::clique::clique_expand(&grid(12));
+        let mut stamp = Vec::new();
+        assert!(is_linear(&graph, &mut stamp));
+        assert!(!linearity_check_is_cheap(&graph));
+        assert!(linearity_check_is_cheap(&grid(12)));
+        MATCH_COUNTS.with(|c| c.borrow_mut().clear());
+        coarsen_once(
+            &graph,
+            &mut StdRng::seed_from_u64(3),
+            &mut CoarsenScratch::default(),
+        );
+        let counts = MATCH_COUNTS.with(|c| c.take());
+        assert!(!counts[0].linear);
+    }
+
+    /// Exact work counts of one bisection of a 20×20 grid: matching reads
+    /// and visits per level, and FM moves per pass. On the linear level
+    /// each net's pointer passes each pin once, plus one read per visit
+    /// that finds a partner. A re-scan, or an FM cut-off that never
+    /// fires, changes these numbers.
+    #[test]
+    fn bisect_work_counts_are_pinned() {
+        let hg = grid(20);
+        MATCH_COUNTS.with(|c| c.borrow_mut().clear());
+        FM_MOVES.with(|m| m.borrow_mut().clear());
+        bisect(&hg, 200, 200, 0.02, 9);
+        let counts = MATCH_COUNTS.with(|c| c.take());
+        let moves = FM_MOVES.with(|m| m.take());
+        let level0 = counts[0];
+        assert!(
+            level0.linear && level0.pins_read <= hg.num_pins() as u64 + 2 * level0.visits,
+            "{level0:?}"
+        );
+        assert_eq!(
+            counts,
+            [
+                MatchCount {
+                    linear: true,
+                    visits: 402,
+                    pins_read: 941
+                },
+                MatchCount {
+                    linear: false,
+                    visits: 302,
+                    pins_read: 3138
+                },
+            ],
+            "matching counts"
+        );
+        assert_eq!(moves, [27, 26, 95, 93, 227], "FM moves per pass");
     }
 
     #[test]

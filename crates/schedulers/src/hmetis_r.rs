@@ -3,7 +3,7 @@
 //! reordering and tail-half task stealing.
 
 use crate::stealing::StealingQueues;
-use memsched_hypergraph::{partition, partition_clique, Hypergraph, PartitionConfig};
+use memsched_hypergraph::{evaluate, partition, partition_clique, Hypergraph, PartitionConfig};
 use memsched_model::{GpuId, TaskId, TaskSet};
 use memsched_platform::{PlatformSpec, Probe, RuntimeView, Scheduler};
 
@@ -109,6 +109,11 @@ impl Scheduler for HmetisRScheduler {
         let hg = Self::build_hypergraph(ts);
         let parts = if k == 1 {
             vec![0u32; ts.num_tasks()]
+        } else if ts.num_tasks() < k {
+            // Too few tasks to split into `k` parts: task `t` gets GPU `t`.
+            let parts: Vec<u32> = (0..ts.num_tasks() as u32).collect();
+            self.partition_cost = evaluate(&hg, &parts, k).connectivity_minus_one;
+            parts
         } else {
             let cfg = PartitionConfig::for_parts(k)
                 .with_nruns(self.config.nruns)

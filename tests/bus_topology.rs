@@ -10,12 +10,6 @@ use memsched::prelude::*;
 use memsched::schedulers::FAMILIES;
 use proptest::prelude::*;
 
-/// hMETIS+R's partitioner requires at least one task per part; the
-/// degenerate fewer-tasks-than-GPUs shape is not a differential case.
-fn skip_degenerate(named: &NamedScheduler, ts: &TaskSet, gpus: usize) -> bool {
-    *named == NamedScheduler::HmetisR && ts.num_tasks() < gpus
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -36,9 +30,6 @@ proptest! {
             ..RunConfig::default()
         };
         for named in &FAMILIES {
-            if skip_degenerate(named, &ts, gpus) {
-                continue;
-            }
             let label = named.label();
             let (flat_report, flat_trace) =
                 run_validated(&ts, &flat, named.build().as_mut(), &config);

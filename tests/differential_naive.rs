@@ -155,6 +155,60 @@ fn arb_large_hypergraph() -> impl Strategy<Value = Hypergraph> {
         )
 }
 
+/// Strategy: a linear weighted hypergraph large enough to coarsen, shaped
+/// like the task hypergraphs the figures partition (each task lies on a
+/// few data lines, and two lines meet in at most one task). It keeps more
+/// than 160 cells of a 13–30 × 13–30 grid, numbered in a random order,
+/// with one net per row, column and diagonal over its kept cells (nets of
+/// one cell dropped). Two cells share at most one line, so no two nets
+/// share two vertices and the finest level takes the pointer matching.
+/// Vertex weights are 1–3 and net weights 1–40. In half the cases the
+/// grid keeps more than 256 cells and one more net holds all of them:
+/// above the matching cap, it is ignored by matching and by the
+/// linearity check, and the level stays linear.
+fn arb_linear_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (any::<bool>(), 13usize..=30, 13usize..=30)
+        .prop_flat_map(|(big, r, c)| {
+            // A grid with a big net has at least 17 × 17 > 256 cells.
+            let (rows, cols) = if big { (r.max(17), c.max(17)) } else { (r, c) };
+            let cells = rows * cols;
+            let keep = if big { 257 } else { 161 };
+            let drops = proptest::collection::vec(0..cells, 0..=cells - keep);
+            let keys = proptest::collection::vec(any::<u32>(), cells);
+            let vweights = proptest::collection::vec(1u64..=3, cells);
+            // One weight per row, column and diagonal, and one for the big net.
+            let nweights = proptest::collection::vec(1u64..=40, 2 * (rows + cols));
+            (Just((big, rows, cols)), drops, keys, vweights, nweights)
+        })
+        .prop_map(|((big, rows, cols), drops, keys, vweights, nweights)| {
+            let mut kept = vec![true; rows * cols];
+            for d in drops {
+                kept[d] = false;
+            }
+            let mut order: Vec<usize> = (0..rows * cols).filter(|&x| kept[x]).collect();
+            order.sort_by_key(|&x| (keys[x], x));
+            let n = order.len() as u32;
+            // Rows, then columns, then the diagonals `i − j`, then the big net.
+            let mut lines: Vec<Vec<u32>> = vec![Vec::new(); nweights.len()];
+            for (id, &x) in order.iter().enumerate() {
+                let (i, j) = (x / cols, x % cols);
+                for line in [i, rows + j, rows + cols + i + cols - 1 - j] {
+                    lines[line].push(id as u32);
+                }
+            }
+            if big {
+                *lines.last_mut().expect("one slot per net") = (0..n).collect();
+            }
+            let (nets, nweights): (Vec<Vec<u32>>, Vec<u64>) = lines
+                .into_iter()
+                .zip(nweights)
+                .filter(|(l, _)| l.len() >= 2)
+                .unzip();
+            let vweights = order.iter().map(|&x| vweights[x]).collect();
+            Hypergraph::new(n as usize, nets, vweights, nweights)
+        })
+}
+
 /// A validated `TraceMode::Full` batch run.
 fn trace_of(
     ts: &TaskSet,
@@ -204,11 +258,6 @@ fn engine_cores_equivalent(
     base: &RunConfig,
     named: &NamedScheduler,
 ) {
-    // hMETIS+R's partitioner requires at least one task per part; the
-    // degenerate fewer-tasks-than-GPUs shape is not an engine-core case.
-    if *named == NamedScheduler::HmetisR && ts.num_tasks() < spec.num_gpus {
-        return;
-    }
     let label = named.label();
     let heap_config = RunConfig {
         trace: TraceMode::Full,
@@ -387,6 +436,43 @@ proptest! {
     #[test]
     fn partition_large_matches_naive(
         hg in arb_large_hypergraph(),
+        k in 2usize..5,
+        seed in 0u64..1000,
+        threads in 1usize..4,
+    ) {
+        let cfg = PartitionConfig::for_parts(k)
+            .with_nruns(3)
+            .with_seed(seed)
+            .with_threads(threads);
+        let fast = partition(&hg, &cfg);
+        let naive = partition(&hg, &cfg.clone().with_naive());
+        prop_assert_eq!(fast.parts, naive.parts, "seed {}", seed);
+    }
+
+    /// Multilevel bisection on linear hypergraphs: the pointer matching of
+    /// a linear level must pick the partners of the full-pin scan, nets
+    /// above the matching cap ignored, and the FM pass cut-off must keep
+    /// the naive moves.
+    #[test]
+    fn bisect_linear_matches_naive(
+        hg in arb_linear_hypergraph(),
+        seed in 0u64..1000,
+        eps_idx in 0usize..3,
+    ) {
+        let eps = [0.01f64, 0.05, 0.2][eps_idx];
+        let total = hg.total_vweight();
+        let w0 = total / 2;
+        let w1 = total - w0;
+        let fast = bisect(&hg, w0, w1, eps, seed);
+        let naive = bisect_naive(&hg, w0, w1, eps, seed);
+        prop_assert_eq!(fast, naive, "seed {}", seed);
+    }
+
+    /// K-way partitioning of linear hypergraphs through the restart pool:
+    /// identical part vectors with and without the naive bisection.
+    #[test]
+    fn partition_linear_matches_naive(
+        hg in arb_linear_hypergraph(),
         k in 2usize..5,
         seed in 0u64..1000,
         threads in 1usize..4,

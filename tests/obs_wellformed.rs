@@ -44,8 +44,6 @@ proptest! {
     ) {
         let spec = small_spec(gpus, mem);
         let named = &FAMILIES[sched_idx];
-        // hMETIS+R's partitioner needs at least one task per part.
-        prop_assume!(*named != NamedScheduler::HmetisR || ts.num_tasks() >= gpus);
         let config = RunConfig {
             trace: TraceMode::Full,
             ..RunConfig::default()

@@ -10,6 +10,7 @@ use common::run_validated;
 use memsched::obs::overlap;
 use memsched::platform::{validate, RunConfig, TraceEvent};
 use memsched::prelude::*;
+use memsched::schedulers::{HmetisRScheduler, PartitionerOptions};
 use memsched::workloads::{self, constants::GEMM2D_DATA_BYTES};
 
 /// A validated `TraceMode::Full` run of `named`.
@@ -163,5 +164,34 @@ fn traces_are_deterministic() {
         let (r2, t2) = traced(&named, &ts, &spec);
         assert_eq!(r1.makespan, r2.makespan, "{named:?}");
         assert_eq!(t1, t2, "{named:?}: traces differ between runs");
+    }
+}
+
+/// hMETIS+R on a batch with fewer tasks than GPUs, which has no partition
+/// into one part per GPU: task `t` goes to GPU `t` (where it runs when
+/// stealing is off), and the runs validate.
+#[test]
+fn hmetis_r_runs_fewer_tasks_than_gpus() {
+    let mut b = TaskSetBuilder::new();
+    let shared = b.add_data(GEMM2D_DATA_BYTES);
+    for _ in 0..2 {
+        let own = b.add_data(GEMM2D_DATA_BYTES);
+        b.add_task(&[shared, own], 1e9);
+    }
+    let config = RunConfig {
+        trace: TraceMode::Full,
+        ..Default::default()
+    };
+    for (ts, gpus) in [(workloads::gemm_2d(1), 2), (b.build(), 3)] {
+        let spec = PlatformSpec::v100(gpus);
+        traced(&NamedScheduler::HmetisR, &ts, &spec);
+        let mut unstolen = HmetisRScheduler::with_options(PartitionerOptions {
+            steal: false,
+            ..Default::default()
+        });
+        let (report, _) = run_validated(&ts, &spec, &mut unstolen, &config);
+        let per_gpu: Vec<usize> = report.per_gpu.iter().map(|g| g.tasks).collect();
+        let want: Vec<usize> = (0..gpus).map(|g| (g < ts.num_tasks()) as usize).collect();
+        assert_eq!(per_gpu, want, "{} tasks on {gpus} GPUs", ts.num_tasks());
     }
 }
