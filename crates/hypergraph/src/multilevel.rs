@@ -22,7 +22,8 @@
 //!   ones and therefore indistinguishable to the heap. Only boundary
 //!   nets are scanned for those pushes unless a net above
 //!   `MAX_MATCH_NET` pins moved a gain earlier in the pass, the one way a
-//!   queued gain can go stale outside the net being updated;
+//!   queued gain can go stale outside the net being updated. Its vectors
+//!   are allocated once per bisection, for the finest level;
 //! * FM ends a pass once no later prefix can beat the best one. Nets with
 //!   locked pins on both sides stay cut until the pass ends, since locked
 //!   vertices (moved, or held in place by the balance caps) do not move
@@ -32,24 +33,51 @@
 //!   gain. The rollback restores that same prefix either way, and the
 //!   heap, `cached` and `locked` are rebuilt every pass, so the next pass
 //!   starts from the same state;
-//! * `coarsen_once` scans only the still-unmatched pins of each net (a
-//!   per-level pin copy compacted as matched pins are met), reuses its
-//!   scratch across levels, builds coarse nets straight into CSR, and
-//!   the level stack no longer clones each coarse hypergraph;
-//! * on a *linear* level, where no two nets of at most `MAX_MATCH_NET`
-//!   pins share two vertices, `coarsen_once` does not score at all. Every
-//!   neighbour `u` of `v` then shares exactly one such net with `v`, so
-//!   its score is that net's `match_weight`, and the scan's partner, the
-//!   maximum `(score, u)`, is the highest unmatched pin other than `v` of
-//!   `v`'s heaviest net (ties to the larger pin). One pointer per net
-//!   walks its ascending row down past matched pins, so a level costs
-//!   `O(pins)` instead of `O(Σ |e|²)`. Every task hypergraph the figures
-//!   partition is linear at the finest level. (Levels where checking
-//!   linearity would cost more than a full-pin scan, such as clique
-//!   expansions, keep the scan.);
+//! * `coarsen_once` reuses its scratch across levels, builds coarse nets
+//!   straight into CSR, and the level stack no longer clones each coarse
+//!   hypergraph. It picks each partner by one of two paths, both exact;
+//! * on a *sparse* level it indexes the pairs of nets of at most
+//!   `MAX_MATCH_NET` pins (*small* nets) that share two or more vertices,
+//!   listing those vertices. The partner of `v` is then the largest
+//!   `(score, u)` among two candidate sets: per small net `e` of `v`,
+//!   `(match_weight(e), highest unmatched pin of e other than v)`, from a
+//!   pointer that walks `e`'s ascending row down past matched pins; and
+//!   each unmatched `u ≠ v` listed by a pair of `v`'s small nets, with its
+//!   exact score, summed over the nets of `u` stamped as `v`'s. That is
+//!   the scan's partner. A neighbour sharing two or more small nets with
+//!   `v` lies in the list of a pair of them, with its exact score. One
+//!   sharing a single net `e` scores `match_weight(e)`, and `e`'s pointer
+//!   candidate has that score and a pin at least as large. And no
+//!   candidate's key exceeds the exact key of its own pin. On a *linear*
+//!   level (no two small nets share two vertices), such as the finest
+//!   level of every task hypergraph the figures partition, the index is
+//!   empty and matching is the pointer walk alone, `O(pins)` per level
+//!   instead of `O(Σ |e|²)`. A level is sparse when building the index
+//!   reads no more net ids (`Σ deg(v)²` bounds it) than a full-pin scan
+//!   reads pins (`Σ |e|²` over small nets), which keeps clique expansions
+//!   off it, and when its lists hold no more vertices than the level has
+//!   pins, the size of the scan's pin copy; the build falls back to the
+//!   scan as soon as it outgrows that;
+//! * on a dense level `coarsen_once` scores neighbours over a per-level
+//!   pin copy whose rows keep only the pins not known to be matched:
+//!   each scan compacts a row stably as it reads it, so a pin is read
+//!   once after it is matched instead of once per later scan through its
+//!   net. The loop has no data-dependent branch: every live pin, `v`
+//!   included, adds the net's weight and joins the touched list on its
+//!   first score, and the partner is the largest `(score, u)` over the
+//!   touched vertices other than `v`. The weight still uses the net's
+//!   full pin count, scores are sums (order-free) and keys are unique, so
+//!   the partner is the one the full-pin scan picks;
 //! * `greedy_initial` filters a persistent candidate pool in place
 //!   (`retain` keeps the same ascending order and length as the rebuilt
-//!   vector, so every RNG draw is identical).
+//!   vector, so every RNG draw is identical). Its frontier is a stack of
+//!   `(net, pins left)` segments, one pushed per small net of each added
+//!   vertex; a pop takes the next pin from the top segment's end and
+//!   skips pins already in part 0. That pops the pins the naive stack
+//!   holds, in the same order: the naive push drops pins in part 0, and a
+//!   pin in part 0 at push time is still there at pop time, as part 0
+//!   only grows. An added vertex costs its degree plus the pins popped
+//!   instead of the pins of all its small nets.
 
 use crate::hg::Hypergraph;
 use rand::rngs::StdRng;
@@ -79,20 +107,23 @@ struct Level {
 pub fn bisect(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (Vec<u32>, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     // Coarsen. The current hypergraph is borrowed from the level stack
-    // (or is `hg` itself) instead of cloned, and the matching scratch is
-    // allocated once for the finest level and reused all the way down.
+    // (or is `hg` itself) instead of cloned, and one matching scratch
+    // serves every level. It is dropped before refinement, which needs
+    // none of it.
     let mut levels: Vec<Level> = Vec::new();
-    let mut scratch = CoarsenScratch::default();
-    loop {
-        let current = levels.last().map_or(hg, |l| &l.coarse);
-        if current.num_vertices() <= COARSEN_TARGET {
-            break;
-        }
-        let (coarse, map) = coarsen_once(current, &mut rng, &mut scratch);
-        let shrink = coarse.num_vertices() as f64 / current.num_vertices() as f64;
-        levels.push(Level { coarse, map });
-        if shrink > MIN_SHRINK {
-            break;
+    {
+        let mut scratch = CoarsenScratch::default();
+        loop {
+            let current = levels.last().map_or(hg, |l| &l.coarse);
+            if current.num_vertices() <= COARSEN_TARGET {
+                break;
+            }
+            let (coarse, map) = coarsen_once(current, &mut rng, &mut scratch);
+            let shrink = coarse.num_vertices() as f64 / current.num_vertices() as f64;
+            levels.push(Level { coarse, map });
+            if shrink > MIN_SHRINK {
+                break;
+            }
         }
     }
 
@@ -101,8 +132,9 @@ pub fn bisect(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (Vec<u3
     let total = current.total_vweight();
     let max0 = target_cap(w0, total, eps);
     let max1 = target_cap(w1, total, eps);
+    let mut fm = FmScratch::for_finest(hg);
     let mut parts = greedy_initial(current, w0, w1, &mut rng);
-    fm_refine(current, &mut parts, max0, max1, MAX_FM_PASSES);
+    fm_refine(current, &mut parts, max0, max1, MAX_FM_PASSES, &mut fm);
 
     // Uncoarsen with refinement.
     for idx in (0..levels.len()).rev() {
@@ -114,7 +146,7 @@ pub fn bisect(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (Vec<u3
         }
         parts = fine_parts;
         let fine_hg = if idx == 0 { hg } else { &levels[idx - 1].coarse };
-        fm_refine(fine_hg, &mut parts, max0, max1, MAX_FM_PASSES);
+        fm_refine(fine_hg, &mut parts, max0, max1, MAX_FM_PASSES, &mut fm);
     }
 
     let cost = bisection_cost(hg, &parts);
@@ -138,27 +170,169 @@ fn bisection_cost(hg: &Hypergraph, parts: &[u32]) -> u64 {
     cost
 }
 
-/// Matching scratch reused across coarsening levels (the finest level is
-/// the largest, so later levels never reallocate).
+/// Matching scratch reused across coarsening levels.
 #[derive(Default)]
 struct CoarsenScratch {
     order: Vec<u32>,
-    score: Vec<u64>,
-    touched: Vec<u32>,
+    /// `match_weight` of each net of the current level; 0 for the nets
+    /// above `MAX_MATCH_NET` pins, which matching ignores.
+    weight: Vec<u64>,
     /// Byte-per-vertex matched flag of the current level.
     taken: Vec<bool>,
+    /// Index path: per-net pointer into the ascending pin row; every pin
+    /// at or above it is matched. Scan path: live row lengths.
+    live_len: Vec<u32>,
+    /// Index path: the last vertex that stamped each net as one of its
+    /// own.
+    net_stamp: Vec<u32>,
+    index: PairIndex,
+    /// Scan path: neighbour scores, all zero between vertices.
+    score: Vec<u64>,
+    /// Scan path: the vertices scored for the current vertex. The scan
+    /// writes one slot past them, so it is kept longer than the level
+    /// has vertices.
+    touched: Vec<u32>,
     /// Scan path: a per-level copy of the pin CSR. Row `n` starts at the
     /// net's own offset and holds its first `live_len[n]` entries as the
-    /// pins not known to be matched yet; matched pins are swap-removed as
-    /// scans meet them.
+    /// pins not known to be matched yet; scans compact matched pins out
+    /// as they meet them.
     live_pins: Vec<u32>,
-    /// Scan path: live row lengths. Linear path: per-net pointer into the
-    /// ascending pin row; every pin at or above it is matched.
-    live_len: Vec<u32>,
-    /// Linearity check: the last small net that reached each net.
-    net_stamp: Vec<u32>,
     /// Pin buffer for building one coarse net.
     net_buf: Vec<u32>,
+}
+
+/// The net-pair index of one level: each pair of nets of at most
+/// `MAX_MATCH_NET` pins that share two or more vertices, with those
+/// vertices, and for each vertex the pairs that list it.
+#[derive(Default)]
+struct PairIndex {
+    /// Pair `p` lists its shared vertices at
+    /// `verts[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<u32>,
+    verts: Vec<u32>,
+    /// Vertex `v` is listed by the pairs
+    /// `pairs[vert_offsets[v]..vert_offsets[v + 1]]`. Empty when no pair
+    /// is indexed.
+    vert_offsets: Vec<u32>,
+    pairs: Vec<u32>,
+    /// Build scratch, per net: the pins it shares with the net being
+    /// indexed, then its list's write cursor (`u32::MAX` for no list).
+    slot: Vec<u32>,
+    /// Build scratch: the later small nets the net being indexed meets.
+    met: Vec<u32>,
+}
+
+impl PairIndex {
+    /// Index `hg`, ignoring nets of `weight` 0. Each small net `f`, in
+    /// turn, counts the pins it shares with every later small net and
+    /// lists them for each net it shares two or more with. Returns false
+    /// as soon as the lists would hold more than `budget` vertices.
+    fn build(&mut self, hg: &Hypergraph, weight: &[u64], budget: usize) -> bool {
+        const NO_LIST: u32 = u32::MAX;
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.verts.clear();
+        self.vert_offsets.clear();
+        self.slot.clear();
+        self.slot.resize(hg.num_nets(), 0);
+        self.met.reserve(hg.num_nets());
+        for f in 0..hg.num_nets() {
+            if weight[f] == 0 {
+                continue;
+            }
+            self.met.clear();
+            for &v in hg.pins(f) {
+                for &g in hg.nets_of(v as usize) {
+                    let gi = g as usize;
+                    if gi > f && weight[gi] != 0 {
+                        if self.slot[gi] == 0 {
+                            self.met.push(g);
+                        }
+                        self.slot[gi] += 1;
+                    }
+                }
+            }
+            let mut end = self.verts.len();
+            for &g in &self.met {
+                let slot = &mut self.slot[g as usize];
+                if *slot >= 2 {
+                    let shared = *slot as usize;
+                    *slot = end as u32;
+                    end += shared;
+                } else {
+                    *slot = NO_LIST;
+                }
+            }
+            if end > budget {
+                return false;
+            }
+            if end > self.verts.len() {
+                if self.verts.is_empty() {
+                    // The level's first lists: size both vectors for the
+                    // budget, so that no later pair reallocates them.
+                    self.verts.reserve(budget);
+                    self.offsets.reserve(budget / 2);
+                }
+                self.verts.resize(end, 0);
+                for &v in hg.pins(f) {
+                    for &g in hg.nets_of(v as usize) {
+                        let gi = g as usize;
+                        if gi > f && weight[gi] != 0 && self.slot[gi] != NO_LIST {
+                            self.verts[self.slot[gi] as usize] = v;
+                            self.slot[gi] += 1;
+                        }
+                    }
+                }
+            }
+            // Each cursor now ends its list; the lists follow `met`.
+            for &g in &self.met {
+                let slot = &mut self.slot[g as usize];
+                if *slot != NO_LIST {
+                    self.offsets.push(*slot);
+                }
+                *slot = 0;
+            }
+        }
+        if self.verts.is_empty() {
+            return true;
+        }
+        // Transpose: count each vertex's pairs, turn the counts into list
+        // ends, then place each entry by decrementing its vertex's end,
+        // which leaves every offset at its list's start.
+        self.vert_offsets.resize(hg.num_vertices() + 1, 0);
+        for &v in &self.verts {
+            self.vert_offsets[v as usize] += 1;
+        }
+        let mut end = 0;
+        for o in &mut self.vert_offsets {
+            end += *o;
+            *o = end;
+        }
+        self.pairs.clear();
+        self.pairs.resize(self.verts.len(), 0);
+        for (p, w) in self.offsets.windows(2).enumerate() {
+            for &v in &self.verts[w[0] as usize..w[1] as usize] {
+                let o = &mut self.vert_offsets[v as usize];
+                *o -= 1;
+                self.pairs[*o as usize] = p as u32;
+            }
+        }
+        true
+    }
+
+    /// The pairs whose lists hold `v`.
+    fn pairs_of(&self, v: u32) -> &[u32] {
+        match self.vert_offsets.get(v as usize..v as usize + 2) {
+            Some(&[start, end]) => &self.pairs[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// The vertices pair `p` shares.
+    fn list(&self, p: u32) -> &[u32] {
+        let p = p as usize;
+        &self.verts[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+    }
 }
 
 /// Heavy-connectivity weight of a net with `size` pins: `w/(size−1)`,
@@ -168,38 +342,21 @@ fn match_weight(hg: &Hypergraph, net: usize, size: usize) -> u64 {
     hg.nweight(net).max(1) * 256 / (size as u64 - 1).max(1)
 }
 
-/// Whether no two nets of at most `MAX_MATCH_NET` pins share two
-/// vertices. Larger nets are ignored, as matching ignores them. Each
-/// small net stamps the higher-numbered small nets of its pins and the
-/// walk stops at the first net stamped twice by the same net.
-fn is_linear(hg: &Hypergraph, stamp: &mut Vec<u32>) -> bool {
-    stamp.clear();
-    stamp.resize(hg.num_nets(), u32::MAX);
-    for e in 0..hg.num_nets() {
-        let pins = hg.pins(e);
-        if pins.len() > MAX_MATCH_NET {
-            continue;
-        }
-        for &v in pins {
-            for &f in hg.nets_of(v as usize) {
-                if f as usize <= e || hg.pins(f as usize).len() > MAX_MATCH_NET {
-                    continue;
-                }
-                if stamp[f as usize] == e as u32 {
-                    return false;
-                }
-                stamp[f as usize] = e as u32;
-            }
-        }
-    }
-    true
+/// `match_weight` of every net of `hg` into `weight`, 0 for the nets
+/// matching ignores: those above `MAX_MATCH_NET` pins (and empty ones).
+fn net_weights(hg: &Hypergraph, weight: &mut Vec<u64>) {
+    weight.clear();
+    weight.extend((0..hg.num_nets()).map(|e| match hg.pins(e).len() {
+        size @ 1..=MAX_MATCH_NET => match_weight(hg, e, size),
+        _ => 0,
+    }));
 }
 
-/// Whether the linearity walk reads no more net ids (`Σ deg(v)²` bounds
-/// it) than a full-pin scan of the small nets reads pins (`Σ |e|²`).
-/// Graphs of high degree, such as clique expansions, fail this and keep
-/// the scan, which costs them `O(pins)` anyway.
-fn linearity_check_is_cheap(hg: &Hypergraph) -> bool {
+/// Whether building the net-pair index reads no more net ids
+/// (`Σ deg(v)²` bounds it) than a full-pin scan of the small nets reads
+/// pins (`Σ |e|²`). Graphs of high degree, such as clique expansions,
+/// fail this and keep the scan.
+fn index_is_cheap(hg: &Hypergraph) -> bool {
     let walk: u64 = (0..hg.num_vertices())
         .map(|v| (hg.nets_of(v).len() as u64).pow(2))
         .sum();
@@ -216,14 +373,10 @@ fn linearity_check_is_cheap(hg: &Hypergraph) -> bool {
 /// `(score, u)`, its score being the summed `match_weight` of the nets of
 /// at most `MAX_MATCH_NET` pins that hold both.
 ///
-/// On a linear level (see [`is_linear`]) whose check is cheap (see
-/// [`linearity_check_is_cheap`]) that is a pointer walk; otherwise each
-/// vertex scores its neighbours over the live rows only, compacting
-/// matched pins out of the rows as it goes, so a pin is read once after
-/// it is matched instead of once per later scan through its net. The
-/// weight still uses the net's full pin count, scores are sums
-/// (order-free), and `(score, u)` keys are unique, so the chosen partner
-/// is the one the full-pin scan picks.
+/// A sparse level (see [`index_is_cheap`] and [`PairIndex::build`]) takes
+/// the partner from per-net pointers and the net-pair index; a dense one
+/// scores its neighbours over the live rows. The module doc gives the
+/// argument that both pick the full-pin scan's partner.
 fn coarsen_once(
     hg: &Hypergraph,
     rng: &mut StdRng,
@@ -232,12 +385,14 @@ fn coarsen_once(
     let n = hg.num_vertices();
     let CoarsenScratch {
         order,
-        score,
-        touched,
+        weight,
         taken,
-        live_pins,
         live_len,
         net_stamp,
+        index,
+        score,
+        touched,
+        live_pins,
         net_buf,
     } = scratch;
     order.clear();
@@ -248,22 +403,30 @@ fn coarsen_once(
     let mut next_coarse = 0u32;
     taken.clear();
     taken.resize(n, false);
-    // Scratch for neighbor scores; `score` is all-zero between vertices
-    // (reset via `touched`), so growing it keeps the invariant.
-    if score.len() < n {
-        score.resize(n, 0);
-    }
     let (offsets, pins) = hg.pin_csr();
+    net_weights(hg, weight);
     live_len.clear();
     live_len.extend(offsets.windows(2).map(|w| w[1] - w[0]));
-    let linear = linearity_check_is_cheap(hg) && is_linear(hg, net_stamp);
-    if !linear {
+    let indexed = index_is_cheap(hg) && index.build(hg, weight, hg.num_pins());
+    if indexed {
+        net_stamp.clear();
+        net_stamp.resize(hg.num_nets(), u32::MAX);
+    } else {
         live_pins.clear();
         live_pins.extend_from_slice(pins);
+        // `score` is all-zero between vertices (reset via `touched`), so
+        // growing it keeps the invariant.
+        if score.len() < n {
+            score.resize(n, 0);
+        }
+        if touched.len() <= n {
+            touched.resize(n + 1, 0);
+        }
     }
     #[cfg(test)]
     let mut count = tests::MatchCount {
-        linear,
+        indexed,
+        index_len: if indexed { index.verts.len() as u64 } else { 0 },
         ..Default::default()
     };
 
@@ -274,19 +437,19 @@ fn coarsen_once(
         // Best `(score, u)` so far; scores are at least 1, so a zero
         // score means no unmatched neighbour.
         let mut best = (0u64, 0u32);
-        if linear {
-            // Every neighbour shares exactly one small net with `v` and
-            // scores that net's weight, so the partner is the highest
-            // unmatched pin of `v`'s heaviest net (ties to the larger
-            // pin). Each net's pointer walks its row down past matched
-            // pins and `v`, which is matched below, so across the level
-            // it passes each pin once.
+        if indexed {
+            // Pointer candidates. Each net's pointer walks its row down
+            // past matched pins and `v`, which is matched below, so
+            // across the level it passes each pin once. The walk stamps
+            // `v`'s small nets for the scores below.
             for &net in hg.nets_of(v as usize) {
                 let ni = net as usize;
-                let row = &pins[offsets[ni] as usize..offsets[ni + 1] as usize];
-                if row.len() > MAX_MATCH_NET {
+                let w = weight[ni];
+                if w == 0 {
                     continue;
                 }
+                net_stamp[ni] = v;
+                let row = &pins[offsets[ni] as usize..offsets[ni + 1] as usize];
                 let mut top = live_len[ni] as usize;
                 while top > 0 && (taken[row[top - 1] as usize] || row[top - 1] == v) {
                     top -= 1;
@@ -298,50 +461,60 @@ fn coarsen_once(
                 }
                 live_len[ni] = top as u32;
                 if top > 0 {
-                    best = best.max((match_weight(hg, ni, row.len()), row[top - 1]));
+                    best = best.max((w, row[top - 1]));
+                }
+            }
+            // Multi-net candidates, with their exact scores.
+            for &p in index.pairs_of(v) {
+                for &u in index.list(p) {
+                    if u == v || taken[u as usize] {
+                        continue;
+                    }
+                    let s: u64 = hg
+                        .nets_of(u as usize)
+                        .iter()
+                        .map(|&g| weight[g as usize] * (net_stamp[g as usize] == v) as u64)
+                        .sum();
+                    #[cfg(test)]
+                    {
+                        count.scored += 1;
+                    }
+                    best = best.max((s, u));
                 }
             }
         } else {
-            // Score unmatched neighbours by shared-net weight. Scores only
-            // grow, so the running maximum of `(score, u)` over the updates
-            // is the maximum over the final scores.
-            touched.clear();
+            // Score every live pin of `v`'s small nets, `v` included,
+            // compacting each row stably as it is read.
+            let mut touched_len = 0;
             for &net in hg.nets_of(v as usize) {
                 let ni = net as usize;
-                let size = (offsets[ni + 1] - offsets[ni]) as usize;
-                if size > MAX_MATCH_NET {
+                let w = weight[ni];
+                if w == 0 {
                     continue;
                 }
-                let w = match_weight(hg, ni, size);
                 let row = &mut live_pins[offsets[ni] as usize..][..live_len[ni] as usize];
                 #[cfg(test)]
                 {
                     count.visits += 1;
                     count.pins_read += row.len() as u64;
                 }
-                let mut len = row.len();
-                let mut i = 0;
-                while i < len {
+                let mut len = 0;
+                for i in 0..row.len() {
                     let u = row[i];
-                    if taken[u as usize] {
-                        len -= 1;
-                        row[i] = row[len];
-                        continue;
-                    }
-                    i += 1;
-                    if u == v {
-                        continue;
-                    }
+                    let live = !taken[u as usize];
+                    row[len] = u;
+                    len += live as usize;
                     let s = &mut score[u as usize];
-                    if *s == 0 {
-                        touched.push(u);
-                    }
-                    *s += w;
-                    best = best.max((*s, u));
+                    touched[touched_len] = u;
+                    touched_len += (live & (*s == 0)) as usize;
+                    *s += w * live as u64;
                 }
                 live_len[ni] = len as u32;
             }
-            for &u in touched.iter() {
+            for &u in &touched[..touched_len] {
+                if u != v {
+                    best = best.max((score[u as usize], u));
+                }
                 score[u as usize] = 0;
             }
         }
@@ -400,21 +573,39 @@ fn build_coarse(
 /// The seed pool is a persistent vector filtered in place: `retain` keeps
 /// the surviving candidates in the same ascending order (and count) as the
 /// naive per-draw rebuild, so the RNG sees identical ranges and the drawn
-/// vertex is identical.
+/// vertex is identical. The frontier holds `(net, pins left)` segments
+/// instead of pins; the module doc gives the argument that it pops the
+/// same vertices.
 fn greedy_initial(hg: &Hypergraph, w0: u64, w1: u64, rng: &mut StdRng) -> Vec<u32> {
     let n = hg.num_vertices();
     let total = hg.total_vweight();
     let target0 = (total as u128 * w0 as u128 / (w0 + w1).max(1) as u128) as u64;
     let mut parts = vec![1u32; n];
     let mut weight0 = 0u64;
-    let mut frontier: Vec<u32> = Vec::new();
+    let mut frontier: Vec<(u32, u32)> = Vec::new();
     let mut in_part0 = vec![false; n];
     let mut pool: Vec<u32> = (0..n as u32).collect();
+    #[cfg(test)]
+    let mut pins_read = 0u64;
 
     while weight0 < target0 {
-        let v = match frontier.pop() {
-            Some(v) if !in_part0[v as usize] => v,
-            Some(_) => continue,
+        let v = match frontier.last_mut() {
+            Some((_, 0)) => {
+                frontier.pop();
+                continue;
+            }
+            Some((net, left)) => {
+                *left -= 1;
+                #[cfg(test)]
+                {
+                    pins_read += 1;
+                }
+                let u = hg.pins(*net as usize)[*left as usize];
+                if in_part0[u as usize] {
+                    continue;
+                }
+                u
+            }
             None => {
                 // New random seed among remaining vertices.
                 pool.retain(|&v| !in_part0[v as usize]);
@@ -428,17 +619,14 @@ fn greedy_initial(hg: &Hypergraph, w0: u64, w1: u64, rng: &mut StdRng) -> Vec<u3
         parts[v as usize] = 0;
         weight0 += hg.vweight(v as usize);
         for &net in hg.nets_of(v as usize) {
-            let pins = hg.pins(net as usize);
-            if pins.len() > MAX_MATCH_NET {
-                continue;
-            }
-            for &u in pins {
-                if !in_part0[u as usize] {
-                    frontier.push(u);
-                }
+            let size = hg.pins(net as usize).len();
+            if size <= MAX_MATCH_NET {
+                frontier.push((net, size as u32));
             }
         }
     }
+    #[cfg(test)]
+    tests::GREEDY_READS.with(|g| g.borrow_mut().push(pins_read));
     parts
 }
 
@@ -457,6 +645,38 @@ fn gain_of(hg: &Hypergraph, v: usize, parts: &[u32], side_pins: &[[u32; 2]]) -> 
         }
     }
     gain
+}
+
+/// FM state reused across the levels of one bisection. It is sized for
+/// the finest level, the largest, so no level reallocates it.
+#[derive(Default)]
+struct FmScratch {
+    /// Pins per net and side.
+    side_pins: Vec<[u32; 2]>,
+    /// Locked pins per net and side in the current pass.
+    locked_pins: Vec<[u32; 2]>,
+    /// Exact gain per vertex.
+    gain: Vec<i64>,
+    /// Gain value each vertex is currently queued under in the heap.
+    cached: Vec<i64>,
+    locked: Vec<bool>,
+    moves: Vec<u32>,
+    heap_vec: Vec<(i64, u32)>,
+}
+
+impl FmScratch {
+    fn for_finest(hg: &Hypergraph) -> Self {
+        let (n, nets) = (hg.num_vertices(), hg.num_nets());
+        Self {
+            side_pins: Vec::with_capacity(nets),
+            locked_pins: Vec::with_capacity(nets),
+            gain: Vec::with_capacity(n),
+            cached: Vec::with_capacity(n),
+            locked: Vec::with_capacity(n),
+            moves: Vec::with_capacity(n),
+            heap_vec: Vec::with_capacity(n),
+        }
+    }
 }
 
 /// Fiduccia–Mattheyses refinement of a bisection under per-part caps.
@@ -479,14 +699,31 @@ fn gain_of(hg: &Hypergraph, v: usize, parts: &[u32], side_pins: &[[u32; 2]]) -> 
 ///
 /// A pass stops as soon as no later prefix can beat the best one; the
 /// module doc gives the argument that this keeps every decision.
-fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: usize) {
+fn fm_refine(
+    hg: &Hypergraph,
+    parts: &mut [u32],
+    max0: u64,
+    max1: u64,
+    passes: usize,
+    scratch: &mut FmScratch,
+) {
     let n = hg.num_vertices();
     if n == 0 {
         return;
     }
     let caps = [max0, max1];
+    let FmScratch {
+        side_pins,
+        locked_pins,
+        gain,
+        cached,
+        locked,
+        moves,
+        heap_vec,
+    } = scratch;
 
-    let mut side_pins = vec![[0u32; 2]; hg.num_nets()];
+    side_pins.clear();
+    side_pins.resize(hg.num_nets(), [0, 0]);
     for v in 0..n {
         for &net in hg.nets_of(v) {
             side_pins[net as usize][parts[v] as usize] += 1;
@@ -498,12 +735,14 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
     }
     // Exact gain per vertex, maintained for the rest of the call (locked
     // vertices included — their stored gain seeds the next pass's heap).
-    let mut gain: Vec<i64> = (0..n).map(|v| gain_of(hg, v, parts, &side_pins)).collect();
-    // Gain value each vertex is currently queued under in the heap.
-    let mut cached: Vec<i64> = vec![0; n];
-    let mut locked = vec![false; n];
-    let mut moves: Vec<u32> = Vec::with_capacity(n);
-    let mut heap_vec: Vec<(i64, u32)> = Vec::with_capacity(n);
+    gain.clear();
+    gain.extend((0..n).map(|v| gain_of(hg, v, parts, side_pins)));
+    cached.clear();
+    cached.resize(n, 0);
+    locked.clear();
+    locked.resize(n, false);
+    locked_pins.clear();
+    locked_pins.resize(hg.num_nets(), [0, 0]);
     // Cut weight at the start of the current pass.
     let mut cut: i64 = side_pins
         .iter()
@@ -511,8 +750,6 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
         .filter(|(_, sp)| sp[0] > 0 && sp[1] > 0)
         .map(|(net, _)| hg.nweight(net) as i64)
         .sum();
-    // Locked pins per net and side in the current pass.
-    let mut locked_pins = vec![[0u32; 2]; hg.num_nets()];
 
     for _ in 0..passes {
         heap_vec.clear();
@@ -520,7 +757,7 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
             cached[v] = gain[v];
             heap_vec.push((gain[v], v as u32));
         }
-        let mut heap = BinaryHeap::from(std::mem::take(&mut heap_vec));
+        let mut heap = BinaryHeap::from(std::mem::take(heap_vec));
         locked.fill(false);
         locked_pins.fill([0, 0]);
         moves.clear();
@@ -564,13 +801,13 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
             if weights[t] + hg.vweight(vu) > caps[t] {
                 // Cannot move without breaking balance; lock in place.
                 locked[vu] = true;
-                locked_cut += lock_on(hg, vu, s, &mut locked_pins);
+                locked_cut += lock_on(hg, vu, s, locked_pins);
                 continue;
             }
             // Apply the move. Moving flips every leave-term of v's gain
             // into the mirrored enter-term, so the gain negates.
             locked[vu] = true;
-            locked_cut += lock_on(hg, vu, t, &mut locked_pins);
+            locked_cut += lock_on(hg, vu, t, locked_pins);
             parts[vu] = t as u32;
             weights[s] -= hg.vweight(vu);
             weights[t] += hg.vweight(vu);
@@ -658,7 +895,7 @@ fn fm_refine(hg: &Hypergraph, parts: &mut [u32], max0: u64, max1: u64, passes: u
         }
         #[cfg(test)]
         tests::FM_MOVES.with(|m| m.borrow_mut().push(moves.len() as u64));
-        heap_vec = heap.into_vec();
+        *heap_vec = heap.into_vec();
         cut -= best_delta;
         if best_delta <= 0 {
             break;
@@ -919,13 +1156,18 @@ mod tests {
     /// Work of one `coarsen_once` call.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     pub(super) struct MatchCount {
-        /// The level took the linear (pointer) path.
-        pub(super) linear: bool,
+        /// The level took the index path (per-net pointers and the
+        /// net-pair index), not the scan.
+        pub(super) indexed: bool,
+        /// Vertices the index lists, over all its pairs (0 on the scan).
+        pub(super) index_len: u64,
         /// `(vertex, net)` pairs matching visited: one per net of at
         /// most `MAX_MATCH_NET` pins of each vertex it matched from.
         pub(super) visits: u64,
         /// Pins those visits read.
         pub(super) pins_read: u64,
+        /// Multi-net candidates the index path scored.
+        pub(super) scored: u64,
     }
 
     thread_local! {
@@ -933,6 +1175,8 @@ mod tests {
         pub(super) static MATCH_COUNTS: RefCell<Vec<MatchCount>> = const { RefCell::new(Vec::new()) };
         /// Moves made (before the rollback) per FM pass run on this thread.
         pub(super) static FM_MOVES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+        /// Frontier pins read per `greedy_initial` call run on this thread.
+        pub(super) static GREEDY_READS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     }
 
     /// The row and column nets of an n×n task grid.
@@ -959,52 +1203,146 @@ mod tests {
         Hypergraph::unit(n * n, nets)
     }
 
-    #[test]
-    fn grids_are_linear() {
-        let mut stamp = Vec::new();
-        for n in [2, 5, 12] {
-            assert!(is_linear(&grid(n), &mut stamp), "grid({n})");
+    /// A rows × cols grid with a net per row, per column and per 2×2
+    /// block (cut short at odd edges; one-cell nets dropped), cells
+    /// numbered in an order drawn from `rng`, vertex and net weights
+    /// 1–3. Cells of one row and block share two nets, so the level is
+    /// sparse but not linear.
+    fn block_grid(rows: usize, cols: usize, rng: &mut StdRng) -> Hypergraph {
+        let mut id: Vec<u32> = (0..(rows * cols) as u32).collect();
+        id.shuffle(rng);
+        let cell = |i: usize, j: usize| id[i * cols + j];
+        let mut nets: Vec<Vec<u32>> = Vec::new();
+        nets.extend((0..rows).map(|i| (0..cols).map(|j| cell(i, j)).collect()));
+        nets.extend((0..cols).map(|j| (0..rows).map(|i| cell(i, j)).collect()));
+        for bi in (0..rows).step_by(2) {
+            for bj in (0..cols).step_by(2) {
+                let block: Vec<u32> = (bi..rows.min(bi + 2))
+                    .flat_map(|i| (bj..cols.min(bj + 2)).map(move |j| (i, j)))
+                    .map(|(i, j)| cell(i, j))
+                    .collect();
+                if block.len() >= 2 {
+                    nets.push(block);
+                }
+            }
         }
-        assert!(is_linear(&grid2(), &mut stamp));
+        let nweights = (0..nets.len()).map(|_| rng.random_range(1u64..4)).collect();
+        let vweights = (0..rows * cols)
+            .map(|_| rng.random_range(1u64..4))
+            .collect();
+        Hypergraph::new(rows * cols, nets, vweights, nweights)
+    }
+
+    /// The lists of `hg`'s net-pair index, or `None` when the build
+    /// outgrows `hg`'s pin count.
+    fn index_lists(hg: &Hypergraph) -> Option<Vec<Vec<u32>>> {
+        let mut weight = Vec::new();
+        net_weights(hg, &mut weight);
+        let mut index = PairIndex::default();
+        if !index.build(hg, &weight, hg.num_pins()) {
+            return None;
+        }
+        let lists: Vec<Vec<u32>> = (0..index.offsets.len() as u32 - 1)
+            .map(|p| index.list(p).to_vec())
+            .collect();
+        // Every listed vertex names the pair that lists it, once.
+        for v in 0..hg.num_vertices() as u32 {
+            let mut mine: Vec<u32> = index.pairs_of(v).to_vec();
+            mine.sort_unstable();
+            let listing: Vec<u32> = (0..lists.len() as u32)
+                .filter(|&p| lists[p as usize].contains(&v))
+                .collect();
+            assert_eq!(mine, listing, "pairs of vertex {v}");
+        }
+        Some(lists)
     }
 
     #[test]
-    fn a_second_net_through_two_cells_of_a_row_is_not_linear() {
-        let mut stamp = Vec::new();
+    fn grids_have_an_empty_index() {
+        for n in [2, 5, 12] {
+            assert_eq!(index_lists(&grid(n)), Some(vec![]), "grid({n})");
+        }
+        assert_eq!(index_lists(&grid2()), Some(vec![]));
+    }
+
+    #[test]
+    fn a_second_net_through_two_cells_of_a_row_is_indexed() {
         // Cells 1 and 3 both lie in row 0 of the 5×5 grid.
-        assert!(!is_linear(&grid_with(5, vec![1, 3, 17]), &mut stamp));
+        assert_eq!(
+            index_lists(&grid_with(5, vec![1, 3, 17])),
+            Some(vec![vec![1, 3]])
+        );
         // A duplicate of a column net shares all its pins with it.
-        assert!(!is_linear(
-            &grid_with(5, vec![2, 7, 12, 17, 22]),
-            &mut stamp
-        ));
-        // One cell per row and column: a diagonal keeps the grid linear.
-        assert!(is_linear(&grid_with(5, vec![0, 6, 12, 18, 24]), &mut stamp));
+        assert_eq!(
+            index_lists(&grid_with(5, vec![2, 7, 12, 17, 22])),
+            Some(vec![vec![2, 7, 12, 17, 22]])
+        );
+        // One cell per row and column: a diagonal leaves the index empty.
+        assert_eq!(
+            index_lists(&grid_with(5, vec![0, 6, 12, 18, 24])),
+            Some(vec![])
+        );
     }
 
-    /// Matching ignores nets above `MAX_MATCH_NET` pins, so the check
+    /// Matching ignores nets above `MAX_MATCH_NET` pins, so the index
     /// does too: a net over every cell of a 17×17 grid (289 pins) holds
-    /// whole rows and leaves the grid linear, while the same cells cut to
-    /// `MAX_MATCH_NET` pins make it non-linear.
+    /// whole rows and lists nothing, while the same cells cut to
+    /// `MAX_MATCH_NET` pins share 17 cells with each of the first 15
+    /// rows, one with the 16th, 16 with the first column and 15 with each
+    /// other column.
     #[test]
-    fn nets_above_the_matching_cap_are_ignored_by_the_check() {
-        let mut stamp = Vec::new();
+    fn nets_above_the_matching_cap_are_not_indexed() {
         let all: Vec<u32> = (0..17 * 17).collect();
-        assert!(is_linear(&grid_with(17, all.clone()), &mut stamp));
+        assert_eq!(index_lists(&grid_with(17, all.clone())), Some(vec![]));
         let capped = all[..MAX_MATCH_NET].to_vec();
-        assert!(!is_linear(&grid_with(17, capped), &mut stamp));
+        let lists = index_lists(&grid_with(17, capped)).expect("within budget");
+        assert_eq!(lists.len(), 15 + 17);
+        assert_eq!(
+            lists.iter().map(Vec::len).sum::<usize>(),
+            15 * 17 + 16 + 16 * 15
+        );
     }
 
-    /// A clique expansion is linear (parallel edges are merged), but its
-    /// walk would read `Σ deg²` net ids against `4·edges` pins for a
-    /// full-pin scan, so it keeps the scan.
+    /// On a block grid every 2×2 block shares two cells with each of its
+    /// two rows and two columns: 8 listed vertices per block, against 12
+    /// pins.
+    #[test]
+    fn block_grids_index_every_row_and_column_of_a_block() {
+        let hg = block_grid(6, 8, &mut StdRng::seed_from_u64(1));
+        let lists = index_lists(&hg).expect("within budget");
+        assert_eq!(lists.len(), 4 * 12);
+        assert!(lists.iter().all(|l| l.len() == 2));
+    }
+
+    /// Windows of 6 consecutive vertices out of 200: building the index
+    /// is cheap (no vertex lies on more than 6 nets), but each window
+    /// shares 2–5 vertices with 8 others, so the lists would outgrow the
+    /// pins and the level keeps the scan.
+    #[test]
+    fn an_index_over_the_pin_budget_falls_back_to_the_scan() {
+        let nets: Vec<Vec<u32>> = (0..195).map(|s| (s..s + 6).collect()).collect();
+        let hg = Hypergraph::unit(200, nets);
+        assert!(index_is_cheap(&hg));
+        assert_eq!(index_lists(&hg), None);
+        MATCH_COUNTS.with(|c| c.borrow_mut().clear());
+        coarsen_once(
+            &hg,
+            &mut StdRng::seed_from_u64(3),
+            &mut CoarsenScratch::default(),
+        );
+        let counts = MATCH_COUNTS.with(|c| c.take());
+        assert!(!counts[0].indexed);
+    }
+
+    /// A clique expansion has an empty index (parallel edges are
+    /// merged), but its build would read `Σ deg²` net ids against
+    /// `4·edges` pins for a full-pin scan, so it keeps the scan.
     #[test]
     fn dense_graphs_keep_the_scan() {
         let graph = crate::clique::clique_expand(&grid(12));
-        let mut stamp = Vec::new();
-        assert!(is_linear(&graph, &mut stamp));
-        assert!(!linearity_check_is_cheap(&graph));
-        assert!(linearity_check_is_cheap(&grid(12)));
+        assert_eq!(index_lists(&graph), Some(vec![]));
+        assert!(!index_is_cheap(&graph));
+        assert!(index_is_cheap(&grid(12)));
         MATCH_COUNTS.with(|c| c.borrow_mut().clear());
         coarsen_once(
             &graph,
@@ -1012,44 +1350,107 @@ mod tests {
             &mut CoarsenScratch::default(),
         );
         let counts = MATCH_COUNTS.with(|c| c.take());
-        assert!(!counts[0].linear);
+        assert!(!counts[0].indexed);
     }
 
-    /// Exact work counts of one bisection of a 20×20 grid: matching reads
-    /// and visits per level, and FM moves per pass. On the linear level
-    /// each net's pointer passes each pin once, plus one read per visit
-    /// that finds a partner. A re-scan, or an FM cut-off that never
-    /// fires, changes these numbers.
-    #[test]
-    fn bisect_work_counts_are_pinned() {
-        let hg = grid(20);
+    /// Exact work counts of one bisection: matching work per level, FM
+    /// moves per pass and the pins greedy growth reads.
+    fn work_counts(hg: &Hypergraph, seed: u64) -> (Vec<MatchCount>, Vec<u64>, Vec<u64>) {
         MATCH_COUNTS.with(|c| c.borrow_mut().clear());
         FM_MOVES.with(|m| m.borrow_mut().clear());
-        bisect(&hg, 200, 200, 0.02, 9);
-        let counts = MATCH_COUNTS.with(|c| c.take());
-        let moves = FM_MOVES.with(|m| m.take());
+        GREEDY_READS.with(|g| g.borrow_mut().clear());
+        let w = hg.total_vweight() / 2;
+        bisect(hg, w, hg.total_vweight() - w, 0.02, seed);
+        (
+            MATCH_COUNTS.with(|c| c.take()),
+            FM_MOVES.with(|m| m.take()),
+            GREEDY_READS.with(|g| g.take()),
+        )
+    }
+
+    /// Exact work counts of one bisection of a 40×40 grid and of a 20×20
+    /// block grid. The grid's levels take the paths the benchmark input's
+    /// take: the index on the finest, linear level, whose lists are empty,
+    /// so each net's pointer passes each pin once, plus one read per
+    /// visit that finds a partner; the index with lists on the next two;
+    /// the scan on the last. The block grid's finest level has a list per
+    /// block row and column. A re-scan, the index on a level that outgrows
+    /// its budget, greedy growth that reads every pin of every net, or an
+    /// FM cut-off that never fires changes these numbers.
+    #[test]
+    fn bisect_work_counts_are_pinned() {
+        let hg = grid(40);
+        let (counts, moves, greedy) = work_counts(&hg, 9);
         let level0 = counts[0];
         assert!(
-            level0.linear && level0.pins_read <= hg.num_pins() as u64 + 2 * level0.visits,
+            level0.indexed && level0.pins_read <= hg.num_pins() as u64 + 2 * level0.visits,
             "{level0:?}"
         );
         assert_eq!(
             counts,
             [
                 MatchCount {
-                    linear: true,
-                    visits: 402,
-                    pins_read: 941
+                    indexed: true,
+                    index_len: 0,
+                    visits: 1604,
+                    pins_read: 3754,
+                    scored: 0
                 },
                 MatchCount {
-                    linear: false,
-                    visits: 302,
-                    pins_read: 3138
+                    indexed: true,
+                    index_len: 467,
+                    visits: 1209,
+                    pins_read: 3129,
+                    scored: 239
                 },
+                MatchCount {
+                    indexed: true,
+                    index_len: 1813,
+                    visits: 960,
+                    pins_read: 2395,
+                    scored: 997
+                },
+                MatchCount {
+                    indexed: false,
+                    index_len: 0,
+                    visits: 814,
+                    pins_read: 12973,
+                    scored: 0
+                }
             ],
-            "matching counts"
+            "grid matching counts"
         );
-        assert_eq!(moves, [27, 26, 95, 93, 227], "FM moves per pass");
+        assert_eq!(
+            moves,
+            [32, 31, 32, 78, 60, 165, 358, 822],
+            "grid FM moves per pass"
+        );
+        assert_eq!(greedy, [294], "grid greedy pins read");
+
+        let hg = block_grid(20, 20, &mut StdRng::seed_from_u64(5));
+        let (counts, moves, greedy) = work_counts(&hg, 9);
+        assert_eq!(
+            counts,
+            [
+                MatchCount {
+                    indexed: true,
+                    index_len: 800,
+                    visits: 600,
+                    pins_read: 1281,
+                    scored: 300
+                },
+                MatchCount {
+                    indexed: true,
+                    index_len: 600,
+                    visits: 400,
+                    pins_read: 849,
+                    scored: 808
+                }
+            ],
+            "block grid matching counts"
+        );
+        assert_eq!(moves, [13, 12, 25, 44], "block grid FM moves per pass");
+        assert_eq!(greedy, [375], "block grid greedy pins read");
     }
 
     #[test]
@@ -1131,6 +1532,7 @@ mod tests {
     #[test]
     fn fm_matches_naive_after_big_net_drift() {
         let mut rng = StdRng::seed_from_u64(17);
+        let mut scratch = FmScratch::default();
         for case in 0..64 {
             let nv = 600;
             let mut nets: Vec<Vec<u32>> = (0..nv)
@@ -1148,9 +1550,33 @@ mod tests {
             let cap = hg.total_vweight() / 2 + 20;
             let mut fast: Vec<u32> = (0..nv).map(|v| (v >= nv / 2) as u32).collect();
             let mut naive = fast.clone();
-            fm_refine(&hg, &mut fast, cap, cap, MAX_FM_PASSES);
+            fm_refine(&hg, &mut fast, cap, cap, MAX_FM_PASSES, &mut scratch);
             fm_refine_naive(&hg, &mut naive, cap, cap, MAX_FM_PASSES);
             assert_eq!(fast, naive, "case {case}");
+        }
+    }
+
+    /// Segment-stack greedy growth against the naive pin stack, on block
+    /// grids of 2×2 up to 24×24 cells with unequal split targets, and on
+    /// a coarsened level of each, whose nets are larger.
+    #[cfg(feature = "naive")]
+    #[test]
+    fn greedy_matches_naive_on_block_grids() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut scratch = CoarsenScratch::default();
+        for case in 0..64 {
+            let rows = rng.random_range(2usize..25);
+            let cols = rng.random_range(2usize..25);
+            let fine = block_grid(rows, cols, &mut rng);
+            let (coarse, _) = coarsen_once(&fine, &mut rng, &mut scratch);
+            let w0 = rng.random_range(1u64..4);
+            let w1 = rng.random_range(1u64..4);
+            for hg in [&fine, &coarse] {
+                let seed = rng.random_range(0u64..1000);
+                let fast = greedy_initial(hg, w0, w1, &mut StdRng::seed_from_u64(seed));
+                let naive = greedy_initial_naive(hg, w0, w1, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(fast, naive, "case {case}: {rows}×{cols}");
+            }
         }
     }
 

@@ -7,11 +7,15 @@ use crate::ready::{ready_pick, DEFAULT_READY_WINDOW};
 use memsched_model::{GpuId, TaskId};
 use memsched_platform::obs::{GaugeKind, ObsEvent};
 use memsched_platform::{Probe, RuntimeView};
+use std::collections::VecDeque;
 
 /// Per-GPU task queues with Ready service and tail-half stealing.
 #[derive(Clone, Debug, Default)]
 pub struct StealingQueues {
-    queues: Vec<Vec<TaskId>>,
+    /// Double-ended, so that serving a task from the Ready window near
+    /// the head shifts only the tasks ahead of it, and returned tasks go
+    /// back to the head.
+    queues: Vec<VecDeque<TaskId>>,
     /// Whether stealing is enabled (disabled for ablations).
     steal: bool,
     /// Number of successful steals (for reporting/tests).
@@ -25,7 +29,7 @@ impl StealingQueues {
     /// Build from per-GPU queues.
     pub fn new(queues: Vec<Vec<TaskId>>, steal: bool) -> Self {
         Self {
-            queues,
+            queues: queues.into_iter().map(VecDeque::from).collect(),
             steal,
             steals: 0,
             probe: None,
@@ -45,12 +49,12 @@ impl StealingQueues {
 
     /// Append `task` to `gpu`'s local queue (online arrival routing).
     pub fn push(&mut self, gpu: GpuId, task: TaskId) {
-        self.queues[gpu.index()].push(task);
+        self.queues[gpu.index()].push_back(task);
     }
 
     /// True when every queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(Vec::is_empty)
+        self.queues.iter().all(VecDeque::is_empty)
     }
 
     /// Pop the next task for `gpu`: Ready pick from the local queue,
@@ -73,8 +77,10 @@ impl StealingQueues {
         if q.is_empty() {
             return None;
         }
-        let i = ready_pick(q, gpu, view, DEFAULT_READY_WINDOW)?;
-        let task = q.remove(i);
+        let i = ready_pick(q.make_contiguous(), gpu, view, DEFAULT_READY_WINDOW)?;
+        let task = q
+            .remove(i)
+            .expect("ready_pick returns an index within the queue");
         if let Some(p) = &self.probe {
             p.emit(ObsEvent::Gauge {
                 t: view.now(),
@@ -94,9 +100,11 @@ impl StealingQueues {
     /// so it is re-homed onto the least loaded alive GPU immediately.
     pub fn return_tasks(&mut self, gpu: GpuId, lost: &[TaskId], view: &RuntimeView<'_>) {
         let g = gpu.index();
-        self.queues[g].splice(0..0, lost.iter().copied());
+        for &t in lost.iter().rev() {
+            self.queues[g].push_front(t);
+        }
         if !self.steal {
-            let orphans: Vec<TaskId> = std::mem::take(&mut self.queues[g]);
+            let orphans = std::mem::take(&mut self.queues[g]);
             let target = (0..self.queues.len())
                 .filter(|&h| h != g && view.is_alive(GpuId(h as u32)))
                 .min_by_key(|&h| (self.queues[h].len(), h));
@@ -118,7 +126,7 @@ impl StealingQueues {
         let v = victim?;
         let vlen = self.queues[v].len();
         let take = (vlen / 2).max(1);
-        let stolen: Vec<TaskId> = self.queues[v].split_off(vlen - take);
+        let stolen = self.queues[v].split_off(vlen - take);
         self.queues[g] = stolen;
         self.steals += 1;
         Some((v, take as u32))

@@ -8,9 +8,11 @@
 //! same timestamps, and (for DARTS) the same RNG draw sequence, since a
 //! diverging candidate count would shift every later tie-break.
 //!
-//! One `#[ignore]`d release-mode test repeats the identity on the `scale`
-//! workload preset and asserts how much faster the indexed mHFP packing
-//! is than the paper's quadratic greedy:
+//! Two `#[ignore]`d release-mode tests run where debug builds are too
+//! slow. One repeats the identity on the `scale` workload preset and
+//! asserts how much faster the indexed mHFP packing is than the paper's
+//! quadratic greedy; the other partitions task hypergraphs that coarsen
+//! through several levels with both bisections:
 //! `cargo test --release --test differential_naive -- --ignored`.
 
 mod common;
@@ -23,7 +25,7 @@ use memsched::schedulers::{
     hfp_pack_with, DartsConfig, DartsScheduler, DmdaScheduler, NamedScheduler, PackConfig,
     FAMILIES,
 };
-use memsched::workloads::scale_preset;
+use memsched::workloads::{cholesky, gemm_2d_random, scale_preset};
 use proptest::prelude::*;
 use std::time::Instant;
 
@@ -161,11 +163,12 @@ fn arb_large_hypergraph() -> impl Strategy<Value = Hypergraph> {
 /// than 160 cells of a 13–30 × 13–30 grid, numbered in a random order,
 /// with one net per row, column and diagonal over its kept cells (nets of
 /// one cell dropped). Two cells share at most one line, so no two nets
-/// share two vertices and the finest level takes the pointer matching.
+/// share two vertices: the finest level's net-pair index is empty and
+/// matching there is the pointer walk alone.
 /// Vertex weights are 1–3 and net weights 1–40. In half the cases the
 /// grid keeps more than 256 cells and one more net holds all of them:
-/// above the matching cap, it is ignored by matching and by the
-/// linearity check, and the level stays linear.
+/// above the matching cap, it is ignored by matching and by the index,
+/// and the level stays linear.
 fn arb_linear_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (any::<bool>(), 13usize..=30, 13usize..=30)
         .prop_flat_map(|(big, r, c)| {
@@ -206,6 +209,54 @@ fn arb_linear_hypergraph() -> impl Strategy<Value = Hypergraph> {
                 .unzip();
             let vweights = order.iter().map(|&x| vweights[x]).collect();
             Hypergraph::new(n as usize, nets, vweights, nweights)
+        })
+}
+
+/// Strategy: a sparse weighted hypergraph that is not linear, large
+/// enough to coarsen: a 13–24 × 13–24 grid (169–576 cells, numbered in a
+/// random order) with a net per row, per column and per 2×2 block (cut
+/// short at odd edges, one-cell nets dropped). Two cells of one block
+/// and row, or block and column, share two nets, so the finest level
+/// takes the net-pair index with a list per such pair. Vertex and net
+/// weights are 1–3, so pointer candidates and neighbours that share two
+/// nets tie on score.
+fn arb_block_grid_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (13usize..=24, 13usize..=24)
+        .prop_flat_map(|(rows, cols)| {
+            let cells = rows * cols;
+            let nets = rows + cols + rows.div_ceil(2) * cols.div_ceil(2);
+            let keys = proptest::collection::vec(any::<u32>(), cells);
+            let vweights = proptest::collection::vec(1u64..=3, cells);
+            let nweights = proptest::collection::vec(1u64..=3, nets);
+            (Just((rows, cols)), keys, vweights, nweights)
+        })
+        .prop_map(|((rows, cols), keys, vweights, nweights)| {
+            let mut order: Vec<usize> = (0..rows * cols).collect();
+            order.sort_by_key(|&x| (keys[x], x));
+            let mut id = vec![0u32; rows * cols];
+            for (k, &x) in order.iter().enumerate() {
+                id[x] = k as u32;
+            }
+            let cell = |i: usize, j: usize| id[i * cols + j];
+            let mut nets: Vec<Vec<u32>> = Vec::new();
+            nets.extend((0..rows).map(|i| (0..cols).map(|j| cell(i, j)).collect()));
+            nets.extend((0..cols).map(|j| (0..rows).map(|i| cell(i, j)).collect()));
+            for bi in (0..rows).step_by(2) {
+                for bj in (0..cols).step_by(2) {
+                    nets.push(
+                        (bi..rows.min(bi + 2))
+                            .flat_map(|i| (bj..cols.min(bj + 2)).map(move |j| (i, j)))
+                            .map(|(i, j)| cell(i, j))
+                            .collect(),
+                    );
+                }
+            }
+            let (nets, nweights): (Vec<Vec<u32>>, Vec<u64>) = nets
+                .into_iter()
+                .zip(nweights)
+                .filter(|(net, _)| net.len() >= 2)
+                .unzip();
+            Hypergraph::new(rows * cols, nets, vweights, nweights)
         })
 }
 
@@ -486,6 +537,43 @@ proptest! {
         prop_assert_eq!(fast.parts, naive.parts, "seed {}", seed);
     }
 
+    /// Multilevel bisection on block grids, whose finest level is sparse
+    /// but not linear: the pointer and net-pair candidates must pick the
+    /// partners of the full-pin scan, ties on score included, and the
+    /// segment-stack greedy growth the naive vertices.
+    #[test]
+    fn bisect_block_grid_matches_naive(
+        hg in arb_block_grid_hypergraph(),
+        seed in 0u64..1000,
+        eps_idx in 0usize..3,
+    ) {
+        let eps = [0.01f64, 0.05, 0.2][eps_idx];
+        let total = hg.total_vweight();
+        let w0 = total / 2;
+        let w1 = total - w0;
+        let fast = bisect(&hg, w0, w1, eps, seed);
+        let naive = bisect_naive(&hg, w0, w1, eps, seed);
+        prop_assert_eq!(fast, naive, "seed {}", seed);
+    }
+
+    /// K-way partitioning of block grids through the restart pool:
+    /// identical part vectors with and without the naive bisection.
+    #[test]
+    fn partition_block_grid_matches_naive(
+        hg in arb_block_grid_hypergraph(),
+        k in 2usize..5,
+        seed in 0u64..1000,
+        threads in 1usize..4,
+    ) {
+        let cfg = PartitionConfig::for_parts(k)
+            .with_nruns(3)
+            .with_seed(seed)
+            .with_threads(threads);
+        let fast = partition(&hg, &cfg);
+        let naive = partition(&hg, &cfg.clone().with_naive());
+        prop_assert_eq!(fast.parts, naive.parts, "seed {}", seed);
+    }
+
     /// Engine core: the calendar event queue plus dirty-GPU worklist must
     /// reproduce the binary-heap core's trace byte for byte across every
     /// scheduler family on fault-free runs, and the streaming checksum
@@ -650,6 +738,31 @@ fn scale_preset_mhfp_floor_and_hot_path_identity() {
                 let label = format!("{label} DMDAR");
                 assert_equivalent(&ts, &spec, &label, &mut naive, &mut incremental);
             }
+        }
+    }
+}
+
+/// The fast and the naive `partition` on the task hypergraphs hMETIS+R
+/// builds for a 2D GEMM (`gemm_2d_random(80, 42)`, 6,400 tasks) and a
+/// Cholesky factorisation (`cholesky(24)`), for 2 and 4 parts with two
+/// restarts each: identical part vectors. Their first bisections coarsen
+/// through five or six levels, the finer ones on the net-pair index and
+/// the three coarsest on the scan, a depth no proptest input reaches.
+///
+/// Run with `cargo test --release --test differential_naive -- --ignored`.
+#[test]
+#[ignore = "naive partitions of task hypergraphs; execute in release mode explicitly"]
+fn partition_matches_naive_on_task_hypergraphs() {
+    for (label, ts) in [
+        ("gemm_2d_random(80, 42)", gemm_2d_random(80, 42)),
+        ("cholesky(24)", cholesky(24)),
+    ] {
+        let hg = HmetisRScheduler::build_hypergraph(&ts);
+        for k in [2, 4] {
+            let cfg = PartitionConfig::for_parts(k).with_nruns(2);
+            let fast = partition(&hg, &cfg);
+            let naive = partition(&hg, &cfg.clone().with_naive());
+            assert_eq!(fast.parts, naive.parts, "{label}, k = {k}");
         }
     }
 }
