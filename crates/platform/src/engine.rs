@@ -36,7 +36,7 @@ use crate::fault::FaultPlan;
 use crate::memory::GpuMemory;
 use crate::pipeline::Pipelines;
 use crate::report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
-use crate::scheduler::{missing_bytes_in, MissingCache, RuntimeView, Scheduler};
+use crate::scheduler::{missing_bytes_in, Hooks, MissingCache, RuntimeView, Scheduler};
 use crate::spec::{Nanos, PlatformSpec};
 use crate::trace::{TraceLog, TraceMode};
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
@@ -366,7 +366,7 @@ fn run_inner(
     }
     let prepare_wall = prepare_started.elapsed().as_nanos() as Nanos;
 
-    let mut st = new_state(ts, spec, config, online, obs);
+    let mut st = new_state(ts, spec, config, online, obs, scheduler.hooks());
 
     // Seed the fault timeline. With the default empty plan this pushes
     // nothing, so event sequence numbering — and therefore every
@@ -484,7 +484,7 @@ fn handle_event(
                         // always re-fetch from host over the PCI bus.
                         if src != FROM_HOST {
                             st.mem[src as usize].unpin(d);
-                            st.dirty[src as usize] = true;
+                            st.dirty.insert(src as usize);
                         }
                         if attempt >= tf.max_attempts {
                             return Err(RunError::TransferFailed {
@@ -553,12 +553,12 @@ fn handle_event(
                 }
                 st.lane_advance(g);
                 st.inflight[g] -= 1;
-                st.dirty[g] = true;
+                st.dirty.insert(g);
                 st.mem[g].finish_load(d, ts.data_size(d), st.now);
                 if src != FROM_HOST {
                     // Release the read pin on the NVLink source replica.
                     st.mem[src as usize].unpin(d);
-                    st.dirty[src as usize] = true;
+                    st.dirty.insert(src as usize);
                     st.nvlink_loads[g] += 1;
                     st.nvlink_bytes[g] += ts.data_size(d);
                 }
@@ -578,10 +578,12 @@ fn handle_event(
                 // New residency can unblock pops (e.g. DARTS's free-task
                 // counts change when a load lands).
                 st.wake_all();
-                let view = st.view(ts, spec);
-                timed(sched_wall, g, || {
-                    scheduler.on_data_loaded(GpuId(gpu), d, &view)
-                });
+                if st.hooks.contains(Hooks::ON_DATA_LOADED) {
+                    let view = st.view(ts, spec);
+                    timed(sched_wall, g, || {
+                        scheduler.on_data_loaded(GpuId(gpu), d, &view)
+                    });
+                }
                 // The load turned Loading bytes into evictable Resident
                 // bytes: a deferred fault shrink may now complete.
                 retry_pending_shrinks(ts, spec, scheduler, st, sched_wall, g);
@@ -599,7 +601,7 @@ fn handle_event(
                 st.lane_advance(g);
                 st.pipeline.pop_front(g);
                 st.running[g] = false;
-                st.dirty[g] = true;
+                st.dirty.insert(g);
                 if st.recording {
                     st.emit(ObsEvent::ComputeEnd {
                         t: st.now,
@@ -608,6 +610,8 @@ fn handle_event(
                         interrupted: false,
                     });
                 }
+                // The flat core's only LRU touch of these inputs (see
+                // `try_start`).
                 for d in ts.input_ids(t) {
                     st.mem[g].unpin(d);
                     st.mem[g].touch(d, st.now);
@@ -630,10 +634,12 @@ fn handle_event(
                 // A completion anywhere may unblock pops everywhere
                 // (stealing, shared queues).
                 st.wake_all();
-                let view = st.view(ts, spec);
-                timed(sched_wall, g, || {
-                    scheduler.on_task_complete(GpuId(gpu), t, &view)
-                });
+                if st.hooks.contains(Hooks::ON_TASK_COMPLETE) {
+                    let view = st.view(ts, spec);
+                    timed(sched_wall, g, || {
+                        scheduler.on_task_complete(GpuId(gpu), t, &view)
+                    });
+                }
                 // The completion released pins: a deferred fault shrink
                 // may now complete.
                 retry_pending_shrinks(ts, spec, scheduler, st, sched_wall, g);
@@ -739,7 +745,7 @@ fn handle_event(
                     return Ok(());
                 }
                 st.speed[s.gpu] = s.factor;
-                st.dirty[s.gpu] = true;
+                st.dirty.insert(s.gpu);
                 if st.recording {
                     st.emit(ObsEvent::GpuSlowed {
                         t: st.now,
@@ -763,6 +769,12 @@ fn handle_event(
 /// pass already issued every issuable prefetch, so skipping it takes the
 /// exact same decisions as the reference core's full scan — the
 /// differential proptests pin this. The naive core scans all.
+///
+/// The flat core takes the dirty GPUs from the bitset in ascending order
+/// and re-reads it after each pass, so a GPU marked during the sweep is
+/// visited in it exactly when its index is above the current one — the
+/// order of the reference core's index loop. A dead GPU's mark is
+/// dropped: nothing else reads it, and a dead GPU never progresses.
 fn sweep(
     ts: &TaskSet,
     spec: &PlatformSpec,
@@ -771,12 +783,22 @@ fn sweep(
     sched_wall: &mut [Ticks],
     naive_core: bool,
 ) -> Result<(), RunError> {
-    for g in 0..spec.num_gpus {
-        if st.dead[g] || !(naive_core || st.dirty[g]) {
-            continue;
+    if naive_core {
+        for g in 0..spec.num_gpus {
+            if st.dead[g] {
+                continue;
+            }
+            st.dirty.remove(g);
+            progress(ts, spec, scheduler, st, sched_wall, g)?;
         }
-        st.dirty[g] = false;
-        progress(ts, spec, scheduler, st, sched_wall, g)?;
+        return Ok(());
+    }
+    let mut next = 0;
+    while let Some(g) = st.dirty.take_first_from(next) {
+        next = g + 1;
+        if !st.dead[g] {
+            progress(ts, spec, scheduler, st, sched_wall, g)?;
+        }
     }
     Ok(())
 }
@@ -845,8 +867,6 @@ fn finish_run(
         tasks_redispatched: st.redispatched,
         bus_busy_ns: st.bus_busy.clone(),
         online: online.then(|| {
-            st.latencies.sort_unstable();
-            st.queueing.sort_unstable();
             // Per-class vectors are only materialized when classes are in
             // play or something was dropped, so class-less `DeferOnly`
             // reports serialize exactly as before this field existed.
@@ -868,15 +888,15 @@ fn finish_run(
                     Vec::new()
                 },
                 deadline_violations: st.deadline_violations,
-                p50_latency: quantile(&st.latencies, 0.50),
-                p99_latency: quantile(&st.latencies, 0.99),
+                p50_latency: quantile(&mut st.latencies, 0.50),
+                p99_latency: quantile(&mut st.latencies, 0.99),
                 mean_latency: if st.latencies.is_empty() {
                     0
                 } else {
                     st.latencies.iter().sum::<Nanos>() / st.latencies.len() as Nanos
                 },
-                p50_queueing: quantile(&st.queueing, 0.50),
-                p99_queueing: quantile(&st.queueing, 0.99),
+                p50_queueing: quantile(&mut st.queueing, 0.50),
+                p99_queueing: quantile(&mut st.queueing, 0.99),
                 throughput_tps: if st.now == 0 {
                     0.0
                 } else {
@@ -919,6 +939,7 @@ fn new_state(
     config: &RunConfig,
     online: bool,
     obs: Option<Probe>,
+    hooks: Hooks,
 ) -> State {
     let k = spec.num_gpus;
     let m = ts.num_tasks();
@@ -932,9 +953,11 @@ fn new_state(
         missing: OnceCell::new(),
         pipeline: Pipelines::new(k, spec.pipeline_depth),
         running: vec![false; k],
-        stalled_pop: vec![false; k],
-        dirty: vec![true; k],
+        stalled_pop: GpuSet::new(k, false),
+        dirty: GpuSet::new(k, true),
         reference_core: config.use_naive_core(),
+        // The reference core calls every hook, declared or not.
+        hooks: if config.use_naive_core() { Hooks::ALL } else { hooks },
         gpu_free_at: vec![0; k],
         buses: vec![0; spec.num_buses()],
         bus_busy: vec![0; spec.num_buses()],
@@ -967,6 +990,7 @@ fn new_state(
         released: if online { vec![false; m] } else { Vec::new() },
         backlog: 0,
         deferred: VecDeque::new(),
+        deferred_expiry_bound: Nanos::MAX,
         latencies: Vec::with_capacity(if online { m } else { 0 }),
         queueing: Vec::with_capacity(if online { m } else { 0 }),
         admitted: 0,
@@ -999,12 +1023,72 @@ fn seed_faults(st: &mut State, config: &RunConfig) {
     }
 }
 
-/// Nearest-rank quantile of an ascending-sorted sample (0 when empty).
-fn quantile(sorted: &[Nanos], q: f64) -> Nanos {
-    if sorted.is_empty() {
+/// Nearest-rank quantile of a sample (0 when empty): the value at rank
+/// `round((n − 1) · q)` of the sorted sample, found by selection, which
+/// reorders `sample`.
+fn quantile(sample: &mut [Nanos], q: f64) -> Nanos {
+    if sample.is_empty() {
         return 0;
     }
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+    let rank = ((sample.len() - 1) as f64 * q).round() as usize;
+    *sample.select_nth_unstable(rank).1
+}
+
+/// A set of GPU indices: one bit per GPU, 64 to a word. The flat core's
+/// worklists.
+#[derive(Clone, Debug)]
+struct GpuSet {
+    words: Vec<u64>,
+}
+
+impl GpuSet {
+    /// All of GPUs `0..k` if `full`, else none of them.
+    fn new(k: usize, full: bool) -> Self {
+        let mut set = GpuSet {
+            words: vec![0; k.div_ceil(64)],
+        };
+        if full {
+            (0..k).for_each(|g| set.insert(g));
+        }
+        set
+    }
+
+    #[inline]
+    fn insert(&mut self, g: usize) {
+        self.words[g / 64] |= 1 << (g % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, g: usize) {
+        self.words[g / 64] &= !(1 << (g % 64));
+    }
+
+    #[inline]
+    fn contains(&self, g: usize) -> bool {
+        self.words[g / 64] >> (g % 64) & 1 == 1
+    }
+
+    /// Remove and return the smallest member at or above `from`.
+    #[inline]
+    fn take_first_from(&mut self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        let g = w * 64 + bits.trailing_zeros() as usize;
+        self.remove(g);
+        Some(g)
+    }
+
+    /// Move every member of `other` into this set.
+    #[inline]
+    fn absorb(&mut self, other: &mut GpuSet) {
+        for (a, b) in self.words.iter_mut().zip(&mut other.words) {
+            *a |= std::mem::take(b);
+        }
+    }
 }
 
 struct State {
@@ -1022,19 +1106,25 @@ struct State {
     /// ring arena for all GPUs.
     pipeline: Pipelines,
     running: Vec<bool>,
-    /// The scheduler returned `None` for this GPU and nothing changed
-    /// since — do not hammer `pop_task` until the next event.
-    stalled_pop: Vec<bool>,
-    /// Worklist flag: GPU `g`'s local state changed since its last
-    /// `progress` pass, so the pass could act. Set by events touching the
-    /// GPU, by [`State::wake_all`] clearing a stall latch, and by a
+    /// GPUs whose scheduler returned `None` with nothing changed since —
+    /// do not hammer `pop_task` until the next event.
+    stalled_pop: GpuSet,
+    /// Worklist: GPUs whose local state changed since their last
+    /// `progress` pass, so the pass could act. Marked by events touching
+    /// the GPU, by [`State::wake_all`] clearing a stall latch, and by a
     /// memory-blocked prefetch (which must re-ask for a victim every
     /// pass, exactly as the reference core's full scan does).
-    dirty: Vec<bool>,
+    dirty: GpuSet,
     /// Running under `RunConfig::naive_core`: execute the pre-refactor
     /// reference control flow (full per-event progress scans, no
-    /// all-resident fast path). `false` selects the flat core.
+    /// all-resident fast path, every hook called, protected sets merged
+    /// per pipeline entry, inputs touched at task start). `false`
+    /// selects the flat core.
     reference_core: bool,
+    /// The optional hooks the engine calls: the policy's declaration
+    /// ([`Scheduler::hooks`]) on the flat core, all of them on the
+    /// reference core.
+    hooks: Hooks,
     gpu_free_at: Vec<Nanos>,
     /// Per-bus drain time: when PCI bus `b` finishes its queued
     /// transfers (index [`PlatformSpec::bus_of`]). Single-bus platforms
@@ -1104,6 +1194,11 @@ struct State {
     backlog: usize,
     /// Arrived tasks awaiting admission, strictly FIFO.
     deferred: VecDeque<u32>,
+    /// A lower bound on the earliest `arrival + deadline` among deferred
+    /// tasks with a deadline (`Nanos::MAX` when none has one): lowered on
+    /// each deferral, recomputed on each expiry walk. No deferred task
+    /// can expire while `now` is at or before it.
+    deferred_expiry_bound: Nanos,
     /// Per-completion task latency samples (completion − arrival).
     latencies: Vec<Nanos>,
     /// Per-start queueing-delay samples (compute start − arrival).
@@ -1195,13 +1290,18 @@ impl State {
     /// Clear every worker's stalled-pop latch and mark the previously
     /// stalled ones dirty. Only they can act on the change: a non-stalled
     /// worker's pipeline is full, so its last `progress` pass already
-    /// issued everything issuable.
+    /// issued everything issuable. The flat core moves the stalled set
+    /// one word at a time; the reference core walks the GPUs.
     fn wake_all(&mut self) {
-        for g in 0..self.stalled_pop.len() {
-            if self.stalled_pop[g] {
-                self.stalled_pop[g] = false;
-                self.dirty[g] = true;
+        if self.reference_core {
+            for g in 0..self.running.len() {
+                if self.stalled_pop.contains(g) {
+                    self.stalled_pop.remove(g);
+                    self.dirty.insert(g);
+                }
             }
+        } else {
+            self.dirty.absorb(&mut self.stalled_pop);
         }
     }
 
@@ -1279,7 +1379,7 @@ fn progress(
     g: usize,
 ) -> Result<(), RunError> {
     // 1. Refill the pipeline.
-    while st.pipeline.len(g) < spec.pipeline_depth && !st.stalled_pop[g] {
+    while st.pipeline.len(g) < spec.pipeline_depth && !st.stalled_pop.contains(g) {
         let view = st.view(ts, spec);
         let (popped, pop_ticks) = timed_with(sched_wall, g, || {
             scheduler.pop_task(GpuId(g as u32), &view)
@@ -1327,7 +1427,7 @@ fn progress(
                 st.pipeline.push_back(g, t)
             }
             None => {
-                st.stalled_pop[g] = true;
+                st.stalled_pop.insert(g);
             }
         }
     }
@@ -1365,17 +1465,18 @@ fn progress(
     let mut protect = std::mem::take(&mut st.protect);
     let mut scratch = std::mem::take(&mut st.merge_scratch);
     protect.clear();
+    // Pipeline entries whose inputs are in `protect`. `pick_victim` is
+    // its only reader, so the flat core merges the prefix only once a
+    // fetch must evict, and only up to the current entry: the set each
+    // victim choice sees is the one the reference core's per-entry
+    // merges build.
+    let mut merged = 0;
     'issue: for idx in 0..st.pipeline.len(g) {
         let t = st.pipeline.get(g, idx);
         let inputs = ts.inputs(t);
         if st.reference_core {
-            // The pre-refactor `merge_sorted` allocated a fresh vector
-            // per merge and dropped the previous prefix; reproduce that
-            // cost profile instead of borrowing the flat core's scratch.
-            scratch = Vec::with_capacity(protect.len() + inputs.len());
+            merge_prefix(ts, st, g, idx, &mut merged, &mut protect, &mut scratch);
         }
-        merge_sorted_into(&protect, inputs, &mut scratch);
-        std::mem::swap(&mut protect, &mut scratch);
         for &raw in inputs {
             let d = DataId(raw);
             if st.mem[g].is_resident_or_loading(d) {
@@ -1384,6 +1485,7 @@ fn progress(
             let size = ts.data_size(d);
             // Make room, never evicting protected inputs.
             while st.mem[g].free_bytes() < size {
+                merge_prefix(ts, st, g, idx, &mut merged, &mut protect, &mut scratch);
                 let victim = pick_victim(ts, spec, scheduler, st, sched_wall, g, &protect);
                 match victim {
                     Some((v, by_scheduler)) => {
@@ -1398,10 +1500,12 @@ fn progress(
                             });
                             st.emit_occupancy(g);
                         }
-                        let view = st.view(ts, spec);
-                        timed(sched_wall, g, || {
-                            scheduler.on_data_evicted(GpuId(g as u32), v, &view)
-                        });
+                        if st.hooks.contains(Hooks::ON_DATA_EVICTED) {
+                            let view = st.view(ts, spec);
+                            timed(sched_wall, g, || {
+                                scheduler.on_data_evicted(GpuId(g as u32), v, &view)
+                            });
+                        }
                     }
                     None => {
                         // Nothing evictable. If the task's footprint
@@ -1419,7 +1523,7 @@ fn progress(
                         // for a victim again on every pass while blocked
                         // (`choose_victim` may mutate policy state), so
                         // the worklist core must repeat the pass too.
-                        st.dirty[g] = true;
+                        st.dirty.insert(g);
                         break 'issue;
                     }
                 }
@@ -1482,10 +1586,12 @@ fn progress(
             // already counts this data, so policies maintaining free-task
             // state incrementally must observe the transition now, not at
             // transfer completion.
-            let view = st.view(ts, spec);
-            timed(sched_wall, g, || {
-                scheduler.on_load_issued(GpuId(g as u32), d, &view)
-            });
+            if st.hooks.contains(Hooks::ON_LOAD_ISSUED) {
+                let view = st.view(ts, spec);
+                timed(sched_wall, g, || {
+                    scheduler.on_load_issued(GpuId(g as u32), d, &view)
+                });
+            }
         }
     }
     st.protect = protect;
@@ -1499,6 +1605,13 @@ fn progress(
 
 /// Start the head task of GPU `g` if it is not running and all its inputs
 /// are resident; pins its inputs for the duration of the execution.
+///
+/// Only the reference core also touches them here. Victim walks are the
+/// only readers of the LRU order, and they skip pinned data, so where a
+/// pinned input sits in the list changes no choice; `TaskDone` touches
+/// the same inputs in the same order, which leaves the list as the two
+/// touches would. A fail-stop unpins them untouched, but no later
+/// decision reads a dead GPU's LRU order.
 fn try_start(ts: &TaskSet, spec: &PlatformSpec, st: &mut State, g: usize) {
     if st.running[g] {
         return;
@@ -1511,7 +1624,9 @@ fn try_start(ts: &TaskSet, spec: &PlatformSpec, st: &mut State, g: usize) {
     }
     for d in ts.input_ids(head) {
         st.mem[g].pin(d);
-        st.mem[g].touch(d, st.now);
+        if st.reference_core {
+            st.mem[g].touch(d, st.now);
+        }
     }
     st.lane_advance(g);
     st.running[g] = true;
@@ -1578,11 +1693,36 @@ fn merge_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Choose an eviction victim on GPU `g`: ask the scheduler first (LUF),
-/// validate its answer, fall back to LRU. `protect` holds the inputs of
-/// the task the fetch is for. The flag in the result records whether
-/// the scheduler's choice was used (`true`) or the LRU fallback
-/// (`false`) — the eviction-policy tag on [`ObsEvent::Eviction`].
+/// Merge the inputs of GPU `g`'s pipeline entries `*merged..=idx` into
+/// `protect`, using `scratch`, and advance `*merged` past `idx`. The
+/// reference core allocates a new buffer per merge, as the pre-refactor
+/// `merge_sorted` did, to keep that cost profile.
+fn merge_prefix(
+    ts: &TaskSet,
+    st: &State,
+    g: usize,
+    idx: usize,
+    merged: &mut usize,
+    protect: &mut Vec<u32>,
+    scratch: &mut Vec<u32>,
+) {
+    while *merged <= idx {
+        let inputs = ts.inputs(st.pipeline.get(g, *merged));
+        if st.reference_core {
+            *scratch = Vec::with_capacity(protect.len() + inputs.len());
+        }
+        merge_sorted_into(protect, inputs, scratch);
+        std::mem::swap(protect, scratch);
+        *merged += 1;
+    }
+}
+
+/// Choose an eviction victim on GPU `g`: ask the scheduler first (LUF)
+/// if it declares [`Hooks::CHOOSE_VICTIM`], validate its answer, fall
+/// back to LRU. `protect` holds the inputs of the task the fetch is for
+/// and of the pipeline entries ahead of it. The flag in the result
+/// records whether the scheduler's choice was used (`true`) or the LRU
+/// fallback (`false`) — the eviction-policy tag on [`ObsEvent::Eviction`].
 #[allow(clippy::too_many_arguments)]
 fn pick_victim(
     ts: &TaskSet,
@@ -1596,13 +1736,15 @@ fn pick_victim(
     let evictable = |mem: &GpuMemory, d: DataId| {
         mem.is_resident(d) && !mem.is_pinned(d) && protect.binary_search(&d.0).is_err()
     };
-    let view = st.view(ts, spec);
-    let choice = timed(sched_wall, g, || {
-        scheduler.choose_victim(GpuId(g as u32), &view)
-    });
-    if let Some(v) = choice {
-        if evictable(&st.mem[g], v) {
-            return Some((v, true));
+    if st.hooks.contains(Hooks::CHOOSE_VICTIM) {
+        let view = st.view(ts, spec);
+        let choice = timed(sched_wall, g, || {
+            scheduler.choose_victim(GpuId(g as u32), &view)
+        });
+        if let Some(v) = choice {
+            if evictable(&st.mem[g], v) {
+                return Some((v, true));
+            }
         }
     }
     // LRU fallback, skipping protected items: walk the memory's intrusive
@@ -1632,7 +1774,7 @@ fn apply_shrink(
     target: u64,
 ) -> bool {
     let mut evicted_any = false;
-    st.dirty[g] = true;
+    st.dirty.insert(g);
     while st.mem[g].used_bytes() > target {
         let Some((v, by_scheduler)) = pick_victim(ts, spec, scheduler, st, sched_wall, g, &[])
         else {
@@ -1650,10 +1792,12 @@ fn apply_shrink(
             });
             st.emit_occupancy(g);
         }
-        let view = st.view(ts, spec);
-        timed(sched_wall, g, || {
-            scheduler.on_data_evicted(GpuId(g as u32), v, &view)
-        });
+        if st.hooks.contains(Hooks::ON_DATA_EVICTED) {
+            let view = st.view(ts, spec);
+            timed(sched_wall, g, || {
+                scheduler.on_data_evicted(GpuId(g as u32), v, &view)
+            });
+        }
     }
     let effective = target.max(st.mem[g].used_bytes());
     if effective != st.mem[g].capacity() {
@@ -1771,6 +1915,11 @@ fn arrive(
         }
         st.deferrals += 1;
         st.deferred.push_back(t.0);
+        if ts.deadline(t) > 0 {
+            st.deferred_expiry_bound = st
+                .deferred_expiry_bound
+                .min(ts.arrival(t).saturating_add(ts.deadline(t)));
+        }
         if st.recording {
             st.emit(ObsEvent::TaskDeferred { t: st.now, task: t.0 });
         }
@@ -1825,19 +1974,32 @@ fn drop_task(ts: &TaskSet, st: &mut State, t: TaskId, expired: bool) {
 /// Lazily expire deferred tasks whose completion deadline has passed
 /// (`now` strictly beyond `arrival + deadline`). Only called under a
 /// shedding policy, from existing event handlers — never from a timer —
-/// so it cannot perturb event sequence numbering.
+/// so it cannot perturb event sequence numbering. The flat core skips
+/// the walk while `now` is at or before `deferred_expiry_bound`, when
+/// it would expire nothing; the reference core always walks.
 fn expire_deferred(ts: &TaskSet, st: &mut State) {
+    if !st.reference_core && st.now <= st.deferred_expiry_bound {
+        return;
+    }
+    let mut bound = Nanos::MAX;
     let mut i = 0;
     while i < st.deferred.len() {
         let t = TaskId(st.deferred[i]);
         let dl = ts.deadline(t);
-        if dl > 0 && st.now > ts.arrival(t).saturating_add(dl) {
+        if dl == 0 {
+            i += 1;
+            continue;
+        }
+        let expiry = ts.arrival(t).saturating_add(dl);
+        if st.now > expiry {
             st.deferred.remove(i);
             drop_task(ts, st, t, true);
         } else {
+            bound = bound.min(expiry);
             i += 1;
         }
     }
+    st.deferred_expiry_bound = bound;
 }
 
 /// Shed deferred tasks whose footprint no longer fits any alive GPU —
@@ -2180,6 +2342,26 @@ mod tests {
             r
         };
         assert_eq!(strip(a.0), strip(b.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "counters hold at most 65535 per task")]
+    fn missing_counters_reject_a_task_with_65536_inputs() {
+        struct Reader;
+        impl Scheduler for Reader {
+            fn name(&self) -> String {
+                "reader".into()
+            }
+            fn pop_task(&mut self, _: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
+                view.missing();
+                None
+            }
+        }
+        let mut b = TaskSetBuilder::new();
+        let inputs: Vec<_> = (0..1 << 16).map(|_| b.add_data(1)).collect();
+        b.add_task(&inputs, 1.0);
+        let ts = b.build();
+        let _ = run(&ts, &tiny_spec(1, 1 << 16), &mut Reader);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use memsched_obs::{ObsEvent, Probe};
 pub use fault::{CapacityShrink, FaultPlan, GpuFailure, Straggler, TransferFaultSpec};
 pub use memory::{GpuMemory, Residency};
 pub use report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
-pub use scheduler::{MissingCache, RuntimeView, Scheduler};
+pub use scheduler::{Hooks, MissingCache, RuntimeView, Scheduler};
 pub use validate::{validate, Violation};
 pub use spec::{
     Nanos, PlatformSpec, NVLINK_BANDWIDTH, PAPER_MEMORY_BYTES, PCIE_BANDWIDTH,

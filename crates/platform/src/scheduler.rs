@@ -8,7 +8,10 @@
 //! and event notifications ([`Scheduler::on_load_issued`],
 //! [`Scheduler::on_data_loaded`], [`Scheduler::on_data_evicted`],
 //! [`Scheduler::on_task_complete`]) so policies can maintain incremental
-//! state instead of re-scanning the runtime view on every decision.
+//! state instead of re-scanning the runtime view on every decision. The
+//! eviction hook and the four notifications are optional: a policy
+//! declares the ones it implements ([`Scheduler::hooks`]) and the engine
+//! calls only those.
 
 use crate::memory::GpuMemory;
 use crate::pipeline::Pipelines;
@@ -33,73 +36,109 @@ use std::cell::OnceCell;
 /// (EAGER, the Router) never pays for it: each residency transition of
 /// its runs stays O(1).
 ///
-/// Stored struct-of-arrays: one flat stride-`m` array per counter, indexed
-/// `gpu * m + task`, so a million-task cache is three allocations total
-/// and the per-consumer update loop walks contiguous memory.
+/// Stored as one flat stride-`m` array of 16-byte records, indexed
+/// `gpu * m + task`: the missing bytes, and the missing count and id sum
+/// packed into one word (`count << 48 | id_sum`). A million-task cache
+/// is one allocation, and each consumer update touches one record.
 #[derive(Clone, Debug)]
 pub struct MissingCache {
     /// Row stride: number of tasks (one row per GPU).
     m: usize,
-    /// Per (GPU, task): number of inputs absent on that GPU.
-    cnt: Vec<u32>,
-    /// Per (GPU, task): bytes of absent inputs.
-    bytes: Vec<u64>,
-    /// Per (GPU, task): sum of absent input ids (`u64` so sums of many
-    /// `u32` ids cannot overflow).
-    id_sum: Vec<u64>,
+    /// Per (GPU, task): the absent inputs on that GPU.
+    rec: Vec<Missing>,
+}
+
+/// The absent inputs of one task on one GPU.
+#[derive(Clone, Copy, Debug)]
+struct Missing {
+    /// Bytes of absent inputs.
+    bytes: u64,
+    /// Number of absent inputs (bits 48–63) and the sum of their ids
+    /// (bits 0–47). A task has fewer than 2^16 inputs and ids are `u32`,
+    /// so the sum stays below 2^48 and one addition or subtraction of
+    /// `1 << 48 | id` updates both fields.
+    packed: u64,
+}
+
+/// Shift of the absent-input count in [`Missing::packed`].
+const COUNT_SHIFT: u32 = 48;
+/// Mask of the id sum in [`Missing::packed`].
+const ID_SUM_MASK: u64 = (1 << COUNT_SHIFT) - 1;
+
+impl Missing {
+    #[inline]
+    fn count(self) -> u64 {
+        self.packed >> COUNT_SHIFT
+    }
+
+    #[inline]
+    fn id_sum(self) -> u64 {
+        self.packed & ID_SUM_MASK
+    }
+}
+
+/// The [`Missing::packed`] contribution of one absent input `d`.
+#[inline]
+fn one_missing(d: DataId) -> u64 {
+    1 << COUNT_SHIFT | d.0 as u64
 }
 
 impl MissingCache {
     /// The counters of the residency in `memories` (one per GPU).
+    ///
+    /// # Panics
+    ///
+    /// If a task has 2^16 or more inputs, more than the packed count
+    /// holds.
     pub(crate) fn from_residency(ts: &TaskSet, memories: &[GpuMemory]) -> Self {
         let m = ts.num_tasks();
         let (offsets, ids) = ts.input_slab();
-        let n = m * memories.len();
-        let mut cnt = Vec::with_capacity(n);
-        let mut bytes = Vec::with_capacity(n);
-        let mut id_sum = Vec::with_capacity(n);
+        if let Some(t) = (0..m).find(|&t| offsets[t + 1] - offsets[t] >= 1 << 16) {
+            panic!(
+                "task {t} has {} inputs; the missing-input counters hold at most 65535 per task",
+                offsets[t + 1] - offsets[t]
+            );
+        }
+        let mut rec = Vec::with_capacity(m * memories.len());
         for mem in memories {
             for t in 0..m {
-                let (mut c, mut b, mut s) = (0u32, 0u64, 0u64);
+                let mut r = Missing { bytes: 0, packed: 0 };
                 for &d in &ids[offsets[t] as usize..offsets[t + 1] as usize] {
                     if !mem.is_resident_or_loading(DataId(d)) {
-                        c += 1;
-                        b += ts.data_size(DataId(d));
-                        s += d as u64;
+                        r.bytes += ts.data_size(DataId(d));
+                        r.packed += one_missing(DataId(d));
                     }
                 }
-                cnt.push(c);
-                bytes.push(b);
-                id_sum.push(s);
+                rec.push(r);
             }
         }
-        Self {
-            m,
-            cnt,
-            bytes,
-            id_sum,
-        }
+        Self { m, rec }
+    }
+
+    #[inline]
+    fn get(&self, gpu: GpuId, task: TaskId) -> Missing {
+        self.rec[gpu.index() * self.m + task.index()]
     }
 
     /// Number of `task`'s inputs that are neither resident on `gpu` nor
     /// in flight to it.
     #[inline]
     pub fn inputs(&self, gpu: GpuId, task: TaskId) -> usize {
-        self.cnt[gpu.index() * self.m + task.index()] as usize
+        self.get(gpu, task).count() as usize
     }
 
     /// Bytes of `task`'s inputs that are neither resident on `gpu` nor
     /// in flight to it — what the Ready heuristic minimizes.
     #[inline]
     pub fn bytes(&self, gpu: GpuId, task: TaskId) -> u64 {
-        self.bytes[gpu.index() * self.m + task.index()]
+        self.get(gpu, task).bytes
     }
 
     /// When exactly one input of `task` is missing on `gpu`, its id.
     #[inline]
     pub fn sole_input(&self, gpu: GpuId, task: TaskId) -> Option<DataId> {
-        let i = gpu.index() * self.m + task.index();
-        (self.cnt[i] == 1).then(|| DataId(self.id_sum[i] as u32))
+        let r = self.get(gpu, task);
+        (r.count() == 1).then(|| DataId(r.id_sum() as u32))
     }
 
     /// When exactly two inputs of `task` are missing on `gpu` and `d` is
@@ -108,32 +147,32 @@ impl MissingCache {
     /// when `d` is evicted.
     #[inline]
     pub fn pair_partner(&self, gpu: GpuId, task: TaskId, d: DataId) -> Option<DataId> {
-        let i = gpu.index() * self.m + task.index();
-        (self.cnt[i] == 2).then(|| DataId((self.id_sum[i] - d.0 as u64) as u32))
+        let r = self.get(gpu, task);
+        (r.count() == 2).then(|| DataId((r.id_sum() - d.0 as u64) as u32))
     }
 
     /// A transfer of `d` to `gpu` was issued (Absent → Loading).
     pub(crate) fn load_issued(&mut self, ts: &TaskSet, gpu: usize, d: DataId) {
         let size = ts.data_size(d);
-        let base = gpu * self.m;
+        let one = one_missing(d);
+        let row = &mut self.rec[gpu * self.m..(gpu + 1) * self.m];
         for &t in ts.consumers(d) {
-            let i = base + t as usize;
-            debug_assert!(self.cnt[i] > 0);
-            self.cnt[i] -= 1;
-            self.bytes[i] -= size;
-            self.id_sum[i] -= d.0 as u64;
+            let r = &mut row[t as usize];
+            debug_assert!(r.count() > 0);
+            r.bytes -= size;
+            r.packed -= one;
         }
     }
 
     /// `d` was evicted from `gpu` (Resident → Absent).
     pub(crate) fn evicted(&mut self, ts: &TaskSet, gpu: usize, d: DataId) {
         let size = ts.data_size(d);
-        let base = gpu * self.m;
+        let one = one_missing(d);
+        let row = &mut self.rec[gpu * self.m..(gpu + 1) * self.m];
         for &t in ts.consumers(d) {
-            let i = base + t as usize;
-            self.cnt[i] += 1;
-            self.bytes[i] += size;
-            self.id_sum[i] += d.0 as u64;
+            let r = &mut row[t as usize];
+            r.bytes += size;
+            r.packed += one;
         }
     }
 }
@@ -299,10 +338,52 @@ impl<'a> RuntimeView<'a> {
     }
 }
 
+/// The optional hooks a policy implements, declared by
+/// [`Scheduler::hooks`]: any union (`|`) of [`Hooks::ON_LOAD_ISSUED`],
+/// [`Hooks::ON_DATA_LOADED`], [`Hooks::ON_DATA_EVICTED`],
+/// [`Hooks::ON_TASK_COMPLETE`] and [`Hooks::CHOOSE_VICTIM`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hooks(u8);
+
+impl Hooks {
+    /// No optional hook: the engine never calls one.
+    pub const NONE: Hooks = Hooks(0);
+    /// [`Scheduler::on_load_issued`].
+    pub const ON_LOAD_ISSUED: Hooks = Hooks(1);
+    /// [`Scheduler::on_data_loaded`].
+    pub const ON_DATA_LOADED: Hooks = Hooks(1 << 1);
+    /// [`Scheduler::on_data_evicted`].
+    pub const ON_DATA_EVICTED: Hooks = Hooks(1 << 2);
+    /// [`Scheduler::on_task_complete`].
+    pub const ON_TASK_COMPLETE: Hooks = Hooks(1 << 3);
+    /// [`Scheduler::choose_victim`].
+    pub const CHOOSE_VICTIM: Hooks = Hooks(1 << 4);
+    /// All five: the default declaration.
+    pub const ALL: Hooks = Hooks(0b1_1111);
+
+    /// Whether every hook of `hooks` is in this set.
+    #[inline]
+    pub const fn contains(self, hooks: Hooks) -> bool {
+        self.0 & hooks.0 == hooks.0
+    }
+}
+
+impl std::ops::BitOr for Hooks {
+    type Output = Hooks;
+
+    fn bitor(self, rhs: Hooks) -> Hooks {
+        Hooks(self.0 | rhs.0)
+    }
+}
+
 /// A scheduling policy driven by the runtime engine.
 ///
 /// All methods take `&mut self`; the engine serializes calls (the
 /// simulation is single-threaded and deterministic).
+///
+/// Five hooks are optional, and a policy declares the ones it overrides
+/// in [`hooks`](Self::hooks): the engine skips the others. A policy that
+/// overrides a hook without declaring it is never called there.
 pub trait Scheduler {
     /// Human-readable name used in reports ("DARTS+LUF", "DMDAR", …).
     fn name(&self) -> String;
@@ -338,6 +419,20 @@ pub trait Scheduler {
         let _ = (task, view);
     }
 
+    /// The optional hooks this policy implements. The engine reads the
+    /// declaration once per run and, for every hook left out, skips the
+    /// call, the view it would build and the callback timing
+    /// (`sched_wall`); an undeclared [`choose_victim`](Self::choose_victim)
+    /// goes straight to the engine's LRU fallback. Declaring a hook the
+    /// policy does not override changes nothing but the cost.
+    ///
+    /// The default declares all five, so a policy (or a forwarding
+    /// wrapper) that does not override this method is called exactly as
+    /// if the declaration did not exist.
+    fn hooks(&self) -> Hooks {
+        Hooks::ALL
+    }
+
     /// A worker on `gpu` has pipeline room and requests a task. Return
     /// `None` if no task should run on this GPU right now (the engine
     /// retries after the next state change).
@@ -347,12 +442,15 @@ pub trait Scheduler {
     /// victim (must be resident and unpinned — the engine validates and
     /// falls back to LRU on `None` or invalid choices). This is how
     /// DARTS installs its LUF policy; the default defers to LRU.
+    /// Optional: called only if [`hooks`](Self::hooks) declares
+    /// [`Hooks::CHOOSE_VICTIM`].
     fn choose_victim(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<DataId> {
         let _ = (gpu, view);
         None
     }
 
-    /// `task` finished on `gpu`.
+    /// `task` finished on `gpu`. Optional: called only if
+    /// [`hooks`](Self::hooks) declares [`Hooks::ON_TASK_COMPLETE`].
     fn on_task_complete(&mut self, gpu: GpuId, task: TaskId, view: &RuntimeView<'_>) {
         let _ = (gpu, task, view);
     }
@@ -363,17 +461,20 @@ pub trait Scheduler {
     /// matching [`on_data_loaded`](Self::on_data_loaded). Policies that
     /// maintain per-data "free task" state incrementally (DARTS) update
     /// it here, since their decision rules already treat in-flight data
-    /// as available.
+    /// as available. Optional: called only if [`hooks`](Self::hooks)
+    /// declares [`Hooks::ON_LOAD_ISSUED`].
     fn on_load_issued(&mut self, gpu: GpuId, data: DataId, view: &RuntimeView<'_>) {
         let _ = (gpu, data, view);
     }
 
-    /// A transfer of `data` to `gpu` completed.
+    /// A transfer of `data` to `gpu` completed. Optional: called only if
+    /// [`hooks`](Self::hooks) declares [`Hooks::ON_DATA_LOADED`].
     fn on_data_loaded(&mut self, gpu: GpuId, data: DataId, view: &RuntimeView<'_>) {
         let _ = (gpu, data, view);
     }
 
-    /// `data` was evicted from `gpu`.
+    /// `data` was evicted from `gpu`. Optional: called only if
+    /// [`hooks`](Self::hooks) declares [`Hooks::ON_DATA_EVICTED`].
     fn on_data_evicted(&mut self, gpu: GpuId, data: DataId, view: &RuntimeView<'_>) {
         let _ = (gpu, data, view);
     }

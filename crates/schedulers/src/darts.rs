@@ -38,7 +38,7 @@
 
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
 use memsched_platform::obs::{GaugeKind, ObsEvent};
-use memsched_platform::{PlatformSpec, Probe, RuntimeView, Scheduler};
+use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
@@ -927,6 +927,10 @@ impl Scheduler for DartsScheduler {
             name.push_str("-3inputs");
         }
         name
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::ALL
     }
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {

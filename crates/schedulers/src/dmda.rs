@@ -16,7 +16,7 @@
 use crate::ready::{ready_pick, DEFAULT_READY_WINDOW};
 use memsched_model::{GpuId, TaskId, TaskSet};
 use memsched_platform::obs::{GaugeKind, ObsEvent};
-use memsched_platform::{Nanos, PlatformSpec, Probe, RuntimeView, Scheduler};
+use memsched_platform::{Hooks, Nanos, PlatformSpec, Probe, RuntimeView, Scheduler};
 
 /// The DMDA family; [`DmdaScheduler::dmda`] builds the plain variant and
 /// [`DmdaScheduler::dmdar`] the Ready one used throughout the paper.
@@ -115,6 +115,10 @@ impl DmdaScheduler {
 impl Scheduler for DmdaScheduler {
     fn name(&self) -> String {
         if self.ready { "DMDAR".into() } else { "DMDA".into() }
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::NONE
     }
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {

@@ -8,7 +8,7 @@
 
 use memsched_model::{GpuId, TaskId, TaskSet};
 use memsched_platform::obs::{GaugeKind, ObsEvent};
-use memsched_platform::{PlatformSpec, Probe, RuntimeView, Scheduler};
+use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
 use std::collections::VecDeque;
 
 /// Shared-queue scheduler: tasks are handed out in submission order to
@@ -29,6 +29,10 @@ impl EagerScheduler {
 impl Scheduler for EagerScheduler {
     fn name(&self) -> String {
         "EAGER".into()
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::NONE
     }
 
     fn prepare(&mut self, ts: &TaskSet, _spec: &PlatformSpec) {

@@ -31,7 +31,7 @@
 
 use crate::stealing::StealingQueues;
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
-use memsched_platform::{PlatformSpec, Probe, RuntimeView, Scheduler};
+use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -771,6 +771,10 @@ impl HfpScheduler {
 impl Scheduler for HfpScheduler {
     fn name(&self) -> String {
         "mHFP".into()
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::NONE
     }
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {

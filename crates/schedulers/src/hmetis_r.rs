@@ -5,7 +5,7 @@
 use crate::stealing::StealingQueues;
 use memsched_hypergraph::{evaluate, partition, partition_clique, Hypergraph, PartitionConfig};
 use memsched_model::{GpuId, TaskId, TaskSet};
-use memsched_platform::{PlatformSpec, Probe, RuntimeView, Scheduler};
+use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
 
 /// The hMETIS+R scheduler.
 #[derive(Debug, Default)]
@@ -102,6 +102,10 @@ impl Scheduler for HmetisRScheduler {
         } else {
             "hMETIS+R".into()
         }
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::NONE
     }
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {

@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
 use memsched_platform::obs::{GaugeKind, ObsEvent};
-use memsched_platform::{PlatformSpec, Probe, RuntimeView, Scheduler};
+use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
 
 /// Default α in thousandths: 0.1 — a queued byte costs a tenth of a
 /// recomputed byte. Affinity has to dominate for a prefix tree: the
@@ -187,6 +187,13 @@ impl RouterScheduler {
 impl Scheduler for RouterScheduler {
     fn name(&self) -> String {
         "ROUTER".into()
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::CHOOSE_VICTIM
+            | Hooks::ON_TASK_COMPLETE
+            | Hooks::ON_LOAD_ISSUED
+            | Hooks::ON_DATA_LOADED
     }
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {

@@ -22,6 +22,12 @@ impl Scheduler for WindowedLocalityScheduler {
         format!("windowed-locality({})", self.window)
     }
 
+    // Declare the optional hooks this policy overrides: none. The engine
+    // then skips every notification, and evicts by LRU without asking.
+    fn hooks(&self) -> Hooks {
+        Hooks::NONE
+    }
+
     fn prepare(&mut self, ts: &TaskSet, _spec: &PlatformSpec) {
         self.queue = ts.tasks().collect();
     }

@@ -54,7 +54,7 @@ pub mod prelude {
     };
     pub use memsched_obs::{ObsEvent, Probe};
     pub use memsched_platform::{
-        run, run_observed, run_with_config, trace_checksum, AdmissionConfig, FaultPlan,
+        run, run_observed, run_with_config, trace_checksum, AdmissionConfig, FaultPlan, Hooks,
         OnlineStats, PlatformSpec, RunConfig, RunError, RunReport, RuntimeView, Scheduler,
         ShedPolicy, TraceMode, TransferFaultSpec,
     };

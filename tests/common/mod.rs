@@ -15,7 +15,15 @@ use std::path::PathBuf;
 /// Strategy: a random task set with 2–`max_data` unit-size data items and
 /// 1–`max_tasks` tasks of 1000 flops with 1–3 inputs each.
 pub fn arb_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value = TaskSet> {
-    (2usize..=max_data, 1usize..=max_tasks)
+    arb_taskset_sized(max_data, 1..=max_tasks)
+}
+
+/// As [`arb_taskset`], with the task count drawn from `tasks`.
+pub fn arb_taskset_sized(
+    max_data: usize,
+    tasks: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = TaskSet> {
+    (2usize..=max_data, tasks)
         .prop_flat_map(|(nd, mt)| {
             let inputs =
                 proptest::collection::vec(proptest::collection::vec(0..nd as u32, 1..=3), mt);

@@ -17,7 +17,9 @@
 
 mod common;
 
-use common::{arb_taskset, assert_same_events, run_validated, small_spec, without_walls};
+use common::{
+    arb_taskset, arb_taskset_sized, assert_same_events, run_validated, small_spec, without_walls,
+};
 use memsched::hypergraph::{bisect, bisect_naive, partition, Hypergraph, PartitionConfig};
 use memsched::platform::{run_with_config, RunConfig, Scheduler, TraceEvent};
 use memsched::prelude::*;
@@ -669,6 +671,45 @@ proptest! {
                     engine_cores_equivalent(&ts, &spec, &config, named);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Engine core past one bitset word: on 70 GPUs the flat core's
+    /// worklist sweep and stall wake cross from the first word of GPU
+    /// bits into the second. Each set of 140–200 tasks runs three ways:
+    /// in batch, where with pipeline depth 2 the first sweep hands two
+    /// tasks to each of the 70 GPUs, 64–69 included; in batch with GPU
+    /// 66 killed mid-run, so a dead GPU's mark leaves the worklist; and
+    /// online with the second half of the tasks arriving at 0.5 ms,
+    /// while the first half still runs, so their admission must wake
+    /// the stalled GPUs of both words.
+    #[test]
+    fn engine_calendar_matches_heap_on_70_gpus(
+        ts in arb_taskset_sized(40, 140..=200),
+        mem in 3u64..8,
+    ) {
+        let spec = small_spec(70, mem);
+        let n = ts.num_tasks();
+        let bursts = ts
+            .clone()
+            .with_arrivals((0..n).map(|t| if t < n / 2 { 0 } else { 500_000 }).collect());
+        let batch = RunConfig::default();
+        let failing = RunConfig {
+            faults: FaultPlan::none().with_gpu_failure(66, 1_500_000),
+            ..RunConfig::default()
+        };
+        let online = RunConfig {
+            admission: Some(AdmissionConfig::default()),
+            ..RunConfig::default()
+        };
+        for named in &FAMILIES {
+            engine_cores_equivalent(&ts, &spec, &batch, named);
+            engine_cores_equivalent(&ts, &spec, &failing, named);
+            engine_cores_equivalent(&bursts, &spec, &online, named);
         }
     }
 }
