@@ -191,10 +191,10 @@ fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
                 s.parse::<f64>()
                     .map_err(|_| format!("--arrival-rate {s:?}: not a number"))
                     .and_then(|r| {
-                        if r > 0.0 {
+                        if r.is_finite() && r > 0.0 {
                             Ok(r)
                         } else {
-                            Err(format!("--arrival-rate {s:?}: must be positive"))
+                            Err(format!("--arrival-rate {s:?}: must be positive and finite"))
                         }
                     })
             })
@@ -217,8 +217,8 @@ fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
             let d = d
                 .parse::<f64>()
                 .map_err(|_| format!("--duration {d:?}: not a number"))?;
-            if d <= 0.0 {
-                return Err(format!("--duration {d}: must be positive"));
+            if !(d.is_finite() && d > 0.0) {
+                return Err(format!("--duration {d}: must be positive and finite"));
             }
             d
         }
@@ -582,6 +582,26 @@ mod tests {
         let err = parse(&["--backlog=0"]).unwrap_err();
         assert!(err.contains("--backlog 0"), "got {err:?}");
         assert_eq!(parse(&["--backlog", "4"]).unwrap().backlog, Some(4));
+    }
+
+    #[test]
+    fn rates_and_durations_must_be_finite() {
+        for (flag, bad) in [
+            ("--arrival-rate", "inf"),
+            ("--duration", "inf"),
+            ("--duration", "NaN"),
+        ] {
+            let spaced = vec![flag.to_string(), bad.to_string()];
+            for args in [spaced, vec![format!("{flag}={bad}")]] {
+                let err = parse_from(args).unwrap_err();
+                assert!(err.starts_with(flag), "got {err:?}");
+                assert!(err.contains("finite"), "got {err:?}");
+            }
+        }
+        let err = parse(&["--arrival-rate", "100,inf"]).unwrap_err();
+        assert!(err.contains("--arrival-rate \"inf\""), "got {err:?}");
+        let args = parse(&["--arrival-rate=100,250", "--duration=0.5"]).unwrap();
+        assert_eq!((args.rates, args.duration_s), (vec![100.0, 250.0], 0.5));
     }
 
     #[test]

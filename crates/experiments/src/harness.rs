@@ -250,17 +250,6 @@ impl FigureSpec {
         self.spec.total_gflops()
     }
 
-    /// The PCI-limit curve value (Figure 4): max MB transferable during
-    /// the compute-roofline time of this task set.
-    pub fn pci_limit_mb(&self, ts: &TaskSet) -> f64 {
-        memsched_model::bounds::pci_bus_limit_bytes(
-            ts,
-            self.spec.num_gpus,
-            self.spec.gpu_gflops,
-            self.spec.bus_bandwidth,
-        ) / 1e6
-    }
-
     /// Render rows as CSV (header + one line per row).
     pub fn to_csv(&self, rows: &[Row]) -> String {
         let mut out = String::from(

@@ -5,7 +5,11 @@
 //! **hyperedge (net) per data item**, spanning every task that reads it.
 //! Partitioning the vertices into `K` balanced parts while minimizing the
 //! number of nets that span several parts minimizes the number of data
-//! items that must be replicated on several GPUs.
+//! items that must be replicated on several GPUs. A plain graph, one
+//! edge per pair of tasks sharing a data item (the METIS model of Yoo et
+//! al.), counts an item shared by three tasks three times, which is the
+//! paper's argument for the hypergraph (test
+//! `triple_counting_of_shared_data`).
 
 /// A hypergraph in pin-list (CSR) form, with vertex and net weights.
 #[derive(Clone, Debug, Default)]
@@ -301,6 +305,21 @@ mod tests {
         let q = evaluate(&hg, &[0, 1], 2);
         assert_eq!(q.connectivity_minus_one, 10);
         assert_eq!(q.cut_nets, 10);
+    }
+
+    /// The paper's §IV-B example: one data item read by tasks T0, T1 and
+    /// T2 is one 3-pin net, or three 2-pin edges in the graph model.
+    /// Separating T0 from {T1, T2} replicates the item once, which the
+    /// net counts (λ − 1 = 1), while the graph cuts two of its three
+    /// edges.
+    #[test]
+    fn triple_counting_of_shared_data() {
+        let net = Hypergraph::unit(3, vec![vec![0, 1, 2]]);
+        let edges = Hypergraph::unit(3, vec![vec![0, 1], vec![0, 2], vec![1, 2]]);
+        let parts = [0, 1, 1];
+        assert_eq!(evaluate(&net, &parts, 2).connectivity_minus_one, 1);
+        assert_eq!(evaluate(&edges, &parts, 2).cut_nets, 2);
+        assert_eq!(evaluate(&edges, &parts, 2).connectivity_minus_one, 2);
     }
 
     #[test]

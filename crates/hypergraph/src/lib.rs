@@ -23,12 +23,10 @@
 
 #![warn(missing_docs)]
 
-mod clique;
 mod hg;
 mod multilevel;
 mod partition;
 
-pub use clique::{clique_expand, partition_clique, MAX_CLIQUE_NET};
 pub use hg::{evaluate, Hypergraph, PartitionQuality};
 pub use multilevel::bisect;
 #[cfg(feature = "naive")]

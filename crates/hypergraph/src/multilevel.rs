@@ -54,7 +54,7 @@
 //!   empty and matching is the pointer walk alone, `O(pins)` per level
 //!   instead of `O(Σ |e|²)`. A level is sparse when building the index
 //!   reads no more net ids (`Σ deg(v)²` bounds it) than a full-pin scan
-//!   reads pins (`Σ |e|²` over small nets), which keeps clique expansions
+//!   reads pins (`Σ |e|²` over small nets), which keeps high-degree graphs
 //!   off it, and when its lists hold no more vertices than the level has
 //!   pins, the size of the scan's pin copy; the build falls back to the
 //!   scan as soon as it outgrows that;
@@ -354,8 +354,9 @@ fn net_weights(hg: &Hypergraph, weight: &mut Vec<u64>) {
 
 /// Whether building the net-pair index reads no more net ids
 /// (`Σ deg(v)²` bounds it) than a full-pin scan of the small nets reads
-/// pins (`Σ |e|²`). Graphs of high degree, such as clique expansions,
-/// fail this and keep the scan.
+/// pins (`Σ |e|²`). Graphs of high degree, such as one 2-pin net per
+/// pair of cells sharing a row or column of a grid, fail this and keep
+/// the scan.
 fn index_is_cheap(hg: &Hypergraph) -> bool {
     let walk: u64 = (0..hg.num_vertices())
         .map(|v| (hg.nets_of(v).len() as u64).pow(2))
@@ -1334,12 +1335,19 @@ mod tests {
         assert!(!counts[0].indexed);
     }
 
-    /// A clique expansion has an empty index (parallel edges are
-    /// merged), but its build would read `Σ deg²` net ids against
-    /// `4·edges` pins for a full-pin scan, so it keeps the scan.
+    /// One 2-pin net per pair of cells sharing a row or column of a
+    /// 12×12 grid has an empty index (no two nets share two vertices),
+    /// but its build would read `Σ deg²` net ids against `4·edges` pins
+    /// for a full-pin scan, so it keeps the scan.
     #[test]
     fn dense_graphs_keep_the_scan() {
-        let graph = crate::clique::clique_expand(&grid(12));
+        let mut pairs: Vec<Vec<u32>> = Vec::new();
+        for net in grid_nets(12) {
+            for (i, &a) in net.iter().enumerate() {
+                pairs.extend(net[i + 1..].iter().map(|&b| vec![a, b]));
+            }
+        }
+        let graph = Hypergraph::unit(12 * 12, pairs);
         assert_eq!(index_lists(&graph), Some(vec![]));
         assert!(!index_is_cheap(&graph));
         assert!(index_is_cheap(&grid(12)));

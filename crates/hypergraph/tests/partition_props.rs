@@ -57,31 +57,6 @@ proptest! {
         prop_assert!(p.quality.connectivity_minus_one <= bound);
     }
 
-    /// The clique expansion preserves vertices and never reduces the
-    /// number of (merged) pairwise relations below zero; cuts evaluated
-    /// on the expansion over-count multi-pin nets, as §IV-B argues.
-    #[test]
-    fn clique_expansion_overcounts(hg in arb_hypergraph()) {
-        let graph = clique_expand(&hg);
-        prop_assert_eq!(graph.num_vertices(), hg.num_vertices());
-        // Split vertices into odd/even halves and compare the two models.
-        let parts: Vec<u32> = (0..hg.num_vertices() as u32).map(|v| v % 2).collect();
-        let hyper = evaluate(&hg, &parts, 2);
-        let cliq = evaluate(&graph, &parts, 2);
-        // For a bisection, connectivity-1 == cut nets in the hypergraph;
-        // the clique cut counts each straddling net at least once (per
-        // normalized-weight pair) — never less than... the normalized
-        // weights make exact comparisons subtle, so we check the models
-        // agree on *zero*: a cut-free partition in one is cut-free in the
-        // other.
-        if hyper.connectivity_minus_one == 0 {
-            prop_assert_eq!(cliq.cut_nets, 0);
-        }
-        if cliq.cut_nets == 0 {
-            prop_assert_eq!(hyper.connectivity_minus_one, 0);
-        }
-    }
-
     /// Bisection respects the requested tolerance on random inputs
     /// (weights are unit, so the cap is exact up to eps rounding).
     #[test]

@@ -26,7 +26,8 @@ pub enum EvictionPolicy {
     /// Least Recently Used — evict the resident item with the oldest last use.
     Lru,
     /// Belady's rule — evict the resident item whose next use is the
-    /// furthest in the future (optimal for a fixed order, [15] in the paper).
+    /// furthest in the future (optimal for a fixed order; the paper's
+    /// reference 15).
     Belady,
 }
 

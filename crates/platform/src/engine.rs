@@ -180,15 +180,6 @@ impl ShedPolicy {
     }
 }
 
-/// The active shed policy of a run (`DeferOnly` for batch runs).
-#[inline]
-fn shed_policy(config: &RunConfig) -> ShedPolicy {
-    config
-        .admission
-        .as_ref()
-        .map_or(ShedPolicy::DeferOnly, |a| a.policy)
-}
-
 /// Failure modes of a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
@@ -266,15 +257,8 @@ impl std::error::Error for RunError {}
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
-    /// A transfer to `gpu` completed; `src` is the peer GPU for NVLink
-    /// transfers (`u32::MAX` = host memory over the PCI bus). `attempt`
-    /// numbers the delivery attempt (1 unless transfer faults retried it).
-    TransferDone {
-        gpu: u32,
-        data: u32,
-        src: u32,
-        attempt: u32,
-    },
+    /// A transfer's attempt reached its delivery time.
+    TransferDone(Transfer),
     TaskDone { gpu: u32, task: u32 },
     /// Fail-stop death; index into `FaultPlan::gpu_failures`.
     GpuFail { idx: u32 },
@@ -287,6 +271,25 @@ enum Event {
     /// sequence numbering — and all tie-breaks — byte-identical to a
     /// batch build).
     Arrive { task: u32 },
+}
+
+/// One attempt of a transfer of `data` to `gpu`: `src` is the peer GPU
+/// for NVLink transfers ([`FROM_HOST`] = host memory over the PCI bus),
+/// and `attempt` numbers the delivery attempt (1 unless transfer faults
+/// retried it).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Transfer {
+    gpu: u32,
+    data: u32,
+    src: u32,
+    attempt: u32,
+}
+
+impl Transfer {
+    /// The NVLink source GPU, if the transfer reads a peer replica.
+    fn peer(&self) -> Option<u32> {
+        (self.src != FROM_HOST).then_some(self.src)
+    }
 }
 
 /// `src` sentinel for host→GPU transfers.
@@ -343,9 +346,6 @@ fn run_inner(
     config: &RunConfig,
     obs: Option<Probe>,
 ) -> Result<(RunReport, Vec<TraceEvent>), RunError> {
-    let k = spec.num_gpus;
-    let m = ts.num_tasks();
-
     // Reject tasks that can never run before starting the clock.
     for t in ts.tasks() {
         if ts.task_footprint(t) > spec.memory_bytes {
@@ -357,16 +357,15 @@ fn run_inner(
         }
     }
 
-    let online = config.admission.is_some();
     let prepare_started = Instant::now();
-    if online {
+    if config.admission.is_some() {
         scheduler.prepare_stream(ts, spec);
     } else {
         scheduler.prepare(ts, spec);
     }
     let prepare_wall = prepare_started.elapsed().as_nanos() as Nanos;
 
-    let mut st = new_state(ts, spec, config, online, obs, scheduler.hooks());
+    let mut st = State::new(ts, spec, config, obs, scheduler.hooks());
 
     // Seed the fault timeline. With the default empty plan this pushes
     // nothing, so event sequence numbering — and therefore every
@@ -375,57 +374,16 @@ fn run_inner(
     if !config.faults.is_empty() {
         config
             .faults
-            .validate(k)
+            .validate(spec.num_gpus)
             .map_err(RunError::InvalidFaultPlan)?;
-        seed_faults(&mut st, config);
+        st.seed_faults();
     }
-
-    let mut sched_wall: Vec<Ticks> = vec![0; k];
-    let naive_core = config.use_naive_core();
-
-    // Online mode: put future arrivals on the event timeline, then hand
-    // the t = 0 arrivals through the admission loop before the clock
-    // starts. Tasks arriving at t = 0 deliberately get *no* event of
-    // their own: with every arrival at zero the event queue's sequence
-    // numbering is untouched, so an all-t=0 online run takes the exact
-    // tie-breaks of a batch run (the zero-cost-admission guarantee the
-    // golden tests pin).
-    if online {
-        if naive_core {
-            // The reference core pushes every future arrival up front.
-            for t in ts.tasks() {
-                let at = ts.arrival(t);
-                if at > 0 {
-                    st.push_event(at, Event::Arrive { task: t.0 });
-                }
-            }
-        } else {
-            // Reserve each future arrival the sequence number the
-            // up-front push would give it (task-id order, after the
-            // fault events), then keep only the earliest pending arrival
-            // on the timeline. It pops exactly where the full seeding
-            // would pop it, so the `(time, seq)` stream is unchanged,
-            // while the queue holds only the events in flight.
-            for t in ts.tasks() {
-                let at = ts.arrival(t);
-                if at > 0 {
-                    st.seq += 1;
-                    st.arrivals.push((at, st.seq, t.0));
-                }
-            }
-            st.arrivals
-                .sort_unstable_by_key(|&(at, seq, _)| std::cmp::Reverse((at, seq)));
-            st.push_next_arrival();
-        }
-        for t in ts.tasks() {
-            if ts.arrival(t) == 0 {
-                arrive(ts, spec, scheduler, &mut st, &mut sched_wall, config, t);
-            }
-        }
+    if st.online {
+        st.seed_arrivals(scheduler);
     }
     loop {
-        sweep(ts, spec, scheduler, &mut st, &mut sched_wall, naive_core)?;
-        if st.completed + st.dropped() == m {
+        st.sweep(scheduler)?;
+        if st.completed + st.dropped() == ts.num_tasks() {
             break;
         }
         let Some((time, _, ev)) = st.events.pop() else {
@@ -435,592 +393,21 @@ fn run_inner(
             // queue order and the run completes gracefully; otherwise —
             // every worker was given a chance to make progress above —
             // the schedule is stuck.
-            if shed_policy(config) != ShedPolicy::DeferOnly && !st.deferred.is_empty() {
+            if st.shed_policy() != ShedPolicy::DeferOnly && !st.deferred.is_empty() {
                 while let Some(raw) = st.deferred.pop_front() {
-                    drop_task(ts, &mut st, TaskId(raw), false);
+                    st.drop_task(TaskId(raw), false);
                 }
                 continue;
             }
             return Err(RunError::SchedulerStuck {
                 completed: st.completed,
-                total: m,
+                total: ts.num_tasks(),
             });
         };
         st.now = time;
-        handle_event(ts, spec, scheduler, &mut st, &mut sched_wall, config, m, ev)?;
+        st.handle_event(scheduler, ev)?;
     }
-    Ok(finish_run(ts, spec, scheduler, st, sched_wall, prepare_wall, online))
-}
-
-/// Dispatch one popped event at `st.now`: the body of the event loop.
-/// `total` is the run's task count, consulted by the all-GPUs-failed
-/// early exit.
-#[allow(clippy::too_many_arguments)]
-fn handle_event(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    config: &RunConfig,
-    total: usize,
-    ev: Event,
-) -> Result<(), RunError> {
-    match ev {
-            Event::TransferDone {
-                gpu,
-                data,
-                src,
-                attempt,
-            } => {
-                let g = gpu as usize;
-                let d = DataId(data);
-                if let Some(tf) = &config.faults.transfer_faults {
-                    let serial = st.transfer_checks;
-                    st.transfer_checks += 1;
-                    if tf.faulty(serial) {
-                        // The delivery failed in flight. A peer read is
-                        // abandoned (release the source pin); retries
-                        // always re-fetch from host over the PCI bus.
-                        if src != FROM_HOST {
-                            st.mem[src as usize].unpin(d);
-                            st.dirty.insert(src as usize);
-                        }
-                        if attempt >= tf.max_attempts {
-                            return Err(RunError::TransferFailed {
-                                gpu: g,
-                                data: d,
-                                attempts: attempt,
-                            });
-                        }
-                        st.retries += 1;
-                        let size = ts.data_size(d);
-                        let bus = spec.bus_of(g);
-                        let start = st.buses[bus].max(st.now + tf.backoff(attempt));
-                        let done = start + spec.transfer_time(size);
-                        st.buses[bus] = done;
-                        st.bus_busy[bus] += done - start;
-                        st.push_event(
-                            done,
-                            Event::TransferDone {
-                                gpu,
-                                data,
-                                src: FROM_HOST,
-                                attempt: attempt + 1,
-                            },
-                        );
-                        // The failed attempt's span closes undelivered and
-                        // the retry opens a fresh span — always from host,
-                        // matching the engine's re-fetch rule. The GPU's
-                        // in-flight count is unchanged: the data stays
-                        // `Loading` across the retry. Only the retry
-                        // instant reaches the trace.
-                        if st.recording {
-                            st.emit(ObsEvent::TransferEnd {
-                                t: st.now,
-                                gpu,
-                                data,
-                                bytes: size,
-                                bus: bus as u32,
-                                peer: (src != FROM_HOST).then_some(src),
-                                attempt,
-                                delivered: false,
-                            });
-                            st.emit(ObsEvent::TransferRetry {
-                                t: st.now,
-                                gpu,
-                                data,
-                                attempt: attempt + 1,
-                            });
-                            st.emit(ObsEvent::TransferBegin {
-                                t: start,
-                                gpu,
-                                data,
-                                bytes: size,
-                                bus_wait: start - st.now,
-                                bus: bus as u32,
-                                peer: None,
-                                attempt: attempt + 1,
-                                done_at: done,
-                            });
-                        }
-                        let view = st.view(ts, spec);
-                        timed(sched_wall, g, || {
-                            scheduler.on_transfer_retry(GpuId(gpu), d, attempt + 1, &view)
-                        });
-                        return Ok(());
-                    }
-                }
-                st.lane_advance(g);
-                st.inflight[g] -= 1;
-                st.dirty.insert(g);
-                st.mem[g].finish_load(d, ts.data_size(d), st.now);
-                if src != FROM_HOST {
-                    // Release the read pin on the NVLink source replica.
-                    st.mem[src as usize].unpin(d);
-                    st.dirty.insert(src as usize);
-                    st.nvlink_loads[g] += 1;
-                    st.nvlink_bytes[g] += ts.data_size(d);
-                }
-                if st.recording {
-                    st.emit(ObsEvent::TransferEnd {
-                        t: st.now,
-                        gpu,
-                        data,
-                        bytes: ts.data_size(d),
-                        bus: spec.bus_of(g) as u32,
-                        peer: (src != FROM_HOST).then_some(src),
-                        attempt,
-                        delivered: true,
-                    });
-                    st.emit_occupancy(g);
-                }
-                // New residency can unblock pops (e.g. DARTS's free-task
-                // counts change when a load lands).
-                st.wake_all();
-                if st.hooks.contains(Hooks::ON_DATA_LOADED) {
-                    let view = st.view(ts, spec);
-                    timed(sched_wall, g, || {
-                        scheduler.on_data_loaded(GpuId(gpu), d, &view)
-                    });
-                }
-                // The load turned Loading bytes into evictable Resident
-                // bytes: a deferred fault shrink may now complete.
-                retry_pending_shrinks(ts, spec, scheduler, st, sched_wall, g);
-            }
-            Event::TaskDone { gpu, task } => {
-                let g = gpu as usize;
-                if st.dead[g] {
-                    // Stale completion of a task lost to a fail-stop
-                    // fault: the task was returned to the scheduler when
-                    // the GPU died and will run elsewhere.
-                    return Ok(());
-                }
-                let t = TaskId(task);
-                debug_assert!(st.running[g] && st.pipeline.front(g) == Some(t));
-                st.lane_advance(g);
-                st.pipeline.pop_front(g);
-                st.running[g] = false;
-                st.dirty.insert(g);
-                if st.recording {
-                    st.emit(ObsEvent::ComputeEnd {
-                        t: st.now,
-                        gpu,
-                        task,
-                        interrupted: false,
-                    });
-                }
-                // The flat core's only LRU touch of these inputs (see
-                // `try_start`).
-                for d in ts.input_ids(t) {
-                    st.mem[g].unpin(d);
-                    st.mem[g].touch(d, st.now);
-                }
-                st.completed += 1;
-                st.tasks_done[g] += 1;
-                st.flops_done += ts.flops(t);
-                if st.online {
-                    st.backlog -= 1;
-                    let latency = st.now - ts.arrival(t);
-                    st.latencies.push(latency);
-                    bump_class(&mut st.done_per_class, ts.class_of(t));
-                    let dl = ts.deadline(t);
-                    if dl > 0 && latency > dl {
-                        st.deadline_violations += 1;
-                    } else {
-                        st.good_completed += 1;
-                    }
-                }
-                // A completion anywhere may unblock pops everywhere
-                // (stealing, shared queues).
-                st.wake_all();
-                if st.hooks.contains(Hooks::ON_TASK_COMPLETE) {
-                    let view = st.view(ts, spec);
-                    timed(sched_wall, g, || {
-                        scheduler.on_task_complete(GpuId(gpu), t, &view)
-                    });
-                }
-                // The completion released pins: a deferred fault shrink
-                // may now complete.
-                retry_pending_shrinks(ts, spec, scheduler, st, sched_wall, g);
-                // The completion freed backlog (and possibly memory): the
-                // deferred-arrival queue may admit again. Completions are
-                // the only event that can improve admissibility —
-                // capacities only ever shrink — so this is the sole retry
-                // point.
-                retry_deferred(ts, spec, scheduler, st, sched_wall, config);
-            }
-            Event::GpuFail { idx } => {
-                let g = config.faults.gpu_failures[idx as usize].gpu;
-                if st.dead[g] {
-                    return Ok(());
-                }
-                st.lane_advance(g);
-                st.dead[g] = true;
-                st.failures += 1;
-                if st.running[g] {
-                    // The interrupted task never completes: release its
-                    // pins and refund the unexecuted tail of its busy
-                    // charge (its stale TaskDone event is dropped on
-                    // arrival by the dead-GPU guard above).
-                    let head = st.pipeline.get(g, 0);
-                    for d in ts.input_ids(head) {
-                        st.mem[g].unpin(d);
-                    }
-                    let rem = st.gpu_free_at[g].saturating_sub(st.now);
-                    st.busy[g] = st.busy[g].saturating_sub(rem);
-                    st.running[g] = false;
-                    if st.observed() {
-                        st.emit(ObsEvent::ComputeEnd {
-                            t: st.now,
-                            gpu: g as u32,
-                            task: head.0,
-                            interrupted: true,
-                        });
-                    }
-                }
-                if st.recording {
-                    st.emit(ObsEvent::GpuFailed { t: st.now, gpu: g as u32 });
-                }
-                st.gpu_free_at[g] = st.now;
-                st.pending_shrinks.retain(|&(gg, _)| gg != g);
-                let mut lost: Vec<TaskId> = Vec::with_capacity(st.pipeline.len(g));
-                st.pipeline.drain_into(g, &mut lost);
-                st.redispatched += lost.len() as u64;
-                // Survivors must re-pop: the failure changes every
-                // policy's routing state.
-                st.wake_all();
-                let view = st.view(ts, spec);
-                timed(sched_wall, g, || {
-                    scheduler.on_gpu_failed(GpuId(g as u32), &lost, &view)
-                });
-                if st.dead.iter().all(|&x| x) && st.completed < total {
-                    return Err(RunError::AllGpusFailed {
-                        completed: st.completed,
-                        total,
-                    });
-                }
-                // The failure changed the platform under the admission
-                // loop's feet: re-check the deferred queue. The lost
-                // tasks stay admitted (the scheduler requeued them and
-                // they run elsewhere — the backlog still counts them),
-                // but deferred tasks whose footprint no longer fits any
-                // survivor are shed under a shedding policy, and the
-                // FIFO retry keeps the queue consistent with the new
-                // capacity picture. Under `DeferOnly` this is a provable
-                // no-op — a failure never improves admissibility — so
-                // fault-injected golden traces stay byte-identical.
-                if st.online {
-                    recheck_deferred_after_fault(ts, spec, scheduler, st, sched_wall, config);
-                }
-            }
-            Event::Shrink { idx } => {
-                let s = config.faults.capacity_shrinks[idx as usize];
-                if st.dead[s.gpu] {
-                    return Ok(());
-                }
-                let fully = apply_shrink(
-                    ts,
-                    spec,
-                    scheduler,
-                    st,
-                    sched_wall,
-                    s.gpu,
-                    s.new_capacity,
-                );
-                if !fully {
-                    // Pinned or in-flight data blocked part of the
-                    // shrink; tighten further as the GPU's pins release.
-                    st.pending_shrinks.push((s.gpu, s.new_capacity));
-                }
-                // A shrink, like a failure, can strand deferred tasks
-                // (see the GpuFail arm). No-op under `DeferOnly`.
-                if st.online {
-                    recheck_deferred_after_fault(ts, spec, scheduler, st, sched_wall, config);
-                }
-            }
-            Event::Straggle { idx } => {
-                let s = config.faults.stragglers[idx as usize];
-                if st.dead[s.gpu] {
-                    return Ok(());
-                }
-                st.speed[s.gpu] = s.factor;
-                st.dirty.insert(s.gpu);
-                if st.recording {
-                    st.emit(ObsEvent::GpuSlowed {
-                        t: st.now,
-                        gpu: s.gpu as u32,
-                        factor: s.factor,
-                    });
-                }
-            }
-            Event::Arrive { task } => {
-                st.push_next_arrival();
-                arrive(ts, spec, scheduler, st, sched_wall, config, TaskId(task));
-            }
-    }
-    Ok(())
-}
-
-/// Per-round worklist sweep over every GPU: only GPUs whose local state
-/// changed since their last pass can act (an event touched them, a wake
-/// cleared their stall latch, or a memory-blocked prefetch must re-ask
-/// for a victim). A clean GPU's pipeline is full-or-stalled and its last
-/// pass already issued every issuable prefetch, so skipping it takes the
-/// exact same decisions as the reference core's full scan — the
-/// differential proptests pin this. The naive core scans all.
-///
-/// The flat core takes the dirty GPUs from the bitset in ascending order
-/// and re-reads it after each pass, so a GPU marked during the sweep is
-/// visited in it exactly when its index is above the current one — the
-/// order of the reference core's index loop. A dead GPU's mark is
-/// dropped: nothing else reads it, and a dead GPU never progresses.
-fn sweep(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    naive_core: bool,
-) -> Result<(), RunError> {
-    if naive_core {
-        for g in 0..spec.num_gpus {
-            if st.dead[g] {
-                continue;
-            }
-            st.dirty.remove(g);
-            progress(ts, spec, scheduler, st, sched_wall, g)?;
-        }
-        return Ok(());
-    }
-    let mut next = 0;
-    while let Some(g) = st.dirty.take_first_from(next) {
-        next = g + 1;
-        if !st.dead[g] {
-            progress(ts, spec, scheduler, st, sched_wall, g)?;
-        }
-    }
-    Ok(())
-}
-
-/// Close the run's accounting and assemble the report.
-#[allow(clippy::too_many_arguments)]
-fn finish_run(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    mut st: State,
-    sched_wall: Vec<Ticks>,
-    prepare_wall: Nanos,
-    online: bool,
-) -> (RunReport, Vec<TraceEvent>) {
-    let k = spec.num_gpus;
-    // Close the stall accounting at the makespan, then close transfer
-    // spans still in flight (prefetches issued for tasks that were no
-    // longer needed once the last task finished). The event heap pops in
-    // completion order, which on each link equals grant order, so the
-    // probe's FIFO span pairing stays valid.
-    for g in 0..k {
-        st.lane_advance(g);
-    }
-    if st.observed() {
-        while let Some((time, _, ev)) = st.events.pop() {
-            if let Event::TransferDone {
-                gpu,
-                data,
-                src,
-                attempt,
-            } = ev
-            {
-                st.emit(ObsEvent::TransferEnd {
-                    t: time,
-                    gpu,
-                    data,
-                    bytes: ts.data_size(DataId(data)),
-                    bus: spec.bus_of(gpu as usize) as u32,
-                    peer: (src != FROM_HOST).then_some(src),
-                    attempt,
-                    delivered: false,
-                });
-            }
-        }
-    }
-
-    let per_gpu: Vec<GpuRunStats> = (0..k)
-        .map(|g| gpu_stats(&st, &sched_wall, g))
-        .collect();
-    let sched_wall_ns = per_gpu.iter().map(|g| g.sched_wall).sum();
-    let log = std::mem::replace(&mut st.trace, TraceLog::Off);
-    let (trace, trace_checksum) = log.finish();
-    let report = RunReport {
-        scheduler: scheduler.name(),
-        makespan: st.now,
-        total_flops: st.flops_done,
-        total_load_bytes: per_gpu.iter().map(|g| g.load_bytes).sum(),
-        total_loads: per_gpu.iter().map(|g| g.loads).sum(),
-        total_evictions: per_gpu.iter().map(|g| g.evictions).sum(),
-        per_gpu,
-        prepare_wall,
-        sched_wall: sched_wall_ns,
-        transfer_retries: st.retries,
-        gpu_failures: st.failures,
-        tasks_redispatched: st.redispatched,
-        bus_busy_ns: st.bus_busy.clone(),
-        online: online.then(|| {
-            // Per-class vectors are only materialized when classes are in
-            // play or something was dropped, so class-less `DeferOnly`
-            // reports serialize exactly as before this field existed.
-            let dropped = st.dropped() as u64;
-            let per_class = ts.num_classes() > 1 || dropped > 0;
-            OnlineStats {
-                tasks_admitted: st.admitted,
-                tasks_deferred: st.deferrals,
-                tasks_shed: st.shed_tasks,
-                deadline_expired: st.expired_tasks,
-                shed_per_class: if per_class {
-                    st.shed_per_class.clone()
-                } else {
-                    Vec::new()
-                },
-                completed_per_class: if per_class {
-                    st.done_per_class.clone()
-                } else {
-                    Vec::new()
-                },
-                deadline_violations: st.deadline_violations,
-                p50_latency: quantile(&mut st.latencies, 0.50),
-                p99_latency: quantile(&mut st.latencies, 0.99),
-                mean_latency: if st.latencies.is_empty() {
-                    0
-                } else {
-                    st.latencies.iter().sum::<Nanos>() / st.latencies.len() as Nanos
-                },
-                p50_queueing: quantile(&mut st.queueing, 0.50),
-                p99_queueing: quantile(&mut st.queueing, 0.99),
-                throughput_tps: if st.now == 0 {
-                    0.0
-                } else {
-                    st.completed as f64 / (st.now as f64 / 1e9)
-                },
-                goodput_tps: if st.now == 0 {
-                    0.0
-                } else {
-                    st.good_completed as f64 / (st.now as f64 / 1e9)
-                },
-            }
-        }),
-        trace_checksum,
-    };
-    (report, trace)
-}
-
-/// One GPU's [`GpuRunStats`] snapshot at the run's final clock.
-fn gpu_stats(st: &State, sched_wall: &[Ticks], g: usize) -> GpuRunStats {
-    GpuRunStats {
-        tasks: st.tasks_done[g],
-        loads: st.mem[g].loads,
-        load_bytes: st.mem[g].load_bytes,
-        evictions: st.mem[g].evictions,
-        busy: st.busy[g],
-        stall: st.stall[g],
-        idle: st.now.saturating_sub(st.busy[g] + st.stall[g]),
-        sched_wall: clock::ticks_to_ns(sched_wall[g]),
-        nvlink_loads: st.nvlink_loads[g],
-        nvlink_bytes: st.nvlink_bytes[g],
-        cache_hit_bytes: st.cache_hit_bytes[g],
-        cache_miss_bytes: st.cache_miss_bytes[g],
-    }
-}
-
-/// Fresh engine state for `ts` on `spec`.
-fn new_state(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    config: &RunConfig,
-    online: bool,
-    obs: Option<Probe>,
-    hooks: Hooks,
-) -> State {
-    let k = spec.num_gpus;
-    let m = ts.num_tasks();
-    State {
-        now: 0,
-        seq: 0,
-        events: EventQueue::new(config.use_naive_core()),
-        mem: (0..k)
-            .map(|_| GpuMemory::new(spec.memory_bytes, ts.num_data()))
-            .collect(),
-        missing: OnceCell::new(),
-        pipeline: Pipelines::new(k, spec.pipeline_depth),
-        running: vec![false; k],
-        stalled_pop: GpuSet::new(k, false),
-        dirty: GpuSet::new(k, true),
-        reference_core: config.use_naive_core(),
-        // The reference core calls every hook, declared or not.
-        hooks: if config.use_naive_core() { Hooks::ALL } else { hooks },
-        gpu_free_at: vec![0; k],
-        buses: vec![0; spec.num_buses()],
-        bus_busy: vec![0; spec.num_buses()],
-        nvlink_free_at: 0,
-        busy: vec![0; k],
-        tasks_done: vec![0; k],
-        nvlink_loads: vec![0; k],
-        nvlink_bytes: vec![0; k],
-        cache_hit_bytes: vec![0; k],
-        cache_miss_bytes: vec![0; k],
-        completed: 0,
-        flops_done: 0.0,
-        // A batch run emits one LoadIssued+LoadDone pair per load plus a
-        // TaskStarted/TaskFinished pair per task; 4·m is a generous head
-        // start that kills reallocation churn in `Full` mode.
-        trace: TraceLog::new(config.trace, 4 * m + 64),
-        recording: config.trace != TraceMode::Off || obs.is_some(),
-        dead: vec![false; k],
-        speed: vec![1.0; k],
-        pending_shrinks: Vec::new(),
-        arrivals: Vec::new(),
-        transfer_checks: 0,
-        retries: 0,
-        redispatched: 0,
-        failures: 0,
-        lane_last: vec![0; k],
-        inflight: vec![0; k],
-        stall: vec![0; k],
-        online,
-        released: if online { vec![false; m] } else { Vec::new() },
-        backlog: 0,
-        deferred: VecDeque::new(),
-        deferred_expiry_bound: Nanos::MAX,
-        latencies: Vec::with_capacity(if online { m } else { 0 }),
-        queueing: Vec::with_capacity(if online { m } else { 0 }),
-        admitted: 0,
-        deferrals: 0,
-        shed_tasks: 0,
-        expired_tasks: 0,
-        shed_per_class: Vec::new(),
-        done_per_class: Vec::new(),
-        deadline_violations: 0,
-        good_completed: 0,
-        queueing_sum: 0,
-        service_sum: 0,
-        protect: Vec::new(),
-        merge_scratch: Vec::new(),
-        obs,
-    }
-}
-
-/// Seed the fault timeline in plan order; events reference the plan by
-/// index.
-fn seed_faults(st: &mut State, config: &RunConfig) {
-    for (i, f) in config.faults.gpu_failures.iter().enumerate() {
-        st.push_event(f.at, Event::GpuFail { idx: i as u32 });
-    }
-    for (i, s) in config.faults.capacity_shrinks.iter().enumerate() {
-        st.push_event(s.at, Event::Shrink { idx: i as u32 });
-    }
-    for (i, s) in config.faults.stragglers.iter().enumerate() {
-        st.push_event(s.at, Event::Straggle { idx: i as u32 });
-    }
+    Ok(st.finish_run(scheduler, prepare_wall))
 }
 
 /// Nearest-rank quantile of a sample (0 when empty): the value at rank
@@ -1091,7 +478,17 @@ impl GpuSet {
     }
 }
 
-struct State {
+/// The state of one run. It borrows what the run is over — the task
+/// set, the platform and the options — so every step of the run is a
+/// method that takes at most the scheduler and its own operands.
+struct State<'a> {
+    ts: &'a TaskSet,
+    spec: &'a PlatformSpec,
+    config: &'a RunConfig,
+    /// Per-worker scheduling clock: the ticks of every scheduler callback
+    /// charged to each GPU's worker (see [`State::call`]), converted to
+    /// nanoseconds once, in [`State::finish_run`].
+    sched_wall: Vec<Ticks>,
     now: Nanos,
     seq: u64,
     events: EventQueue<Event>,
@@ -1099,7 +496,7 @@ struct State {
     /// Missing-input counters per (GPU, task). Empty until a policy first
     /// asks (`RuntimeView::missing` builds them from `mem`); once built,
     /// kept in step with every residency transition by
-    /// [`State::begin_load`] and [`State::evict`].
+    /// [`State::issue_load`] and [`State::evict`].
     missing: OnceCell<MissingCache>,
     /// Per GPU: popped-but-unfinished tasks in execution order. When
     /// `running[g]` is true, `pipeline.front(g)` is executing. One flat
@@ -1115,12 +512,6 @@ struct State {
     /// memory-blocked prefetch (which must re-ask for a victim every
     /// pass, exactly as the reference core's full scan does).
     dirty: GpuSet,
-    /// Running under `RunConfig::naive_core`: execute the pre-refactor
-    /// reference control flow (full per-event progress scans, no
-    /// all-resident fast path, every hook called, protected sets merged
-    /// per pipeline entry, inputs touched at task start). `false`
-    /// selects the flat core.
-    reference_core: bool,
     /// The optional hooks the engine calls: the policy's declaration
     /// ([`Scheduler::hooks`]) on the flat core, all of them on the
     /// reference core.
@@ -1135,15 +526,10 @@ struct State {
     /// the report's `bus_busy_ns`.
     bus_busy: Vec<Nanos>,
     nvlink_free_at: Nanos,
-    busy: Vec<Nanos>,
-    tasks_done: Vec<usize>,
-    nvlink_loads: Vec<u64>,
-    nvlink_bytes: Vec<u64>,
-    /// Per-GPU input bytes resident/in-flight at placement time, summed
-    /// over placements (and its complement). Counted once per pop, when
-    /// the task commits to a pipeline.
-    cache_hit_bytes: Vec<u64>,
-    cache_miss_bytes: Vec<u64>,
+    /// Per-GPU report ledger, kept as events happen: tasks, loads, bytes,
+    /// evictions, busy and stall time, NVLink and cache bytes. `idle` and
+    /// `sched_wall` are filled in when the run ends.
+    stats: Vec<GpuRunStats>,
     completed: usize,
     flops_done: f64,
     /// The run's trace log (fed the projection of every recorded event).
@@ -1178,11 +564,6 @@ struct State {
     lane_last: Vec<Nanos>,
     /// Per-GPU number of in-flight transfers (issued, not yet done).
     inflight: Vec<u32>,
-    /// Per-GPU accumulated transfer-stall time: not computing, alive,
-    /// and at least one transfer in flight. Always maintained (a few
-    /// integer ops per transition) so every report carries the
-    /// busy/stall/idle split without observation enabled.
-    stall: Vec<Nanos>,
     /// Online serving mode (`RunConfig::admission` is set). All the
     /// admission fields below stay empty in batch runs.
     online: bool,
@@ -1236,46 +617,194 @@ struct State {
     obs: Option<Probe>,
 }
 
-impl State {
+impl<'a> State<'a> {
+    /// Fresh state for a run of `ts` on `spec` under `config`; `hooks` is
+    /// the policy's declaration.
+    fn new(
+        ts: &'a TaskSet,
+        spec: &'a PlatformSpec,
+        config: &'a RunConfig,
+        obs: Option<Probe>,
+        hooks: Hooks,
+    ) -> Self {
+        let k = spec.num_gpus;
+        let m = ts.num_tasks();
+        let online = config.admission.is_some();
+        State {
+            ts,
+            spec,
+            config,
+            sched_wall: vec![0; k],
+            now: 0,
+            seq: 0,
+            events: EventQueue::new(config.use_naive_core()),
+            mem: (0..k)
+                .map(|_| GpuMemory::new(spec.memory_bytes, ts.num_data()))
+                .collect(),
+            missing: OnceCell::new(),
+            pipeline: Pipelines::new(k, spec.pipeline_depth),
+            running: vec![false; k],
+            stalled_pop: GpuSet::new(k, false),
+            dirty: GpuSet::new(k, true),
+            // The reference core calls every hook, declared or not.
+            hooks: if config.use_naive_core() {
+                Hooks::ALL
+            } else {
+                hooks
+            },
+            gpu_free_at: vec![0; k],
+            buses: vec![0; spec.num_buses()],
+            bus_busy: vec![0; spec.num_buses()],
+            nvlink_free_at: 0,
+            stats: vec![GpuRunStats::default(); k],
+            completed: 0,
+            flops_done: 0.0,
+            // A batch run emits one LoadIssued+LoadDone pair per load plus a
+            // TaskStarted/TaskFinished pair per task; 4·m is a generous head
+            // start that kills reallocation churn in `Full` mode.
+            trace: TraceLog::new(config.trace, 4 * m + 64),
+            recording: config.trace != TraceMode::Off || obs.is_some(),
+            dead: vec![false; k],
+            speed: vec![1.0; k],
+            pending_shrinks: Vec::new(),
+            arrivals: Vec::new(),
+            transfer_checks: 0,
+            retries: 0,
+            redispatched: 0,
+            failures: 0,
+            lane_last: vec![0; k],
+            inflight: vec![0; k],
+            online,
+            released: if online { vec![false; m] } else { Vec::new() },
+            backlog: 0,
+            deferred: VecDeque::new(),
+            deferred_expiry_bound: Nanos::MAX,
+            latencies: Vec::with_capacity(if online { m } else { 0 }),
+            queueing: Vec::with_capacity(if online { m } else { 0 }),
+            admitted: 0,
+            deferrals: 0,
+            shed_tasks: 0,
+            expired_tasks: 0,
+            shed_per_class: Vec::new(),
+            done_per_class: Vec::new(),
+            deadline_violations: 0,
+            good_completed: 0,
+            queueing_sum: 0,
+            service_sum: 0,
+            protect: Vec::new(),
+            merge_scratch: Vec::new(),
+            obs,
+        }
+    }
+
+    /// Whether the run executes the pre-refactor reference control flow
+    /// (`RunConfig::naive_core`): full per-event progress scans, no
+    /// all-resident fast path, every hook called, protected sets merged
+    /// per pipeline entry, inputs touched at task start. `false` selects
+    /// the flat core.
+    #[inline]
+    fn reference_core(&self) -> bool {
+        self.config.use_naive_core()
+    }
+
+    /// The active shed policy of the run (`DeferOnly` for batch runs).
+    fn shed_policy(&self) -> ShedPolicy {
+        self.config
+            .admission
+            .as_ref()
+            .map_or(ShedPolicy::DeferOnly, |a| a.policy)
+    }
+
     /// Tasks dropped from the admission path (shed + expired) — the
     /// termination condition counts them alongside completions.
     fn dropped(&self) -> usize {
         (self.shed_tasks + self.expired_tasks) as usize
     }
 
-    fn view<'a>(&'a self, ts: &'a TaskSet, spec: &'a PlatformSpec) -> RuntimeView<'a> {
-        RuntimeView {
-            ts,
-            spec,
+    /// Run scheduler callback `f` on behalf of worker `gpu` against a
+    /// view of the current state, and charge exactly the call's ticks on
+    /// the scheduling clock to that worker. Returns the callback's result
+    /// and the ticks, which `progress` stamps onto
+    /// [`ObsEvent::Decision`].
+    #[inline]
+    fn call<R>(&mut self, gpu: usize, f: impl FnOnce(&RuntimeView<'_>) -> R) -> (R, Ticks) {
+        let view = RuntimeView {
+            ts: self.ts,
+            spec: self.spec,
             now: self.now,
             memories: &self.mem,
             buffers: &self.pipeline,
             missing: &self.missing,
-            buses: &self.buses,
             gpu_free_at: &self.gpu_free_at,
             dead: &self.dead,
-        }
-    }
-
-    /// Begin the transfer of `d` to GPU `g` (Absent → Loading).
-    fn begin_load(&mut self, ts: &TaskSet, g: usize, d: DataId) {
-        self.mem[g].begin_load(d, ts.data_size(d));
-        if let Some(missing) = self.missing.get_mut() {
-            missing.load_issued(ts, g, d);
-        }
-    }
-
-    /// Evict `v` from GPU `g` (Resident → Absent).
-    fn evict(&mut self, ts: &TaskSet, g: usize, v: DataId) {
-        self.mem[g].evict(v, ts.data_size(v));
-        if let Some(missing) = self.missing.get_mut() {
-            missing.evicted(ts, g, v);
-        }
+        };
+        let start = clock::ticks();
+        let r = f(&view);
+        let dt = clock::ticks().saturating_sub(start);
+        self.sched_wall[gpu] += dt;
+        (r, dt)
     }
 
     fn push_event(&mut self, at: Nanos, ev: Event) {
         self.seq += 1;
         self.events.push(at, self.seq, ev);
+    }
+
+    /// Seed the fault timeline in plan order; events reference the plan
+    /// by index.
+    fn seed_faults(&mut self) {
+        let faults = &self.config.faults;
+        for (i, f) in faults.gpu_failures.iter().enumerate() {
+            self.push_event(f.at, Event::GpuFail { idx: i as u32 });
+        }
+        for (i, s) in faults.capacity_shrinks.iter().enumerate() {
+            self.push_event(s.at, Event::Shrink { idx: i as u32 });
+        }
+        for (i, s) in faults.stragglers.iter().enumerate() {
+            self.push_event(s.at, Event::Straggle { idx: i as u32 });
+        }
+    }
+
+    /// Online mode: put future arrivals on the event timeline, then hand
+    /// the t = 0 arrivals through the admission loop before the clock
+    /// starts. Tasks arriving at t = 0 deliberately get *no* event of
+    /// their own: with every arrival at zero the event queue's sequence
+    /// numbering is untouched, so an all-t=0 online run takes the exact
+    /// tie-breaks of a batch run (the zero-cost-admission guarantee the
+    /// golden tests pin).
+    fn seed_arrivals(&mut self, scheduler: &mut dyn Scheduler) {
+        let ts = self.ts;
+        if self.reference_core() {
+            // The reference core pushes every future arrival up front.
+            for t in ts.tasks() {
+                let at = ts.arrival(t);
+                if at > 0 {
+                    self.push_event(at, Event::Arrive { task: t.0 });
+                }
+            }
+        } else {
+            // Reserve each future arrival the sequence number the
+            // up-front push would give it (task-id order, after the
+            // fault events), then keep only the earliest pending arrival
+            // on the timeline. It pops exactly where the full seeding
+            // would pop it, so the `(time, seq)` stream is unchanged,
+            // while the queue holds only the events in flight.
+            for t in ts.tasks() {
+                let at = ts.arrival(t);
+                if at > 0 {
+                    self.seq += 1;
+                    self.arrivals.push((at, self.seq, t.0));
+                }
+            }
+            self.arrivals
+                .sort_unstable_by_key(|&(at, seq, _)| std::cmp::Reverse((at, seq)));
+            self.push_next_arrival();
+        }
+        for t in ts.tasks() {
+            if ts.arrival(t) == 0 {
+                self.arrive(scheduler, t);
+            }
+        }
     }
 
     /// Put the earliest pending arrival on the event timeline under its
@@ -1293,7 +822,7 @@ impl State {
     /// issued everything issuable. The flat core moves the stalled set
     /// one word at a time; the reference core walks the GPUs.
     fn wake_all(&mut self) {
-        if self.reference_core {
+        if self.reference_core() {
             for g in 0..self.running.len() {
                 if self.stalled_pop.contains(g) {
                     self.stalled_pop.remove(g);
@@ -1313,7 +842,7 @@ impl State {
     fn lane_advance(&mut self, g: usize) {
         let dt = self.now - self.lane_last[g];
         if dt > 0 && !self.running[g] && !self.dead[g] && self.inflight[g] > 0 {
-            self.stall[g] += dt;
+            self.stats[g].stall += dt;
         }
         self.lane_last[g] = self.now;
     }
@@ -1346,323 +875,1043 @@ impl State {
             });
         }
     }
-}
 
-/// Run scheduler callback `f` on behalf of worker `gpu`, adding its
-/// duration on the scheduling clock to `wall[gpu]` (converted to
-/// nanoseconds once, in [`finish_run`]).
-fn timed<R>(wall: &mut [Ticks], gpu: usize, f: impl FnOnce() -> R) -> R {
-    timed_with(wall, gpu, f).0
-}
-
-/// As [`timed`], also returning the elapsed ticks, which `progress`
-/// converts to stamp per-decision latency onto [`ObsEvent::Decision`].
-fn timed_with<R>(wall: &mut [Ticks], gpu: usize, f: impl FnOnce() -> R) -> (R, Ticks) {
-    let start = clock::ticks();
-    let r = f();
-    let dt = clock::ticks().saturating_sub(start);
-    wall[gpu] += dt;
-    (r, dt)
-}
-
-/// Give GPU `g` every chance to advance: refill its pipeline from the
-/// scheduler, issue prefetches, and start the head task. Errs when a
-/// popped task can no longer fit the GPU's (possibly fault-shrunk)
-/// capacity.
-#[allow(clippy::too_many_arguments)]
-fn progress(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    g: usize,
-) -> Result<(), RunError> {
-    // 1. Refill the pipeline.
-    while st.pipeline.len(g) < spec.pipeline_depth && !st.stalled_pop.contains(g) {
-        let view = st.view(ts, spec);
-        let (popped, pop_ticks) = timed_with(sched_wall, g, || {
-            scheduler.pop_task(GpuId(g as u32), &view)
-        });
-        if st.observed() {
-            st.emit(ObsEvent::Decision {
-                t: st.now,
-                gpu: g as u32,
-                task: popped.map(|t| t.0),
-                wall_ns: clock::ticks_to_ns(pop_ticks),
-            });
-        }
-        match popped {
-            Some(t) => {
-                debug_assert!(
-                    !st.online || st.released[t.index()],
-                    "online scheduler popped task {t:?} before its admission"
-                );
-                // The upfront feasibility check used the nominal capacity;
-                // a fault shrink may have lowered this GPU's since. A task
-                // that cannot ever fit must fail loudly, not stall.
-                if ts.task_footprint(t) > st.mem[g].capacity() {
-                    return Err(RunError::TaskTooLarge {
-                        task: t,
-                        footprint: ts.task_footprint(t),
-                        capacity: st.mem[g].capacity(),
-                    });
+    /// Dispatch one popped event at `self.now`: the body of the event
+    /// loop.
+    fn handle_event(&mut self, scheduler: &mut dyn Scheduler, ev: Event) -> Result<(), RunError> {
+        let (ts, config) = (self.ts, self.config);
+        match ev {
+            Event::TransferDone(tr) => {
+                let (g, d, attempt) = (tr.gpu as usize, DataId(tr.data), tr.attempt);
+                if let Some(h) = tr.peer() {
+                    // Delivered or not, the peer read is over: release
+                    // the read pin on the NVLink source replica.
+                    self.mem[h as usize].unpin(d);
+                    self.dirty.insert(h as usize);
                 }
-                // Residency split of the placement, counted exactly once
-                // per pop: missing bytes still need a fetch, the rest of
-                // the footprint is a prefix-cache hit.
-                let miss = missing_bytes_in(ts, &st.mem[g], t);
-                let hit = ts.task_footprint(t).saturating_sub(miss);
-                st.cache_hit_bytes[g] += hit;
-                st.cache_miss_bytes[g] += miss;
-                if st.observed() {
-                    st.emit(ObsEvent::CacheAccess {
-                        t: st.now,
-                        gpu: g as u32,
-                        task: t.0,
-                        hit_bytes: hit,
-                        miss_bytes: miss,
-                    });
-                }
-                st.pipeline.push_back(g, t)
-            }
-            None => {
-                st.stalled_pop.insert(g);
-            }
-        }
-    }
-
-    // 2. Start the head task before touching memory, so its inputs are
-    //    pinned against the prefetches issued below.
-    try_start(ts, spec, st, g);
-
-    // Flat-core fast path: when no queued task misses any input, the
-    // whole issue loop below is a provable no-op (every residency check
-    // takes the `continue`, nothing is evicted or loaded), so the prefix
-    // merges can be skipped on the strength of one residency read per
-    // queued input. The reference core executes the full pass
-    // unconditionally.
-    let mem = &st.mem[g];
-    if !st.reference_core
-        && st.pipeline.iter(g).all(|t| {
-            ts.inputs(t)
-                .iter()
-                .all(|&d| mem.is_resident_or_loading(DataId(d)))
-        })
-    {
-        return Ok(());
-    }
-
-    // 3. Issue prefetches in pipeline order. Stop at the first fetch that
-    //    does not fit to preserve the intended load order. A fetch for the
-    //    idx-th queued task may never evict data needed by an earlier
-    //    pipeline task (`protect` accumulates the prefix of input sets):
-    //    those tasks run first, so evicting their data would only create
-    //    reload churn — the livelock-free guarantee of the engine.
-    // Both buffers live on `State` so the steady-state loop reuses their
-    // capacity; they are taken out for the duration of the pass because
-    // `pick_victim` borrows all of `st`.
-    let mut protect = std::mem::take(&mut st.protect);
-    let mut scratch = std::mem::take(&mut st.merge_scratch);
-    protect.clear();
-    // Pipeline entries whose inputs are in `protect`. `pick_victim` is
-    // its only reader, so the flat core merges the prefix only once a
-    // fetch must evict, and only up to the current entry: the set each
-    // victim choice sees is the one the reference core's per-entry
-    // merges build.
-    let mut merged = 0;
-    'issue: for idx in 0..st.pipeline.len(g) {
-        let t = st.pipeline.get(g, idx);
-        let inputs = ts.inputs(t);
-        if st.reference_core {
-            merge_prefix(ts, st, g, idx, &mut merged, &mut protect, &mut scratch);
-        }
-        for &raw in inputs {
-            let d = DataId(raw);
-            if st.mem[g].is_resident_or_loading(d) {
-                continue;
-            }
-            let size = ts.data_size(d);
-            // Make room, never evicting protected inputs.
-            while st.mem[g].free_bytes() < size {
-                merge_prefix(ts, st, g, idx, &mut merged, &mut protect, &mut scratch);
-                let victim = pick_victim(ts, spec, scheduler, st, sched_wall, g, &protect);
-                match victim {
-                    Some((v, by_scheduler)) => {
-                        st.evict(ts, g, v);
-                        if st.recording {
-                            st.emit(ObsEvent::Eviction {
-                                t: st.now,
-                                gpu: g as u32,
-                                data: v.0,
-                                bytes: ts.data_size(v),
-                                by_scheduler,
-                            });
-                            st.emit_occupancy(g);
-                        }
-                        if st.hooks.contains(Hooks::ON_DATA_EVICTED) {
-                            let view = st.view(ts, spec);
-                            timed(sched_wall, g, || {
-                                scheduler.on_data_evicted(GpuId(g as u32), v, &view)
+                if let Some(tf) = &config.faults.transfer_faults {
+                    let serial = self.transfer_checks;
+                    self.transfer_checks += 1;
+                    if tf.faulty(serial) {
+                        // The delivery failed in flight; retries always
+                        // re-fetch from host over the PCI bus.
+                        if attempt >= tf.max_attempts {
+                            return Err(RunError::TransferFailed {
+                                gpu: g,
+                                data: d,
+                                attempts: attempt,
                             });
                         }
+                        self.retries += 1;
+                        let ready = self.now + tf.backoff(attempt);
+                        let (start, done) = self.grant_bus(g, ready, ts.data_size(d));
+                        // The failed attempt's span closes undelivered and
+                        // the retry opens a fresh span — always from host,
+                        // matching the engine's re-fetch rule. The GPU's
+                        // in-flight count is unchanged: the data stays
+                        // `Loading` across the retry. Only the retry
+                        // instant reaches the trace.
+                        if self.recording {
+                            self.close_transfer(self.now, tr, false);
+                            self.emit(ObsEvent::TransferRetry {
+                                t: self.now,
+                                gpu: tr.gpu,
+                                data: tr.data,
+                                attempt: attempt + 1,
+                            });
+                        }
+                        let retry = Transfer {
+                            src: FROM_HOST,
+                            attempt: attempt + 1,
+                            ..tr
+                        };
+                        self.open_transfer(retry, start, done);
+                        self.call(g, |view| {
+                            scheduler.on_transfer_retry(GpuId(tr.gpu), d, attempt + 1, view)
+                        });
+                        return Ok(());
                     }
-                    None => {
+                }
+                self.lane_advance(g);
+                self.inflight[g] -= 1;
+                self.dirty.insert(g);
+                self.mem[g].finish_load(d);
+                let (stats, size) = (&mut self.stats[g], ts.data_size(d));
+                stats.loads += 1;
+                stats.load_bytes += size;
+                if tr.peer().is_some() {
+                    stats.nvlink_loads += 1;
+                    stats.nvlink_bytes += size;
+                }
+                if self.recording {
+                    self.close_transfer(self.now, tr, true);
+                    self.emit_occupancy(g);
+                }
+                // New residency can unblock pops (e.g. DARTS's free-task
+                // counts change when a load lands).
+                self.wake_all();
+                if self.hooks.contains(Hooks::ON_DATA_LOADED) {
+                    self.call(g, |view| scheduler.on_data_loaded(GpuId(tr.gpu), d, view));
+                }
+                // The load turned Loading bytes into evictable Resident
+                // bytes: a deferred fault shrink may now complete.
+                self.retry_pending_shrinks(scheduler, g);
+            }
+            Event::TaskDone { gpu, task } => {
+                let g = gpu as usize;
+                if self.dead[g] {
+                    // Stale completion of a task lost to a fail-stop
+                    // fault: the task was returned to the scheduler when
+                    // the GPU died and will run elsewhere.
+                    return Ok(());
+                }
+                let t = TaskId(task);
+                debug_assert!(self.running[g] && self.pipeline.front(g) == Some(t));
+                self.lane_advance(g);
+                self.pipeline.pop_front(g);
+                self.running[g] = false;
+                self.dirty.insert(g);
+                if self.recording {
+                    self.emit(ObsEvent::ComputeEnd {
+                        t: self.now,
+                        gpu,
+                        task,
+                        interrupted: false,
+                    });
+                }
+                // The flat core's only LRU touch of these inputs (see
+                // `try_start`).
+                for d in ts.input_ids(t) {
+                    self.mem[g].unpin(d);
+                    self.mem[g].touch(d);
+                }
+                self.completed += 1;
+                self.stats[g].tasks += 1;
+                self.flops_done += ts.flops(t);
+                if self.online {
+                    self.backlog -= 1;
+                    let latency = self.now - ts.arrival(t);
+                    self.latencies.push(latency);
+                    bump_class(&mut self.done_per_class, ts.class_of(t));
+                    let dl = ts.deadline(t);
+                    if dl > 0 && latency > dl {
+                        self.deadline_violations += 1;
+                    } else {
+                        self.good_completed += 1;
+                    }
+                }
+                // A completion anywhere may unblock pops everywhere
+                // (stealing, shared queues).
+                self.wake_all();
+                if self.hooks.contains(Hooks::ON_TASK_COMPLETE) {
+                    self.call(g, |view| scheduler.on_task_complete(GpuId(gpu), t, view));
+                }
+                // The completion released pins: a deferred fault shrink
+                // may now complete.
+                self.retry_pending_shrinks(scheduler, g);
+                // The completion freed backlog (and possibly memory): the
+                // deferred-arrival queue may admit again. Completions are
+                // the only event that can improve admissibility —
+                // capacities only ever shrink — so this is the sole retry
+                // point.
+                self.retry_deferred(scheduler);
+            }
+            Event::GpuFail { idx } => {
+                let g = config.faults.gpu_failures[idx as usize].gpu;
+                if self.dead[g] {
+                    return Ok(());
+                }
+                self.lane_advance(g);
+                self.dead[g] = true;
+                self.failures += 1;
+                if self.running[g] {
+                    // The interrupted task never completes: release its
+                    // pins and refund the unexecuted tail of its busy
+                    // charge (its stale TaskDone event is dropped on
+                    // arrival by the dead-GPU guard above).
+                    let head = self.pipeline.get(g, 0);
+                    for d in ts.input_ids(head) {
+                        self.mem[g].unpin(d);
+                    }
+                    let rem = self.gpu_free_at[g].saturating_sub(self.now);
+                    self.stats[g].busy = self.stats[g].busy.saturating_sub(rem);
+                    self.running[g] = false;
+                    if self.observed() {
+                        self.emit(ObsEvent::ComputeEnd {
+                            t: self.now,
+                            gpu: g as u32,
+                            task: head.0,
+                            interrupted: true,
+                        });
+                    }
+                }
+                if self.recording {
+                    self.emit(ObsEvent::GpuFailed {
+                        t: self.now,
+                        gpu: g as u32,
+                    });
+                }
+                self.gpu_free_at[g] = self.now;
+                self.pending_shrinks.retain(|&(gg, _)| gg != g);
+                let mut lost: Vec<TaskId> = Vec::with_capacity(self.pipeline.len(g));
+                self.pipeline.drain_into(g, &mut lost);
+                self.redispatched += lost.len() as u64;
+                // Survivors must re-pop: the failure changes every
+                // policy's routing state.
+                self.wake_all();
+                self.call(g, |view| {
+                    scheduler.on_gpu_failed(GpuId(g as u32), &lost, view)
+                });
+                if self.dead.iter().all(|&x| x) && self.completed < ts.num_tasks() {
+                    return Err(RunError::AllGpusFailed {
+                        completed: self.completed,
+                        total: ts.num_tasks(),
+                    });
+                }
+                // The failure changed the platform under the admission
+                // loop's feet: re-check the deferred queue. The lost
+                // tasks stay admitted (the scheduler requeued them and
+                // they run elsewhere — the backlog still counts them),
+                // but deferred tasks whose footprint no longer fits any
+                // survivor are shed under a shedding policy, and the
+                // FIFO retry keeps the queue consistent with the new
+                // capacity picture. Under `DeferOnly` this is a provable
+                // no-op — a failure never improves admissibility — so
+                // fault-injected golden traces stay byte-identical.
+                if self.online {
+                    self.recheck_deferred_after_fault(scheduler);
+                }
+            }
+            Event::Shrink { idx } => {
+                let s = config.faults.capacity_shrinks[idx as usize];
+                if self.dead[s.gpu] {
+                    return Ok(());
+                }
+                if !self.apply_shrink(scheduler, s.gpu, s.new_capacity) {
+                    // Pinned or in-flight data blocked part of the
+                    // shrink; tighten further as the GPU's pins release.
+                    self.pending_shrinks.push((s.gpu, s.new_capacity));
+                }
+                // A shrink, like a failure, can strand deferred tasks
+                // (see the GpuFail arm). No-op under `DeferOnly`.
+                if self.online {
+                    self.recheck_deferred_after_fault(scheduler);
+                }
+            }
+            Event::Straggle { idx } => {
+                let s = config.faults.stragglers[idx as usize];
+                if self.dead[s.gpu] {
+                    return Ok(());
+                }
+                self.speed[s.gpu] = s.factor;
+                self.dirty.insert(s.gpu);
+                if self.recording {
+                    self.emit(ObsEvent::GpuSlowed {
+                        t: self.now,
+                        gpu: s.gpu as u32,
+                        factor: s.factor,
+                    });
+                }
+            }
+            Event::Arrive { task } => {
+                self.push_next_arrival();
+                self.arrive(scheduler, TaskId(task));
+            }
+        }
+        Ok(())
+    }
+
+    /// Per-round worklist sweep over every GPU: only GPUs whose local
+    /// state changed since their last pass can act (an event touched
+    /// them, a wake cleared their stall latch, or a memory-blocked
+    /// prefetch must re-ask for a victim). A clean GPU's pipeline is
+    /// full-or-stalled and its last pass already issued every issuable
+    /// prefetch, so skipping it takes the exact same decisions as the
+    /// reference core's full scan — the differential proptests pin this.
+    /// The reference core scans all.
+    ///
+    /// The flat core takes the dirty GPUs from the bitset in ascending
+    /// order and re-reads it after each pass, so a GPU marked during the
+    /// sweep is visited in it exactly when its index is above the current
+    /// one — the order of the reference core's index loop. A dead GPU's
+    /// mark is dropped: nothing else reads it, and a dead GPU never
+    /// progresses.
+    fn sweep(&mut self, scheduler: &mut dyn Scheduler) -> Result<(), RunError> {
+        if self.reference_core() {
+            for g in 0..self.spec.num_gpus {
+                if !self.dead[g] {
+                    self.dirty.remove(g);
+                    self.progress(scheduler, g)?;
+                }
+            }
+            return Ok(());
+        }
+        let mut next = 0;
+        while let Some(g) = self.dirty.take_first_from(next) {
+            next = g + 1;
+            if !self.dead[g] {
+                self.progress(scheduler, g)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Close the run's accounting and assemble the report.
+    fn finish_run(
+        mut self,
+        scheduler: &mut dyn Scheduler,
+        prepare_wall: Nanos,
+    ) -> (RunReport, Vec<TraceEvent>) {
+        // Close the stall accounting at the makespan, then close transfer
+        // spans still in flight (prefetches issued for tasks that were no
+        // longer needed once the last task finished). The event heap pops
+        // in completion order, which on each link equals grant order, so
+        // the probe's FIFO span pairing stays valid.
+        for g in 0..self.spec.num_gpus {
+            self.lane_advance(g);
+        }
+        if self.observed() {
+            while let Some((time, _, ev)) = self.events.pop() {
+                if let Event::TransferDone(tr) = ev {
+                    self.close_transfer(time, tr, false);
+                }
+            }
+        }
+
+        let now = self.now;
+        for (s, &ticks) in self.stats.iter_mut().zip(&self.sched_wall) {
+            s.idle = now.saturating_sub(s.busy + s.stall);
+            s.sched_wall = clock::ticks_to_ns(ticks);
+        }
+        let per_gpu = std::mem::take(&mut self.stats);
+        let log = std::mem::replace(&mut self.trace, TraceLog::Off);
+        let (trace, trace_checksum) = log.finish();
+        let report = RunReport {
+            scheduler: scheduler.name(),
+            makespan: now,
+            total_flops: self.flops_done,
+            total_load_bytes: per_gpu.iter().map(|g| g.load_bytes).sum(),
+            total_loads: per_gpu.iter().map(|g| g.loads).sum(),
+            total_evictions: per_gpu.iter().map(|g| g.evictions).sum(),
+            sched_wall: per_gpu.iter().map(|g| g.sched_wall).sum(),
+            per_gpu,
+            prepare_wall,
+            transfer_retries: self.retries,
+            gpu_failures: self.failures,
+            tasks_redispatched: self.redispatched,
+            bus_busy_ns: std::mem::take(&mut self.bus_busy),
+            online: self.online.then(|| {
+                // Per-class vectors are only materialized when classes are
+                // in play or something was dropped, so class-less
+                // `DeferOnly` reports serialize exactly as before this
+                // field existed.
+                let dropped = self.dropped() as u64;
+                let per_class = self.ts.num_classes() > 1 || dropped > 0;
+                let rate = |n: u64| {
+                    if now == 0 {
+                        0.0
+                    } else {
+                        n as f64 / (now as f64 / 1e9)
+                    }
+                };
+                OnlineStats {
+                    tasks_admitted: self.admitted,
+                    tasks_deferred: self.deferrals,
+                    tasks_shed: self.shed_tasks,
+                    deadline_expired: self.expired_tasks,
+                    shed_per_class: if per_class {
+                        std::mem::take(&mut self.shed_per_class)
+                    } else {
+                        Vec::new()
+                    },
+                    completed_per_class: if per_class {
+                        std::mem::take(&mut self.done_per_class)
+                    } else {
+                        Vec::new()
+                    },
+                    deadline_violations: self.deadline_violations,
+                    p50_latency: quantile(&mut self.latencies, 0.50),
+                    p99_latency: quantile(&mut self.latencies, 0.99),
+                    mean_latency: if self.latencies.is_empty() {
+                        0
+                    } else {
+                        self.latencies.iter().sum::<Nanos>() / self.latencies.len() as Nanos
+                    },
+                    p50_queueing: quantile(&mut self.queueing, 0.50),
+                    p99_queueing: quantile(&mut self.queueing, 0.99),
+                    throughput_tps: rate(self.completed as u64),
+                    goodput_tps: rate(self.good_completed),
+                }
+            }),
+            trace_checksum,
+        };
+        (report, trace)
+    }
+
+    /// Give GPU `g` every chance to advance: refill its pipeline from the
+    /// scheduler, issue prefetches, and start the head task. Errs when a
+    /// popped task can no longer fit the GPU's (possibly fault-shrunk)
+    /// capacity.
+    fn progress(&mut self, scheduler: &mut dyn Scheduler, g: usize) -> Result<(), RunError> {
+        let ts = self.ts;
+        // 1. Refill the pipeline.
+        while self.pipeline.len(g) < self.spec.pipeline_depth && !self.stalled_pop.contains(g) {
+            let (popped, pop_ticks) =
+                self.call(g, |view| scheduler.pop_task(GpuId(g as u32), view));
+            if self.observed() {
+                self.emit(ObsEvent::Decision {
+                    t: self.now,
+                    gpu: g as u32,
+                    task: popped.map(|t| t.0),
+                    wall_ns: clock::ticks_to_ns(pop_ticks),
+                });
+            }
+            let Some(t) = popped else {
+                self.stalled_pop.insert(g);
+                break;
+            };
+            debug_assert!(
+                !self.online || self.released[t.index()],
+                "online scheduler popped task {t:?} before its admission"
+            );
+            // The upfront feasibility check used the nominal capacity; a
+            // fault shrink may have lowered this GPU's since. A task that
+            // cannot ever fit must fail loudly, not stall.
+            self.check_fits(g, t)?;
+            // Residency split of the placement, counted exactly once per
+            // pop: missing bytes still need a fetch, the rest of the
+            // footprint is a prefix-cache hit.
+            let miss = missing_bytes_in(ts, &self.mem[g], t);
+            let hit = ts.task_footprint(t).saturating_sub(miss);
+            self.stats[g].cache_hit_bytes += hit;
+            self.stats[g].cache_miss_bytes += miss;
+            if self.observed() {
+                self.emit(ObsEvent::CacheAccess {
+                    t: self.now,
+                    gpu: g as u32,
+                    task: t.0,
+                    hit_bytes: hit,
+                    miss_bytes: miss,
+                });
+            }
+            self.pipeline.push_back(g, t)
+        }
+
+        // 2. Start the head task before touching memory, so its inputs are
+        //    pinned against the prefetches issued below.
+        self.try_start(g);
+
+        // Flat-core fast path: when no queued task misses any input, the
+        // whole issue loop below is a provable no-op (every residency check
+        // takes the `continue`, nothing is evicted or loaded), so the prefix
+        // merges can be skipped on the strength of one residency read per
+        // queued input. The reference core executes the full pass
+        // unconditionally.
+        let mem = &self.mem[g];
+        if !self.reference_core()
+            && self.pipeline.iter(g).all(|t| {
+                ts.inputs(t)
+                    .iter()
+                    .all(|&d| mem.is_resident_or_loading(DataId(d)))
+            })
+        {
+            return Ok(());
+        }
+
+        // 3. Issue prefetches in pipeline order. Stop at the first fetch that
+        //    does not fit to preserve the intended load order. A fetch for the
+        //    idx-th queued task may never evict data needed by an earlier
+        //    pipeline task (`protect` accumulates the prefix of input sets):
+        //    those tasks run first, so evicting their data would only create
+        //    reload churn — the livelock-free guarantee of the engine.
+        // Both buffers live on `State` so the steady-state loop reuses their
+        // capacity; they are taken out for the duration of the pass because
+        // `pick_victim` borrows all of `self`.
+        let mut protect = std::mem::take(&mut self.protect);
+        let mut scratch = std::mem::take(&mut self.merge_scratch);
+        protect.clear();
+        // Pipeline entries whose inputs are in `protect`. `pick_victim` is
+        // its only reader, so the flat core merges the prefix only once a
+        // fetch must evict, and only up to the current entry: the set each
+        // victim choice sees is the one the reference core's per-entry
+        // merges build.
+        let mut merged = 0;
+        'issue: for idx in 0..self.pipeline.len(g) {
+            let t = self.pipeline.get(g, idx);
+            if self.reference_core() {
+                self.merge_prefix(g, idx, &mut merged, &mut protect, &mut scratch);
+            }
+            for &raw in ts.inputs(t) {
+                let d = DataId(raw);
+                if self.mem[g].is_resident_or_loading(d) {
+                    continue;
+                }
+                // Make room, never evicting protected inputs.
+                while self.mem[g].free_bytes() < ts.data_size(d) {
+                    self.merge_prefix(g, idx, &mut merged, &mut protect, &mut scratch);
+                    let Some((v, by_scheduler)) = self.pick_victim(scheduler, g, &protect) else {
                         // Nothing evictable. If the task's footprint
                         // exceeds the (possibly fault-shrunk) capacity it
                         // can never fit — fail loudly. Otherwise the
                         // blockage is transient pins: retry later.
-                        if ts.task_footprint(t) > st.mem[g].capacity() {
-                            return Err(RunError::TaskTooLarge {
-                                task: t,
-                                footprint: ts.task_footprint(t),
-                                capacity: st.mem[g].capacity(),
-                            });
-                        }
+                        self.check_fits(g, t)?;
                         // Stay on the worklist: the reference core asks
                         // for a victim again on every pass while blocked
                         // (`choose_victim` may mutate policy state), so
                         // the worklist core must repeat the pass too.
-                        st.dirty.insert(g);
+                        self.dirty.insert(g);
                         break 'issue;
-                    }
+                    };
+                    self.evict(scheduler, g, v, by_scheduler);
                 }
+                self.issue_load(scheduler, g, d);
             }
-            st.begin_load(ts, g, d);
-            // Prefer a peer replica over the NVLink fabric when available
-            // (the §VI extension); otherwise cross the shared PCI bus.
-            // Replicas on fault-killed GPUs are unreachable.
-            let peer = spec.nvlink_bandwidth.and_then(|_| {
-                (0..st.mem.len()).find(|&h| h != g && !st.dead[h] && st.mem[h].is_resident(d))
+        }
+        self.protect = protect;
+        self.merge_scratch = scratch;
+
+        // 4. The prefetches above may have completed synchronously-needed
+        //    state changes; give the head another chance to start.
+        self.try_start(g);
+        Ok(())
+    }
+
+    /// Err with [`RunError::TaskTooLarge`] when task `t`'s inputs exceed
+    /// GPU `g`'s current (possibly fault-shrunk) capacity.
+    fn check_fits(&self, g: usize, t: TaskId) -> Result<(), RunError> {
+        let (footprint, capacity) = (self.ts.task_footprint(t), self.mem[g].capacity());
+        if footprint > capacity {
+            return Err(RunError::TaskTooLarge {
+                task: t,
+                footprint,
+                capacity,
             });
-            let (done_at, start, src) = match peer {
-                Some(h) => {
-                    // Pin the source replica for the transfer duration so
-                    // it cannot be evicted mid-copy.
-                    st.mem[h].pin(d);
-                    let start = st.nvlink_free_at.max(st.now);
-                    let done = start + spec.nvlink_time(size);
-                    st.nvlink_free_at = done;
-                    (done, start, h as u32)
-                }
-                None => {
-                    let bus = spec.bus_of(g);
-                    let start = st.buses[bus].max(st.now);
-                    let done = start + spec.transfer_time(size);
-                    st.buses[bus] = done;
-                    st.bus_busy[bus] += done - start;
-                    (done, start, FROM_HOST)
-                }
-            };
-            st.push_event(
-                done_at,
-                Event::TransferDone {
-                    gpu: g as u32,
-                    data: raw,
-                    src,
-                    attempt: 1,
-                },
-            );
-            // The span begins when the link grants the transfer, but the
-            // GPU is starved from the issue instant — `bus_wait` carries
-            // the queueing delay so the stall breakdown (and the trace's
-            // `LoadIssued`) can recover it.
-            if st.recording {
-                st.emit(ObsEvent::TransferBegin {
-                    t: start,
-                    gpu: g as u32,
-                    data: raw,
-                    bytes: size,
-                    bus_wait: start - st.now,
-                    bus: spec.bus_of(g) as u32,
-                    peer: (src != FROM_HOST).then_some(src),
-                    attempt: 1,
-                    done_at,
-                });
-            }
-            st.lane_advance(g);
-            st.inflight[g] += 1;
-            // Notify the policy at issue time: `is_resident_or_loading`
-            // already counts this data, so policies maintaining free-task
-            // state incrementally must observe the transition now, not at
-            // transfer completion.
-            if st.hooks.contains(Hooks::ON_LOAD_ISSUED) {
-                let view = st.view(ts, spec);
-                timed(sched_wall, g, || {
-                    scheduler.on_load_issued(GpuId(g as u32), d, &view)
-                });
-            }
         }
+        Ok(())
     }
-    st.protect = protect;
-    st.merge_scratch = scratch;
 
-    // 4. The prefetches above may have completed synchronously-needed
-    //    state changes; give the head another chance to start.
-    try_start(ts, spec, st, g);
-    Ok(())
-}
-
-/// Start the head task of GPU `g` if it is not running and all its inputs
-/// are resident; pins its inputs for the duration of the execution.
-///
-/// Only the reference core also touches them here. Victim walks are the
-/// only readers of the LRU order, and they skip pinned data, so where a
-/// pinned input sits in the list changes no choice; `TaskDone` touches
-/// the same inputs in the same order, which leaves the list as the two
-/// touches would. A fail-stop unpins them untouched, but no later
-/// decision reads a dead GPU's LRU order.
-fn try_start(ts: &TaskSet, spec: &PlatformSpec, st: &mut State, g: usize) {
-    if st.running[g] {
-        return;
-    }
-    let Some(head) = st.pipeline.front(g) else {
-        return;
-    };
-    if !ts.input_ids(head).all(|d| st.mem[g].is_resident(d)) {
-        return;
-    }
-    for d in ts.input_ids(head) {
-        st.mem[g].pin(d);
-        if st.reference_core {
-            st.mem[g].touch(d, st.now);
+    /// Fetch `d` onto GPU `g`, which has room for it (Absent → Loading):
+    /// from a peer replica over the NVLink fabric when one is available
+    /// (the §VI extension), otherwise over the GPU's shared PCI bus.
+    fn issue_load(&mut self, scheduler: &mut dyn Scheduler, g: usize, d: DataId) {
+        let size = self.ts.data_size(d);
+        self.mem[g].begin_load(d, size);
+        if let Some(missing) = self.missing.get_mut() {
+            missing.load_issued(self.ts, g, d);
         }
-    }
-    st.lane_advance(g);
-    st.running[g] = true;
-    if st.online {
-        let q = st.now - ts.arrival(head);
-        st.queueing.push(q);
-        st.queueing_sum += q;
-    }
-    if st.recording {
-        st.emit(ObsEvent::ComputeBegin {
-            t: st.now,
+        // Replicas on fault-killed GPUs are unreachable.
+        let peer = self.spec.nvlink_bandwidth.and_then(|_| {
+            (0..self.mem.len()).find(|&h| h != g && !self.dead[h] && self.mem[h].is_resident(d))
+        });
+        let (start, done, src) = match peer {
+            Some(h) => {
+                // Pin the source replica for the transfer duration so it
+                // cannot be evicted mid-copy.
+                self.mem[h].pin(d);
+                let start = self.nvlink_free_at.max(self.now);
+                let done = start + self.spec.nvlink_time(size);
+                self.nvlink_free_at = done;
+                (start, done, h as u32)
+            }
+            None => {
+                let (start, done) = self.grant_bus(g, self.now, size);
+                (start, done, FROM_HOST)
+            }
+        };
+        let tr = Transfer {
             gpu: g as u32,
-            task: head.0,
+            data: d.0,
+            src,
+            attempt: 1,
+        };
+        self.open_transfer(tr, start, done);
+        self.lane_advance(g);
+        self.inflight[g] += 1;
+        // Notify the policy at issue time: `is_resident_or_loading`
+        // already counts this data, so policies maintaining free-task
+        // state incrementally must observe the transition now, not at
+        // transfer completion.
+        if self.hooks.contains(Hooks::ON_LOAD_ISSUED) {
+            self.call(g, |view| scheduler.on_load_issued(GpuId(g as u32), d, view));
+        }
+    }
+
+    /// Grant GPU `g`'s PCI bus to a `size`-byte transfer ready at
+    /// `ready`, first come first served: it starts once both it and the
+    /// bus are free. Returns `(start, done)`.
+    fn grant_bus(&mut self, g: usize, ready: Nanos, size: u64) -> (Nanos, Nanos) {
+        let bus = self.spec.bus_of(g);
+        let start = self.buses[bus].max(ready);
+        let done = start + self.spec.transfer_time(size);
+        self.buses[bus] = done;
+        self.bus_busy[bus] += done - start;
+        (start, done)
+    }
+
+    /// Put transfer attempt `tr` on the timeline: granted its link at
+    /// `start`, delivered at `done`. The span begins at the grant, but
+    /// the GPU is starved from the issue instant — `bus_wait` carries the
+    /// queueing delay so the stall breakdown (and the trace's
+    /// `LoadIssued`) can recover it.
+    fn open_transfer(&mut self, tr: Transfer, start: Nanos, done: Nanos) {
+        self.push_event(done, Event::TransferDone(tr));
+        if self.recording {
+            self.emit(ObsEvent::TransferBegin {
+                t: start,
+                gpu: tr.gpu,
+                data: tr.data,
+                bytes: self.ts.data_size(DataId(tr.data)),
+                bus_wait: start - self.now,
+                bus: self.spec.bus_of(tr.gpu as usize) as u32,
+                peer: tr.peer(),
+                attempt: tr.attempt,
+                done_at: done,
+            });
+        }
+    }
+
+    /// Close the span of transfer attempt `tr` at `t`: delivered, failed
+    /// in flight, or still in flight when the run ended.
+    fn close_transfer(&mut self, t: Nanos, tr: Transfer, delivered: bool) {
+        self.emit(ObsEvent::TransferEnd {
+            t,
+            gpu: tr.gpu,
+            data: tr.data,
+            bytes: self.ts.data_size(DataId(tr.data)),
+            bus: self.spec.bus_of(tr.gpu as usize) as u32,
+            peer: tr.peer(),
+            attempt: tr.attempt,
+            delivered,
         });
     }
-    let base = spec.compute_time_on(g, ts.flops(head));
-    // A straggler fault divides the GPU's effective speed; the untouched
-    // 1.0 path preserves the fault-free durations bit-for-bit.
-    let dur = if st.speed[g] == 1.0 {
-        base
-    } else {
-        (base as f64 / st.speed[g]).ceil() as Nanos
-    };
-    st.busy[g] += dur;
-    if st.online {
-        st.service_sum += dur;
+
+    /// Evict `v` from GPU `g` (Resident → Absent): residency, ledger and
+    /// missing-input counters, then the [`ObsEvent::Eviction`] event and
+    /// occupancy gauge, then [`Scheduler::on_data_evicted`] if declared.
+    /// `by_scheduler` tags whose choice `v` was (see `pick_victim`).
+    fn evict(&mut self, scheduler: &mut dyn Scheduler, g: usize, v: DataId, by_scheduler: bool) {
+        let bytes = self.ts.data_size(v);
+        self.mem[g].evict(v, bytes);
+        self.stats[g].evictions += 1;
+        if let Some(missing) = self.missing.get_mut() {
+            missing.evicted(self.ts, g, v);
+        }
+        if self.recording {
+            self.emit(ObsEvent::Eviction {
+                t: self.now,
+                gpu: g as u32,
+                data: v.0,
+                bytes,
+                by_scheduler,
+            });
+            self.emit_occupancy(g);
+        }
+        if self.hooks.contains(Hooks::ON_DATA_EVICTED) {
+            self.call(g, |view| {
+                scheduler.on_data_evicted(GpuId(g as u32), v, view)
+            });
+        }
     }
-    let end = st.now + dur;
-    st.gpu_free_at[g] = end;
-    st.push_event(
-        end,
-        Event::TaskDone {
-            gpu: g as u32,
-            task: head.0,
-        },
-    );
+
+    /// Start the head task of GPU `g` if it is not running and all its
+    /// inputs are resident; pins its inputs for the duration of the
+    /// execution.
+    ///
+    /// Only the reference core also touches them here. Victim walks are
+    /// the only readers of the LRU order, and they skip pinned data, so
+    /// where a pinned input sits in the list changes no choice; `TaskDone`
+    /// touches the same inputs in the same order, which leaves the list as
+    /// the two touches would. A fail-stop unpins them untouched, but no
+    /// later decision reads a dead GPU's LRU order.
+    fn try_start(&mut self, g: usize) {
+        let ts = self.ts;
+        if self.running[g] {
+            return;
+        }
+        let Some(head) = self.pipeline.front(g) else {
+            return;
+        };
+        if !ts.input_ids(head).all(|d| self.mem[g].is_resident(d)) {
+            return;
+        }
+        for d in ts.input_ids(head) {
+            self.mem[g].pin(d);
+            if self.reference_core() {
+                self.mem[g].touch(d);
+            }
+        }
+        self.lane_advance(g);
+        self.running[g] = true;
+        if self.online {
+            let q = self.now - ts.arrival(head);
+            self.queueing.push(q);
+            self.queueing_sum += q;
+        }
+        if self.recording {
+            self.emit(ObsEvent::ComputeBegin {
+                t: self.now,
+                gpu: g as u32,
+                task: head.0,
+            });
+        }
+        let base = self.spec.compute_time_on(g, ts.flops(head));
+        // A straggler fault divides the GPU's effective speed; the untouched
+        // 1.0 path preserves the fault-free durations bit-for-bit.
+        let dur = if self.speed[g] == 1.0 {
+            base
+        } else {
+            (base as f64 / self.speed[g]).ceil() as Nanos
+        };
+        self.stats[g].busy += dur;
+        if self.online {
+            self.service_sum += dur;
+        }
+        let end = self.now + dur;
+        self.gpu_free_at[g] = end;
+        self.push_event(
+            end,
+            Event::TaskDone {
+                gpu: g as u32,
+                task: head.0,
+            },
+        );
+    }
+
+    /// Merge the inputs of GPU `g`'s pipeline entries `*merged..=idx` into
+    /// `protect`, using `scratch`, and advance `*merged` past `idx`. The
+    /// reference core allocates a new buffer per merge, as the
+    /// pre-refactor `merge_sorted` did, to keep that cost profile.
+    fn merge_prefix(
+        &self,
+        g: usize,
+        idx: usize,
+        merged: &mut usize,
+        protect: &mut Vec<u32>,
+        scratch: &mut Vec<u32>,
+    ) {
+        while *merged <= idx {
+            let inputs = self.ts.inputs(self.pipeline.get(g, *merged));
+            if self.reference_core() {
+                *scratch = Vec::with_capacity(protect.len() + inputs.len());
+            }
+            merge_sorted_into(protect, inputs, scratch);
+            std::mem::swap(protect, scratch);
+            *merged += 1;
+        }
+    }
+
+    /// Choose an eviction victim on GPU `g`: ask the scheduler first (LUF)
+    /// if it declares [`Hooks::CHOOSE_VICTIM`], validate its answer, fall
+    /// back to LRU. `protect` holds the inputs of the task the fetch is for
+    /// and of the pipeline entries ahead of it. The flag in the result
+    /// records whether the scheduler's choice was used (`true`) or the LRU
+    /// fallback (`false`) — the eviction-policy tag on
+    /// [`ObsEvent::Eviction`].
+    fn pick_victim(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        g: usize,
+        protect: &[u32],
+    ) -> Option<(DataId, bool)> {
+        let unprotected = |d: DataId| protect.binary_search(&d.0).is_err();
+        if self.hooks.contains(Hooks::CHOOSE_VICTIM) {
+            let (choice, _) = self.call(g, |view| scheduler.choose_victim(GpuId(g as u32), view));
+            let mem = &self.mem[g];
+            if let Some(v) =
+                choice.filter(|&v| mem.is_resident(v) && !mem.is_pinned(v) && unprotected(v))
+            {
+                return Some((v, true));
+            }
+        }
+        // LRU fallback, skipping protected items: walk the memory's
+        // intrusive LRU list from the oldest end instead of scanning all
+        // data.
+        self.mem[g]
+            .lru_victim_where(unprotected)
+            .map(|v| (v, false))
+    }
+
+    /// Apply a fault-induced capacity shrink on GPU `g`: evict down to
+    /// `target` bytes (scheduler victim choice first, LRU fallback — the
+    /// same policy path as memory-pressure eviction), then lower the
+    /// capacity as far as the evictions allow. Pinned and in-flight data
+    /// cannot be freed, so the capacity may land above `target`; returns
+    /// whether the target was fully reached. Every actual capacity change
+    /// emits [`TraceEvent::CapacityShrunk`] and fires
+    /// [`Scheduler::on_capacity_changed`].
+    fn apply_shrink(&mut self, scheduler: &mut dyn Scheduler, g: usize, target: u64) -> bool {
+        let mut evicted_any = false;
+        self.dirty.insert(g);
+        while self.mem[g].used_bytes() > target {
+            let Some((v, by_scheduler)) = self.pick_victim(scheduler, g, &[]) else {
+                break;
+            };
+            self.evict(scheduler, g, v, by_scheduler);
+            evicted_any = true;
+        }
+        let effective = target.max(self.mem[g].used_bytes());
+        if effective != self.mem[g].capacity() {
+            self.mem[g].set_capacity(effective);
+            if self.recording {
+                self.emit(ObsEvent::CapacityShrunk {
+                    t: self.now,
+                    gpu: g as u32,
+                    capacity: effective,
+                });
+                self.emit_occupancy(g);
+            }
+            self.call(g, |view| {
+                scheduler.on_capacity_changed(GpuId(g as u32), effective, view)
+            });
+        }
+        if evicted_any {
+            // Residency changed under the schedulers' feet: let them re-pop.
+            self.wake_all();
+        }
+        effective <= target
+    }
+
+    /// Re-attempt the deferred fault shrinks of GPU `g` (pins may have just
+    /// been released by a completion or a finished load).
+    fn retry_pending_shrinks(&mut self, scheduler: &mut dyn Scheduler, g: usize) {
+        if self.pending_shrinks.is_empty() {
+            return;
+        }
+        // In the order they were deferred; one that reaches its target
+        // is done.
+        let mut pending = std::mem::take(&mut self.pending_shrinks);
+        pending.retain(|&(gg, target)| gg != g || !self.apply_shrink(scheduler, g, target));
+        self.pending_shrinks = pending;
+    }
+
+    /// Process the online arrival of task `t`: record it, then admit it to
+    /// the scheduler, defer it into the FIFO queue, or — under a shedding
+    /// [`ShedPolicy`] — reject it outright. Admission is strictly
+    /// first-come-first-served — a feasible arrival still queues behind
+    /// earlier deferred tasks. With the default `DeferOnly` policy no
+    /// shedding branch is ever taken, keeping the event stream
+    /// byte-identical to the pre-overload-control engine.
+    fn arrive(&mut self, scheduler: &mut dyn Scheduler, t: TaskId) {
+        let ts = self.ts;
+        if self.recording {
+            self.emit(ObsEvent::TaskArrived {
+                t: self.now,
+                task: t.0,
+            });
+        }
+        let policy = self.shed_policy();
+        if policy != ShedPolicy::DeferOnly {
+            // Lazy expiry: an arrival is the clock tick on which deferred
+            // tasks past their deadline are dropped (no timer events are
+            // seeded, so event sequence numbers — and every tie-break
+            // downstream — are untouched).
+            self.expire_deferred();
+            // Predictive shed: reject now if the estimated queueing delay
+            // already blows the arrival's completion budget.
+            let dl = ts.deadline(t);
+            if dl > 0 && self.estimated_delay() > dl {
+                self.drop_task(t, false);
+                return;
+            }
+        }
+        if self.deferred.is_empty() && self.admissible(t) {
+            self.admit(scheduler, t);
+            return;
+        }
+        // PriorityShed bounds the deferred queue by `max_backlog`: an
+        // overflow sheds the lowest-class task among the queue and the
+        // new arrival (ties drop the oldest, i.e. the front-most).
+        if policy == ShedPolicy::PriorityShed
+            && self
+                .max_backlog()
+                .is_some_and(|bound| self.deferred.len() >= bound)
+        {
+            let (i, raw) = self
+                .deferred
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &raw)| ts.class_of(TaskId(raw)))
+                .map(|(i, &raw)| (i, raw))
+                .expect("deferred queue non-empty at overflow");
+            if ts.class_of(TaskId(raw)) <= ts.class_of(t) {
+                self.deferred.remove(i);
+                self.drop_task(TaskId(raw), false);
+            } else {
+                self.drop_task(t, false);
+                return;
+            }
+        }
+        self.deferrals += 1;
+        self.deferred.push_back(t.0);
+        if ts.deadline(t) > 0 {
+            self.deferred_expiry_bound = self
+                .deferred_expiry_bound
+                .min(ts.arrival(t).saturating_add(ts.deadline(t)));
+        }
+        if self.recording {
+            self.emit(ObsEvent::TaskDeferred {
+                t: self.now,
+                task: t.0,
+            });
+        }
+    }
+
+    /// The admission backlog bound, if any ([`AdmissionConfig::max_backlog`]).
+    fn max_backlog(&self) -> Option<usize> {
+        self.config.admission.as_ref().and_then(|a| a.max_backlog)
+    }
+
+    /// Deterministic queueing-delay estimate for an arrival, from simulated
+    /// state only: the mean observed queueing delay so far plus the deferred
+    /// backlog times the mean observed service time (integer arithmetic, so
+    /// worker counts and wall clocks cannot perturb it). Cold start — before
+    /// any task started — estimates 0.
+    fn estimated_delay(&self) -> Nanos {
+        let started = self.queueing.len() as Nanos;
+        if started == 0 {
+            return 0;
+        }
+        let mean_q = self.queueing_sum / started;
+        let mean_s = self.service_sum / started;
+        mean_q + self.deferred.len() as Nanos * mean_s
+    }
+
+    /// Drop task `t` from the admission path: `expired` distinguishes a
+    /// deferred task that sat past its deadline
+    /// ([`TraceEvent::DeadlineExpired`]) from a policy rejection
+    /// ([`TraceEvent::TaskShed`]). The task is never released, so no
+    /// scheduler ever sees it — the engine-side guarantee behind the chaos
+    /// harness's "no shed task ever executes" invariant.
+    fn drop_task(&mut self, t: TaskId, expired: bool) {
+        debug_assert!(!self.released[t.index()], "dropped an admitted task {t:?}");
+        bump_class(&mut self.shed_per_class, self.ts.class_of(t));
+        let (now, task) = (self.now, t.0);
+        if expired {
+            self.expired_tasks += 1;
+            if self.recording {
+                self.emit(ObsEvent::DeadlineExpired { t: now, task });
+            }
+        } else {
+            self.shed_tasks += 1;
+            if self.recording {
+                self.emit(ObsEvent::TaskShed { t: now, task });
+            }
+        }
+    }
+
+    /// Lazily expire deferred tasks whose completion deadline has passed
+    /// (`now` strictly beyond `arrival + deadline`). Only called under a
+    /// shedding policy, from existing event handlers — never from a timer —
+    /// so it cannot perturb event sequence numbering. The flat core skips
+    /// the walk while `now` is at or before `deferred_expiry_bound`, when
+    /// it would expire nothing; the reference core always walks.
+    fn expire_deferred(&mut self) {
+        if !self.reference_core() && self.now <= self.deferred_expiry_bound {
+            return;
+        }
+        let ts = self.ts;
+        let mut bound = Nanos::MAX;
+        let mut i = 0;
+        while i < self.deferred.len() {
+            let t = TaskId(self.deferred[i]);
+            let dl = ts.deadline(t);
+            if dl == 0 {
+                i += 1;
+                continue;
+            }
+            let expiry = ts.arrival(t).saturating_add(dl);
+            if self.now > expiry {
+                self.deferred.remove(i);
+                self.drop_task(t, true);
+            } else {
+                bound = bound.min(expiry);
+                i += 1;
+            }
+        }
+        self.deferred_expiry_bound = bound;
+    }
+
+    /// Shed deferred tasks whose footprint no longer fits any alive GPU —
+    /// they can never be admitted again after a fail-stop or shrink fault.
+    fn shed_unfit_deferred(&mut self) {
+        let mut i = 0;
+        while i < self.deferred.len() {
+            let t = TaskId(self.deferred[i]);
+            if self.fits_alive_gpu(t) {
+                i += 1;
+            } else {
+                self.deferred.remove(i);
+                self.drop_task(t, false);
+            }
+        }
+    }
+
+    /// Re-check the admission state after a fail-stop or shrink fault
+    /// (the `serve --faults` composition fix): under a shedding policy,
+    /// expire overdue deferrals and shed the ones stranded by the lost
+    /// capacity; then retry the FIFO as a completion would. Under
+    /// `DeferOnly` the whole pass is a provable no-op — faults never
+    /// improve admissibility, so the FIFO head stays inadmissible and no
+    /// event is emitted — keeping fault-injected golden traces
+    /// byte-identical.
+    fn recheck_deferred_after_fault(&mut self, scheduler: &mut dyn Scheduler) {
+        if self.shed_policy() != ShedPolicy::DeferOnly {
+            self.expire_deferred();
+            self.shed_unfit_deferred();
+        }
+        self.retry_deferred(scheduler);
+    }
+
+    /// Whether task `t`'s inputs fit the current capacity of at least one
+    /// alive GPU.
+    fn fits_alive_gpu(&self, t: TaskId) -> bool {
+        let footprint = self.ts.task_footprint(t);
+        (0..self.mem.len()).any(|g| !self.dead[g] && footprint <= self.mem[g].capacity())
+    }
+
+    /// Whether task `t` can be admitted right now: it fits an alive GPU
+    /// and the backlog bound has room.
+    fn admissible(&self, t: TaskId) -> bool {
+        self.fits_alive_gpu(t) && self.max_backlog().is_none_or(|b| self.backlog < b)
+    }
+
+    /// Release task `t` to the scheduler: mark it poppable, notify the
+    /// policy, and wake every worker.
+    fn admit(&mut self, scheduler: &mut dyn Scheduler, t: TaskId) {
+        self.released[t.index()] = true;
+        self.backlog += 1;
+        self.admitted += 1;
+        if self.recording {
+            self.emit(ObsEvent::TaskAdmitted {
+                t: self.now,
+                task: t.0,
+                wait: self.now - self.ts.arrival(t),
+            });
+        }
+        // A release can unblock pops on every worker.
+        self.wake_all();
+        // Admission has no owning worker; charge the callback to worker 0
+        // so `sched_wall` still sums every scheduler invocation.
+        self.call(0, |view| scheduler.on_task_arrival(t, view));
+    }
+
+    /// Re-try the deferred FIFO after a completion freed backlog or pinned
+    /// memory; stops at the first still-inadmissible head to preserve
+    /// arrival order. Under a shedding policy, overdue deferrals expire
+    /// first so a stale head can never be admitted past its deadline.
+    fn retry_deferred(&mut self, scheduler: &mut dyn Scheduler) {
+        if self.shed_policy() != ShedPolicy::DeferOnly {
+            self.expire_deferred();
+        }
+        while let Some(&raw) = self.deferred.front() {
+            let t = TaskId(raw);
+            if !self.admissible(t) {
+                break;
+            }
+            self.deferred.pop_front();
+            self.admit(scheduler, t);
+        }
+    }
 }
 
 /// Merge two sorted-unique id slices into `out` (cleared first). `out` is
@@ -1693,254 +1942,6 @@ fn merge_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Merge the inputs of GPU `g`'s pipeline entries `*merged..=idx` into
-/// `protect`, using `scratch`, and advance `*merged` past `idx`. The
-/// reference core allocates a new buffer per merge, as the pre-refactor
-/// `merge_sorted` did, to keep that cost profile.
-fn merge_prefix(
-    ts: &TaskSet,
-    st: &State,
-    g: usize,
-    idx: usize,
-    merged: &mut usize,
-    protect: &mut Vec<u32>,
-    scratch: &mut Vec<u32>,
-) {
-    while *merged <= idx {
-        let inputs = ts.inputs(st.pipeline.get(g, *merged));
-        if st.reference_core {
-            *scratch = Vec::with_capacity(protect.len() + inputs.len());
-        }
-        merge_sorted_into(protect, inputs, scratch);
-        std::mem::swap(protect, scratch);
-        *merged += 1;
-    }
-}
-
-/// Choose an eviction victim on GPU `g`: ask the scheduler first (LUF)
-/// if it declares [`Hooks::CHOOSE_VICTIM`], validate its answer, fall
-/// back to LRU. `protect` holds the inputs of the task the fetch is for
-/// and of the pipeline entries ahead of it. The flag in the result
-/// records whether the scheduler's choice was used (`true`) or the LRU
-/// fallback (`false`) — the eviction-policy tag on [`ObsEvent::Eviction`].
-#[allow(clippy::too_many_arguments)]
-fn pick_victim(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    g: usize,
-    protect: &[u32],
-) -> Option<(DataId, bool)> {
-    let evictable = |mem: &GpuMemory, d: DataId| {
-        mem.is_resident(d) && !mem.is_pinned(d) && protect.binary_search(&d.0).is_err()
-    };
-    if st.hooks.contains(Hooks::CHOOSE_VICTIM) {
-        let view = st.view(ts, spec);
-        let choice = timed(sched_wall, g, || {
-            scheduler.choose_victim(GpuId(g as u32), &view)
-        });
-        if let Some(v) = choice {
-            if evictable(&st.mem[g], v) {
-                return Some((v, true));
-            }
-        }
-    }
-    // LRU fallback, skipping protected items: walk the memory's intrusive
-    // LRU list from the oldest end (equivalent to the old key-argmin scan
-    // because touch keys are unique) instead of scanning all data.
-    st.mem[g]
-        .lru_victim_where(|d| protect.binary_search(&d.0).is_err())
-        .map(|v| (v, false))
-}
-
-/// Apply a fault-induced capacity shrink on GPU `g`: evict down to
-/// `target` bytes (scheduler victim choice first, LRU fallback — the same
-/// policy path as memory-pressure eviction), then lower the capacity as
-/// far as the evictions allow. Pinned and in-flight data cannot be freed,
-/// so the capacity may land above `target`; returns whether the target
-/// was fully reached. Every actual capacity change emits
-/// [`TraceEvent::CapacityShrunk`] and fires
-/// [`Scheduler::on_capacity_changed`].
-#[allow(clippy::too_many_arguments)]
-fn apply_shrink(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    g: usize,
-    target: u64,
-) -> bool {
-    let mut evicted_any = false;
-    st.dirty.insert(g);
-    while st.mem[g].used_bytes() > target {
-        let Some((v, by_scheduler)) = pick_victim(ts, spec, scheduler, st, sched_wall, g, &[])
-        else {
-            break;
-        };
-        st.evict(ts, g, v);
-        evicted_any = true;
-        if st.recording {
-            st.emit(ObsEvent::Eviction {
-                t: st.now,
-                gpu: g as u32,
-                data: v.0,
-                bytes: ts.data_size(v),
-                by_scheduler,
-            });
-            st.emit_occupancy(g);
-        }
-        if st.hooks.contains(Hooks::ON_DATA_EVICTED) {
-            let view = st.view(ts, spec);
-            timed(sched_wall, g, || {
-                scheduler.on_data_evicted(GpuId(g as u32), v, &view)
-            });
-        }
-    }
-    let effective = target.max(st.mem[g].used_bytes());
-    if effective != st.mem[g].capacity() {
-        st.mem[g].set_capacity(effective);
-        if st.recording {
-            st.emit(ObsEvent::CapacityShrunk {
-                t: st.now,
-                gpu: g as u32,
-                capacity: effective,
-            });
-            st.emit_occupancy(g);
-        }
-        let view = st.view(ts, spec);
-        timed(sched_wall, g, || {
-            scheduler.on_capacity_changed(GpuId(g as u32), effective, &view)
-        });
-    }
-    if evicted_any {
-        // Residency changed under the schedulers' feet: let them re-pop.
-        st.wake_all();
-    }
-    effective <= target
-}
-
-/// Re-attempt the deferred fault shrinks of GPU `g` (pins may have just
-/// been released by a completion or a finished load).
-#[allow(clippy::too_many_arguments)]
-fn retry_pending_shrinks(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    g: usize,
-) {
-    if st.pending_shrinks.is_empty() {
-        return;
-    }
-    let targets: Vec<u64> = st
-        .pending_shrinks
-        .iter()
-        .filter(|&&(gg, _)| gg == g)
-        .map(|&(_, t)| t)
-        .collect();
-    let mut reached: Vec<u64> = Vec::new();
-    for target in targets {
-        if apply_shrink(ts, spec, scheduler, st, sched_wall, g, target) {
-            reached.push(target);
-        }
-    }
-    st.pending_shrinks
-        .retain(|&(gg, t)| gg != g || !reached.contains(&t));
-}
-
-/// Process the online arrival of task `t`: record it, then admit it to
-/// the scheduler, defer it into the FIFO queue, or — under a shedding
-/// [`ShedPolicy`] — reject it outright. Admission is strictly
-/// first-come-first-served — a feasible arrival still queues behind
-/// earlier deferred tasks. With the default `DeferOnly` policy no
-/// shedding branch is ever taken, keeping the event stream
-/// byte-identical to the pre-overload-control engine.
-#[allow(clippy::too_many_arguments)]
-fn arrive(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    config: &RunConfig,
-    t: TaskId,
-) {
-    if st.recording {
-        st.emit(ObsEvent::TaskArrived { t: st.now, task: t.0 });
-    }
-    let policy = shed_policy(config);
-    if policy != ShedPolicy::DeferOnly {
-        // Lazy expiry: an arrival is the clock tick on which deferred
-        // tasks past their deadline are dropped (no timer events are
-        // seeded, so event sequence numbers — and every tie-break
-        // downstream — are untouched).
-        expire_deferred(ts, st);
-        // Predictive shed: reject now if the estimated queueing delay
-        // already blows the arrival's completion budget.
-        let dl = ts.deadline(t);
-        if dl > 0 && estimated_delay(st) > dl {
-            drop_task(ts, st, t, false);
-            return;
-        }
-    }
-    if st.deferred.is_empty() && admissible(ts, st, config, t) {
-        admit(ts, spec, scheduler, st, sched_wall, t);
-    } else {
-        // PriorityShed bounds the deferred queue by `max_backlog`: an
-        // overflow sheds the lowest-class task among the queue and the
-        // new arrival (ties drop the oldest, i.e. the front-most).
-        if policy == ShedPolicy::PriorityShed {
-            if let Some(bound) = config.admission.as_ref().and_then(|a| a.max_backlog) {
-                if st.deferred.len() >= bound {
-                    let victim = st
-                        .deferred
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &raw)| ts.class_of(TaskId(raw)))
-                        .map(|(i, &raw)| (i, raw))
-                        .expect("deferred queue non-empty at overflow");
-                    if ts.class_of(TaskId(victim.1)) <= ts.class_of(t) {
-                        st.deferred.remove(victim.0);
-                        drop_task(ts, st, TaskId(victim.1), false);
-                    } else {
-                        drop_task(ts, st, t, false);
-                        return;
-                    }
-                }
-            }
-        }
-        st.deferrals += 1;
-        st.deferred.push_back(t.0);
-        if ts.deadline(t) > 0 {
-            st.deferred_expiry_bound = st
-                .deferred_expiry_bound
-                .min(ts.arrival(t).saturating_add(ts.deadline(t)));
-        }
-        if st.recording {
-            st.emit(ObsEvent::TaskDeferred { t: st.now, task: t.0 });
-        }
-    }
-}
-
-/// Deterministic queueing-delay estimate for an arrival, from simulated
-/// state only: the mean observed queueing delay so far plus the deferred
-/// backlog times the mean observed service time (integer arithmetic, so
-/// worker counts and wall clocks cannot perturb it). Cold start — before
-/// any task started — estimates 0.
-fn estimated_delay(st: &State) -> Nanos {
-    let started = st.queueing.len() as Nanos;
-    if started == 0 {
-        return 0;
-    }
-    let mean_q = st.queueing_sum / started;
-    let mean_s = st.service_sum / started;
-    mean_q + st.deferred.len() as Nanos * mean_s
-}
-
 /// Grow-and-bump a per-class counter vector.
 fn bump_class(v: &mut Vec<u64>, class: u32) {
     let c = class as usize;
@@ -1949,167 +1950,6 @@ fn bump_class(v: &mut Vec<u64>, class: u32) {
     }
     v[c] += 1;
 }
-
-/// Drop task `t` from the admission path: `expired` distinguishes a
-/// deferred task that sat past its deadline ([`TraceEvent::DeadlineExpired`])
-/// from a policy rejection ([`TraceEvent::TaskShed`]). The task is never
-/// released, so no scheduler ever sees it — the engine-side guarantee
-/// behind the chaos harness's "no shed task ever executes" invariant.
-fn drop_task(ts: &TaskSet, st: &mut State, t: TaskId, expired: bool) {
-    debug_assert!(!st.released[t.index()], "dropped an admitted task {t:?}");
-    bump_class(&mut st.shed_per_class, ts.class_of(t));
-    if expired {
-        st.expired_tasks += 1;
-        if st.recording {
-            st.emit(ObsEvent::DeadlineExpired { t: st.now, task: t.0 });
-        }
-    } else {
-        st.shed_tasks += 1;
-        if st.recording {
-            st.emit(ObsEvent::TaskShed { t: st.now, task: t.0 });
-        }
-    }
-}
-
-/// Lazily expire deferred tasks whose completion deadline has passed
-/// (`now` strictly beyond `arrival + deadline`). Only called under a
-/// shedding policy, from existing event handlers — never from a timer —
-/// so it cannot perturb event sequence numbering. The flat core skips
-/// the walk while `now` is at or before `deferred_expiry_bound`, when
-/// it would expire nothing; the reference core always walks.
-fn expire_deferred(ts: &TaskSet, st: &mut State) {
-    if !st.reference_core && st.now <= st.deferred_expiry_bound {
-        return;
-    }
-    let mut bound = Nanos::MAX;
-    let mut i = 0;
-    while i < st.deferred.len() {
-        let t = TaskId(st.deferred[i]);
-        let dl = ts.deadline(t);
-        if dl == 0 {
-            i += 1;
-            continue;
-        }
-        let expiry = ts.arrival(t).saturating_add(dl);
-        if st.now > expiry {
-            st.deferred.remove(i);
-            drop_task(ts, st, t, true);
-        } else {
-            bound = bound.min(expiry);
-            i += 1;
-        }
-    }
-    st.deferred_expiry_bound = bound;
-}
-
-/// Shed deferred tasks whose footprint no longer fits any alive GPU —
-/// they can never be admitted again after a fail-stop or shrink fault.
-fn shed_unfit_deferred(ts: &TaskSet, st: &mut State) {
-    let mut i = 0;
-    while i < st.deferred.len() {
-        let t = TaskId(st.deferred[i]);
-        let fits = (0..st.mem.len())
-            .any(|g| !st.dead[g] && ts.task_footprint(t) <= st.mem[g].capacity());
-        if !fits {
-            st.deferred.remove(i);
-            drop_task(ts, st, t, false);
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Re-check the admission state after a fail-stop or shrink fault
-/// (the `serve --faults` composition fix): under a shedding policy,
-/// expire overdue deferrals and shed the ones stranded by the lost
-/// capacity; then retry the FIFO as a completion would. Under
-/// `DeferOnly` the whole pass is a provable no-op — faults never
-/// improve admissibility, so the FIFO head stays inadmissible and no
-/// event is emitted — keeping fault-injected golden traces
-/// byte-identical.
-fn recheck_deferred_after_fault(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    config: &RunConfig,
-) {
-    if shed_policy(config) != ShedPolicy::DeferOnly {
-        expire_deferred(ts, st);
-        shed_unfit_deferred(ts, st);
-    }
-    retry_deferred(ts, spec, scheduler, st, sched_wall, config);
-}
-
-/// Whether task `t` can be admitted right now: its inputs fit the
-/// current capacity of at least one alive GPU and the backlog bound has
-/// room.
-fn admissible(ts: &TaskSet, st: &State, config: &RunConfig, t: TaskId) -> bool {
-    let fits = (0..st.mem.len())
-        .any(|g| !st.dead[g] && ts.task_footprint(t) <= st.mem[g].capacity());
-    let backlog_ok = config
-        .admission
-        .as_ref()
-        .and_then(|a| a.max_backlog)
-        .is_none_or(|b| st.backlog < b);
-    fits && backlog_ok
-}
-
-/// Release task `t` to the scheduler: mark it poppable, notify the
-/// policy, and wake every worker.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    t: TaskId,
-) {
-    st.released[t.index()] = true;
-    st.backlog += 1;
-    st.admitted += 1;
-    if st.recording {
-        st.emit(ObsEvent::TaskAdmitted {
-            t: st.now,
-            task: t.0,
-            wait: st.now - ts.arrival(t),
-        });
-    }
-    // A release can unblock pops on every worker.
-    st.wake_all();
-    // Admission has no owning worker; charge the callback to worker 0 so
-    // `sched_wall` still sums every scheduler invocation.
-    let view = st.view(ts, spec);
-    timed(sched_wall, 0, || scheduler.on_task_arrival(t, &view));
-}
-
-/// Re-try the deferred FIFO after a completion freed backlog or pinned
-/// memory; stops at the first still-inadmissible head to preserve
-/// arrival order. Under a shedding policy, overdue deferrals expire
-/// first so a stale head can never be admitted past its deadline.
-fn retry_deferred(
-    ts: &TaskSet,
-    spec: &PlatformSpec,
-    scheduler: &mut dyn Scheduler,
-    st: &mut State,
-    sched_wall: &mut [Ticks],
-    config: &RunConfig,
-) {
-    if shed_policy(config) != ShedPolicy::DeferOnly {
-        expire_deferred(ts, st);
-    }
-    while let Some(&raw) = st.deferred.front() {
-        let t = TaskId(raw);
-        if !admissible(ts, st, config, t) {
-            break;
-        }
-        st.deferred.pop_front();
-        admit(ts, spec, scheduler, st, sched_wall, t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,17 +9,18 @@
 //! releases its pins).
 //!
 //! Residency queries and victim selection are incremental: an intrusive
-//! doubly-linked list keeps resident items in LRU order (touches move to
-//! the tail in O(1), the victim walk starts at the head and only skips
-//! pinned items), and a resident-id bitset serves [`resident`] iteration
-//! one 64-id word at a time instead of one state per id, with O(1) insert
-//! and remove on every load and eviction. The straightforward
-//! full-scan implementations are kept as `*_scan` methods; differential
-//! tests assert both agree on arbitrary operation sequences.
+//! doubly-linked list keeps resident items in LRU order (a load appends
+//! at the tail, a touch moves to it in O(1), the victim walk starts at
+//! the head and only skips pinned items), and a resident-id bitset serves
+//! [`resident`] iteration one 64-id word at a time instead of one state
+//! per id, with O(1) insert and remove on every load and eviction. The
+//! list is the only record of recency: no timestamps are kept. The
+//! full-scan [`resident_scan`] is kept for differential tests, and the
+//! tests check the list against a recency order kept on the side.
 //!
 //! [`resident`]: GpuMemory::resident
+//! [`resident_scan`]: GpuMemory::resident_scan
 
-use crate::spec::Nanos;
 use memsched_model::DataId;
 
 /// Residency state of one data item on one GPU.
@@ -45,16 +46,12 @@ pub struct GpuMemory {
     state: Vec<Residency>,
     /// Pin count per data id (running/head-task uses + loading).
     pins: Vec<u32>,
-    /// Timestamp of the most recent touch (load completion or task use).
-    last_use: Vec<Nanos>,
-    /// Monotonic tiebreaker so equal timestamps evict deterministically.
-    touch_seq: Vec<u64>,
-    seq: u64,
     /// Bytes resident plus bytes reserved by in-flight loads.
     used_bytes: u64,
-    /// Intrusive LRU list over **resident** items: `lru_head` holds the
-    /// oldest `(last_use, touch_seq)` key, `lru_tail` the newest. A data
-    /// item is linked if and only if it is `Resident`.
+    /// Intrusive LRU list over **resident** items, in the order of their
+    /// last load or touch: `lru_head` is the least recently used,
+    /// `lru_tail` the most. A data item is linked if and only if it is
+    /// `Resident`.
     lru_prev: Vec<u32>,
     lru_next: Vec<u32>,
     lru_head: u32,
@@ -64,12 +61,6 @@ pub struct GpuMemory {
     /// iteration order of [`GpuMemory::resident`] is part of the
     /// deterministic tie-break contract relied on by the golden traces).
     resident_bits: Vec<u64>,
-    /// Number of evictions performed on this GPU.
-    pub evictions: u64,
-    /// Number of load operations completed on this GPU.
-    pub loads: u64,
-    /// Bytes loaded onto this GPU.
-    pub load_bytes: u64,
 }
 
 impl GpuMemory {
@@ -79,18 +70,12 @@ impl GpuMemory {
             capacity,
             state: vec![Residency::Absent; num_data],
             pins: vec![0; num_data],
-            last_use: vec![0; num_data],
-            touch_seq: vec![0; num_data],
-            seq: 0,
             used_bytes: 0,
             lru_prev: vec![NIL; num_data],
             lru_next: vec![NIL; num_data],
             lru_head: NIL,
             lru_tail: NIL,
             resident_bits: vec![0; num_data.div_ceil(64)],
-            evictions: 0,
-            loads: 0,
-            load_bytes: 0,
         }
     }
 
@@ -170,9 +155,7 @@ impl GpuMemory {
         self.lru_next[i] = NIL;
     }
 
-    /// Append `i` at the list tail (the most-recently-used end). The
-    /// caller has just assigned `i` the largest `(last_use, touch_seq)`
-    /// key, so tail insertion keeps the list sorted by key.
+    /// Append `i` at the list tail (the most-recently-used end).
     fn lru_link_tail(&mut self, i: usize) {
         self.lru_prev[i] = self.lru_tail;
         self.lru_next[i] = NIL;
@@ -184,13 +167,10 @@ impl GpuMemory {
         self.lru_tail = i as u32;
     }
 
-    /// Record a use of the data (LRU bookkeeping): assigns a fresh key and
-    /// moves a resident item to the most-recently-used end in O(1).
-    pub fn touch(&mut self, d: DataId, now: Nanos) {
+    /// Record a use of the data (LRU bookkeeping): moves a resident item
+    /// to the most-recently-used end in O(1).
+    pub fn touch(&mut self, d: DataId) {
         let i = d.index();
-        self.last_use[i] = now;
-        self.seq += 1;
-        self.touch_seq[i] = self.seq;
         if self.state[i] == Residency::Resident {
             self.lru_unlink(i);
             self.lru_link_tail(i);
@@ -206,8 +186,9 @@ impl GpuMemory {
         self.used_bytes += size;
     }
 
-    /// Complete a transfer: the data becomes `Resident`.
-    pub fn finish_load(&mut self, d: DataId, size: u64, now: Nanos) {
+    /// Complete a transfer: the data becomes `Resident`, as the most
+    /// recently used item.
+    pub fn finish_load(&mut self, d: DataId) {
         let i = d.index();
         assert!(
             self.state[i] == Residency::Loading,
@@ -216,9 +197,6 @@ impl GpuMemory {
         self.state[i] = Residency::Resident;
         self.resident_bits[i / 64] |= 1 << (i % 64);
         self.lru_link_tail(i);
-        self.loads += 1;
-        self.load_bytes += size;
-        self.touch(d, now);
     }
 
     /// Evict a resident, unpinned data item, freeing its bytes.
@@ -233,16 +211,12 @@ impl GpuMemory {
         self.resident_bits[i / 64] &= !(1 << (i % 64));
         self.lru_unlink(i);
         self.used_bytes -= size;
-        self.evictions += 1;
     }
 
-    /// The LRU victim among resident, unpinned data items: the one with
-    /// the oldest `(last_use, touch_seq)` pair. `None` when everything is
-    /// pinned or absent.
-    ///
-    /// Walks the intrusive list from the oldest end, skipping pinned
-    /// items; since keys are assigned monotonically the head-most
-    /// unpinned item is exactly the scan argmin.
+    /// The LRU victim among resident, unpinned data items: the one loaded
+    /// or touched least recently. `None` when everything is pinned or
+    /// absent. Walks the intrusive list from the oldest end, skipping
+    /// pinned items.
     pub fn lru_victim(&self) -> Option<DataId> {
         self.lru_victim_where(|_| true)
     }
@@ -259,27 +233,6 @@ impl GpuMemory {
             cur = self.lru_next[cur as usize];
         }
         None
-    }
-
-    /// Reference implementation of [`lru_victim`](Self::lru_victim): full
-    /// scan over all data states. Kept for differential tests.
-    pub fn lru_victim_scan(&self) -> Option<DataId> {
-        let mut best: Option<(usize, (Nanos, u64))> = None;
-        for (i, &st) in self.state.iter().enumerate() {
-            if st != Residency::Resident || self.pins[i] > 0 {
-                continue;
-            }
-            let key = (self.last_use[i], self.touch_seq[i]);
-            if best.is_none_or(|(_, bk)| key < bk) {
-                best = Some((i, key));
-            }
-        }
-        best.map(|(i, _)| DataId::from_usize(i))
-    }
-
-    /// The LRU ordering key of a data item: evict smaller keys first.
-    pub fn lru_key(&self, d: DataId) -> (Nanos, u64) {
-        (self.last_use[d.index()], self.touch_seq[d.index()])
     }
 
     /// Iterate over the resident data ids in ascending id order (part of
@@ -349,6 +302,16 @@ mod tests {
         DataId(i)
     }
 
+    /// Load `ids` in order.
+    fn loaded(capacity: u64, num_data: usize, ids: impl IntoIterator<Item = u32>) -> GpuMemory {
+        let mut m = GpuMemory::new(capacity, num_data);
+        for i in ids {
+            m.begin_load(d(i), 10);
+            m.finish_load(d(i));
+        }
+        m
+    }
+
     #[test]
     fn load_lifecycle() {
         let mut m = GpuMemory::new(100, 4);
@@ -357,22 +320,17 @@ mod tests {
         assert_eq!(m.residency(d(0)), Residency::Loading);
         assert!(m.is_pinned(d(0)), "loading data is not evictable");
         assert_eq!(m.free_bytes(), 60);
-        m.finish_load(d(0), 40, 5);
+        m.finish_load(d(0));
         assert!(m.is_resident(d(0)));
-        assert_eq!(m.loads, 1);
-        assert_eq!(m.load_bytes, 40);
+        assert_eq!(m.used_bytes(), 40);
         m.evict(d(0), 40);
+        assert_eq!(m.residency(d(0)), Residency::Absent);
         assert_eq!(m.free_bytes(), 100);
-        assert_eq!(m.evictions, 1);
     }
 
     #[test]
     fn pins_block_lru_victim() {
-        let mut m = GpuMemory::new(100, 3);
-        for i in 0..3 {
-            m.begin_load(d(i), 10);
-            m.finish_load(d(i), 10, i as Nanos);
-        }
+        let mut m = loaded(100, 3, 0..3);
         m.pin(d(0));
         assert_eq!(m.lru_victim(), Some(d(1)), "oldest unpinned");
         m.pin(d(1));
@@ -385,32 +343,22 @@ mod tests {
 
     #[test]
     fn touch_updates_lru_order() {
-        let mut m = GpuMemory::new(100, 2);
-        m.begin_load(d(0), 10);
-        m.finish_load(d(0), 10, 1);
-        m.begin_load(d(1), 10);
-        m.finish_load(d(1), 10, 2);
+        let mut m = loaded(100, 2, [0, 1]);
         assert_eq!(m.lru_victim(), Some(d(0)));
-        m.touch(d(0), 3);
+        m.touch(d(0));
         assert_eq!(m.lru_victim(), Some(d(1)));
     }
 
     #[test]
-    fn equal_timestamps_break_by_sequence() {
-        let mut m = GpuMemory::new(100, 2);
-        m.begin_load(d(1), 10);
-        m.finish_load(d(1), 10, 7);
-        m.begin_load(d(0), 10);
-        m.finish_load(d(0), 10, 7);
-        // d(1) finished first -> smaller sequence -> evicted first.
+    fn victims_follow_touch_order() {
+        let m = loaded(100, 2, [1, 0]);
+        // d(1) finished loading first, so it is the least recently used.
         assert_eq!(m.lru_victim(), Some(d(1)));
     }
 
     #[test]
     fn resident_iterator_and_count() {
-        let mut m = GpuMemory::new(100, 4);
-        m.begin_load(d(2), 10);
-        m.finish_load(d(2), 10, 0);
+        let mut m = loaded(100, 4, [2]);
         m.begin_load(d(0), 10);
         assert_eq!(m.resident_count(), 1);
         let ids: Vec<_> = m.resident().collect();
@@ -419,11 +367,7 @@ mod tests {
 
     #[test]
     fn resident_iterates_in_ascending_id_order() {
-        let mut m = GpuMemory::new(100, 5);
-        for i in [3u32, 0, 4, 1] {
-            m.begin_load(d(i), 10);
-            m.finish_load(d(i), 10, i as Nanos);
-        }
+        let m = loaded(100, 5, [3, 0, 4, 1]);
         let ids: Vec<_> = m.resident().map(|x| x.0).collect();
         assert_eq!(ids, vec![0, 1, 3, 4]);
         let scan: Vec<_> = m.resident_scan().map(|x| x.0).collect();
@@ -433,26 +377,31 @@ mod tests {
     #[test]
     fn victim_walk_matches_scan_under_churn() {
         // Deterministic mixed workload: loads, touches, pins and evictions
-        // interleaved; the list head must equal the scan argmin throughout.
-        // 130 ids span three bitset words, the last one partial, and room
-        // for 100 of them keeps loads competing with evictions.
+        // interleaved. `recency` is the LRU order kept independently of
+        // the intrusive list, oldest first; the list's victim must be its
+        // first unpinned entry throughout. 130 ids span three bitset
+        // words, the last one partial, and room for 100 of them keeps
+        // loads competing with evictions.
         const N: u32 = 130;
         let mut m = GpuMemory::new(1000, N as usize);
-        let mut now: Nanos = 0;
+        let mut recency: Vec<u32> = Vec::new();
         let mut last_word_used = false;
         for step in 0u32..2000 {
-            now += 3;
             let i = (step * 7 + 3) % N;
             match m.residency(d(i)) {
                 Residency::Absent if m.free_bytes() >= 10 => {
                     m.begin_load(d(i), 10);
-                    m.finish_load(d(i), 10, now);
+                    m.finish_load(d(i));
+                    recency.push(i);
                 }
                 Residency::Resident => {
                     if step % 5 == 0 && !m.is_pinned(d(i)) {
                         m.evict(d(i), 10);
+                        recency.retain(|&x| x != i);
                     } else if step % 3 == 0 {
-                        m.touch(d(i), now);
+                        m.touch(d(i));
+                        recency.retain(|&x| x != i);
+                        recency.push(i);
                     } else if step % 7 == 0 {
                         m.pin(d(i));
                     }
@@ -465,11 +414,13 @@ mod tests {
                     m.unpin(d(j as u32));
                 }
             }
-            assert_eq!(m.lru_victim(), m.lru_victim_scan(), "step {step}");
+            let oldest_unpinned = recency.iter().map(|&x| d(x)).find(|&x| !m.is_pinned(x));
+            assert_eq!(m.lru_victim(), oldest_unpinned, "step {step}");
             let fast: Vec<_> = m.resident().collect();
             let slow: Vec<_> = m.resident_scan().collect();
             assert_eq!(fast, slow, "step {step}");
             assert_eq!(m.resident_count(), slow.len(), "step {step}");
+            assert_eq!(recency.len(), slow.len(), "step {step}");
             last_word_used |= slow.last().is_some_and(|x| x.0 >= 128);
         }
         assert!(last_word_used, "the partial last word was never walked");
@@ -478,10 +429,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in flight")]
     fn double_finish_load_panics() {
-        let mut m = GpuMemory::new(100, 1);
-        m.begin_load(d(0), 10);
-        m.finish_load(d(0), 10, 1);
-        m.finish_load(d(0), 10, 2);
+        let mut m = loaded(100, 1, [0]);
+        m.finish_load(d(0));
     }
 
     #[test]
@@ -493,11 +442,7 @@ mod tests {
 
     #[test]
     fn lru_victim_where_respects_filter() {
-        let mut m = GpuMemory::new(100, 3);
-        for i in 0..3 {
-            m.begin_load(d(i), 10);
-            m.finish_load(d(i), 10, i as Nanos);
-        }
+        let m = loaded(100, 3, 0..3);
         assert_eq!(m.lru_victim_where(|_| true), Some(d(0)));
         assert_eq!(m.lru_victim_where(|x| x != d(0)), Some(d(1)));
         assert_eq!(m.lru_victim_where(|x| x == d(2)), Some(d(2)));

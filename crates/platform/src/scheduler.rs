@@ -205,10 +205,6 @@ pub struct RuntimeView<'a> {
     /// Missing-input counters per (GPU, task); empty until a policy
     /// first asks ([`RuntimeView::missing`]).
     pub(crate) missing: &'a OnceCell<MissingCache>,
-    /// Simulated time at which each PCI bus finishes its current queue,
-    /// indexed by [`PlatformSpec::bus_of`] (one slot on single-bus
-    /// platforms).
-    pub(crate) buses: &'a [Nanos],
     /// Simulated time at which each GPU finishes its queued work.
     pub(crate) gpu_free_at: &'a [Nanos],
     /// Per-GPU fail-stop flag: `true` once the GPU died. All-`false` in a
@@ -302,27 +298,6 @@ impl<'a> RuntimeView<'a> {
             .input_ids(task)
             .filter(|&d| !self.is_resident_or_loading(gpu, d))
             .count()
-    }
-
-    /// Simulated time at which the shared bus drains its current queue.
-    /// On a multi-bus platform this reads bus 0; use
-    /// [`bus_free_at_of`](Self::bus_free_at_of) for the bus serving a
-    /// specific GPU.
-    pub fn bus_free_at(&self) -> Nanos {
-        self.buses[0]
-    }
-
-    /// Simulated time at which the PCI bus serving `gpu` drains its
-    /// queue. Equals [`bus_free_at`](Self::bus_free_at) on single-bus
-    /// platforms.
-    pub fn bus_free_at_of(&self, gpu: GpuId) -> Nanos {
-        self.buses[self.spec.bus_of(gpu.index())]
-    }
-
-    /// Index of the PCI bus serving `gpu` (always 0 on single-bus
-    /// platforms).
-    pub fn bus_of(&self, gpu: GpuId) -> usize {
-        self.spec.bus_of(gpu.index())
     }
 
     /// Simulated time at which `gpu` finishes its queued work.

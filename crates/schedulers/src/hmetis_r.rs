@@ -3,7 +3,7 @@
 //! reordering and tail-half task stealing.
 
 use crate::stealing::StealingQueues;
-use memsched_hypergraph::{evaluate, partition, partition_clique, Hypergraph, PartitionConfig};
+use memsched_hypergraph::{evaluate, partition, Hypergraph, PartitionConfig};
 use memsched_model::{GpuId, TaskId, TaskSet};
 use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
 
@@ -31,10 +31,6 @@ pub struct PartitionerOptions {
     pub seed: u64,
     /// Enable task stealing (Algorithm 3, line 5).
     pub steal: bool,
-    /// Partition the METIS-style clique expansion instead of the
-    /// hypergraph — the graph model of Yoo et al. that §IV-B argues
-    /// overcounts shared data (ablation).
-    pub clique_expansion: bool,
 }
 
 impl Default for PartitionerOptions {
@@ -43,7 +39,6 @@ impl Default for PartitionerOptions {
             nruns: 20,
             seed: 0x5eed,
             steal: true,
-            clique_expansion: false,
         }
     }
 }
@@ -97,11 +92,7 @@ impl HmetisRScheduler {
 
 impl Scheduler for HmetisRScheduler {
     fn name(&self) -> String {
-        if self.config.clique_expansion {
-            "METIS+R".into()
-        } else {
-            "hMETIS+R".into()
-        }
+        "hMETIS+R".into()
     }
 
     fn hooks(&self) -> Hooks {
@@ -122,11 +113,7 @@ impl Scheduler for HmetisRScheduler {
             let cfg = PartitionConfig::for_parts(k)
                 .with_nruns(self.config.nruns)
                 .with_seed(self.config.seed);
-            let p = if self.config.clique_expansion {
-                partition_clique(&hg, &cfg)
-            } else {
-                partition(&hg, &cfg)
-            };
+            let p = partition(&hg, &cfg);
             self.partition_cost = p.quality.connectivity_minus_one;
             p.parts
         };
@@ -277,20 +264,6 @@ mod tests {
             hm_loads <= eager_loads,
             "hMETIS+R {hm_loads} vs EAGER {eager_loads}"
         );
-    }
-
-    #[test]
-    fn clique_expansion_variant_runs_and_is_labelled() {
-        let ts = gemm_2d(6);
-        let spec = PlatformSpec::v100(2);
-        let mut sched = HmetisRScheduler::with_options(PartitionerOptions {
-            nruns: 2,
-            clique_expansion: true,
-            ..Default::default()
-        });
-        assert_eq!(sched.name(), "METIS+R");
-        let report = run(&ts, &spec, &mut sched).unwrap();
-        assert_eq!(report.per_gpu.iter().map(|g| g.tasks).sum::<usize>(), 36);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # memsched-schedulers
 //!
 //! All five scheduling strategies evaluated in the paper, implemented
-//! against the pull-mode [`Scheduler`](memsched_platform::Scheduler)
+//! against the pull-mode [`Scheduler`]
 //! interface of `memsched-platform`:
 //!
 //! * [`EagerScheduler`] — the shared-queue baseline (§V-A);

@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use memsched::model::bounds;
 use memsched::prelude::*;
 
 fn main() {
@@ -52,10 +53,16 @@ fn main() {
         );
     }
 
-    // Lower bound on transfers: every consumed data item crosses the bus
-    // at least once.
+    // Reference lines of Figure 4. Lower bound on transfers: every
+    // consumed data item crosses the bus at least once. PCI bus limit: the
+    // most the bus can carry in the compute-roofline time, so a schedule
+    // moving more cannot reach the roofline.
     println!(
         "\ncompulsory transfers: {:.0} MB",
-        memsched::model::bounds::min_total_load_bytes(&ts) as f64 / 1e6
+        bounds::min_total_load_bytes(&ts) as f64 / 1e6
+    );
+    println!(
+        "PCI bus limit:        {:.0} MB",
+        bounds::pci_bus_limit_bytes(&ts, spec.num_gpus, spec.gpu_gflops, spec.bus_bandwidth) / 1e6
     );
 }
