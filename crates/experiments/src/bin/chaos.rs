@@ -204,7 +204,10 @@ mod tests {
 
     #[test]
     fn router_and_all_parse() {
-        assert_eq!(parse(&["--sched", "router"]).unwrap().scheds, vec![NamedScheduler::Router]);
+        assert_eq!(
+            parse(&["--sched", "router"]).unwrap().scheds,
+            vec![NamedScheduler::Router]
+        );
         let all = parse(&["--sched", "all"]).unwrap().scheds;
         assert_eq!(all, memsched_schedulers::FAMILIES.to_vec());
         assert_eq!(parse(&[]).unwrap().scheds, all, "--sched defaults to all");

@@ -179,7 +179,11 @@ const KNOWN_VALUE_FLAGS: &[&str] = &[
 ];
 
 fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
-    check_flags(&args, &["--quick"], &[KNOWN_VALUE_FLAGS, &ObsOut::FLAGS].concat())?;
+    check_flags(
+        &args,
+        &["--quick"],
+        &[KNOWN_VALUE_FLAGS, &ObsOut::FLAGS].concat(),
+    )?;
     let value_of = |flag: &str| value_of(&args, flag);
     let quick = args.iter().any(|a| a == "--quick");
 
@@ -225,8 +229,11 @@ fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
         None => 1.0,
     };
     let tasks = count_of(value_of("--tasks"), "--tasks", "must be positive")?;
-    let closed_loop =
-        count_of(value_of("--closed-loop"), "--closed-loop", "need at least one client")?;
+    let closed_loop = count_of(
+        value_of("--closed-loop"),
+        "--closed-loop",
+        "need at least one client",
+    )?;
     let scheds = parse_scheds(&value_of("--sched").unwrap_or_else(|| "all".to_string()))?;
     let shed = match value_of("--shed") {
         Some(p) => ShedPolicy::parse(&p)?,
@@ -244,8 +251,12 @@ fn parse_from(args: Vec<String>) -> Result<ServeArgs, String> {
         }
         None => None,
     };
-    let classes =
-        count_of(value_of("--classes"), "--classes", "need at least one class")?.unwrap_or(1);
+    let classes = count_of(
+        value_of("--classes"),
+        "--classes",
+        "need at least one class",
+    )?
+    .unwrap_or(1);
     let backlog = count_of(value_of("--backlog"), "--backlog", "must be positive")?;
     if shed == ShedPolicy::PriorityShed && backlog.is_none() {
         return Err(
@@ -344,8 +355,8 @@ fn stream_taskset(args: &ServeArgs, rate: f64) -> TaskSet {
         // `--deadline-scale 1` tolerates a twenty-deep queue before the
         // budget bites. Derived seed keeps deadline jitter independent of
         // the arrival stream.
-        let service_ns = (ts.flops(memsched_model::TaskId(0)) / memsched_platform::V100_GFLOPS)
-            .max(1.0) as u64;
+        let service_ns =
+            (ts.flops(memsched_model::TaskId(0)) / memsched_platform::V100_GFLOPS).max(1.0) as u64;
         let stamps = deadline_stamps(
             ts.num_tasks(),
             20 * service_ns,
@@ -376,11 +387,7 @@ fn stream_spec(args: &ServeArgs, ts: &TaskSet) -> PlatformSpec {
             (ts.num_data() as u64 / 2).max(4) * tile
         }
         WorkloadKind::Prefix => {
-            let max_footprint = ts
-                .tasks()
-                .map(|t| ts.task_footprint(t))
-                .max()
-                .unwrap_or(0);
+            let max_footprint = ts.tasks().map(|t| ts.task_footprint(t)).max().unwrap_or(0);
             (prefix::tree_bytes(ts) / 2).max(2 * max_footprint)
         }
     };
@@ -401,10 +408,7 @@ fn serve_config(args: &ServeArgs) -> RunConfig {
 /// `;`-joined per-class counter column (CSV-safe; empty when class-less
 /// and nothing was dropped).
 fn class_column(v: &[u64]) -> String {
-    v.iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(";")
+    v.iter().map(u64::to_string).collect::<Vec<_>>().join(";")
 }
 
 struct CellResult {
@@ -483,12 +487,21 @@ fn export_obs(args: &ServeArgs) -> Result<(), String> {
     let header = vec![
         ("bin", Value::Str("serve".to_string())),
         ("pattern", Value::Str(pattern_label(args).to_string())),
-        ("clients", Value::Num(Number::U(args.closed_loop.unwrap_or(0) as u64))),
+        (
+            "clients",
+            Value::Num(Number::U(args.closed_loop.unwrap_or(0) as u64)),
+        ),
         ("rate_per_sec", Value::Num(Number::F(rate))),
         ("shed_policy", Value::Str(args.shed.as_str().to_string())),
     ];
     let spec = stream_spec(args, &ts);
-    args.obs.export(&ts, &spec, named.build().as_mut(), &serve_config(args), header)
+    args.obs.export(
+        &ts,
+        &spec,
+        named.build().as_mut(),
+        &serve_config(args),
+        header,
+    )
 }
 
 fn main() {
@@ -511,8 +524,17 @@ fn main() {
 
     println!(
         "{:<14} {:>8} {:>7} {:>12} {:>12} {:>12} {:>12} {:>10} {:>8} {:>6} {:>10}",
-        "scheduler", "rate/s", "tasks", "makespan_ms", "p50_lat_us", "p99_lat_us", "p50_queue_us",
-        "thru/s", "deferred", "shed", "goodput/s"
+        "scheduler",
+        "rate/s",
+        "tasks",
+        "makespan_ms",
+        "p50_lat_us",
+        "p99_lat_us",
+        "p50_queue_us",
+        "thru/s",
+        "deferred",
+        "shed",
+        "goodput/s"
     );
     let mut rows = Vec::new();
     let mut failed = false;
@@ -643,13 +665,18 @@ mod tests {
         let all = parse(&["--sched", "all"]).unwrap();
         assert_eq!(all.scheds, memsched_schedulers::FAMILIES.to_vec());
         let err = parse(&["--sched", "nope"]).unwrap_err();
-        assert!(err.contains("router"), "the hint should list router: {err:?}");
+        assert!(
+            err.contains("router"),
+            "the hint should list router: {err:?}"
+        );
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
         assert!(parse(&["--bogus"]).is_err());
-        assert!(parse(&["--workload"]).unwrap_err().contains("missing value"));
+        assert!(parse(&["--workload"])
+            .unwrap_err()
+            .contains("missing value"));
     }
 
     #[test]
@@ -658,9 +685,18 @@ mod tests {
         let typo = "unknown flag \"--metric-out\"";
         assert_eq!(err(&["--quick", "--metric-out", "m.json"]), typo);
         assert_eq!(err(&["--quick", "--metric-out=m.json"]), typo);
-        assert_eq!(err(&["--quick", "--trace-out"]), "--trace-out: missing value");
-        assert_eq!(err(&["--trace-out", "--quick"]), "--trace-out: missing value");
-        assert_eq!(err(&["--metrics-out", "--seed", "1"]), "--metrics-out: missing value");
+        assert_eq!(
+            err(&["--quick", "--trace-out"]),
+            "--trace-out: missing value"
+        );
+        assert_eq!(
+            err(&["--trace-out", "--quick"]),
+            "--trace-out: missing value"
+        );
+        assert_eq!(
+            err(&["--metrics-out", "--seed", "1"]),
+            "--metrics-out: missing value"
+        );
         // The `=` form passes any value, a leading `--` included.
         let args = parse(&["--trace-out=--t.json", "--quick"]).unwrap();
         assert_eq!(args.obs.trace_out.as_deref(), Some("--t.json"));

@@ -15,7 +15,9 @@ use memsched_platform::{
     RunReport, ShedPolicy, TraceEvent, TraceMode, TransferFaultSpec, V100_GFLOPS,
 };
 use memsched_schedulers::NamedScheduler;
-use memsched_workloads::{assign_classes, deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern};
+use memsched_workloads::{
+    assign_classes, deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern,
+};
 
 /// The three admission shed policies the chaos matrix sweeps.
 pub const POLICIES: [ShedPolicy; 3] = [
@@ -85,10 +87,8 @@ pub fn compose(seed: u64) -> Chaos {
     let horizon = (m as u64) * 1_000_000; // ~the stream's span in ns
     let mut faults = FaultPlan::none();
     if splitmix(&mut s) & 1 == 0 {
-        faults = faults.with_gpu_failure(
-            (splitmix(&mut s) % 2) as usize,
-            splitmix(&mut s) % horizon,
-        );
+        faults =
+            faults.with_gpu_failure((splitmix(&mut s) % 2) as usize, splitmix(&mut s) % horizon);
     }
     if splitmix(&mut s) & 1 == 0 {
         faults = faults.with_capacity_shrink(
@@ -142,7 +142,12 @@ pub fn run_cell(
     policy: ShedPolicy,
 ) -> Result<(RunReport, Vec<TraceEvent>), RunError> {
     let mut sched = named.build();
-    run_with_config(&chaos.ts, &chaos.spec, sched.as_mut(), &config_for(chaos, policy))
+    run_with_config(
+        &chaos.ts,
+        &chaos.spec,
+        sched.as_mut(),
+        &config_for(chaos, policy),
+    )
 }
 
 /// Digest one cell: the full trace (or the structured error) as a

@@ -42,12 +42,7 @@ fn sizes(rows: &[Row]) -> Vec<f64> {
 
 /// At the largest working set where both ran, `a` achieves at least
 /// `factor ×` the throughput of `b`.
-pub fn check_dominates_at_largest(
-    rows: &[Row],
-    a: &str,
-    b: &str,
-    factor: f64,
-) -> CheckResult {
+pub fn check_dominates_at_largest(rows: &[Row], a: &str, b: &str, factor: f64) -> CheckResult {
     let claim = format!("{a} ≥ {factor:.2}× {b} at the largest common working set");
     let common: Vec<f64> = sizes(rows)
         .into_iter()
@@ -158,12 +153,7 @@ pub fn shape_checks(figure_id: &str, rows: &[Row], roofline: f64) -> Vec<CheckRe
             "hMETIS+R",
             1.4,
         )],
-        "fig12" | "fig13" => vec![check_dominates_at_largest(
-            rows,
-            "DARTS+LUF",
-            "DMDAR",
-            1.1,
-        )],
+        "fig12" | "fig13" => vec![check_dominates_at_largest(rows, "DARTS+LUF", "DMDAR", 1.1)],
         _ => Vec::new(),
     }
 }

@@ -170,9 +170,7 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> Result<FigArgs, String>
         None => None,
     };
     let faults = match value_of("--faults") {
-        Some(spec) => {
-            Some(FaultPlan::parse(&spec).map_err(|e| format!("--faults {spec:?}: {e}"))?)
-        }
+        Some(spec) => Some(FaultPlan::parse(&spec).map_err(|e| format!("--faults {spec:?}: {e}"))?),
         None => None,
     };
     Ok(FigArgs {
@@ -248,7 +246,10 @@ mod tests {
         // never a silent fallback to the default.
         for bad in [&["--jobs", "abc"][..], &["--jobs=abc"]] {
             let e = parse_from(argv(bad)).unwrap_err();
-            assert!(e.contains("--jobs") && e.contains("not a number"), "{bad:?}: {e}");
+            assert!(
+                e.contains("--jobs") && e.contains("not a number"),
+                "{bad:?}: {e}"
+            );
         }
         for missing in [&["--jobs"][..], &["--jobs", "--quick"]] {
             let e = parse_from(argv(missing)).unwrap_err();
@@ -278,7 +279,10 @@ mod tests {
 
     #[test]
     fn sched_lists_parse_router_and_expand_all() {
-        assert_eq!(parse_scheds("router").unwrap(), vec![NamedScheduler::Router]);
+        assert_eq!(
+            parse_scheds("router").unwrap(),
+            vec![NamedScheduler::Router]
+        );
         assert_eq!(parse_scheds("all").unwrap(), FAMILIES.to_vec());
         assert_eq!(
             parse_scheds("eager,darts").unwrap(),
@@ -294,9 +298,18 @@ mod tests {
         let typo = "unknown flag \"--metric-out\"";
         assert_eq!(err(&["--quick", "--metric-out", "m.json"]), typo);
         assert_eq!(err(&["--quick", "--metric-out=m.json"]), typo);
-        assert_eq!(err(&["--quick", "--trace-out"]), "--trace-out: missing value");
-        assert_eq!(err(&["--quick", "--trace-out", "--quick"]), "--trace-out: missing value");
-        assert_eq!(err(&["--quick", "rows.json"]), "unknown argument \"rows.json\"");
+        assert_eq!(
+            err(&["--quick", "--trace-out"]),
+            "--trace-out: missing value"
+        );
+        assert_eq!(
+            err(&["--quick", "--trace-out", "--quick"]),
+            "--trace-out: missing value"
+        );
+        assert_eq!(
+            err(&["--quick", "rows.json"]),
+            "unknown argument \"rows.json\""
+        );
         // The `=` form passes any value, a leading `--` included.
         let a = parse_from(argv(&["--json=--rows.json", "--quick"])).unwrap();
         assert_eq!(a.json.as_deref(), Some("--rows.json"));

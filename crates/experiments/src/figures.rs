@@ -40,7 +40,11 @@ const CHOLESKY_N: &[usize] = &[8, 12, 16, 20, 26, 32, 40, 48];
 /// Sparse sweeps of Figures 12–13 (2 % density).
 const SPARSE_N: &[usize] = &[40, 80, 120, 160, 220, 280, 360, 440];
 
-fn gemm2d_points(sizes: &[usize], mut base: Vec<NamedScheduler>, with_mhfp: bool) -> Vec<SweepPoint> {
+fn gemm2d_points(
+    sizes: &[usize],
+    mut base: Vec<NamedScheduler>,
+    with_mhfp: bool,
+) -> Vec<SweepPoint> {
     base.sort_by_key(|s| format!("{s:?}"));
     sizes
         .iter()
@@ -147,12 +151,7 @@ pub fn fig08() -> FigureSpec {
     let points = GEMM2D_4GPU_N
         .iter()
         .map(|&n| {
-            let mut schedulers = vec![
-                S::Eager,
-                S::Dmdar,
-                S::DartsLufThreshold(32),
-                S::HmetisR,
-            ];
+            let mut schedulers = vec![S::Eager, S::Dmdar, S::DartsLufThreshold(32), S::HmetisR];
             if n <= DARTS_EXHAUSTIVE_MAX_N {
                 schedulers.push(S::Darts);
                 schedulers.push(S::DartsLuf);
@@ -199,13 +198,7 @@ pub fn fig10() -> FigureSpec {
         .iter()
         .map(|&n| SweepPoint {
             workload: Workload::Gemm3d { n },
-            schedulers: vec![
-                S::Eager,
-                S::Dmdar,
-                S::DartsLuf,
-                S::DartsLuf3,
-                S::HmetisR,
-            ],
+            schedulers: vec![S::Eager, S::Dmdar, S::DartsLuf, S::DartsLuf3, S::HmetisR],
         })
         .collect();
     FigureSpec {
@@ -259,13 +252,7 @@ pub fn fig12() -> FigureSpec {
                 density: 0.02,
                 seed: 7,
             },
-            schedulers: vec![
-                S::Eager,
-                S::Dmdar,
-                S::DartsLuf,
-                S::DartsLufOpti,
-                S::HmetisR,
-            ],
+            schedulers: vec![S::Eager, S::Dmdar, S::DartsLuf, S::DartsLufOpti, S::HmetisR],
         })
         .collect();
     FigureSpec {

@@ -81,10 +81,9 @@ impl Row {
         r: &RunReport,
     ) -> Self {
         let k = r.per_gpu.len().max(1) as f64;
-        let mean_ms =
-            |f: fn(&memsched_platform::GpuRunStats) -> u64| {
-                r.per_gpu.iter().map(f).sum::<u64>() as f64 / k / 1e6
-            };
+        let mean_ms = |f: fn(&memsched_platform::GpuRunStats) -> u64| {
+            r.per_gpu.iter().map(f).sum::<u64>() as f64 / k / 1e6
+        };
         Self {
             figure: figure.to_string(),
             workload: workload.label(),
@@ -478,7 +477,9 @@ mod tests {
         std::os::unix::fs::symlink(dir.join("missing").join("rows.json"), &link).unwrap();
         let path = link.to_str().unwrap();
         crate::obs::validate_out_path("--json", path).expect("passes the parse-time check");
-        let err = tiny_figure().run_and_print_with_jobs(Some(path), 1).unwrap_err();
+        let err = tiny_figure()
+            .run_and_print_with_jobs(Some(path), 1)
+            .unwrap_err();
         assert!(err.starts_with(&format!("write {path}: ")), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

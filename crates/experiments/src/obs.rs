@@ -159,7 +159,11 @@ impl ObsOut {
                 }
             };
             std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path} ({} events, {})", events.len(), report.scheduler);
+            eprintln!(
+                "wrote {path} ({} events, {})",
+                events.len(),
+                report.scheduler
+            );
         }
         if let Some(path) = &self.metrics_out {
             let text = render_metrics(header, &events, &report)?;
@@ -205,7 +209,12 @@ pub fn validate_out_path(flag: &str, path: &str) -> Result<(), String> {
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Obj(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn num(v: u64) -> Value {
@@ -335,14 +344,20 @@ mod tests {
     fn out_path_validation_matches_the_faults_convention() {
         assert!(validate_out_path("--trace-out", "").is_err());
         assert!(validate_out_path("--trace-out", "/definitely/not/here/x.json").is_err());
-        assert!(validate_out_path("--trace-out", "/tmp").is_err(), "directory");
+        assert!(
+            validate_out_path("--trace-out", "/tmp").is_err(),
+            "directory"
+        );
         assert!(validate_out_path("--trace-out", "trace.json").is_ok());
         assert!(validate_out_path("--metrics-out", "/tmp/metrics.json").is_ok());
     }
 
     #[test]
     fn suffixing_keeps_the_extension() {
-        assert_eq!(suffix_path("results/t.json", "fig06"), "results/t.fig06.json");
+        assert_eq!(
+            suffix_path("results/t.json", "fig06"),
+            "results/t.fig06.json"
+        );
         assert_eq!(suffix_path("trace", "fig03"), "trace.fig03");
         assert_eq!(suffix_path("a.b/trace", "fig03"), "a.b/trace.fig03");
     }
@@ -372,7 +387,10 @@ mod tests {
     fn latency_samples(metrics: &Value) -> u64 {
         let registry = metrics.field("metrics", "root").unwrap();
         let histograms = registry.field("histograms", "metrics").unwrap();
-        u64_at(histograms.field("task_latency_ns", "histograms").unwrap(), "count")
+        u64_at(
+            histograms.field("task_latency_ns", "histograms").unwrap(),
+            "count",
+        )
     }
 
     #[test]
@@ -431,17 +449,32 @@ mod tests {
             let split = u64_at(g, "busy_ns") + u64_at(g, "stall_ns") + u64_at(g, "idle_ns");
             assert_eq!(split, makespan);
         }
-        let util = m.field("bus_utilization", "metrics").unwrap().as_arr().unwrap();
+        let util = m
+            .field("bus_utilization", "metrics")
+            .unwrap()
+            .as_arr()
+            .unwrap();
         assert_eq!(util.len(), BUS_BUCKETS);
-        assert!(m.field("online", "metrics").is_err(), "a batch run has no online section");
-        assert_eq!(latency_samples(&m), 0, "a batch run holds no latency samples");
+        assert!(
+            m.field("online", "metrics").is_err(),
+            "a batch run has no online section"
+        );
+        assert_eq!(
+            latency_samples(&m),
+            0,
+            "a batch run holds no latency samples"
+        );
 
         // The `serve` path: an online stream through `ObsOut::export`.
         use memsched_platform::AdmissionConfig;
         use memsched_workloads::{gemm_2d, open_loop_arrivals, ArrivalPattern};
         let base = gemm_2d(6);
-        let pattern = ArrivalPattern::Poisson { rate_per_sec: 4000.0 };
-        let stream = base.clone().with_arrivals(open_loop_arrivals(&pattern, 3, base.num_tasks()));
+        let pattern = ArrivalPattern::Poisson {
+            rate_per_sec: 4000.0,
+        };
+        let stream = base
+            .clone()
+            .with_arrivals(open_loop_arrivals(&pattern, 3, base.num_tasks()));
         let tile = stream.data_size(memsched_model::DataId(0));
         let spec = PlatformSpec::v100(2).with_memory(8 * tile);
         let config = RunConfig {
@@ -455,13 +488,22 @@ mod tests {
             trace_format: TraceFormat::Chrome,
             metrics_out: Some(metrics.to_str().unwrap().into()),
         };
-        serve_out.export(&stream, &spec, sched.as_mut(), &config, header).expect("online export");
+        serve_out
+            .export(&stream, &spec, sched.as_mut(), &config, header)
+            .expect("online export");
         let m = read_json(&metrics);
-        assert!(m.field("online", "metrics").is_ok(), "a serving run has an online section");
+        assert!(
+            m.field("online", "metrics").is_ok(),
+            "a serving run has an online section"
+        );
         let per_gpu = m.field("per_gpu", "metrics").unwrap().as_arr().unwrap();
         assert_eq!(per_gpu.len(), 2);
         let completed: u64 = per_gpu.iter().map(|g| u64_at(g, "tasks")).sum();
-        assert_eq!(latency_samples(&m), completed, "one latency sample per completion");
+        assert_eq!(
+            latency_samples(&m),
+            completed,
+            "one latency sample per completion"
+        );
 
         // Paje output is non-empty and ViTE-shaped (header + states).
         let out = ObsOut {

@@ -105,7 +105,10 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         let reference = run_indexed(&items, 1, |i, &x| (i as u64) * 31 + x);
         for jobs in [2, 4, 16] {
-            assert_eq!(run_indexed(&items, jobs, |i, &x| (i as u64) * 31 + x), reference);
+            assert_eq!(
+                run_indexed(&items, jobs, |i, &x| (i as u64) * 31 + x),
+                reference
+            );
         }
     }
 

@@ -16,9 +16,7 @@ use memsched_platform::{
     run_with_config, AdmissionConfig, PlatformSpec, RunConfig, RunError, RunReport,
 };
 use memsched_schedulers::NamedScheduler;
-use memsched_workloads::{
-    open_loop_arrivals, prefix, ArrivalPattern, PrefixConfig,
-};
+use memsched_workloads::{open_loop_arrivals, prefix, ArrivalPattern, PrefixConfig};
 
 /// Cache-pressure points of the sweep: tree bytes / aggregate GPU
 /// memory. 0.5× (everything fits) through 4× (three quarters of every

@@ -29,7 +29,12 @@ pub struct Hypergraph {
 impl Hypergraph {
     /// Build from per-net pin lists and weights. Pins may be unsorted;
     /// duplicates within a net are removed.
-    pub fn new(num_vertices: usize, nets: Vec<Vec<u32>>, vweights: Vec<u64>, nweights: Vec<u64>) -> Self {
+    pub fn new(
+        num_vertices: usize,
+        nets: Vec<Vec<u32>>,
+        vweights: Vec<u64>,
+        nweights: Vec<u64>,
+    ) -> Self {
         assert_eq!(nweights.len(), nets.len(), "one weight per net");
         let mut net_offsets = Vec::with_capacity(nets.len() + 1);
         net_offsets.push(0u32);
@@ -296,12 +301,7 @@ mod tests {
 
     #[test]
     fn weighted_nets_scale_the_cut() {
-        let hg = Hypergraph::new(
-            2,
-            vec![vec![0, 1]],
-            vec![1, 1],
-            vec![10],
-        );
+        let hg = Hypergraph::new(2, vec![vec![0, 1]], vec![1, 1], vec![10]);
         let q = evaluate(&hg, &[0, 1], 2);
         assert_eq!(q.connectivity_minus_one, 10);
         assert_eq!(q.cut_nets, 10);

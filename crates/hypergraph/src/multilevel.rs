@@ -145,7 +145,11 @@ pub fn bisect(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (Vec<u3
             fine_parts[v] = parts[c as usize];
         }
         parts = fine_parts;
-        let fine_hg = if idx == 0 { hg } else { &levels[idx - 1].coarse };
+        let fine_hg = if idx == 0 {
+            hg
+        } else {
+            &levels[idx - 1].coarse
+        };
         fm_refine(fine_hg, &mut parts, max0, max1, MAX_FM_PASSES, &mut fm);
     }
 
@@ -963,7 +967,11 @@ pub fn bisect_naive(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (
             fine_parts[v] = parts[c as usize];
         }
         parts = fine_parts;
-        let fine_hg = if idx == 0 { hg } else { &levels[idx - 1].coarse };
+        let fine_hg = if idx == 0 {
+            hg
+        } else {
+            &levels[idx - 1].coarse
+        };
         fm_refine_naive(fine_hg, &mut parts, max0, max1, MAX_FM_PASSES);
     }
 

@@ -120,7 +120,15 @@ pub fn partition(hg: &Hypergraph, config: &PartitionConfig) -> Partitioning {
     };
     let run_once = |seed: u64| -> (Vec<u32>, u64) {
         let mut parts = vec![0u32; hg.num_vertices()];
-        recursive_bisect(hg, config.k, config.ub_factor, seed, 0, &mut parts, bisect_fn);
+        recursive_bisect(
+            hg,
+            config.k,
+            config.ub_factor,
+            seed,
+            0,
+            &mut parts,
+            bisect_fn,
+        );
         let cost = evaluate(hg, &parts, config.k).connectivity_minus_one;
         (parts, cost)
     };
@@ -389,8 +397,16 @@ mod tests {
         let hg = grid(9); // 81 vertices
         let cfg = PartitionConfig::for_parts(3).with_nruns(4).with_threads(1);
         let p = partition(&hg, &cfg);
-        assert!(p.quality.max_part_weight <= 32, "max = {}", p.quality.max_part_weight);
-        assert!(p.quality.min_part_weight >= 21, "min = {}", p.quality.min_part_weight);
+        assert!(
+            p.quality.max_part_weight <= 32,
+            "max = {}",
+            p.quality.max_part_weight
+        );
+        assert!(
+            p.quality.min_part_weight >= 21,
+            "min = {}",
+            p.quality.min_part_weight
+        );
     }
 
     #[test]

@@ -6,15 +6,13 @@ use proptest::prelude::*;
 /// Random hypergraph: `nv` vertices, nets of 2–5 pins.
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (4usize..40, 1usize..30).prop_flat_map(|(nv, nn)| {
-        proptest::collection::vec(
-            proptest::collection::vec(0..nv as u32, 2..=5),
-            nn,
+        proptest::collection::vec(proptest::collection::vec(0..nv as u32, 2..=5), nn).prop_map(
+            move |nets| {
+                // Drop degenerate nets (all pins equal after dedup is fine —
+                // Hypergraph dedups; single-pin nets are allowed but inert).
+                Hypergraph::unit(nv, nets)
+            },
         )
-        .prop_map(move |nets| {
-            // Drop degenerate nets (all pins equal after dedup is fine —
-            // Hypergraph dedups; single-pin nets are allowed but inert).
-            Hypergraph::unit(nv, nets)
-        })
     })
 }
 

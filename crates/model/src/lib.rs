@@ -24,9 +24,7 @@ mod schedule;
 mod taskset;
 
 pub use ids::{DataId, GpuId, TaskId};
-pub use replay::{
-    compulsory_loads, replay, EvictionPolicy, GpuReplay, ReplayError, ReplayReport,
-};
+pub use replay::{compulsory_loads, replay, EvictionPolicy, GpuReplay, ReplayError, ReplayReport};
 pub use schedule::{Schedule, ScheduleError};
 pub use taskset::{figure1_example, TaskSet, TaskSetBuilder};
 

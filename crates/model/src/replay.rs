@@ -263,8 +263,7 @@ fn pick_victim(
         let better = match &best {
             None => true,
             Some((bd, bk)) => {
-                key > *bk
-                    || (key == *bk && ts.data_size(DataId(d as u32)) > ts.data_size(*bd))
+                key > *bk || (key == *bk && ts.data_size(DataId(d as u32)) > ts.data_size(*bd))
             }
         };
         if better {

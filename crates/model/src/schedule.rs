@@ -204,10 +204,7 @@ mod tests {
         let mut s = Schedule::new(3);
         s.push(GpuId(2), t(7));
         let collected: Vec<_> = s.iter().map(|(g, l)| (g, l.len())).collect();
-        assert_eq!(
-            collected,
-            vec![(GpuId(0), 0), (GpuId(1), 0), (GpuId(2), 1)]
-        );
+        assert_eq!(collected, vec![(GpuId(0), 0), (GpuId(1), 0), (GpuId(2), 1)]);
         assert_eq!(s.gpu(GpuId(2)), &[t(7)]);
     }
 }

@@ -70,7 +70,11 @@ pub fn bus_utilization_on(
     if makespan == 0 {
         return Ok(vec![0.0; n]);
     }
-    let track = if bus == 0 { Track::Bus } else { Track::BusN(bus) };
+    let track = if bus == 0 {
+        Track::Bus
+    } else {
+        Track::BusN(bus)
+    };
     let busy: Vec<(Nanos, Nanos)> = timeline
         .spans_on(track)
         .map(|s| (s.begin.min(makespan), s.end.min(makespan)))
@@ -132,7 +136,11 @@ pub fn overlap(events: &[ObsEvent]) -> Result<Overlap, WellFormedError> {
     let (transfers, transfer) = merge(transfers);
     let (computes, compute) = merge(computes);
     let both = intersection(&transfers, &computes);
-    Ok(Overlap { transfer, compute, both })
+    Ok(Overlap {
+        transfer,
+        compute,
+        both,
+    })
 }
 
 /// An ASCII Gantt chart of `[0, makespan]` in `width` columns (clamped
@@ -208,7 +216,12 @@ mod tests {
     fn compute(gpu: u32, task: u32, b: Nanos, e: Nanos) -> [ObsEvent; 2] {
         [
             ObsEvent::ComputeBegin { t: b, gpu, task },
-            ObsEvent::ComputeEnd { t: e, gpu, task, interrupted: false },
+            ObsEvent::ComputeEnd {
+                t: e,
+                gpu,
+                task,
+                interrupted: false,
+            },
         ]
     }
 
@@ -252,7 +265,14 @@ mod tests {
         evs.extend(compute(0, 0, 100, 300));
         evs.extend(transfer(0, 1, 100, 100, 180));
         let o = overlap(&evs).unwrap();
-        assert_eq!(o, Overlap { transfer: 180, compute: 200, both: 80 });
+        assert_eq!(
+            o,
+            Overlap {
+                transfer: 180,
+                compute: 200,
+                both: 80
+            }
+        );
         assert!((o.ratio() - 80.0 / 180.0).abs() < 1e-12);
         assert_eq!(bus_utilization(&evs, 1, 300).unwrap(), vec![0.6]);
     }

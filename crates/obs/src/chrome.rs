@@ -15,7 +15,12 @@ use serde::{Number, Value};
 use std::collections::BTreeSet;
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Obj(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn s(v: impl Into<String>) -> Value {
@@ -80,10 +85,7 @@ fn span_event(span: &Span) -> Value {
                 ("data", u(u64::from(*data))),
                 ("bytes", u(*bytes)),
                 ("bus_wait_ns", u(*bus_wait)),
-                (
-                    "peer",
-                    peer.map(|p| u(u64::from(p))).unwrap_or(Value::Null),
-                ),
+                ("peer", peer.map(|p| u(u64::from(p))).unwrap_or(Value::Null)),
                 ("attempt", u(u64::from(*attempt))),
                 ("delivered", Value::Bool(*delivered)),
             ]),
@@ -129,7 +131,9 @@ fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
                 ("by_scheduler", Value::Bool(by_scheduler)),
             ]),
         )),
-        ObsEvent::Decision { gpu, task, wall_ns, .. } => Some((
+        ObsEvent::Decision {
+            gpu, task, wall_ns, ..
+        } => Some((
             match task {
                 Some(t) => format!("pop T{t}"),
                 None => "pop (none)".to_string(),
@@ -137,14 +141,13 @@ fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
             "decision",
             obj(vec![
                 ("gpu", u(u64::from(gpu))),
-                (
-                    "task",
-                    task.map(|t| u(u64::from(t))).unwrap_or(Value::Null),
-                ),
+                ("task", task.map(|t| u(u64::from(t))).unwrap_or(Value::Null)),
                 ("wall_ns", u(wall_ns)),
             ]),
         )),
-        ObsEvent::Steal { from, to, tasks, .. } => Some((
+        ObsEvent::Steal {
+            from, to, tasks, ..
+        } => Some((
             format!("steal {tasks} from GPU {from}"),
             "steal",
             obj(vec![
@@ -172,10 +175,7 @@ fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
         ObsEvent::CapacityShrunk { gpu, capacity, .. } => Some((
             format!("GPU {gpu} shrunk"),
             "fault",
-            obj(vec![
-                ("gpu", u(u64::from(gpu))),
-                ("capacity", u(capacity)),
-            ]),
+            obj(vec![("gpu", u(u64::from(gpu))), ("capacity", u(capacity))]),
         )),
         ObsEvent::GpuSlowed { gpu, factor, .. } => Some((
             format!("GPU {gpu} slowed"),
@@ -248,7 +248,13 @@ pub fn chrome_trace(events: &[ObsEvent]) -> Result<Value, WellFormedError> {
         out.push(span_event(span));
     }
     for ev in &timeline.instants {
-        if let ObsEvent::Gauge { t, gpu, kind, value } = ev {
+        if let ObsEvent::Gauge {
+            t,
+            gpu,
+            kind,
+            value,
+        } = ev
+        {
             let name = match gpu {
                 Some(g) => format!("{} gpu{g}", kind.name()),
                 None => kind.name().to_string(),
@@ -283,8 +289,9 @@ pub fn chrome_trace(events: &[ObsEvent]) -> Result<Value, WellFormedError> {
 /// [`chrome_trace`] rendered to a JSON string.
 pub fn chrome_trace_json(events: &[ObsEvent]) -> Result<String, WellFormedError> {
     let v = chrome_trace(events)?;
-    serde_json::to_string(&v)
-        .map_err(|e| WellFormedError { message: format!("serialize: {e}") })
+    serde_json::to_string(&v).map_err(|e| WellFormedError {
+        message: format!("serialize: {e}"),
+    })
 }
 
 #[cfg(test)]
@@ -327,7 +334,11 @@ mod tests {
                 kind: GaugeKind::Occupancy,
                 value: 0.25,
             },
-            ObsEvent::ComputeBegin { t: 80, gpu: 0, task: 0 },
+            ObsEvent::ComputeBegin {
+                t: 80,
+                gpu: 0,
+                task: 0,
+            },
             ObsEvent::Eviction {
                 t: 90,
                 gpu: 0,
@@ -367,7 +378,11 @@ mod tests {
 
     #[test]
     fn malformed_stream_is_an_error_not_a_file() {
-        let evs = vec![ObsEvent::ComputeBegin { t: 0, gpu: 0, task: 0 }];
+        let evs = vec![ObsEvent::ComputeBegin {
+            t: 0,
+            gpu: 0,
+            task: 0,
+        }];
         assert!(chrome_trace(&evs).is_err());
     }
 }

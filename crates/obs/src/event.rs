@@ -350,8 +350,7 @@ impl ObsEvent {
     /// The track the event lives on.
     pub fn track(&self) -> Track {
         match *self {
-            ObsEvent::TransferBegin { peer, bus, .. }
-            | ObsEvent::TransferEnd { peer, bus, .. } => {
+            ObsEvent::TransferBegin { peer, bus, .. } | ObsEvent::TransferEnd { peer, bus, .. } => {
                 if peer.is_some() {
                     Track::NvLink
                 } else if bus == 0 {
@@ -367,9 +366,7 @@ impl ObsEvent {
             | ObsEvent::GpuFailed { gpu, .. }
             | ObsEvent::CapacityShrunk { gpu, .. }
             | ObsEvent::GpuSlowed { gpu, .. } => Track::Gpu(gpu),
-            ObsEvent::Decision { gpu, .. } | ObsEvent::CacheAccess { gpu, .. } => {
-                Track::Sched(gpu)
-            }
+            ObsEvent::Decision { gpu, .. } | ObsEvent::CacheAccess { gpu, .. } => Track::Sched(gpu),
             ObsEvent::Steal { to, .. } => Track::Sched(to),
             ObsEvent::Gauge { gpu, .. } => match gpu {
                 Some(g) => Track::Sched(g),
@@ -393,7 +390,10 @@ impl ObsEvent {
 
     /// True for span-closing events.
     pub fn is_end(&self) -> bool {
-        matches!(self, ObsEvent::TransferEnd { .. } | ObsEvent::ComputeEnd { .. })
+        matches!(
+            self,
+            ObsEvent::TransferEnd { .. } | ObsEvent::ComputeEnd { .. }
+        )
     }
 
     /// True for point events (neither begin nor end).

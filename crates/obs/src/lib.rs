@@ -43,4 +43,6 @@ pub use event::{GaugeKind, Nanos, ObsEvent, Track};
 pub use metrics::{Counter, Histogram, Metrics, Snapshot};
 pub use paje::paje_trace;
 pub use sink::{Probe, Recorder, TraceSink};
-pub use wellformed::{build_timeline, check_well_formed, Span, SpanKind, Timeline, WellFormedError};
+pub use wellformed::{
+    build_timeline, check_well_formed, Span, SpanKind, Timeline, WellFormedError,
+};

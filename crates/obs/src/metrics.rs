@@ -79,7 +79,11 @@ impl Histogram {
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        let bucket = if v == 0 { 0 } else { 64 - (v.leading_zeros() as usize) };
+        let bucket = if v == 0 {
+            0
+        } else {
+            64 - (v.leading_zeros() as usize)
+        };
         self.buckets[bucket] += 1;
     }
 
@@ -143,7 +147,7 @@ impl Histogram {
             ("mean".into(), Value::Num(Number::F(self.mean()))),
             ("p50".into(), Value::Num(Number::U(self.quantile(0.5)))),
             ("p99".into(), Value::Num(Number::U(self.quantile(0.99)))),
-            ("max".into(), Value::Num(Number::U(self.max)))
+            ("max".into(), Value::Num(Number::U(self.max))),
         ])
     }
 }
@@ -285,7 +289,12 @@ impl Metrics {
         let counters = Value::Obj(
             Counter::ALL
                 .iter()
-                .map(|c| (c.name().to_string(), Value::Num(Number::U(self.counter(*c)))))
+                .map(|c| {
+                    (
+                        c.name().to_string(),
+                        Value::Num(Number::U(self.counter(*c))),
+                    )
+                })
                 .collect(),
         );
         let gauges = Value::Obj(
@@ -327,9 +336,8 @@ impl Metrics {
 
     /// [`Metrics::to_value`] rendered as pretty JSON.
     pub fn render_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).unwrap_or_else(|e| {
-            format!("{{\"error\": \"metrics serialization failed: {e}\"}}")
-        })
+        serde_json::to_string_pretty(&self.to_value())
+            .unwrap_or_else(|e| format!("{{\"error\": \"metrics serialization failed: {e}\"}}"))
     }
 }
 
@@ -338,7 +346,11 @@ impl TraceSink for Metrics {
         self.maybe_snapshot(ev.t());
         match *ev {
             ObsEvent::TransferBegin {
-                t, gpu, data, attempt, ..
+                t,
+                gpu,
+                data,
+                attempt,
+                ..
             } => {
                 self.open_transfers.insert((gpu, data, attempt), t);
             }
@@ -360,7 +372,12 @@ impl TraceSink for Metrics {
                     self.queueing_ns.record(t.saturating_sub(arrived));
                 }
             }
-            ObsEvent::ComputeEnd { t, task, interrupted, .. } => {
+            ObsEvent::ComputeEnd {
+                t,
+                task,
+                interrupted,
+                ..
+            } => {
                 if !interrupted {
                     if let Some(arrived) = self.arrival_ns.remove(&task) {
                         self.task_latency_ns.record(t.saturating_sub(arrived));
@@ -375,7 +392,9 @@ impl TraceSink for Metrics {
                 self.bump(Counter::Steals);
                 self.counters[Counter::StolenTasks.index()] += u64::from(tasks);
             }
-            ObsEvent::Gauge { gpu, kind, value, .. } => {
+            ObsEvent::Gauge {
+                gpu, kind, value, ..
+            } => {
                 self.gauges.insert(gauge_name(kind, gpu), value);
             }
             ObsEvent::TaskArrived { t, task } => {
@@ -475,7 +494,12 @@ mod tests {
                 attempt: 1,
                 delivered: false,
             },
-            ObsEvent::TransferRetry { t: 500, gpu: 0, data: 7, attempt: 2 },
+            ObsEvent::TransferRetry {
+                t: 500,
+                gpu: 0,
+                data: 7,
+                attempt: 2,
+            },
             ObsEvent::TransferBegin {
                 t: 600,
                 gpu: 0,
@@ -497,9 +521,23 @@ mod tests {
                 attempt: 2,
                 delivered: true,
             },
-            ObsEvent::Steal { t: 1200, from: 0, to: 1, tasks: 3 },
-            ObsEvent::ComputeBegin { t: 1200, gpu: 1, task: 4 },
-            ObsEvent::ComputeEnd { t: 1300, gpu: 1, task: 4, interrupted: false },
+            ObsEvent::Steal {
+                t: 1200,
+                from: 0,
+                to: 1,
+                tasks: 3,
+            },
+            ObsEvent::ComputeBegin {
+                t: 1200,
+                gpu: 1,
+                task: 4,
+            },
+            ObsEvent::ComputeEnd {
+                t: 1300,
+                gpu: 1,
+                task: 4,
+                interrupted: false,
+            },
         ]);
         assert_eq!(m.counter(Counter::Steals), 1);
         assert_eq!(m.counter(Counter::StolenTasks), 3);
@@ -510,14 +548,24 @@ mod tests {
     #[test]
     fn snapshots_fire_on_interval_boundaries() {
         let mut m = Metrics::with_snapshots(100);
-        m.record(&ObsEvent::Steal { t: 50, from: 0, to: 1, tasks: 2 });
+        m.record(&ObsEvent::Steal {
+            t: 50,
+            from: 0,
+            to: 1,
+            tasks: 2,
+        });
         m.record(&ObsEvent::Gauge {
             t: 90,
             gpu: Some(0),
             kind: GaugeKind::Occupancy,
             value: 0.5,
         });
-        m.record(&ObsEvent::Steal { t: 250, from: 1, to: 0, tasks: 2 });
+        m.record(&ObsEvent::Steal {
+            t: 250,
+            from: 1,
+            to: 0,
+            tasks: 2,
+        });
         assert_eq!(m.timeseries.len(), 2, "boundaries at 100 and 200");
         assert_eq!(m.timeseries[0].t, 100);
         assert_eq!(
@@ -525,7 +573,10 @@ mod tests {
             1,
             "second steal is after the 100ns sample"
         );
-        assert_eq!(m.timeseries[0].gauges, vec![("occupancy/gpu0".to_string(), 0.5)]);
+        assert_eq!(
+            m.timeseries[0].gauges,
+            vec![("occupancy/gpu0".to_string(), 0.5)]
+        );
         assert_eq!(m.timeseries[1].t, 200);
         assert_eq!(m.counter(Counter::Steals), 2);
     }
@@ -533,11 +584,23 @@ mod tests {
     #[test]
     fn json_rendering_is_parseable() {
         let mut m = Metrics::with_snapshots(1000);
-        m.record(&ObsEvent::Decision { t: 1500, gpu: 0, task: Some(1), wall_ns: 800 });
+        m.record(&ObsEvent::Decision {
+            t: 1500,
+            gpu: 0,
+            task: Some(1),
+            wall_ns: 800,
+        });
         let text = m.render_json();
         let v = serde_json::parse_value(&text).expect("valid JSON");
         let counters = v.field("counters", "metrics").unwrap();
         assert!(counters.field("decisions", "counters").is_ok());
-        assert_eq!(v.field("timeseries", "metrics").unwrap().as_arr().unwrap().len(), 1);
+        assert_eq!(
+            v.field("timeseries", "metrics")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .len(),
+            1
+        );
     }
 }

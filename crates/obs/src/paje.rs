@@ -120,9 +120,14 @@ fn gauge_type(kind: GaugeKind) -> &'static str {
 /// Instant rendering: `(event type alias, value string)`.
 fn instant_value(ev: &ObsEvent) -> Option<(&'static str, String)> {
     match *ev {
-        ObsEvent::Eviction { data, by_scheduler, .. } => Some((
+        ObsEvent::Eviction {
+            data, by_scheduler, ..
+        } => Some((
             "EV",
-            format!("evict_d{data}_{}", if by_scheduler { "sched" } else { "lru" }),
+            format!(
+                "evict_d{data}_{}",
+                if by_scheduler { "sched" } else { "lru" }
+            ),
         )),
         ObsEvent::Decision { task, .. } => Some((
             "DE",
@@ -136,9 +141,7 @@ fn instant_value(ev: &ObsEvent) -> Option<(&'static str, String)> {
             Some(("FA", format!("retry_d{data}_a{attempt}")))
         }
         ObsEvent::GpuFailed { .. } => Some(("FA", "gpu_failed".to_string())),
-        ObsEvent::CapacityShrunk { capacity, .. } => {
-            Some(("FA", format!("shrunk_to_{capacity}")))
-        }
+        ObsEvent::CapacityShrunk { capacity, .. } => Some(("FA", format!("shrunk_to_{capacity}"))),
         ObsEvent::GpuSlowed { factor, .. } => Some(("FA", format!("slowed_x{factor}"))),
         ObsEvent::TaskArrived { task, .. } => Some(("AD", format!("arrive_t{task}"))),
         ObsEvent::TaskAdmitted { task, .. } => Some(("AD", format!("admit_t{task}"))),
@@ -146,7 +149,10 @@ fn instant_value(ev: &ObsEvent) -> Option<(&'static str, String)> {
         ObsEvent::TaskShed { task, .. } => Some(("AD", format!("shed_t{task}"))),
         ObsEvent::DeadlineExpired { task, .. } => Some(("AD", format!("expire_t{task}"))),
         ObsEvent::CacheAccess {
-            task, hit_bytes, miss_bytes, ..
+            task,
+            hit_bytes,
+            miss_bytes,
+            ..
         } => Some(("CH", format!("cache_t{task}_h{hit_bytes}_m{miss_bytes}"))),
         _ => None,
     }
@@ -326,7 +332,10 @@ mod tests {
             .filter(|l| l.starts_with("7 0.000000100") || l.starts_with("8 0.000000100"))
             .collect();
         assert_eq!(body.len(), 2);
-        assert!(body[0].starts_with("8 "), "pop first at equal stamps: {body:?}");
+        assert!(
+            body[0].starts_with("8 "),
+            "pop first at equal stamps: {body:?}"
+        );
         // Containers are destroyed at the horizon.
         assert!(trace.contains("6 0.000000200 bus CB"));
         assert!(trace.ends_with("6 0.000000200 p CP\n"));

@@ -161,10 +161,7 @@ pub fn build_timeline(events: &[ObsEvent]) -> Result<Timeline, WellFormedError> 
             )));
         }
     }
-    spans.sort_by(|a, b| {
-        (a.track, a.begin, a.end)
-            .cmp(&(b.track, b.begin, b.end))
-    });
+    spans.sort_by(|a, b| (a.track, a.begin, a.end).cmp(&(b.track, b.begin, b.end)));
     Ok(Timeline { spans, instants })
 }
 
@@ -348,10 +345,28 @@ mod tests {
     fn rejects_overlap_within_track() {
         // Two compute spans on one GPU that overlap in time.
         let evs = vec![
-            ObsEvent::ComputeBegin { t: 0, gpu: 0, task: 0 },
-            ObsEvent::ComputeEnd { t: 10, gpu: 0, task: 0, interrupted: false },
-            ObsEvent::ComputeBegin { t: 5, gpu: 0, task: 1 },
-            ObsEvent::ComputeEnd { t: 15, gpu: 0, task: 1, interrupted: false },
+            ObsEvent::ComputeBegin {
+                t: 0,
+                gpu: 0,
+                task: 0,
+            },
+            ObsEvent::ComputeEnd {
+                t: 10,
+                gpu: 0,
+                task: 0,
+                interrupted: false,
+            },
+            ObsEvent::ComputeBegin {
+                t: 5,
+                gpu: 0,
+                task: 1,
+            },
+            ObsEvent::ComputeEnd {
+                t: 15,
+                gpu: 0,
+                task: 1,
+                interrupted: false,
+            },
         ];
         let err = check_well_formed(&evs).unwrap_err();
         assert!(err.message.contains("overlapping"), "{err}");

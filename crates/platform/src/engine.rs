@@ -259,18 +259,29 @@ impl std::error::Error for RunError {}
 enum Event {
     /// A transfer's attempt reached its delivery time.
     TransferDone(Transfer),
-    TaskDone { gpu: u32, task: u32 },
+    TaskDone {
+        gpu: u32,
+        task: u32,
+    },
     /// Fail-stop death; index into `FaultPlan::gpu_failures`.
-    GpuFail { idx: u32 },
+    GpuFail {
+        idx: u32,
+    },
     /// Capacity shrink; index into `FaultPlan::capacity_shrinks`.
-    Shrink { idx: u32 },
+    Shrink {
+        idx: u32,
+    },
     /// Straggler onset; index into `FaultPlan::stragglers`.
-    Straggle { idx: u32 },
+    Straggle {
+        idx: u32,
+    },
     /// Online arrival of a task (admission loop only; batch runs and
     /// tasks arriving at t = 0 never seed one, keeping their event
     /// sequence numbering — and all tie-breaks — byte-identical to a
     /// batch build).
-    Arrive { task: u32 },
+    Arrive {
+        task: u32,
+    },
 }
 
 /// One attempt of a transfer of `data` to `gpu`: `src` is the peer GPU
@@ -2404,7 +2415,10 @@ mod tests {
             &faulty_config(FaultPlan::none()),
         )
         .unwrap();
-        assert_eq!(base.1, explicit.1, "trace must be identical with faults off");
+        assert_eq!(
+            base.1, explicit.1,
+            "trace must be identical with faults off"
+        );
         assert_eq!(base.0.makespan, explicit.0.makespan);
         assert_eq!(explicit.0.gpu_failures, 0);
         assert_eq!(explicit.0.transfer_retries, 0);
@@ -2418,22 +2432,23 @@ mod tests {
         // GPU 1 dies mid-first-task; its pipeline (2 tasks) reroutes.
         let plan = FaultPlan::none().with_gpu_failure(1, 2_500);
         let (report, trace) =
-            run_with_config(&ts, &spec, &mut Recovering::new(&ts), &faulty_config(plan))
-                .unwrap();
+            run_with_config(&ts, &spec, &mut Recovering::new(&ts), &faulty_config(plan)).unwrap();
         let finished = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::TaskFinished { .. }))
             .count();
         assert_eq!(finished, 4, "every task completes exactly once");
-        assert_eq!(report.per_gpu[1].tasks, 0, "GPU 1 died before finishing any");
+        assert_eq!(
+            report.per_gpu[1].tasks, 0,
+            "GPU 1 died before finishing any"
+        );
         assert_eq!(report.per_gpu[0].tasks, 4);
         assert_eq!(report.gpu_failures, 1);
         assert_eq!(report.tasks_redispatched, 2);
         assert!(
-            trace.iter().any(|e| matches!(
-                e,
-                TraceEvent::GpuFailed { gpu: 1, .. }
-            )),
+            trace
+                .iter()
+                .any(|e| matches!(e, TraceEvent::GpuFailed { gpu: 1, .. })),
             "failure must be traced"
         );
         // Survivor-only execution is slower than the fault-free run.
@@ -2524,12 +2539,14 @@ mod tests {
         let b = run_with_config(&ts, &spec, &mut Fifo::new(&ts), &faulty_config(plan)).unwrap();
         assert_eq!(a.1, b.1, "same seed must replay the same fault stream");
         assert_eq!(a.0.makespan, b.0.makespan);
-        assert!(a.0.transfer_retries >= 1, "ppm 500k over 2 loads must retry");
-        let retries_in_trace = a
-            .1
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::TransferRetry { .. }))
-            .count() as u64;
+        assert!(
+            a.0.transfer_retries >= 1,
+            "ppm 500k over 2 loads must retry"
+        );
+        let retries_in_trace =
+            a.1.iter()
+                .filter(|e| matches!(e, TraceEvent::TransferRetry { .. }))
+                .count() as u64;
         assert_eq!(a.0.transfer_retries, retries_in_trace);
         // Faulted deliveries only delay the run, they never lose work.
         assert_eq!(a.0.per_gpu[0].tasks, 2);
@@ -2554,10 +2571,9 @@ mod tests {
         .unwrap();
         assert_eq!(report.per_gpu[0].tasks, 3, "all tasks still complete");
         assert!(report.total_evictions >= 1, "shrink must evict residents");
-        assert!(trace.iter().any(|e| matches!(
-            e,
-            TraceEvent::CapacityShrunk { capacity: 1000, .. }
-        )));
+        assert!(trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::CapacityShrunk { capacity: 1000, .. })));
     }
 
     #[test]
@@ -2621,7 +2637,11 @@ mod tests {
             }
             r
         };
-        assert_eq!(strip(base.0.clone()), strip(obs.0), "probe must not change the report");
+        assert_eq!(
+            strip(base.0.clone()),
+            strip(obs.0),
+            "probe must not change the report"
+        );
         assert_eq!(base.1, obs.1, "probe must not change the trace");
 
         let events = probe.events();
@@ -2673,7 +2693,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.makespan, 2100);
-        let split: Vec<_> = report.per_gpu.iter().map(|g| (g.busy, g.stall, g.idle)).collect();
+        let split: Vec<_> = report
+            .per_gpu
+            .iter()
+            .map(|g| (g.busy, g.stall, g.idle))
+            .collect();
         assert_eq!(split, vec![(100, 1000, 1000), (100, 2000, 0)]);
     }
 
@@ -2690,7 +2714,10 @@ mod tests {
         let ts = b.build();
         let report = run(&ts, &tiny_spec(1, 10_000), &mut Fifo::new(&ts)).unwrap();
         let g = &report.per_gpu[0];
-        assert_eq!((report.makespan, g.busy, g.stall, g.idle), (16_000, 15_000, 1000, 0));
+        assert_eq!(
+            (report.makespan, g.busy, g.stall, g.idle),
+            (16_000, 15_000, 1000, 0)
+        );
     }
 
     #[test]
@@ -2734,9 +2761,15 @@ mod tests {
         let interrupted = timeline
             .spans
             .iter()
-            .filter(
-                |s| matches!(s.kind, memsched_obs::SpanKind::Compute { interrupted: true, .. }),
-            )
+            .filter(|s| {
+                matches!(
+                    s.kind,
+                    memsched_obs::SpanKind::Compute {
+                        interrupted: true,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(interrupted, 1, "GPU 1's running task ends interrupted");
         assert_eq!(
@@ -2846,7 +2879,10 @@ mod tests {
             match *ev {
                 TraceEvent::TaskFinished { .. } => done += 1,
                 TraceEvent::TaskAdmitted { task, .. } => {
-                    assert_eq!(task, done, "admission #{task} must wait for {task} completions")
+                    assert_eq!(
+                        task, done,
+                        "admission #{task} must wait for {task} completions"
+                    )
                 }
                 _ => {}
             }
@@ -2870,7 +2906,11 @@ mod tests {
         for ev in &trace {
             match *ev {
                 TraceEvent::TaskAdmitted { at, task } => {
-                    assert_eq!(at, ts.arrival(TaskId(task as u32)), "uncontended admit is immediate")
+                    assert_eq!(
+                        at,
+                        ts.arrival(TaskId(task as u32)),
+                        "uncontended admit is immediate"
+                    )
                 }
                 TraceEvent::TaskStarted { at, task, .. } => {
                     assert!(at >= ts.arrival(TaskId(task as u32)))
@@ -2887,7 +2927,10 @@ mod tests {
     fn shed_config(policy: ShedPolicy, max_backlog: Option<usize>) -> RunConfig {
         RunConfig {
             trace: TraceMode::Full,
-            admission: Some(AdmissionConfig { max_backlog, policy }),
+            admission: Some(AdmissionConfig {
+                max_backlog,
+                policy,
+            }),
             ..RunConfig::default()
         }
     }
@@ -2940,14 +2983,17 @@ mod tests {
         assert_eq!(stats.deadline_expired, 0);
         assert_eq!(stats.tasks_admitted, 2);
         assert_eq!(report.per_gpu[0].tasks, 2, "shed task never executes");
-        assert_eq!(stats.shed_per_class, vec![1], "class-less drop lands in class 0");
+        assert_eq!(
+            stats.shed_per_class,
+            vec![1],
+            "class-less drop lands in class 0"
+        );
         assert_eq!(stats.deadline_violations, 0);
         assert!(stats.goodput_tps > 0.0);
         assert!(
-            trace.iter().any(|ev| matches!(
-                *ev,
-                TraceEvent::TaskShed { at: 2000, task: 1 }
-            )),
+            trace
+                .iter()
+                .any(|ev| matches!(*ev, TraceEvent::TaskShed { at: 2000, task: 1 })),
             "shed instant recorded at the arrival"
         );
         assert!(
@@ -3069,7 +3115,9 @@ mod tests {
             b.add_task(&[x], 5000.0);
         }
         let plain = b.build().with_arrivals(vec![0, 100, 200]);
-        let stamped = plain.clone().with_deadlines(vec![u64::MAX, u64::MAX, u64::MAX]);
+        let stamped = plain
+            .clone()
+            .with_deadlines(vec![u64::MAX, u64::MAX, u64::MAX]);
         let run = |ts: &TaskSet, config: &RunConfig| {
             let mut sched = StreamFifo {
                 q: Default::default(),

@@ -102,7 +102,8 @@ impl TransferFaultSpec {
     /// Exponential backoff before retry number `attempt + 1` (the shift is
     /// clamped so large attempt counts cannot overflow).
     pub(crate) fn backoff(&self, attempt: u32) -> Nanos {
-        self.backoff_base.saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
+        self.backoff_base
+            .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
     }
 }
 
@@ -238,9 +239,9 @@ impl FaultPlan {
                     });
                 }
                 "slow" => {
-                    let (gpu, rest) = rest
-                        .split_once('@')
-                        .ok_or_else(|| format!("slow clause {rest:?}: expected <gpu>@<time>x<factor>"))?;
+                    let (gpu, rest) = rest.split_once('@').ok_or_else(|| {
+                        format!("slow clause {rest:?}: expected <gpu>@<time>x<factor>")
+                    })?;
                     let (at, factor) = rest
                         .split_once('x')
                         .ok_or_else(|| format!("slow clause {rest:?}: expected <time>x<factor>"))?;
@@ -253,9 +254,9 @@ impl FaultPlan {
                     });
                 }
                 "shrink" => {
-                    let (gpu, rest) = rest
-                        .split_once('@')
-                        .ok_or_else(|| format!("shrink clause {rest:?}: expected <gpu>@<time>=<size>"))?;
+                    let (gpu, rest) = rest.split_once('@').ok_or_else(|| {
+                        format!("shrink clause {rest:?}: expected <gpu>@<time>=<size>")
+                    })?;
                     let (at, size) = rest
                         .split_once('=')
                         .ok_or_else(|| format!("shrink clause {rest:?}: expected <time>=<size>"))?;
@@ -273,9 +274,8 @@ impl FaultPlan {
                             .ok_or_else(|| format!("flaky option {kv:?}: expected key=value"))?;
                         match key.trim() {
                             "ppm" => {
-                                tf.fault_ppm = val
-                                    .parse()
-                                    .map_err(|e| format!("flaky ppm {val:?}: {e}"))?
+                                tf.fault_ppm =
+                                    val.parse().map_err(|e| format!("flaky ppm {val:?}: {e}"))?
                             }
                             "seed" => {
                                 tf.seed = val
@@ -324,10 +324,7 @@ fn parse_time(s: &str) -> Result<Nanos, String> {
     } else {
         (s, 1.0)
     };
-    let v: f64 = num
-        .trim()
-        .parse()
-        .map_err(|e| format!("time {s:?}: {e}"))?;
+    let v: f64 = num.trim().parse().map_err(|e| format!("time {s:?}: {e}"))?;
     if v < 0.0 {
         return Err(format!("time {s:?} must be non-negative"));
     }
@@ -348,10 +345,7 @@ fn parse_size(s: &str) -> Result<u64, String> {
     } else {
         (lower, 1.0)
     };
-    let v: f64 = num
-        .trim()
-        .parse()
-        .map_err(|e| format!("size {s:?}: {e}"))?;
+    let v: f64 = num.trim().parse().map_err(|e| format!("size {s:?}: {e}"))?;
     if v < 0.0 {
         return Err(format!("size {s:?} must be non-negative"));
     }
@@ -428,7 +422,10 @@ mod tests {
 
     #[test]
     fn validate_bounds_the_plan() {
-        assert!(FaultPlan::none().with_gpu_failure(4, 0).validate(2).is_err());
+        assert!(FaultPlan::none()
+            .with_gpu_failure(4, 0)
+            .validate(2)
+            .is_err());
         assert!(FaultPlan::none()
             .with_capacity_shrink(3, 0, 100)
             .validate(2)
@@ -470,10 +467,7 @@ mod tests {
         let other = TransferFaultSpec { seed: 43, ..tf };
         assert_ne!(a, (0..1000).map(|i| other.faulty(i)).collect::<Vec<_>>());
         // ppm = 0 never faults.
-        let off = TransferFaultSpec {
-            fault_ppm: 0,
-            ..tf
-        };
+        let off = TransferFaultSpec { fault_ppm: 0, ..tf };
         assert!((0..1000).all(|i| !off.faulty(i)));
     }
 

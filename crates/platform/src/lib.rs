@@ -48,20 +48,20 @@ mod validate;
 pub use engine::{
     run, run_observed, run_with_config, AdmissionConfig, RunConfig, RunError, ShedPolicy,
 };
-pub use trace::{trace_checksum, TraceMode};
+pub use fault::{CapacityShrink, FaultPlan, GpuFailure, Straggler, TransferFaultSpec};
+pub use memory::{GpuMemory, Residency};
 /// The observability subsystem (re-exported so downstream crates can
 /// build probes and exporters without naming `memsched-obs` directly).
 pub use memsched_obs as obs;
 pub use memsched_obs::{ObsEvent, Probe};
-pub use fault::{CapacityShrink, FaultPlan, GpuFailure, Straggler, TransferFaultSpec};
-pub use memory::{GpuMemory, Residency};
 pub use report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
 pub use scheduler::{Hooks, MissingCache, RuntimeView, Scheduler};
-pub use validate::{validate, Violation};
 pub use spec::{
     Nanos, PlatformSpec, NVLINK_BANDWIDTH, PAPER_MEMORY_BYTES, PCIE_BANDWIDTH,
     UNLIMITED_MEMORY_BYTES, V100_GFLOPS,
 };
+pub use trace::{trace_checksum, TraceMode};
+pub use validate::{validate, Violation};
 
 // Compile-time audit for the parallel sweep harness: the types a harness
 // worker thread holds across a run must be shareable/movable across

@@ -102,7 +102,10 @@ impl MissingCache {
         let mut rec = Vec::with_capacity(m * memories.len());
         for mem in memories {
             for t in 0..m {
-                let mut r = Missing { bytes: 0, packed: 0 };
+                let mut r = Missing {
+                    bytes: 0,
+                    packed: 0,
+                };
                 for &d in &ids[offsets[t] as usize..offsets[t + 1] as usize] {
                     if !mem.is_resident_or_loading(DataId(d)) {
                         r.bytes += ts.data_size(DataId(d));
@@ -468,7 +471,13 @@ pub trait Scheduler {
     /// A transfer of `data` to `gpu` failed transiently and was re-queued
     /// (attempt number `attempt` is about to run). Informational: the
     /// engine owns the retry; the data stays `Loading` throughout.
-    fn on_transfer_retry(&mut self, gpu: GpuId, data: DataId, attempt: u32, view: &RuntimeView<'_>) {
+    fn on_transfer_retry(
+        &mut self,
+        gpu: GpuId,
+        data: DataId,
+        attempt: u32,
+        view: &RuntimeView<'_>,
+    ) {
         let _ = (gpu, data, attempt, view);
     }
 

@@ -114,7 +114,11 @@ impl PlatformSpec {
     /// indices must be contiguous from 0 (every bus below the max index
     /// must own at least one GPU).
     pub fn with_bus_groups(mut self, groups: Vec<usize>) -> Self {
-        assert_eq!(groups.len(), self.num_gpus, "one bus index per GPU required");
+        assert_eq!(
+            groups.len(),
+            self.num_gpus,
+            "one bus index per GPU required"
+        );
         let buses = groups.iter().max().map_or(0, |&m| m + 1);
         for b in 0..buses {
             assert!(
@@ -156,7 +160,10 @@ impl PlatformSpec {
             self.num_gpus,
             "one throughput per GPU required"
         );
-        assert!(gflops.iter().all(|&g| g > 0.0), "throughputs must be positive");
+        assert!(
+            gflops.iter().all(|&g| g > 0.0),
+            "throughputs must be positive"
+        );
         self.gpu_gflops_override = Some(gflops);
         self
     }
@@ -268,7 +275,10 @@ mod tests {
         assert_eq!(spec.total_gflops(), 15_000.0);
         // Same flops take twice as long on the slow GPU.
         let flops = 1e12;
-        assert_eq!(spec.compute_time_on(1, flops), 2 * spec.compute_time_on(0, flops));
+        assert_eq!(
+            spec.compute_time_on(1, flops),
+            2 * spec.compute_time_on(0, flops)
+        );
         // Homogeneous default.
         let homo = PlatformSpec::v100(2);
         assert_eq!(homo.gflops_of(0), homo.gflops_of(1));
@@ -283,7 +293,9 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let spec = PlatformSpec::v100(1).with_memory(1234).with_pipeline_depth(7);
+        let spec = PlatformSpec::v100(1)
+            .with_memory(1234)
+            .with_pipeline_depth(7);
         assert_eq!(spec.memory_bytes, 1234);
         assert_eq!(spec.pipeline_depth, 7);
     }

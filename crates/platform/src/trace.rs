@@ -56,7 +56,10 @@ fn fold_event(h: u64, ev: &TraceEvent) -> u64 {
             gpu,
             data,
             done_at,
-        } => word(word(word(word(word(h, 0), at), gpu as u64), data as u64), done_at),
+        } => word(
+            word(word(word(word(h, 0), at), gpu as u64), data as u64),
+            done_at,
+        ),
         TraceEvent::LoadDone { at, gpu, data } => {
             word(word(word(word(h, 1), at), gpu as u64), data as u64)
         }

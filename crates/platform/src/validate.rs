@@ -97,9 +97,15 @@ pub fn validate(
     }
     let mut fold = Fold::new(ts, spec, config);
     for (i, ev) in trace.iter().enumerate() {
-        fold.step(ev).map_err(|message| Violation { event: Some(i), message })?;
+        fold.step(ev).map_err(|message| Violation {
+            event: Some(i),
+            message,
+        })?;
     }
-    fold.finish(report).map_err(|message| Violation { event: None, message })
+    fold.finish(report).map_err(|message| Violation {
+        event: None,
+        message,
+    })
 }
 
 /// Where a task stands in its execution.
@@ -188,7 +194,10 @@ impl<'a> Fold<'a> {
             spec,
             config,
             online: config.admission.is_some(),
-            policy: config.admission.as_ref().map_or(ShedPolicy::DeferOnly, |a| a.policy),
+            policy: config
+                .admission
+                .as_ref()
+                .map_or(ShedPolicy::DeferOnly, |a| a.policy),
             now: 0,
             res: vec![Residency::Absent; spec.num_gpus * ts.num_data()],
             gpus: vec![gpu; spec.num_gpus],
@@ -214,16 +223,31 @@ impl<'a> Fold<'a> {
 
     fn step(&mut self, ev: &TraceEvent) -> Result<(), String> {
         let at = time_of(ev);
-        ensure!(at >= self.now, "time runs backwards from {} to {at}", self.now);
+        ensure!(
+            at >= self.now,
+            "time runs backwards from {} to {at}",
+            self.now
+        );
         self.now = at;
         let (ts, config) = (self.ts, self.config);
         let faults = &config.faults;
         match *ev {
-            TraceEvent::LoadIssued { gpu: g, data, done_at, .. } => {
+            TraceEvent::LoadIssued {
+                gpu: g,
+                data,
+                done_at,
+                ..
+            } => {
                 let size = ts.data_size(DataId(data as u32));
-                ensure!(!self.gpus[g].dead, "GPU {g} loads data {data} after it failed");
+                ensure!(
+                    !self.gpus[g].dead,
+                    "GPU {g} loads data {data} after it failed"
+                );
                 let state = self.res(g, data);
-                ensure!(*state == Residency::Absent, "GPU {g} loads data {data}, {state:?}");
+                ensure!(
+                    *state == Residency::Absent,
+                    "GPU {g} loads data {data}, {state:?}"
+                );
                 *state = Residency::Loading;
                 let gpu = &mut self.gpus[g];
                 ensure!(
@@ -237,7 +261,10 @@ impl<'a> Fold<'a> {
                 gpu.inflight += 1;
                 if self.spec.nvlink_bandwidth.is_none() {
                     let (bus, tt) = (self.spec.bus_of(g), self.spec.transfer_time(size));
-                    ensure!(done_at >= at + tt, "GPU {g} gets data {data} in under transfer time");
+                    ensure!(
+                        done_at >= at + tt,
+                        "GPU {g} gets data {data} in under transfer time"
+                    );
                     ensure!(
                         done_at - tt >= self.bus_end[bus],
                         "bus {bus} grants data {data} to GPU {g} at {}, before it is free at {}",
@@ -249,7 +276,10 @@ impl<'a> Fold<'a> {
             }
             TraceEvent::LoadDone { gpu: g, data, .. } => {
                 let state = self.res(g, data);
-                ensure!(*state == Residency::Loading, "GPU {g} receives data {data}, {state:?}");
+                ensure!(
+                    *state == Residency::Loading,
+                    "GPU {g} receives data {data}, {state:?}"
+                );
                 *state = Residency::Resident;
                 let gpu = &mut self.gpus[g];
                 gpu.advance(at);
@@ -259,27 +289,49 @@ impl<'a> Fold<'a> {
             }
             TraceEvent::Evicted { gpu: g, data, .. } => {
                 let state = self.res(g, data);
-                ensure!(*state == Residency::Resident, "GPU {g} evicts data {data}, {state:?}");
+                ensure!(
+                    *state == Residency::Resident,
+                    "GPU {g} evicts data {data}, {state:?}"
+                );
                 *state = Residency::Absent;
                 let gpu = &mut self.gpus[g];
                 if let Some(t) = gpu.running {
                     let pinned = ts.inputs(TaskId(t as u32)).contains(&(data as u32));
-                    ensure!(!pinned, "GPU {g} evicts data {data}, an input of running task {t}");
+                    ensure!(
+                        !pinned,
+                        "GPU {g} evicts data {data}, an input of running task {t}"
+                    );
                 }
                 gpu.used -= ts.data_size(DataId(data as u32));
                 gpu.stats.evictions += 1;
             }
-            TraceEvent::TaskStarted { gpu: g, task: t, .. } => {
+            TraceEvent::TaskStarted {
+                gpu: g, task: t, ..
+            } => {
                 let id = TaskId(t as u32);
-                ensure!(!self.gpus[g].dead, "task {t} starts on GPU {g} after it failed");
+                ensure!(
+                    !self.gpus[g].dead,
+                    "task {t} starts on GPU {g} after it failed"
+                );
                 if let Some(r) = self.gpus[g].running {
-                    return Err(format!("task {t} starts on GPU {g}, which still runs task {r}"));
+                    return Err(format!(
+                        "task {t} starts on GPU {g}, which still runs task {r}"
+                    ));
                 }
                 let again = self.stage[t] != Stage::Idle;
-                ensure!(!again, "task {t} starts again, but no failure interrupted it");
+                ensure!(
+                    !again,
+                    "task {t} starts again, but no failure interrupted it"
+                );
                 if self.online {
-                    ensure!(!self.tickets[t].dropped, "task {t} starts after it was dropped");
-                    ensure!(self.tickets[t].admitted, "task {t} starts before its admission");
+                    ensure!(
+                        !self.tickets[t].dropped,
+                        "task {t} starts after it was dropped"
+                    );
+                    ensure!(
+                        self.tickets[t].admitted,
+                        "task {t} starts before its admission"
+                    );
                     self.queueing.push(at - ts.arrival(id));
                 }
                 for &d in ts.inputs(id) {
@@ -294,10 +346,15 @@ impl<'a> Fold<'a> {
                 gpu.order.push(id);
                 self.stage[t] = Stage::Running;
             }
-            TraceEvent::TaskFinished { gpu: g, task: t, .. } => {
+            TraceEvent::TaskFinished {
+                gpu: g, task: t, ..
+            } => {
                 let id = TaskId(t as u32);
                 let gpu = &mut self.gpus[g];
-                ensure!(gpu.running == Some(t), "task {t} finishes on GPU {g}, not running it");
+                ensure!(
+                    gpu.running == Some(t),
+                    "task {t} finishes on GPU {g}, not running it"
+                );
                 gpu.advance(at);
                 gpu.running = None;
                 gpu.stats.busy += at - gpu.started_at;
@@ -319,7 +376,10 @@ impl<'a> Fold<'a> {
             }
             TraceEvent::GpuFailed { gpu: g, .. } => {
                 let planned = faults.gpu_failures.iter().any(|f| f.gpu == g && f.at == at);
-                ensure!(planned, "GPU {g} fails at {at}, which the fault plan does not plan");
+                ensure!(
+                    planned,
+                    "GPU {g} fails at {at}, which the fault plan does not plan"
+                );
                 let gpu = &mut self.gpus[g];
                 ensure!(!gpu.dead, "GPU {g} fails twice");
                 gpu.advance(at);
@@ -331,24 +391,43 @@ impl<'a> Fold<'a> {
                     self.interrupted += 1;
                 }
             }
-            TraceEvent::TransferRetry { gpu: g, data, attempt, .. } => {
+            TraceEvent::TransferRetry {
+                gpu: g,
+                data,
+                attempt,
+                ..
+            } => {
                 let planned = faults
                     .transfer_faults
                     .is_some_and(|tf| (2..=tf.max_attempts).contains(&attempt));
-                ensure!(planned, "retry {attempt} of data {data} to GPU {g} is not planned");
+                ensure!(
+                    planned,
+                    "retry {attempt} of data {data} to GPU {g} is not planned"
+                );
                 let state = *self.res(g, data);
-                ensure!(state == Residency::Loading, "GPU {g} retries data {data}, {state:?}");
+                ensure!(
+                    state == Residency::Loading,
+                    "GPU {g} retries data {data}, {state:?}"
+                );
                 self.retries += 1;
             }
-            TraceEvent::CapacityShrunk { gpu: g, capacity, .. } => {
+            TraceEvent::CapacityShrunk {
+                gpu: g, capacity, ..
+            } => {
                 let planned = faults
                     .capacity_shrinks
                     .iter()
                     .any(|s| s.gpu == g && s.at <= at && s.new_capacity <= capacity);
-                ensure!(planned, "GPU {g} capacity {capacity} at {at} is not in the fault plan");
+                ensure!(
+                    planned,
+                    "GPU {g} capacity {capacity} at {at} is not in the fault plan"
+                );
                 let gpu = &mut self.gpus[g];
                 let cap = gpu.cap;
-                ensure!(capacity <= cap, "GPU {g} capacity rises from {cap} to {capacity}");
+                ensure!(
+                    capacity <= cap,
+                    "GPU {g} capacity rises from {cap} to {capacity}"
+                );
                 ensure!(
                     capacity >= gpu.used,
                     "GPU {g} shrinks to {capacity} bytes, below its occupancy {}",
@@ -361,7 +440,10 @@ impl<'a> Fold<'a> {
                     .stragglers
                     .iter()
                     .any(|s| s.gpu == g && s.at == at && s.factor == factor);
-                ensure!(planned, "GPU {g} slows to {factor} at {at}, not in the fault plan");
+                ensure!(
+                    planned,
+                    "GPU {g} slows to {factor} at {at}, not in the fault plan"
+                );
             }
             // A batch run has no arrival, and every other admission event
             // needs one.
@@ -369,7 +451,10 @@ impl<'a> Fold<'a> {
                 ensure!(self.online, "task {t} arrives in a batch run");
                 let due = ts.arrival(TaskId(t as u32));
                 ensure!(!self.tickets[t].arrived, "task {t} arrives twice");
-                ensure!(at == due, "task {t} arrives at {at}, not at its arrival time {due}");
+                ensure!(
+                    at == due,
+                    "task {t} arrives at {at}, not at its arrival time {due}"
+                );
                 self.tickets[t].arrived = true;
             }
             TraceEvent::TaskAdmitted { task: t, .. } => {
@@ -385,7 +470,10 @@ impl<'a> Fold<'a> {
             TraceEvent::TaskDeferred { task: t, .. } => {
                 let tk = &mut self.tickets[t];
                 let waiting = tk.arrived && !tk.admitted && !tk.dropped;
-                ensure!(waiting, "task {t} is deferred while not waiting for admission");
+                ensure!(
+                    waiting,
+                    "task {t} is deferred while not waiting for admission"
+                );
                 ensure!(!tk.queued, "task {t} is deferred twice");
                 tk.queued = true;
                 self.queued += 1;
@@ -393,19 +481,31 @@ impl<'a> Fold<'a> {
                 let bound = config.admission.as_ref().and_then(|a| a.max_backlog);
                 if let (ShedPolicy::PriorityShed, Some(b)) = (self.policy, bound) {
                     let n = self.queued;
-                    ensure!(n <= b, "the deferred queue holds {n} tasks, past max_backlog {b}");
+                    ensure!(
+                        n <= b,
+                        "the deferred queue holds {n} tasks, past max_backlog {b}"
+                    );
                 }
             }
             TraceEvent::TaskShed { task: t, .. } | TraceEvent::DeadlineExpired { task: t, .. } => {
                 let id = TaskId(t as u32);
                 let tk = &mut self.tickets[t];
-                ensure!(self.policy != ShedPolicy::DeferOnly, "DeferOnly drops task {t}");
+                ensure!(
+                    self.policy != ShedPolicy::DeferOnly,
+                    "DeferOnly drops task {t}"
+                );
                 let waiting = tk.arrived && !tk.admitted && !tk.dropped;
-                ensure!(waiting, "task {t} is dropped while not waiting for admission");
+                ensure!(
+                    waiting,
+                    "task {t} is dropped while not waiting for admission"
+                );
                 if matches!(ev, TraceEvent::DeadlineExpired { .. }) {
                     let dl = ts.deadline(id);
                     let late = tk.queued && dl > 0 && at > ts.arrival(id).saturating_add(dl);
-                    ensure!(late, "task {t} expires at {at}, not deferred past its deadline");
+                    ensure!(
+                        late,
+                        "task {t} expires at {at}, not deferred past its deadline"
+                    );
                     self.counts.deadline_expired += 1;
                 } else {
                     self.counts.tasks_shed += 1;
@@ -424,9 +524,15 @@ impl<'a> Fold<'a> {
         for (t, tk) in self.tickets.iter().enumerate() {
             if self.online {
                 ensure!(tk.arrived, "task {t} never arrives");
-                ensure!(tk.admitted || tk.dropped, "task {t} is neither admitted nor dropped");
+                ensure!(
+                    tk.admitted || tk.dropped,
+                    "task {t} is neither admitted nor dropped"
+                );
             }
-            ensure!(tk.dropped || self.stage[t] == Stage::Done, "task {t} never finishes");
+            ensure!(
+                tk.dropped || self.stage[t] == Stage::Done,
+                "task {t} never finishes"
+            );
         }
 
         let makespan = self.now;
@@ -450,7 +556,11 @@ impl<'a> Fold<'a> {
         let load_bytes: u64 = total(|s| s.load_bytes);
         same("total_loads", total(|s| s.loads), report.total_loads)?;
         same("total_load_bytes", load_bytes, report.total_load_bytes)?;
-        same("total_evictions", total(|s| s.evictions), report.total_evictions)?;
+        same(
+            "total_evictions",
+            total(|s| s.evictions),
+            report.total_evictions,
+        )?;
         same("total_flops", self.flops, report.total_flops)?;
         same("gpu_failures", self.failures, report.gpu_failures)?;
         same("transfer_retries", self.retries, report.transfer_retries)?;
@@ -462,8 +572,11 @@ impl<'a> Fold<'a> {
             self.interrupted,
             self.failures
         );
-        let cache: u64 =
-            report.per_gpu.iter().map(|g| g.cache_hit_bytes + g.cache_miss_bytes).sum();
+        let cache: u64 = report
+            .per_gpu
+            .iter()
+            .map(|g| g.cache_hit_bytes + g.cache_miss_bytes)
+            .sum();
         if redispatched == 0 {
             same("cache hit + miss bytes", self.footprints, cache)?;
         } else {
@@ -487,7 +600,10 @@ impl<'a> Fold<'a> {
                 }
             }
         }
-        ensure!(load_bytes >= compulsory, "{load_bytes} bytes loaded, {compulsory} compulsory");
+        ensure!(
+            load_bytes >= compulsory,
+            "{load_bytes} bytes loaded, {compulsory} compulsory"
+        );
         if ts.uniform_data_size() {
             let orders = self.gpus.iter().map(|g| g.order.clone()).collect();
             let orders = Schedule::from_lists(orders);
@@ -518,7 +634,12 @@ impl<'a> Fold<'a> {
         OnlineStats {
             p50_latency: quantile(&self.latencies, 0.50),
             p99_latency: quantile(&self.latencies, 0.99),
-            mean_latency: self.latencies.iter().sum::<Nanos>().checked_div(n).unwrap_or(0),
+            mean_latency: self
+                .latencies
+                .iter()
+                .sum::<Nanos>()
+                .checked_div(n)
+                .unwrap_or(0),
             p50_queueing: quantile(&self.queueing, 0.50),
             p99_queueing: quantile(&self.queueing, 0.99),
             throughput_tps: rate(n),
@@ -532,7 +653,10 @@ impl<'a> Fold<'a> {
 
 /// `Err` naming `what` unless the folded and reported values are equal.
 fn same<T: PartialEq + Debug>(what: &str, fold: T, report: T) -> Result<(), String> {
-    ensure!(fold == report, "report {what} is {report:?}, the trace folds to {fold:?}");
+    ensure!(
+        fold == report,
+        "report {what} is {report:?}, the trace folds to {fold:?}"
+    );
     Ok(())
 }
 
@@ -630,7 +754,10 @@ mod tests {
 
     /// Index of the `n`-th event of `trace` of variant `kind`.
     fn nth(trace: &[TraceEvent], n: usize, kind: &str) -> usize {
-        let mut hits = trace.iter().enumerate().filter(|(_, e)| format!("{e:?}").starts_with(kind));
+        let mut hits = trace
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| format!("{e:?}").starts_with(kind));
         hits.nth(n).expect("no such event").0
     }
 
@@ -645,7 +772,14 @@ mod tests {
                 false,
                 |t, _| {
                     let i = nth(t, 0, "TaskStarted");
-                    t.insert(i + 1, TraceEvent::Evicted { at: time_of(&t[i]), gpu: 0, data: 0 });
+                    t.insert(
+                        i + 1,
+                        TraceEvent::Evicted {
+                            at: time_of(&t[i]),
+                            gpu: 0,
+                            data: 0,
+                        },
+                    );
                 },
                 "evicts data 0, an input of running task 0",
             ),
@@ -660,7 +794,12 @@ mod tests {
             (
                 false,
                 |t, _| {
-                    let ev = TraceEvent::LoadIssued { at: 0, gpu: 0, data: 3, done_at: 1 << 40 };
+                    let ev = TraceEvent::LoadIssued {
+                        at: 0,
+                        gpu: 0,
+                        data: 3,
+                        done_at: 1 << 40,
+                    };
                     t.insert(nth(t, 1, "LoadIssued") + 1, ev);
                 },
                 "takes GPU 0 to 3 bytes, past its capacity 2",
@@ -681,7 +820,10 @@ mod tests {
                 true,
                 |t, _| {
                     let i = nth(t, 1, "TaskAdmitted");
-                    t[i] = TraceEvent::TaskShed { at: time_of(&t[i]), task: 1 };
+                    t[i] = TraceEvent::TaskShed {
+                        at: time_of(&t[i]),
+                        task: 1,
+                    };
                 },
                 "task 1 starts after it was dropped",
             ),
@@ -696,7 +838,11 @@ mod tests {
                 "before it is free",
             ),
             (false, |_, r| r.total_loads += 1, "report total_loads"),
-            (true, |_, r| r.per_gpu[0].cache_miss_bytes += 1, "report cache hit + miss bytes"),
+            (
+                true,
+                |_, r| r.per_gpu[0].cache_miss_bytes += 1,
+                "report cache hit + miss bytes",
+            ),
         ];
         for (online, edit, want) in cases {
             let (ts, spec, config, mut trace, mut report) = small_run(online);

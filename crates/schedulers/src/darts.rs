@@ -775,7 +775,11 @@ impl DartsScheduler {
             }
         }
         let (_, d) = best?;
-        let want = if view.is_resident_or_loading(gpu, d) { 1 } else { 2 };
+        let want = if view.is_resident_or_loading(gpu, d) {
+            1
+        } else {
+            2
+        };
         let missing = view.missing();
         let t = ts
             .consumer_ids(d)
@@ -1374,10 +1378,7 @@ mod tests {
         let mut luf = DartsScheduler::new(DartsConfig::luf());
         let loads_lru = run(&ts, &spec, &mut lru).unwrap().total_loads;
         let loads_luf = run(&ts, &spec, &mut luf).unwrap().total_loads;
-        assert!(
-            loads_luf <= loads_lru,
-            "LUF {loads_luf} vs LRU {loads_lru}"
-        );
+        assert!(loads_luf <= loads_lru, "LUF {loads_luf} vs LRU {loads_lru}");
     }
 
     #[test]
@@ -1406,7 +1407,10 @@ mod tests {
         let report = run(&ts, &spec, &mut s).unwrap();
         let total: usize = report.per_gpu.iter().map(|g| g.tasks).sum();
         assert_eq!(total, 64);
-        assert!(report.per_gpu.iter().all(|g| g.tasks > 10), "both GPUs work");
+        assert!(
+            report.per_gpu.iter().all(|g| g.tasks > 10),
+            "both GPUs work"
+        );
     }
 
     #[test]
@@ -1444,10 +1448,18 @@ mod tests {
     fn deterministic_per_seed() {
         let ts = gemm_2d(6);
         let spec = PlatformSpec::v100(2);
-        let run1 = run(&ts, &spec, &mut DartsScheduler::new(DartsConfig::luf().with_seed(5)))
-            .unwrap();
-        let run2 = run(&ts, &spec, &mut DartsScheduler::new(DartsConfig::luf().with_seed(5)))
-            .unwrap();
+        let run1 = run(
+            &ts,
+            &spec,
+            &mut DartsScheduler::new(DartsConfig::luf().with_seed(5)),
+        )
+        .unwrap();
+        let run2 = run(
+            &ts,
+            &spec,
+            &mut DartsScheduler::new(DartsConfig::luf().with_seed(5)),
+        )
+        .unwrap();
         assert_eq!(run1.makespan, run2.makespan);
         assert_eq!(run1.total_loads, run2.total_loads);
     }

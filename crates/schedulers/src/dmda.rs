@@ -83,7 +83,14 @@ impl DmdaScheduler {
     /// horizon and InMem state. `now` floors each GPU's horizon (0 in
     /// the batch prepare, the arrival instant online); GPUs flagged in
     /// `dead` are skipped (batch allocation passes `None`).
-    fn allocate(&mut self, ts: &TaskSet, spec: &PlatformSpec, t: TaskId, now: Nanos, dead: Option<&dyn Fn(usize) -> bool>) {
+    fn allocate(
+        &mut self,
+        ts: &TaskSet,
+        spec: &PlatformSpec,
+        t: TaskId,
+        now: Nanos,
+        dead: Option<&dyn Fn(usize) -> bool>,
+    ) {
         let k = self.queues.len();
         let mut best: Option<(usize, Nanos)> = None;
         for g in 0..k {
@@ -114,7 +121,11 @@ impl DmdaScheduler {
 
 impl Scheduler for DmdaScheduler {
     fn name(&self) -> String {
-        if self.ready { "DMDAR".into() } else { "DMDA".into() }
+        if self.ready {
+            "DMDAR".into()
+        } else {
+            "DMDA".into()
+        }
     }
 
     fn hooks(&self) -> Hooks {
@@ -283,7 +294,10 @@ mod tests {
         let spec = PlatformSpec::v100(2).with_memory(4 * item);
         let mut s = DmdaScheduler::dmdar();
         let report = run(&ts, &spec, &mut s).unwrap();
-        assert_eq!(report.max_load() + report.per_gpu.iter().map(|g| g.tasks).min().unwrap(), 36);
+        assert_eq!(
+            report.max_load() + report.per_gpu.iter().map(|g| g.tasks).min().unwrap(),
+            36
+        );
         assert!(report.total_loads >= 12, "compulsory loads at least");
     }
 
@@ -308,8 +322,7 @@ mod tests {
         // One GPU twice as fast: DMDA's completion-time model should give
         // it roughly two thirds of the tasks.
         let ts = gemm_2d(12);
-        let spec = PlatformSpec::v100(2)
-            .with_heterogeneous_gflops(vec![2.0 * 13_253.0, 13_253.0]);
+        let spec = PlatformSpec::v100(2).with_heterogeneous_gflops(vec![2.0 * 13_253.0, 13_253.0]);
         let mut s = DmdaScheduler::dmda();
         s.prepare(&ts, &spec);
         let fast = s.queues()[0].len() as f64;
@@ -335,8 +348,12 @@ mod tests {
             fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
                 self.0.prepare(ts, spec);
                 let tasks: Vec<TaskId> = ts.tasks().collect();
-                self.0.queues =
-                    vec![tasks[..8].to_vec(), tasks[8..].to_vec(), Vec::new(), Vec::new()];
+                self.0.queues = vec![
+                    tasks[..8].to_vec(),
+                    tasks[8..].to_vec(),
+                    Vec::new(),
+                    Vec::new(),
+                ];
             }
             fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
                 self.0.pop_task(gpu, view)

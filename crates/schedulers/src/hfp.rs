@@ -461,7 +461,10 @@ impl<'a> PackState<'a> {
             if take_a && take_b {
                 // In both: q's ownership entry disappears.
                 let os = &mut self.owners[a[i] as usize];
-                let pos = os.iter().position(|&o| o == q_id).expect("q owns its input");
+                let pos = os
+                    .iter()
+                    .position(|&o| o == q_id)
+                    .expect("q owns its input");
                 os.swap_remove(pos);
                 union.push(a[i]);
                 i += 1;
@@ -473,7 +476,10 @@ impl<'a> PackState<'a> {
                 // Exclusive to q: rename the ownership entry to p.
                 let d = b[j];
                 let os = &mut self.owners[d as usize];
-                let pos = os.iter().position(|&o| o == q_id).expect("q owns its input");
+                let pos = os
+                    .iter()
+                    .position(|&o| o == q_id)
+                    .expect("q owns its input");
                 os[pos] = p_id;
                 union.push(d);
                 j += 1;
@@ -532,7 +538,9 @@ impl<'a> PackState<'a> {
         while self.packages.len() > k {
             let (_, p_slot) = self.peek_smallest().expect("non-empty");
             let p_id = self.id_of_slot[p_slot as usize];
-            let (q_slot, shared) = self.best_partner(p_id, None).expect("at least two packages");
+            let (q_slot, shared) = self
+                .best_partner(p_id, None)
+                .expect("at least two packages");
             self.merge(p_id, q_slot, shared);
         }
     }
@@ -574,7 +582,9 @@ fn balance(ts: &TaskSet, packages: &mut [Package], k: usize) {
         if mx == mn || packages[mx].load <= avg + max_task_load {
             break;
         }
-        let Some(t) = packages[mx].tasks.pop() else { break };
+        let Some(t) = packages[mx].tasks.pop() else {
+            break;
+        };
         packages[mx].load -= ts.flops(t);
         packages[mn].tasks.push(t);
         packages[mn].load += ts.flops(t);
@@ -632,7 +642,11 @@ fn pack_naive(ts: &TaskSet, memory: u64, k: usize) -> Vec<Vec<TaskId>> {
             if q_idx == p_idx {
                 continue;
             }
-            let shared = shared_bytes(ts, packages[p_idx].inputs.as_slice(ts), q.inputs.as_slice(ts));
+            let shared = shared_bytes(
+                ts,
+                packages[p_idx].inputs.as_slice(ts),
+                q.inputs.as_slice(ts),
+            );
             let union_bytes = packages[p_idx].input_bytes + q.input_bytes - shared;
             if union_bytes > memory {
                 continue;
@@ -660,7 +674,11 @@ fn pack_naive(ts: &TaskSet, memory: u64, k: usize) -> Vec<Vec<TaskId>> {
             if q_idx == p_idx {
                 continue;
             }
-            let shared = shared_bytes(ts, packages[p_idx].inputs.as_slice(ts), q.inputs.as_slice(ts));
+            let shared = shared_bytes(
+                ts,
+                packages[p_idx].inputs.as_slice(ts),
+                q.inputs.as_slice(ts),
+            );
             if best.is_none_or(|(_, bs)| shared > bs) {
                 best = Some((q_idx, shared));
             }
@@ -918,10 +936,13 @@ mod tests {
         // footprints: every package must fit in the bound, and the
         // incrementally-maintained `input_bytes` must equal the re-summed
         // byte total of the recorded input union.
-        for (ts, memory) in [(figure1_example(), 3), (gemm_2d(5), {
-            let ts = gemm_2d(5);
-            4 * ts.data_size(DataId(0))
-        })] {
+        for (ts, memory) in [
+            (figure1_example(), 3),
+            (gemm_2d(5), {
+                let ts = gemm_2d(5);
+                4 * ts.data_size(DataId(0))
+            }),
+        ] {
             let mut state = PackState::new(&ts);
             state.phase1(memory, 1);
             assert!(!state.packages.is_empty());
@@ -985,10 +1006,8 @@ mod tests {
         (2usize..=10, 1usize..=18)
             .prop_flat_map(|(nd, mt)| {
                 let sizes = proptest::collection::vec(1u64..=4, nd);
-                let inputs = proptest::collection::vec(
-                    proptest::collection::vec(0..nd as u32, 1..=3),
-                    mt,
-                );
+                let inputs =
+                    proptest::collection::vec(proptest::collection::vec(0..nd as u32, 1..=3), mt);
                 (sizes, inputs)
             })
             .prop_map(|(sizes, task_inputs)| {

@@ -148,7 +148,10 @@ impl Scheduler for HmetisRScheduler {
         // then lowest index), mirroring the partitioner's objective of
         // keeping each data item's consumers on one GPU.
         let ts = view.task_set();
-        let q = self.queues.as_mut().expect("prepare_stream() must run first");
+        let q = self
+            .queues
+            .as_mut()
+            .expect("prepare_stream() must run first");
         let mut best: Option<(usize, u64, usize)> = None;
         for (g, seen) in self.assigned_data.iter().enumerate() {
             if !view.is_alive(GpuId(g as u32)) {

@@ -33,10 +33,10 @@ pub use dmda::DmdaScheduler;
 pub use eager::EagerScheduler;
 pub use hfp::{pack as hfp_pack, pack_with as hfp_pack_with, HfpScheduler, PackConfig};
 pub use hmetis_r::{HmetisRScheduler, PartitionerOptions};
-pub use router::{RouterScheduler, DEFAULT_ALPHA_MILLI};
-pub use ready::{ready_pick, DEFAULT_READY_WINDOW};
 #[cfg(feature = "naive")]
 pub use ready::ready_pick_scan;
+pub use ready::{ready_pick, DEFAULT_READY_WINDOW};
+pub use router::{RouterScheduler, DEFAULT_ALPHA_MILLI};
 pub use stealing::StealingQueues;
 
 use memsched_platform::Scheduler;
@@ -168,8 +168,8 @@ mod tests {
         ];
         for named in all {
             let mut sched = named.build();
-            let report = run(&ts, &spec, sched.as_mut())
-                .unwrap_or_else(|e| panic!("{named:?} failed: {e}"));
+            let report =
+                run(&ts, &spec, sched.as_mut()).unwrap_or_else(|e| panic!("{named:?} failed: {e}"));
             let total: usize = report.per_gpu.iter().map(|g| g.tasks).sum();
             assert_eq!(total, 16, "{named:?} lost tasks");
         }

@@ -169,8 +169,7 @@ impl RouterScheduler {
             let recomp: u64 = ts
                 .input_ids(t)
                 .filter(|&d| {
-                    !self.planned[g][d.index()]
-                        && !view.is_resident_or_loading(GpuId(g as u32), d)
+                    !self.planned[g][d.index()] && !view.is_resident_or_loading(GpuId(g as u32), d)
                 })
                 .map(|d| ts.data_size(d))
                 .sum();
@@ -309,8 +308,8 @@ impl Scheduler for RouterScheduler {
 mod tests {
     use super::*;
     use memsched_platform::run;
-    use memsched_workloads::prefix::{prefix_tree, tree_bytes, PrefixConfig};
     use memsched_workloads::gemm_2d;
+    use memsched_workloads::prefix::{prefix_tree, tree_bytes, PrefixConfig};
 
     fn small_tree() -> memsched_model::TaskSet {
         prefix_tree(&PrefixConfig {

@@ -236,10 +236,9 @@ mod tests {
             }
         }
         let mut recovering = StealRecover(sched);
-        let report =
-            memsched_platform::run_with_config(&ts, &spec, &mut recovering, &config)
-                .unwrap()
-                .0;
+        let report = memsched_platform::run_with_config(&ts, &spec, &mut recovering, &config)
+            .unwrap()
+            .0;
         assert_eq!(report.per_gpu[0].tasks, 0, "GPU0 died at t = 0");
         assert_eq!(report.per_gpu[1].tasks + report.per_gpu[2].tasks, 9);
         assert!(recovering.0 .0.steals >= 2, "both survivors must steal");
@@ -315,16 +314,16 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match *e {
-                memsched_platform::ObsEvent::Steal { from, to, tasks, .. } => {
-                    Some((from, to, tasks))
-                }
+                memsched_platform::ObsEvent::Steal {
+                    from, to, tasks, ..
+                } => Some((from, to, tasks)),
                 _ => None,
             })
             .collect();
         assert_eq!(steal_events.len() as u64, sched.0.steals);
-        assert!(steal_events.iter().all(|&(from, to, tasks)| {
-            from == 0 && to == 1 && tasks >= 1
-        }));
+        assert!(steal_events
+            .iter()
+            .all(|&(from, to, tasks)| { from == 0 && to == 1 && tasks >= 1 }));
     }
 
     #[test]
@@ -333,7 +332,12 @@ mod tests {
         // on bus 0 and GPUs 2/3 on bus 1; with queues [8, 0, 0, 0], GPU 3
         // running dry takes the tail half of GPU 0's queue.
         let mut q = StealingQueues::new(
-            vec![(0..8).map(TaskId).collect(), Vec::new(), Vec::new(), Vec::new()],
+            vec![
+                (0..8).map(TaskId).collect(),
+                Vec::new(),
+                Vec::new(),
+                Vec::new(),
+            ],
             true,
         );
         assert_eq!(q.try_steal(3), Some((0, 4)));

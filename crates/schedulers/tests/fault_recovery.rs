@@ -79,21 +79,16 @@ fn failure_runs_replay_identically() {
     let spec = PlatformSpec::v100(2);
     let plan = FaultPlan::none().with_gpu_failure(0, FAIL_AT);
     for family in FAMILIES {
-        let (ra, ta) = run_with_config(
-            &ts,
-            &spec,
-            family.build().as_mut(),
-            &faulted(plan.clone()),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
-        let (rb, tb) = run_with_config(
-            &ts,
-            &spec,
-            family.build().as_mut(),
-            &faulted(plan.clone()),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
-        assert_eq!(ta, tb, "{}: same plan must replay identically", family.label());
+        let (ra, ta) = run_with_config(&ts, &spec, family.build().as_mut(), &faulted(plan.clone()))
+            .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
+        let (rb, tb) = run_with_config(&ts, &spec, family.build().as_mut(), &faulted(plan.clone()))
+            .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
+        assert_eq!(
+            ta,
+            tb,
+            "{}: same plan must replay identically",
+            family.label()
+        );
         assert_eq!(ra.makespan, rb.makespan, "{}", family.label());
     }
 }
@@ -108,13 +103,9 @@ fn degradation_is_graceful_not_fatal() {
     for family in FAMILIES {
         let healthy = run(&ts, &spec, family.build().as_mut())
             .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
-        let (faulty, _) = run_with_config(
-            &ts,
-            &spec,
-            family.build().as_mut(),
-            &faulted(plan.clone()),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
+        let (faulty, _) =
+            run_with_config(&ts, &spec, family.build().as_mut(), &faulted(plan.clone()))
+                .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
         let d = faulty.degradation_vs(&healthy);
         // Rerouting occasionally lands on a slightly better schedule than
         // the healthy allocation (it is a different decision sequence), so

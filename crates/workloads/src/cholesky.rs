@@ -61,10 +61,7 @@ pub fn cholesky_with_kinds(n: usize) -> (TaskSet, Vec<CholeskyKernel>) {
             b.add_task(&[tile[i][i], tile[i][k]], cholesky_flops::SYRK);
             kinds.push(CholeskyKernel::Syrk);
             for j in (k + 1)..i {
-                b.add_task(
-                    &[tile[i][j], tile[i][k], tile[j][k]],
-                    cholesky_flops::GEMM,
-                );
+                b.add_task(&[tile[i][j], tile[i][k], tile[j][k]], cholesky_flops::GEMM);
                 kinds.push(CholeskyKernel::Gemm);
             }
         }
@@ -123,10 +120,7 @@ mod tests {
     #[test]
     fn gemm_tasks_dominate_for_large_n() {
         let (ts, kinds) = cholesky_with_kinds(20);
-        let gemms = kinds
-            .iter()
-            .filter(|k| **k == CholeskyKernel::Gemm)
-            .count();
+        let gemms = kinds.iter().filter(|k| **k == CholeskyKernel::Gemm).count();
         assert!(gemms * 2 > ts.num_tasks(), "GEMM should dominate");
     }
 

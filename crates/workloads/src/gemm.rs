@@ -33,9 +33,7 @@ fn gemm_2d_ordered(n: usize, shuffle_seed: Option<u64>) -> TaskSet {
     let rows: Vec<_> = (0..n).map(|_| b.add_data(GEMM2D_DATA_BYTES)).collect();
     let cols: Vec<_> = (0..n).map(|_| b.add_data(GEMM2D_DATA_BYTES)).collect();
 
-    let mut cells: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| (0..n).map(move |j| (i, j)))
-        .collect();
+    let mut cells: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
     if let Some(seed) = shuffle_seed {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         cells.shuffle(&mut rng);

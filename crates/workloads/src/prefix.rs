@@ -246,9 +246,7 @@ mod tests {
             assert_eq!(a.data_size(d), b.data_size(d));
         }
         let other = prefix_tree(&PrefixConfig { seed: 8, ..cfg });
-        let same = a
-            .tasks()
-            .all(|t| other.inputs(t) == a.inputs(t));
+        let same = a.tasks().all(|t| other.inputs(t) == a.inputs(t));
         assert!(!same, "different seeds must draw different leaves");
     }
 

@@ -25,9 +25,7 @@ pub fn sparse_2d(n: usize, density: f64, seed: u64) -> TaskSet {
     let rows: Vec<_> = (0..n).map(|_| b.add_data(GEMM2D_DATA_BYTES)).collect();
     let cols: Vec<_> = (0..n).map(|_| b.add_data(GEMM2D_DATA_BYTES)).collect();
 
-    let mut cells: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| (0..n).map(move |j| (i, j)))
-        .collect();
+    let mut cells: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     cells.shuffle(&mut rng);
     // Keep at least one task so that the task set is non-empty.

@@ -118,7 +118,11 @@ pub fn open_loop_arrivals(pattern: &ArrivalPattern, seed: u64, n: usize) -> Vec<
             let mut in_burst = true;
             let mut phase_end = rng.next_exp(on_ns as f64);
             while out.len() < n {
-                let rate = if in_burst { on_rate_per_sec } else { off_rate_per_sec };
+                let rate = if in_burst {
+                    on_rate_per_sec
+                } else {
+                    off_rate_per_sec
+                };
                 let gap = rng.next_exp(NS_PER_SEC / rate);
                 if now + gap <= phase_end {
                     now += gap;
@@ -220,7 +224,9 @@ mod tests {
 
     #[test]
     fn poisson_is_seed_deterministic() {
-        let p = ArrivalPattern::Poisson { rate_per_sec: 500.0 };
+        let p = ArrivalPattern::Poisson {
+            rate_per_sec: 500.0,
+        };
         let a = open_loop_arrivals(&p, 42, 1000);
         let b = open_loop_arrivals(&p, 42, 1000);
         let c = open_loop_arrivals(&p, 43, 1000);
@@ -233,7 +239,9 @@ mod tests {
     fn poisson_empirical_mean_matches_rate() {
         // Rate 1000/s → mean inter-arrival 1 ms = 1e6 ns; over 10k draws
         // the empirical mean must land within 5 %.
-        let p = ArrivalPattern::Poisson { rate_per_sec: 1000.0 };
+        let p = ArrivalPattern::Poisson {
+            rate_per_sec: 1000.0,
+        };
         let a = open_loop_arrivals(&p, 7, 10_000);
         let mean = *a.last().unwrap() as f64 / a.len() as f64;
         let expect = 1e6;

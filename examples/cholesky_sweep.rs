@@ -30,11 +30,7 @@ fn main() {
             let wall = Instant::now();
             let r = run(&ts, &spec, sched.as_mut()).expect("run failed");
             let wall_ms = wall.elapsed().as_millis();
-            line.push_str(&format!(
-                " {:>12.0}GF {:>6}ms wall",
-                r.gflops(),
-                wall_ms
-            ));
+            line.push_str(&format!(" {:>12.0}GF {:>6}ms wall", r.gflops(), wall_ms));
         }
         println!("{line}");
     }

@@ -56,11 +56,19 @@ fn main() {
         "2D gemm 24x24 on 2 GPUs with {:.0} MB each\n",
         spec.memory_bytes as f64 / 1e6
     );
-    println!("{:<26} {:>10} {:>14}", "scheduler", "GFlop/s", "transfers(MB)");
+    println!(
+        "{:<26} {:>10} {:>14}",
+        "scheduler", "GFlop/s", "transfers(MB)"
+    );
 
     let mut eager = EagerScheduler::new();
     let r = run(&ts, &spec, &mut eager).unwrap();
-    println!("{:<26} {:>10.0} {:>14.0}", r.scheduler, r.gflops(), r.transfers_mb());
+    println!(
+        "{:<26} {:>10.0} {:>14.0}",
+        r.scheduler,
+        r.gflops(),
+        r.transfers_mb()
+    );
 
     for window in [8, 64] {
         let mut mine = WindowedLocalityScheduler {
@@ -68,12 +76,22 @@ fn main() {
             window,
         };
         let r = run(&ts, &spec, &mut mine).unwrap();
-        println!("{:<26} {:>10.0} {:>14.0}", r.scheduler, r.gflops(), r.transfers_mb());
+        println!(
+            "{:<26} {:>10.0} {:>14.0}",
+            r.scheduler,
+            r.gflops(),
+            r.transfers_mb()
+        );
     }
 
     let mut darts = DartsScheduler::new(DartsConfig::luf());
     let r = run(&ts, &spec, &mut darts).unwrap();
-    println!("{:<26} {:>10.0} {:>14.0}", r.scheduler, r.gflops(), r.transfers_mb());
+    println!(
+        "{:<26} {:>10.0} {:>14.0}",
+        r.scheduler,
+        r.gflops(),
+        r.transfers_mb()
+    );
 
     // Offline check: replay DARTS-like row ordering under Belady's rule to
     // see how far from the offline optimum the online policies land.

@@ -16,7 +16,11 @@ fn main() {
     let ts = memsched::workloads::gemm_2d(14);
     let spec = PlatformSpec::v100(2).with_memory(6 * GEMM2D_DATA_BYTES);
 
-    for named in [NamedScheduler::Eager, NamedScheduler::Dmdar, NamedScheduler::DartsLuf] {
+    for named in [
+        NamedScheduler::Eager,
+        NamedScheduler::Dmdar,
+        NamedScheduler::DartsLuf,
+    ] {
         let mut sched = named.build();
         let probe = Probe::unbounded();
         let report = run_observed(&ts, &spec, sched.as_mut(), &RunConfig::default(), &probe)
@@ -31,7 +35,10 @@ fn main() {
             report.gflops(),
             report.transfers_mb()
         );
-        print!("{}", render_gantt(&events, spec.num_gpus, report.makespan, 100).unwrap());
+        print!(
+            "{}",
+            render_gantt(&events, spec.num_gpus, report.makespan, 100).unwrap()
+        );
         println!(
             "bus utilization {:.0}%  |  transfer/compute overlap {:.0}%  |  GPU occupancy {:.0}%\n",
             100.0 * report.bus_busy_ns[0] as f64 / makespan,

@@ -225,7 +225,13 @@ macro_rules! impl_tuple_strategy {
         }
     )+};
 }
-impl_tuple_strategy!((A, B), (A, B, C), (A, B, C, D), (A, B, C, D, E), (A, B, C, D, E, F));
+impl_tuple_strategy!(
+    (A, B),
+    (A, B, C),
+    (A, B, C, D),
+    (A, B, C, D, E),
+    (A, B, C, D, E, F)
+);
 
 /// Types with a canonical full-domain strategy (see [`any`]).
 pub trait Arbitrary: Sized {
@@ -310,7 +316,12 @@ pub mod collection {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.hi - self.size.lo) as u64;
-            let len = self.size.lo + if span == 0 { 0 } else { rng.below(span + 1) as usize };
+            let len = self.size.lo
+                + if span == 0 {
+                    0
+                } else {
+                    rng.below(span + 1) as usize
+                };
             (0..len).map(|_| self.element.generate(rng)).collect()
         }
     }

@@ -273,17 +273,27 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&18_446_744_073_709_551_615u64.to_value()).unwrap(), u64::MAX);
+        assert_eq!(
+            u64::from_value(&18_446_744_073_709_551_615u64.to_value()).unwrap(),
+            u64::MAX
+        );
         assert_eq!(i64::from_value(&(-5i64).to_value()).unwrap(), -5);
         assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
         assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
-        assert_eq!(Vec::<u32>::from_value(&vec![1u32, 2].to_value()).unwrap(), vec![1, 2]);
+        assert_eq!(
+            Vec::<u32>::from_value(&vec![1u32, 2].to_value()).unwrap(),
+            vec![1, 2]
+        );
     }
 
     #[test]
     fn field_lookup_reports_missing() {
         let v = Value::Obj(vec![("a".into(), Value::Bool(true))]);
         assert!(v.field("a", "T").is_ok());
-        assert!(v.field("b", "T").unwrap_err().to_string().contains("missing field `b`"));
+        assert!(v
+            .field("b", "T")
+            .unwrap_err()
+            .to_string()
+            .contains("missing field `b`"));
     }
 }

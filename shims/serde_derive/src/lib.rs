@@ -52,7 +52,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_deserialize(&item).parse().expect("deserialize impl parses")
+    gen_deserialize(&item)
+        .parse()
+        .expect("deserialize impl parses")
 }
 
 // --- parsing -------------------------------------------------------------
@@ -249,9 +251,9 @@ fn gen_serialize(item: &Input) -> String {
 fn ser_variant_arm(ty: &str, v: &Variant) -> String {
     let vn = &v.name;
     match &v.fields {
-        VariantFields::Unit => format!(
-            "{ty}::{vn} => ::serde::Value::Str(::std::string::String::from(\"{vn}\")),"
-        ),
+        VariantFields::Unit => {
+            format!("{ty}::{vn} => ::serde::Value::Str(::std::string::String::from(\"{vn}\")),")
+        }
         VariantFields::Named(fields) => {
             let binds = fields.join(", ");
             let entries: Vec<String> = fields
@@ -298,9 +300,7 @@ fn gen_deserialize(item: &Input) -> String {
             let inits: Vec<String> = fields
                 .iter()
                 .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(v.field(\"{f}\", \"{name}\")?)?"
-                    )
+                    format!("{f}: ::serde::Deserialize::from_value(v.field(\"{f}\", \"{name}\")?)?")
                 })
                 .collect();
             format!(
@@ -308,9 +308,9 @@ fn gen_deserialize(item: &Input) -> String {
                 inits.join(", ")
             )
         }
-        Kind::TupleStruct(1) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
-        ),
+        Kind::TupleStruct(1) => {
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
+        }
         Kind::TupleStruct(n) => {
             let inits: Vec<String> = (0..*n)
                 .map(|k| format!("::serde::Deserialize::from_value(&arr[{k}])?"))

@@ -350,7 +350,10 @@ mod tests {
     fn round_trip_compact_and_pretty() {
         let v = Value::Obj(vec![
             ("a".into(), Value::Num(Number::U(u64::MAX))),
-            ("b".into(), Value::Arr(vec![Value::Num(Number::F(1.5)), Value::Null])),
+            (
+                "b".into(),
+                Value::Arr(vec![Value::Num(Number::F(1.5)), Value::Null]),
+            ),
             ("s".into(), Value::Str("q\"uote\n".into())),
         ]);
         for text in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {

@@ -78,19 +78,11 @@ fn defer_only_ignores_overload_metadata() {
         let config = config_for(&chaos, ShedPolicy::DeferOnly);
         for named in FAMILIES {
             let mut a = named.build();
-            let ra = memsched::platform::run_with_config(
-                &chaos.ts,
-                &chaos.spec,
-                a.as_mut(),
-                &config,
-            );
+            let ra =
+                memsched::platform::run_with_config(&chaos.ts, &chaos.spec, a.as_mut(), &config);
             let mut b = named.build();
-            let rb = memsched::platform::run_with_config(
-                &chaos.plain,
-                &chaos.spec,
-                b.as_mut(),
-                &config,
-            );
+            let rb =
+                memsched::platform::run_with_config(&chaos.plain, &chaos.spec, b.as_mut(), &config);
             match (ra, rb) {
                 (Ok((_, ta)), Ok((_, tb))) => {
                     assert_eq!(

@@ -156,7 +156,13 @@ impl Strategy for Scenarios {
             let m = ts.num_tasks();
             let arrivals = (0..m).map(|_| draw(0, 20_000_000)).collect();
             let deadlines = (0..m)
-                .map(|_| if draw(0, 3) == 0 { 0 } else { draw(50_000, 20_000_000) })
+                .map(|_| {
+                    if draw(0, 3) == 0 {
+                        0
+                    } else {
+                        draw(50_000, 20_000_000)
+                    }
+                })
                 .collect();
             let classes = (0..m).map(|_| draw(0, 2) as u32).collect();
             ts = ts
@@ -205,7 +211,10 @@ impl Strategy for Scenarios {
 /// must stall the same way.
 pub fn check_scenario(s: &Scenario) -> Result<(), String> {
     let stuck_allowed = !s.config.faults.is_empty()
-        && s.config.admission.as_ref().is_some_and(|a| a.policy == ShedPolicy::DeferOnly);
+        && s.config
+            .admission
+            .as_ref()
+            .is_some_and(|a| a.policy == ShedPolicy::DeferOnly);
     for named in FAMILIES {
         let [first, second] =
             [0, 1].map(|_| run_with_config(&s.ts, &s.spec, named.build().as_mut(), &s.config));
@@ -258,8 +267,16 @@ pub fn run_validated(
 /// event where they part.
 pub fn assert_same_events(what: &str, a: &[TraceEvent], b: &[TraceEvent]) {
     if a != b {
-        let i = a.iter().zip(b).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len()));
-        panic!("{what} diverge at event {i}:\n  {:?}\n  {:?}", a.get(i), b.get(i));
+        let i = a
+            .iter()
+            .zip(b)
+            .position(|(x, y)| x != y)
+            .unwrap_or(a.len().min(b.len()));
+        panic!(
+            "{what} diverge at event {i}:\n  {:?}\n  {:?}",
+            a.get(i),
+            b.get(i)
+        );
     }
 }
 

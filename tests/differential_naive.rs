@@ -24,8 +24,7 @@ use memsched::hypergraph::{bisect, bisect_naive, partition, Hypergraph, Partitio
 use memsched::platform::{run_with_config, RunConfig, Scheduler, TraceEvent};
 use memsched::prelude::*;
 use memsched::schedulers::{
-    hfp_pack_with, DartsConfig, DartsScheduler, DmdaScheduler, NamedScheduler, PackConfig,
-    FAMILIES,
+    hfp_pack_with, DartsConfig, DartsScheduler, DmdaScheduler, NamedScheduler, PackConfig, FAMILIES,
 };
 use memsched::workloads::{cholesky, gemm_2d_random, scale_preset};
 use proptest::prelude::*;
@@ -66,10 +65,8 @@ fn arb_sized_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value =
     (2usize..=max_data, 1usize..=max_tasks)
         .prop_flat_map(|(nd, mt)| {
             let sizes = proptest::collection::vec(1u64..=4, nd);
-            let inputs = proptest::collection::vec(
-                proptest::collection::vec(0..nd as u32, 1..=3),
-                mt,
-            );
+            let inputs =
+                proptest::collection::vec(proptest::collection::vec(0..nd as u32, 1..=3), mt);
             (sizes, inputs)
         })
         .prop_map(|(sizes, task_inputs)| {
@@ -89,10 +86,8 @@ fn arb_sized_taskset(max_data: usize, max_tasks: usize) -> impl Strategy<Value =
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (4usize..=28, 2usize..=28)
         .prop_flat_map(|(nv, nn)| {
-            let nets = proptest::collection::vec(
-                proptest::collection::vec(0..nv as u32, 2..=4),
-                nn,
-            );
+            let nets =
+                proptest::collection::vec(proptest::collection::vec(0..nv as u32, 2..=4), nn);
             let vweights = proptest::collection::vec(1u64..=3, nv);
             let nweights = proptest::collection::vec(1u64..=3, nn);
             (Just(nv), nets, vweights, nweights)
@@ -294,7 +289,11 @@ fn assert_equivalent(
     );
     let what = format!("{label}: naive vs incremental decision streams");
     assert_same_events(&what, &naive_trace, &incr_trace);
-    assert_eq!(without_walls(naive_report), without_walls(incr_report), "{label}");
+    assert_eq!(
+        without_walls(naive_report),
+        without_walls(incr_report),
+        "{label}"
+    );
 }
 
 /// Run `named` once on the pre-refactor engine core (`naive_core`: binary
@@ -340,7 +339,10 @@ fn engine_cores_equivalent(
             let (ck_report, ck_trace) =
                 run_with_config(ts, spec, named.build().as_mut(), &checksum_config)
                     .expect("checksum rerun of a successful run");
-            assert!(ck_trace.is_empty(), "{label}: checksum mode materialized events");
+            assert!(
+                ck_trace.is_empty(),
+                "{label}: checksum mode materialized events"
+            );
             assert_eq!(
                 ck_report.trace_checksum,
                 Some(trace_checksum(&cal_trace)),

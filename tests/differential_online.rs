@@ -63,8 +63,14 @@ fn assert_online_matches_batch(
     let o_decisions = decisions_of(o_trace);
     let what = format!("{label}: batch vs online t=0 decisions");
     assert_same_events(&what, &b_decisions, &o_decisions);
-    let stats = o_report.online.clone().expect("online run must report stats");
-    let o_report = RunReport { online: None, ..o_report };
+    let stats = o_report
+        .online
+        .clone()
+        .expect("online run must report stats");
+    let o_report = RunReport {
+        online: None,
+        ..o_report
+    };
     assert_eq!(without_walls(b_report), without_walls(o_report), "{label}");
     assert_eq!(stats.tasks_admitted as usize, ts.num_tasks(), "{label}");
     assert_eq!(stats.tasks_deferred, 0, "{label}: t=0 defers nothing");

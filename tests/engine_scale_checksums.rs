@@ -47,12 +47,17 @@ fn checksum_config() -> RunConfig {
 fn checksum_line(w: &Workload) -> String {
     let ts = w.generate();
     let (report, trace) = run_scale(&ts, &checksum_config());
-    assert!(trace.is_empty(), "checksum mode must not materialize events");
+    assert!(
+        trace.is_empty(),
+        "checksum mode must not materialize events"
+    );
     format!(
         "{} tasks={} checksum={:016x} makespan={} loads={}",
         w.label(),
         ts.num_tasks(),
-        report.trace_checksum.expect("checksum mode records a checksum"),
+        report
+            .trace_checksum
+            .expect("checksum mode records a checksum"),
         report.makespan,
         report.total_loads,
     )
@@ -113,7 +118,8 @@ fn release_tier() -> MutexGuard<'static, ()> {
 #[test]
 #[ignore = "million-task run; execute in release mode explicitly"]
 fn million_task_checksum_is_pinned() {
-    const PINNED: &str = "gemm3d(n=100) tasks=1000000 checksum=3749c1b16210bd45 makespan=102873084148 loads=319091";
+    const PINNED: &str =
+        "gemm3d(n=100) tasks=1000000 checksum=3749c1b16210bd45 makespan=102873084148 loads=319091";
     let _tier = release_tier();
     let line = checksum_line(&Workload::Gemm3d { n: 100 });
     assert_eq!(line, PINNED, "million-task trace stream changed");

@@ -110,22 +110,34 @@ fn render_stream_trace(named: &NamedScheduler) -> String {
 
 #[test]
 fn golden_stream_eager() {
-    check_golden("eager.stream.trace", &render_stream_trace(&NamedScheduler::Eager));
+    check_golden(
+        "eager.stream.trace",
+        &render_stream_trace(&NamedScheduler::Eager),
+    );
 }
 
 #[test]
 fn golden_stream_dmdar() {
-    check_golden("dmdar.stream.trace", &render_stream_trace(&NamedScheduler::Dmdar));
+    check_golden(
+        "dmdar.stream.trace",
+        &render_stream_trace(&NamedScheduler::Dmdar),
+    );
 }
 
 #[test]
 fn golden_stream_mhfp() {
-    check_golden("mhfp.stream.trace", &render_stream_trace(&NamedScheduler::Mhfp));
+    check_golden(
+        "mhfp.stream.trace",
+        &render_stream_trace(&NamedScheduler::Mhfp),
+    );
 }
 
 #[test]
 fn golden_stream_darts_luf() {
-    check_golden("darts_luf.stream.trace", &render_stream_trace(&NamedScheduler::DartsLuf));
+    check_golden(
+        "darts_luf.stream.trace",
+        &render_stream_trace(&NamedScheduler::DartsLuf),
+    );
 }
 
 /// The router family, on its native workload: a seeded prefix-tree

@@ -73,8 +73,7 @@ fn offline_belady_lower_bounds_online_engine() {
             for t in ts.tasks() {
                 schedule.push(GpuId(0), t);
             }
-            let belady =
-                replay(&ts, &schedule, spec.memory_bytes, EvictionPolicy::Belady).unwrap();
+            let belady = replay(&ts, &schedule, spec.memory_bytes, EvictionPolicy::Belady).unwrap();
             assert!(
                 report.total_loads >= belady.total_loads(),
                 "depth={depth} cap={cap_items}: engine {} beat Belady {}",

@@ -68,7 +68,9 @@ fn same_seed_streams_identical_across_worker_counts() {
     let ts = {
         let base = gemm_2d(5);
         let arrivals = open_loop_arrivals(
-            &ArrivalPattern::Poisson { rate_per_sec: 800.0 },
+            &ArrivalPattern::Poisson {
+                rate_per_sec: 800.0,
+            },
             42,
             base.num_tasks(),
         );
@@ -101,7 +103,9 @@ fn midstream_failstop_with_admission_completes_exactly_once() {
     let ts = {
         let base = gemm_2d(4); // 16 tasks
         let arrivals = open_loop_arrivals(
-            &ArrivalPattern::Poisson { rate_per_sec: 2000.0 },
+            &ArrivalPattern::Poisson {
+                rate_per_sec: 2000.0,
+            },
             7,
             base.num_tasks(),
         );
@@ -116,7 +120,10 @@ fn midstream_failstop_with_admission_completes_exactly_once() {
     };
     for named in FAMILIES {
         let (report, _) = run_validated(&ts, &spec, named.build().as_mut(), &config);
-        assert_eq!(report.gpu_failures, 1, "{named:?}: the failure must land mid-stream");
+        assert_eq!(
+            report.gpu_failures, 1,
+            "{named:?}: the failure must land mid-stream"
+        );
     }
 }
 
@@ -156,7 +163,10 @@ fn fault_stranded_deferred_task_shed_under_policy_stuck_under_defer_only() {
         assert_eq!(stats.tasks_admitted, 1, "{policy:?}");
         assert_eq!(stats.tasks_shed, 1, "{policy:?}");
         assert!(
-            trace.contains(&TraceEvent::TaskShed { at: 200_000, task: 1 }),
+            trace.contains(&TraceEvent::TaskShed {
+                at: 200_000,
+                task: 1
+            }),
             "{policy:?}: stranded deferral must surface as TaskShed at the shrink"
         );
     }
@@ -170,7 +180,13 @@ fn fault_stranded_deferred_task_shed_under_policy_stuck_under_defer_only() {
     )
     .expect_err("DeferOnly has no way out of a stranded deferral");
     assert!(
-        matches!(err, RunError::SchedulerStuck { completed: 1, total: 2 }),
+        matches!(
+            err,
+            RunError::SchedulerStuck {
+                completed: 1,
+                total: 2
+            }
+        ),
         "unexpected error: {err:?}"
     );
 }
@@ -184,7 +200,9 @@ fn all_families_complete_1k_task_poisson_stream() {
     let ts = {
         let base = gemm_2d(32); // 1024 tasks
         let arrivals = open_loop_arrivals(
-            &ArrivalPattern::Poisson { rate_per_sec: 4000.0 },
+            &ArrivalPattern::Poisson {
+                rate_per_sec: 4000.0,
+            },
             7,
             base.num_tasks(),
         );

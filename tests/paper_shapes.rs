@@ -153,8 +153,7 @@ fn conservation_laws() {
         // At least the compulsory loads happened.
         assert!(report.total_loads >= 20, "{named:?}");
         // Makespan is at least the compute roofline.
-        let roofline_ns =
-            memsched::model::bounds::compute_roofline_seconds(&ts, 2, 13_253.0) * 1e9;
+        let roofline_ns = memsched::model::bounds::compute_roofline_seconds(&ts, 2, 13_253.0) * 1e9;
         assert!(
             report.makespan as f64 >= roofline_ns * 0.99,
             "{named:?}: makespan below roofline"
@@ -179,10 +178,7 @@ fn darts_variants_hold_on_irregular_workloads() {
     let spec = PlatformSpec::v100(4).with_memory(6 * GEMM2D_DATA_BYTES);
     let darts = loads_of(NamedScheduler::DartsLufOpti, &sparse, &spec);
     let eager = loads_of(NamedScheduler::Eager, &sparse, &spec);
-    assert!(
-        darts <= eager,
-        "sparse: DARTS {darts} vs EAGER {eager}"
-    );
+    assert!(darts <= eager, "sparse: DARTS {darts} vs EAGER {eager}");
 }
 
 /// Offline model consistency: replaying the engine's LRU behaviour can

@@ -200,9 +200,9 @@ fn depth_one_matches_independent_tasks() {
         let stamp = |ts: &TaskSet| match arrivals {
             None => ts.clone(),
             // A fixed-stride arrival ramp exercises the admission loop.
-            Some(stride) => ts.clone().with_arrivals(
-                (0..ts.num_tasks() as u64).map(|i| i * stride).collect(),
-            ),
+            Some(stride) => ts
+                .clone()
+                .with_arrivals((0..ts.num_tasks() as u64).map(|i| i * stride).collect()),
         };
         let config = RunConfig {
             admission: arrivals.map(|_| AdmissionConfig::default()),
@@ -210,17 +210,13 @@ fn depth_one_matches_independent_tasks() {
         };
         let run_one = |ts: &TaskSet| {
             let mut sched = memsched::schedulers::NamedScheduler::Dmdar.build();
-            run_with_config(&stamp(ts), &spec, sched.as_mut(), &config)
-                .expect("run succeeds")
+            run_with_config(&stamp(ts), &spec, sched.as_mut(), &config).expect("run succeeds")
         };
         let (report_t, trace_t) = run_one(&tree);
         let (report_f, trace_f) = run_one(&flat);
         assert_eq!(trace_t, trace_f, "traces diverge (arrivals: {arrivals:?})");
         assert_eq!(report_t.makespan, report_f.makespan);
-        assert_eq!(
-            report_t.total_load_bytes,
-            report_f.total_load_bytes
-        );
+        assert_eq!(report_t.total_load_bytes, report_f.total_load_bytes);
     }
 }
 
