@@ -138,6 +138,12 @@ impl Hypergraph {
         (&self.net_offsets, &self.net_pins)
     }
 
+    /// The vertex -> nets CSR arrays `(vert_offsets, vert_nets)`.
+    #[inline]
+    pub(crate) fn net_csr(&self) -> (&[u32], &[u32]) {
+        (&self.vert_offsets, &self.vert_nets)
+    }
+
     /// Pins of net `n`, sorted.
     #[inline]
     pub fn pins(&self, n: usize) -> &[u32] {

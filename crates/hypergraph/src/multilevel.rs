@@ -33,9 +33,11 @@
 //!   gain. The rollback restores that same prefix either way, and the
 //!   heap, `cached` and `locked` are rebuilt every pass, so the next pass
 //!   starts from the same state;
-//! * `coarsen_once` reuses its scratch across levels, builds coarse nets
-//!   straight into CSR, and the level stack no longer clones each coarse
-//!   hypergraph. It picks each partner by one of two paths, both exact;
+//! * `coarsen_once` reuses its scratch across levels and the level stack
+//!   does not clone each coarse hypergraph. It picks each partner by one
+//!   of two paths, both exact, and reads the level's [`LevelSetup`] (net
+//!   weights, path and index), which depends on the hypergraph alone, so
+//!   `partition` builds its top level's once for all restarts;
 //! * on a *sparse* level it indexes the pairs of nets of at most
 //!   `MAX_MATCH_NET` pins (*small* nets) that share two or more vertices,
 //!   listing those vertices. The partner of `v` is then the largest
@@ -58,16 +60,35 @@
 //!   off it, and when its lists hold no more vertices than the level has
 //!   pins, the size of the scan's pin copy; the build falls back to the
 //!   scan as soon as it outgrows that;
+//! * the index build indexes the small nets in ascending id and each
+//!   vertex's nets ascend, so the nets of pin `v` after the net `f` being
+//!   indexed are a suffix of `v`'s list, which a per-vertex cursor finds
+//!   without reading the nets before `f` again. The lists are filled from
+//!   the `(net, pin)` incidences that walk recorded, in the order a
+//!   second walk would meet them, so every list is the same;
+//! * once a level of a bisection takes the scan, the coarser levels take
+//!   it without building an index. Both paths pick the scan's partner, so
+//!   this changes only the work: on the `gemm2d_hmetis` input the levels
+//!   after the first scan each built an index only to abandon it;
 //! * on a dense level `coarsen_once` scores neighbours over a per-level
-//!   pin copy whose rows keep only the pins not known to be matched:
-//!   each scan compacts a row stably as it reads it, so a pin is read
-//!   once after it is matched instead of once per later scan through its
-//!   net. The loop has no data-dependent branch: every live pin, `v`
-//!   included, adds the net's weight and joins the touched list on its
-//!   first score, and the partner is the largest `(score, u)` over the
-//!   touched vertices other than `v`. The weight still uses the net's
-//!   full pin count, scores are sums (order-free) and keys are unique, so
-//!   the partner is the one the full-pin scan picks;
+//!   pin copy whose rows hold only unmatched pins: a vertex leaves the
+//!   rows of its small nets as soon as it is matched, each time replaced
+//!   by its row's last pin, through a map from each incidence to its
+//!   pin's place in the copy and back. The loop has no data-dependent
+//!   branch: every pin, `v` included, adds the net's weight and joins the
+//!   touched list on its first score, and the partner is the largest
+//!   `(score, u)` over the touched vertices other than `v`. The weight
+//!   still uses the net's full pin count, scores are sums (order-free)
+//!   and keys are unique, so neither the rows' order nor the touched
+//!   list's changes the partner, which is the one the full-pin scan
+//!   picks;
+//! * contraction appends each coarse vertex, in ascending id, to the rows
+//!   of its members' nets, so every row comes out ascending, and a row
+//!   that already holds the coarse vertex being appended ends with it, so
+//!   its last entry dedups it. That gives each net's sorted distinct
+//!   coarse pins, what `build_coarse` gets by mapping, sorting and
+//!   deduplicating every net; nets left with fewer than two pins are
+//!   dropped in net order by both;
 //! * `greedy_initial` filters a persistent candidate pool in place
 //!   (`retain` keeps the same ascending order and length as the rebuilt
 //!   vector, so every RNG draw is identical). Its frontier is a stack of
@@ -105,20 +126,44 @@ struct Level {
 /// tolerance `eps` as a fraction of total weight). Returns the part vector
 /// and its connectivity−1 cost.
 pub fn bisect(hg: &Hypergraph, w0: u64, w1: u64, eps: f64, seed: u64) -> (Vec<u32>, u64) {
+    bisect_with(hg, None, w0, w1, eps, seed)
+}
+
+/// [`bisect`] with `finest`, the setup of `hg`'s own level, when the
+/// caller has built it once for many bisections of `hg`.
+pub(crate) fn bisect_with(
+    hg: &Hypergraph,
+    finest: Option<&LevelSetup>,
+    w0: u64,
+    w1: u64,
+    eps: f64,
+    seed: u64,
+) -> (Vec<u32>, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     // Coarsen. The current hypergraph is borrowed from the level stack
-    // (or is `hg` itself) instead of cloned, and one matching scratch
-    // serves every level. It is dropped before refinement, which needs
-    // none of it.
+    // (or is `hg` itself) instead of cloned, and one matching scratch and
+    // one level setup serve every level. They are dropped before
+    // refinement, which needs neither. Once a level takes the scan, the
+    // coarser ones take it without trying the index.
     let mut levels: Vec<Level> = Vec::new();
     {
         let mut scratch = CoarsenScratch::default();
+        let mut setup = LevelSetup::default();
+        let mut try_index = true;
         loop {
             let current = levels.last().map_or(hg, |l| &l.coarse);
             if current.num_vertices() <= COARSEN_TARGET {
                 break;
             }
-            let (coarse, map) = coarsen_once(current, &mut rng, &mut scratch);
+            let level = match finest {
+                Some(finest) if levels.is_empty() => finest,
+                _ => {
+                    setup.build(current, try_index, &mut scratch.index);
+                    &setup
+                }
+            };
+            try_index = level.indexed;
+            let (coarse, map) = coarsen_once(current, level, &mut rng, &mut scratch);
             let shrink = coarse.num_vertices() as f64 / current.num_vertices() as f64;
             levels.push(Level { coarse, map });
             if shrink > MIN_SHRINK {
@@ -178,9 +223,6 @@ fn bisection_cost(hg: &Hypergraph, parts: &[u32]) -> u64 {
 #[derive(Default)]
 struct CoarsenScratch {
     order: Vec<u32>,
-    /// `match_weight` of each net of the current level; 0 for the nets
-    /// above `MAX_MATCH_NET` pins, which matching ignores.
-    weight: Vec<u64>,
     /// Byte-per-vertex matched flag of the current level.
     taken: Vec<bool>,
     /// Index path: per-net pointer into the ascending pin row; every pin
@@ -189,7 +231,6 @@ struct CoarsenScratch {
     /// Index path: the last vertex that stamped each net as one of its
     /// own.
     net_stamp: Vec<u32>,
-    index: PairIndex,
     /// Scan path: neighbour scores, all zero between vertices.
     score: Vec<u64>,
     /// Scan path: the vertices scored for the current vertex. The scan
@@ -197,12 +238,65 @@ struct CoarsenScratch {
     /// has vertices.
     touched: Vec<u32>,
     /// Scan path: a per-level copy of the pin CSR. Row `n` starts at the
-    /// net's own offset and holds its first `live_len[n]` entries as the
-    /// pins not known to be matched yet; scans compact matched pins out
-    /// as they meet them.
+    /// net's own offset and holds its unmatched pins as its first
+    /// `live_len[n]` entries, in no particular order.
     live_pins: Vec<u32>,
-    /// Pin buffer for building one coarse net.
-    net_buf: Vec<u32>,
+    /// Scan path: per incidence (the nets of vertex 0, then those of
+    /// vertex 1, …), the position of its pin in `live_pins`.
+    pin_slot: Vec<u32>,
+    /// Scan path: per position in `live_pins`, the incidence of its pin.
+    slot_pin: Vec<u32>,
+    /// The fine vertices of each coarse vertex, the second `NO_PARTNER`
+    /// for a vertex matched alone.
+    members: Vec<[u32; 2]>,
+    /// Per net: the length of its coarse row during contraction.
+    row_len: Vec<u32>,
+    /// The coarse rows during contraction, each at its fine row's offset.
+    rows: Vec<u32>,
+    index: IndexScratch,
+}
+
+/// The second member of a coarse vertex matched alone.
+const NO_PARTNER: u32 = u32::MAX;
+
+/// What matching reads of a level besides the hypergraph: each net's
+/// `match_weight` and, on a sparse level, the net-pair index. It depends
+/// on the hypergraph alone, so `partition` builds the setup of its top
+/// level once and every restart reads it.
+#[derive(Default)]
+pub(crate) struct LevelSetup {
+    /// `match_weight` of each net; 0 for the nets above `MAX_MATCH_NET`
+    /// pins, which matching ignores.
+    weight: Vec<u64>,
+    index: PairIndex,
+    /// The level takes the index path: the index was cheap to build and
+    /// stayed within its budget.
+    indexed: bool,
+    /// The index build ran (and was abandoned unless `indexed`).
+    #[cfg(test)]
+    index_tried: bool,
+}
+
+impl LevelSetup {
+    /// The setup of `hg`'s level.
+    pub(crate) fn new(hg: &Hypergraph) -> Self {
+        let mut setup = Self::default();
+        setup.build(hg, true, &mut IndexScratch::default());
+        setup
+    }
+
+    /// Set `hg`'s level up in place. Without `try_index` the level takes
+    /// the scan and builds no index.
+    fn build(&mut self, hg: &Hypergraph, try_index: bool, scratch: &mut IndexScratch) {
+        net_weights(hg, &mut self.weight);
+        let tried = try_index && index_is_cheap(hg);
+        #[cfg(test)]
+        {
+            self.index_tried = tried;
+            self.index.nets_read = 0;
+        }
+        self.indexed = tried && self.index.build(hg, &self.weight, hg.num_pins(), scratch);
+    }
 }
 
 /// The net-pair index of one level: each pair of nets of at most
@@ -219,11 +313,24 @@ struct PairIndex {
     /// is indexed.
     vert_offsets: Vec<u32>,
     pairs: Vec<u32>,
-    /// Build scratch, per net: the pins it shares with the net being
-    /// indexed, then its list's write cursor (`u32::MAX` for no list).
+    /// Net ids the last build read.
+    #[cfg(test)]
+    nets_read: u64,
+}
+
+/// Scratch of [`PairIndex::build`].
+#[derive(Default)]
+struct IndexScratch {
+    /// Per net: the pins it shares with the net being indexed, then its
+    /// list's write cursor (`u32::MAX` for no list).
     slot: Vec<u32>,
-    /// Build scratch: the later small nets the net being indexed meets.
+    /// The later small nets the net being indexed meets.
     met: Vec<u32>,
+    /// Per vertex: how many of its nets the build has passed.
+    cursor: Vec<u32>,
+    /// `(g, v)`: the net being indexed meets the later small net `g` at
+    /// its pin `v`, in the order the walk met them.
+    seen: Vec<(u32, u32)>,
 }
 
 impl PairIndex {
@@ -231,34 +338,69 @@ impl PairIndex {
     /// turn, counts the pins it shares with every later small net and
     /// lists them for each net it shares two or more with. Returns false
     /// as soon as the lists would hold more than `budget` vertices.
-    fn build(&mut self, hg: &Hypergraph, weight: &[u64], budget: usize) -> bool {
+    ///
+    /// Nets are indexed in ascending id and each vertex's nets ascend, so
+    /// a per-vertex cursor finds `f` among its pin's nets and the walk
+    /// reads only the nets after it. The lists are filled from the
+    /// incidences that walk recorded.
+    fn build(
+        &mut self,
+        hg: &Hypergraph,
+        weight: &[u64],
+        budget: usize,
+        scratch: &mut IndexScratch,
+    ) -> bool {
         const NO_LIST: u32 = u32::MAX;
+        let IndexScratch {
+            slot,
+            met,
+            cursor,
+            seen,
+        } = scratch;
         self.offsets.clear();
         self.offsets.push(0);
         self.verts.clear();
         self.vert_offsets.clear();
-        self.slot.clear();
-        self.slot.resize(hg.num_nets(), 0);
-        self.met.reserve(hg.num_nets());
+        slot.clear();
+        slot.resize(hg.num_nets(), 0);
+        cursor.clear();
+        cursor.resize(hg.num_vertices(), 0);
+        met.reserve(hg.num_nets());
         for f in 0..hg.num_nets() {
             if weight[f] == 0 {
                 continue;
             }
-            self.met.clear();
+            met.clear();
+            seen.clear();
             for &v in hg.pins(f) {
-                for &g in hg.nets_of(v as usize) {
+                let nets = hg.nets_of(v as usize);
+                // The cursor passes `f` and the nets before it that
+                // matching ignores, which no earlier net passed.
+                let from = cursor[v as usize] as usize;
+                let at = from
+                    + nets[from..]
+                        .iter()
+                        .position(|&g| g as usize == f)
+                        .expect("a pin's nets include its net");
+                cursor[v as usize] = at as u32 + 1;
+                #[cfg(test)]
+                {
+                    self.nets_read += (nets.len() - from) as u64;
+                }
+                for &g in &nets[at + 1..] {
                     let gi = g as usize;
-                    if gi > f && weight[gi] != 0 {
-                        if self.slot[gi] == 0 {
-                            self.met.push(g);
+                    if weight[gi] != 0 {
+                        if slot[gi] == 0 {
+                            met.push(g);
                         }
-                        self.slot[gi] += 1;
+                        slot[gi] += 1;
+                        seen.push((g, v));
                     }
                 }
             }
             let mut end = self.verts.len();
-            for &g in &self.met {
-                let slot = &mut self.slot[g as usize];
+            for &g in met.iter() {
+                let slot = &mut slot[g as usize];
                 if *slot >= 2 {
                     let shared = *slot as usize;
                     *slot = end as u32;
@@ -271,26 +413,18 @@ impl PairIndex {
                 return false;
             }
             if end > self.verts.len() {
-                if self.verts.is_empty() {
-                    // The level's first lists: size both vectors for the
-                    // budget, so that no later pair reallocates them.
-                    self.verts.reserve(budget);
-                    self.offsets.reserve(budget / 2);
-                }
                 self.verts.resize(end, 0);
-                for &v in hg.pins(f) {
-                    for &g in hg.nets_of(v as usize) {
-                        let gi = g as usize;
-                        if gi > f && weight[gi] != 0 && self.slot[gi] != NO_LIST {
-                            self.verts[self.slot[gi] as usize] = v;
-                            self.slot[gi] += 1;
-                        }
+                for &(g, v) in seen.iter() {
+                    let slot = &mut slot[g as usize];
+                    if *slot != NO_LIST {
+                        self.verts[*slot as usize] = v;
+                        *slot += 1;
                     }
                 }
             }
             // Each cursor now ends its list; the lists follow `met`.
-            for &g in &self.met {
-                let slot = &mut self.slot[g as usize];
+            for &g in met.iter() {
+                let slot = &mut slot[g as usize];
                 if *slot != NO_LIST {
                     self.offsets.push(*slot);
                 }
@@ -381,44 +515,64 @@ fn index_is_cheap(hg: &Hypergraph) -> bool {
 /// A sparse level (see [`index_is_cheap`] and [`PairIndex::build`]) takes
 /// the partner from per-net pointers and the net-pair index; a dense one
 /// scores its neighbours over the live rows. The module doc gives the
-/// argument that both pick the full-pin scan's partner.
+/// argument that both pick the full-pin scan's partner. `setup` is the
+/// level's [`LevelSetup`].
 fn coarsen_once(
     hg: &Hypergraph,
+    setup: &LevelSetup,
     rng: &mut StdRng,
     scratch: &mut CoarsenScratch,
 ) -> (Hypergraph, Vec<u32>) {
     let n = hg.num_vertices();
     let CoarsenScratch {
         order,
-        weight,
         taken,
         live_len,
         net_stamp,
-        index,
         score,
         touched,
         live_pins,
-        net_buf,
+        pin_slot,
+        slot_pin,
+        members,
+        row_len,
+        rows,
+        index: _,
     } = scratch;
+    let (weight, index, indexed) = (&setup.weight, &setup.index, setup.indexed);
     order.clear();
     order.extend(0..n as u32);
     order.shuffle(rng);
 
     let mut matched = vec![u32::MAX; n]; // coarse id per fine vertex
-    let mut next_coarse = 0u32;
+    members.clear();
     taken.clear();
     taken.resize(n, false);
     let (offsets, pins) = hg.pin_csr();
-    net_weights(hg, weight);
+    let (vert_offsets, vert_nets) = hg.net_csr();
     live_len.clear();
     live_len.extend(offsets.windows(2).map(|w| w[1] - w[0]));
-    let indexed = index_is_cheap(hg) && index.build(hg, weight, hg.num_pins());
     if indexed {
         net_stamp.clear();
         net_stamp.resize(hg.num_nets(), u32::MAX);
     } else {
         live_pins.clear();
         live_pins.extend_from_slice(pins);
+        // Link each pin of the copy with its incidence, both ways.
+        // Incidences are numbered as the vertex → nets CSR lists them, and
+        // the copy holds the nets in ascending id, so a cursor per vertex
+        // meets that vertex's incidences in order.
+        pin_slot.clear();
+        pin_slot.resize(pins.len(), 0);
+        slot_pin.clear();
+        slot_pin.resize(pins.len(), 0);
+        let mut next = vert_offsets[..n].to_vec();
+        for (p, &x) in pins.iter().enumerate() {
+            let i = next[x as usize] as usize;
+            next[x as usize] += 1;
+            pin_slot[i] = p as u32;
+            slot_pin[p] = i as u32;
+        }
         // `score` is all-zero between vertices (reset via `touched`), so
         // growing it keeps the invariant.
         if score.len() < n {
@@ -431,6 +585,8 @@ fn coarsen_once(
     #[cfg(test)]
     let mut count = tests::MatchCount {
         indexed,
+        index_abandoned: setup.index_tried && !indexed,
+        index_nets_read: index.nets_read,
         index_len: if indexed { index.verts.len() as u64 } else { 0 },
         ..Default::default()
     };
@@ -488,8 +644,8 @@ fn coarsen_once(
                 }
             }
         } else {
-            // Score every live pin of `v`'s small nets, `v` included,
-            // compacting each row stably as it is read.
+            // Score every pin of `v`'s small nets, `v` included: the rows
+            // hold unmatched vertices only.
             let mut touched_len = 0;
             for &net in hg.nets_of(v as usize) {
                 let ni = net as usize;
@@ -497,24 +653,18 @@ fn coarsen_once(
                 if w == 0 {
                     continue;
                 }
-                let row = &mut live_pins[offsets[ni] as usize..][..live_len[ni] as usize];
+                let row = &live_pins[offsets[ni] as usize..][..live_len[ni] as usize];
                 #[cfg(test)]
                 {
                     count.visits += 1;
                     count.pins_read += row.len() as u64;
                 }
-                let mut len = 0;
-                for i in 0..row.len() {
-                    let u = row[i];
-                    let live = !taken[u as usize];
-                    row[len] = u;
-                    len += live as usize;
+                for &u in row {
                     let s = &mut score[u as usize];
                     touched[touched_len] = u;
-                    touched_len += (live & (*s == 0)) as usize;
-                    *s += w * live as u64;
+                    touched_len += (*s == 0) as usize;
+                    *s += w;
                 }
-                live_len[ni] = len as u32;
             }
             for &u in &touched[..touched_len] {
                 if u != v {
@@ -523,24 +673,107 @@ fn coarsen_once(
                 score[u as usize] = 0;
             }
         }
-        let cid = next_coarse;
-        next_coarse += 1;
+        let cid = members.len() as u32;
         matched[v as usize] = cid;
         taken[v as usize] = true;
+        let mut partner = NO_PARTNER;
         if best.0 > 0 {
-            matched[best.1 as usize] = cid;
-            taken[best.1 as usize] = true;
+            partner = best.1;
+            matched[partner as usize] = cid;
+            taken[partner as usize] = true;
+        }
+        members.push([v, partner]);
+        if !indexed {
+            // Both leave the rows of their small nets: each is replaced
+            // by its row's last live pin.
+            for x in [v, partner] {
+                if x == NO_PARTNER {
+                    continue;
+                }
+                for i in vert_offsets[x as usize]..vert_offsets[x as usize + 1] {
+                    let e = vert_nets[i as usize] as usize;
+                    if weight[e] == 0 {
+                        continue;
+                    }
+                    live_len[e] -= 1;
+                    let last = (offsets[e] + live_len[e]) as usize;
+                    let p = pin_slot[i as usize] as usize;
+                    let j = slot_pin[last];
+                    live_pins[p] = live_pins[last];
+                    slot_pin[p] = j;
+                    pin_slot[j as usize] = p as u32;
+                }
+            }
         }
     }
     #[cfg(test)]
     tests::MATCH_COUNTS.with(|c| c.borrow_mut().push(count));
-    build_coarse(hg, matched, next_coarse as usize, net_buf)
+    (contract(hg, members, row_len, rows), matched)
+}
+
+/// Contract `hg` along a matching in which coarse vertex `c` merges the
+/// fine vertices `members[c]`: vertex weights add up, each net keeps its
+/// distinct coarse pins in ascending order, and nets left with fewer than
+/// 2 pins are dropped. This is the hypergraph `build_coarse` builds.
+///
+/// Coarse vertices are appended to the rows of their members' nets in
+/// ascending id, so every row comes out ascending, and a row that already
+/// holds `c` ends with it: that last entry is the net's stamp, so no row
+/// is sorted or deduplicated. Each row is built at its fine row's offset,
+/// which it cannot outgrow, and copied out in net order afterwards.
+fn contract(
+    hg: &Hypergraph,
+    members: &[[u32; 2]],
+    row_len: &mut Vec<u32>,
+    rows: &mut Vec<u32>,
+) -> Hypergraph {
+    let offsets = hg.pin_csr().0;
+    row_len.clear();
+    row_len.resize(hg.num_nets(), 0);
+    rows.resize(hg.num_pins(), 0);
+    let mut cweights = Vec::with_capacity(members.len());
+    for (c, &[a, b]) in members.iter().enumerate() {
+        let c = c as u32;
+        let mut w = hg.vweight(a as usize);
+        for &e in hg.nets_of(a as usize) {
+            let e = e as usize;
+            rows[(offsets[e] + row_len[e]) as usize] = c;
+            row_len[e] += 1;
+        }
+        if b != NO_PARTNER {
+            w += hg.vweight(b as usize);
+            for &e in hg.nets_of(b as usize) {
+                let e = e as usize;
+                let end = (offsets[e] + row_len[e]) as usize;
+                if row_len[e] == 0 || rows[end - 1] != c {
+                    rows[end] = c;
+                    row_len[e] += 1;
+                }
+            }
+        }
+        cweights.push(w);
+    }
+    // Every level's hypergraph lives until refinement ends, so its
+    // vectors get exactly the size they need.
+    let kept = || (0..hg.num_nets()).filter(|&e| row_len[e] >= 2);
+    let mut pins = Vec::with_capacity(kept().map(|e| row_len[e] as usize).sum());
+    let mut net_offsets = Vec::with_capacity(kept().count() + 1);
+    net_offsets.push(0);
+    let mut nweights = Vec::with_capacity(kept().count());
+    for e in kept() {
+        pins.extend_from_slice(&rows[offsets[e] as usize..][..row_len[e] as usize]);
+        net_offsets.push(pins.len() as u32);
+        nweights.push(hg.nweight(e));
+    }
+    Hypergraph::from_csr(members.len(), net_offsets, pins, cweights, nweights)
 }
 
 /// Contract `hg` along `matched` (coarse id per fine vertex, ids
 /// `0..cn`): vertex weights add up, each net maps to its sorted distinct
 /// coarse pins, and nets left with fewer than 2 pins are dropped. Returns
-/// the coarse hypergraph and `matched` as the fine→coarse map.
+/// the coarse hypergraph and `matched` as the fine→coarse map. The naive
+/// path's contraction, and the reference `contract` is tested against.
+#[cfg(any(test, feature = "naive"))]
 fn build_coarse(
     hg: &Hypergraph,
     matched: Vec<u32>,
@@ -1168,6 +1401,11 @@ mod tests {
         /// The level took the index path (per-net pointers and the
         /// net-pair index), not the scan.
         pub(super) indexed: bool,
+        /// The level built an index and abandoned it for the scan when
+        /// its lists outgrew the budget.
+        pub(super) index_abandoned: bool,
+        /// Net ids the level's index build read (0 when it built none).
+        pub(super) index_nets_read: u64,
         /// Vertices the index lists, over all its pairs (0 on the scan).
         pub(super) index_len: u64,
         /// `(vertex, net)` pairs matching visited: one per net of at
@@ -1242,13 +1480,29 @@ mod tests {
         Hypergraph::new(rows * cols, nets, vweights, nweights)
     }
 
+    /// `grid(n)` plus `big` unit nets of `size` cells each, drawn from
+    /// `rng`. Matching ignores nets above `MAX_MATCH_NET` pins, but they
+    /// count in the degrees that decide whether the index is cheap, and
+    /// contraction shrinks them below the cap, where any two of them share
+    /// many vertices.
+    fn grid_with_big_nets(n: usize, big: usize, size: usize, rng: &mut StdRng) -> Hypergraph {
+        let mut nets = grid_nets(n);
+        for _ in 0..big {
+            let mut cells: Vec<u32> = (0..(n * n) as u32).collect();
+            cells.shuffle(rng);
+            cells.truncate(size);
+            nets.push(cells);
+        }
+        Hypergraph::unit(n * n, nets)
+    }
+
     /// The lists of `hg`'s net-pair index, or `None` when the build
     /// outgrows `hg`'s pin count.
     fn index_lists(hg: &Hypergraph) -> Option<Vec<Vec<u32>>> {
         let mut weight = Vec::new();
         net_weights(hg, &mut weight);
         let mut index = PairIndex::default();
-        if !index.build(hg, &weight, hg.num_pins()) {
+        if !index.build(hg, &weight, hg.num_pins(), &mut IndexScratch::default()) {
             return None;
         }
         let lists: Vec<Vec<u32>> = (0..index.offsets.len() as u32 - 1)
@@ -1336,6 +1590,7 @@ mod tests {
         MATCH_COUNTS.with(|c| c.borrow_mut().clear());
         coarsen_once(
             &hg,
+            &LevelSetup::new(&hg),
             &mut StdRng::seed_from_u64(3),
             &mut CoarsenScratch::default(),
         );
@@ -1362,6 +1617,7 @@ mod tests {
         MATCH_COUNTS.with(|c| c.borrow_mut().clear());
         coarsen_once(
             &graph,
+            &LevelSetup::new(&graph),
             &mut StdRng::seed_from_u64(3),
             &mut CoarsenScratch::default(),
         );
@@ -1384,15 +1640,25 @@ mod tests {
         )
     }
 
-    /// Exact work counts of one bisection of a 40×40 grid and of a 20×20
-    /// block grid. The grid's levels take the paths the benchmark input's
-    /// take: the index on the finest, linear level, whose lists are empty,
-    /// so each net's pointer passes each pin once, plus one read per
-    /// visit that finds a partner; the index with lists on the next two;
-    /// the scan on the last. The block grid's finest level has a list per
-    /// block row and column. A re-scan, the index on a level that outgrows
-    /// its budget, greedy growth that reads every pin of every net, or an
-    /// FM cut-off that never fires changes these numbers.
+    /// Exact work counts of one bisection of a 40×40 grid, a 20×20 block
+    /// grid and the 40×40 grid with 40 nets above the matching cap. The
+    /// grid's levels take the paths the benchmark input's take: the index
+    /// on the finest, linear level, whose lists are empty, so each net's
+    /// pointer passes each pin once, plus one read per visit that finds a
+    /// partner; the index with lists on the next two; an index abandoned
+    /// for the scan on the last. The block grid's finest level has a list
+    /// per block row and column. The big nets leave the third input's
+    /// finest level linear, then fall below the cap and overrun the
+    /// second level's budget; its two coarser levels take the scan
+    /// without building an index, as the benchmark input's levels 4–6 do.
+    /// An index build reads each pin's nets after the net being indexed
+    /// once: 4,800 net ids on the grid's finest level, against 6,400 for a
+    /// walk of all of each pin's nets. The scan reads unmatched pins only.
+    /// A re-scan, a scan that reads matched pins, an index built after a
+    /// level took the scan, a second walk of a pin's nets, the index on a
+    /// level that outgrows its budget, greedy growth that reads every pin
+    /// of every net, or an FM cut-off that never fires changes these
+    /// numbers.
     #[test]
     fn bisect_work_counts_are_pinned() {
         let hg = grid(40);
@@ -1407,6 +1673,8 @@ mod tests {
             [
                 MatchCount {
                     indexed: true,
+                    index_abandoned: false,
+                    index_nets_read: 4800,
                     index_len: 0,
                     visits: 1604,
                     pins_read: 3754,
@@ -1414,6 +1682,8 @@ mod tests {
                 },
                 MatchCount {
                     indexed: true,
+                    index_abandoned: false,
+                    index_nets_read: 4800,
                     index_len: 467,
                     visits: 1209,
                     pins_read: 3129,
@@ -1421,6 +1691,8 @@ mod tests {
                 },
                 MatchCount {
                     indexed: true,
+                    index_abandoned: false,
+                    index_nets_read: 5524,
                     index_len: 1813,
                     visits: 960,
                     pins_read: 2395,
@@ -1428,9 +1700,11 @@ mod tests {
                 },
                 MatchCount {
                     indexed: false,
+                    index_abandoned: true,
+                    index_nets_read: 2308,
                     index_len: 0,
                     visits: 814,
-                    pins_read: 12973,
+                    pins_read: 11493,
                     scored: 0
                 }
             ],
@@ -1450,6 +1724,8 @@ mod tests {
             [
                 MatchCount {
                     indexed: true,
+                    index_abandoned: false,
+                    index_nets_read: 2400,
                     index_len: 800,
                     visits: 600,
                     pins_read: 1281,
@@ -1457,6 +1733,8 @@ mod tests {
                 },
                 MatchCount {
                     indexed: true,
+                    index_abandoned: false,
+                    index_nets_read: 2000,
                     index_len: 600,
                     visits: 400,
                     pins_read: 849,
@@ -1467,6 +1745,57 @@ mod tests {
         );
         assert_eq!(moves, [13, 12, 25, 44], "block grid FM moves per pass");
         assert_eq!(greedy, [375], "block grid greedy pins read");
+
+        let hg = grid_with_big_nets(40, 40, 264, &mut StdRng::seed_from_u64(4));
+        let (counts, moves, greedy) = work_counts(&hg, 9);
+        assert_eq!(
+            counts,
+            [
+                MatchCount {
+                    indexed: true,
+                    index_abandoned: false,
+                    index_nets_read: 25920,
+                    index_len: 0,
+                    visits: 1604,
+                    pins_read: 3754,
+                    scored: 0
+                },
+                MatchCount {
+                    indexed: false,
+                    index_abandoned: true,
+                    index_nets_read: 14553,
+                    index_len: 0,
+                    visits: 5639,
+                    pins_read: 549451,
+                    scored: 0
+                },
+                MatchCount {
+                    indexed: false,
+                    index_abandoned: false,
+                    index_nets_read: 0,
+                    index_len: 0,
+                    visits: 4651,
+                    pins_read: 361991,
+                    scored: 0
+                },
+                MatchCount {
+                    indexed: false,
+                    index_abandoned: false,
+                    index_nets_read: 0,
+                    index_len: 0,
+                    visits: 3660,
+                    pins_read: 210298,
+                    scored: 0
+                }
+            ],
+            "big-net grid matching counts"
+        );
+        assert_eq!(
+            moves,
+            [26, 22, 19, 17, 85, 47, 41, 119, 243, 597],
+            "big-net grid FM moves per pass"
+        );
+        assert_eq!(greedy, [1295], "big-net grid greedy pins read");
     }
 
     #[test]
@@ -1492,12 +1821,82 @@ mod tests {
         assert_eq!(q.max_part_weight + q.min_part_weight, (n * n) as u64);
     }
 
+    /// Whether `a` and `b` have the same vertices, nets, pin rows and
+    /// weights.
+    fn same_hypergraph(a: &Hypergraph, b: &Hypergraph) -> bool {
+        a.num_vertices() == b.num_vertices()
+            && a.num_nets() == b.num_nets()
+            && a.pin_csr() == b.pin_csr()
+            && a.net_csr() == b.net_csr()
+            && (0..a.num_vertices()).all(|v| a.vweight(v) == b.vweight(v))
+            && (0..a.num_nets()).all(|e| a.nweight(e) == b.nweight(e))
+    }
+
+    /// A random hypergraph for `seed` and a random matching of it, as
+    /// `(members, matched)`: coarse vertex `c` merges `members[c]`, in
+    /// either order or alone, and `matched` maps fine to coarse. A tenth
+    /// of the nets are empty, a tenth have one pin and, on more than
+    /// `MAX_MATCH_NET` vertices, a tenth have more pins than that.
+    fn random_matching(seed: u64) -> (Hypergraph, Vec<[u32; 2]>, Vec<u32>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(1usize..400);
+        let nets: Vec<Vec<u32>> = (0..rng.random_range(0usize..60))
+            .map(|_| {
+                let size = match rng.random_range(0u32..10) {
+                    0 => 0,
+                    1 => 1,
+                    2 if n > MAX_MATCH_NET => rng.random_range(MAX_MATCH_NET + 1..n + 1),
+                    _ => 1 + rng.random_range(0..n.min(12)),
+                };
+                let mut pins: Vec<u32> = (0..n as u32).collect();
+                pins.shuffle(&mut rng);
+                pins.truncate(size);
+                pins
+            })
+            .collect();
+        let nweights = (0..nets.len()).map(|_| rng.random_range(1u64..4)).collect();
+        let vweights = (0..n).map(|_| rng.random_range(1u64..4)).collect();
+        let hg = Hypergraph::new(n, nets, vweights, nweights);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(&mut rng);
+        let mut members = Vec::new();
+        let mut matched = vec![u32::MAX; n];
+        let mut rest = &order[..];
+        while let [v, tail @ ..] = rest {
+            let pair = match tail {
+                [u, ..] if rng.random_range(0u32..3) > 0 => [*v, *u],
+                _ => [*v, NO_PARTNER],
+            };
+            for x in pair.into_iter().filter(|&x| x != NO_PARTNER) {
+                matched[x as usize] = members.len() as u32;
+            }
+            rest = &rest[1 + (pair[1] != NO_PARTNER) as usize..];
+            members.push(pair);
+        }
+        (hg, members, matched)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The sort-free contraction builds the hypergraph the map, sort
+        /// and dedup of `build_coarse` builds.
+        #[test]
+        fn contract_matches_build_coarse(seed in proptest::prelude::any::<u64>()) {
+            let (hg, members, matched) = random_matching(seed);
+            let (reference, map) = build_coarse(&hg, matched.clone(), members.len(), &mut Vec::new());
+            let coarse = contract(&hg, &members, &mut Vec::new(), &mut Vec::new());
+            proptest::prop_assert!(same_hypergraph(&coarse, &reference), "seed {seed}");
+            proptest::prop_assert_eq!(map, matched);
+        }
+    }
+
     #[test]
     fn coarsening_shrinks_and_projects() {
         let hg = grid(12);
         let mut rng = StdRng::seed_from_u64(1);
         let mut scratch = CoarsenScratch::default();
-        let (coarse, map) = coarsen_once(&hg, &mut rng, &mut scratch);
+        let (coarse, map) = coarsen_once(&hg, &LevelSetup::new(&hg), &mut rng, &mut scratch);
         assert!(coarse.num_vertices() < hg.num_vertices());
         assert!(coarse.num_vertices() >= hg.num_vertices() / 2);
         assert_eq!(map.len(), hg.num_vertices());
@@ -1584,7 +1983,7 @@ mod tests {
             let rows = rng.random_range(2usize..25);
             let cols = rng.random_range(2usize..25);
             let fine = block_grid(rows, cols, &mut rng);
-            let (coarse, _) = coarsen_once(&fine, &mut rng, &mut scratch);
+            let (coarse, _) = coarsen_once(&fine, &LevelSetup::new(&fine), &mut rng, &mut scratch);
             let w0 = rng.random_range(1u64..4);
             let w1 = rng.random_range(1u64..4);
             for hg in [&fine, &coarse] {

@@ -6,7 +6,7 @@
 //! `PartitionConfig::threads` worker threads.
 
 use crate::hg::{evaluate, Hypergraph, PartitionQuality};
-use crate::multilevel::bisect;
+use crate::multilevel::{bisect, bisect_with, LevelSetup};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of [`partition`].
@@ -111,28 +111,58 @@ pub fn partition(hg: &Hypergraph, config: &PartitionConfig) -> Partitioning {
         return Partitioning { parts, quality };
     }
 
-    let bisect_fn: BisectFn = bisect;
+    let (n, k, ub) = (hg.num_vertices(), config.k, config.ub_factor);
     #[cfg(feature = "naive")]
-    let bisect_fn: BisectFn = if config.naive {
-        crate::multilevel::bisect_naive
-    } else {
-        bisect_fn
-    };
-    let run_once = |seed: u64| -> (Vec<u32>, u64) {
-        let mut parts = vec![0u32; hg.num_vertices()];
-        recursive_bisect(
-            hg,
-            config.k,
-            config.ub_factor,
-            seed,
-            0,
-            &mut parts,
-            bisect_fn,
-        );
-        let cost = evaluate(hg, &parts, config.k).connectivity_minus_one;
-        (parts, cost)
-    };
+    if config.naive {
+        // The reference: each restart induces the top level itself and
+        // evaluates its own cost.
+        let parts = best_restart(config, |seed| {
+            let mut parts = vec![0u32; n];
+            recursive_bisect(
+                hg,
+                k,
+                ub,
+                seed,
+                0,
+                &mut parts,
+                crate::multilevel::bisect_naive,
+            );
+            let cost = evaluate(hg, &parts, k).connectivity_minus_one;
+            (parts, cost)
+        });
+        let quality = evaluate(hg, &parts, k);
+        return Partitioning { parts, quality };
+    }
 
+    // Every restart first bisects the hypergraph that all vertices induce
+    // (`induce` renumbers nets by first touch, so that is not `hg`
+    // itself), and matches its finest level by the same setup: both are
+    // built once and shared.
+    let top = induce(hg, &(0..n as u32).collect::<Vec<u32>>());
+    let finest = LevelSetup::new(&top);
+    let (w0, w1) = targets(&top, k);
+    let parts = best_restart(config, |seed| {
+        let (mut parts, cut) = bisect_with(&top, Some(&finest), w0, w1, ub, seed);
+        // `top` keeps `hg`'s vertex ids: side 1 gets labels from ⌈k/2⌉.
+        let k0 = k.div_ceil(2) as u32;
+        parts.iter_mut().for_each(|side| *side *= k0);
+        split_sides(hg, k, ub, seed, 0, &mut parts, bisect);
+        // With two parts, connectivity−1 is the cut of that bisection.
+        let cost = if k == 2 {
+            cut
+        } else {
+            evaluate(hg, &parts, k).connectivity_minus_one
+        };
+        (parts, cost)
+    });
+    let quality = evaluate(hg, &parts, k);
+    Partitioning { parts, quality }
+}
+
+/// Run restarts `0..config.nruns`, restart `i` seeded `config.seed + i`,
+/// on a pool of `min(threads, nruns)` workers. Returns the parts of the
+/// restart of lowest `(cost, index)`.
+fn best_restart(config: &PartitionConfig, run: impl Fn(u64) -> (Vec<u32>, u64) + Sync) -> Vec<u32> {
     // Workers pull restart indices from a shared counter, so each sees
     // its indices in increasing order and keeps only its best
     // `(cost, index)`; the minimum over the workers' bests is the minimum
@@ -151,7 +181,7 @@ pub fn partition(hg: &Hypergraph, config: &PartitionConfig) -> Partitioning {
             }
             #[cfg(test)]
             peak.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-            let (parts, cost) = run_once(config.seed.wrapping_add(i as u64));
+            let (parts, cost) = run(config.seed.wrapping_add(i as u64));
             #[cfg(test)]
             running.fetch_sub(1, Ordering::SeqCst);
             if best.as_ref().is_none_or(|b| cost < b.0) {
@@ -173,15 +203,21 @@ pub fn partition(hg: &Hypergraph, config: &PartitionConfig) -> Partitioning {
     };
     #[cfg(test)]
     tests::PEAK_RESTARTS.with(|p| p.set(peak.into_inner()));
-
     let (_, _, parts) = best.expect("nruns >= 1");
-    let quality = evaluate(hg, &parts, config.k);
-    Partitioning { parts, quality }
+    parts
 }
 
-/// The bisection entry point used per recursion step (the fast [`bisect`]
-/// or, under the `naive` feature, the reference `bisect_naive`).
+/// The bisection below the top level: [`bisect`] or, under the `naive`
+/// feature, the reference `bisect_naive`.
 type BisectFn = fn(&Hypergraph, u64, u64, f64, u64) -> (Vec<u32>, u64);
+
+/// Target weights of the two sides of `sub` when it is split into `k`
+/// parts: `⌈k/2⌉` parts go to side 0.
+fn targets(sub: &Hypergraph, k: usize) -> (u64, u64) {
+    let total = sub.total_vweight();
+    let w0 = (total as u128 * k.div_ceil(2) as u128 / k as u128) as u64;
+    (w0, total - w0)
+}
 
 /// Recursively bisect the sub-hypergraph induced by the vertices currently
 /// labelled `part_base`, producing labels `part_base..part_base + k`.
@@ -192,7 +228,7 @@ fn recursive_bisect(
     seed: u64,
     part_base: u32,
     parts: &mut [u32],
-    bisect_fn: BisectFn,
+    bisect: BisectFn,
 ) {
     if k <= 1 {
         return;
@@ -201,36 +237,38 @@ fn recursive_bisect(
         .filter(|&v| parts[v as usize] == part_base)
         .collect();
     let sub = induce(hg, &members);
-    let k0 = k.div_ceil(2);
-    let k1 = k - k0;
-    let total = sub.total_vweight();
-    let w0 = (total as u128 * k0 as u128 / k as u128) as u64;
-    let w1 = total - w0;
-    let (sub_parts, _) = bisect_fn(&sub, w0, w1, ub, seed);
-
+    let (w0, w1) = targets(&sub, k);
+    let (sides, _) = bisect(&sub, w0, w1, ub, seed);
     // Relabel: side 1 gets labels starting at part_base + k0.
+    let k0 = k.div_ceil(2) as u32;
     for (local, &v) in members.iter().enumerate() {
-        if sub_parts[local] == 1 {
-            parts[v as usize] = part_base + k0 as u32;
-        }
+        parts[v as usize] = part_base + sides[local] * k0;
     }
+    split_sides(hg, k, ub, seed, part_base, parts, bisect);
+}
+
+/// Split each side of a bisection for `k` parts, labelled `part_base` and
+/// `part_base + ⌈k/2⌉`, recursively.
+fn split_sides(
+    hg: &Hypergraph,
+    k: usize,
+    ub: f64,
+    seed: u64,
+    part_base: u32,
+    parts: &mut [u32],
+    bisect: BisectFn,
+) {
+    let k0 = k.div_ceil(2);
+    let child = |i: u64| seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(i);
+    recursive_bisect(hg, k0, ub, child(1), part_base, parts, bisect);
     recursive_bisect(
         hg,
-        k0,
+        k - k0,
         ub,
-        seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1),
-        part_base,
-        parts,
-        bisect_fn,
-    );
-    recursive_bisect(
-        hg,
-        k1,
-        ub,
-        seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(2),
+        child(2),
         part_base + k0 as u32,
         parts,
-        bisect_fn,
+        bisect,
     );
 }
 
@@ -282,7 +320,7 @@ mod tests {
         pub(super) static PEAK_RESTARTS: Cell<usize> = const { Cell::new(0) };
     }
 
-    fn grid(n: usize) -> Hypergraph {
+    fn grid_nets(n: usize) -> Vec<Vec<u32>> {
         let mut nets = Vec::new();
         for i in 0..n {
             nets.push((0..n).map(|j| (i * n + j) as u32).collect());
@@ -290,7 +328,66 @@ mod tests {
         for j in 0..n {
             nets.push((0..n).map(|i| (i * n + j) as u32).collect());
         }
-        Hypergraph::unit(n * n, nets)
+        nets
+    }
+
+    fn grid(n: usize) -> Hypergraph {
+        Hypergraph::unit(n * n, grid_nets(n))
+    }
+
+    /// An n×n grid with its nets listed last column first and weighted
+    /// 1–3. `induce` numbers nets in the order vertex 0, 1, … first
+    /// touch them, so the hypergraph that all vertices induce lists them
+    /// in another order.
+    fn reversed_grid(n: usize) -> Hypergraph {
+        let mut nets = grid_nets(n);
+        nets.reverse();
+        let nweights = (0..nets.len() as u64).map(|e| e % 3 + 1).collect();
+        Hypergraph::new(n * n, nets, vec![1; n * n], nweights)
+    }
+
+    /// One restart bisects the hypergraph that all vertices induce, not
+    /// `hg` itself, whose net order would change the greedy start's
+    /// frontier; with two parts its cost is that bisection's cut.
+    #[test]
+    fn one_restart_bisects_the_induced_top_level() {
+        let hg = reversed_grid(14);
+        let all: Vec<u32> = (0..hg.num_vertices() as u32).collect();
+        let top = induce(&hg, &all);
+        assert!((0..hg.num_nets()).any(|e| top.pins(e) != hg.pins(e)));
+        let (w0, w1) = targets(&top, 2);
+        let mut direct_differs = false;
+        for seed in 0..8 {
+            let cfg = PartitionConfig::for_parts(2)
+                .with_nruns(1)
+                .with_threads(1)
+                .with_seed(seed);
+            let p = partition(&hg, &cfg);
+            let (parts, cut) = bisect(&top, w0, w1, cfg.ub_factor, seed);
+            assert_eq!(p.parts, parts, "seed {seed}");
+            assert_eq!(p.quality.connectivity_minus_one, cut, "seed {seed}");
+            direct_differs |= bisect(&hg, w0, w1, cfg.ub_factor, seed).0 != parts;
+        }
+        assert!(direct_differs, "bisecting `hg` itself gives the same parts");
+    }
+
+    /// With three parts the top level is shared by the restarts and the
+    /// side of two parts is induced and bisected again by each: the parts
+    /// do not depend on how many workers run the restarts.
+    #[test]
+    fn three_parts_are_the_same_on_any_thread_count() {
+        let hg = reversed_grid(14);
+        let base = PartitionConfig::for_parts(3).with_nruns(5).with_seed(11);
+        let one = partition(&hg, &base.clone().with_threads(1));
+        for threads in [2, 3] {
+            let p = partition(&hg, &base.clone().with_threads(threads));
+            assert_eq!(p.parts, one.parts, "{threads} threads");
+        }
+        let mut counts = [0u64; 3];
+        for &x in &one.parts {
+            counts[x as usize] += 1;
+        }
+        assert!(counts.iter().all(|&c| (60..=71).contains(&c)), "{counts:?}");
     }
 
     #[test]

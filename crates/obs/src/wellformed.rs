@@ -161,7 +161,7 @@ pub fn build_timeline(events: &[ObsEvent]) -> Result<Timeline, WellFormedError> 
             )));
         }
     }
-    spans.sort_by(|a, b| (a.track, a.begin, a.end).cmp(&(b.track, b.begin, b.end)));
+    spans.sort_by_key(|a| (a.track, a.begin, a.end));
     Ok(Timeline { spans, instants })
 }
 
