@@ -207,12 +207,15 @@ fn target_cap(target: u64, total: u64, eps: f64) -> u64 {
 }
 
 /// Connectivity−1 of a bisection (λ ∈ {1, 2}, so this equals the cut).
+/// A net without pins cannot be cut.
 fn bisection_cost(hg: &Hypergraph, parts: &[u32]) -> u64 {
     let mut cost = 0;
     for n in 0..hg.num_nets() {
-        let pins = hg.pins(n);
-        let first = parts[pins[0] as usize];
-        if pins.iter().any(|&p| parts[p as usize] != first) {
+        let Some((&p0, rest)) = hg.pins(n).split_first() else {
+            continue;
+        };
+        let first = parts[p0 as usize];
+        if rest.iter().any(|&p| parts[p as usize] != first) {
             cost += hg.nweight(n);
         }
     }
@@ -1518,6 +1521,17 @@ mod tests {
             assert_eq!(mine, listing, "pairs of vertex {v}");
         }
         Some(lists)
+    }
+
+    /// `Hypergraph::new` accepts a net without pins, and `bisect` skips
+    /// it: it cannot be cut.
+    #[test]
+    fn bisect_accepts_an_empty_net() {
+        let hg = Hypergraph::unit(4, vec![vec![], vec![0, 1], vec![2, 3]]);
+        let (parts, cost) = bisect(&hg, 2, 2, 0.0, 1);
+        assert_eq!(parts.len(), 4);
+        assert_eq!(cost, 0);
+        assert_eq!(cost, bisection_cost(&hg, &parts));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::fault::FaultPlan;
 use crate::memory::GpuMemory;
 use crate::pipeline::Pipelines;
 use crate::report::{GpuRunStats, OnlineStats, RunReport, TraceEvent};
-use crate::scheduler::{missing_bytes_in, Hooks, MissingCache, RuntimeView, Scheduler};
+use crate::scheduler::{missing_bytes_in, Hooks, MissingCache, Requests, RuntimeView, Scheduler};
 use crate::spec::{Nanos, PlatformSpec};
 use crate::trace::{TraceLog, TraceMode};
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
@@ -480,11 +480,12 @@ impl GpuSet {
         Some(g)
     }
 
-    /// Move every member of `other` into this set.
+    /// Move every member of `other` that is not in `keep` into this set.
     #[inline]
-    fn absorb(&mut self, other: &mut GpuSet) {
-        for (a, b) in self.words.iter_mut().zip(&mut other.words) {
-            *a |= std::mem::take(b);
+    fn absorb_unless(&mut self, other: &mut GpuSet, keep: &GpuSet) {
+        for ((a, b), k) in self.words.iter_mut().zip(&mut other.words).zip(&keep.words) {
+            *a |= *b & !k;
+            *b &= k;
         }
     }
 }
@@ -517,11 +518,22 @@ struct State<'a> {
     /// GPUs whose scheduler returned `None` with nothing changed since —
     /// do not hammer `pop_task` until the next event.
     stalled_pop: GpuSet,
+    /// Flat core: the parked GPUs ([`RuntimeView::park`]), a subset of
+    /// `stalled_pop` that [`State::wake_all`] leaves stalled. Only an
+    /// unpark wakes them. Always empty on the reference core, which
+    /// ignores both requests and so polls every stalled worker after
+    /// every wake: the engine-core differentials then check that every
+    /// poll the flat core skips would have answered `None`.
+    parked: GpuSet,
+    /// The park and unpark requests of the current callback, borrowed by
+    /// its view (see [`State::call`]).
+    requests: Requests,
     /// Worklist: GPUs whose local state changed since their last
     /// `progress` pass, so the pass could act. Marked by events touching
-    /// the GPU, by [`State::wake_all`] clearing a stall latch, and by a
-    /// memory-blocked prefetch (which must re-ask for a victim every
-    /// pass, exactly as the reference core's full scan does).
+    /// the GPU, by [`State::wake_all`] or an unpark clearing a stall
+    /// latch, and by a memory-blocked prefetch (which must re-ask for a
+    /// victim every pass, exactly as the reference core's full scan
+    /// does).
     dirty: GpuSet,
     /// The optional hooks the engine calls: the policy's declaration
     /// ([`Scheduler::hooks`]) on the flat core, all of them on the
@@ -656,6 +668,8 @@ impl<'a> State<'a> {
             pipeline: Pipelines::new(k, spec.pipeline_depth),
             running: vec![false; k],
             stalled_pop: GpuSet::new(k, false),
+            parked: GpuSet::new(k, false),
+            requests: Requests::new(k),
             dirty: GpuSet::new(k, true),
             // The reference core calls every hook, declared or not.
             hooks: if config.use_naive_core() {
@@ -733,12 +747,27 @@ impl<'a> State<'a> {
     }
 
     /// Run scheduler callback `f` on behalf of worker `gpu` against a
-    /// view of the current state, and charge exactly the call's ticks on
-    /// the scheduling clock to that worker. Returns the callback's result
-    /// and the ticks, which `progress` stamps onto
-    /// [`ObsEvent::Decision`].
+    /// view of the current state, charge exactly the call's ticks on the
+    /// scheduling clock to that worker, and apply the callback's unpark
+    /// requests. Returns the callback's result and the ticks, which
+    /// `progress` stamps onto [`ObsEvent::Decision`].
+    ///
+    /// A park request is valid only from `pop_task`, whose call is the
+    /// one `progress` makes through [`State::callback`] and follows with
+    /// [`Requests::take_park`].
     #[inline]
     fn call<R>(&mut self, gpu: usize, f: impl FnOnce(&RuntimeView<'_>) -> R) -> (R, Ticks) {
+        let out = self.callback(gpu, f);
+        debug_assert!(
+            !self.requests.any(),
+            "a policy called RuntimeView::park outside pop_task"
+        );
+        out
+    }
+
+    /// [`State::call`] without the check that no park is pending.
+    #[inline]
+    fn callback<R>(&mut self, gpu: usize, f: impl FnOnce(&RuntimeView<'_>) -> R) -> (R, Ticks) {
         let view = RuntimeView {
             ts: self.ts,
             spec: self.spec,
@@ -748,12 +777,37 @@ impl<'a> State<'a> {
             missing: &self.missing,
             gpu_free_at: &self.gpu_free_at,
             dead: &self.dead,
+            requests: &self.requests,
         };
         let start = clock::ticks();
         let r = f(&view);
         let dt = clock::ticks().saturating_sub(start);
         self.sched_wall[gpu] += dt;
+        if self.requests.any() {
+            self.unpark_requested();
+        }
         (r, dt)
+    }
+
+    /// Wake the parked workers the last callback unparked: clear their
+    /// park and stall and mark them dirty. A worker that is not parked is
+    /// left as it is. The reference core drops the requests.
+    fn unpark_requested(&mut self) {
+        if self.reference_core() {
+            self.requests.take_unparks(|_, _| {});
+            return;
+        }
+        let (parked, stalled, dirty) = (
+            &mut self.parked.words,
+            &mut self.stalled_pop.words,
+            &mut self.dirty.words,
+        );
+        self.requests.take_unparks(|w, bits| {
+            let woken = bits & parked[w];
+            parked[w] &= !woken;
+            stalled[w] &= !woken;
+            dirty[w] |= woken;
+        });
     }
 
     fn push_event(&mut self, at: Nanos, ev: Event) {
@@ -831,7 +885,9 @@ impl<'a> State<'a> {
     /// stalled ones dirty. Only they can act on the change: a non-stalled
     /// worker's pipeline is full, so its last `progress` pass already
     /// issued everything issuable. The flat core moves the stalled set
-    /// one word at a time; the reference core walks the GPUs.
+    /// one word at a time and leaves the parked workers stalled: their
+    /// policy said they have nothing until it unparks them. The
+    /// reference core walks the GPUs and wakes them all.
     fn wake_all(&mut self) {
         if self.reference_core() {
             for g in 0..self.running.len() {
@@ -841,7 +897,8 @@ impl<'a> State<'a> {
                 }
             }
         } else {
-            self.dirty.absorb(&mut self.stalled_pop);
+            self.dirty
+                .absorb_unless(&mut self.stalled_pop, &self.parked);
         }
     }
 
@@ -946,8 +1003,8 @@ impl<'a> State<'a> {
                 self.lane_advance(g);
                 self.inflight[g] -= 1;
                 self.dirty.insert(g);
-                self.mem[g].finish_load(d);
                 let (stats, size) = (&mut self.stats[g], ts.data_size(d));
+                self.mem[g].finish_load(d, size);
                 stats.loads += 1;
                 stats.load_bytes += size;
                 if tr.peer().is_some() {
@@ -1265,10 +1322,16 @@ impl<'a> State<'a> {
     /// capacity.
     fn progress(&mut self, scheduler: &mut dyn Scheduler, g: usize) -> Result<(), RunError> {
         let ts = self.ts;
-        // 1. Refill the pipeline.
+        // 1. Refill the pipeline. A worker that parks stalls with its
+        //    answer, so after a last task the loop stops without asking
+        //    again.
         while self.pipeline.len(g) < self.spec.pipeline_depth && !self.stalled_pop.contains(g) {
             let (popped, pop_ticks) =
-                self.call(g, |view| scheduler.pop_task(GpuId(g as u32), view));
+                self.callback(g, |view| scheduler.pop_task(GpuId(g as u32), view));
+            if self.requests.take_park() && !self.reference_core() {
+                self.parked.insert(g);
+                self.stalled_pop.insert(g);
+            }
             if self.observed() {
                 self.emit(ObsEvent::Decision {
                     t: self.now,
@@ -2240,6 +2303,26 @@ mod tests {
         run(&ts, &tiny_spec(1, 10_000), &mut sched).unwrap();
         // 2 successful pops + one None per event at most.
         assert!(sched.pops < 20, "pops = {}", sched.pops);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "park outside pop_task")]
+    fn a_park_outside_pop_task_is_caught_in_debug() {
+        struct ParksLate(Fifo);
+        impl Scheduler for ParksLate {
+            fn name(&self) -> String {
+                "parks-late".into()
+            }
+            fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
+                self.0.pop_task(gpu, view)
+            }
+            fn on_task_complete(&mut self, _: GpuId, _: TaskId, view: &RuntimeView<'_>) {
+                view.park();
+            }
+        }
+        let ts = two_task_set();
+        let _ = run(&ts, &tiny_spec(1, 10_000), &mut ParksLate(Fifo::new(&ts)));
     }
 
     #[test]

@@ -24,18 +24,22 @@
 //!   binary-search inserted. Items at or beyond the window's end go to an
 //!   unsorted overflow list whose minimal `(time, seq)` is tracked on
 //!   push; the ring minimum is the global minimum as long as the cursor
-//!   sits strictly below the overflow minimum's bucket. The cursor only
-//!   moves one bucket at a time, and every pop iteration first checks
-//!   whether the ring drained or the cursor reached the overflow
-//!   minimum's bucket — either triggers `rebuild`, which gathers ring and
-//!   overflow alike and redistributes them around a freshly chosen
-//!   `(nslots, shift)` sized so the whole time spread fits inside the new
-//!   window (leaving the overflow empty). The cursor check is what makes
-//!   the overflow safe: a push *after* the cursor has advanced may land in
-//!   a ring bucket beyond an overflow item's bucket, so overflow
-//!   timestamps do not in general exceed ring timestamps — but the cursor
-//!   must pass the overflow minimum's bucket before reaching any such
-//!   ring item, and the rebuild fires exactly there.
+//!   sits strictly below the overflow minimum's bucket. A pop rebuilds
+//!   when the ring has drained. Otherwise it finds the next occupied slot
+//!   at or after the cursor's, in ring order, from a one-bit-per-slot
+//!   occupancy bitmap, and jumps the cursor to that slot's bucket — the
+//!   bucket a walk through the empty slots one at a time would stop at.
+//!   If the overflow minimum's bucket is at or before that bucket, the
+//!   walk would have reached it first, so the pop rebuilds instead of
+//!   jumping. `rebuild` gathers ring and overflow alike and redistributes
+//!   them around a freshly chosen `(nslots, shift)` sized so the whole
+//!   time spread fits inside the new window (leaving the overflow empty).
+//!   The overflow check is what makes the overflow safe: a push *after*
+//!   the cursor has advanced may land in a ring bucket beyond an overflow
+//!   item's bucket, so overflow timestamps do not in general exceed ring
+//!   timestamps — but the cursor must pass the overflow minimum's bucket
+//!   before reaching any such ring item, and the rebuild fires exactly
+//!   there.
 //!
 //! * **Past-due pushes.** A push whose bucket falls below the cursor
 //!   (possible when the cursor bucket is partially drained) is clamped
@@ -106,6 +110,10 @@ impl<T: Copy + Ord> EventQueue<T> {
 struct Calendar<T> {
     /// Power-of-two ring of buckets; slot vectors are recycled, never freed.
     slots: Vec<Vec<Item<T>>>,
+    /// One bit per slot, set while the slot holds an item: slot `i` is
+    /// bit `i % 64` of word `i / 64`. The ring has at least 64 slots, so
+    /// the words cover it exactly.
+    occupied: Vec<u64>,
     mask: u64,
     /// Bucket width is `2^shift` nanoseconds.
     shift: u32,
@@ -128,6 +136,7 @@ impl<T: Copy> Calendar<T> {
     fn new() -> Self {
         Self {
             slots: (0..MIN_SLOTS).map(|_| Vec::new()).collect(),
+            occupied: vec![0; MIN_SLOTS / 64],
             mask: MIN_SLOTS as u64 - 1,
             // ~4µs buckets until the first adaptive rebuild re-derives the
             // width from the live time spread.
@@ -149,7 +158,9 @@ impl<T: Copy> Calendar<T> {
             self.overflow.push(it);
             return;
         }
-        let slot = &mut self.slots[(b & self.mask) as usize];
+        let idx = (b & self.mask) as usize;
+        self.occupied[idx / 64] |= 1 << (idx % 64);
+        let slot = &mut self.slots[idx];
         if b == self.cur && self.cur_sorted {
             let pos = slot.partition_point(|x| (x.0, x.1) > (it.0, it.1));
             slot.insert(pos, it);
@@ -163,28 +174,59 @@ impl<T: Copy> Calendar<T> {
         if self.len == 0 {
             return None;
         }
-        loop {
-            // Rebuild when the ring drains, or when the cursor reaches the
-            // overflow minimum's bucket — from here on a ring pop could
-            // overtake an overflow item (see the module ordering argument).
-            if self.ring_len == 0 || self.overflow_min.0 >> self.shift <= self.cur {
-                self.rebuild();
-            }
-            let idx = (self.cur & self.mask) as usize;
-            if self.slots[idx].is_empty() {
-                self.cur += 1;
-                self.cur_sorted = false;
-                continue;
-            }
-            if !self.cur_sorted {
-                self.slots[idx].sort_unstable_by_key(|it| std::cmp::Reverse((it.0, it.1)));
-                self.cur_sorted = true;
-            }
-            let it = self.slots[idx].pop().expect("cursor slot is non-empty");
-            self.ring_len -= 1;
-            self.len -= 1;
-            return Some(it);
+        if self.ring_len == 0 {
+            self.rebuild();
         }
+        // Jump to the bucket of the next occupied slot, unless the
+        // overflow minimum's bucket comes first: from there on a ring pop
+        // could overtake an overflow item (see the module ordering
+        // argument). A rebuild leaves the minimum in the cursor's slot.
+        let mut next = self.cur + self.next_occupied();
+        if self.overflow_min.0 >> self.shift <= next {
+            self.rebuild();
+            next = self.cur;
+        }
+        if next != self.cur {
+            self.cur = next;
+            self.cur_sorted = false;
+        }
+        let idx = (self.cur & self.mask) as usize;
+        let slot = &mut self.slots[idx];
+        if !self.cur_sorted {
+            slot.sort_unstable_by_key(|it| std::cmp::Reverse((it.0, it.1)));
+            self.cur_sorted = true;
+        }
+        let it = slot.pop().expect("cursor slot is non-empty");
+        if slot.is_empty() {
+            self.occupied[idx / 64] &= !(1 << (idx % 64));
+        }
+        self.ring_len -= 1;
+        self.len -= 1;
+        Some(it)
+    }
+
+    /// How many slots past the cursor's the next occupied slot lies, in
+    /// ring order (0 when the cursor's slot is occupied). The ring must
+    /// hold an item.
+    fn next_occupied(&self) -> u64 {
+        let idx = (self.cur & self.mask) as usize;
+        let first = idx / 64;
+        let ahead = self.occupied[first] & (!0u64 << (idx % 64));
+        if ahead != 0 {
+            return (first * 64 + ahead.trailing_zeros() as usize - idx) as u64;
+        }
+        // The other words in ring order, then the bits of the first word
+        // below the cursor's (those at or above it are clear).
+        let words = self.occupied.len();
+        let n = self.slots.len();
+        (1..=words)
+            .map(|i| (first + i) % words)
+            .find_map(|w| {
+                let bits = self.occupied[w];
+                (bits != 0)
+                    .then(|| ((w * 64 + bits.trailing_zeros() as usize + n - idx) % n) as u64)
+            })
+            .expect("the ring holds an item")
     }
 
     /// Gather every live item (ring and overflow) and re-center the wheel
@@ -216,6 +258,8 @@ impl<T: Copy> Calendar<T> {
         } else {
             self.slots.truncate(want);
         }
+        self.occupied.clear();
+        self.occupied.resize(want / 64, 0);
         self.mask = want as u64 - 1;
         let n = want as u64;
         let mut shift = 0u32;
@@ -228,7 +272,9 @@ impl<T: Copy> Calendar<T> {
         for it in items.drain(..) {
             let b = it.0 >> shift;
             debug_assert!(b >= self.cur && b < self.cur + n);
-            self.slots[(b & self.mask) as usize].push(it);
+            let idx = (b & self.mask) as usize;
+            self.occupied[idx / 64] |= 1 << (idx % 64);
+            self.slots[idx].push(it);
         }
         self.overflow = items;
         self.ring_len = self.len;
@@ -347,6 +393,29 @@ mod tests {
         q.push((520 << 12, 3, 2));
         assert_eq!(q.pop(), Some((512 << 12, 1, 0)));
         assert_eq!(q.pop(), Some((520 << 12, 3, 2)));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// The cursor jumps over empty slots, wrapping around the ring, and
+    /// stops for a rebuild where the overflow minimum's bucket comes
+    /// before the next occupied slot.
+    #[test]
+    fn jump_wraps_around_and_stops_at_the_overflow_minimum() {
+        let mut q: Calendar<u32> = Calendar::new();
+        // Initial wheel: 256 slots × 2^12 ns, window [0, 256). Bucket
+        // 600 goes to the overflow.
+        q.push((250 << 12, 1, 0));
+        q.push((600 << 12, 2, 1));
+        assert_eq!(q.pop(), Some((250 << 12, 1, 0)));
+        // Window [250, 506): bucket 500 sits in slot 244, below the
+        // cursor's slot 250, so the jump wraps around the ring.
+        q.push((500 << 12, 3, 2));
+        assert_eq!(q.pop(), Some((500 << 12, 3, 2)));
+        // Window [500, 756): bucket 650 enters the ring beyond the
+        // overflow item's bucket 600, which must still pop first.
+        q.push((650 << 12, 4, 3));
+        assert_eq!(q.pop(), Some((600 << 12, 2, 1)));
+        assert_eq!(q.pop(), Some((650 << 12, 4, 3)));
         assert_eq!(q.pop(), None);
     }
 

@@ -48,6 +48,9 @@ pub struct GpuMemory {
     pins: Vec<u32>,
     /// Bytes resident plus bytes reserved by in-flight loads.
     used_bytes: u64,
+    /// Bytes reserved by in-flight loads: the sizes of the `Loading`
+    /// items.
+    loading_bytes: u64,
     /// Intrusive LRU list over **resident** items, in the order of their
     /// last load or touch: `lru_head` is the least recently used,
     /// `lru_tail` the most. A data item is linked if and only if it is
@@ -71,6 +74,7 @@ impl GpuMemory {
             state: vec![Residency::Absent; num_data],
             pins: vec![0; num_data],
             used_bytes: 0,
+            loading_bytes: 0,
             lru_prev: vec![NIL; num_data],
             lru_next: vec![NIL; num_data],
             lru_head: NIL,
@@ -99,6 +103,11 @@ impl GpuMemory {
     /// Bytes resident or reserved by in-flight transfers.
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
+    }
+
+    /// Bytes reserved by in-flight loads (the `Loading` items).
+    pub(crate) fn loading_bytes(&self) -> u64 {
+        self.loading_bytes
     }
 
     /// Bytes available for new loads without eviction.
@@ -184,17 +193,19 @@ impl GpuMemory {
         debug_assert!(self.free_bytes() >= size, "begin_load without room");
         self.state[d.index()] = Residency::Loading;
         self.used_bytes += size;
+        self.loading_bytes += size;
     }
 
-    /// Complete a transfer: the data becomes `Resident`, as the most
-    /// recently used item.
-    pub fn finish_load(&mut self, d: DataId) {
+    /// Complete the transfer of `d`, `size` bytes: the data becomes
+    /// `Resident`, as the most recently used item.
+    pub fn finish_load(&mut self, d: DataId, size: u64) {
         let i = d.index();
         assert!(
             self.state[i] == Residency::Loading,
             "finish_load of data {d} not in flight"
         );
         self.state[i] = Residency::Resident;
+        self.loading_bytes -= size;
         self.resident_bits[i / 64] |= 1 << (i % 64);
         self.lru_link_tail(i);
     }
@@ -307,7 +318,7 @@ mod tests {
         let mut m = GpuMemory::new(capacity, num_data);
         for i in ids {
             m.begin_load(d(i), 10);
-            m.finish_load(d(i));
+            m.finish_load(d(i), 10);
         }
         m
     }
@@ -320,9 +331,11 @@ mod tests {
         assert_eq!(m.residency(d(0)), Residency::Loading);
         assert!(m.is_pinned(d(0)), "loading data is not evictable");
         assert_eq!(m.free_bytes(), 60);
-        m.finish_load(d(0));
+        assert_eq!(m.loading_bytes(), 40);
+        m.finish_load(d(0), 40);
         assert!(m.is_resident(d(0)));
         assert_eq!(m.used_bytes(), 40);
+        assert_eq!(m.loading_bytes(), 0);
         m.evict(d(0), 40);
         assert_eq!(m.residency(d(0)), Residency::Absent);
         assert_eq!(m.free_bytes(), 100);
@@ -391,7 +404,7 @@ mod tests {
             match m.residency(d(i)) {
                 Residency::Absent if m.free_bytes() >= 10 => {
                     m.begin_load(d(i), 10);
-                    m.finish_load(d(i));
+                    m.finish_load(d(i), 10);
                     recency.push(i);
                 }
                 Residency::Resident => {
@@ -430,7 +443,7 @@ mod tests {
     #[should_panic(expected = "not in flight")]
     fn double_finish_load_panics() {
         let mut m = loaded(100, 1, [0]);
-        m.finish_load(d(0));
+        m.finish_load(d(0), 10);
     }
 
     #[test]

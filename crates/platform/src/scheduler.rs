@@ -11,13 +11,16 @@
 //! state instead of re-scanning the runtime view on every decision. The
 //! eviction hook and the four notifications are optional: a policy
 //! declares the ones it implements ([`Scheduler::hooks`]) and the engine
-//! calls only those.
+//! calls only those. A policy with per-worker queues also tells the
+//! engine which workers to poll: it parks a worker that has nothing left
+//! ([`RuntimeView::park`]) and unparks one it gives work
+//! ([`RuntimeView::unpark`]), so an idle worker is not polled in vain.
 
 use crate::memory::GpuMemory;
 use crate::pipeline::Pipelines;
 use crate::spec::{Nanos, PlatformSpec};
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 
 /// The *missing inputs* of every task on every GPU: how many of a task's
 /// inputs are absent (neither resident nor in flight), how many bytes
@@ -189,13 +192,82 @@ pub(crate) fn missing_bytes_in(ts: &TaskSet, mem: &GpuMemory, task: TaskId) -> u
         .sum()
 }
 
-/// Read-only view of the runtime state, handed to scheduler callbacks.
+/// The requests a policy makes during one callback through
+/// [`RuntimeView::park`] and [`RuntimeView::unpark`]. The engine owns
+/// them and every view borrows them, so a forwarding wrapper that passes
+/// its view on passes them on too.
+#[derive(Debug)]
+pub(crate) struct Requests {
+    /// [`Requests::PARK`] and [`Requests::UNPARK`] bits; zero when no
+    /// request is pending.
+    flags: Cell<u8>,
+    /// The GPUs unparked since the engine last took them, one bit per
+    /// GPU, 64 to a word.
+    unparked: Box<[Cell<u64>]>,
+}
+
+impl Requests {
+    /// The polled worker parks.
+    const PARK: u8 = 1;
+    /// At least one bit of `unparked` is set.
+    const UNPARK: u8 = 1 << 1;
+
+    /// No request pending, for a platform of `k` GPUs.
+    pub(crate) fn new(k: usize) -> Self {
+        Requests {
+            flags: Cell::new(0),
+            unparked: (0..k.div_ceil(64)).map(|_| Cell::new(0)).collect(),
+        }
+    }
+
+    /// Whether any request is pending: the one load and branch a callback
+    /// that makes none costs.
+    #[inline]
+    pub(crate) fn any(&self) -> bool {
+        self.flags.get() != 0
+    }
+
+    /// Whether the polled worker asked to park, clearing the request.
+    #[inline]
+    pub(crate) fn take_park(&self) -> bool {
+        let flags = self.flags.get();
+        if flags & Self::PARK == 0 {
+            return false;
+        }
+        self.flags.set(flags & !Self::PARK);
+        true
+    }
+
+    /// Clear the unpark requests, handing each word of GPU bits (index,
+    /// bits) with a member to `f`.
+    pub(crate) fn take_unparks(&self, mut f: impl FnMut(usize, u64)) {
+        let flags = self.flags.get();
+        if flags & Self::UNPARK == 0 {
+            return;
+        }
+        self.flags.set(flags & !Self::UNPARK);
+        for (w, word) in self.unparked.iter().enumerate() {
+            let bits = word.replace(0);
+            if bits != 0 {
+                f(w, bits);
+            }
+        }
+    }
+}
+
+/// View of the runtime state, handed to scheduler callbacks.
 ///
 /// Everything a dynamic policy may legitimately observe: data residency
-/// per GPU, the missing-input counters derived from it (built on first
-/// use, [`RuntimeView::missing`]), the worker pipelines (`taskBuffer_k`),
-/// clock and busy-ness estimates. Schedulers must not assume anything
-/// else about the engine.
+/// per GPU, the bytes in flight to each GPU
+/// ([`RuntimeView::loading_bytes`]), the missing-input counters derived
+/// from residency (built on first use, [`RuntimeView::missing`]), the
+/// worker pipelines (`taskBuffer_k`), clock and busy-ness estimates.
+/// Schedulers must not assume anything else about the engine.
+///
+/// The view is read-only but for two requests a policy may make through
+/// it: [`park`](RuntimeView::park) the worker it is polled for, and
+/// [`unpark`](RuntimeView::unpark) a worker it gives work. Both only
+/// save polls; neither changes what a policy may decide.
 pub struct RuntimeView<'a> {
     pub(crate) ts: &'a TaskSet,
     pub(crate) spec: &'a PlatformSpec,
@@ -213,6 +285,8 @@ pub struct RuntimeView<'a> {
     /// Per-GPU fail-stop flag: `true` once the GPU died. All-`false` in a
     /// fault-free run.
     pub(crate) dead: &'a [bool],
+    /// The park and unpark requests of this callback.
+    pub(crate) requests: &'a Requests,
 }
 
 impl<'a> RuntimeView<'a> {
@@ -257,6 +331,13 @@ impl<'a> RuntimeView<'a> {
     /// Bytes currently used (resident + in flight) on `gpu`.
     pub fn used_bytes(&self, gpu: GpuId) -> u64 {
         self.memories[gpu.index()].used_bytes()
+    }
+
+    /// Bytes in flight to `gpu`: the sizes of its `Loading` data, whose
+    /// transfers were issued and not yet delivered. A transfer that
+    /// fails and is retried keeps its bytes here until its delivery.
+    pub fn loading_bytes(&self, gpu: GpuId) -> u64 {
+        self.memories[gpu.index()].loading_bytes()
     }
 
     /// Memory capacity of `gpu` in bytes.
@@ -313,6 +394,33 @@ impl<'a> RuntimeView<'a> {
     /// logic re-routing orphaned tasks must only target alive GPUs.
     pub fn is_alive(&self, gpu: GpuId) -> bool {
         !self.dead[gpu.index()]
+    }
+
+    /// Park the worker this [`Scheduler::pop_task`] call polls: the
+    /// policy will have nothing for it until it queues more work there
+    /// and calls [`unpark`](Self::unpark). The engine stops polling a
+    /// parked worker; it stays parked until unparked, whatever else
+    /// happens. A policy may park with a `None` answer or while it hands
+    /// over the last task of the worker's queue.
+    ///
+    /// Valid only inside `pop_task` (debug builds assert it). A policy
+    /// whose `None` can turn into a task without new work queued for the
+    /// worker — by an eviction, a load or a steal — must not park.
+    pub fn park(&self) {
+        let r = self.requests;
+        r.flags.set(r.flags.get() | Requests::PARK);
+    }
+
+    /// Wake `gpu`'s worker if it is parked: the policy just gave it work.
+    /// Valid from any callback; the engine polls the worker again once
+    /// the callback returns. Unparking a worker that is not parked
+    /// changes nothing.
+    pub fn unpark(&self, gpu: GpuId) {
+        let r = self.requests;
+        let g = gpu.index();
+        let word = &r.unparked[g / 64];
+        word.set(word.get() | 1 << (g % 64));
+        r.flags.set(r.flags.get() | Requests::UNPARK);
     }
 }
 
@@ -414,6 +522,15 @@ pub trait Scheduler {
     /// A worker on `gpu` has pipeline room and requests a task. Return
     /// `None` if no task should run on this GPU right now (the engine
     /// retries after the next state change).
+    ///
+    /// A policy that knows it will have nothing for `gpu` until it queues
+    /// more work there — per-worker queues, as in the Router or DMDA —
+    /// parks the worker ([`RuntimeView::park`]), with the `None` or with
+    /// the last task of the queue, and unparks it
+    /// ([`RuntimeView::unpark`]) from whichever callback next gives it
+    /// work. The engine then skips the polls in between, which would all
+    /// answer `None`. A policy that never parks is polled after every
+    /// state change that could matter, as without the requests.
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId>;
 
     /// The engine must evict data from `gpu` to make room. Return a

@@ -12,6 +12,10 @@
 //! prefetch-requested) to GPU `k`. DMDAR adds the *Ready* strategy: each
 //! GPU serves its local queue favouring the task with the most input data
 //! already loaded.
+//!
+//! Each GPU serves only its own queue, so a GPU's worker parks when that
+//! queue runs dry ([`RuntimeView::park`]) and is unparked when a task is
+//! allocated to it ([`RuntimeView::unpark`]).
 
 use crate::ready::{ready_pick, DEFAULT_READY_WINDOW};
 use memsched_model::{GpuId, TaskId, TaskSet};
@@ -82,7 +86,8 @@ impl DmdaScheduler {
     /// smallest predicted completion time and update the predicted
     /// horizon and InMem state. `now` floors each GPU's horizon (0 in
     /// the batch prepare, the arrival instant online); GPUs flagged in
-    /// `dead` are skipped (batch allocation passes `None`).
+    /// `dead` are skipped (batch allocation passes `None`). Returns the
+    /// chosen GPU.
     fn allocate(
         &mut self,
         ts: &TaskSet,
@@ -90,7 +95,7 @@ impl DmdaScheduler {
         t: TaskId,
         now: Nanos,
         dead: Option<&dyn Fn(usize) -> bool>,
-    ) {
+    ) -> usize {
         let k = self.queues.len();
         let mut best: Option<(usize, Nanos)> = None;
         for g in 0..k {
@@ -116,6 +121,7 @@ impl DmdaScheduler {
         for d in ts.input_ids(t) {
             self.in_mem[g][d.index()] = true; // prefetch requested (Alg. 1 l.8-9)
         }
+        g
     }
 }
 
@@ -158,18 +164,21 @@ impl Scheduler for DmdaScheduler {
         let dead: Vec<bool> = (0..self.queues.len())
             .map(|g| !view.is_alive(GpuId(g as u32)))
             .collect();
-        self.allocate(
+        let g = self.allocate(
             view.task_set(),
             view.spec(),
             task,
             view.now(),
             Some(&|g| dead[g]),
         );
+        view.unpark(GpuId(g as u32));
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
         let q = &mut self.queues[gpu.index()];
+        // Only an allocation refills this queue, and it unparks.
         if q.is_empty() {
+            view.park();
             return None;
         }
         let i = if self.ready {
@@ -189,6 +198,9 @@ impl Scheduler for DmdaScheduler {
             0
         };
         let task = q.remove(i);
+        if q.is_empty() {
+            view.park();
+        }
         if let Some(p) = &self.probe {
             p.emit(ObsEvent::Gauge {
                 t: view.now(),
@@ -226,6 +238,7 @@ impl Scheduler for DmdaScheduler {
                 .min_by_key(|&&h| (self.queues[h].len(), h))
                 .expect("alive is non-empty");
             self.queues[target].push(t);
+            view.unpark(GpuId(target as u32));
         }
     }
 }

@@ -1,6 +1,10 @@
 //! The EAGER baseline (§V-A): a single shared task queue in submission
 //! order; idle GPUs pick up the next task on demand. LRU eviction.
 //!
+//! A GPU's worker parks once the queue is empty ([`RuntimeView::park`]),
+//! and every worker is unparked when a task is queued
+//! ([`RuntimeView::unpark`]).
+//!
 //! On the row-major 2D multiplication this is the paper's pathological
 //! case: tasks along a row of `C` reuse the same block-row of `A` but
 //! stream through every block-column of `B`, so once `B` no longer fits in
@@ -44,14 +48,18 @@ impl Scheduler for EagerScheduler {
         self.queue = VecDeque::new();
     }
 
-    fn on_task_arrival(&mut self, task: TaskId, _view: &RuntimeView<'_>) {
+    fn on_task_arrival(&mut self, task: TaskId, view: &RuntimeView<'_>) {
         // Admission order is submission order, so with every arrival at
         // t = 0 the queue is exactly the batch `prepare` queue.
         self.queue.push_back(task);
+        unpark_all(view);
     }
 
     fn pop_task(&mut self, _gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
         let t = self.queue.pop_front();
+        if self.queue.is_empty() {
+            view.park();
+        }
         if let Some(p) = &self.probe {
             // The queue is shared, so the depth gauge is global.
             p.emit(ObsEvent::Gauge {
@@ -68,12 +76,20 @@ impl Scheduler for EagerScheduler {
         self.probe = Some(probe);
     }
 
-    fn on_gpu_failed(&mut self, _gpu: GpuId, lost: &[TaskId], _view: &RuntimeView<'_>) {
+    fn on_gpu_failed(&mut self, _gpu: GpuId, lost: &[TaskId], view: &RuntimeView<'_>) {
         // Put the orphans back at the head in their original order: the
         // shared queue hands them to whichever survivor asks first.
         for &t in lost.iter().rev() {
             self.queue.push_front(t);
         }
+        unpark_all(view);
+    }
+}
+
+/// Wake every worker: the shared queue gained work any of them may take.
+fn unpark_all(view: &RuntimeView<'_>) {
+    for g in 0..view.spec().num_gpus {
+        view.unpark(GpuId(g as u32));
     }
 }
 

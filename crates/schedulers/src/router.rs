@@ -11,8 +11,9 @@
 //! GPU `k` — the cost of (re)materializing the missing part of its
 //! prefix path — and `load_k` is the GPU's outstanding *routed* work in
 //! bytes: the recomputation costs charged to it by earlier unfinished
-//! placements (Preble's `mem_cost[selected] += recomp`) plus in-flight
-//! transfer bytes. The task goes to the deterministic argmin (ties →
+//! placements (Preble's `mem_cost[selected] += recomp`) plus the bytes in
+//! flight to it ([`RuntimeView::loading_bytes`]; none before the run, in
+//! the batch prepare). The task goes to the deterministic argmin (ties →
 //! lowest GPU index). The first term rewards placing a request where
 //! its shared ancestors already live; the second keeps a hot prefix
 //! from welding the whole stream onto one GPU. Charging only the
@@ -29,6 +30,10 @@
 //! are known from the routed queues, so the victim is the resident item
 //! with the fewest planned uses — interior tree nodes shared by many
 //! queued requests are evicted last.
+//!
+//! Each GPU serves only its own queue, so the router parks a GPU's
+//! worker when that queue runs dry ([`RuntimeView::park`]) and unparks
+//! it when it routes a request there ([`RuntimeView::unpark`]).
 
 use std::collections::VecDeque;
 
@@ -58,9 +63,6 @@ pub struct RouterScheduler {
     /// Per-task recomputation cost charged at routing time (credited
     /// back on completion).
     routed_cost: Vec<u64>,
-    /// Per-GPU bytes currently crossing the interconnect toward the GPU
-    /// (maintained by `on_load_issued`/`on_data_loaded`).
-    inflight_bytes: Vec<u64>,
     /// Per-GPU planned-residency sets (the DMDA `InMem` analogue):
     /// written by every routing decision, batch or online, and read by
     /// both scores — online alongside the GPU's actual residency.
@@ -86,7 +88,6 @@ impl RouterScheduler {
             queues: Vec::new(),
             queued_bytes: Vec::new(),
             routed_cost: Vec::new(),
-            inflight_bytes: Vec::new(),
             planned: Vec::new(),
             future_uses: Vec::new(),
             probe: None,
@@ -108,14 +109,14 @@ impl RouterScheduler {
         self.queues = vec![VecDeque::new(); num_gpus];
         self.queued_bytes = vec![0; num_gpus];
         self.routed_cost = vec![0; num_tasks];
-        self.inflight_bytes = vec![0; num_gpus];
         self.planned = vec![vec![false; num_data]; num_gpus];
         self.future_uses = vec![vec![0; num_data]; num_gpus];
     }
 
-    /// `α·load` of GPU `g`, in score units (bytes).
-    fn load_term(&self, g: usize) -> u64 {
-        (self.queued_bytes[g] + self.inflight_bytes[g]) * self.alpha_milli / 1000
+    /// `α·load` of GPU `g` with `loading` bytes in flight to it, in
+    /// score units (bytes).
+    fn load_term(&self, g: usize, loading: u64) -> u64 {
+        (self.queued_bytes[g] + loading) * self.alpha_milli / 1000
     }
 
     /// Enqueue `t` on `g`, charging its routing-time `recomp` cost to
@@ -130,21 +131,17 @@ impl RouterScheduler {
         }
     }
 
-    /// Route `t` by the batch (planned-residency) score. `alive` filters
-    /// candidate GPUs; with none alive the task parks on GPU 0 so the
-    /// engine can surface the abort itself.
-    fn route_planned(&mut self, ts: &TaskSet, t: TaskId, alive: impl Fn(usize) -> bool) {
+    /// Route `t` by the batch (planned-residency) score. Nothing is in
+    /// flight before the run, so the load term counts routed bytes only.
+    fn route_planned(&mut self, ts: &TaskSet, t: TaskId) {
         let mut best: Option<(u64, u64, usize)> = None;
         for g in 0..self.queues.len() {
-            if !alive(g) {
-                continue;
-            }
             let recomp: u64 = ts
                 .input_ids(t)
                 .filter(|&d| !self.planned[g][d.index()])
                 .map(|d| ts.data_size(d))
                 .sum();
-            let score = recomp + self.load_term(g);
+            let score = recomp + self.load_term(g, 0);
             if best.is_none_or(|(bs, _, bg)| (score, g) < (bs, bg)) {
                 best = Some((score, recomp, g));
             }
@@ -159,27 +156,29 @@ impl RouterScheduler {
     /// earlier request routed there has planned its fetch — the second
     /// clause is the prefix-affinity signal that keeps a burst of
     /// requests sharing a cold prefix from duplicating it across GPUs
-    /// before the first fetch lands.
+    /// before the first fetch lands. Wakes the chosen GPU's worker. With
+    /// no GPU alive the task parks on GPU 0 so the engine can surface the
+    /// abort itself.
     fn route_runtime(&mut self, ts: &TaskSet, t: TaskId, view: &RuntimeView<'_>) {
         let mut best: Option<(u64, u64, usize)> = None;
         for g in 0..self.queues.len() {
-            if !view.is_alive(GpuId(g as u32)) {
+            let gpu = GpuId(g as u32);
+            if !view.is_alive(gpu) {
                 continue;
             }
             let recomp: u64 = ts
                 .input_ids(t)
-                .filter(|&d| {
-                    !self.planned[g][d.index()] && !view.is_resident_or_loading(GpuId(g as u32), d)
-                })
+                .filter(|&d| !self.planned[g][d.index()] && !view.is_resident_or_loading(gpu, d))
                 .map(|d| ts.data_size(d))
                 .sum();
-            let score = recomp + self.load_term(g);
+            let score = recomp + self.load_term(g, view.loading_bytes(gpu));
             if best.is_none_or(|(bs, _, bg)| (score, g) < (bs, bg)) {
                 best = Some((score, recomp, g));
             }
         }
         let (recomp, g) = best.map_or((ts.task_footprint(t), 0), |(_, r, g)| (r, g));
         self.commit(ts, g, t, recomp);
+        view.unpark(GpuId(g as u32));
     }
 }
 
@@ -189,16 +188,13 @@ impl Scheduler for RouterScheduler {
     }
 
     fn hooks(&self) -> Hooks {
-        Hooks::CHOOSE_VICTIM
-            | Hooks::ON_TASK_COMPLETE
-            | Hooks::ON_LOAD_ISSUED
-            | Hooks::ON_DATA_LOADED
+        Hooks::CHOOSE_VICTIM | Hooks::ON_TASK_COMPLETE
     }
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
         self.reset(spec.num_gpus, ts.num_data(), ts.num_tasks());
         for t in ts.tasks() {
-            self.route_planned(ts, t, |_| true);
+            self.route_planned(ts, t);
         }
     }
 
@@ -211,7 +207,13 @@ impl Scheduler for RouterScheduler {
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
-        let task = self.queues[gpu.index()].pop_front()?;
+        let queue = &mut self.queues[gpu.index()];
+        let task = queue.pop_front();
+        // Only a routing decision refills this queue, and it unparks.
+        if queue.is_empty() {
+            view.park();
+        }
+        let task = task?;
         if let Some(p) = &self.probe {
             p.emit(ObsEvent::Gauge {
                 t: view.now(),
@@ -264,16 +266,6 @@ impl Scheduler for RouterScheduler {
         }
     }
 
-    fn on_load_issued(&mut self, gpu: GpuId, data: DataId, view: &RuntimeView<'_>) {
-        self.inflight_bytes[gpu.index()] += view.task_set().data_size(data);
-    }
-
-    fn on_data_loaded(&mut self, gpu: GpuId, data: DataId, view: &RuntimeView<'_>) {
-        let g = gpu.index();
-        self.inflight_bytes[g] =
-            self.inflight_bytes[g].saturating_sub(view.task_set().data_size(data));
-    }
-
     fn on_gpu_failed(&mut self, gpu: GpuId, lost: &[TaskId], view: &RuntimeView<'_>) {
         // Re-score the orphans — the interrupted pipeline first, then the
         // dead GPU's unserved queue, in original order — across the
@@ -284,7 +276,6 @@ impl Scheduler for RouterScheduler {
         let mut orphans: Vec<TaskId> = lost.to_vec();
         orphans.extend(self.queues[g].drain(..));
         self.queued_bytes[g] = 0;
-        self.inflight_bytes[g] = 0;
         self.future_uses[g].fill(0);
         self.planned[g].fill(false);
         let any_alive = (0..self.queues.len()).any(|h| view.is_alive(GpuId(h as u32)));

@@ -43,7 +43,15 @@ impl Scheduler for WindowedLocalityScheduler {
             .take(self.window)
             .position(|&t| missing.bytes(gpu, t) == 0)
             .unwrap_or(0);
-        self.queue.remove(pick)
+        let task = self.queue.remove(pick);
+        // Nothing refills the queue, so once it is empty this worker has
+        // nothing left to ask for: park it, and the engine stops polling
+        // it. A policy that queues more work later unparks the workers it
+        // gives work (`RuntimeView::unpark`).
+        if self.queue.is_empty() {
+            view.park();
+        }
+        task
     }
 }
 
