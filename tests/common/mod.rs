@@ -336,14 +336,15 @@ pub fn render_event(ev: &TraceEvent) -> String {
     }
 }
 
-/// The batch golden format (the `gemm_2d(3)` workload on 2 V100s at
-/// M = 4 tiles): a header, one line per event, and the run's totals.
+/// The batch golden format: a header naming the scheduler and the
+/// `workload`, one line per event, and the run's totals.
 pub fn render_batch_golden<'a>(
+    workload: &str,
     report: &RunReport,
     events: impl IntoIterator<Item = &'a TraceEvent>,
 ) -> String {
     let mut out = format!(
-        "# scheduler: {}\n# workload: gemm_2d(3), 2x V100, M = 4 tiles\n",
+        "# scheduler: {}\n# workload: {workload}\n",
         report.scheduler
     );
     for ev in events {

@@ -5,6 +5,10 @@
 //! any change to the admission loop, to a scheduler's horizon-limited
 //! variant, or to stream event ordering shows up as a readable diff.
 //!
+//! The `*.fault.stream.trace` snapshots add a fail-stop to a denser
+//! stream, pinning how the queue families hand a dead GPU's tasks back
+//! online.
+//!
 //! To regenerate after an intentional change:
 //! `MEMSCHED_UPDATE_GOLDEN=1 cargo test --test golden_stream_traces`.
 //!
@@ -23,22 +27,25 @@ use memsched::workloads::constants::GEMM2D_DATA_BYTES;
 use memsched::workloads::prefix::{prefix_tree, PrefixConfig};
 use memsched::workloads::{gemm_2d, open_loop_arrivals, ArrivalPattern};
 
-/// The batch golden workload with a fixed Poisson stream stamped on it:
-/// gemm_2d(3) on 2 V100s at M = 4 tiles, arrivals at 2000 req/s from
-/// seed 42 — slow enough that the horizon is genuinely partial, fast
-/// enough that queues form.
-fn stream_workload() -> (TaskSet, PlatformSpec) {
-    let base = gemm_2d(3);
+/// `gemm_2d(n)` with a fixed Poisson stream from seed 42 stamped on it,
+/// on `gpus` V100s at M = 4 tiles.
+fn gemm_stream(n: usize, gpus: usize, rate_per_sec: f64) -> (TaskSet, PlatformSpec) {
+    let base = gemm_2d(n);
     let arrivals = open_loop_arrivals(
-        &ArrivalPattern::Poisson {
-            rate_per_sec: 2000.0,
-        },
+        &ArrivalPattern::Poisson { rate_per_sec },
         42,
         base.num_tasks(),
     );
     let ts = base.with_arrivals(arrivals);
-    let spec = PlatformSpec::v100(2).with_memory(4 * GEMM2D_DATA_BYTES);
+    let spec = PlatformSpec::v100(gpus).with_memory(4 * GEMM2D_DATA_BYTES);
     (ts, spec)
+}
+
+/// The batch golden workload streamed: gemm_2d(3) on 2 V100s at M = 4
+/// tiles, arrivals at 2000 req/s from seed 42 — slow enough that the
+/// horizon is genuinely partial, fast enough that queues form.
+fn stream_workload() -> (TaskSet, PlatformSpec) {
+    gemm_stream(3, 2, 2000.0)
 }
 
 /// The router golden rides its native workload: a tiny seeded prefix
@@ -70,11 +77,13 @@ fn prefix_stream_workload() -> (TaskSet, PlatformSpec) {
 fn render_stream_trace_on(
     named: &NamedScheduler,
     (ts, spec): (TaskSet, PlatformSpec),
+    faults: FaultPlan,
     workload_line: &str,
 ) -> String {
     let config = RunConfig {
         trace: TraceMode::Full,
         admission: Some(AdmissionConfig::default()),
+        faults,
         ..RunConfig::default()
     };
     let (report, trace) = run_validated(&ts, &spec, named.build().as_mut(), &config);
@@ -104,7 +113,20 @@ fn render_stream_trace(named: &NamedScheduler) -> String {
     render_stream_trace_on(
         named,
         stream_workload(),
+        FaultPlan::none(),
         "gemm_2d(3) + poisson(2000/s, seed 42), 2x V100, M = 4 tiles",
+    )
+}
+
+/// The fail-stop stream: gemm_2d(4) on 3 V100s at M = 4 tiles, arrivals
+/// at 4000 req/s from seed 42, GPU 1 failing at 2 ms while it still holds
+/// queued work.
+fn render_fault_stream_trace(named: &NamedScheduler) -> String {
+    render_stream_trace_on(
+        named,
+        gemm_stream(4, 3, 4000.0),
+        FaultPlan::none().with_gpu_failure(1, 2_000_000),
+        "gemm_2d(4) + poisson(4000/s, seed 42), 3x V100, M = 4 tiles, GPU 1 fails at 2 ms",
     )
 }
 
@@ -140,6 +162,38 @@ fn golden_stream_darts_luf() {
     );
 }
 
+#[test]
+fn golden_fault_stream_dmdar() {
+    check_golden(
+        "dmdar.fault.stream.trace",
+        &render_fault_stream_trace(&NamedScheduler::Dmdar),
+    );
+}
+
+#[test]
+fn golden_fault_stream_hmetis_r() {
+    check_golden(
+        "hmetis_r.fault.stream.trace",
+        &render_fault_stream_trace(&NamedScheduler::HmetisR),
+    );
+}
+
+#[test]
+fn golden_fault_stream_mhfp() {
+    check_golden(
+        "mhfp.fault.stream.trace",
+        &render_fault_stream_trace(&NamedScheduler::Mhfp),
+    );
+}
+
+#[test]
+fn golden_fault_stream_router() {
+    check_golden(
+        "router.fault.stream.trace",
+        &render_fault_stream_trace(&NamedScheduler::Router),
+    );
+}
+
 /// The router family, on its native workload: a seeded prefix-tree
 /// stream under memory pressure. Pins the `recomp + α·load` routing
 /// decisions, the LUF-or-LRU eviction choices and the admission
@@ -149,6 +203,7 @@ fn golden_stream_router() {
     let got = render_stream_trace_on(
         &NamedScheduler::Router,
         prefix_stream_workload(),
+        FaultPlan::none(),
         "prefix(depth=3,fanout=2,tasks=16,seed=42) + poisson(2000/s, seed 42), \
          2x V100, M = 5 MiB",
     );
@@ -178,7 +233,7 @@ fn online_t0_reproduces_batch_golden() {
                 | TraceEvent::TaskDeferred { .. }
         )
     });
-    let got = render_batch_golden(&report, decisions);
+    let got = render_batch_golden("gemm_2d(3), 2x V100, M = 4 tiles", &report, decisions);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/eager.trace");
     let want = std::fs::read_to_string(path).expect("batch golden snapshot");
     assert_eq!(
