@@ -13,73 +13,60 @@
 //! GPU serves its local queue favouring the task with the most input data
 //! already loaded.
 //!
-//! Each GPU serves only its own queue, so a GPU's worker parks when that
-//! queue runs dry ([`RuntimeView::park`]) and is unparked when a task is
-//! allocated to it ([`RuntimeView::unpark`]).
+//! Each GPU serves only its own queue ([`GpuQueues`], without
+//! stealing), so a GPU's worker parks when that queue runs dry and is
+//! unparked when a task is allocated to it.
 
-use crate::ready::{ready_pick, DEFAULT_READY_WINDOW};
+use crate::queues::GpuQueues;
 use memsched_model::{GpuId, TaskId, TaskSet};
-use memsched_platform::obs::{GaugeKind, ObsEvent};
 use memsched_platform::{Hooks, Nanos, PlatformSpec, Probe, RuntimeView, Scheduler};
+use std::collections::VecDeque;
 
 /// The DMDA family; [`DmdaScheduler::dmda`] builds the plain variant and
 /// [`DmdaScheduler::dmdar`] the Ready one used throughout the paper.
 #[derive(Debug)]
 pub struct DmdaScheduler {
-    ready: bool,
-    /// Per-GPU allocated task queues, filled during `prepare`.
-    queues: Vec<Vec<TaskId>>,
+    /// Per-GPU allocated task queues, filled during `prepare` (or by
+    /// arrivals online), served in order or by Ready.
+    queues: GpuQueues,
     /// Predicted completion horizon per GPU — the Eq. (1) state, hoisted
     /// into the struct so the online mode can continue the allocation
     /// incrementally as tasks arrive.
     ready_at: Vec<Nanos>,
     /// Predicted per-GPU InMem sets (prefetch-requested data).
     in_mem: Vec<Vec<bool>>,
-    /// Observability probe (queue-depth gauges); absent unless attached.
-    probe: Option<Probe>,
-    /// Serve Ready through the input-walking reference implementation.
-    #[cfg(feature = "naive")]
-    naive_ready: bool,
 }
 
 impl DmdaScheduler {
-    /// Plain DMDA: per-GPU FIFO service of the allocation order.
-    pub fn dmda() -> Self {
+    fn new(ready: bool) -> Self {
         Self {
-            ready: false,
-            queues: Vec::new(),
+            queues: GpuQueues::new(ready, false),
             ready_at: Vec::new(),
             in_mem: Vec::new(),
-            probe: None,
-            #[cfg(feature = "naive")]
-            naive_ready: false,
         }
+    }
+
+    /// Plain DMDA: per-GPU FIFO service of the allocation order.
+    pub fn dmda() -> Self {
+        Self::new(false)
     }
 
     /// DMDAR: DMDA allocation + Ready reordering at runtime.
     pub fn dmdar() -> Self {
-        Self {
-            ready: true,
-            queues: Vec::new(),
-            ready_at: Vec::new(),
-            in_mem: Vec::new(),
-            probe: None,
-            #[cfg(feature = "naive")]
-            naive_ready: false,
-        }
+        Self::new(true)
     }
 
     /// Builder: serve Ready through [`crate::ready::ready_pick_scan`]
     /// (differential testing only).
     #[cfg(feature = "naive")]
     pub fn with_naive_ready(mut self) -> Self {
-        self.naive_ready = true;
+        self.queues.naive_ready = true;
         self
     }
 
     /// The per-GPU allocation computed by `prepare` (for tests).
-    pub fn queues(&self) -> &[Vec<TaskId>] {
-        &self.queues
+    pub fn queues(&self) -> &[VecDeque<TaskId>] {
+        self.queues.lists()
     }
 
     /// One Eq. (1) allocation step for `t`: route it to the GPU with the
@@ -96,7 +83,7 @@ impl DmdaScheduler {
         now: Nanos,
         dead: Option<&dyn Fn(usize) -> bool>,
     ) -> usize {
-        let k = self.queues.len();
+        let k = self.ready_at.len();
         let mut best: Option<(usize, Nanos)> = None;
         for g in 0..k {
             if dead.is_some_and(|is_dead| is_dead(g)) {
@@ -116,18 +103,25 @@ impl DmdaScheduler {
         // With every GPU dead the engine has already aborted; park the
         // task on GPU 0 to stay panic-free.
         let (g, c) = best.unwrap_or((0, now));
-        self.queues[g].push(t);
+        self.queues.push(g, t);
         self.ready_at[g] = c;
         for d in ts.input_ids(t) {
             self.in_mem[g][d.index()] = true; // prefetch requested (Alg. 1 l.8-9)
         }
         g
     }
+
+    /// Empty queues, horizons and InMem sets for `k` GPUs.
+    fn reset(&mut self, k: usize, num_data: usize) {
+        self.queues.set(vec![Vec::new(); k]);
+        self.ready_at = vec![0; k];
+        self.in_mem = vec![vec![false; num_data]; k];
+    }
 }
 
 impl Scheduler for DmdaScheduler {
     fn name(&self) -> String {
-        if self.ready {
+        if self.queues.ready {
             "DMDAR".into()
         } else {
             "DMDA".into()
@@ -139,11 +133,7 @@ impl Scheduler for DmdaScheduler {
     }
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
-        let k = spec.num_gpus;
-        self.queues = vec![Vec::new(); k];
-        // Predicted state per GPU: completion horizon and InMem set.
-        self.ready_at = vec![0; k];
-        self.in_mem = vec![vec![false; ts.num_data()]; k];
+        self.reset(spec.num_gpus, ts.num_data());
         for t in ts.tasks() {
             // `now = 0` makes `ready_at.max(now)` the identity, so this
             // is exactly the historical batch allocation.
@@ -154,14 +144,11 @@ impl Scheduler for DmdaScheduler {
     fn prepare_stream(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
         // Start from an empty horizon; `on_task_arrival` continues the
         // Eq. (1) allocation one task at a time.
-        let k = spec.num_gpus;
-        self.queues = vec![Vec::new(); k];
-        self.ready_at = vec![0; k];
-        self.in_mem = vec![vec![false; ts.num_data()]; k];
+        self.reset(spec.num_gpus, ts.num_data());
     }
 
     fn on_task_arrival(&mut self, task: TaskId, view: &RuntimeView<'_>) {
-        let dead: Vec<bool> = (0..self.queues.len())
+        let dead: Vec<bool> = (0..self.ready_at.len())
             .map(|g| !view.is_alive(GpuId(g as u32)))
             .collect();
         let g = self.allocate(
@@ -175,71 +162,17 @@ impl Scheduler for DmdaScheduler {
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
-        let q = &mut self.queues[gpu.index()];
-        // Only an allocation refills this queue, and it unparks.
-        if q.is_empty() {
-            view.park();
-            return None;
-        }
-        let i = if self.ready {
-            #[cfg(feature = "naive")]
-            {
-                if self.naive_ready {
-                    crate::ready::ready_pick_scan(q, gpu, view, DEFAULT_READY_WINDOW)?
-                } else {
-                    ready_pick(q, gpu, view, DEFAULT_READY_WINDOW)?
-                }
-            }
-            #[cfg(not(feature = "naive"))]
-            {
-                ready_pick(q, gpu, view, DEFAULT_READY_WINDOW)?
-            }
-        } else {
-            0
-        };
-        let task = q.remove(i);
-        if q.is_empty() {
-            view.park();
-        }
-        if let Some(p) = &self.probe {
-            p.emit(ObsEvent::Gauge {
-                t: view.now(),
-                gpu: Some(gpu.0),
-                kind: GaugeKind::ReadyQueueDepth,
-                value: self.queues[gpu.index()].len() as f64,
-            });
-        }
-        Some(task)
+        self.queues.pop(gpu, view)
     }
 
     fn attach_probe(&mut self, probe: Probe) {
-        self.probe = Some(probe);
+        self.queues.attach_probe(probe);
     }
 
     fn on_gpu_failed(&mut self, gpu: GpuId, lost: &[TaskId], view: &RuntimeView<'_>) {
-        // Re-run the allocation step for the orphans only: the dead GPU's
-        // interrupted pipeline tasks and its whole unserved queue move to
-        // the shortest surviving queue (tie → lowest index), preserving
-        // their original service order.
-        let g = gpu.index();
-        let mut orphans: Vec<TaskId> = lost.to_vec();
-        orphans.append(&mut self.queues[g]);
-        let alive: Vec<usize> = (0..self.queues.len())
-            .filter(|&h| h != g && view.is_alive(GpuId(h as u32)))
-            .collect();
-        if alive.is_empty() {
-            // No survivors to reroute to; the engine aborts the run.
-            self.queues[g] = orphans;
-            return;
-        }
-        for t in orphans {
-            let &target = alive
-                .iter()
-                .min_by_key(|&&h| (self.queues[h].len(), h))
-                .expect("alive is non-empty");
-            self.queues[target].push(t);
-            view.unpark(GpuId(target as u32));
-        }
+        // The dead GPU's interrupted pipeline tasks and its whole unserved
+        // queue move one by one to the shortest surviving queue.
+        self.queues.return_lost(gpu, lost, view);
     }
 }
 
@@ -256,7 +189,7 @@ mod tests {
         let spec = PlatformSpec::v100(2);
         let mut s = DmdaScheduler::dmdar();
         s.prepare(&ts, &spec);
-        let total: usize = s.queues().iter().map(Vec::len).sum();
+        let total: usize = s.queues().iter().map(VecDeque::len).sum();
         assert_eq!(total, 36);
         // Both GPUs get a sensible share.
         assert!(s.queues().iter().all(|q| q.len() >= 12));
@@ -361,12 +294,12 @@ mod tests {
             fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
                 self.0.prepare(ts, spec);
                 let tasks: Vec<TaskId> = ts.tasks().collect();
-                self.0.queues = vec![
+                self.0.queues.set(vec![
                     tasks[..8].to_vec(),
                     tasks[8..].to_vec(),
                     Vec::new(),
                     Vec::new(),
-                ];
+                ]);
             }
             fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
                 self.0.pop_task(gpu, view)

@@ -29,7 +29,7 @@
 //! * `input_bytes` of a merge computed as `p + q − shared` instead of
 //!   re-summing `data_size` over the whole union.
 
-use crate::stealing::StealingQueues;
+use crate::queues::GpuQueues;
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
 use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
 use std::cmp::Reverse;
@@ -187,19 +187,22 @@ pub fn pack_with(ts: &TaskSet, config: &PackConfig) -> Vec<Vec<TaskId>> {
     if config.naive {
         return pack_naive(ts, config.memory, config.k);
     }
-    pack_indexed(ts, config.memory, config.k)
+    pack_subset(ts, config, ts.tasks())
 }
 
 /// As [`pack_with`], restricted to the given `tasks` — the online mode
-/// re-packs the visible horizon with this. Passing every task in id order
-/// reproduces [`pack_with`] exactly (the packing only ever looks at the
-/// tasks it is given), which is what makes a t = 0 stream run
-/// decision-equivalent to batch. Always uses the indexed fast path: the
-/// `naive` timing mode exists only to reproduce the paper's batch
-/// `prepare` wall time.
-pub fn pack_subset(ts: &TaskSet, config: &PackConfig, tasks: &[TaskId]) -> Vec<Vec<TaskId>> {
+/// re-packs the visible horizon with this. [`pack_with`] passes every
+/// task in id order (the packing only ever looks at the tasks it is
+/// given), which is what makes a t = 0 stream run decision-equivalent to
+/// batch. Always uses the indexed fast path: the `naive` timing mode
+/// exists only to reproduce the paper's batch `prepare` wall time.
+pub fn pack_subset(
+    ts: &TaskSet,
+    config: &PackConfig,
+    tasks: impl Iterator<Item = TaskId>,
+) -> Vec<Vec<TaskId>> {
     let k = config.k.max(1);
-    let mut state = PackState::of_tasks(ts, tasks.iter().copied());
+    let mut state = PackState::of_tasks(ts, tasks);
     state.phase1(config.memory, k);
     state.phase2(k);
     let mut packages = state.packages;
@@ -272,10 +275,6 @@ struct PackState<'a> {
 }
 
 impl<'a> PackState<'a> {
-    fn new(ts: &'a TaskSet) -> Self {
-        Self::of_tasks(ts, ts.tasks())
-    }
-
     /// Packing state over an arbitrary task subset; slot order (and with
     /// it every tie-break) follows the iteration order.
     fn of_tasks(ts: &'a TaskSet, tasks: impl Iterator<Item = TaskId>) -> Self {
@@ -546,16 +545,6 @@ impl<'a> PackState<'a> {
     }
 }
 
-fn pack_indexed(ts: &TaskSet, memory: u64, k: usize) -> Vec<Vec<TaskId>> {
-    let k = k.max(1);
-    let mut state = PackState::new(ts);
-    state.phase1(memory, k);
-    state.phase2(k);
-    let mut packages = state.packages;
-    balance(ts, &mut packages, k);
-    finish(packages, k)
-}
-
 /// Load balancing (Algorithm 4): move tail tasks of the heaviest package
 /// to the lightest until no package exceeds `L_avg` (within one task's
 /// worth of load — exact equality is impossible with discrete tasks).
@@ -696,10 +685,9 @@ fn pack_naive(ts: &TaskSet, memory: u64, k: usize) -> Vec<Vec<TaskId>> {
 /// Algorithm 4.
 #[derive(Debug)]
 pub struct HfpScheduler {
-    steal: bool,
-    queues: Option<StealingQueues>,
-    /// Probe kept until `prepare` builds the queues that emit with it.
-    probe: Option<Probe>,
+    /// The packed lists, one per GPU, served by Ready with tail-half
+    /// stealing.
+    queues: GpuQueues,
     /// Online mode flag, set by `prepare_stream`.
     online: bool,
     /// Online mode: admitted-but-unserved tasks, in admission order.
@@ -721,21 +709,13 @@ impl HfpScheduler {
     /// Paper-default mHFP (Ready window, stealing enabled).
     pub fn new() -> Self {
         Self {
-            steal: true,
-            queues: None,
-            probe: None,
+            queues: GpuQueues::new(true, true),
             online: false,
             pending: Vec::new(),
             dirty: false,
             #[cfg(feature = "naive")]
             naive_pack: false,
         }
-    }
-
-    /// Disable stealing (ablation).
-    pub fn without_stealing(mut self) -> Self {
-        self.steal = false;
-        self
     }
 
     /// Use the original quadratic packing in `prepare` (the paper's
@@ -748,9 +728,8 @@ impl HfpScheduler {
         self
     }
 
-    /// Online mode: re-pack the entire pending horizon into fresh
-    /// stealing queues. Dead GPUs' lists fold into the lightest survivor
-    /// so every pending task stays reachable even with stealing disabled.
+    /// Online mode: re-pack the entire pending horizon into the queues.
+    /// Dead GPUs' lists fold into the lightest survivor.
     fn repack(&mut self, view: &RuntimeView<'_>) {
         let ts = view.task_set();
         let spec = view.spec();
@@ -763,7 +742,11 @@ impl HfpScheduler {
             .map(|g| view.capacity(GpuId(g as u32)))
             .min()
             .unwrap_or(spec.memory_bytes);
-        let mut lists = pack_subset(ts, &PackConfig::new(memory, k), &self.pending);
+        let mut lists = pack_subset(
+            ts,
+            &PackConfig::new(memory, k),
+            self.pending.iter().copied(),
+        );
         let alive: Vec<usize> = (0..k).filter(|&g| view.is_alive(GpuId(g as u32))).collect();
         if alive.len() < k && !alive.is_empty() {
             for g in 0..k {
@@ -777,11 +760,7 @@ impl HfpScheduler {
                 }
             }
         }
-        let mut sq = StealingQueues::new(lists, self.steal);
-        if let Some(p) = &self.probe {
-            sq.attach_probe(p.clone());
-        }
-        self.queues = Some(sq);
+        self.queues.set(lists);
         self.dirty = false;
     }
 }
@@ -803,12 +782,7 @@ impl Scheduler for HfpScheduler {
         } else {
             config
         };
-        let queues = pack_with(ts, &config);
-        let mut sq = StealingQueues::new(queues, self.steal);
-        if let Some(p) = &self.probe {
-            sq.attach_probe(p.clone());
-        }
-        self.queues = Some(sq);
+        self.queues.set(pack_with(ts, &config));
         self.online = false;
     }
 
@@ -818,11 +792,7 @@ impl Scheduler for HfpScheduler {
         self.online = true;
         self.pending = Vec::new();
         self.dirty = false;
-        let mut sq = StealingQueues::new(vec![Vec::new(); spec.num_gpus], self.steal);
-        if let Some(p) = &self.probe {
-            sq.attach_probe(p.clone());
-        }
-        self.queues = Some(sq);
+        self.queues.set(vec![Vec::new(); spec.num_gpus]);
     }
 
     fn on_task_arrival(&mut self, task: TaskId, _view: &RuntimeView<'_>) {
@@ -834,21 +804,14 @@ impl Scheduler for HfpScheduler {
     }
 
     fn attach_probe(&mut self, probe: Probe) {
-        if let Some(q) = self.queues.as_mut() {
-            q.attach_probe(probe.clone());
-        }
-        self.probe = Some(probe);
+        self.queues.attach_probe(probe);
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
         if self.online && self.dirty {
             self.repack(view);
         }
-        let t = self
-            .queues
-            .as_mut()
-            .expect("prepare() must run first")
-            .pop(gpu, view)?;
+        let t = self.queues.pop(gpu, view)?;
         if self.online {
             if let Some(pos) = self.pending.iter().position(|&p| p == t) {
                 self.pending.remove(pos);
@@ -868,9 +831,7 @@ impl Scheduler for HfpScheduler {
         }
         // The dead GPU's package tail folds into the survivors through
         // the ordinary stealing machinery.
-        if let Some(q) = self.queues.as_mut() {
-            q.return_tasks(gpu, lost, view);
-        }
+        self.queues.return_lost(gpu, lost, view);
     }
 }
 
@@ -943,7 +904,7 @@ mod tests {
                 4 * ts.data_size(DataId(0))
             }),
         ] {
-            let mut state = PackState::new(&ts);
+            let mut state = PackState::of_tasks(&ts, ts.tasks());
             state.phase1(memory, 1);
             assert!(!state.packages.is_empty());
             for p in &state.packages {
@@ -1049,7 +1010,7 @@ mod tests {
             ts in arb_taskset(),
             mem in 1u64..40,
         ) {
-            let mut state = PackState::new(&ts);
+            let mut state = PackState::of_tasks(&ts, ts.tasks());
             state.phase1(mem, 1);
             for p in &state.packages {
                 if p.tasks.len() > 1 {

@@ -2,19 +2,19 @@
 //! `K` balanced parts (one per GPU), then serve each part with the Ready
 //! reordering and tail-half task stealing.
 
-use crate::stealing::StealingQueues;
+use crate::queues::GpuQueues;
 use memsched_hypergraph::{evaluate, partition, Hypergraph, PartitionConfig};
 use memsched_model::{GpuId, TaskId, TaskSet};
 use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
+use std::collections::VecDeque;
 
 /// The hMETIS+R scheduler.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct HmetisRScheduler {
     /// Partitioner settings (`k` is overwritten with the GPU count).
     config: PartitionerOptions,
-    queues: Option<StealingQueues>,
-    /// Probe kept until `prepare` builds the queues that emit with it.
-    probe: Option<Probe>,
+    /// One part per GPU, served by Ready with tail-half stealing.
+    queues: GpuQueues,
     /// Connectivity−1 of the partition (for reports/tests).
     pub partition_cost: u64,
     /// Online mode: per-GPU bitmap of data items referenced by tasks
@@ -29,8 +29,6 @@ pub struct PartitionerOptions {
     pub nruns: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Enable task stealing (Algorithm 3, line 5).
-    pub steal: bool,
 }
 
 impl Default for PartitionerOptions {
@@ -38,26 +36,36 @@ impl Default for PartitionerOptions {
         Self {
             nruns: 20,
             seed: 0x5eed,
-            steal: true,
         }
+    }
+}
+
+impl Default for HmetisRScheduler {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl HmetisRScheduler {
     /// Paper-default configuration.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_options(PartitionerOptions::default())
     }
 
     /// Custom configuration.
     pub fn with_options(config: PartitionerOptions) -> Self {
         Self {
             config,
-            queues: None,
-            probe: None,
+            queues: GpuQueues::new(true, true),
             partition_cost: 0,
             assigned_data: Vec::new(),
         }
+    }
+
+    /// The per-GPU parts computed by `prepare`, as queued so far (for
+    /// tests).
+    pub fn queues(&self) -> &[VecDeque<TaskId>] {
+        self.queues.lists()
     }
 
     /// Build the task hypergraph of §IV-B: one vertex per task (weighted
@@ -121,11 +129,7 @@ impl Scheduler for HmetisRScheduler {
         for t in ts.tasks() {
             queues[parts[t.index()] as usize].push(t);
         }
-        let mut sq = StealingQueues::new(queues, self.config.steal);
-        if let Some(p) = &self.probe {
-            sq.attach_probe(p.clone());
-        }
-        self.queues = Some(sq);
+        self.queues.set(queues);
     }
 
     fn prepare_stream(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
@@ -135,11 +139,7 @@ impl Scheduler for HmetisRScheduler {
         let k = spec.num_gpus;
         self.partition_cost = 0;
         self.assigned_data = vec![vec![false; ts.num_data()]; k];
-        let mut sq = StealingQueues::new(vec![Vec::new(); k], self.config.steal);
-        if let Some(p) = &self.probe {
-            sq.attach_probe(p.clone());
-        }
-        self.queues = Some(sq);
+        self.queues.set(vec![Vec::new(); k]);
     }
 
     fn on_task_arrival(&mut self, task: TaskId, view: &RuntimeView<'_>) {
@@ -148,10 +148,6 @@ impl Scheduler for HmetisRScheduler {
         // then lowest index), mirroring the partitioner's objective of
         // keeping each data item's consumers on one GPU.
         let ts = view.task_set();
-        let q = self
-            .queues
-            .as_mut()
-            .expect("prepare_stream() must run first");
         let mut best: Option<(usize, u64, usize)> = None;
         for (g, seen) in self.assigned_data.iter().enumerate() {
             if !view.is_alive(GpuId(g as u32)) {
@@ -162,7 +158,7 @@ impl Scheduler for HmetisRScheduler {
                 .filter(|&d| seen[d.index()])
                 .map(|d| ts.data_size(d))
                 .sum();
-            let len = q.len(GpuId(g as u32));
+            let len = self.queues.lists()[g].len();
             let better = match best {
                 None => true,
                 Some((_, ba, blen)) => affinity > ba || (affinity == ba && len < blen),
@@ -173,32 +169,24 @@ impl Scheduler for HmetisRScheduler {
         }
         // With every GPU dead the engine aborts; park on GPU 0.
         let g = best.map_or(0, |(g, _, _)| g);
-        q.push(GpuId(g as u32), task);
+        self.queues.push(g, task);
         for d in ts.input_ids(task) {
             self.assigned_data[g][d.index()] = true;
         }
     }
 
     fn attach_probe(&mut self, probe: Probe) {
-        if let Some(q) = self.queues.as_mut() {
-            q.attach_probe(probe.clone());
-        }
-        self.probe = Some(probe);
+        self.queues.attach_probe(probe);
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
-        self.queues
-            .as_mut()
-            .expect("prepare() must run first")
-            .pop(gpu, view)
+        self.queues.pop(gpu, view)
     }
 
     fn on_gpu_failed(&mut self, gpu: GpuId, lost: &[TaskId], view: &RuntimeView<'_>) {
         // The dead GPU's partition tail folds into the survivors through
         // the ordinary stealing machinery.
-        if let Some(q) = self.queues.as_mut() {
-            q.return_tasks(gpu, lost, view);
-        }
+        self.queues.return_lost(gpu, lost, view);
     }
 }
 

@@ -24,9 +24,9 @@ mod dmda;
 mod eager;
 mod hfp;
 mod hmetis_r;
+mod queues;
 mod ready;
 mod router;
-mod stealing;
 
 pub use darts::{DartsConfig, DartsEviction, DartsScheduler};
 pub use dmda::DmdaScheduler;
@@ -37,7 +37,6 @@ pub use hmetis_r::{HmetisRScheduler, PartitionerOptions};
 pub use ready::ready_pick_scan;
 pub use ready::{ready_pick, DEFAULT_READY_WINDOW};
 pub use router::{RouterScheduler, DEFAULT_ALPHA_MILLI};
-pub use stealing::StealingQueues;
 
 use memsched_platform::Scheduler;
 

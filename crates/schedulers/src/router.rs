@@ -20,26 +20,25 @@
 //! *miss* bytes (not full footprints) matters: a warm request adds no
 //! load, so affinity is self-reinforcing exactly when it is free.
 //!
-//! Online, `recomp_bytes` walks the task's inputs and counts those
-//! neither resident on (or in flight to) GPU `k` nor already planned
-//! there by an earlier routed request; in the batch prepare (no runtime
-//! view yet) only the planned-`InMem` accounting DMDA uses applies. The
-//! router never reads the engine's missing-input counters, so its runs
+//! `recomp_bytes` walks the task's inputs and counts those not already
+//! planned on GPU `k` by an earlier routed request and, on arrival and
+//! re-homing, neither resident on nor in flight to it; in the batch
+//! prepare (no runtime view yet) only the planned-`InMem` accounting DMDA
+//! uses applies. The router never reads the engine's missing-input counters, so its runs
 //! never build them. Eviction installs a pinned-ancestor hint
 //! (LUF-style): the planned future uses of every data item on each GPU
 //! are known from the routed queues, so the victim is the resident item
 //! with the fewest planned uses — interior tree nodes shared by many
 //! queued requests are evicted last.
 //!
-//! Each GPU serves only its own queue, so the router parks a GPU's
-//! worker when that queue runs dry ([`RuntimeView::park`]) and unparks
-//! it when it routes a request there ([`RuntimeView::unpark`]).
+//! Each GPU serves only its own queue, in order ([`GpuQueues`], without
+//! stealing), so a GPU's worker parks when that queue runs dry and is
+//! unparked when the router routes a request there.
 
-use std::collections::VecDeque;
-
+use crate::queues::GpuQueues;
 use memsched_model::{DataId, GpuId, TaskId, TaskSet};
-use memsched_platform::obs::{GaugeKind, ObsEvent};
 use memsched_platform::{Hooks, PlatformSpec, Probe, RuntimeView, Scheduler};
+use std::collections::VecDeque;
 
 /// Default α in thousandths: 0.1 — a queued byte costs a tenth of a
 /// recomputed byte. Affinity has to dominate for a prefix tree: the
@@ -56,7 +55,7 @@ pub struct RouterScheduler {
     /// Load weight α in thousandths (`score = recomp + α·load`).
     alpha_milli: u64,
     /// Per-GPU FIFO of routed tasks.
-    queues: Vec<VecDeque<TaskId>>,
+    queues: GpuQueues,
     /// Per-GPU outstanding bytes: recomputation costs charged by tasks
     /// routed here and not yet completed.
     queued_bytes: Vec<u64>,
@@ -64,14 +63,12 @@ pub struct RouterScheduler {
     /// back on completion).
     routed_cost: Vec<u64>,
     /// Per-GPU planned-residency sets (the DMDA `InMem` analogue):
-    /// written by every routing decision, batch or online, and read by
-    /// both scores — online alongside the GPU's actual residency.
+    /// written and read by every routing decision, batch or online — at
+    /// runtime alongside the GPU's actual residency.
     planned: Vec<Vec<bool>>,
     /// Per (GPU, data): planned future uses by routed-but-unfinished
     /// tasks — the LUF eviction hint.
     future_uses: Vec<Vec<u32>>,
-    /// Observability probe (queue-depth gauges on pop).
-    probe: Option<Probe>,
 }
 
 impl Default for RouterScheduler {
@@ -85,12 +82,11 @@ impl RouterScheduler {
     pub fn new() -> Self {
         RouterScheduler {
             alpha_milli: DEFAULT_ALPHA_MILLI,
-            queues: Vec::new(),
+            queues: GpuQueues::new(false, false),
             queued_bytes: Vec::new(),
             routed_cost: Vec::new(),
             planned: Vec::new(),
             future_uses: Vec::new(),
-            probe: None,
         }
     }
 
@@ -102,11 +98,11 @@ impl RouterScheduler {
 
     /// The per-GPU routing computed so far (for tests).
     pub fn queues(&self) -> &[VecDeque<TaskId>] {
-        &self.queues
+        self.queues.lists()
     }
 
     fn reset(&mut self, num_gpus: usize, num_data: usize, num_tasks: usize) {
-        self.queues = vec![VecDeque::new(); num_gpus];
+        self.queues.set(vec![Vec::new(); num_gpus]);
         self.queued_bytes = vec![0; num_gpus];
         self.routed_cost = vec![0; num_tasks];
         self.planned = vec![vec![false; num_data]; num_gpus];
@@ -122,7 +118,7 @@ impl RouterScheduler {
     /// Enqueue `t` on `g`, charging its routing-time `recomp` cost to
     /// the GPU's load, and update the uses/planned accounting.
     fn commit(&mut self, ts: &TaskSet, g: usize, t: TaskId, recomp: u64) {
-        self.queues[g].push_back(t);
+        self.queues.push(g, t);
         self.queued_bytes[g] += recomp;
         self.routed_cost[t.index()] = recomp;
         for &d in ts.inputs(t) {
@@ -131,54 +127,43 @@ impl RouterScheduler {
         }
     }
 
-    /// Route `t` by the batch (planned-residency) score. Nothing is in
-    /// flight before the run, so the load term counts routed bytes only.
-    fn route_planned(&mut self, ts: &TaskSet, t: TaskId) {
+    /// Route `t` to the GPU with the least `recomp + α·load` (ties →
+    /// lowest index) and wake its worker. An input counts as free when an
+    /// earlier request routed there has planned its fetch — the
+    /// prefix-affinity signal that keeps a burst of requests sharing a
+    /// cold prefix from duplicating it across GPUs before the first fetch
+    /// lands — or, with a runtime `view`, when it is resident on (or in
+    /// flight to) the GPU; the view also adds the bytes in flight to the
+    /// load and skips dead GPUs. Without one (the batch prepare) nothing
+    /// is resident or in flight, every GPU is alive and no worker is
+    /// parked. With no GPU alive the task goes to GPU 0 so the engine can
+    /// surface the abort itself.
+    fn route(&mut self, ts: &TaskSet, t: TaskId, view: Option<&RuntimeView<'_>>) {
         let mut best: Option<(u64, u64, usize)> = None;
-        for g in 0..self.queues.len() {
-            let recomp: u64 = ts
-                .input_ids(t)
-                .filter(|&d| !self.planned[g][d.index()])
-                .map(|d| ts.data_size(d))
-                .sum();
-            let score = recomp + self.load_term(g, 0);
-            if best.is_none_or(|(bs, _, bg)| (score, g) < (bs, bg)) {
-                best = Some((score, recomp, g));
-            }
-        }
-        let (recomp, g) = best.map_or((ts.task_footprint(t), 0), |(_, r, g)| (r, g));
-        self.commit(ts, g, t, recomp);
-    }
-
-    /// Route `t` by the runtime score: bytes the GPU would genuinely
-    /// have to fetch, plus the load term. An input counts as free when
-    /// it is resident (or already in flight) on the GPU *or* when an
-    /// earlier request routed there has planned its fetch — the second
-    /// clause is the prefix-affinity signal that keeps a burst of
-    /// requests sharing a cold prefix from duplicating it across GPUs
-    /// before the first fetch lands. Wakes the chosen GPU's worker. With
-    /// no GPU alive the task parks on GPU 0 so the engine can surface the
-    /// abort itself.
-    fn route_runtime(&mut self, ts: &TaskSet, t: TaskId, view: &RuntimeView<'_>) {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for g in 0..self.queues.len() {
+        for g in 0..self.planned.len() {
             let gpu = GpuId(g as u32);
-            if !view.is_alive(gpu) {
+            if view.is_some_and(|v| !v.is_alive(gpu)) {
                 continue;
             }
             let recomp: u64 = ts
                 .input_ids(t)
-                .filter(|&d| !self.planned[g][d.index()] && !view.is_resident_or_loading(gpu, d))
+                .filter(|&d| {
+                    !self.planned[g][d.index()]
+                        && !view.is_some_and(|v| v.is_resident_or_loading(gpu, d))
+                })
                 .map(|d| ts.data_size(d))
                 .sum();
-            let score = recomp + self.load_term(g, view.loading_bytes(gpu));
+            let loading = view.map_or(0, |v| v.loading_bytes(gpu));
+            let score = recomp + self.load_term(g, loading);
             if best.is_none_or(|(bs, _, bg)| (score, g) < (bs, bg)) {
                 best = Some((score, recomp, g));
             }
         }
         let (recomp, g) = best.map_or((ts.task_footprint(t), 0), |(_, r, g)| (r, g));
         self.commit(ts, g, t, recomp);
-        view.unpark(GpuId(g as u32));
+        if let Some(v) = view {
+            v.unpark(GpuId(g as u32));
+        }
     }
 }
 
@@ -194,7 +179,7 @@ impl Scheduler for RouterScheduler {
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
         self.reset(spec.num_gpus, ts.num_data(), ts.num_tasks());
         for t in ts.tasks() {
-            self.route_planned(ts, t);
+            self.route(ts, t, None);
         }
     }
 
@@ -203,26 +188,11 @@ impl Scheduler for RouterScheduler {
     }
 
     fn on_task_arrival(&mut self, task: TaskId, view: &RuntimeView<'_>) {
-        self.route_runtime(view.task_set(), task, view);
+        self.route(view.task_set(), task, Some(view));
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
-        let queue = &mut self.queues[gpu.index()];
-        let task = queue.pop_front();
-        // Only a routing decision refills this queue, and it unparks.
-        if queue.is_empty() {
-            view.park();
-        }
-        let task = task?;
-        if let Some(p) = &self.probe {
-            p.emit(ObsEvent::Gauge {
-                t: view.now(),
-                gpu: Some(gpu.0),
-                kind: GaugeKind::ReadyQueueDepth,
-                value: self.queues[gpu.index()].len() as f64,
-            });
-        }
-        Some(task)
+        self.queues.pop(gpu, view)
     }
 
     fn choose_victim(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<DataId> {
@@ -274,24 +244,18 @@ impl Scheduler for RouterScheduler {
         // prepare-time plan, decide where recomputation is cheapest.
         let g = gpu.index();
         let mut orphans: Vec<TaskId> = lost.to_vec();
-        orphans.extend(self.queues[g].drain(..));
+        orphans.extend(self.queues.take(g));
         self.queued_bytes[g] = 0;
         self.future_uses[g].fill(0);
         self.planned[g].fill(false);
-        let any_alive = (0..self.queues.len()).any(|h| view.is_alive(GpuId(h as u32)));
-        if !any_alive {
-            // Nothing to reroute to; the engine aborts the run.
-            self.queues[g].extend(orphans);
-            return;
-        }
         let ts = view.task_set();
         for t in orphans {
-            self.route_runtime(ts, t, view);
+            self.route(ts, t, Some(view));
         }
     }
 
     fn attach_probe(&mut self, probe: Probe) {
-        self.probe = Some(probe);
+        self.queues.attach_probe(probe);
     }
 }
 

@@ -3,9 +3,9 @@
 //! still completes exactly once, and a same-seed replay is byte-identical.
 
 use memsched_platform::{
-    run, run_with_config, validate, FaultPlan, PlatformSpec, RunConfig, Scheduler, TraceMode,
+    run, run_with_config, validate, FaultPlan, PlatformSpec, RunConfig, TraceMode,
 };
-use memsched_schedulers::{HfpScheduler, HmetisRScheduler, NamedScheduler, PartitionerOptions};
+use memsched_schedulers::NamedScheduler;
 use memsched_workloads::gemm_2d;
 
 const FAMILIES: &[NamedScheduler] = &[
@@ -50,23 +50,17 @@ fn every_family_survives_a_gpu_failure() {
 fn losing_a_whole_bus_group_moves_its_work_across_buses() {
     // On `v100_multibus(4, 2)` GPUs 0 and 1 share bus 0 and both die.
     // Stealing and the re-homing of dead queues are global (§IV-B), so
-    // GPUs 2 and 3 on bus 1 finish everything, stealing on or off.
+    // GPUs 2 and 3 on bus 1 finish everything.
     let ts = gemm_2d(6);
     let spec = PlatformSpec::v100_multibus(4, 2);
     let plan = FaultPlan::none()
         .with_gpu_failure(0, FAIL_AT)
         .with_gpu_failure(1, FAIL_AT);
-    let no_steal: Vec<Box<dyn Scheduler + Send>> = vec![
-        Box::new(HmetisRScheduler::with_options(PartitionerOptions {
-            steal: false,
-            ..Default::default()
-        })),
-        Box::new(HfpScheduler::new().without_stealing()),
-    ];
-    for mut sched in FAMILIES.iter().map(NamedScheduler::build).chain(no_steal) {
-        let label = sched.name();
-        let (report, _) = run_with_config(&ts, &spec, sched.as_mut(), &faulted(plan.clone()))
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+    for family in FAMILIES {
+        let label = family.label();
+        let (report, _) =
+            run_with_config(&ts, &spec, family.build().as_mut(), &faulted(plan.clone()))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
         let total: usize = report.per_gpu.iter().map(|g| g.tasks).sum();
         assert_eq!(total, 36, "{label}: tasks lost or duplicated");
         assert_eq!(report.gpu_failures, 2, "{label}");

@@ -10,7 +10,6 @@ use common::run_validated;
 use memsched::obs::overlap;
 use memsched::platform::{validate, RunConfig, TraceEvent};
 use memsched::prelude::*;
-use memsched::schedulers::{HmetisRScheduler, PartitionerOptions};
 use memsched::workloads::{self, constants::GEMM2D_DATA_BYTES};
 
 /// A validated `TraceMode::Full` run of `named`.
@@ -168,8 +167,8 @@ fn traces_are_deterministic() {
 }
 
 /// hMETIS+R on a batch with fewer tasks than GPUs, which has no partition
-/// into one part per GPU: task `t` goes to GPU `t` (where it runs when
-/// stealing is off), and the runs validate.
+/// into one part per GPU: task `t` is queued on GPU `t`, and the runs
+/// validate.
 #[test]
 fn hmetis_r_runs_fewer_tasks_than_gpus() {
     let mut b = TaskSetBuilder::new();
@@ -178,20 +177,19 @@ fn hmetis_r_runs_fewer_tasks_than_gpus() {
         let own = b.add_data(GEMM2D_DATA_BYTES);
         b.add_task(&[shared, own], 1e9);
     }
-    let config = RunConfig {
-        trace: TraceMode::Full,
-        ..Default::default()
-    };
     for (ts, gpus) in [(workloads::gemm_2d(1), 2), (b.build(), 3)] {
         let spec = PlatformSpec::v100(gpus);
         traced(&NamedScheduler::HmetisR, &ts, &spec);
-        let mut unstolen = HmetisRScheduler::with_options(PartitionerOptions {
-            steal: false,
-            ..Default::default()
-        });
-        let (report, _) = run_validated(&ts, &spec, &mut unstolen, &config);
-        let per_gpu: Vec<usize> = report.per_gpu.iter().map(|g| g.tasks).collect();
-        let want: Vec<usize> = (0..gpus).map(|g| (g < ts.num_tasks()) as usize).collect();
-        assert_eq!(per_gpu, want, "{} tasks on {gpus} GPUs", ts.num_tasks());
+        let mut sched = HmetisRScheduler::new();
+        sched.prepare(&ts, &spec);
+        let queued: Vec<Vec<TaskId>> = sched
+            .queues()
+            .iter()
+            .map(|q| q.iter().copied().collect())
+            .collect();
+        let want: Vec<Vec<TaskId>> = (0..gpus)
+            .map(|g| ts.tasks().filter(|t| t.index() == g).collect())
+            .collect();
+        assert_eq!(queued, want, "{} tasks on {gpus} GPUs", ts.num_tasks());
     }
 }
