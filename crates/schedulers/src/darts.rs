@@ -856,6 +856,31 @@ impl DartsScheduler {
         }
     }
 
+    /// Send `t` back to FREE (an eviction or a failure released it, or
+    /// it arrived): it rejoins the random draw and adds its `n_free`
+    /// contribution. `planned_on` names the GPU whose `planned_uses`
+    /// still count it.
+    fn release(
+        &mut self,
+        ts: &TaskSet,
+        view: &RuntimeView<'_>,
+        t: TaskId,
+        planned_on: Option<usize>,
+    ) {
+        self.task_state[t.index()] = FREE;
+        self.unallocated += 1;
+        if self.is_naive() {
+            return; // the naive scans read `task_state` live
+        }
+        self.free_tasks.insert(t.index());
+        if let Some(g) = planned_on {
+            for &i in ts.inputs(t) {
+                self.planned_uses[g][i as usize] -= 1;
+            }
+        }
+        self.contrib(ts, view, t, 1);
+    }
+
     /// Number of tasks not yet completed (planned or not).
     pub fn remaining(&self) -> usize {
         self.unfinished
@@ -887,6 +912,74 @@ impl DartsScheduler {
 }
 
 impl DartsScheduler {
+    /// Lay out the per-GPU state for `k` GPUs. In `batch` every task
+    /// starts FREE; a stream starts with every task PENDING and every
+    /// data-driven counter at zero.
+    fn lay_out(&mut self, ts: &TaskSet, k: usize, batch: bool) {
+        let (nd, m) = (ts.num_data(), ts.num_tasks());
+        self.data_not_in_mem = vec![vec![true; nd]; k];
+        self.planned = vec![VecDeque::new(); k];
+        self.task_state = vec![if batch { FREE } else { PENDING }; m];
+        self.unallocated = if batch { m } else { 0 };
+        self.unfinished = m;
+        if self.is_naive() {
+            return;
+        }
+        // Initially nothing is resident anywhere, so a FREE task's missing
+        // set is its whole input list: only single-input tasks contribute
+        // to `n_free`, and a task's missing count is its input count.
+        let mut n_free0 = vec![0u32; nd];
+        let mut m1 = vec![0u32; nd];
+        let mut m2 = vec![0u32; nd];
+        if batch {
+            for t in ts.tasks() {
+                let ins = ts.inputs(t);
+                if let [d] = ins {
+                    n_free0[*d as usize] += 1;
+                }
+                let counts = match ins.len() {
+                    1 => &mut m1,
+                    2 => &mut m2,
+                    _ => continue,
+                };
+                for &d in ins {
+                    counts[d as usize] += 1;
+                }
+            }
+        }
+        let ordered = self.cfg.opti || self.cfg.threshold.is_some();
+        let mut useful0 = UsefulIndex::new(nd, ordered);
+        for (d, &n) in n_free0.iter().enumerate() {
+            if n > 0 {
+                useful0.insert(d as u32, n);
+            }
+        }
+        self.n_free = vec![n_free0; k];
+        self.useful = vec![useful0; k];
+        if self.cfg.three_inputs {
+            self.not_in_mem_ids = vec![(0..nd as u32).collect::<BTreeSet<u32>>(); k];
+            self.m1_consumers = vec![m1; k];
+            self.m2_consumers = vec![m2; k];
+        } else {
+            self.not_in_mem_ids = vec![BTreeSet::new(); k];
+            self.m1_consumers = Vec::new();
+            self.m2_consumers = Vec::new();
+        }
+        self.planned_uses = vec![vec![0u32; nd]; k];
+        if batch {
+            self.n_unprocessed = (0..nd)
+                .map(|d| ts.consumers(DataId::from_usize(d)).len() as u32)
+                .collect();
+            self.free_tasks = FenwickSet::full(m);
+        } else {
+            self.n_unprocessed = vec![0; nd];
+            self.free_tasks = FenwickSet::empty(m);
+        }
+        self.cv_stamp = vec![0; nd];
+        self.cv_first = vec![0; nd];
+        self.cv_epoch = 0;
+    }
+
     /// The actual pop logic ([`Scheduler::pop_task`] wraps it with the
     /// post-decision gauge emission).
     fn pop_task_inner(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
@@ -938,98 +1031,14 @@ impl Scheduler for DartsScheduler {
     }
 
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
-        let k = spec.num_gpus;
-        let (nd, m) = (ts.num_data(), ts.num_tasks());
-        self.data_not_in_mem = vec![vec![true; nd]; k];
-        self.planned = vec![VecDeque::new(); k];
-        self.task_state = vec![FREE; m];
-        self.unallocated = m;
-        self.unfinished = m;
-        if self.is_naive() {
-            return;
-        }
-        // Initially nothing is resident anywhere, so a task's missing set
-        // is its whole input list: only single-input tasks contribute.
-        let mut n_free0 = vec![0u32; nd];
-        for t in ts.tasks() {
-            if let [d] = ts.inputs(t) {
-                n_free0[*d as usize] += 1;
-            }
-        }
-        let ordered = self.cfg.opti || self.cfg.threshold.is_some();
-        let mut useful0 = UsefulIndex::new(nd, ordered);
-        for (d, &n) in n_free0.iter().enumerate() {
-            if n > 0 {
-                useful0.insert(d as u32, n);
-            }
-        }
-        self.n_free = vec![n_free0; k];
-        self.useful = vec![useful0; k];
-        if self.cfg.three_inputs {
-            self.not_in_mem_ids = vec![(0..nd as u32).collect::<BTreeSet<u32>>(); k];
-            // Nothing resident: a task's missing count is its input count.
-            let mut m1 = vec![0u32; nd];
-            let mut m2 = vec![0u32; nd];
-            for t in ts.tasks() {
-                let ins = ts.inputs(t);
-                let counts = match ins.len() {
-                    1 => &mut m1,
-                    2 => &mut m2,
-                    _ => continue,
-                };
-                for &d in ins {
-                    counts[d as usize] += 1;
-                }
-            }
-            self.m1_consumers = vec![m1; k];
-            self.m2_consumers = vec![m2; k];
-        } else {
-            self.not_in_mem_ids = vec![BTreeSet::new(); k];
-            self.m1_consumers = Vec::new();
-            self.m2_consumers = Vec::new();
-        }
-        self.planned_uses = vec![vec![0u32; nd]; k];
-        self.n_unprocessed = (0..nd)
-            .map(|d| ts.consumers(DataId::from_usize(d)).len() as u32)
-            .collect();
-        self.free_tasks = FenwickSet::full(m);
-        self.cv_stamp = vec![0; nd];
-        self.cv_first = vec![0; nd];
-        self.cv_epoch = 0;
+        self.lay_out(ts, spec.num_gpus, true);
     }
 
     fn prepare_stream(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
-        // Same layout as `prepare`, but every task starts PENDING and
-        // every data-driven counter starts at zero: the horizon is empty
-        // until arrivals release tasks through `on_task_arrival`.
-        let k = spec.num_gpus;
-        let (nd, m) = (ts.num_data(), ts.num_tasks());
-        self.data_not_in_mem = vec![vec![true; nd]; k];
-        self.planned = vec![VecDeque::new(); k];
-        self.task_state = vec![PENDING; m];
-        self.unallocated = 0;
-        self.unfinished = m;
-        if self.is_naive() {
-            return;
-        }
-        let ordered = self.cfg.opti || self.cfg.threshold.is_some();
-        self.n_free = vec![vec![0u32; nd]; k];
-        self.useful = vec![UsefulIndex::new(nd, ordered); k];
-        if self.cfg.three_inputs {
-            self.not_in_mem_ids = vec![(0..nd as u32).collect::<BTreeSet<u32>>(); k];
-            self.m1_consumers = vec![vec![0u32; nd]; k];
-            self.m2_consumers = vec![vec![0u32; nd]; k];
-        } else {
-            self.not_in_mem_ids = vec![BTreeSet::new(); k];
-            self.m1_consumers = Vec::new();
-            self.m2_consumers = Vec::new();
-        }
-        self.planned_uses = vec![vec![0u32; nd]; k];
-        self.n_unprocessed = vec![0; nd];
-        self.free_tasks = FenwickSet::empty(m);
-        self.cv_stamp = vec![0; nd];
-        self.cv_first = vec![0; nd];
-        self.cv_epoch = 0;
+        // Every task starts PENDING and every data-driven counter at
+        // zero: the horizon is empty until arrivals release tasks through
+        // `on_task_arrival`.
+        self.lay_out(ts, spec.num_gpus, false);
     }
 
     fn on_task_arrival(&mut self, task: TaskId, view: &RuntimeView<'_>) {
@@ -1040,17 +1049,13 @@ impl Scheduler for DartsScheduler {
         // the `prepare` state before the first pop, which is what makes
         // the t = 0 stream run decision-equivalent to batch.
         debug_assert_eq!(self.task_state[task.index()], PENDING);
-        self.task_state[task.index()] = FREE;
-        self.unallocated += 1;
-        if self.is_naive() {
-            return; // the naive scans read `task_state` live
-        }
         let ts = view.task_set();
-        self.free_tasks.insert(task.index());
-        for &d in ts.inputs(task) {
-            self.n_unprocessed[d as usize] += 1;
+        if !self.is_naive() {
+            for &d in ts.inputs(task) {
+                self.n_unprocessed[d as usize] += 1;
+            }
         }
-        self.contrib(ts, view, task, 1);
+        self.release(ts, view, task, None);
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
@@ -1280,15 +1285,7 @@ impl Scheduler for DartsScheduler {
             self.planned[g].retain(|t| !dependents.contains(t));
             for t in dependents {
                 debug_assert_eq!(self.task_state[t.index()], TAKEN);
-                self.task_state[t.index()] = FREE;
-                self.unallocated += 1;
-                if !self.is_naive() {
-                    self.free_tasks.insert(t.index());
-                    for &i in ts.inputs(t) {
-                        self.planned_uses[g][i as usize] -= 1;
-                    }
-                    self.contrib(ts, view, t, 1);
-                }
+                self.release(ts, view, t, Some(g));
             }
         }
     }
@@ -1301,30 +1298,16 @@ impl Scheduler for DartsScheduler {
         let ts = view.task_set();
         let g = gpu.index();
         // Unserved planned tasks: still counted in `planned_uses[g]`.
-        let planned: Vec<TaskId> = self.planned[g].drain(..).collect();
-        for t in planned {
+        for t in std::mem::take(&mut self.planned[g]) {
             debug_assert_eq!(self.task_state[t.index()], TAKEN);
-            self.task_state[t.index()] = FREE;
-            self.unallocated += 1;
-            if !self.is_naive() {
-                self.free_tasks.insert(t.index());
-                for &i in ts.inputs(t) {
-                    self.planned_uses[g][i as usize] -= 1;
-                }
-                self.contrib(ts, view, t, 1);
-            }
+            self.release(ts, view, t, Some(g));
         }
         // Pipelined tasks: `on_planned_pop` already dropped their
         // `planned_uses` when the worker popped them, so only the state
         // and the free-task contribution come back.
         for &t in lost {
             debug_assert_eq!(self.task_state[t.index()], TAKEN);
-            self.task_state[t.index()] = FREE;
-            self.unallocated += 1;
-            if !self.is_naive() {
-                self.free_tasks.insert(t.index());
-                self.contrib(ts, view, t, 1);
-            }
+            self.release(ts, view, t, None);
         }
     }
 }
