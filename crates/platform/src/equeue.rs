@@ -383,16 +383,21 @@ mod tests {
     #[test]
     fn overflow_item_not_overtaken_by_later_ring_pushes() {
         let mut q: Calendar<u32> = Calendar::new();
-        // Initial wheel: 256 slots × 2^12 ns. Bucket 512 → overflow.
-        q.push((512 << 12, 1, 0));
-        // Advance the cursor to bucket 300 via a ring item.
-        q.push((300 << 12, 2, 1));
-        assert_eq!(q.pop(), Some((300 << 12, 2, 1)));
-        // Bucket 520 is now inside the window [300, 556) even though it
-        // lies beyond the overflow item's bucket.
-        q.push((520 << 12, 3, 2));
-        assert_eq!(q.pop(), Some((512 << 12, 1, 0)));
-        assert_eq!(q.pop(), Some((520 << 12, 3, 2)));
+        // Initial wheel: 256 slots × 2^12 ns, window [0, 256). Bucket 200
+        // lands in the ring, bucket 400 in the overflow.
+        q.push((200 << 12, 1, 0));
+        q.push((400 << 12, 2, 1));
+        assert_eq!(q.pop(), Some((200 << 12, 1, 0)));
+        // Window [200, 456): bucket 300 enters the ring, and popping it
+        // moves the cursor to slot 44 without a rebuild.
+        q.push((300 << 12, 3, 2));
+        assert_eq!(q.pop(), Some((300 << 12, 3, 2)));
+        // Window [300, 556): bucket 450 sits in slot 194, ahead of the
+        // cursor's slot without wrapping, and beyond the overflow item's
+        // bucket 400, which must still pop first.
+        q.push((450 << 12, 4, 3));
+        assert_eq!(q.pop(), Some((400 << 12, 2, 1)));
+        assert_eq!(q.pop(), Some((450 << 12, 4, 3)));
         assert_eq!(q.pop(), None);
     }
 
