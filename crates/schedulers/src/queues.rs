@@ -242,33 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn without_stealing_a_dry_gpu_parks() {
+    fn stealing_disabled_leaves_imbalance() {
         let ts = uniform_tasks(8);
         let mut sched = queued(vec![ts.tasks().collect(), Vec::new()], false);
         let spec = PlatformSpec::v100(2).with_memory(100);
         let report = run(&ts, &spec, &mut sched).unwrap();
         assert_eq!(tasks_per_gpu(&report), vec![8, 0]);
-    }
-
-    #[test]
-    fn in_order_queues_serve_their_heads() {
-        let mut q = GpuQueues::new(false, false);
-        q.set(vec![vec![TaskId(2), TaskId(0), TaskId(1)]]);
-        let ts = uniform_tasks(3);
-        let spec = PlatformSpec::v100(1);
-        let config = RunConfig {
-            trace: TraceMode::Full,
-            ..Default::default()
-        };
-        let (_, trace) = run_with_config(&ts, &spec, &mut Queued(q), &config).unwrap();
-        let order: Vec<usize> = trace
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::TaskStarted { task, .. } => Some(*task),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(order, vec![2, 0, 1]);
     }
 
     #[test]
@@ -308,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn rehoming_without_stealing_preserves_service_order() {
+    fn no_steal_rehoming_preserves_service_order() {
         // When GPU0 dies its whole queue re-homes to the surviving GPU
         // one task at a time, in the original service order.
         let ts = uniform_tasks(6);
