@@ -442,6 +442,83 @@ mod tests {
     }
 
     #[test]
+    fn canonical_json_bytes_are_pinned() {
+        let row = Row {
+            figure: "fig03".into(),
+            workload: "gemm \"2d\"\t\\".into(),
+            ws_mb: 14.0,
+            gpus: 2,
+            scheduler: "DARTS+LUF".into(),
+            gflops: 1234.5,
+            gflops_with_sched: 1200.25,
+            transfers_mb: 0.1,
+            loads: 16,
+            evictions: 0,
+            makespan_ms: 2.5,
+            prepare_ms: 0.75,
+            sched_ms: 0.125,
+            max_load: 8,
+            retries: 1,
+            redispatched: 0,
+            busy_ms: 2.0,
+            stall_ms: 0.25,
+            idle_ms: 0.25,
+        };
+        let other = Row {
+            figure: "fig04".into(),
+            ws_mb: 1e-7,
+            transfers_mb: 1e21,
+            loads: u64::MAX,
+            ..row.clone()
+        };
+        let expected = r#"[
+  {
+    "figure": "fig03",
+    "workload": "gemm \"2d\"\t\\",
+    "ws_mb": 14.0,
+    "gpus": 2,
+    "scheduler": "DARTS+LUF",
+    "gflops": 1234.5,
+    "gflops_with_sched": 0.0,
+    "transfers_mb": 0.1,
+    "loads": 16,
+    "evictions": 0,
+    "makespan_ms": 2.5,
+    "prepare_ms": 0.0,
+    "sched_ms": 0.0,
+    "max_load": 8,
+    "retries": 1,
+    "redispatched": 0,
+    "busy_ms": 2.0,
+    "stall_ms": 0.25,
+    "idle_ms": 0.25
+  },
+  {
+    "figure": "fig04",
+    "workload": "gemm \"2d\"\t\\",
+    "ws_mb": 1e-7,
+    "gpus": 2,
+    "scheduler": "DARTS+LUF",
+    "gflops": 1234.5,
+    "gflops_with_sched": 0.0,
+    "transfers_mb": 1e21,
+    "loads": 18446744073709551615,
+    "evictions": 0,
+    "makespan_ms": 2.5,
+    "prepare_ms": 0.0,
+    "sched_ms": 0.0,
+    "max_load": 8,
+    "retries": 1,
+    "redispatched": 0,
+    "busy_ms": 2.0,
+    "stall_ms": 0.25,
+    "idle_ms": 0.25
+  }
+]"#;
+        assert_eq!(canonical_json(&[row, other]), expected);
+    }
+
+    #[test]
     fn breakdown_columns_sum_to_makespan() {
         let fig = tiny_figure();
         for r in fig.run().unwrap() {
