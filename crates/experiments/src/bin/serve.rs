@@ -69,7 +69,7 @@ use memsched_workloads::{
     prefix::{self, PrefixConfig},
     prefix_tree, ArrivalPattern,
 };
-use serde::{Number, Value};
+use serde_json::{Number, Value};
 
 #[derive(Clone, Debug, PartialEq)]
 enum PatternKind {

@@ -8,11 +8,11 @@ use memsched_platform::{
 };
 use memsched_schedulers::NamedScheduler;
 use memsched_workloads::Workload;
-use serde::{Deserialize, Serialize};
+use serde_json::{Number, Value};
 use std::sync::{Arc, OnceLock};
 
 /// Which metric the figure plots.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Metric {
     /// Throughput in GFlop/s (higher is better) — Figures 3, 5, 6, 8–13.
     Gflops,
@@ -21,7 +21,7 @@ pub enum Metric {
 }
 
 /// One measured cell of a figure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Row {
     /// Figure id, e.g. "fig03".
     pub figure: String,
@@ -54,21 +54,16 @@ pub struct Row {
     pub max_load: usize,
     /// Transfer retries from injected transient faults (0 without
     /// `--faults`).
-    #[serde(default)]
     pub retries: u64,
     /// Tasks re-dispatched after injected fail-stop GPU faults.
-    #[serde(default)]
     pub redispatched: u64,
     /// Mean per-GPU time executing tasks, ms (simulated; deterministic).
-    #[serde(default)]
     pub busy_ms: f64,
     /// Mean per-GPU time starved on in-flight transfers, ms. For each
     /// GPU `busy + stall + idle == makespan` exactly, so these three
     /// columns localize where the throughput of a row went.
-    #[serde(default)]
     pub stall_ms: f64,
     /// Mean per-GPU time with no work and no pending transfer, ms.
-    #[serde(default)]
     pub idle_ms: f64,
 }
 
@@ -122,14 +117,48 @@ impl Row {
             ..self.clone()
         }
     }
+
+    /// The row as a JSON object: one key per field, in declaration order
+    /// (the CSV's column order).
+    fn to_value(&self) -> Value {
+        let s = |v: &str| Value::Str(v.to_string());
+        let f = |v: f64| Value::Num(Number::F(v));
+        let u = |v: u64| Value::Num(Number::U(v));
+        Value::Obj(vec![
+            ("figure".into(), s(&self.figure)),
+            ("workload".into(), s(&self.workload)),
+            ("ws_mb".into(), f(self.ws_mb)),
+            ("gpus".into(), u(self.gpus as u64)),
+            ("scheduler".into(), s(&self.scheduler)),
+            ("gflops".into(), f(self.gflops)),
+            ("gflops_with_sched".into(), f(self.gflops_with_sched)),
+            ("transfers_mb".into(), f(self.transfers_mb)),
+            ("loads".into(), u(self.loads)),
+            ("evictions".into(), u(self.evictions)),
+            ("makespan_ms".into(), f(self.makespan_ms)),
+            ("prepare_ms".into(), f(self.prepare_ms)),
+            ("sched_ms".into(), f(self.sched_ms)),
+            ("max_load".into(), u(self.max_load as u64)),
+            ("retries".into(), u(self.retries)),
+            ("redispatched".into(), u(self.redispatched)),
+            ("busy_ms".into(), f(self.busy_ms)),
+            ("stall_ms".into(), f(self.stall_ms)),
+            ("idle_ms".into(), f(self.idle_ms)),
+        ])
+    }
 }
 
-/// Serialize rows in canonical form (wall-clock fields zeroed) as pretty
-/// JSON. Two sweeps of the same figure produce byte-identical canonical
-/// JSON regardless of worker count — see `tests/determinism.rs`.
+/// Rows as a pretty JSON array, one object per row.
+fn rows_json(rows: &[Row]) -> String {
+    let rows = rows.iter().map(Row::to_value).collect();
+    serde_json::to_string_pretty(&Value::Arr(rows)).expect("a JSON value prints")
+}
+
+/// Rows in canonical form (wall-clock fields zeroed) as pretty JSON.
+/// Two sweeps of the same figure produce byte-identical canonical JSON
+/// regardless of worker count — see `tests/determinism.rs`.
 pub fn canonical_json(rows: &[Row]) -> String {
-    let canonical: Vec<Row> = rows.iter().map(Row::canonical).collect();
-    serde_json::to_string_pretty(&canonical).expect("rows serialize")
+    rows_json(&rows.iter().map(Row::canonical).collect::<Vec<_>>())
 }
 
 /// One point of the sweep: a workload instance plus the schedulers that
@@ -358,8 +387,7 @@ impl FigureSpec {
         println!();
         print!("{}", self.to_csv(&rows));
         if let Some(path) = json_path {
-            let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
-            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+            std::fs::write(path, rows_json(&rows)).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
         Ok(())

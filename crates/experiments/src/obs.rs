@@ -37,7 +37,7 @@ use memsched_platform::{
     run_observed, validate, ObsEvent, OnlineStats, PlatformSpec, RunConfig, RunReport, Scheduler,
     TraceMode,
 };
-use serde::{Number, Value};
+use serde_json::{Number, Value};
 use std::path::Path;
 
 /// Timeline export format selected by `--trace-format`.

@@ -18,10 +18,9 @@
 use crate::ids::{DataId, GpuId, TaskId};
 use crate::schedule::Schedule;
 use crate::taskset::TaskSet;
-use serde::{Deserialize, Serialize};
 
 /// Offline eviction policy used by [`replay`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Least Recently Used — evict the resident item with the oldest last use.
     Lru,
@@ -41,7 +40,7 @@ impl std::fmt::Display for EvictionPolicy {
 }
 
 /// Replay statistics for a single GPU.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GpuReplay {
     /// Number of host→GPU load operations.
     pub loads: u64,
@@ -56,7 +55,7 @@ pub struct GpuReplay {
 }
 
 /// Result of replaying a full schedule.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ReplayReport {
     /// Per-GPU statistics.
     pub per_gpu: Vec<GpuReplay>,

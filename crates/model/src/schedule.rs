@@ -3,11 +3,10 @@
 
 use crate::ids::{GpuId, TaskId};
 use crate::taskset::TaskSet;
-use serde::{Deserialize, Serialize};
 
 /// A complete schedule: for each GPU `k`, the ordered list of tasks
 /// `σ(k, 1), σ(k, 2), …` it processes.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schedule {
     gpus: Vec<Vec<TaskId>>,
 }

@@ -9,11 +9,10 @@
 //! equal.
 
 use crate::ids::{DataId, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Compressed sparse row adjacency used for both directions of the
 /// bipartite graph.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Csr {
     pub offsets: Vec<u32>,
     pub targets: Vec<u32>,
@@ -30,7 +29,7 @@ impl Csr {
 /// A set of independent tasks sharing read-only input data.
 ///
 /// Build one with [`TaskSetBuilder`]. All queries are O(1) or O(degree).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TaskSet {
     /// task -> sorted input data ids
     task_data: Csr,
@@ -43,19 +42,14 @@ pub struct TaskSet {
     /// sum of input sizes per task (cached)
     task_footprint: Vec<u64>,
     /// arrival time (ns) of each task for online serving; empty means
-    /// "all tasks available at t = 0" (batch mode). `#[serde(default)]`
-    /// keeps task sets serialized before this field existed loadable.
-    #[serde(default)]
+    /// "all tasks available at t = 0" (batch mode).
     arrivals: Vec<u64>,
     /// relative completion deadline (ns from arrival) of each task for
     /// the online overload-control policies; empty (or a 0 entry) means
-    /// "no deadline". Serialized only when attached, so older task sets
-    /// load unchanged.
-    #[serde(default)]
+    /// "no deadline".
     deadlines: Vec<u64>,
     /// tenant class of each task (higher = more important); empty means
     /// "all tasks in class 0". Used by priority-based load shedding.
-    #[serde(default)]
     classes: Vec<u32>,
 }
 

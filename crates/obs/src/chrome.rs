@@ -11,7 +11,7 @@
 
 use crate::event::{ObsEvent, Track};
 use crate::wellformed::{check_well_formed, Span, SpanKind, WellFormedError};
-use serde::{Number, Value};
+use serde_json::{Number, Value};
 use std::collections::BTreeSet;
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -288,10 +288,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> Result<Value, WellFormedError> {
 
 /// [`chrome_trace`] rendered to a JSON string.
 pub fn chrome_trace_json(events: &[ObsEvent]) -> Result<String, WellFormedError> {
-    let v = chrome_trace(events)?;
-    serde_json::to_string(&v).map_err(|e| WellFormedError {
-        message: format!("serialize: {e}"),
-    })
+    Ok(serde_json::to_string(&chrome_trace(events)?).expect("a JSON value prints"))
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use crate::event::{GaugeKind, Nanos, ObsEvent};
 use crate::sink::TraceSink;
-use serde::{Number, Value};
+use serde_json::{Number, Value};
 use std::collections::{BTreeMap, HashMap};
 
 /// Monotone counters tracked by [`Metrics`].
@@ -336,8 +336,7 @@ impl Metrics {
 
     /// [`Metrics::to_value`] rendered as pretty JSON.
     pub fn render_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value())
-            .unwrap_or_else(|e| format!("{{\"error\": \"metrics serialization failed: {e}\"}}"))
+        serde_json::to_string_pretty(&self.to_value()).expect("a JSON value prints")
     }
 }
 

@@ -1,10 +1,9 @@
 //! Execution reports produced by the simulator.
 
 use crate::spec::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Per-GPU execution statistics.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GpuRunStats {
     /// Tasks executed on this GPU (`nb_k`).
     pub tasks: usize,
@@ -20,10 +19,8 @@ pub struct GpuRunStats {
     /// least one transfer destined for this GPU in flight (queued on the
     /// bus or on the wire). Disjoint from `busy`;
     /// `busy + stall + idle == makespan` exactly.
-    #[serde(default)]
     pub stall: Nanos,
     /// Remaining nanoseconds: no runnable work, or dead after a fault.
-    #[serde(default)]
     pub idle: Nanos,
     /// Host nanoseconds spent inside scheduler callbacks charged to this
     /// GPU's worker (pops, victim choices and notifications), timed with
@@ -37,16 +34,14 @@ pub struct GpuRunStats {
     pub nvlink_bytes: u64,
     /// Input bytes already resident (or in flight) here when a task was
     /// committed to this GPU's pipeline, summed over placements.
-    #[serde(default)]
     pub cache_hit_bytes: u64,
     /// Input bytes still missing at placement time (the recomputation /
     /// re-fetch cost the placement incurred).
-    #[serde(default)]
     pub cache_miss_bytes: u64,
 }
 
 /// Result of one simulated run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
     /// Scheduler name.
     pub scheduler: String,
@@ -70,28 +65,20 @@ pub struct RunReport {
     pub sched_wall: Nanos,
     /// Transfer retries caused by injected transient faults (0 without
     /// fault injection).
-    #[serde(default)]
     pub transfer_retries: u64,
     /// GPUs lost to injected fail-stop faults during the run.
-    #[serde(default)]
     pub gpu_failures: u64,
     /// Tasks returned to the scheduler by fail-stop faults and executed
     /// elsewhere.
-    #[serde(default)]
     pub tasks_redispatched: u64,
-    /// Serving statistics of an online run (`None` for batch runs, so
-    /// batch reports serialize unchanged).
-    #[serde(default)]
+    /// Serving statistics of an online run (`None` for batch runs).
     pub online: Option<OnlineStats>,
     /// Rolling FNV-1a checksum of the trace-event stream when the run
     /// recorded with [`crate::TraceMode::Checksum`]; `None` under `Full`
-    /// and `Off`, keeping previously serialized reports stable.
-    #[serde(default)]
+    /// and `Off`.
     pub trace_checksum: Option<u64>,
     /// Nanoseconds each PCI bus spent moving data, indexed by bus id
-    /// (one entry on single-bus platforms). Empty in reports serialized
-    /// before the multi-bus extension.
-    #[serde(default)]
+    /// (one entry on single-bus platforms).
     pub bus_busy_ns: Vec<u64>,
 }
 
@@ -100,7 +87,7 @@ pub struct RunReport {
 /// *Latency* is completion minus arrival of a task; *queueing delay* is
 /// compute start minus arrival (latency minus service). Quantiles are
 /// nearest-rank over the whole run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OnlineStats {
     /// Tasks admitted (released to the scheduler).
     pub tasks_admitted: u64,
@@ -121,28 +108,22 @@ pub struct OnlineStats {
     pub throughput_tps: f64,
     /// Arrivals rejected by the overload-control policy (never released
     /// to a scheduler). 0 under [`crate::ShedPolicy::DeferOnly`].
-    #[serde(default)]
     pub tasks_shed: u64,
     /// Deferred tasks dropped after sitting in the admission queue past
     /// their deadline. Disjoint from `tasks_shed`.
-    #[serde(default)]
     pub deadline_expired: u64,
     /// Tasks shed or expired, by tenant class (index = class). Empty
     /// when nothing was dropped.
-    #[serde(default)]
     pub shed_per_class: Vec<u64>,
     /// Tasks completed, by tenant class (index = class). Empty on
     /// class-less runs that dropped nothing.
-    #[serde(default)]
     pub completed_per_class: Vec<u64>,
     /// Completed tasks that finished after their deadline (tasks without
     /// a deadline never violate).
-    #[serde(default)]
     pub deadline_violations: u64,
     /// Completed-within-deadline tasks per second of simulated time:
     /// the useful share of `throughput_tps` (equal when nothing carried
     /// a deadline or nothing violated).
-    #[serde(default)]
     pub goodput_tps: f64,
 }
 
@@ -226,7 +207,7 @@ impl RunReport {
 /// ([`TraceEvent::from_obs`]) of its event stream, recorded through
 /// [`crate::RunConfig::trace`] and pinned by the golden traces and
 /// checksums.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A transfer of `data` to `gpu` was placed on the bus.
     LoadIssued {

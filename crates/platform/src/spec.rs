@@ -1,8 +1,6 @@
 //! Platform description: the topology of Figure 2 — host memory connected
 //! to `K` GPU memories through one shared PCI-Express bus.
 
-use serde::{Deserialize, Serialize};
-
 /// Nanosecond simulation timestamps.
 pub type Nanos = u64;
 
@@ -13,7 +11,7 @@ pub type Nanos = u64;
 /// Figure 3), a shared PCIe 3.0 ×16 bus at ~12 GB/s, and a GPU memory
 /// clamped to 500 MB "to better distinguish the performance of different
 /// strategies even on small datasets" (§V-A).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlatformSpec {
     /// Number of GPUs `K`.
     pub num_gpus: usize,

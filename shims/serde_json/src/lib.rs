@@ -1,15 +1,77 @@
-//! Offline shim for `serde_json`: JSON printing and parsing over the shim
-//! `serde` crate's [`Value`] tree.
+//! Offline shim for `serde_json`: a JSON [`Value`] tree with its printer
+//! and parser: writers build a `Value` and print it, readers parse one.
 //!
 //! Output is deterministic: object keys keep insertion order and floats
 //! print with Rust's shortest round-trip representation (`{:?}`), so the
 //! same `Value` always serializes to the same bytes — a property the
 //! experiment harness's determinism tests rely on.
 
-pub use serde::{DeError, Number, Value};
-use serde::{Deserialize, Serialize};
+/// A JSON value tree.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any JSON number.
+    Num(Number),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object, in insertion order.
+    Obj(Vec<(String, Value)>),
+}
 
-/// Serialization/deserialization error.
+/// JSON number with the integer/float distinction preserved so `u64`
+/// round-trips exactly (simulation timestamps are nanosecond `u64`s).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Number {
+    /// Non-negative integer.
+    U(u64),
+    /// Negative integer.
+    I(i64),
+    /// Floating point.
+    F(f64),
+}
+
+impl Value {
+    /// The object entries, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Obj(entries) => Some(entries),
+            _ => None,
+        }
+    }
+
+    /// The array elements, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The string contents, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Look up a field of an object; error mentioning `ty` otherwise.
+    pub fn field<'a>(&'a self, key: &str, ty: &str) -> Result<&'a Value, Error> {
+        let obj = self
+            .as_obj()
+            .ok_or_else(|| Error(format!("expected object for {ty}")))?;
+        obj.iter()
+            .find_map(|(k, v)| (k == key).then_some(v))
+            .ok_or_else(|| Error(format!("missing field `{key}` for {ty}")))
+    }
+}
+
+/// A parse or lookup error (a message, no position tracking beyond it).
 #[derive(Clone, Debug)]
 pub struct Error(String);
 
@@ -21,35 +83,18 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Self {
-        Error(e.to_string())
-    }
-}
-
-/// Lower any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize>(value: &T) -> Value {
-    value.to_value()
-}
-
-/// Serialize to a compact JSON string.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
+/// Print as compact JSON.
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    write_value(&mut out, value, None, 0);
     Ok(out)
 }
 
-/// Serialize to pretty-printed JSON (two-space indent, like the real crate).
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
+/// Print as pretty JSON (two-space indent, like the real crate).
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    write_value(&mut out, value, Some(2), 0);
     Ok(out)
-}
-
-/// Parse a JSON string into any deserializable value.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    Ok(T::from_value(&value)?)
 }
 
 // --- printer -------------------------------------------------------------
@@ -363,13 +408,24 @@ mod tests {
 
     #[test]
     fn floats_keep_shortest_roundtrip_repr() {
-        let s = to_string(&vec![1.0f64, 0.1, 13_253.0]).unwrap();
+        let floats = [1.0, 0.1, 13_253.0].map(|f| Value::Num(Number::F(f)));
+        let s = to_string(&Value::Arr(floats.to_vec())).unwrap();
         assert_eq!(s, "[1.0,0.1,13253.0]");
     }
 
     #[test]
     fn rejects_trailing_garbage() {
         assert!(parse_value("1 x").is_err());
-        assert!(from_str::<u64>("[]").is_err());
+    }
+
+    #[test]
+    fn field_lookup_reports_missing() {
+        let v = Value::Obj(vec![("a".into(), Value::Bool(true))]);
+        assert!(v.field("a", "T").is_ok());
+        assert!(v
+            .field("b", "T")
+            .unwrap_err()
+            .to_string()
+            .contains("missing field `b`"));
     }
 }
