@@ -70,23 +70,22 @@ impl DmdaScheduler {
     }
 
     /// One Eq. (1) allocation step for `t`: route it to the GPU with the
-    /// smallest predicted completion time and update the predicted
-    /// horizon and InMem state. `now` floors each GPU's horizon (0 in
-    /// the batch prepare, the arrival instant online); GPUs flagged in
-    /// `dead` are skipped (batch allocation passes `None`). Returns the
-    /// chosen GPU.
+    /// smallest predicted completion time, update the predicted horizon
+    /// and InMem state, and unpark the chosen GPU's worker. Online, the
+    /// `view`'s clock floors each GPU's horizon and its dead GPUs are
+    /// skipped; the batch prepare passes `None` (floor 0, every GPU
+    /// alive).
     fn allocate(
         &mut self,
         ts: &TaskSet,
         spec: &PlatformSpec,
         t: TaskId,
-        now: Nanos,
-        dead: Option<&dyn Fn(usize) -> bool>,
-    ) -> usize {
-        let k = self.ready_at.len();
+        view: Option<&RuntimeView<'_>>,
+    ) {
+        let now = view.map_or(0, RuntimeView::now);
         let mut best: Option<(usize, Nanos)> = None;
-        for g in 0..k {
-            if dead.is_some_and(|is_dead| is_dead(g)) {
+        for g in 0..self.ready_at.len() {
+            if view.is_some_and(|v| !v.is_alive(GpuId(g as u32))) {
                 continue;
             }
             let comp = spec.compute_time_on(g, ts.flops(t));
@@ -108,7 +107,9 @@ impl DmdaScheduler {
         for d in ts.input_ids(t) {
             self.in_mem[g][d.index()] = true; // prefetch requested (Alg. 1 l.8-9)
         }
-        g
+        if let Some(v) = view {
+            v.unpark(GpuId(g as u32));
+        }
     }
 
     /// Empty queues, horizons and InMem sets for `k` GPUs.
@@ -135,9 +136,7 @@ impl Scheduler for DmdaScheduler {
     fn prepare(&mut self, ts: &TaskSet, spec: &PlatformSpec) {
         self.reset(spec.num_gpus, ts.num_data());
         for t in ts.tasks() {
-            // `now = 0` makes `ready_at.max(now)` the identity, so this
-            // is exactly the historical batch allocation.
-            self.allocate(ts, spec, t, 0, None);
+            self.allocate(ts, spec, t, None);
         }
     }
 
@@ -148,17 +147,7 @@ impl Scheduler for DmdaScheduler {
     }
 
     fn on_task_arrival(&mut self, task: TaskId, view: &RuntimeView<'_>) {
-        let dead: Vec<bool> = (0..self.ready_at.len())
-            .map(|g| !view.is_alive(GpuId(g as u32)))
-            .collect();
-        let g = self.allocate(
-            view.task_set(),
-            view.spec(),
-            task,
-            view.now(),
-            Some(&|g| dead[g]),
-        );
-        view.unpark(GpuId(g as u32));
+        self.allocate(view.task_set(), view.spec(), task, Some(view));
     }
 
     fn pop_task(&mut self, gpu: GpuId, view: &RuntimeView<'_>) -> Option<TaskId> {
