@@ -539,6 +539,8 @@ struct State<'a> {
     /// ([`Scheduler::hooks`]) on the flat core, all of them on the
     /// reference core.
     hooks: Hooks,
+    /// When each GPU's running task ends: a fail-stop fault refunds the
+    /// busy time past its instant.
     gpu_free_at: Vec<Nanos>,
     /// Per-bus drain time: when PCI bus `b` finishes its queued
     /// transfers (index [`PlatformSpec::bus_of`]). Single-bus platforms
@@ -775,7 +777,6 @@ impl<'a> State<'a> {
             memories: &self.mem,
             buffers: &self.pipeline,
             missing: &self.missing,
-            gpu_free_at: &self.gpu_free_at,
             dead: &self.dead,
             requests: &self.requests,
         };

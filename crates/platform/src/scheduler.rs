@@ -261,8 +261,8 @@ impl Requests {
 /// per GPU, the bytes in flight to each GPU
 /// ([`RuntimeView::loading_bytes`]), the missing-input counters derived
 /// from residency (built on first use, [`RuntimeView::missing`]), the
-/// worker pipelines (`taskBuffer_k`), clock and busy-ness estimates.
-/// Schedulers must not assume anything else about the engine.
+/// worker pipelines (`taskBuffer_k`), the simulated clock and which GPUs
+/// are alive. Schedulers must not assume anything else about the engine.
 ///
 /// The view is read-only but for two requests a policy may make through
 /// it: [`park`](RuntimeView::park) the worker it is polled for, and
@@ -280,8 +280,6 @@ pub struct RuntimeView<'a> {
     /// Missing-input counters per (GPU, task); empty until a policy
     /// first asks ([`RuntimeView::missing`]).
     pub(crate) missing: &'a OnceCell<MissingCache>,
-    /// Simulated time at which each GPU finishes its queued work.
-    pub(crate) gpu_free_at: &'a [Nanos],
     /// Per-GPU fail-stop flag: `true` once the GPU died. All-`false` in a
     /// fault-free run.
     pub(crate) dead: &'a [bool],
@@ -382,11 +380,6 @@ impl<'a> RuntimeView<'a> {
             .input_ids(task)
             .filter(|&d| !self.is_resident_or_loading(gpu, d))
             .count()
-    }
-
-    /// Simulated time at which `gpu` finishes its queued work.
-    pub fn gpu_free_at(&self, gpu: GpuId) -> Nanos {
-        self.gpu_free_at[gpu.index()]
     }
 
     /// False once `gpu` suffered a fail-stop fault (see
