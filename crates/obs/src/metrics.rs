@@ -333,11 +333,6 @@ impl Metrics {
             ("timeseries".into(), timeseries),
         ])
     }
-
-    /// [`Metrics::to_value`] rendered as pretty JSON.
-    pub fn render_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).expect("a JSON value prints")
-    }
 }
 
 impl TraceSink for Metrics {
@@ -589,7 +584,7 @@ mod tests {
             task: Some(1),
             wall_ns: 800,
         });
-        let text = m.render_json();
+        let text = serde_json::to_string_pretty(&m.to_value()).unwrap();
         let v = serde_json::parse_value(&text).expect("valid JSON");
         let counters = v.field("counters", "metrics").unwrap();
         assert!(counters.field("decisions", "counters").is_ok());
