@@ -1,6 +1,6 @@
 //! Regenerates every figure in sequence.
 //! Usage: `all_figures [--quick] [--paper-timing] [--jobs N] [--faults SPEC]
-//! [--trace-out PATH] [--trace-format chrome|paje] [--metrics-out PATH]`.
+//! [--trace-out PATH] [--metrics-out PATH]`.
 //!
 //! When observability outputs are requested, each figure writes its own
 //! files with the figure id inserted before the extension

@@ -1,7 +1,6 @@
 //! Regenerates Figure 06 of the paper.
 //! Usage: `fig06 [--quick] [--paper-timing] [--json PATH] [--jobs N]
-//! [--faults SPEC]
-//! [--trace-out PATH] [--trace-format chrome|paje] [--metrics-out PATH]`.
+//! [--faults SPEC] [--trace-out PATH] [--metrics-out PATH]`.
 use memsched_experiments::{cli, figures};
 
 fn main() {

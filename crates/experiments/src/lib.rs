@@ -26,5 +26,5 @@ pub mod prefix_route;
 pub use checks::{shape_checks, CheckResult};
 pub use figures::all_figures;
 pub use harness::{canonical_json, FigureSpec, Metric, Row, SweepPoint};
-pub use obs::{export_figure, ObsOut, TraceFormat};
+pub use obs::{export_figure, ObsOut};
 pub use pool::resolve_jobs;

@@ -1,5 +1,5 @@
 //! Observed-run export for the figure binaries and `serve`
-//! (`--trace-out`, `--trace-format`, `--metrics-out`).
+//! (`--trace-out`, `--metrics-out`).
 //!
 //! A sweep runs dozens of cells; recording all of them would produce
 //! gigabytes of spans nobody opens. Instead the binary re-runs **one
@@ -9,20 +9,21 @@
 //! highest rate — and writes:
 //!
 //! - the timeline in Chrome Trace Event Format (Perfetto,
-//!   `chrome://tracing`) or Paje (`.trace`, ViTE) — `--trace-out`;
+//!   `chrome://tracing`) — `--trace-out`;
 //! - a metrics JSON — `--metrics-out`. Each count appears once, taken
 //!   from the run report: the fault totals, the per-GPU tasks, loads,
 //!   evictions, cache bytes and busy/stall/idle split, and the `online`
 //!   serving statistics. Beside them sit what only the event stream
 //!   tells: the bus-utilization timeline and the [`Metrics`] registry
-//!   (decisions, steals, gauges, histograms, snapshots).
+//!   (decisions, steals, gauges, the transfer-duration and
+//!   decision-latency histograms, snapshots).
 //!
 //! The files are checked at their source. The cell is recorded with a
 //! [`TraceMode::Full`] trace and must pass [`validate`] (memory bound,
 //! inputs resident at start, bus FIFO, the fault and admission ledgers,
 //! report equal to the trace) before anything is written; a violation
 //! becomes the export's error, so the binary exits 1 with the
-//! validator's message. The exporters build their spans with
+//! validator's message. The exporter builds its spans with
 //! `check_well_formed`, so no two spans on one track overlap.
 //!
 //! Both paths are validated at argument-parse time (parent directory
@@ -32,45 +33,20 @@
 
 use crate::harness::FigureSpec;
 use memsched_model::TaskSet;
-use memsched_platform::obs::{bus_utilization, chrome_trace_json, paje_trace, Metrics, Probe};
+use memsched_platform::obs::{bus_utilization, chrome_trace_json, Metrics, Probe};
 use memsched_platform::{
     run_observed, validate, ObsEvent, OnlineStats, PlatformSpec, RunConfig, RunReport, Scheduler,
     TraceMode,
 };
-use serde_json::{Number, Value};
+use serde_json::Value;
 use std::path::Path;
-
-/// Timeline export format selected by `--trace-format`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Chrome Trace Event Format JSON (Perfetto, `chrome://tracing`).
-    #[default]
-    Chrome,
-    /// Paje `.trace` (ViTE, the StarPU-native visualization path).
-    Paje,
-}
-
-impl TraceFormat {
-    /// Parse a `--trace-format` value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "chrome" => Ok(Self::Chrome),
-            "paje" => Ok(Self::Paje),
-            other => Err(format!(
-                "--trace-format {other:?}: expected \"chrome\" or \"paje\""
-            )),
-        }
-    }
-}
 
 /// Observability outputs requested on the command line; inactive (both
 /// paths `None`) unless `--trace-out` / `--metrics-out` were given.
 #[derive(Clone, Debug, Default)]
 pub struct ObsOut {
-    /// `--trace-out PATH`: timeline destination.
+    /// `--trace-out PATH`: Chrome trace destination.
     pub trace_out: Option<String>,
-    /// `--trace-format chrome|paje` (default chrome).
-    pub trace_format: TraceFormat,
     /// `--metrics-out PATH`: metrics JSON destination.
     pub metrics_out: Option<String>,
 }
@@ -78,13 +54,12 @@ pub struct ObsOut {
 impl ObsOut {
     /// The value flags [`ObsOut::parse`] reads, for a binary's
     /// [`check_flags`](crate::cli::check_flags) list.
-    pub const FLAGS: [&'static str; 3] = ["--trace-out", "--trace-format", "--metrics-out"];
+    pub const FLAGS: [&'static str; 2] = ["--trace-out", "--metrics-out"];
 
     /// Parse [`ObsOut::FLAGS`] through a binary's `value_of` flag
-    /// lookup, rejecting unusable paths and formats here, before any
-    /// cell runs.
+    /// lookup, rejecting unusable paths here, before any cell runs.
     pub fn parse(value_of: impl Fn(&str) -> Option<String>) -> Result<ObsOut, String> {
-        let [trace_flag, format_flag, metrics_flag] = Self::FLAGS;
+        let [trace_flag, metrics_flag] = Self::FLAGS;
         let trace_out = value_of(trace_flag);
         if let Some(p) = &trace_out {
             validate_out_path(trace_flag, p)?;
@@ -93,13 +68,8 @@ impl ObsOut {
         if let Some(p) = &metrics_out {
             validate_out_path(metrics_flag, p)?;
         }
-        let trace_format = match value_of(format_flag) {
-            Some(f) => TraceFormat::parse(&f)?,
-            None => TraceFormat::default(),
-        };
         Ok(ObsOut {
             trace_out,
-            trace_format,
             metrics_out,
         })
     }
@@ -115,7 +85,6 @@ impl ObsOut {
     pub fn suffixed(&self, id: &str) -> ObsOut {
         ObsOut {
             trace_out: self.trace_out.as_deref().map(|p| suffix_path(p, id)),
-            trace_format: self.trace_format,
             metrics_out: self.metrics_out.as_deref().map(|p| suffix_path(p, id)),
         }
     }
@@ -150,14 +119,7 @@ impl ObsOut {
         let events = probe.events();
 
         if let Some(path) = &self.trace_out {
-            let text = match self.trace_format {
-                TraceFormat::Chrome => {
-                    chrome_trace_json(&events).map_err(|e| format!("chrome export: {e}"))?
-                }
-                TraceFormat::Paje => {
-                    paje_trace(&events).map_err(|e| format!("paje export: {e}"))?
-                }
-            };
+            let text = chrome_trace_json(&events).map_err(|e| format!("chrome export: {e}"))?;
             std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!(
                 "wrote {path} ({} events, {})",
@@ -208,19 +170,6 @@ pub fn validate_out_path(flag: &str, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num(v: u64) -> Value {
-    Value::Num(Number::U(v))
-}
-
 /// Observe the figure's representative cell and write the requested
 /// files. No-op when nothing was requested. The cell is the **last
 /// sweep point, first scheduler** — deterministic, so repeated
@@ -242,8 +191,8 @@ pub fn export_figure(fig: &FigureSpec, out: &ObsOut) -> Result<(), String> {
         ..RunConfig::default()
     };
     let header = vec![
-        ("figure", Value::Str(fig.id.to_string())),
-        ("workload", Value::Str(point.workload.label())),
+        ("figure", fig.id.into()),
+        ("workload", point.workload.label().into()),
     ];
     let ts = point.workload.generate();
     out.export(&ts, &fig.spec, named.build().as_mut(), &config, header)
@@ -273,26 +222,26 @@ fn render_metrics(
         .iter()
         .enumerate()
         .map(|(g, st)| {
-            obj(vec![
-                ("gpu", num(g as u64)),
-                ("busy_ns", num(st.busy)),
-                ("stall_ns", num(st.stall)),
-                ("idle_ns", num(st.idle)),
-                ("tasks", num(st.tasks as u64)),
-                ("loads", num(st.loads)),
-                ("evictions", num(st.evictions)),
-                ("cache_hit_bytes", num(st.cache_hit_bytes)),
-                ("cache_miss_bytes", num(st.cache_miss_bytes)),
+            Value::from_iter([
+                ("gpu", (g as u64).into()),
+                ("busy_ns", st.busy.into()),
+                ("stall_ns", st.stall.into()),
+                ("idle_ns", st.idle.into()),
+                ("tasks", (st.tasks as u64).into()),
+                ("loads", st.loads.into()),
+                ("evictions", st.evictions.into()),
+                ("cache_hit_bytes", st.cache_hit_bytes.into()),
+                ("cache_miss_bytes", st.cache_miss_bytes.into()),
             ])
         })
         .collect();
 
     root.extend([
-        ("scheduler", Value::Str(report.scheduler.clone())),
-        ("makespan_ns", num(makespan)),
-        ("events", num(events.len() as u64)),
-        ("transfer_retries", num(report.transfer_retries)),
-        ("gpu_failures", num(report.gpu_failures)),
+        ("scheduler", report.scheduler.as_str().into()),
+        ("makespan_ns", makespan.into()),
+        ("events", (events.len() as u64).into()),
+        ("transfer_retries", report.transfer_retries.into()),
+        ("gpu_failures", report.gpu_failures.into()),
         ("per_gpu", Value::Arr(per_gpu)),
     ]);
     if let Some(o) = &report.online {
@@ -301,28 +250,29 @@ fn render_metrics(
     root.extend([
         (
             "bus_utilization",
-            Value::Arr(util.into_iter().map(|v| Value::Num(Number::F(v))).collect()),
+            Value::Arr(util.into_iter().map(Value::from).collect()),
         ),
         ("metrics", metrics.to_value()),
     ]);
-    serde_json::to_string_pretty(&obj(root)).map_err(|e| format!("serialize metrics: {e}"))
+    serde_json::to_string_pretty(&Value::from_iter(root))
+        .map_err(|e| format!("serialize metrics: {e}"))
 }
 
 /// The `online` section of the metrics JSON.
 fn online_value(o: &OnlineStats) -> Value {
-    obj(vec![
-        ("tasks_admitted", num(o.tasks_admitted)),
-        ("tasks_deferred", num(o.tasks_deferred)),
-        ("p50_latency_ns", num(o.p50_latency)),
-        ("p99_latency_ns", num(o.p99_latency)),
-        ("mean_latency_ns", num(o.mean_latency)),
-        ("p50_queueing_ns", num(o.p50_queueing)),
-        ("p99_queueing_ns", num(o.p99_queueing)),
-        ("throughput_tps", Value::Num(Number::F(o.throughput_tps))),
-        ("tasks_shed", num(o.tasks_shed)),
-        ("deadline_expired", num(o.deadline_expired)),
-        ("deadline_violations", num(o.deadline_violations)),
-        ("goodput_tps", Value::Num(Number::F(o.goodput_tps))),
+    Value::from_iter([
+        ("tasks_admitted", o.tasks_admitted.into()),
+        ("tasks_deferred", o.tasks_deferred.into()),
+        ("p50_latency_ns", o.p50_latency.into()),
+        ("p99_latency_ns", o.p99_latency.into()),
+        ("mean_latency_ns", o.mean_latency.into()),
+        ("p50_queueing_ns", o.p50_queueing.into()),
+        ("p99_queueing_ns", o.p99_queueing.into()),
+        ("throughput_tps", o.throughput_tps.into()),
+        ("tasks_shed", o.tasks_shed.into()),
+        ("deadline_expired", o.deadline_expired.into()),
+        ("deadline_violations", o.deadline_violations.into()),
+        ("goodput_tps", o.goodput_tps.into()),
     ])
 }
 
@@ -331,14 +281,8 @@ mod tests {
     use super::*;
     use crate::figures;
     use memsched_platform::obs::Track;
+    use serde_json::Number;
     use std::collections::BTreeSet;
-
-    #[test]
-    fn trace_format_parses_or_rejects() {
-        assert_eq!(TraceFormat::parse("chrome").unwrap(), TraceFormat::Chrome);
-        assert_eq!(TraceFormat::parse("paje").unwrap(), TraceFormat::Paje);
-        assert!(TraceFormat::parse("vite").is_err());
-    }
 
     #[test]
     fn out_path_validation_matches_the_faults_convention() {
@@ -383,16 +327,6 @@ mod tests {
             .collect()
     }
 
-    /// The sample count of the registry's `task_latency_ns` histogram.
-    fn latency_samples(metrics: &Value) -> u64 {
-        let registry = metrics.field("metrics", "root").unwrap();
-        let histograms = registry.field("histograms", "metrics").unwrap();
-        u64_at(
-            histograms.field("task_latency_ns", "histograms").unwrap(),
-            "count",
-        )
-    }
-
     #[test]
     fn multi_bus_observed_run_lints_with_per_bus_tracks() {
         let ts = memsched_workloads::gemm_2d(6);
@@ -404,7 +338,6 @@ mod tests {
         let trace = dir.join("t.json");
         let out = ObsOut {
             trace_out: Some(trace.to_str().unwrap().into()),
-            trace_format: TraceFormat::Chrome,
             metrics_out: None,
         };
         out.export(&ts, &spec, &mut sched, &RunConfig::default(), Vec::new())
@@ -432,7 +365,6 @@ mod tests {
         let fig = figures::quick(figures::fig03());
         let out = ObsOut {
             trace_out: Some(trace.to_str().unwrap().into()),
-            trace_format: TraceFormat::Chrome,
             metrics_out: Some(metrics.to_str().unwrap().into()),
         };
         export_figure(&fig, &out).expect("export");
@@ -459,11 +391,6 @@ mod tests {
             m.field("online", "metrics").is_err(),
             "a batch run has no online section"
         );
-        assert_eq!(
-            latency_samples(&m),
-            0,
-            "a batch run holds no latency samples"
-        );
 
         // The `serve` path: an online stream through `ObsOut::export`.
         use memsched_platform::AdmissionConfig;
@@ -482,38 +409,24 @@ mod tests {
             ..RunConfig::default()
         };
         let mut sched = memsched_schedulers::NamedScheduler::Dmdar.build();
-        let header = vec![("bin", Value::Str("serve".into()))];
+        let header = vec![("bin", "serve".into())];
         let serve_out = ObsOut {
             trace_out: None,
-            trace_format: TraceFormat::Chrome,
             metrics_out: Some(metrics.to_str().unwrap().into()),
         };
         serve_out
             .export(&stream, &spec, sched.as_mut(), &config, header)
             .expect("online export");
         let m = read_json(&metrics);
-        assert!(
-            m.field("online", "metrics").is_ok(),
-            "a serving run has an online section"
-        );
+        let online = m.field("online", "metrics").expect("an online section");
         let per_gpu = m.field("per_gpu", "metrics").unwrap().as_arr().unwrap();
         assert_eq!(per_gpu.len(), 2);
         let completed: u64 = per_gpu.iter().map(|g| u64_at(g, "tasks")).sum();
         assert_eq!(
-            latency_samples(&m),
+            u64_at(online, "tasks_admitted"),
             completed,
-            "one latency sample per completion"
+            "every admitted task completes"
         );
-
-        // Paje output is non-empty and ViTE-shaped (header + states).
-        let out = ObsOut {
-            trace_out: Some(trace.to_str().unwrap().into()),
-            trace_format: TraceFormat::Paje,
-            metrics_out: None,
-        };
-        export_figure(&fig, &out).expect("paje export");
-        let text = std::fs::read_to_string(&trace).unwrap();
-        assert!(text.contains("%EventDef"), "paje header missing");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

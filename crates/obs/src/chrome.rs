@@ -11,61 +11,36 @@
 
 use crate::event::{ObsEvent, Track};
 use crate::wellformed::{check_well_formed, Span, SpanKind, WellFormedError};
-use serde_json::{Number, Value};
+use serde_json::Value;
 use std::collections::BTreeSet;
-
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn s(v: impl Into<String>) -> Value {
-    Value::Str(v.into())
-}
-
-fn u(v: u64) -> Value {
-    Value::Num(Number::U(v))
-}
-
-fn f(v: f64) -> Value {
-    Value::Num(Number::F(v))
-}
 
 /// Nanoseconds to the format's microsecond doubles.
 fn us(t: u64) -> Value {
-    f(t as f64 / 1000.0)
+    (t as f64 / 1000.0).into()
 }
 
-fn sort_index(track: Track) -> u64 {
-    match track {
-        Track::Gpu(g) => u64::from(g),
-        Track::Bus => 100,
-        Track::NvLink => 101,
-        Track::BusN(n) => 110 + u64::from(n),
-        Track::Sched(g) => 200 + u64::from(g),
-        Track::Global => 300,
-        Track::Admission => 400,
-    }
-}
-
-fn metadata(track: Track) -> Vec<Value> {
-    let head = |name: &str| {
-        vec![
-            ("name", s(name)),
-            ("ph", s("M")),
-            ("pid", u(0)),
-            ("tid", u(track.tid())),
-        ]
+/// The track's `thread_name` and `thread_sort_index` entries; the sort
+/// index is the track's `tid`.
+fn metadata(track: Track) -> [Value; 2] {
+    let entry = |name: &str, args: Value| {
+        Value::from_iter([
+            ("name", name.into()),
+            ("ph", "M".into()),
+            ("pid", 0u64.into()),
+            ("tid", track.tid().into()),
+            ("args", args),
+        ])
     };
-    let mut name_entry = head("thread_name");
-    name_entry.push(("args", obj(vec![("name", s(track.label()))])));
-    let mut sort_entry = head("thread_sort_index");
-    sort_entry.push(("args", obj(vec![("sort_index", u(sort_index(track)))])));
-    vec![obj(name_entry), obj(sort_entry)]
+    [
+        entry(
+            "thread_name",
+            Value::from_iter([("name", track.label().into())]),
+        ),
+        entry(
+            "thread_sort_index",
+            Value::from_iter([("sort_index", track.tid().into())]),
+        ),
+    ]
 }
 
 fn span_event(span: &Span) -> Value {
@@ -80,31 +55,31 @@ fn span_event(span: &Span) -> Value {
         } => (
             format!("D{data}"),
             "transfer",
-            obj(vec![
-                ("gpu", u(u64::from(span.gpu))),
-                ("data", u(u64::from(*data))),
-                ("bytes", u(*bytes)),
-                ("bus_wait_ns", u(*bus_wait)),
-                ("peer", peer.map(|p| u(u64::from(p))).unwrap_or(Value::Null)),
-                ("attempt", u(u64::from(*attempt))),
-                ("delivered", Value::Bool(*delivered)),
+            Value::from_iter([
+                ("gpu", u64::from(span.gpu).into()),
+                ("data", u64::from(*data).into()),
+                ("bytes", (*bytes).into()),
+                ("bus_wait_ns", (*bus_wait).into()),
+                ("peer", peer.map_or(Value::Null, |p| u64::from(p).into())),
+                ("attempt", u64::from(*attempt).into()),
+                ("delivered", (*delivered).into()),
             ]),
         ),
         SpanKind::Compute { task, interrupted } => (
             format!("T{task}"),
             "compute",
-            obj(vec![
-                ("task", u(u64::from(*task))),
-                ("interrupted", Value::Bool(*interrupted)),
+            Value::from_iter([
+                ("task", u64::from(*task).into()),
+                ("interrupted", (*interrupted).into()),
             ]),
         ),
     };
-    obj(vec![
-        ("name", s(name)),
-        ("cat", s(cat)),
-        ("ph", s("X")),
-        ("pid", u(0)),
-        ("tid", u(span.track.tid())),
+    Value::from_iter([
+        ("name", name.into()),
+        ("cat", cat.into()),
+        ("ph", "X".into()),
+        ("pid", 0u64.into()),
+        ("tid", span.track.tid().into()),
         ("ts", us(span.begin)),
         ("dur", us(span.end - span.begin)),
         ("args", args),
@@ -114,6 +89,7 @@ fn span_event(span: &Span) -> Value {
 /// Instant / counter payload: `(name, cat, args)`; `None` for span
 /// events (handled elsewhere).
 fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
+    let task_only = |task: u32| Value::from_iter([("task", u64::from(task).into())]);
     match *ev {
         ObsEvent::Eviction {
             gpu,
@@ -124,11 +100,11 @@ fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
         } => Some((
             format!("evict D{data}"),
             "eviction",
-            obj(vec![
-                ("gpu", u(u64::from(gpu))),
-                ("data", u(u64::from(data))),
-                ("bytes", u(bytes)),
-                ("by_scheduler", Value::Bool(by_scheduler)),
+            Value::from_iter([
+                ("gpu", u64::from(gpu).into()),
+                ("data", u64::from(data).into()),
+                ("bytes", bytes.into()),
+                ("by_scheduler", by_scheduler.into()),
             ]),
         )),
         ObsEvent::Decision {
@@ -139,10 +115,10 @@ fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
                 None => "pop (none)".to_string(),
             },
             "decision",
-            obj(vec![
-                ("gpu", u(u64::from(gpu))),
-                ("task", task.map(|t| u(u64::from(t))).unwrap_or(Value::Null)),
-                ("wall_ns", u(wall_ns)),
+            Value::from_iter([
+                ("gpu", u64::from(gpu).into()),
+                ("task", task.map_or(Value::Null, |t| u64::from(t).into())),
+                ("wall_ns", wall_ns.into()),
             ]),
         )),
         ObsEvent::Steal {
@@ -150,10 +126,10 @@ fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
         } => Some((
             format!("steal {tasks} from GPU {from}"),
             "steal",
-            obj(vec![
-                ("from", u(u64::from(from))),
-                ("to", u(u64::from(to))),
-                ("tasks", u(u64::from(tasks))),
+            Value::from_iter([
+                ("from", u64::from(from).into()),
+                ("to", u64::from(to).into()),
+                ("tasks", u64::from(tasks).into()),
             ]),
         )),
         ObsEvent::TransferRetry {
@@ -161,52 +137,47 @@ fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
         } => Some((
             format!("retry D{data}"),
             "retry",
-            obj(vec![
-                ("gpu", u(u64::from(gpu))),
-                ("data", u(u64::from(data))),
-                ("attempt", u(u64::from(attempt))),
+            Value::from_iter([
+                ("gpu", u64::from(gpu).into()),
+                ("data", u64::from(data).into()),
+                ("attempt", u64::from(attempt).into()),
             ]),
         )),
         ObsEvent::GpuFailed { gpu, .. } => Some((
             format!("GPU {gpu} failed"),
             "fault",
-            obj(vec![("gpu", u(u64::from(gpu)))]),
+            Value::from_iter([("gpu", u64::from(gpu).into())]),
         )),
         ObsEvent::CapacityShrunk { gpu, capacity, .. } => Some((
             format!("GPU {gpu} shrunk"),
             "fault",
-            obj(vec![("gpu", u(u64::from(gpu))), ("capacity", u(capacity))]),
+            Value::from_iter([
+                ("gpu", u64::from(gpu).into()),
+                ("capacity", capacity.into()),
+            ]),
         )),
         ObsEvent::GpuSlowed { gpu, factor, .. } => Some((
             format!("GPU {gpu} slowed"),
             "fault",
-            obj(vec![("gpu", u(u64::from(gpu))), ("factor", f(factor))]),
+            Value::from_iter([("gpu", u64::from(gpu).into()), ("factor", factor.into())]),
         )),
-        ObsEvent::TaskArrived { task, .. } => Some((
-            format!("arrive T{task}"),
-            "admission",
-            obj(vec![("task", u(u64::from(task)))]),
-        )),
+        ObsEvent::TaskArrived { task, .. } => {
+            Some((format!("arrive T{task}"), "admission", task_only(task)))
+        }
         ObsEvent::TaskAdmitted { task, wait, .. } => Some((
             format!("admit T{task}"),
             "admission",
-            obj(vec![("task", u(u64::from(task))), ("wait_ns", u(wait))]),
+            Value::from_iter([("task", u64::from(task).into()), ("wait_ns", wait.into())]),
         )),
-        ObsEvent::TaskDeferred { task, .. } => Some((
-            format!("defer T{task}"),
-            "admission",
-            obj(vec![("task", u(u64::from(task)))]),
-        )),
-        ObsEvent::TaskShed { task, .. } => Some((
-            format!("shed T{task}"),
-            "admission",
-            obj(vec![("task", u(u64::from(task)))]),
-        )),
-        ObsEvent::DeadlineExpired { task, .. } => Some((
-            format!("expire T{task}"),
-            "admission",
-            obj(vec![("task", u(u64::from(task)))]),
-        )),
+        ObsEvent::TaskDeferred { task, .. } => {
+            Some((format!("defer T{task}"), "admission", task_only(task)))
+        }
+        ObsEvent::TaskShed { task, .. } => {
+            Some((format!("shed T{task}"), "admission", task_only(task)))
+        }
+        ObsEvent::DeadlineExpired { task, .. } => {
+            Some((format!("expire T{task}"), "admission", task_only(task)))
+        }
         ObsEvent::CacheAccess {
             gpu,
             task,
@@ -216,11 +187,11 @@ fn instant_payload(ev: &ObsEvent) -> Option<(String, &'static str, Value)> {
         } => Some((
             format!("cache T{task}"),
             "cache",
-            obj(vec![
-                ("gpu", u(u64::from(gpu))),
-                ("task", u(u64::from(task))),
-                ("hit_bytes", u(hit_bytes)),
-                ("miss_bytes", u(miss_bytes)),
+            Value::from_iter([
+                ("gpu", u64::from(gpu).into()),
+                ("task", u64::from(task).into()),
+                ("hit_bytes", hit_bytes.into()),
+                ("miss_bytes", miss_bytes.into()),
             ]),
         )),
         _ => None,
@@ -234,12 +205,15 @@ pub fn chrome_trace(events: &[ObsEvent]) -> Result<Value, WellFormedError> {
     let timeline = check_well_formed(events)?;
     let tracks: BTreeSet<Track> = events.iter().map(ObsEvent::track).collect();
     let mut out: Vec<Value> = Vec::new();
-    out.push(obj(vec![
-        ("name", s("process_name")),
-        ("ph", s("M")),
-        ("pid", u(0)),
-        ("tid", u(0)),
-        ("args", obj(vec![("name", s("memsched simulation"))])),
+    out.push(Value::from_iter([
+        ("name", "process_name".into()),
+        ("ph", "M".into()),
+        ("pid", 0u64.into()),
+        ("tid", 0u64.into()),
+        (
+            "args",
+            Value::from_iter([("name", "memsched simulation".into())]),
+        ),
     ]));
     for track in &tracks {
         out.extend(metadata(*track));
@@ -259,29 +233,29 @@ pub fn chrome_trace(events: &[ObsEvent]) -> Result<Value, WellFormedError> {
                 Some(g) => format!("{} gpu{g}", kind.name()),
                 None => kind.name().to_string(),
             };
-            out.push(obj(vec![
-                ("name", s(name)),
-                ("ph", s("C")),
-                ("pid", u(0)),
-                ("tid", u(ev.track().tid())),
+            out.push(Value::from_iter([
+                ("name", name.into()),
+                ("ph", "C".into()),
+                ("pid", 0u64.into()),
+                ("tid", ev.track().tid().into()),
                 ("ts", us(*t)),
-                ("args", obj(vec![("value", f(*value))])),
+                ("args", Value::from_iter([("value", (*value).into())])),
             ]));
         } else if let Some((name, cat, args)) = instant_payload(ev) {
-            out.push(obj(vec![
-                ("name", s(name)),
-                ("cat", s(cat)),
-                ("ph", s("i")),
-                ("s", s("t")),
-                ("pid", u(0)),
-                ("tid", u(ev.track().tid())),
+            out.push(Value::from_iter([
+                ("name", name.into()),
+                ("cat", cat.into()),
+                ("ph", "i".into()),
+                ("s", "t".into()),
+                ("pid", 0u64.into()),
+                ("tid", ev.track().tid().into()),
                 ("ts", us(ev.t())),
                 ("args", args),
             ]));
         }
     }
-    Ok(obj(vec![
-        ("displayTimeUnit", s("ns")),
+    Ok(Value::from_iter([
+        ("displayTimeUnit", "ns".into()),
         ("traceEvents", Value::Arr(out)),
     ]))
 }
@@ -371,6 +345,66 @@ mod tests {
         assert_eq!(count_ph(&parsed, "C"), 1, "one gauge counter");
         // ts/dur are microsecond doubles: the 80ns transfer is 0.08us.
         assert!(text.contains("0.08"), "{text}");
+    }
+
+    /// Every track of a 128-GPU stream (GPU, scheduler, bus, NVLink,
+    /// global and admission tracks) gets its own sort index.
+    #[test]
+    fn sort_indices_are_distinct_past_100_gpus() {
+        let mut evs = vec![ObsEvent::TaskArrived { t: 0, task: 0 }];
+        for (bus, peer) in [(0, None), (1, None), (0, Some(1))] {
+            let (gpu, data, bytes, attempt) = (0, 1, 64, 1);
+            evs.push(ObsEvent::TransferBegin {
+                t: 0,
+                gpu,
+                data,
+                bytes,
+                bus_wait: 0,
+                bus,
+                peer,
+                attempt,
+                done_at: 10,
+            });
+            evs.push(ObsEvent::TransferEnd {
+                t: 10,
+                gpu,
+                data,
+                bytes,
+                bus,
+                peer,
+                attempt,
+                delivered: true,
+            });
+        }
+        for gpu in 0..128 {
+            evs.push(ObsEvent::GpuFailed { t: 20, gpu });
+            evs.push(ObsEvent::Decision {
+                t: 20,
+                gpu,
+                task: None,
+                wall_ns: 1,
+            });
+        }
+        evs.push(ObsEvent::Gauge {
+            t: 20,
+            gpu: None,
+            kind: GaugeKind::NbFreeTasks,
+            value: 0.0,
+        });
+        let doc = chrome_trace(&evs).unwrap();
+        let indices: Vec<&Value> = doc
+            .field("traceEvents", "trace")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter(|e| e.field("name", "event").unwrap().as_str() == Some("thread_sort_index"))
+            .map(|e| e.field("args", "event").unwrap())
+            .collect();
+        assert_eq!(indices.len(), 2 * 128 + 5, "one per track");
+        for (i, a) in indices.iter().enumerate() {
+            assert!(!indices[..i].contains(a), "sort index {a:?} repeats");
+        }
     }
 
     #[test]

@@ -10,10 +10,10 @@
 /// alias is repeated here rather than imported).
 pub type Nanos = u64;
 
-/// The timeline a given event belongs to. Exporters render one visual
-/// track per variant: compute and memory activity per GPU, transfers on
-/// the shared PCI bus (or NVLink), scheduler decisions per GPU context,
-/// and a global track for platform-wide gauges.
+/// The timeline a given event belongs to. The Chrome exporter renders
+/// one visual track per variant: compute and memory activity per GPU,
+/// transfers on the shared PCI bus (or NVLink), scheduler decisions per
+/// GPU context, and a global track for platform-wide gauges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Track {
     /// Compute, evictions and fault instants of one GPU.
@@ -36,7 +36,7 @@ pub enum Track {
 }
 
 impl Track {
-    /// Human-readable track name used by both exporters.
+    /// Human-readable track name shown by the exporter.
     pub fn label(&self) -> String {
         match self {
             Track::Gpu(g) => format!("GPU {g}"),
@@ -49,7 +49,7 @@ impl Track {
         }
     }
 
-    /// Stable Chrome `tid` for the track (also the sort key).
+    /// Stable Chrome `tid` for the track (also its `thread_sort_index`).
     pub fn tid(&self) -> u64 {
         match self {
             Track::Gpu(g) => u64::from(*g),
@@ -60,19 +60,6 @@ impl Track {
             Track::Sched(g) => 2000 + u64::from(*g),
             Track::Global => 3000,
             Track::Admission => 4000,
-        }
-    }
-
-    /// Short alias used as the Paje container name.
-    pub fn paje_alias(&self) -> String {
-        match self {
-            Track::Gpu(g) => format!("g{g}"),
-            Track::Bus => "bus".to_string(),
-            Track::BusN(n) => format!("bus{n}"),
-            Track::NvLink => "nvlink".to_string(),
-            Track::Sched(g) => format!("s{g}"),
-            Track::Global => "sched".to_string(),
-            Track::Admission => "adm".to_string(),
         }
     }
 }
@@ -445,7 +432,6 @@ mod tests {
         assert_eq!(second_bus.track(), Track::BusN(1));
         assert_eq!(Track::BusN(1).tid(), 1101);
         assert_eq!(Track::BusN(2).label(), "PCI bus 2");
-        assert_eq!(Track::BusN(3).paje_alias(), "bus3");
         let dec = ObsEvent::Decision {
             t: 9,
             gpu: 3,

@@ -16,12 +16,11 @@
 //! - [`chrome::chrome_trace_json`] exports Chrome Trace Event Format
 //!   (loadable in `chrome://tracing` and Perfetto), one track per GPU
 //!   plus one for the PCI bus, NVLink and each scheduler context;
-//! - [`paje::paje_trace`] exports a Paje `.trace` readable by ViTE,
-//!   the StarPU-native visualization path;
 //! - [`Metrics`] is a registry of what only the stream can tell
-//!   (scheduler decisions, steals, gauges, duration and latency
-//!   histograms) with periodic timeseries snapshots; counts and per-GPU
-//!   time splits are the run report's;
+//!   (scheduler decisions, steals, gauges, the transfer-duration and
+//!   decision-latency histograms) with periodic timeseries snapshots;
+//!   counts, per-GPU time splits and serving latencies are the run
+//!   report's;
 //! - [`breakdown`] folds the span structure into a bus-utilization
 //!   timeline, the transfer/compute [`Overlap`] and an ASCII Gantt chart.
 //!
@@ -33,7 +32,6 @@ pub mod breakdown;
 pub mod chrome;
 pub mod event;
 pub mod metrics;
-pub mod paje;
 pub mod sink;
 pub mod wellformed;
 
@@ -41,7 +39,6 @@ pub use breakdown::{bus_utilization, bus_utilization_on, overlap, render_gantt, 
 pub use chrome::{chrome_trace, chrome_trace_json};
 pub use event::{GaugeKind, Nanos, ObsEvent, Track};
 pub use metrics::{Counter, Histogram, Metrics, Snapshot};
-pub use paje::paje_trace;
 pub use sink::{Probe, Recorder, TraceSink};
 pub use wellformed::{
     build_timeline, check_well_formed, Span, SpanKind, Timeline, WellFormedError,

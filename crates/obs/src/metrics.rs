@@ -1,16 +1,18 @@
 //! The metrics registry: counters, last-value gauges, log₂-bucketed
 //! histograms, and periodic timeseries snapshots — all fed from the
-//! same [`ObsEvent`] stream the exporters consume, so aggregate numbers
-//! and timelines can never disagree.
+//! same [`ObsEvent`] stream the Chrome exporter consumes, so aggregate
+//! numbers and timelines can never disagree.
 //!
-//! It keeps only what the event stream alone can tell. Loads,
-//! evictions, completed tasks, faults, admission outcomes and cache
-//! bytes are facts of the run report, which `memsched_platform::validate`
-//! checks against the trace; the registry does not count them again.
+//! It keeps only what the event stream alone can tell: scheduler
+//! decisions, steals, gauges, transfer wire times and decision
+//! latencies. Loads, evictions, completed tasks, faults, admission
+//! outcomes, cache bytes and serving latencies are facts of the run
+//! report, which `memsched_platform::validate` checks against the
+//! trace; the registry does not count them again.
 
 use crate::event::{GaugeKind, Nanos, ObsEvent};
 use crate::sink::TraceSink;
-use serde_json::{Number, Value};
+use serde_json::Value;
 use std::collections::{BTreeMap, HashMap};
 
 /// Monotone counters tracked by [`Metrics`].
@@ -140,14 +142,14 @@ impl Histogram {
 
     /// JSON summary (count/sum/min/mean/p50/p99/max).
     pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("count".into(), Value::Num(Number::U(self.count))),
-            ("sum".into(), Value::Num(Number::U(self.sum))),
-            ("min".into(), Value::Num(Number::U(self.min()))),
-            ("mean".into(), Value::Num(Number::F(self.mean()))),
-            ("p50".into(), Value::Num(Number::U(self.quantile(0.5)))),
-            ("p99".into(), Value::Num(Number::U(self.quantile(0.99)))),
-            ("max".into(), Value::Num(Number::U(self.max))),
+        Value::from_iter([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("min", self.min().into()),
+            ("mean", self.mean().into()),
+            ("p50", self.quantile(0.5).into()),
+            ("p99", self.quantile(0.99).into()),
+            ("max", self.max.into()),
         ])
     }
 }
@@ -178,15 +180,8 @@ pub struct Metrics {
     gauges: BTreeMap<String, f64>,
     transfer_ns: Histogram,
     decision_ns: Histogram,
-    /// Task latency (completion − arrival) of online runs.
-    task_latency_ns: Histogram,
-    /// Queueing delay (compute start − arrival) of online runs.
-    queueing_ns: Histogram,
     /// Open transfer begin times, keyed by (gpu, data, attempt).
     open_transfers: HashMap<(u32, u32, u32), Nanos>,
-    /// Arrival times of online tasks, for latency accounting (lookup
-    /// only — never iterated, so the map's order cannot leak).
-    arrival_ns: HashMap<u32, Nanos>,
     snapshot_every: Nanos,
     next_snapshot: Nanos,
     /// Periodic samples (empty unless built with
@@ -208,10 +203,7 @@ impl Metrics {
             gauges: BTreeMap::new(),
             transfer_ns: Histogram::new(),
             decision_ns: Histogram::new(),
-            task_latency_ns: Histogram::new(),
-            queueing_ns: Histogram::new(),
             open_transfers: HashMap::new(),
-            arrival_ns: HashMap::new(),
             snapshot_every: 0,
             next_snapshot: 0,
             timeseries: Vec::new(),
@@ -255,17 +247,6 @@ impl Metrics {
         &self.decision_ns
     }
 
-    /// Task latency histogram (completion − arrival; online runs only).
-    pub fn task_latency(&self) -> &Histogram {
-        &self.task_latency_ns
-    }
-
-    /// Queueing-delay histogram (compute start − arrival; online runs
-    /// only).
-    pub fn queueing_delay(&self) -> &Histogram {
-        &self.queueing_ns
-    }
-
     fn maybe_snapshot(&mut self, t: Nanos) {
         if self.snapshot_every == 0 {
             return;
@@ -286,51 +267,39 @@ impl Metrics {
 
     /// Full JSON rendering: counters, gauges, histograms, timeseries.
     pub fn to_value(&self) -> Value {
-        let counters = Value::Obj(
-            Counter::ALL
-                .iter()
-                .map(|c| {
-                    (
-                        c.name().to_string(),
-                        Value::Num(Number::U(self.counter(*c))),
-                    )
-                })
-                .collect(),
-        );
-        let gauges = Value::Obj(
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Num(Number::F(*v))))
-                .collect(),
-        );
-        let histograms = Value::Obj(vec![
-            ("transfer_duration_ns".into(), self.transfer_ns.to_value()),
-            ("decision_latency_ns".into(), self.decision_ns.to_value()),
-            ("task_latency_ns".into(), self.task_latency_ns.to_value()),
-            ("queueing_delay_ns".into(), self.queueing_ns.to_value()),
+        let counters: Value = Counter::ALL
+            .iter()
+            .map(|c| (c.name(), self.counter(*c).into()))
+            .collect();
+        let gauges: Value = self
+            .gauges
+            .iter()
+            .map(|(k, v)| (k.as_str(), (*v).into()))
+            .collect();
+        let histograms = Value::from_iter([
+            ("transfer_duration_ns", self.transfer_ns.to_value()),
+            ("decision_latency_ns", self.decision_ns.to_value()),
         ]);
-        let timeseries = Value::Arr(
-            self.timeseries
-                .iter()
-                .map(|s| {
-                    let mut entries = vec![("t".to_string(), Value::Num(Number::U(s.t)))];
-                    entries.extend(Counter::ALL.iter().enumerate().map(|(i, c)| {
-                        (c.name().to_string(), Value::Num(Number::U(s.counters[i])))
-                    }));
-                    entries.extend(
-                        s.gauges
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Value::Num(Number::F(*v)))),
-                    );
-                    Value::Obj(entries)
-                })
-                .collect(),
-        );
-        Value::Obj(vec![
-            ("counters".into(), counters),
-            ("gauges".into(), gauges),
-            ("histograms".into(), histograms),
-            ("timeseries".into(), timeseries),
+        let timeseries = self
+            .timeseries
+            .iter()
+            .map(|s| {
+                let counters = Counter::ALL
+                    .iter()
+                    .zip(s.counters)
+                    .map(|(c, n)| (c.name(), n.into()));
+                let gauges = s.gauges.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+                std::iter::once(("t", s.t.into()))
+                    .chain(counters)
+                    .chain(gauges)
+                    .collect()
+            })
+            .collect();
+        Value::from_iter([
+            ("counters", counters),
+            ("gauges", gauges),
+            ("histograms", histograms),
+            ("timeseries", Value::Arr(timeseries)),
         ])
     }
 }
@@ -361,23 +330,6 @@ impl TraceSink for Metrics {
                     self.transfer_ns.record(t.saturating_sub(b));
                 }
             }
-            ObsEvent::ComputeBegin { t, task, .. } => {
-                if let Some(&arrived) = self.arrival_ns.get(&task) {
-                    self.queueing_ns.record(t.saturating_sub(arrived));
-                }
-            }
-            ObsEvent::ComputeEnd {
-                t,
-                task,
-                interrupted,
-                ..
-            } => {
-                if !interrupted {
-                    if let Some(arrived) = self.arrival_ns.remove(&task) {
-                        self.task_latency_ns.record(t.saturating_sub(arrived));
-                    }
-                }
-            }
             ObsEvent::Decision { wall_ns, .. } => {
                 self.bump(Counter::Decisions);
                 self.decision_ns.record(wall_ns);
@@ -391,21 +343,18 @@ impl TraceSink for Metrics {
             } => {
                 self.gauges.insert(gauge_name(kind, gpu), value);
             }
-            ObsEvent::TaskArrived { t, task } => {
-                self.arrival_ns.insert(task, t);
-            }
-            // Dropped tasks never complete: forget their arrival so the
-            // latency histogram keeps counting completions only.
-            ObsEvent::TaskShed { task, .. } | ObsEvent::DeadlineExpired { task, .. } => {
-                self.arrival_ns.remove(&task);
-            }
-            ObsEvent::Eviction { .. }
+            ObsEvent::ComputeBegin { .. }
+            | ObsEvent::ComputeEnd { .. }
+            | ObsEvent::Eviction { .. }
             | ObsEvent::TransferRetry { .. }
             | ObsEvent::GpuFailed { .. }
             | ObsEvent::CapacityShrunk { .. }
             | ObsEvent::GpuSlowed { .. }
+            | ObsEvent::TaskArrived { .. }
             | ObsEvent::TaskAdmitted { .. }
             | ObsEvent::TaskDeferred { .. }
+            | ObsEvent::TaskShed { .. }
+            | ObsEvent::DeadlineExpired { .. }
             | ObsEvent::CacheAccess { .. } => {}
         }
     }

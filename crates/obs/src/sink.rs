@@ -12,7 +12,7 @@ pub trait TraceSink {
 }
 
 /// The in-memory event buffer: every event, in recording order. The
-/// exporters pair each span's begin with its end, so a buffer that
+/// exporter pairs each span's begin with its end, so a buffer that
 /// dropped events would not export.
 pub type Recorder = Vec<ObsEvent>;
 

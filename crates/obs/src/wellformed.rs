@@ -8,8 +8,8 @@
 //! the bus serves transfers in grant order and each GPU computes one
 //! task at a time, so on every track the first span begun is the first
 //! to end. Pairing by that rule turns the stream into non-overlapping
-//! [`Span`]s per track plus a list of instants, the canonical form both
-//! exporters and the derived analyses consume.
+//! [`Span`]s per track plus a list of instants, the canonical form the
+//! Chrome exporter and the derived analyses consume.
 
 use crate::event::{Nanos, ObsEvent, Track};
 use std::collections::BTreeMap;

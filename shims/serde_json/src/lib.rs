@@ -71,6 +71,43 @@ impl Value {
     }
 }
 
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::Num(Number::U(v))
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Num(Number::F(v))
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Str(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Str(v)
+    }
+}
+
+/// Collects `(key, value)` pairs into an object, keeping their order.
+impl<K: Into<String>> FromIterator<(K, Value)> for Value {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        Value::Obj(iter.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
 /// A parse or lookup error (a message, no position tracking beyond it).
 #[derive(Clone, Debug)]
 pub struct Error(String);
@@ -411,6 +448,20 @@ mod tests {
         let floats = [1.0, 0.1, 13_253.0].map(|f| Value::Num(Number::F(f)));
         let s = to_string(&Value::Arr(floats.to_vec())).unwrap();
         assert_eq!(s, "[1.0,0.1,13253.0]");
+    }
+
+    #[test]
+    fn constructors_build_objects_in_order() {
+        let inner = Value::from_iter([(String::from("k"), "y".to_string().into())]);
+        let v = Value::from_iter([
+            ("u", Value::from(7u64)),
+            ("f", 0.5.into()),
+            ("b", true.into()),
+            ("s", "x".into()),
+            ("o", inner),
+        ]);
+        let text = r#"{"u":7,"f":0.5,"b":true,"s":"x","o":{"k":"y"}}"#;
+        assert_eq!(to_string(&v).unwrap(), text);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! * [`model`] — the bipartite task/data model, schedules, offline replay;
 //! * [`platform`] — the discrete-event multi-GPU runtime simulator;
-//! * [`obs`] — structured tracing, Chrome/Paje export, metrics registry;
+//! * [`obs`] — structured tracing, Chrome trace export, metrics registry;
 //! * [`schedulers`] — EAGER, DMDA(R), hMETIS+R, mHFP, DARTS(+LUF), and
 //!   the residency-aware prefix Router;
 //! * [`hypergraph`] — the multilevel K-way partitioner;

@@ -20,7 +20,6 @@ mod common;
 
 use common::{check_scenario, run_validated, small_spec, Faults, Scenarios};
 use memsched::experiments::pool;
-use memsched::platform::obs::Metrics;
 use memsched::platform::{validate, RunConfig, TraceEvent};
 use memsched::prelude::*;
 use memsched::schedulers::FAMILIES;
@@ -191,10 +190,9 @@ fn fault_stranded_deferred_task_shed_under_policy_stuck_under_defer_only() {
     );
 }
 
-/// Acceptance sweep: every family digests a 1k-task Poisson stream, the
-/// serving histograms land in the metrics registry (one latency and one
-/// queueing-delay sample per completed task), and the stream's trace is
-/// the projection of its observed events.
+/// Acceptance sweep: every family digests a 1k-task Poisson stream,
+/// the report's serving statistics cover every task, and the stream's
+/// trace is the projection of its observed events.
 #[test]
 fn all_families_complete_1k_task_poisson_stream() {
     let ts = {
@@ -228,11 +226,6 @@ fn all_families_complete_1k_task_poisson_stream() {
         assert!(stats.p50_latency > 0, "{named:?}: empty latency histogram");
         assert!(stats.p50_latency <= stats.p99_latency, "{named:?}");
         assert!(stats.throughput_tps > 0.0, "{named:?}");
-
-        let mut metrics = Metrics::new();
-        metrics.ingest(&events);
-        assert_eq!(metrics.task_latency().count(), n, "{named:?}");
-        assert_eq!(metrics.queueing_delay().count(), n, "{named:?}");
     }
 }
 
